@@ -14,7 +14,7 @@ enumerations at k = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from itertools import product
 
 from .errors import (
@@ -28,17 +28,15 @@ from .errors import (
 from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, degree
 from .families import (
     MembershipReport,
+    _cover_system,
     _require_base,
     _require_lattice,
     base_null,
-    closed_neighborhood,
-    gamma,
-    lattice_complete,
+    cover_system,
     lattice_vertices,
     member_b,
     member_c,
-    s_set,
-    scaffold,
+    scan_ranges,
     span_lattice,
 )
 
@@ -75,35 +73,25 @@ class CoverIndexSets:
 
 
 def cover_index_sets(base: Graph, lattice: Graph) -> CoverIndexSets:
-    """Evaluate the whole index calculus by direct definition."""
+    """Evaluate the whole index calculus on the cover system: J(x) holds
+    the coordinates with a constraint on x, I_x(e) those whose constraint
+    on x the edge e hits, and the tilde sets those it hits alone."""
     k = _require_base(base)
     _require_lattice(lattice, k, 2)
-    hoods = {i: closed_neighborhood(base, i) for i in range(1, k + 1)}
-    vecs = lattice_vertices(k, 2)
-    j_sets = {
-        x: frozenset(i for i in range(1, k + 1) if all(x[t - 1] == 2 for t in hoods[i]))
-        for x in vecs
-    }
+    cs = cover_system("B", k, base)
+    mask, _outside = cs.encode(lattice)
+    j_sets: dict[LatticeVector, frozenset[int]] = {x: frozenset() for x in lattice_vertices(k, 2)}
+    i_sets = dict(j_sets)
     i_edge: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
-    counts: dict[tuple[LatticeVector, int], int] = {}
-    for e in lattice.edges():
-        xv, yv = e[0].vector, e[1].vector  # type: ignore[union-attr]
-        for x in (xv, yv):
-            got = frozenset(
-                i for i in j_sets[x] if xv[i - 1] != yv[i - 1]
-            )
-            if got:
-                i_edge[(x, e)] = got
-                for i in got:
-                    counts[(x, i)] = counts.get((x, i), 0) + 1
-    i_sets: dict[LatticeVector, frozenset[int]] = {x: frozenset() for x in vecs}
-    for (x, _e), got in i_edge.items():
-        i_sets[x] |= got
-    i_tilde = {
-        (x, e): frozenset(i for i in got if counts[(x, i)] == 1)
-        for (x, e), got in i_edge.items()
-    }
-    i_tilde = {key: val for key, val in i_tilde.items() if val}
+    i_tilde: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
+    for (i, _cond, x), cm in zip(cs.tags, cs.masks):
+        j_sets[x] |= {i}
+        hit_edges = cs.decode(mask & cm)
+        for e in hit_edges:
+            i_edge[x, e] = i_edge.get((x, e), frozenset()) | {i}
+            i_sets[x] |= {i}
+        if len(hit_edges) == 1:
+            i_tilde[x, hit_edges[0]] = i_tilde.get((x, hit_edges[0]), frozenset()) | {i}
     return CoverIndexSets(k=k, j_sets=j_sets, i_sets=i_sets, i_edge=i_edge, i_tilde=i_tilde)
 
 
@@ -134,82 +122,65 @@ class MinimalityReport:
         return [ec.edge for ec in self.edges if not ec.critical]
 
 
-def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
-    """Minimality of the lattice relative to the fixed base.
-
-    Two conditions, evaluated on the index calculus: every constrained
-    coordinate of every vector is served, and every edge serves some vector
-    uniquely for at least one coordinate.
-    """
-    membership = member_b(base, lattice)
-    cis = cover_index_sets(base, lattice)
-    edge_reports = []
-    all_critical = True
-    for e in lattice.edges():
-        witness = None
-        indices: tuple[int, ...] = ()
-        for x in sorted({e[0].vector, e[1].vector}):  # type: ignore[union-attr]
-            tilde = cis.i_tilde_of(x, e)
-            if tilde:
-                witness = LatticeVertex(x)
-                indices = tuple(sorted(tilde))
-                break
-        critical = witness is not None
-        all_critical = all_critical and critical
-        edge_reports.append(
-            EdgeCriticality(edge=e, critical=critical, witness_vertex=witness, witness_indices=indices)
-        )
+def _minimality(membership: MembershipReport, edges: list[EdgeCriticality]) -> MinimalityReport:
     return MinimalityReport(
-        minimal=membership.member and all_critical,
+        minimal=membership.member and all(ec.critical for ec in edges),
         member=membership.member,
-        family="B",
+        family=membership.family,
         membership=membership,
-        edges=tuple(edge_reports),
+        edges=tuple(edges),
     )
 
 
-def _without_edge(lattice: Graph, e: Edge) -> Graph:
-    return Graph(lattice.vertices(), [f for f in lattice.edge_set() if f != e])
+def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
+    """Minimality of the lattice relative to the fixed base.
+
+    Two conditions, evaluated on the cover system: every constraint is hit,
+    and every edge is the only hit of some constraint.  An edge's witness is
+    its smaller endpoint that it alone covers, with every coordinate in
+    which it does so.
+    """
+    membership = member_b(base, lattice)
+    cs = cover_system("B", membership.k, base)
+    _first, sole = cs.hits(cs.encode(lattice)[0])
+    edges = []
+    for e in lattice.edges():
+        tags = [cs.tags[n] for n in sole.get(cs.index[e], ())]
+        witness = min((x for _i, _cond, x in tags), default=None)
+        edges.append(
+            EdgeCriticality(
+                edge=e,
+                critical=witness is not None,
+                witness_vertex=None if witness is None else LatticeVertex(witness),
+                witness_indices=tuple(sorted(i for i, _cond, x in tags if x == witness)),
+            )
+        )
+    return _minimality(membership, edges)
 
 
 def is_k_minimal(lattice: Graph) -> MinimalityReport:
     """Minimality of a radius-3 lattice: membership holds and every
     single-edge deletion breaks it.  Single deletions suffice because
-    membership is an up-set of the spanning-subgraph order."""
+    membership is an up-set of the spanning-subgraph order.
+
+    Deleting an edge leaves unhit the constraints that were unhit already
+    and those it was the only hit of; the first of them is its witness.  The
+    deletion also breaks membership while another edge lies outside the
+    maximal lattice.
+    """
     membership = member_c(lattice)
-    edge_reports = []
-    all_critical = True
+    cs = cover_system("C", membership.k)
+    mask, outside = cs.encode(lattice)
+    first, sole = cs.hits(mask)
+    edges = []
     for e in lattice.edges():
-        after = member_c(_without_edge(lattice, e))
-        witness = None
-        indices: tuple[int, ...] = ()
-        condition = None
-        if not after.member:
-            for diag in after.diagnostics:
-                if diag.uncovered is not None:
-                    witness, indices, condition = diag.uncovered, (diag.i,), "slice"
-                    break
-                if diag.uncovered_secondary is not None:
-                    witness, indices, condition = diag.uncovered_secondary, (diag.i,), "s-set"
-                    break
-        critical = not after.member
-        all_critical = all_critical and critical
-        edge_reports.append(
-            EdgeCriticality(
-                edge=e,
-                critical=critical,
-                witness_vertex=witness,
-                witness_indices=indices,
-                condition=condition,
-            )
-        )
-    return MinimalityReport(
-        minimal=membership.member and all_critical,
-        member=membership.member,
-        family="C",
-        membership=membership,
-        edges=tuple(edge_reports),
-    )
+        unhit = [n for n in (first, *sole.get(cs.index.get(e), ())[:1]) if n is not None]
+        if unhit:
+            i, cond, x = cs.tags[min(unhit)]
+            edges.append(EdgeCriticality(e, True, LatticeVertex(x), (i,), cond))
+        else:
+            edges.append(EdgeCriticality(e, any(f != e for f in outside)))
+    return _minimality(membership, edges)
 
 
 def is_minimal_in_b(base: Graph, lattice: Graph) -> bool:
@@ -294,12 +265,12 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     degs = {i: degree(base, BaseVertex(i)) for i in range(1, k + 1)}
     min_deg = min(degs.values())
     edges = lattice.edges()
+    cs = cover_system("B", k, base)
+    mask = cs.encode(lattice)[0]
     lower_witness = None
     for i in range(1, k + 1):
-        if degs[i] != min_deg:
-            continue
-        l_i = [e for e in edges if e[0].vector[i - 1] != e[1].vector[i - 1]]  # type: ignore[union-attr]
-        if len(l_i) == len(edges):
+        # every lattice edge lies in the scaffold of i
+        if degs[i] == min_deg and not mask & ~cs.scaffolds[i, "slice"]:
             lower_witness = i
             break
     lower_tight = lower_witness is not None
@@ -355,47 +326,30 @@ class CriticalEdgeSets:
 
 
 def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdgeSets:
-    """Recompute, coordinate by coordinate and edge by edge, which edges
-    are the last cover of some constrained vertex."""
+    """For each coordinate and condition, the edges that are the only hit
+    of some constraint of the cover system: the last cover of a
+    constrained vertex."""
     if kind == "B":
         assert base is not None
         rep = member_b(base, lattice)
-        if not rep.member:
-            raise NotMember("critical edges are defined for members only")
-        k = base.order
-        primary = {}
-        for diag in rep.diagnostics:
-            hood = closed_neighborhood(base, diag.i)
-            slice_vecs = [
-                v for v in lattice_vertices(k, 2) if all(v[t - 1] == 2 for t in hood)
-            ]
-            primary[diag.i] = _critical_subset(diag.covering_edges, slice_vecs)
-        return CriticalEdgeSets(family="B", primary=primary, secondary=None)
-    if kind == "C":
+    elif kind == "C":
         rep = member_c(lattice)
-        if not rep.member:
-            raise NotMember("critical edges are defined for members only")
-        k = rep.k
-        primary = {}
-        secondary = {}
-        for diag in rep.diagnostics:
-            slice2 = [v for v in lattice_vertices(k, 3) if v[diag.i - 1] == 2]
-            primary[diag.i] = _critical_subset(diag.covering_edges, slice2)
-            secondary[diag.i] = _critical_subset(diag.secondary_edges, sorted(s_set(k, diag.i)))
-        return CriticalEdgeSets(family="C", primary=primary, secondary=secondary)
-    raise ValueError(f"kind must be B or C, got {kind!r}")
-
-
-def _critical_subset(edges, targets) -> frozenset[Edge]:
-    target_set = set(targets)
-    out = []
-    for e in edges:
-        rest_cover = {
-            u.vector for f in edges if f != e for u in f  # type: ignore[union-attr]
-        }
-        if any(v in target_set and v not in rest_cover for v in (e[0].vector, e[1].vector)):  # type: ignore[union-attr]
-            out.append(e)
-    return frozenset(out)
+    else:
+        raise ValueError(f"kind must be B or C, got {kind!r}")
+    if not rep.member:
+        raise NotMember("critical edges are defined for members only")
+    cs = cover_system(kind, rep.k, base)
+    _first, sole = cs.hits(cs.encode(lattice)[0])
+    sets: dict[tuple[int, str], set[Edge]] = {key: set() for key in cs.scaffolds}
+    for b, constraints in sole.items():
+        for n in constraints:
+            i, cond, _x = cs.tags[n]
+            sets[i, cond].add(cs.edges[b])
+    by_i = {
+        cond: {i: frozenset(sets[i, cond]) for i in range(1, rep.k + 1)}
+        for cond in cs.conditions
+    }
+    return CriticalEdgeSets(family=kind, primary=by_i["slice"], secondary=by_i.get("s-set"))
 
 
 # -- maximum-size minimal lattices via edge choices ---------------------------
@@ -413,10 +367,10 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     x = tuple(x)
     if len(x) != k or any(c not in (1, 2, 3) for c in x):
         raise VertexNotEligible(f"{x} is not a [3]^{k} vector")
-    in_s = x in s_set(k, i)
-    on_slice2 = x[i - 1] == 2
-    if not (in_s or on_slice2):
+    conditions = [cond for j, cond, y in cover_system("C", k).tags if (j, y) == (i, x)]
+    if not conditions:
         raise VertexNotEligible(f"{x} is neither on the value-2 slice nor in the s-set of {i}")
+    in_s = "s-set" in conditions
     choices_per_t: list[list[int]] = []
     all_23 = all(c in (2, 3) for c in x)
     for t in range(k):
@@ -437,14 +391,9 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
 
 
 def q_choice_points(k: int) -> list[tuple[int, LatticeVector]]:
-    """All (coordinate, vector) pairs with an edge choice, in canonical
-    (i, vector) order."""
-    points = []
-    for i in range(1, k + 1):
-        for x in lattice_vertices(k, 3):
-            if x[i - 1] == 2 or x in s_set(k, i):
-                points.append((i, x))
-    return points
+    """All (coordinate, vector) pairs with an edge choice -- the targets of
+    the radius-3 cover system -- in canonical (i, vector) order."""
+    return sorted((i, x) for i, _cond, x in cover_system("C", k).tags)
 
 
 def q_choice_lists(k: int) -> list[tuple[int, LatticeVector, list[Edge]]]:
@@ -493,8 +442,10 @@ def _graph_sort_key(g: Graph):
 
 def enumerate_minimal(kind: str, k: int, base: Graph | None = None, jobs: int = 1) -> list[Graph]:
     """All minimal lattices of the chosen family at k = 2, canonically
-    sorted.  Larger k is past the enumeration cap (the radius-3 space alone
-    is 2^|E| over hundreds of edges)."""
+    sorted: one scan over every mask of the cover system's universe,
+    partitionable across workers with order-independent output.  Larger k
+    is past the enumeration cap (the radius-3 space alone is 2^|E| over
+    hundreds of edges)."""
     if k != 2:
         raise EnumerationCapExceeded(f"exhaustive minimal enumeration is capped at k=2, got k={k}")
     if kind == "B":
@@ -503,111 +454,16 @@ def enumerate_minimal(kind: str, k: int, base: Graph | None = None, jobs: int = 
         _require_base(base)
         if base.order != 2:
             raise WrongVertexSet("kind B at k=2 needs a base on [2]")
-        all_edges = lattice_complete(2, 2).edges()
-        out = []
-        for mask in range(1 << len(all_edges)):
-            chosen = [e for b, e in enumerate(all_edges) if mask >> b & 1]
-            lattice = Graph(lattice_complete(2, 2).vertices(), chosen)
-            if not member_b(base, lattice).member:
-                continue
-            if all(
-                not member_b(base, _without_edge(lattice, e)).member for e in chosen
-            ):
-                out.append(lattice)
-        return sorted(out, key=_graph_sort_key)
-    if kind == "C":
-        masks = minimal_c_masks_k2(jobs=jobs)
-        edge_list = _gamma_edges_k2()
-        return sorted(
-            (span_lattice(2, 3, [edge_list[b] for b in _bits(mask)]) for mask in masks),
-            key=_graph_sort_key,
-        )
-    raise ValueError(f"kind must be B or C, got {kind!r}")
+    elif kind != "C":
+        raise ValueError(f"kind must be B or C, got {kind!r}")
+    cs = cover_system(kind, k, base)
+    scan = partial(_minimal_masks, (cs.family, cs.k, cs.hoods))
+    parts = scan_ranges(scan, 1 << len(cs.edges), jobs)
+    return sorted((cs.graph(mask) for part in parts for mask in part), key=_graph_sort_key)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-@lru_cache(maxsize=None)
-def _gamma_edges_k2() -> tuple[tuple[LatticeVector, LatticeVector], ...]:
-    return tuple(
-        (e[0].vector, e[1].vector) for e in gamma(2).edges()  # type: ignore[union-attr]
-    )
-
-
-@lru_cache(maxsize=None)
-def c_constraint_masks(k: int) -> tuple[int, ...]:
-    """One bit mask per covering constraint over the canonical edge order
-    of the maximal radius-3 lattice: a lattice subset is a family member
-    iff it intersects every mask."""
-    edge_list = [
-        (e[0].vector, e[1].vector) for e in gamma(k).edges()  # type: ignore[union-attr]
-    ]
-    edge_id = {e: n for n, e in enumerate(edge_list)}
-    masks = []
-    for i in range(1, k + 1):
-        c_edges = {
-            (e[0].vector, e[1].vector) for e in scaffold(k, i, "C").edges()  # type: ignore[union-attr]
-        }
-        d_edges = {
-            (e[0].vector, e[1].vector) for e in scaffold(k, i, "D").edges()  # type: ignore[union-attr]
-        }
-        for x in lattice_vertices(k, 3):
-            if x[i - 1] == 2:
-                mask = 0
-                for e in c_edges:
-                    if x in e:
-                        mask |= 1 << edge_id[e]
-                masks.append(mask)
-        for x in sorted(s_set(k, i)):
-            mask = 0
-            for e in d_edges:
-                if x in e:
-                    mask |= 1 << edge_id[e]
-            masks.append(mask)
-    return tuple(masks)
-
-
-def _scan_minimal_c_k2(lo: int, hi: int) -> list[int]:
-    """Minimal member bit masks in [lo, hi): every constraint is hit, and
-    every present edge is the unique hit of some constraint."""
-    masks = c_constraint_masks(2)
-    out = []
-    for subset in range(lo, hi):
-        needed = 0
-        ok = True
-        for cm in masks:
-            hit = subset & cm
-            if not hit:
-                ok = False
-                break
-            if hit & (hit - 1) == 0:
-                needed |= hit
-        if ok and needed == subset:
-            out.append(subset)
-    return out
-
-
-def minimal_c_masks_k2(jobs: int = 1) -> list[int]:
-    """Scan all 2^20 spanning subgraphs of the maximal lattice for minimal
-    members; partitionable across workers with order-independent output."""
-    total = 1 << len(_gamma_edges_k2())
-    if jobs <= 1:
-        return _scan_minimal_c_k2(0, total)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (total + jobs - 1) // jobs
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    out: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_scan_minimal_c_k2_star, ranges):
-            out.extend(part)
-    return sorted(out)
-
-
-def _scan_minimal_c_k2_star(bounds: tuple[int, int]) -> list[int]:
-    return _scan_minimal_c_k2(*bounds)
+def _minimal_masks(key: tuple, bounds: tuple[int, int]) -> list[int]:
+    """The minimal masks in [lo, hi) of the cover system with this key; a
+    worker rebuilds the system from the key."""
+    cs = _cover_system(*key)
+    return [mask for mask in range(*bounds) if cs.is_minimal(mask)]

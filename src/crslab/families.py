@@ -4,13 +4,19 @@ constructive families of completeness-resolvable graphs.
 The family with truncation radius 2 ("B") lives on [2]^k lattices over an
 arbitrary base graph on [k]; the radius-3 family ("C") lives on [3]^k
 lattices over the edgeless base.  Membership in either family reduces to
-edge-covering conditions on per-coordinate bipartite scaffolds, which this
-module evaluates directly and reports with witnesses.
+edge-covering conditions on per-coordinate bipartite scaffolds.  This
+module collects them into one cover system per family, k and base -- bit
+masks over a canonical edge universe -- and decides membership on it, with
+witnesses.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -18,6 +24,7 @@ from .errors import (
     CrossEdgeMismatch,
     IndexOutOfRange,
     InvalidCertificate,
+    InvalidJobs,
     SizeOverflow,
     UnknownName,
     WrongVertexSet,
@@ -30,8 +37,10 @@ from .graph import (
     LatticeVertex,
     PlainVertex,
     Vertex,
+    _iter_bits,
     complete_graph,
     null_graph,
+    sort_edge,
 )
 from .resolving import CrsCertificate
 
@@ -111,7 +120,8 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
     Kind "B" (on [2]^k): complete bipartite between the coordinate-i value-1
     and value-2 slices.  Kinds "C" / "D" (on [3]^k): bipartite between the
     value-1/2 (resp. 2/3) slices, with every other coordinate differing by
-    at most one.
+    at most one.  gamma() checks these graphs against its direct rule, and
+    the cover system reads its scaffold masks from them.
     """
     _check_index(k, i)
     if kind == "B":
@@ -134,13 +144,10 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
 
 
 def s_set(k: int, i: int) -> set[LatticeVector]:
-    """Vectors with all components in {2, 3} and component i equal to 3."""
+    """Vectors with all components in {2, 3} and component i equal to 3:
+    the targets of the radius-3 cover system's (i, "s-set") constraints."""
     _check_index(k, i)
-    return {
-        v
-        for v in lattice_vertices(k, 3)
-        if v[i - 1] == 3 and all(c in (2, 3) for c in v)
-    }
+    return {x for j, cond, x in cover_system("C", k).tags if (j, cond) == (i, "s-set")}
 
 
 def is_edge_covering(edges, s) -> bool:
@@ -252,10 +259,6 @@ def closed_neighborhood(base: Graph, i: int) -> frozenset[int]:
     return frozenset({i} | {u.index for u in base.neighbors(v)})  # type: ignore[union-attr]
 
 
-def _first_canonical(vecs) -> LatticeVector | None:
-    return min(vecs, default=None)
-
-
 def member_b(base: Graph, lattice: Graph) -> MembershipReport:
     """Decide membership of base o lattice in the radius-2 family.
 
@@ -266,34 +269,7 @@ def member_b(base: Graph, lattice: Graph) -> MembershipReport:
     if k < 2:
         raise WrongVertexSet("the family is defined for k >= 2")
     _require_lattice(lattice, k, 2)
-    diagnostics = []
-    member = True
-    for i in range(1, k + 1):
-        hood = closed_neighborhood(base, i)
-        slice_vecs = [
-            v for v in lattice_vertices(k, 2) if all(v[t - 1] == 2 for t in hood)
-        ]
-        l_i = [
-            e
-            for e in lattice.edges()
-            if e[0].vector[i - 1] != e[1].vector[i - 1]  # type: ignore[union-attr]
-        ]
-        covered = {u.vector for e in l_i for u in e}  # type: ignore[union-attr]
-        witness = _first_canonical([v for v in slice_vecs if v not in covered])
-        if witness is not None:
-            member = False
-        diagnostics.append(
-            IndexDiagnostic(
-                i=i,
-                covering_edges=tuple(l_i),
-                uncovered=None if witness is None else LatticeVertex(witness),
-            )
-        )
-    return MembershipReport(member=member, family="B", k=k, diagnostics=tuple(diagnostics))
-
-
-def _gaps_ok(x: LatticeVector, y: LatticeVector, skip: int = -1) -> bool:
-    return all(abs(a - b) <= 1 for t, (a, b) in enumerate(zip(x, y)) if t != skip)
+    return cover_system("B", k, base).report(lattice)
 
 
 def member_c(lattice: Graph) -> MembershipReport:
@@ -312,52 +288,192 @@ def member_c(lattice: Graph) -> MembershipReport:
         raise WrongVertexSet(f"lattice components exceed 3 (m={m})")
     if k < 2:
         raise WrongVertexSet("the family is defined for k >= 2")
-    bad_edge = None
-    for e in lattice.edges():
-        x, y = e[0].vector, e[1].vector  # type: ignore[union-attr]
-        if not _gaps_ok(x, y):
-            bad_edge = e
-            break
-    diagnostics = []
-    all_covered = True
-    for i in range(1, k + 1):
-        m_i: list[Edge] = []
-        n_i: list[Edge] = []
+    return cover_system("C", k).report(lattice)
+
+
+# -- the cover system ---------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CoverSystem:
+    """The covering constraints of one family as bit masks over a canonical
+    edge universe: the complete graph on [2]^k (family B) or Gamma_k
+    (family C), in canonical edge order.  A lattice is a bit mask plus the
+    edges it has outside the universe.
+
+    Constraint (i, condition, x) holds the universe edges of the (i,
+    condition) scaffold that cover the target vector x.  Family B has one
+    condition, "slice": x is 2 on all of i's closed base neighborhood, in
+    scaffold B_i.  Family C has two: "slice", x_i = 2, in scaffold C_i, and
+    "s-set", x in s_set(k, i), in scaffold D_i.  Constraints run by i, then
+    condition, then x: the order in which reports name their witnesses.
+
+    A lattice is a member exactly when it has no edge outside the universe
+    and hits every constraint; an edge is critical when it is the only hit
+    of some constraint.
+    """
+
+    family: str
+    k: int
+    m: int
+    hoods: tuple[frozenset[int], ...] | None  # family B: the base's closed neighborhoods
+    conditions: tuple[str, ...]
+    edges: tuple[Edge, ...]
+    index: dict[Edge, int]
+    scaffolds: dict[tuple[int, str], int]
+    tags: tuple[tuple[int, str, LatticeVector], ...]
+    masks: tuple[int, ...]
+
+    def encode(self, lattice: Graph) -> tuple[int, list[Edge]]:
+        """The lattice's universe edges as a bit mask, and its other edges
+        in canonical order."""
+        mask = 0
+        outside = []
         for e in lattice.edges():
-            x, y = e[0].vector, e[1].vector  # type: ignore[union-attr]
-            pair = {x[i - 1], y[i - 1]}
-            if not _gaps_ok(x, y, skip=i - 1):
-                continue
-            if pair == {1, 2}:
-                m_i.append(e)
-            elif pair == {2, 3}:
-                n_i.append(e)
-        covered_m = {u.vector for e in m_i for u in e}  # type: ignore[union-attr]
-        covered_n = {u.vector for e in n_i for u in e}  # type: ignore[union-attr]
-        slice2 = [v for v in lattice_vertices(k, 3) if v[i - 1] == 2]
-        wit_m = _first_canonical([v for v in slice2 if v not in covered_m])
-        wit_n = _first_canonical([v for v in sorted(s_set(k, i)) if v not in covered_n])
-        if wit_m is not None or wit_n is not None:
-            all_covered = False
-        diagnostics.append(
-            IndexDiagnostic(
-                i=i,
-                covering_edges=tuple(m_i),
-                secondary_edges=tuple(n_i),
-                uncovered=None if wit_m is None else LatticeVertex(wit_m),
-                uncovered_secondary=None if wit_n is None else LatticeVertex(wit_n),
+            if e in self.index:
+                mask |= 1 << self.index[e]
+            else:
+                outside.append(e)
+        return mask, outside
+
+    def decode(self, mask: int) -> tuple[Edge, ...]:
+        """The universe edges of a mask, in canonical order."""
+        return tuple(self.edges[b] for b in _iter_bits(mask))
+
+    def graph(self, mask: int) -> Graph:
+        return Graph([LatticeVertex(v) for v in lattice_vertices(self.k, self.m)], self.decode(mask))
+
+    def covers(self, mask: int) -> bool:
+        """True iff the mask hits every constraint."""
+        for cm in self.masks:
+            if not mask & cm:
+                return False
+        return True
+
+    def is_minimal(self, mask: int) -> bool:
+        """True iff the mask hits every constraint and every edge of it is
+        the only hit of some constraint."""
+        needed = 0
+        for cm in self.masks:
+            hit = mask & cm
+            if not hit:
+                return False
+            if not hit & (hit - 1):
+                needed |= hit
+        return needed == mask
+
+    def hits(self, mask: int) -> tuple[int | None, dict[int, list[int]]]:
+        """The first constraint the mask leaves unhit, and for each edge bit
+        the constraints it is the only hit of, in constraint order."""
+        first = None
+        sole: dict[int, list[int]] = {}
+        for n, cm in enumerate(self.masks):
+            hit = mask & cm
+            if not hit:
+                if first is None:
+                    first = n
+            elif not hit & (hit - 1):
+                sole.setdefault(hit.bit_length() - 1, []).append(n)
+        return first, sole
+
+    def report(self, lattice: Graph) -> MembershipReport:
+        """Membership with witnesses: per coordinate and condition, the
+        lattice edges in the scaffold and the first target they miss."""
+        mask, outside = self.encode(lattice)
+        missed: dict[tuple[int, str], Vertex] = {}
+        for (i, cond, x), cm in zip(self.tags, self.masks):
+            if not mask & cm:
+                missed.setdefault((i, cond), LatticeVertex(x))
+        diagnostics = []
+        for i in range(1, self.k + 1):
+            covering = [self.decode(mask & self.scaffolds[i, c]) for c in self.conditions] + [()]
+            uncovered = [missed.get((i, c)) for c in self.conditions] + [None]
+            diagnostics.append(
+                IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
             )
+        return MembershipReport(
+            member=not missed and not outside,
+            family=self.family,
+            k=self.k,
+            diagnostics=tuple(diagnostics),
+            bad_edge=outside[0] if outside else None,
         )
-    return MembershipReport(
-        member=bad_edge is None and all_covered,
-        family="C",
+
+
+def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
+    """The cover system of a family at k, cached.  Family B depends on the
+    base (edgeless by default) only through its closed neighborhoods; family
+    C ignores the base."""
+    if family == "C":
+        return _cover_system("C", k, None)
+    if family != "B":
+        raise ValueError(f"family must be B or C, got {family!r}")
+    if base is None:
+        base = base_null(k)
+    return _cover_system("B", k, tuple(closed_neighborhood(base, i) for i in range(1, k + 1)))
+
+
+@lru_cache(maxsize=None)
+def _cover_system(family: str, k: int, hoods: tuple[frozenset[int], ...] | None) -> CoverSystem:
+    if family == "B":
+        m, universe, kinds = 2, lattice_complete(k, 2), {"slice": "B"}
+    else:
+        m, universe, kinds = 3, gamma(k), {"slice": "C", "s-set": "D"}
+    edges = tuple(universe.edges())
+    index = {e: b for b, e in enumerate(edges)}
+    scaffolds = {}
+    tags = []
+    masks = []
+    for i in range(1, k + 1):
+        for cond, kind in kinds.items():
+            if family == "B":
+                targets = lattice_slice(k, 2, hoods[i - 1], {2}).vectors()  # type: ignore[index]
+            elif cond == "slice":
+                targets = lattice_slice(k, 3, {i}, {2}).vectors()
+            else:
+                corner = lattice_slice(k, 3, range(1, k + 1), {2, 3}).vectors()
+                targets = [x for x in corner if x[i - 1] == 3]
+            part = scaffold(k, i, kind)
+            scaffolds[i, cond] = sum(1 << index[e] for e in part.edge_set())
+            for x in targets:
+                v = LatticeVertex(x)
+                tags.append((i, cond, x))
+                masks.append(sum(1 << index[sort_edge(v, u)] for u in part.neighbors(v)))
+    return CoverSystem(
+        family=family,
         k=k,
-        diagnostics=tuple(diagnostics),
-        bad_edge=bad_edge,
+        m=m,
+        hoods=hoods,
+        conditions=tuple(kinds),
+        edges=edges,
+        index=index,
+        scaffolds=scaffolds,
+        tags=tuple(tags),
+        masks=tuple(masks),
     )
 
 
+def scan_ranges(fn, total: int, jobs: int) -> list:
+    """``fn((lo, hi))`` over a split of range(total), one result per range
+    in range order.  The ranges go to at most min(jobs, os.cpu_count())
+    worker processes; with one range, ``fn`` runs in this process."""
+    if jobs < 1:
+        raise InvalidJobs(f"--jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, total)
+    chunk = -(-total // workers)
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if len(ranges) == 1:
+        return [fn(ranges[0])]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=len(ranges), mp_context=context) as pool:
+        return list(pool.map(fn, ranges))
+
+
 # -- the maximal radius-3 lattice ------------------------------------------
+
+
+def _gaps_ok(x: LatticeVector, y: LatticeVector) -> bool:
+    return all(abs(a - b) <= 1 for a, b in zip(x, y))
 
 
 def gamma(k: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:

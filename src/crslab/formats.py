@@ -111,6 +111,8 @@ def graph_to_json(g: Graph) -> dict:
 def graph_from_json(data: Any) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise FormatError("graph JSON needs 'vertices' and 'edges'")
+    if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
+        raise FormatError("graph JSON 'vertices' and 'edges' must be lists")
     verts = [vertex_from_json(v) for v in data["vertices"]]
     edges = []
     for e in data["edges"]:

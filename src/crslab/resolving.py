@@ -232,22 +232,31 @@ def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Ver
             cert = check_crs(g, (w,))
             assert isinstance(cert, CrsCertificate)
             out.append(((w,), cert))
+    for cert in _pruned_certificates(verts, rows_all, (1, 2, 3)):
+        for perm in permutations(cert.w_order):
+            out.append((perm, _permuted_cert(cert, perm)))
+    out.sort(key=lambda item: (len(item[0]), tuple(vertex_key(v) for v in item[0])))
+    return out
+
+
+def _pruned_certificates(verts, rows_all, radii):
+    """Certificates of every unordered W with |W| >= 2, by size, then in
+    combination order.  Two prunings: the outside count must equal m^|W|
+    for a radius m in ``radii``, and a radius-3 candidate must induce no
+    edge inside W."""
+    n = len(verts)
     for k in range(2, n):
         m_implied = _implied_radius(n - k, k)
-        if m_implied is None:
+        if m_implied not in radii:
             continue
         for combo in combinations(range(n), k):
-            if m_implied >= 3 and any(
+            if m_implied == 3 and any(
                 rows_all[a][b] == 1 for a, b in combinations(combo, 2)
             ):
                 continue
             cert = _cert_from_rows(verts, rows_all, combo)
-            if cert is None:
-                continue
-            for perm in permutations(cert.w_order):
-                out.append((perm, _permuted_cert(cert, perm)))
-    out.sort(key=lambda item: (len(item[0]), tuple(vertex_key(v) for v in item[0])))
-    return out
+            if cert is not None:
+                yield cert
 
 
 def _cert_from_rows(verts, rows_all, combo) -> CrsCertificate | None:
@@ -303,20 +312,10 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
         cert = check_crs(g, w_order)
         assert isinstance(cert, CrsCertificate)
         return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
-    for k in range(2, n):
-        m_implied = _implied_radius(n - k, k)
-        if m_implied not in (2, 3):
-            # Radius 1 pairs with a universal vertex, handled above.
-            continue
-        for combo in combinations(range(n), k):
-            if m_implied == 3 and any(
-                rows_all[a][b] == 1 for a, b in combinations(combo, 2)
-            ):
-                continue
-            cert = _cert_from_rows(verts, rows_all, combo)
-            if cert is not None:
-                kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
-                return ClassificationVerdict(kind=kind, k=k, witness=cert)
+    # Radius 1 pairs with a universal vertex, handled above.
+    for cert in _pruned_certificates(verts, rows_all, (2, 3)):
+        kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
+        return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
     return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
 
 

@@ -19,24 +19,26 @@ from .graph import (
     BaseVertex,
     Graph,
     LatticeVertex,
+    _iter_bits,
     bfs_levels,
     diameter,
     plain_graph,
 )
 from .families import (
+    CoverSystem,
     base_complete,
     base_null,
     compose,
     canonical_relabel,
+    cover_system,
     example_graph,
     gamma,
     lattice_complete,
     lattice_vertices,
     member_b,
     member_c,
-    scaffold,
+    scan_ranges,
     span_lattice,
-    s_set,
 )
 from .resolving import (
     FAMILY_B,
@@ -51,7 +53,6 @@ from .resolving import (
 from .extremal import (
     bounds_b,
     bounds_c,
-    c_constraint_masks,
     enumerate_minimal,
     enumerate_q,
     epsilon,
@@ -70,32 +71,45 @@ CLOSURE_TRIALS = 1000
 # -- shared fast-composite machinery ----------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _composite_tables(k: int, m: int):
-    """Cross-edge adjacency and canonical edge indexing for composites on
-    [k] + [m]^k with W = [k]; lattice edges come from the full complete
-    graph (m = 2) or the gap-at-most-one graph (m = 3)."""
-    vecs = lattice_vertices(k, m)
-    n_lat = len(vecs)
-    n = k + n_lat
-    cross = [0] * n
-    for li, v in enumerate(vecs):
-        for i in range(k):
-            if v[i] == 1:
-                cross[i] |= 1 << (k + li)
-                cross[k + li] |= 1 << i
-    source = lattice_complete(k, m) if m == 2 else gamma(k)
-    pos = {v: li for li, v in enumerate(vecs)}
+def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """(members, certified, mismatches, identity_violations) over the masks
+    [lo, hi) of the cover system's universe: the kernel's membership verdict
+    against BFS certification of W = [k] on the composite over ``base``."""
+    k, m = cs.k, cs.m
+    g = compose(base, cs.graph(0), k, m).materialize()
+    adj = g.adjacency_masks()
     edge_info = []
-    for e in source.edges():
-        a = k + pos[e[0].vector]  # type: ignore[union-attr]
-        b = k + pos[e[1].vector]  # type: ignore[union-attr]
+    for u, v in cs.edges:
+        a, b = g.index_of(u), g.index_of(v)
         edge_info.append((a, b, 1 << a, 1 << b))
-    return cross, tuple(edge_info), n_lat, n
+    identity = tuple(range(g.order - k))
+    members = certified = mismatches = identity_violations = 0
+    for subset in range(lo, hi):
+        is_member = cs.covers(subset)
+        composite = adj.copy()
+        sub = subset
+        while sub:
+            low = sub & -sub
+            a, b, abit, bbit = edge_info[low.bit_length() - 1]
+            composite[a] |= bbit
+            composite[b] |= abit
+            sub ^= low
+        codes = _cert_code_w_base(composite, k, m, g.order)
+        members += is_member
+        certified += codes is not None
+        if is_member != (codes is not None):
+            mismatches += 1
+        if is_member and codes != identity:
+            identity_violations += 1
+    return members, certified, mismatches, identity_violations
 
 
 def _cert_code_w_base(adj: list[int], k: int, m: int, n: int):
     """check_crs(W = base vertices) on a composite adjacency, summarized.
+
+    An independent oracle, kept on purpose: it certifies by BFS levels and
+    never looks at the cover system, so the equivalence sweeps test the
+    kernel's membership verdicts against it.
 
     Returns None when W is not completeness-resolving; otherwise the tuple
     of lattice codes (base-m digits of the distance vector), which equals
@@ -189,45 +203,13 @@ def sweep_b_equivalence() -> EquivalenceSweep:
     """All 2 bases x 64 lattices on [2]^2: family membership must coincide
     with certification of W = [2] at radius 2, and members must resolve to
     their own labels."""
-    k, m = 2, 2
-    cross, edge_info, n_lat, n = _composite_tables(k, m)
-    lattice_edges = lattice_complete(k, m).edges()
-    lattice_verts = lattice_complete(k, m).vertices()
-    identity = tuple(range(n_lat))
-    members = certified = mismatches = identity_violations = 0
-    total = 0
-    for base in (base_null(k), base_complete(k)):
-        base_adj_bits = []
-        for i, j in combinations(range(k), 2):
-            if base.has_edge(BaseVertex(i + 1), BaseVertex(j + 1)):
-                base_adj_bits.append((i, j))
-        for mask in range(1 << len(edge_info)):
-            total += 1
-            adj = cross.copy()
-            for i, j in base_adj_bits:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            sub = mask
-            while sub:
-                low = sub & -sub
-                a, b, abit, bbit = edge_info[low.bit_length() - 1]
-                adj[a] |= bbit
-                adj[b] |= abit
-                sub ^= low
-            codes = _cert_code_w_base(adj, k, m, n)
-            lattice = Graph(
-                lattice_verts,
-                [lattice_edges[b] for b in range(len(edge_info)) if mask >> b & 1],
-            )
-            is_member = member_b(base, lattice).member
-            members += is_member
-            certified += codes is not None
-            if is_member != (codes is not None):
-                mismatches += 1
-            if is_member and codes != identity:
-                identity_violations += 1
+    parts = []
+    for base in (base_null(2), base_complete(2)):
+        cs = cover_system("B", 2, base)
+        parts.append(_equivalence_scan(cs, base, 0, 1 << len(cs.edges)))
+    members, certified, mismatches, identity_violations = (sum(col) for col in zip(*parts))
     return EquivalenceSweep(
-        total=total,
+        total=len(parts) << len(cs.edges),
         members=members,
         certified=certified,
         mismatches=mismatches,
@@ -241,34 +223,7 @@ def sweep_b_equivalence() -> EquivalenceSweep:
 def _scan_c_range(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
     """(members, certified, mismatches, identity_violations) over a mask
     range of spanning subgraphs of the maximal radius-3 lattice at k=2."""
-    lo, hi = bounds
-    k, m = 2, 3
-    cross, edge_info, n_lat, n = _composite_tables(k, m)
-    masks = c_constraint_masks(k)
-    identity = tuple(range(n_lat))
-    members = certified = mismatches = identity_violations = 0
-    for subset in range(lo, hi):
-        is_member = True
-        for cm in masks:
-            if not subset & cm:
-                is_member = False
-                break
-        adj = cross.copy()
-        sub = subset
-        while sub:
-            low = sub & -sub
-            a, b, abit, bbit = edge_info[low.bit_length() - 1]
-            adj[a] |= bbit
-            adj[b] |= abit
-            sub ^= low
-        codes = _cert_code_w_base(adj, k, m, n)
-        members += is_member
-        certified += codes is not None
-        if is_member != (codes is not None):
-            mismatches += 1
-        if is_member and codes != identity:
-            identity_violations += 1
-    return members, certified, mismatches, identity_violations
+    return _equivalence_scan(cover_system("C", 2), base_null(2), *bounds)
 
 
 @lru_cache(maxsize=2)
@@ -278,19 +233,8 @@ def sweep_c_equivalence(jobs: int = 1) -> EquivalenceSweep:
     resolve to their own labels, and a fixed sample of lattices with an
     out-of-range edge must fail on both sides."""
     total = 1 << 20
-    if jobs <= 1:
-        parts = [_scan_c_range((0, total))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (total + jobs - 1) // jobs
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_c_range, ranges))
-    members = sum(p[0] for p in parts)
-    certified = sum(p[1] for p in parts)
-    mismatches = sum(p[2] for p in parts)
-    identity_violations = sum(p[3] for p in parts)
+    parts = scan_ranges(_scan_c_range, total, jobs)
+    members, certified, mismatches, identity_violations = (sum(col) for col in zip(*parts))
 
     tested, failures, inconsistent = _out_of_gamma_samples()
     return EquivalenceSweep(
@@ -316,24 +260,22 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     failures and then cross-checked: its table must not be the identity and
     its relabeling must land inside the family, otherwise it is flagged
     inconsistent (a genuine bug).  A member sample counts in both at once.
-    Returns (samples, failures, inconsistent).
+    Returns (samples that reached the membership check, failures,
+    inconsistent).
     """
     rng = random.Random(SAMPLE_SEED)
     vecs = lattice_vertices(2, 3)
-    all_edges = [
-        (x, y) for a, x in enumerate(vecs) for y in vecs[a + 1:]
-    ]
-    gamma_edges = {
-        (e[0].vector, e[1].vector) for e in gamma(2).edges()  # type: ignore[union-attr]
-    }
-    out_set = {e for e in all_edges if e not in gamma_edges}
-    failures = inconsistent = 0
+    complete = lattice_complete(2, 3)
+    all_edges = complete.edges()
+    universe = cover_system("C", 2).index
+    tested = failures = inconsistent = 0
     for _ in range(OUT_OF_GAMMA_SAMPLES):
         while True:
             chosen = [e for e in all_edges if rng.random() < 0.5]
-            if any(e in out_set for e in chosen):
+            if any(e not in universe for e in chosen):
                 break
-        lattice = span_lattice(2, 3, chosen)
+        lattice = Graph(complete.vertices(), chosen)
+        tested += 1
         if member_c(lattice).member:
             failures += 1
             inconsistent += 1
@@ -352,7 +294,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
             identity = all(res.table[LatticeVertex(v)] == v for v in vecs)
             if identity or not relabel_member:
                 inconsistent += 1
-    return OUT_OF_GAMMA_SAMPLES, failures, inconsistent
+    return tested, failures, inconsistent
 
 
 def out_of_range_counterexample() -> Graph:
@@ -411,7 +353,11 @@ class SmallOrderSweep:
 
 def _raw_crs_scan(rows: list[list[int]], n: int):
     """Every proper nonempty W whose distance map is a bijection onto the
-    full box, by direct definition; yields (w_tuple, k, m)."""
+    full box, by direct definition; yields (w_tuple, k, m).
+
+    An independent oracle, kept on purpose: it shares no pruning or code
+    with the classifier in crslab.resolving, which the classification
+    sweep checks against it."""
     for wmask in range(1, (1 << n) - 1):
         ws = [i for i in range(n) if wmask >> i & 1]
         rest = [i for i in range(n) if not wmask >> i & 1]
@@ -437,6 +383,11 @@ def _raw_crs_scan(rows: list[list[int]], n: int):
 
 
 def _raw_dimension(rows: list[list[int]], n: int) -> int:
+    """The metric dimension by direct definition: the smallest W whose
+    distance vectors tell all outside vertices apart.
+
+    An independent oracle, kept on purpose: the classification sweep checks
+    metric_dimension and the dimension inequality against it."""
     for c in range(1, n):
         for combo in combinations(range(n), c):
             seen = set()
@@ -549,58 +500,37 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
 # -- random family members for the closure properties -------------------------
 
 
+def _random_member(rng: random.Random, family: str, k: int) -> tuple[Graph, CoverSystem, int]:
+    """A seeded family member from the covering construction, as (base,
+    cover system, lattice mask): for family B a random base first, then one
+    random hit for every constraint in constraint order, then extras
+    sprinkled over the universe."""
+    base = base_null(k)
+    if family == "B":
+        base = Graph(base.vertices(), [e for e in base_complete(k).edges() if rng.random() < 0.5])
+    cs = cover_system(family, k, base)
+    mask = 0
+    for cm in cs.masks:
+        hits = list(_iter_bits(cm))
+        mask |= 1 << hits[rng.randrange(len(hits))]
+    for b in range(len(cs.edges)):
+        if rng.random() < 0.15:
+            mask |= 1 << b
+    return base, cs, mask
+
+
 def random_b_member(rng: random.Random, k: int) -> tuple[Graph, Graph]:
-    """A uniformly seeded member of the radius-2 family, built directly
-    from the covering construction (random covering edge per constrained
-    vertex, plus sprinkled extras)."""
-    base_verts = [BaseVertex(i) for i in range(1, k + 1)]
-    base_edges = [
-        (u, v) for a, u in enumerate(base_verts) for v in base_verts[a + 1:] if rng.random() < 0.5
-    ]
-    base = Graph(base_verts, base_edges)
-    chosen = set()
-    for i in range(1, k + 1):
-        hood = {i} | {v.index for v in base.neighbors(BaseVertex(i))}  # type: ignore[union-attr]
-        part = [x for x in lattice_vertices(k, 2) if all(x[t - 1] == 2 for t in hood)]
-        for x in part:
-            partners = [y for y in lattice_vertices(k, 2) if y[i - 1] != x[i - 1]]
-            y = partners[rng.randrange(len(partners))]
-            chosen.add(tuple(sorted((x, y))))
-    for a, x in enumerate(lattice_vertices(k, 2)):
-        for y in lattice_vertices(k, 2)[a + 1:]:
-            if rng.random() < 0.15:
-                chosen.add((x, y))
-    return base, span_lattice(k, 2, sorted(chosen))
+    """A seeded member of the radius-2 family: a random base and a lattice
+    built from the covering construction."""
+    base, cs, mask = _random_member(rng, "B", k)
+    return base, cs.graph(mask)
 
 
 def random_c_member(rng: random.Random, k: int) -> Graph:
     """A seeded member of the radius-3 family from the covering
     construction, with extras sprinkled inside the maximal lattice."""
-    chosen = set()
-    for i in range(1, k + 1):
-        c_sc = scaffold(k, i, "C")
-        d_sc = scaffold(k, i, "D")
-        for x in [v for v in lattice_vertices(k, 3) if v[i - 1] == 2]:
-            partners = [
-                u.vector  # type: ignore[union-attr]
-                for u in c_sc.neighbors(LatticeVertex(x))
-            ]
-            y = partners[rng.randrange(len(partners))]
-            chosen.add(tuple(sorted((x, y))))
-        for x in sorted(s_set(k, i)):
-            partners = [
-                u.vector  # type: ignore[union-attr]
-                for u in d_sc.neighbors(LatticeVertex(x))
-            ]
-            y = partners[rng.randrange(len(partners))]
-            chosen.add(tuple(sorted((x, y))))
-    gamma_edges = [
-        (e[0].vector, e[1].vector) for e in gamma(k).edges()  # type: ignore[union-attr]
-    ]
-    for e in gamma_edges:
-        if rng.random() < 0.15:
-            chosen.add(e)
-    return span_lattice(k, 3, sorted(chosen))
+    _base, cs, mask = _random_member(rng, "C", k)
+    return cs.graph(mask)
 
 
 @dataclass(frozen=True)
@@ -631,68 +561,38 @@ def sweep_properties() -> PropertySweep:
     k = 2 and 3, exhaustive disjointness of the edge-choice sets, plus the
     counting facts carried by the small-order sweep."""
     rng = random.Random(SAMPLE_SEED)
-    upset_viol = 0
     trials_per_case = CLOSURE_TRIALS // 4  # two families x two k values
+    upset_viol = 0
     for k in (2, 3):
-        for _ in range(trials_per_case):
-            base, lattice = random_b_member(rng, k)
-            if not member_b(base, lattice).member:
-                upset_viol += 1
-                continue
-            all_lattice = lattice_complete(k, 2).edge_set()
-            missing = sorted(
-                all_lattice - lattice.edge_set(),
-                key=lambda e: (e[0].vector, e[1].vector),  # type: ignore[union-attr]
-            )
-            base_missing = [
-                (BaseVertex(a), BaseVertex(b))
-                for a in range(1, k + 1)
-                for b in range(a + 1, k + 1)
-                if not base.has_edge(BaseVertex(a), BaseVertex(b))
-            ]
-            pool = [("lat", e) for e in missing] + [("base", e) for e in base_missing]
-            if not pool:
-                continue
-            where, e = pool[rng.randrange(len(pool))]
-            if where == "lat":
-                bigger = Graph(lattice.vertices(), list(lattice.edge_set()) + [e])
-                ok = member_b(base, bigger).member
-            else:
-                bigger = Graph(base.vertices(), list(base.edge_set()) + [e])
-                ok = member_b(bigger, lattice).member
-            if not ok:
-                upset_viol += 1
-        for _ in range(trials_per_case):
-            lattice = random_c_member(rng, k)
-            if not member_c(lattice).member:
-                upset_viol += 1
-                continue
-            missing = sorted(
-                gamma(k).edge_set() - lattice.edge_set(),
-                key=lambda e: (e[0].vector, e[1].vector),  # type: ignore[union-attr]
-            )
-            if not missing:
-                continue
-            e = missing[rng.randrange(len(missing))]
-            bigger = Graph(lattice.vertices(), list(lattice.edge_set()) + [e])
-            if not member_c(bigger).member:
-                upset_viol += 1
+        for family in ("B", "C"):
+            for _ in range(trials_per_case):
+                base, cs, mask = _random_member(rng, family, k)
+                if not cs.covers(mask):
+                    upset_viol += 1
+                    continue
+                # one random edge added to the lattice or, for family B, the base
+                pool = [(base, mask | 1 << b) for b in range(len(cs.edges)) if not mask >> b & 1]
+                if family == "B":
+                    pool += [
+                        (Graph(base.vertices(), [*base.edge_set(), e]), mask)
+                        for e in base_complete(k).edges()
+                        if e not in base.edge_set()
+                    ]
+                if not pool:
+                    continue
+                bigger_base, bigger = pool[rng.randrange(len(pool))]
+                if not cover_system(family, k, bigger_base).covers(bigger):
+                    upset_viol += 1
 
     union_viol = 0
     for k in (2, 3):
-        for _ in range(trials_per_case):
-            b1, l1 = random_b_member(rng, k)
-            b2, l2 = random_b_member(rng, k)
-            bu = Graph(b1.vertices(), list(b1.edge_set() | b2.edge_set()))
-            lu = Graph(l1.vertices(), list(l1.edge_set() | l2.edge_set()))
-            if not member_b(bu, lu).member:
-                union_viol += 1
-        for _ in range(trials_per_case):
-            l1 = random_c_member(rng, k)
-            l2 = random_c_member(rng, k)
-            lu = Graph(l1.vertices(), list(l1.edge_set() | l2.edge_set()))
-            if not member_c(lu).member:
-                union_viol += 1
+        for family in ("B", "C"):
+            for _ in range(trials_per_case):
+                b1, _cs, m1 = _random_member(rng, family, k)
+                b2, _cs, m2 = _random_member(rng, family, k)
+                base = Graph(b1.vertices(), b1.edge_set() | b2.edge_set())
+                if not cover_system(family, k, base).covers(m1 | m2):
+                    union_viol += 1
 
     pairs_checked = 0
     overlaps = 0
@@ -753,15 +653,10 @@ def _q3_size_scan() -> tuple[int, int]:
     """Stream every choice tuple at k = 3 as an edge bit mask and count
     members whose distinct-edge total is not 39."""
     k = 3
-    gamma_edges = [
-        (e[0].vector, e[1].vector) for e in gamma(k).edges()  # type: ignore[union-attr]
-    ]
-    edge_id = {e: i for i, e in enumerate(gamma_edges)}
+    edge_id = cover_system("C", k).index
     per_i: dict[int, list[list[int]]] = {1: [], 2: [], 3: []}
     for i, _x, edges in q_choice_lists(k):
-        per_i[i].append(
-            [1 << edge_id[(e[0].vector, e[1].vector)] for e in edges]  # type: ignore[union-attr]
-        )
+        per_i[i].append([1 << edge_id[e] for e in edges])
     blocks = []
     for i in (1, 2, 3):
         combos = []

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,8 +232,51 @@ class TestClassifyAndDim:
         code, _out, err = run_cli(["classify", "--graph", str(path)], capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['{"vertices": 5, "edges": []}', '{"vertices": [0, 1], "edges": 7}'])
+    def test_malformed_graph_json_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run_cli(["classify", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestJobsDeterminism:
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(["enumerate", "--minimal", "C", "--k", "2", "--jobs", "0"], capsys=capsys)
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
+    def test_workers_are_clamped(self, monkeypatch):
+        # a fake pool records its worker count and maps in this process
+        from crslab import families
+
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, ranges):
+                return map(fn, ranges)
+
+        monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(families.os, "cpu_count", lambda: 2)
+        assert families.scan_ranges(tuple, 10, 10**6) == [(0, 5), (5, 10)]
+        assert seen == [2]
+        monkeypatch.setattr(families.os, "cpu_count", lambda: 64)
+        assert families.scan_ranges(tuple, 3, 10**6) == [(0, 1), (1, 2), (2, 3)]
+        assert seen == [2, 3]
+        assert families.scan_ranges(tuple, 10, 1) == [(0, 10)]
+        assert seen == [2, 3]
+
     def test_enumerate_c_jobs_equal(self, capsys):
         code, out1, _ = run_cli(["enumerate", "--minimal", "C", "--k", "2"], capsys=capsys)
         assert code == 0
@@ -255,3 +301,14 @@ class TestSuiteCommand:
             main(["suite", "--name", "nope"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crslab", "bounds", "C", "--k", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"lower": 14, "upper": 39}

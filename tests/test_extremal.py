@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -155,6 +156,21 @@ class TestMinimalityC:
     def test_q_members_minimal(self):
         for g in enumerate_q(2):
             assert is_k_minimal(g).minimal
+
+    def test_critical_edges_match_single_deletions(self):
+        # the kernel's sole-hit rule against deleting each edge and asking
+        # member_c again, on members, non-members and lattices with an edge
+        # outside the maximal lattice
+        rng = random.Random(7)
+        vecs = lattice_vertices(2, 3)
+        pairs = [(x, y) for a, x in enumerate(vecs) for y in vecs[a + 1:]]
+        for trial in range(60):
+            chosen = [e for e in pairs if rng.random() < (0.4 if trial % 3 else 0.25)]
+            lattice = span_lattice(2, 3, chosen)
+            rep = is_k_minimal(lattice)
+            for ec in rep.edges:
+                after = Graph(lattice.vertices(), [f for f in lattice.edge_set() if f != ec.edge])
+                assert ec.critical == (not member_c(after).member)
 
     def test_composite_level_split(self):
         # R is minimal over the null base but the complete-base composite

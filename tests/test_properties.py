@@ -96,6 +96,22 @@ def test_out_of_range_control_can_fail(monkeypatch):
     assert inconsistent > 0
 
 
+def test_out_of_range_tested_counts_the_checked_samples(monkeypatch):
+    # every sample has an edge outside Gamma_2, so each membership report
+    # that names a bad edge belongs to one sampled lattice
+    real_member_c = sweeps.member_c
+    reports = []
+
+    def counting_member_c(lattice):
+        reports.append(real_member_c(lattice))
+        return reports[-1]
+
+    monkeypatch.setattr(sweeps, "member_c", counting_member_c)
+    tested, _failures, _inconsistent = sweeps._out_of_gamma_samples()
+    assert tested == sum(rep.bad_edge is not None for rep in reports)
+    assert tested == sweeps.OUT_OF_GAMMA_SAMPLES
+
+
 def test_certified_within_range_forces_identity_labels():
     # on spanning subgraphs of the maximal lattice, certification pins every
     # distance vector to its label, exhaustively over a mask slice
