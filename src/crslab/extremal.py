@@ -289,12 +289,9 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
                 violation = ("b", e)
                 break
     if violation is None:
-        counts: dict[tuple[LatticeVector, int], int] = {}
-        for (x, _e), got in cis.i_edge.items():
-            for i in got:
-                counts[(x, i)] = counts.get((x, i), 0) + 1
-        for (x, i), c in sorted(counts.items()):
-            if c > 1:
+        # a constraint hit by two edges, first by (vector, coordinate)
+        for x, i, hit in sorted((x, i, mask & cm) for (i, _cond, x), cm in zip(cs.tags, cs.masks)):
+            if hit & (hit - 1):
                 violation = ("c", x, i)
                 break
     upper_tight = violation is None

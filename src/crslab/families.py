@@ -12,9 +12,7 @@ witnesses.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -124,23 +122,13 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
     the cover system reads its scaffold masks from them.
     """
     _check_index(k, i)
-    if kind == "B":
-        part1 = [v for v in lattice_vertices(k, 2) if v[i - 1] == 1]
-        part2 = [v for v in lattice_vertices(k, 2) if v[i - 1] == 2]
-        edges = [(x, y) for x in part1 for y in part2]
-        return span_lattice(k, 2, edges)
-    if kind in ("C", "D"):
-        lo = 1 if kind == "C" else 2
-        part1 = [v for v in lattice_vertices(k, 3) if v[i - 1] == lo]
-        part2 = [v for v in lattice_vertices(k, 3) if v[i - 1] == lo + 1]
-        edges = [
-            (x, y)
-            for x in part1
-            for y in part2
-            if all(abs(x[t] - y[t]) <= 1 for t in range(k) if t != i - 1)
-        ]
-        return span_lattice(k, 3, edges)
-    raise ValueError(f"scaffold kind must be B, C or D, got {kind!r}")
+    if kind not in ("B", "C", "D"):
+        raise ValueError(f"scaffold kind must be B, C or D, got {kind!r}")
+    m, lo = (2, 1) if kind == "B" else (3, 1 if kind == "C" else 2)
+    part1 = lattice_slice(k, m, {i}, {lo}).vectors()
+    part2 = lattice_slice(k, m, {i}, {lo + 1}).vectors()
+    # coordinate i changes by exactly one, so the gap rule covers the others
+    return span_lattice(k, m, [(x, y) for x in part1 for y in part2 if _gaps_ok(x, y)])
 
 
 def s_set(k: int, i: int) -> set[LatticeVector]:
@@ -464,6 +452,10 @@ def scan_ranges(fn, total: int, jobs: int) -> list:
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if len(ranges) == 1:
         return [fn(ranges[0])]
+    # imported on use: most runs start no pool, and these imports slow down `import crslab`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=len(ranges), mp_context=context) as pool:
         return list(pool.map(fn, ranges))

@@ -82,10 +82,12 @@ def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[i
     for u, v in cs.edges:
         a, b = g.index_of(u), g.index_of(v)
         edge_info.append((a, b, 1 << a, 1 << b))
-    identity = tuple(range(g.order - k))
+    n = g.order
+    identity = tuple(range(n - k))
+    covers = cs.covers
     members = certified = mismatches = identity_violations = 0
     for subset in range(lo, hi):
-        is_member = cs.covers(subset)
+        is_member = covers(subset)
         composite = adj.copy()
         sub = subset
         while sub:
@@ -94,7 +96,7 @@ def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[i
             composite[a] |= bbit
             composite[b] |= abit
             sub ^= low
-        codes = _cert_code_w_base(composite, k, m, g.order)
+        codes = _cert_code_w_base(composite, k, m, n)
         members += is_member
         certified += codes is not None
         if is_member != (codes is not None):

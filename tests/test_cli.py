@@ -250,6 +250,8 @@ class TestJobsDeterminism:
 
     def test_workers_are_clamped(self, monkeypatch):
         # a fake pool records its worker count and maps in this process
+        import concurrent.futures
+
         from crslab import families
 
         seen = []
@@ -267,7 +269,7 @@ class TestJobsDeterminism:
             def map(self, fn, ranges):
                 return map(fn, ranges)
 
-        monkeypatch.setattr(families, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(families.os, "cpu_count", lambda: 2)
         assert families.scan_ranges(tuple, 10, 10**6) == [(0, 5), (5, 10)]
         assert seen == [2]
