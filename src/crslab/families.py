@@ -112,6 +112,7 @@ def lattice_complete(k: int, m: int) -> Graph:
 # -- scaffolds ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def scaffold(k: int, i: int, kind: str) -> Graph:
     """The per-coordinate bipartite scaffold.
 
