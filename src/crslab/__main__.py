@@ -4,6 +4,6 @@ import sys
 
 from .cli import main
 
-# Guarded: worker processes started with "spawn" import this module again.
+# Guarded: a worker process that imports this module again must not rerun the CLI.
 if __name__ == "__main__":
     sys.exit(main())

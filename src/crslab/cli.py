@@ -229,6 +229,13 @@ def cmd_suite(args) -> int:
     return EXIT_OK if all_passed else EXIT_NEGATIVE
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crslab",
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", required=True, choices=["B", "C"])
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--base", help="base graph file for kind B (default: edgeless)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("bounds", help="edge-count bounds for minimal graphs")
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named acceptance suite")
     p.add_argument("--name", required=True, choices=SUITE_ORDER + ["all"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -75,9 +75,5 @@ class CrossEdgeMismatch(CrslabError):
     adjacency to W.  Signals a broken certificate."""
 
 
-class InvalidJobs(CrslabError):
-    """A worker count below one."""
-
-
 class FormatError(CrslabError):
     """Malformed serialized graph data (JSON, graph6, DOT input...)."""

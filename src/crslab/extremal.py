@@ -27,8 +27,8 @@ from .errors import (
 )
 from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, degree
 from .families import (
+    CoverSystem,
     MembershipReport,
-    _cover_system,
     _require_base,
     _require_lattice,
     base_null,
@@ -79,14 +79,14 @@ def cover_index_sets(base: Graph, lattice: Graph) -> CoverIndexSets:
     k = _require_base(base)
     _require_lattice(lattice, k, 2)
     cs = cover_system("B", k, base)
-    mask, _outside = cs.encode(lattice)
+    _outside, _in_scaffold, hits = cs.scan(lattice)
     j_sets: dict[LatticeVector, frozenset[int]] = {x: frozenset() for x in lattice_vertices(k, 2)}
     i_sets = dict(j_sets)
     i_edge: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
     i_tilde: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
-    for (i, _cond, x), cm in zip(cs.tags, cs.masks):
+    for i, cond, x in cs.constraints():
         j_sets[x] |= {i}
-        hit_edges = cs.decode(mask & cm)
+        hit_edges = hits.get((i, cond, x), [])
         for e in hit_edges:
             i_edge[x, e] = i_edge.get((x, e), frozenset()) | {i}
             i_sets[x] |= {i}
@@ -132,6 +132,16 @@ def _minimality(membership: MembershipReport, edges: list[EdgeCriticality]) -> M
     )
 
 
+def _sole_hits(hits: dict) -> dict[Edge, list]:
+    """For each edge, the constraints it is the only hit of, in constraint
+    order (a cover system's scan files an edge's hits in that order)."""
+    sole: dict[Edge, list] = {}
+    for tag, hit_edges in hits.items():
+        if len(hit_edges) == 1:
+            sole.setdefault(hit_edges[0], []).append(tag)
+    return sole
+
+
 def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     """Minimality of the lattice relative to the fixed base.
 
@@ -141,11 +151,10 @@ def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     which it does so.
     """
     membership = member_b(base, lattice)
-    cs = cover_system("B", membership.k, base)
-    _first, sole = cs.hits(cs.encode(lattice)[0])
+    sole = _sole_hits(cover_system("B", membership.k, base).scan(lattice)[2])
     edges = []
     for e in lattice.edges():
-        tags = [cs.tags[n] for n in sole.get(cs.index[e], ())]
+        tags = sole.get(e, [])
         witness = min((x for _i, _cond, x in tags), default=None)
         edges.append(
             EdgeCriticality(
@@ -170,13 +179,14 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     """
     membership = member_c(lattice)
     cs = cover_system("C", membership.k)
-    mask, outside = cs.encode(lattice)
-    first, sole = cs.hits(mask)
+    outside, _in_scaffold, hits = cs.scan(lattice)
+    first = next((tag for tag in cs.constraints() if tag not in hits), None)
+    sole = _sole_hits(hits)
     edges = []
     for e in lattice.edges():
-        unhit = [n for n in (first, *sole.get(cs.index.get(e), ())[:1]) if n is not None]
+        unhit = [tag for tag in (first, *sole.get(e, [])[:1]) if tag is not None]
         if unhit:
-            i, cond, x = cs.tags[min(unhit)]
+            i, cond, x = min(unhit, key=cs.order)
             edges.append(EdgeCriticality(e, True, LatticeVertex(x), (i,), cond))
         else:
             edges.append(EdgeCriticality(e, any(f != e for f in outside)))
@@ -265,12 +275,11 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     degs = {i: degree(base, BaseVertex(i)) for i in range(1, k + 1)}
     min_deg = min(degs.values())
     edges = lattice.edges()
-    cs = cover_system("B", k, base)
-    mask = cs.encode(lattice)[0]
+    _outside, in_scaffold, hits = cover_system("B", k, base).scan(lattice)
     lower_witness = None
     for i in range(1, k + 1):
         # every lattice edge lies in the scaffold of i
-        if degs[i] == min_deg and not mask & ~cs.scaffolds[i, "slice"]:
+        if degs[i] == min_deg and len(in_scaffold[i, "slice"]) == actual:
             lower_witness = i
             break
     lower_tight = lower_witness is not None
@@ -290,10 +299,9 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
                 break
     if violation is None:
         # a constraint hit by two edges, first by (vector, coordinate)
-        for x, i, hit in sorted((x, i, mask & cm) for (i, _cond, x), cm in zip(cs.tags, cs.masks)):
-            if hit & (hit - 1):
-                violation = ("c", x, i)
-                break
+        doubles = [(x, i) for (i, _cond, x), hit_edges in hits.items() if len(hit_edges) > 1]
+        if doubles:
+            violation = ("c", *min(doubles))
     upper_tight = violation is None
 
     assert lower_tight == (actual == lower), "lower-tightness test disagrees with the edge count"
@@ -336,12 +344,12 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
     if not rep.member:
         raise NotMember("critical edges are defined for members only")
     cs = cover_system(kind, rep.k, base)
-    _first, sole = cs.hits(cs.encode(lattice)[0])
-    sets: dict[tuple[int, str], set[Edge]] = {key: set() for key in cs.scaffolds}
-    for b, constraints in sole.items():
-        for n in constraints:
-            i, cond, _x = cs.tags[n]
-            sets[i, cond].add(cs.edges[b])
+    sets: dict[tuple[int, str], set[Edge]] = {
+        (i, cond): set() for i in range(1, rep.k + 1) for cond in cs.conditions
+    }
+    for e, tags in _sole_hits(cs.scan(lattice)[2]).items():
+        for i, cond, _x in tags:
+            sets[i, cond].add(e)
     by_i = {
         cond: {i: frozenset(sets[i, cond]) for i in range(1, rep.k + 1)}
         for cond in cs.conditions
@@ -364,7 +372,8 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     x = tuple(x)
     if len(x) != k or any(c not in (1, 2, 3) for c in x):
         raise VertexNotEligible(f"{x} is not a [3]^{k} vector")
-    conditions = [cond for j, cond, y in cover_system("C", k).tags if (j, y) == (i, x)]
+    cs = cover_system("C", k)
+    conditions = [cond for cond in cs.conditions if cs.is_target(i, cond, x)]
     if not conditions:
         raise VertexNotEligible(f"{x} is neither on the value-2 slice nor in the s-set of {i}")
     in_s = "s-set" in conditions
@@ -390,7 +399,7 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
 def q_choice_points(k: int) -> list[tuple[int, LatticeVector]]:
     """All (coordinate, vector) pairs with an edge choice -- the targets of
     the radius-3 cover system -- in canonical (i, vector) order."""
-    return sorted((i, x) for i, _cond, x in cover_system("C", k).tags)
+    return sorted((i, x) for i, _cond, x in cover_system("C", k).constraints())
 
 
 def q_choice_lists(k: int) -> list[tuple[int, LatticeVector, list[Edge]]]:
@@ -454,13 +463,10 @@ def enumerate_minimal(kind: str, k: int, base: Graph | None = None, jobs: int = 
     elif kind != "C":
         raise ValueError(f"kind must be B or C, got {kind!r}")
     cs = cover_system(kind, k, base)
-    scan = partial(_minimal_masks, (cs.family, cs.k, cs.hoods))
-    parts = scan_ranges(scan, 1 << len(cs.edges), jobs)
+    parts = scan_ranges(partial(_minimal_masks, cs), 1 << len(cs.edges), jobs)
     return sorted((cs.graph(mask) for part in parts for mask in part), key=_graph_sort_key)
 
 
-def _minimal_masks(key: tuple, bounds: tuple[int, int]) -> list[int]:
-    """The minimal masks in [lo, hi) of the cover system with this key; a
-    worker rebuilds the system from the key."""
-    cs = _cover_system(*key)
+def _minimal_masks(cs: CoverSystem, bounds: tuple[int, int]) -> list[int]:
+    """The minimal masks of the cover system in [lo, hi)."""
     return [mask for mask in range(*bounds) if cs.is_minimal(mask)]

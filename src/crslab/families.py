@@ -5,16 +5,15 @@ The family with truncation radius 2 ("B") lives on [2]^k lattices over an
 arbitrary base graph on [k]; the radius-3 family ("C") lives on [3]^k
 lattices over the edgeless base.  Membership in either family reduces to
 edge-covering conditions on per-coordinate bipartite scaffolds.  This
-module collects them into one cover system per family, k and base -- bit
-masks over a canonical edge universe -- and decides membership on it, with
-witnesses.
+module collects them into one cover system per family, k and base, and
+decides membership on it, with witnesses.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -22,7 +21,6 @@ from .errors import (
     CrossEdgeMismatch,
     IndexOutOfRange,
     InvalidCertificate,
-    InvalidJobs,
     SizeOverflow,
     UnknownName,
     WrongVertexSet,
@@ -38,7 +36,6 @@ from .graph import (
     _iter_bits,
     complete_graph,
     null_graph,
-    sort_edge,
 )
 from .resolving import CrsCertificate
 
@@ -112,15 +109,13 @@ def lattice_complete(k: int, m: int) -> Graph:
 # -- scaffolds ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def scaffold(k: int, i: int, kind: str) -> Graph:
     """The per-coordinate bipartite scaffold.
 
     Kind "B" (on [2]^k): complete bipartite between the coordinate-i value-1
     and value-2 slices.  Kinds "C" / "D" (on [3]^k): bipartite between the
     value-1/2 (resp. 2/3) slices, with every other coordinate differing by
-    at most one.  gamma() checks these graphs against its direct rule, and
-    the cover system reads its scaffold masks from them.
+    at most one.  gamma() checks these graphs against its direct rule.
     """
     _check_index(k, i)
     if kind not in ("B", "C", "D"):
@@ -136,7 +131,7 @@ def s_set(k: int, i: int) -> set[LatticeVector]:
     """Vectors with all components in {2, 3} and component i equal to 3:
     the targets of the radius-3 cover system's (i, "s-set") constraints."""
     _check_index(k, i)
-    return {x for j, cond, x in cover_system("C", k).tags if (j, cond) == (i, "s-set")}
+    return set(cover_system("C", k).targets(i, "s-set"))
 
 
 def is_edge_covering(edges, s) -> bool:
@@ -283,54 +278,160 @@ def member_c(lattice: Graph) -> MembershipReport:
 # -- the cover system ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoverSystem:
-    """The covering constraints of one family as bit masks over a canonical
-    edge universe: the complete graph on [2]^k (family B) or Gamma_k
-    (family C), in canonical edge order.  A lattice is a bit mask plus the
-    edges it has outside the universe.
+    """The covering constraints of one family, decided edge by edge.
 
-    Constraint (i, condition, x) holds the universe edges of the (i,
-    condition) scaffold that cover the target vector x.  Family B has one
-    condition, "slice": x is 2 on all of i's closed base neighborhood, in
-    scaffold B_i.  Family C has two: "slice", x_i = 2, in scaffold C_i, and
-    "s-set", x in s_set(k, i), in scaffold D_i.  Constraints run by i, then
-    condition, then x: the order in which reports name their witnesses.
+    The universe is the complete graph on [2]^k (family B) or Gamma_k
+    (family C).  A universe edge lies in the (i, condition) scaffold when it
+    changes coordinate i between the condition's two values: 1 and 2 for
+    "slice", 2 and 3 for "s-set" (family C only).  Constraint (i, condition,
+    x) holds the scaffold edges at its target x: family B's targets are 2
+    on all of i's closed base neighborhood; family C's "slice" targets have
+    x_i = 2, its "s-set" targets are all-{2,3} with x_i = 3.  Constraints
+    run by i, then condition, then x: the order in which reports name their
+    witnesses.
 
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
-    of some constraint.
+    of some constraint.  Membership and minimality read a lattice's own
+    edges; the exhaustive scans use the bit-mask view (``edges``,
+    ``masks``), built on first use.
     """
 
     family: str
     k: int
-    m: int
     hoods: tuple[frozenset[int], ...] | None  # family B: the base's closed neighborhoods
-    conditions: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    index: dict[Edge, int]
-    scaffolds: dict[tuple[int, str], int]
-    tags: tuple[tuple[int, str, LatticeVector], ...]
-    masks: tuple[int, ...]
 
-    def encode(self, lattice: Graph) -> tuple[int, list[Edge]]:
-        """The lattice's universe edges as a bit mask, and its other edges
-        in canonical order."""
-        mask = 0
-        outside = []
+    @property
+    def m(self) -> int:
+        return 2 if self.family == "B" else 3
+
+    @property
+    def conditions(self) -> tuple[str, ...]:
+        return ("slice",) if self.family == "B" else ("slice", "s-set")
+
+    @cached_property
+    def _allowed(self) -> dict[tuple[int, str], tuple[tuple[int, ...], ...]]:
+        """Per constraint group, the values each target component may take."""
+        out = {}
+        for i in range(1, self.k + 1):
+            for cond in self.conditions:
+                if self.family == "B":
+                    hood = self.hoods[i - 1]  # type: ignore[index]
+                    out[i, cond] = tuple((2,) if j in hood else (1, 2) for j in range(1, self.k + 1))
+                else:
+                    pinned, other = ((2,), (1, 2, 3)) if cond == "slice" else ((3,), (2, 3))
+                    out[i, cond] = tuple(pinned if j == i else other for j in range(1, self.k + 1))
+        return out
+
+    def targets(self, i: int, cond: str) -> Iterator[LatticeVector]:
+        """The targets of the (i, cond) constraints, in lexicographic order."""
+        return product(*self._allowed[i, cond])
+
+    def is_target(self, i: int, cond: str, x: LatticeVector) -> bool:
+        return all(c in allowed for c, allowed in zip(x, self._allowed[i, cond]))
+
+    def constraints(self) -> Iterator[tuple[int, str, LatticeVector]]:
+        """Every constraint tag (i, condition, target), in constraint order."""
+        for i in range(1, self.k + 1):
+            for cond in self.conditions:
+                for x in self.targets(i, cond):
+                    yield i, cond, x
+
+    def in_universe(self, x: LatticeVector, y: LatticeVector) -> bool:
+        return self.family == "B" or _gaps_ok(x, y)
+
+    def incidence(self, x: LatticeVector, y: LatticeVector):
+        """For each scaffold holding the universe edge x-y, in constraint
+        order: (i, condition, the target it hits there, or None)."""
+        for i in range(1, self.k + 1):
+            a, b = x[i - 1], y[i - 1]
+            if a != b:
+                cond = "slice" if min(a, b) == 1 else "s-set"
+                z = x if a > b else y
+                yield i, cond, z if self.is_target(i, cond, z) else None
+
+    def scan(self, lattice: Graph):
+        """One pass over a lattice's edges: those outside the universe, the
+        edges in each (i, condition) scaffold, and for each constraint hit
+        its hitting edges -- all in canonical edge order."""
+        outside: list[Edge] = []
+        in_scaffold: dict[tuple[int, str], list[Edge]] = {
+            (i, cond): [] for i in range(1, self.k + 1) for cond in self.conditions
+        }
+        hits: dict[tuple[int, str, LatticeVector], list[Edge]] = {}
         for e in lattice.edges():
-            if e in self.index:
-                mask |= 1 << self.index[e]
-            else:
+            x, y = e[0].vector, e[1].vector  # type: ignore[union-attr]
+            if not self.in_universe(x, y):
                 outside.append(e)
-        return mask, outside
+                continue
+            for i, cond, z in self.incidence(x, y):
+                in_scaffold[i, cond].append(e)
+                if z is not None:
+                    hits.setdefault((i, cond, z), []).append(e)
+        return outside, in_scaffold, hits
 
-    def decode(self, mask: int) -> tuple[Edge, ...]:
-        """The universe edges of a mask, in canonical order."""
-        return tuple(self.edges[b] for b in _iter_bits(mask))
+    def order(self, tag: tuple[int, str, LatticeVector]) -> tuple:
+        """Sort key of a constraint tag in constraint order."""
+        i, cond, x = tag
+        return i, self.conditions.index(cond), x
+
+    def report(self, lattice: Graph) -> MembershipReport:
+        """Membership with witnesses: per coordinate and condition, the
+        lattice edges in the scaffold and the first target they miss."""
+        outside, in_scaffold, hits = self.scan(lattice)
+        missed = {}
+        for i, cond in in_scaffold:
+            x = next((x for x in self.targets(i, cond) if (i, cond, x) not in hits), None)
+            missed[i, cond] = None if x is None else LatticeVertex(x)
+        diagnostics = []
+        for i in range(1, self.k + 1):
+            covering = [tuple(in_scaffold[i, c]) for c in self.conditions] + [()]
+            uncovered = [missed[i, c] for c in self.conditions] + [None]
+            diagnostics.append(
+                IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
+            )
+        return MembershipReport(
+            member=not outside and not any(missed.values()),
+            family=self.family,
+            k=self.k,
+            diagnostics=tuple(diagnostics),
+            bad_edge=outside[0] if outside else None,
+        )
+
+    # -- the bit-mask view, for exhaustive scans over the universe --
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The universe in canonical edge order."""
+        vecs = lattice_vertices(self.k, self.m)
+        return tuple(
+            (LatticeVertex(x), LatticeVertex(y))
+            for a, x in enumerate(vecs)
+            for y in vecs[a + 1:]
+            if self.in_universe(x, y)
+        )
+
+    @cached_property
+    def index(self) -> dict[Edge, int]:
+        return {e: b for b, e in enumerate(self.edges)}
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One bit mask over the universe per constraint, in constraint
+        order; the bits are set in byte arrays, so building is linear."""
+        size = (len(self.edges) + 7) // 8
+        rows = {tag: bytearray(size) for tag in self.constraints()}
+        for b, (u, v) in enumerate(self.edges):
+            for i, cond, z in self.incidence(u.vector, v.vector):  # type: ignore[union-attr]
+                if z is not None:
+                    rows[i, cond, z][b >> 3] |= 1 << (b & 7)
+        return tuple(int.from_bytes(row, "little") for row in rows.values())
 
     def graph(self, mask: int) -> Graph:
-        return Graph([LatticeVertex(v) for v in lattice_vertices(self.k, self.m)], self.decode(mask))
+        verts = [LatticeVertex(v) for v in lattice_vertices(self.k, self.m)]
+        return Graph(verts, [self.edges[b] for b in _iter_bits(mask)])
 
     def covers(self, mask: int) -> bool:
         """True iff the mask hits every constraint."""
@@ -351,48 +452,11 @@ class CoverSystem:
                 needed |= hit
         return needed == mask
 
-    def hits(self, mask: int) -> tuple[int | None, dict[int, list[int]]]:
-        """The first constraint the mask leaves unhit, and for each edge bit
-        the constraints it is the only hit of, in constraint order."""
-        first = None
-        sole: dict[int, list[int]] = {}
-        for n, cm in enumerate(self.masks):
-            hit = mask & cm
-            if not hit:
-                if first is None:
-                    first = n
-            elif not hit & (hit - 1):
-                sole.setdefault(hit.bit_length() - 1, []).append(n)
-        return first, sole
-
-    def report(self, lattice: Graph) -> MembershipReport:
-        """Membership with witnesses: per coordinate and condition, the
-        lattice edges in the scaffold and the first target they miss."""
-        mask, outside = self.encode(lattice)
-        missed: dict[tuple[int, str], Vertex] = {}
-        for (i, cond, x), cm in zip(self.tags, self.masks):
-            if not mask & cm:
-                missed.setdefault((i, cond), LatticeVertex(x))
-        diagnostics = []
-        for i in range(1, self.k + 1):
-            covering = [self.decode(mask & self.scaffolds[i, c]) for c in self.conditions] + [()]
-            uncovered = [missed.get((i, c)) for c in self.conditions] + [None]
-            diagnostics.append(
-                IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
-            )
-        return MembershipReport(
-            member=not missed and not outside,
-            family=self.family,
-            k=self.k,
-            diagnostics=tuple(diagnostics),
-            bad_edge=outside[0] if outside else None,
-        )
-
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
-    """The cover system of a family at k, cached.  Family B depends on the
-    base (edgeless by default) only through its closed neighborhoods; family
-    C ignores the base."""
+    """The cover system of a family at k.  Family B depends on the base
+    (edgeless by default) only through its closed neighborhoods; family C
+    ignores the base.  The last few are cached, with their mask views."""
     if family == "C":
         return _cover_system("C", k, None)
     if family != "B":
@@ -402,63 +466,23 @@ def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
     return _cover_system("B", k, tuple(closed_neighborhood(base, i) for i in range(1, k + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _cover_system(family: str, k: int, hoods: tuple[frozenset[int], ...] | None) -> CoverSystem:
-    if family == "B":
-        m, universe, kinds = 2, lattice_complete(k, 2), {"slice": "B"}
-    else:
-        m, universe, kinds = 3, gamma(k), {"slice": "C", "s-set": "D"}
-    edges = tuple(universe.edges())
-    index = {e: b for b, e in enumerate(edges)}
-    scaffolds = {}
-    tags = []
-    masks = []
-    for i in range(1, k + 1):
-        for cond, kind in kinds.items():
-            if family == "B":
-                targets = lattice_slice(k, 2, hoods[i - 1], {2}).vectors()  # type: ignore[index]
-            elif cond == "slice":
-                targets = lattice_slice(k, 3, {i}, {2}).vectors()
-            else:
-                corner = lattice_slice(k, 3, range(1, k + 1), {2, 3}).vectors()
-                targets = [x for x in corner if x[i - 1] == 3]
-            part = scaffold(k, i, kind)
-            scaffolds[i, cond] = sum(1 << index[e] for e in part.edge_set())
-            for x in targets:
-                v = LatticeVertex(x)
-                tags.append((i, cond, x))
-                masks.append(sum(1 << index[sort_edge(v, u)] for u in part.neighbors(v)))
-    return CoverSystem(
-        family=family,
-        k=k,
-        m=m,
-        hoods=hoods,
-        conditions=tuple(kinds),
-        edges=edges,
-        index=index,
-        scaffolds=scaffolds,
-        tags=tuple(tags),
-        masks=tuple(masks),
-    )
+    return CoverSystem(family, k, hoods)
 
 
 def scan_ranges(fn, total: int, jobs: int) -> list:
     """``fn((lo, hi))`` over a split of range(total), one result per range
-    in range order.  The ranges go to at most min(jobs, os.cpu_count())
+    in range order.  The ranges go to min(jobs, os.cpu_count(), total)
     worker processes; with one range, ``fn`` runs in this process."""
-    if jobs < 1:
-        raise InvalidJobs(f"--jobs must be at least 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1, total)
     chunk = -(-total // workers)
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if len(ranges) == 1:
         return [fn(ranges[0])]
-    # imported on use: most runs start no pool, and these imports slow down `import crslab`
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=len(ranges), mp_context=context) as pool:
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         return list(pool.map(fn, ranges))
 
 

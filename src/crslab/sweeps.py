@@ -167,15 +167,16 @@ class EquivalenceSweep:
     """Counters of one equivalence sweep.
 
     The out_of_range_* counters come from the sampled [3]^2 lattices with
-    an edge outside Gamma_2 (radius-3 sweep only): out_of_range_tested is
-    the number of samples; out_of_range_failures counts samples that W = [2]
-    certifies anyway, which it can only do through a label permutation --
-    not a fault, since certification ignores labels, but the name is kept
-    because the benchmark pins it (a sample that is a member on its own
-    labels would be counted here too); out_of_range_inconsistent counts the
-    true violations of the label-bound control: a sample that is a member
-    on its own labels, or one certified with the identity table or whose
-    canonical relabeling is not a member.
+    an edge outside Gamma_2 (radius-3 sweep only): out_of_range_tested
+    counts the samples whose membership report names such an edge (all of
+    them, unless member_c misses one); out_of_range_failures counts samples
+    that W = [2] certifies anyway, which it can only do through a label
+    permutation -- not a fault, since certification ignores labels, but the
+    name is kept because the benchmark pins it (a sample that is a member
+    on its own labels would be counted here too); out_of_range_inconsistent
+    counts the true violations of the label-bound control: a sample that is
+    a member on its own labels, or one certified with the identity table or
+    whose canonical relabeling is not a member.
     """
 
     total: int
@@ -262,8 +263,9 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     failures and then cross-checked: its table must not be the identity and
     its relabeling must land inside the family, otherwise it is flagged
     inconsistent (a genuine bug).  A member sample counts in both at once.
-    Returns (samples that reached the membership check, failures,
-    inconsistent).
+    Returns (samples whose membership report names an edge outside the
+    maximal lattice -- every sample, unless member_c misses the gap --
+    failures, inconsistent).
     """
     rng = random.Random(SAMPLE_SEED)
     vecs = lattice_vertices(2, 3)
@@ -277,8 +279,9 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
             if any(e not in universe for e in chosen):
                 break
         lattice = Graph(complete.vertices(), chosen)
-        tested += 1
-        if member_c(lattice).member:
+        report = member_c(lattice)
+        tested += report.bad_edge is not None
+        if report.member:
             failures += 1
             inconsistent += 1
             continue
@@ -557,6 +560,10 @@ class PropertySweep:
         )
 
 
+def _is_member(family: str, base: Graph, lattice: Graph) -> bool:
+    return (member_b(base, lattice) if family == "B" else member_c(lattice)).member
+
+
 @lru_cache(maxsize=1)
 def sweep_properties() -> PropertySweep:
     """Seeded add-an-edge and union closure trials on random members at
@@ -569,7 +576,7 @@ def sweep_properties() -> PropertySweep:
         for family in ("B", "C"):
             for _ in range(trials_per_case):
                 base, cs, mask = _random_member(rng, family, k)
-                if not cs.covers(mask):
+                if not _is_member(family, base, cs.graph(mask)):
                     upset_viol += 1
                     continue
                 # one random edge added to the lattice or, for family B, the base
@@ -583,17 +590,17 @@ def sweep_properties() -> PropertySweep:
                 if not pool:
                     continue
                 bigger_base, bigger = pool[rng.randrange(len(pool))]
-                if not cover_system(family, k, bigger_base).covers(bigger):
+                if not _is_member(family, bigger_base, cs.graph(bigger)):
                     upset_viol += 1
 
     union_viol = 0
     for k in (2, 3):
         for family in ("B", "C"):
             for _ in range(trials_per_case):
-                b1, _cs, m1 = _random_member(rng, family, k)
+                b1, cs, m1 = _random_member(rng, family, k)
                 b2, _cs, m2 = _random_member(rng, family, k)
                 base = Graph(b1.vertices(), b1.edge_set() | b2.edge_set())
-                if not cover_system(family, k, base).covers(m1 | m2):
+                if not _is_member(family, base, cs.graph(m1 | m2)):
                     union_viol += 1
 
     pairs_checked = 0

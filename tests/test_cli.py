@@ -243,10 +243,16 @@ class TestClassifyAndDim:
 
 
 class TestJobsDeterminism:
-    def test_jobs_below_one_exits_2(self, capsys):
-        code, out, err = run_cli(["enumerate", "--minimal", "C", "--k", "2", "--jobs", "0"], capsys=capsys)
-        assert code == 2 and out == ""
-        assert "--jobs" in err
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--minimal", "C", "--k", "2"], ["suite", "--name", "sizes"]]
+    )
+    def test_jobs_below_one_exits_2(self, capsys, argv):
+        # argparse rejects the count before any command runs
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "0"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--jobs" in err
 
     def test_workers_are_clamped(self, monkeypatch):
         # a fake pool records its worker count and maps in this process
@@ -257,7 +263,7 @@ class TestJobsDeterminism:
         seen = []
 
         class FakePool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers):
                 seen.append(max_workers)
 
             def __enter__(self):

@@ -112,6 +112,17 @@ def test_out_of_range_tested_counts_the_checked_samples(monkeypatch):
     assert tested == sweeps.OUT_OF_GAMMA_SAMPLES
 
 
+def test_out_of_range_tested_can_fail(monkeypatch):
+    # a membership test blind to edges outside Gamma_2 names no bad edge,
+    # so no sample counts as tested
+    real_member_c = sweeps.member_c
+    monkeypatch.setattr(
+        sweeps, "member_c", lambda lattice: replace(real_member_c(lattice), bad_edge=None)
+    )
+    tested, _failures, _inconsistent = sweeps._out_of_gamma_samples()
+    assert tested == 0
+
+
 def test_certified_within_range_forces_identity_labels():
     # on spanning subgraphs of the maximal lattice, certification pins every
     # distance vector to its label, exhaustively over a mask slice
