@@ -474,8 +474,9 @@ def _cover_system(family: str, k: int, hoods: tuple[frozenset[int], ...] | None)
 def scan_ranges(fn, total: int, jobs: int) -> list:
     """``fn((lo, hi))`` over a split of range(total), one result per range
     in range order.  The ranges go to min(jobs, os.cpu_count(), total)
-    worker processes; with one range, ``fn`` runs in this process."""
-    workers = min(jobs, os.cpu_count() or 1, total)
+    worker processes; with one range (as for jobs < 1, which the CLI
+    rejects), ``fn`` runs in this process."""
+    workers = max(1, min(jobs, os.cpu_count() or 1, total))
     chunk = -(-total // workers)
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if len(ranges) == 1:

@@ -283,6 +283,7 @@ class TestJobsDeterminism:
         assert families.scan_ranges(tuple, 3, 10**6) == [(0, 1), (1, 2), (2, 3)]
         assert seen == [2, 3]
         assert families.scan_ranges(tuple, 10, 1) == [(0, 10)]
+        assert families.scan_ranges(tuple, 10, 0) == [(0, 10)]
         assert seen == [2, 3]
 
     def test_enumerate_c_jobs_equal(self, capsys):
