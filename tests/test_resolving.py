@@ -10,8 +10,23 @@ from crslab.errors import (
     UnknownVertex,
     VertexInW,
 )
-from crslab.graph import BaseVertex, LatticeVertex, PlainVertex, path_graph, plain_graph
-from crslab.families import base_complete, base_null, compose, example_graph, gamma
+from crslab.graph import (
+    BaseVertex,
+    LatticeVertex,
+    PlainVertex,
+    distances,
+    path_graph,
+    plain_graph,
+)
+from crslab.families import (
+    base_complete,
+    base_null,
+    compose,
+    example_graph,
+    gamma,
+    lattice_vertices,
+    span_lattice,
+)
 from crslab.resolving import (
     CARDINALITY_MISMATCH,
     FAMILY_B,
@@ -69,6 +84,21 @@ def brute_force_crs(g):
             if len(vecs) == len(rest):
                 out.append((frozenset(combo), m))
     return sorted(out, key=lambda pair: (len(pair[0]), pair[1], sorted(map(repr, pair[0]))))
+
+
+def brute_force_perfect(g):
+    """Perfectness by its definition: the smallest c with a resolving
+    c-subset, then whether some completeness-resolving set has size c."""
+    d = distances(g)
+    verts = g.vertices()
+    dim = next(
+        c
+        for c in range(1, g.order)
+        for combo in combinations(verts, c)
+        if len({tuple(d[(w, u)] for w in combo) for u in verts if u not in combo})
+        == g.order - c
+    )
+    return any(len(w) == dim for w, _m in brute_force_crs(g))
 
 
 class TestTruncationRadius:
@@ -169,6 +199,7 @@ class TestCheckCrs:
         res = check_crs(c4, [p(0), p(1)])
         assert isinstance(res, CrsFailure)
         assert res.reason == CARDINALITY_MISMATCH
+        assert res.detail == "|V|-|W| = 2 but m(W)^|W| = 2^2 = 4"
 
     def test_not_injective(self):
         # 6-cycle with two opposite vertices: the outside count matches
@@ -177,6 +208,7 @@ class TestCheckCrs:
         res = check_crs(c6, [p(0), p(3)])
         assert isinstance(res, CrsFailure)
         assert res.reason == NOT_INJECTIVE
+        assert res.detail == "v2 and v4 share the vector (2, 1)"
 
     def test_order_insensitive(self):
         g = compose(base_null(2), example_graph("T", 2), 2, 3).materialize()
@@ -365,3 +397,44 @@ class TestPerfectness:
             tested += 1
             if perfect:
                 assert is_completeness_resolvable(g).kind != NOT_COMPLETENESS_RESOLVABLE
+
+    def test_matches_definition(self):
+        named = []
+        for n in range(2, 8):
+            named.append(path_graph([p(i) for i in range(n)]))
+            named.append(plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]))
+            if n >= 3:
+                named.append(star(n - 1))
+        rng = random.Random(53)
+        seeded = []
+        while len(seeded) < 120:
+            n = rng.randint(2, 7)
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+            g = plain_graph(n, edges)
+            if all(d is not None for d in distances(g).values()):
+                seeded.append(g)
+        verdicts = [is_perfectness_resolvable(g) for g in named + seeded]
+        assert verdicts == [brute_force_perfect(g) for g in named + seeded]
+        assert True in verdicts and False in verdicts
+
+
+class TestRadiusFour:
+    def test_w_base_never_certifies_a_4_by_4_composite(self):
+        # (4, 1) is adjacent to b2, which lies within distance 2 of b1
+        # through (1, 1), so d(b1, (4, 1)) <= 3 and the box [4]^2 is never
+        # covered; a certifier that trusted the count would pass some.
+        rng = random.Random(4)
+        vecs = lattice_vertices(2, 4)
+        w = (BaseVertex(1), BaseVertex(2))
+        reasons = []
+        for _ in range(200):
+            base = base_null(2) if rng.random() < 0.5 else base_complete(2)
+            edges = [(x, y) for a, x in enumerate(vecs) for y in vecs[a + 1:] if rng.random() < 0.2]
+            g = compose(base, span_lattice(2, 4, edges), 2, 4).materialize()
+            try:
+                res = check_crs(g, w)
+            except DisconnectedGraph:
+                continue
+            assert isinstance(res, CrsFailure)
+            reasons.append(res.reason)
+        assert reasons.count(NOT_INJECTIVE) > 0
