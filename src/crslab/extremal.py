@@ -275,11 +275,14 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     degs = {i: degree(base, BaseVertex(i)) for i in range(1, k + 1)}
     min_deg = min(degs.values())
     edges = lattice.edges()
-    _outside, in_scaffold, hits = cover_system("B", k, base).scan(lattice)
+    cs = cover_system("B", k, base)
+    _outside, _in_scaffold, hits = cs.scan(lattice)
     lower_witness = None
     for i in range(1, k + 1):
-        # every lattice edge lies in the scaffold of i
-        if degs[i] == min_deg and len(in_scaffold[i, "slice"]) == actual:
+        # each slice constraint of i has exactly one hitting edge, and no
+        # edge hits none of them
+        once = [len(hits.get((i, "slice", x), ())) == 1 for x in cs.targets(i, "slice")]
+        if degs[i] == min_deg and all(once) and len(once) == actual:
             lower_witness = i
             break
     lower_tight = lower_witness is not None

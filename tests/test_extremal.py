@@ -9,7 +9,7 @@ from crslab.errors import (
     NotMinimal,
     VertexNotEligible,
 )
-from crslab.graph import Graph, LatticeVertex
+from crslab.graph import BaseVertex, Graph, LatticeVertex
 from crslab.families import (
     base_complete,
     base_null,
@@ -38,6 +38,7 @@ from crslab.extremal import (
     q_count,
     tightness_b,
 )
+from crslab.sweeps import random_b_member
 
 
 def vpair(a, b):
@@ -239,6 +240,37 @@ class TestTightness:
                 rep = tightness_b(base, lattice)
                 assert rep.lower_tight == (lattice.size == lo)
                 assert rep.upper_tight == (lattice.size == hi)
+
+    def test_non_regular_base_above_the_lower_bound(self):
+        # every edge changes coordinate 2, a minimum-degree coordinate, yet
+        # (1,2,1)-(2,1,2) hits none of its slice targets (2,2,1) and (2,2,2)
+        base = Graph(base_null(3).vertices(), [(BaseVertex(1), BaseVertex(2)), (BaseVertex(1), BaseVertex(3))])
+        lattice = span_lattice(3, 2, [
+            ((1, 1, 1), (2, 2, 1)), ((1, 1, 1), (2, 2, 2)), ((1, 2, 1), (2, 1, 2)),
+        ])
+        assert definitional_minimal_b(base, lattice)
+        rep = tightness_b(base, lattice)
+        assert bounds_b(base) == (2, 5) and lattice.size == 3
+        assert not rep.lower_tight and rep.lower_witness_index is None
+        assert not rep.upper_tight
+
+    def test_agrees_with_raw_counts_at_k3(self):
+        rng = random.Random(7)
+        lower_tight = 0
+        for _ in range(300):
+            base, lattice = random_b_member(rng, 3)
+            edges = lattice.edges()
+            rng.shuffle(edges)
+            for e in edges:
+                smaller = Graph(lattice.vertices(), [f for f in lattice.edge_set() if f != e])
+                if member_b(base, smaller).member:
+                    lattice = smaller
+            lo, hi = bounds_b(base)
+            rep = tightness_b(base, lattice)
+            assert rep.lower_tight == (lattice.size == lo)
+            assert rep.upper_tight == (lattice.size == hi)
+            lower_tight += rep.lower_tight
+        assert lower_tight > 0
 
 
 def gamma_2_as_binary():
