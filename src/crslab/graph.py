@@ -246,11 +246,6 @@ def distances(g: Graph) -> dict[tuple[Vertex, Vertex], int | None]:
     return table
 
 
-def distances_from(g: Graph, sources: Iterable[Vertex]) -> dict[Vertex, list[int]]:
-    """Hop-count rows (indexed by canonical vertex position) for each source."""
-    return {w: bfs_levels(g._adj, g.index_of(w)) for w in sources}
-
-
 def is_connected(g: Graph) -> bool:
     return all(d >= 0 for d in bfs_levels(g._adj, 0))
 

@@ -12,7 +12,7 @@ re-check them edge by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .errors import (
     DisconnectedGraph,
@@ -37,7 +37,6 @@ DEFAULT_ORDER_CAP = 12
 
 CARDINALITY_MISMATCH = "cardinality-mismatch"
 NOT_INJECTIVE = "not-injective"
-NOT_SURJECTIVE = "not-surjective"
 
 PATH = "path"
 UNIVERSAL_VERTEX = "universal-vertex"
@@ -106,25 +105,72 @@ def _check_w(g: Graph, w) -> list[Vertex]:
     return members
 
 
-def _rows_for(g: Graph, w_list: list[Vertex]) -> list[list[int]]:
-    """Hop-count rows from each W vertex; raises if any outside vertex is
-    unreachable from any W vertex."""
-    w_idx = {g.index_of(v) for v in w_list}
-    rows = []
-    for v in w_list:
-        row = bfs_levels(g.adjacency_masks(), g.index_of(v))
-        if any(d < 0 for i, d in enumerate(row) if i not in w_idx):
-            raise DisconnectedGraph("some vertex is unreachable from W")
-        rows.append(row)
+def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
+    """The positions of a checked W, their hop-count rows, and the outside
+    positions; raises if any outside vertex is unreachable from any W
+    vertex."""
+    w_idx = [g.index_of(v) for v in _check_w(g, w)]
+    rest = [u for u in range(g.order) if u not in w_idx]
+    adj = g.adjacency_masks()
+    rows = [bfs_levels(adj, i) for i in w_idx]
+    if any(row[u] < 0 for row in rows for u in rest):
+        raise DisconnectedGraph("some vertex is unreachable from W")
+    return w_idx, rows, rest
+
+
+def _table(g: Graph, cap: int, disconnected: str) -> list[list[int]]:
+    """All-pairs hop-count rows for the subset-scanning operations, after
+    the order cap; raises DisconnectedGraph(disconnected) on a disconnected
+    graph."""
+    n = g.order
+    if n > cap:
+        raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
+    adj = g.adjacency_masks()
+    rows = [bfs_levels(adj, i) for i in range(n)]
+    if -1 in rows[0]:
+        raise DisconnectedGraph(disconnected)
     return rows
+
+
+def _injective(w_rows: list[list[int]]) -> bool:
+    """True iff the outside vertices have pairwise distinct vectors toward
+    the W rows ``w_rows``.  Each W vertex's own vector is the only one with
+    a zero, at its own coordinate, so the test may run over every vertex."""
+    return len(set(zip(*w_rows))) == len(w_rows[0])
+
+
+def _bijection(verts, w_idx, w_rows, rest):
+    """The bijection test behind every certificate.
+
+    Returns the certificate of W (positions ``w_idx`` with hop-count rows
+    ``w_rows``) when the vectors of the outside positions ``rest`` form a
+    bijection onto [m(W)]^|W|.  Otherwise returns the first obstruction,
+    unformatted: (CARDINALITY_MISMATCH, m(W)) when the outside count differs
+    from m(W)^|W| (the cheap shortcut), else (NOT_INJECTIVE, a, b, vector)
+    for the first two outside positions sharing a vector.  An injective map
+    with the matching count is onto, so there is no third case.
+    """
+    vecs = list(zip(*w_rows))
+    m = max([max(vecs[u]) for u in rest])
+    if m ** len(w_rows) != len(rest):
+        return CARDINALITY_MISMATCH, m
+    seen: dict[LatticeVector, int] = {}
+    for u in rest:
+        vec = vecs[u]
+        if vec in seen:
+            return NOT_INJECTIVE, seen[vec], u, vec
+        seen[vec] = u
+    return CrsCertificate(
+        w_order=tuple(verts[w] for w in w_idx),
+        m_of_w=m,
+        table={verts[u]: vec for vec, u in seen.items()},
+    )
 
 
 def truncation_radius(g: Graph, w) -> int:
     """Largest distance from a W vertex to a vertex outside W."""
-    w_list = _check_w(g, w)
-    rows = _rows_for(g, w_list)
-    outside = [i for i, v in enumerate(g.vertices()) if v not in set(w_list)]
-    return max(row[i] for row in rows for i in outside)
+    _w_idx, rows, rest = _w_rows(g, w)
+    return max(row[u] for row in rows for u in rest)
 
 
 def resolve_vector(g: Graph, w_order, u: Vertex) -> LatticeVector:
@@ -146,53 +192,30 @@ def resolve_vector(g: Graph, w_order, u: Vertex) -> LatticeVector:
 
 def is_resolving_set(g: Graph, w) -> bool:
     """True iff distance vectors toward W distinguish all outside vertices."""
-    w_list = _check_w(g, w)
-    rows = _rows_for(g, w_list)
-    w_set = set(w_list)
-    seen = set()
-    for i, v in enumerate(g.vertices()):
-        if v in w_set:
-            continue
-        vec = tuple(row[i] for row in rows)
-        if vec in seen:
-            return False
-        seen.add(vec)
-    return True
+    _w_idx, rows, _rest = _w_rows(g, w)
+    return _injective(rows)
 
 
 def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
     """Certify the ordered W as completeness-resolving, or say why not.
 
     Failure reasons, checked in order: the outside-vertex count differs
-    from m(W)^|W| (the cheap shortcut), two outside vertices share a
-    vector, or the image misses a box vector.
+    from m(W)^|W| (the cheap shortcut), or two outside vertices share a
+    vector.
     """
-    w_list = _check_w(g, w_order)
-    rows = _rows_for(g, w_list)
-    w_set = set(w_list)
-    k = len(w_list)
-    outside = [(i, v) for i, v in enumerate(g.vertices()) if v not in w_set]
-    m = max(row[i] for row in rows for i, _ in outside)
-    if m ** k != len(outside):
+    w_idx, rows, rest = _w_rows(g, w_order)
+    verts = g.vertices()
+    res = _bijection(verts, w_idx, rows, rest)
+    if isinstance(res, CrsCertificate):
+        return res
+    if res[0] == CARDINALITY_MISMATCH:
+        m, k = res[1], len(w_idx)
         return CrsFailure(
             CARDINALITY_MISMATCH,
-            f"|V|-|W| = {len(outside)} but m(W)^|W| = {m}^{k} = {m ** k}",
+            f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}",
         )
-    table: dict[Vertex, LatticeVector] = {}
-    seen: dict[LatticeVector, Vertex] = {}
-    for i, v in outside:
-        vec = tuple(row[i] for row in rows)
-        if vec in seen:
-            return CrsFailure(NOT_INJECTIVE, f"{seen[vec]!r} and {v!r} share the vector {vec}")
-        seen[vec] = v
-        table[v] = vec
-    # Injective with matching cardinality already forces surjectivity; the
-    # explicit scan keeps the failure reason honest rather than assumed.
-    if len(seen) != m ** k:  # pragma: no cover
-        box = (tuple(v) for v in product(range(1, m + 1), repeat=k))
-        missing = next(vec for vec in box if vec not in seen)
-        return CrsFailure(NOT_SURJECTIVE, f"no vertex maps to {missing}")
-    return CrsCertificate(w_order=tuple(w_list), m_of_w=m, table=table)
+    _reason, a, b, vec = res
+    return CrsFailure(NOT_INJECTIVE, f"{verts[a]!r} and {verts[b]!r} share the vector {vec}")
 
 
 def _permuted_cert(cert: CrsCertificate, perm: tuple[Vertex, ...]) -> CrsCertificate:
@@ -209,6 +232,40 @@ def _implied_radius(outside: int, k: int) -> int | None:
     return None
 
 
+def _path_certificates(g: Graph, rows_all) -> list[CrsCertificate]:
+    """The singleton certificates, which exist only for paths: one at each
+    endpoint, in canonical order."""
+    if not is_path(g):
+        return []
+    verts = g.vertices()
+    ends = [g.index_of(v) for v in path_endpoints(g)]
+    return [
+        _bijection(verts, (e,), [rows_all[e]], [u for u in range(len(verts)) if u != e])
+        for e in ends
+    ]
+
+
+def _pruned_certificates(verts, rows_all, radii, sizes=None):
+    """Certificates of every unordered W with |W| >= 2 (or |W| in
+    ``sizes``), by size, then in combination order.  Two prunings: the
+    outside count must equal m^|W| for a radius m in ``radii``, and a
+    radius-3 candidate must induce no edge inside W."""
+    n = len(verts)
+    for k in range(2, n) if sizes is None else sizes:
+        m_implied = _implied_radius(n - k, k)
+        if m_implied not in radii:
+            continue
+        for combo in combinations(range(n), k):
+            if m_implied == 3 and any(
+                rows_all[a][b] == 1 for a, b in combinations(combo, 2)
+            ):
+                continue
+            rest = [u for u in range(n) if u not in combo]
+            res = _bijection(verts, combo, [rows_all[w] for w in combo], rest)
+            if isinstance(res, CrsCertificate):
+                yield res
+
+
 def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Vertex, ...], CrsCertificate]]:
     """Every ordered completeness-resolving tuple of the graph.
 
@@ -219,70 +276,13 @@ def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Ver
     orders of a valid W are emitted, since reordering coordinates preserves
     bijectivity.  The result is sorted canonically.
     """
-    n = g.order
-    if n > cap:
-        raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
-    verts = g.vertices()
-    rows_all = [bfs_levels(g.adjacency_masks(), i) for i in range(n)]
-    if any(d < 0 for d in rows_all[0]):
-        raise DisconnectedGraph("the graph is disconnected")
-    out: list[tuple[tuple[Vertex, ...], CrsCertificate]] = []
-    if is_path(g):
-        for w in path_endpoints(g):
-            cert = check_crs(g, (w,))
-            assert isinstance(cert, CrsCertificate)
-            out.append(((w,), cert))
-    for cert in _pruned_certificates(verts, rows_all, (1, 2, 3)):
+    rows_all = _table(g, cap, "the graph is disconnected")
+    out = [(cert.w_order, cert) for cert in _path_certificates(g, rows_all)]
+    for cert in _pruned_certificates(g.vertices(), rows_all, (1, 2, 3)):
         for perm in permutations(cert.w_order):
             out.append((perm, _permuted_cert(cert, perm)))
     out.sort(key=lambda item: (len(item[0]), tuple(vertex_key(v) for v in item[0])))
     return out
-
-
-def _pruned_certificates(verts, rows_all, radii):
-    """Certificates of every unordered W with |W| >= 2, by size, then in
-    combination order.  Two prunings: the outside count must equal m^|W|
-    for a radius m in ``radii``, and a radius-3 candidate must induce no
-    edge inside W."""
-    n = len(verts)
-    for k in range(2, n):
-        m_implied = _implied_radius(n - k, k)
-        if m_implied not in radii:
-            continue
-        for combo in combinations(range(n), k):
-            if m_implied == 3 and any(
-                rows_all[a][b] == 1 for a, b in combinations(combo, 2)
-            ):
-                continue
-            cert = _cert_from_rows(verts, rows_all, combo)
-            if cert is not None:
-                yield cert
-
-
-def _cert_from_rows(verts, rows_all, combo) -> CrsCertificate | None:
-    """Bijection test over precomputed all-pairs rows; no pruning inside."""
-    k = len(combo)
-    combo_set = set(combo)
-    rest = [i for i in range(len(verts)) if i not in combo_set]
-    m = 0
-    for w in combo:
-        row = rows_all[w]
-        for u in rest:
-            if row[u] > m:
-                m = row[u]
-    if m ** k != len(rest):
-        return None
-    seen = set()
-    table = {}
-    for u in rest:
-        vec = tuple(rows_all[w][u] for w in combo)
-        if vec in seen:
-            return None
-        seen.add(vec)
-        table[verts[u]] = vec
-    return CrsCertificate(
-        w_order=tuple(verts[w] for w in combo), m_of_w=m, table=table
-    )
 
 
 def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
@@ -293,24 +293,16 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     No isomorphism search is involved: a certificate with radius 2 or 3
     already places the graph in the corresponding family via relabeling.
     """
-    n = g.order
-    if n > cap:
-        raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
-    rows_all = [bfs_levels(g.adjacency_masks(), i) for i in range(n)]
-    if any(d < 0 for d in rows_all[0]):
-        raise DisconnectedGraph("classification needs a connected graph")
+    rows_all = _table(g, cap, "classification needs a connected graph")
     verts = g.vertices()
-    if is_path(g):
-        w = path_endpoints(g)[0]
-        cert = check_crs(g, (w,))
-        assert isinstance(cert, CrsCertificate)
-        return ClassificationVerdict(kind=PATH, witness=cert)
+    paths = _path_certificates(g, rows_all)
+    if paths:
+        return ClassificationVerdict(kind=PATH, witness=paths[0])
     universal = universal_vertices(g)
     if universal:
-        u = universal[0]
-        w_order = tuple(v for v in verts if v != u)
-        cert = check_crs(g, w_order)
-        assert isinstance(cert, CrsCertificate)
+        u = g.index_of(universal[0])
+        w_idx = [w for w in range(len(verts)) if w != u]
+        cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
         return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
     # Radius 1 pairs with a universal vertex, handled above.
     for cert in _pruned_certificates(verts, rows_all, (2, 3)):
@@ -319,45 +311,37 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
 
 
-def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple[Vertex, ...]]:
-    """Minimum resolving-set size with the lexicographically first witness
-    at that size."""
-    n = g.order
-    if n > cap:
-        raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
-    rows_all = [bfs_levels(g.adjacency_masks(), i) for i in range(n)]
-    if any(d < 0 for d in rows_all[0]):
-        raise DisconnectedGraph("metric dimension needs a connected graph")
-    verts = g.vertices()
+def _dimension(rows_all) -> tuple[int, tuple[int, ...]]:
+    """Minimum resolving-set size with the lexicographically first
+    resolving positions at that size."""
+    n = len(rows_all)
     for c in range(1, n):
         for combo in combinations(range(n), c):
-            if _resolves(rows_all, combo, n):
-                return c, tuple(verts[i] for i in combo)
+            if _injective([rows_all[w] for w in combo]):
+                return c, combo
     raise AssertionError("any n-1 vertices resolve; unreachable")
 
 
-def _resolves(rows_all, combo, n) -> bool:
-    combo_set = set(combo)
-    seen = set()
-    for u in range(n):
-        if u in combo_set:
-            continue
-        vec = tuple(rows_all[w][u] for w in combo)
-        if vec in seen:
-            return False
-        seen.add(vec)
-    return True
+def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple[Vertex, ...]]:
+    """Minimum resolving-set size with the lexicographically first witness
+    at that size."""
+    rows_all = _table(g, cap, "metric dimension needs a connected graph")
+    dim, combo = _dimension(rows_all)
+    verts = g.vertices()
+    return dim, tuple(verts[i] for i in combo)
 
 
 def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    """True iff some minimum-size resolving set is completeness-resolving."""
-    dim, _ = metric_dimension(g, cap=cap)
-    n = g.order
-    verts = g.vertices()
-    rows_all = [bfs_levels(g.adjacency_masks(), i) for i in range(n)]
-    for combo in combinations(range(n), dim):
-        if not _resolves(rows_all, combo, n):
-            continue
-        if _cert_from_rows(verts, rows_all, combo) is not None:
-            return True
-    return False
+    """True iff some minimum-size resolving set is completeness-resolving.
+
+    Dimension 1 belongs to paths alone, whose endpoints certify; above it,
+    the pruned certificate search runs at |W| = dim only.  Every
+    completeness-resolving set resolves, so no separate resolving test is
+    needed.
+    """
+    rows_all = _table(g, cap, "metric dimension needs a connected graph")
+    dim, _combo = _dimension(rows_all)
+    if dim == 1:
+        return bool(_path_certificates(g, rows_all))
+    certs = _pruned_certificates(g.vertices(), rows_all, (1, 2, 3), sizes=(dim,))
+    return next(certs, None) is not None
