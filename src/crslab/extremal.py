@@ -279,10 +279,10 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     _outside, _in_scaffold, hits = cs.scan(lattice)
     lower_witness = None
     for i in range(1, k + 1):
-        # each slice constraint of i has exactly one hitting edge, and no
-        # edge hits none of them
-        once = [len(hits.get((i, "slice", x), ())) == 1 for x in cs.targets(i, "slice")]
-        if degs[i] == min_deg and all(once) and len(once) == actual:
+        # each slice constraint of i has exactly one hitting edge, and those
+        # are all the edges (an edge hits at most one target of i)
+        counts = [len(hits.get((i, "slice", x), ())) for x in cs.targets(i, "slice")]
+        if degs[i] == min_deg and counts == [1] * actual:
             lower_witness = i
             break
     lower_tight = lower_witness is not None
