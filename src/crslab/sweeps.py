@@ -1,8 +1,9 @@
 """Exhaustive verification sweeps and the named acceptance suites.
 
-Everything here is deterministic: exhaustive spaces are scanned in index
-order, random trials use fixed seeds, and partitioned scans merge into
-results independent of the worker count.  The heavy inner loops work on
+Everything here is deterministic: exhaustive spaces are scanned in a fixed
+order (index order, or Gray-code order for the equivalence scans), random
+trials use fixed seeds, and partitioned scans merge into results
+independent of the worker count.  The heavy inner loops work on
 plain adjacency bit sets rather than Graph values.
 """
 
@@ -72,58 +73,71 @@ CLOSURE_TRIALS = 1000
 
 
 def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[int, int, int, int]:
-    """(members, certified, mismatches, identity_violations) over the masks
-    [lo, hi) of the cover system's universe: the kernel's membership verdict
-    against BFS certification of W = [k] on the composite over ``base``."""
+    """(members, certified, mismatches, identity_violations) over the
+    Gray-code images ``i ^ (i >> 1)`` of the indices i in [lo, hi), each a
+    mask over the cover system's universe: the kernel's membership verdict
+    against BFS certification of W = [k] on the composite over ``base``.
+
+    The Gray map is a bijection on every range [0, 2^b), so ranges that
+    split [0, 2^b) cover each mask once, whatever the split.  Consecutive
+    images differ in one edge, so the composite is built for the first
+    image and then toggles one edge per step.
+    """
     k, m = cs.k, cs.m
     g = compose(base, cs.graph(0), k, m).materialize()
-    adj = g.adjacency_masks()
+    composite = g.adjacency_masks()
     edge_info = []
     for u, v in cs.edges:
         a, b = g.index_of(u), g.index_of(v)
         edge_info.append((a, b, 1 << a, 1 << b))
     n = g.order
-    identity = tuple(range(n - k))
     covers = cs.covers
     members = certified = mismatches = identity_violations = 0
-    for subset in range(lo, hi):
-        is_member = covers(subset)
-        composite = adj.copy()
-        sub = subset
-        while sub:
-            low = sub & -sub
+    toggle = lo ^ (lo >> 1)  # every edge of the first image
+    for i in range(lo, hi):
+        while toggle:
+            low = toggle & -toggle
             a, b, abit, bbit = edge_info[low.bit_length() - 1]
-            composite[a] |= bbit
-            composite[b] |= abit
-            sub ^= low
-        codes = _cert_code_w_base(composite, k, m, n)
+            composite[a] ^= bbit
+            composite[b] ^= abit
+            toggle ^= low
+        toggle = (i + 1) & -(i + 1)  # the one edge in which the next image differs
+        is_member = covers(i ^ (i >> 1))
+        verdict = _cert_code_w_base(composite, k, m, n)
         members += is_member
-        certified += codes is not None
-        if is_member != (codes is not None):
+        certified += verdict is not None
+        if is_member != (verdict is not None):
             mismatches += 1
-        if is_member and codes != identity:
+        if is_member and verdict is not True:
             identity_violations += 1
     return members, certified, mismatches, identity_violations
 
 
-def _cert_code_w_base(adj: list[int], k: int, m: int, n: int):
+def _cert_code_w_base(adj: list[int], k: int, m: int, n: int) -> bool | None:
     """check_crs(W = base vertices) on a composite adjacency, summarized.
 
-    An independent oracle, kept on purpose: it certifies by BFS levels and
-    never looks at the cover system, so the equivalence sweeps test the
-    kernel's membership verdicts against it.
+    An independent oracle, kept on purpose: it certifies by BFS levels on
+    the adjacency alone and never looks at the cover system, so the
+    equivalence sweeps test the kernel's membership verdicts against it.
+    Vertices 0..k-1 are W and k..n-1 the m^k lattice vertices in
+    lexicographic label order.
 
-    Returns None when W is not completeness-resolving; otherwise the tuple
-    of lattice codes (base-m digits of the distance vector), which equals
-    (0, 1, ..., m^k - 1) exactly when the vectors reproduce the labels.
+    For each source s the frontier masks L_s[1..m] are its BFS levels.  W
+    certifies iff every cell L_1[a_1] & ... & L_k[a_k] of the box [m]^k
+    holds exactly one vertex; then the m^k cells take up all n - k outside
+    vertices, and the distance map is a bijection onto the box with
+    m(W) = m.  The cells are disjoint and miss W, so m^k nonempty cells
+    among m^k outside vertices are singletons: testing for an empty cell
+    is enough.  Returns None when W is not completeness-resolving;
+    otherwise whether every cell holds the lattice vertex labelled
+    (a_1, ..., a_k), i.e. whether the distance vectors reproduce the
+    labels.
     """
-    n_lat = n - k
-    rows = []
+    cells = [(1 << n) - 1]
     for s in range(k):
-        dist = [0] * n
-        seen = 1 << s
-        frontier = seen
-        for d in range(1, m + 1):
+        levels = []
+        seen = frontier = 1 << s
+        for _d in range(m):
             nxt = 0
             f = frontier
             while f:
@@ -131,32 +145,14 @@ def _cert_code_w_base(adj: list[int], k: int, m: int, n: int):
                 nxt |= adj[low.bit_length() - 1]
                 f ^= low
             frontier = nxt & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            f = frontier
-            while f:
-                low = f & -f
-                dist[low.bit_length() - 1] = d
-                f ^= low
-        rows.append(dist)
-    codes = []
-    taken = 0
-    for u in range(k, n):
-        code = 0
-        for row in rows:
-            d = row[u]
-            if d == 0:  # unreached within m levels: distance > m or infinite
+            if not frontier:  # a level below m is empty: the box is not filled
                 return None
-            code = code * m + d - 1
-        if taken >> code & 1:
-            return None
-        taken |= 1 << code
-        codes.append(code)
-    # Injectivity over m^k lattice vertices with digits below m forces the
-    # image to be the whole box, so m(W) = m exactly; nothing more to check.
-    assert len(codes) == n_lat
-    return tuple(codes)
+            seen |= frontier
+            levels.append(frontier)
+        cells = [c & level for c in cells for level in levels]
+    if 0 in cells:
+        return None
+    return all(c == 1 << v for v, c in enumerate(cells, k))
 
 
 # -- criterion 1: radius-2 equivalence, exhaustive at k = 2 -------------------
@@ -224,8 +220,9 @@ def sweep_b_equivalence() -> EquivalenceSweep:
 
 
 def _scan_c_range(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
-    """(members, certified, mismatches, identity_violations) over a mask
-    range of spanning subgraphs of the maximal radius-3 lattice at k=2."""
+    """(members, certified, mismatches, identity_violations) over the
+    spanning subgraphs of the maximal radius-3 lattice at k=2 whose masks
+    are the Gray-code images of an index range."""
     return _equivalence_scan(cover_system("C", 2), base_null(2), *bounds)
 
 
@@ -356,6 +353,18 @@ class SmallOrderSweep:
         )
 
 
+@lru_cache(maxsize=None)
+def _w_splits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(W, the rest) for every proper nonempty W of range(n), by W bit mask."""
+    return tuple(
+        (
+            tuple(i for i in range(n) if wmask >> i & 1),
+            tuple(i for i in range(n) if not wmask >> i & 1),
+        )
+        for wmask in range(1, (1 << n) - 1)
+    )
+
+
 def _raw_crs_scan(rows: list[list[int]], n: int):
     """Every proper nonempty W whose distance map is a bijection onto the
     full box, by direct definition; yields (w_tuple, k, m).
@@ -363,9 +372,7 @@ def _raw_crs_scan(rows: list[list[int]], n: int):
     An independent oracle, kept on purpose: it shares no pruning or code
     with the classifier in crslab.resolving, which the classification
     sweep checks against it."""
-    for wmask in range(1, (1 << n) - 1):
-        ws = [i for i in range(n) if wmask >> i & 1]
-        rest = [i for i in range(n) if not wmask >> i & 1]
+    for ws, rest in _w_splits(n):
         k = len(ws)
         mm = 0
         for w in ws:
@@ -384,7 +391,7 @@ def _raw_crs_scan(rows: list[list[int]], n: int):
                 break
             seen.add(vec)
         if ok:
-            yield tuple(ws), k, mm
+            yield ws, k, mm
 
 
 def _raw_dimension(rows: list[list[int]], n: int) -> int:
@@ -420,6 +427,7 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
     path_mism = universal_mism = verdict_mism = relabel_fail = 0
     m_big = dim_viol = dim_spot = 0
     graph_counter = 0
+    relabeled: dict[tuple[Graph, Graph], bool] = {}
     for n in range(2, max_order + 1):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -430,9 +438,10 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
                     edges.append((i, j))
-            rows = [bfs_levels(adj, s) for s in range(n)]
-            if any(d < 0 for d in rows[0]):
+            row0 = bfs_levels(adj, 0)
+            if -1 in row0:
                 continue
+            rows = [row0] + [bfs_levels(adj, s) for s in range(1, n)]
             connected += 1
             graph_counter += 1
 
@@ -468,19 +477,7 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
             if (verdict.kind == NOT_COMPLETENESS_RESOLVABLE) != (not found):
                 verdict_mism += 1
 
-            verts = g.vertices()
-            for ws, k, m in found:
-                if (k, m) != (2, 2):
-                    continue
-                for order in (ws, ws[::-1]):
-                    w_order = tuple(verts[i] for i in order)
-                    cert = check_crs(g, w_order)
-                    if not isinstance(cert, CrsCertificate):
-                        relabel_fail += 1
-                        continue
-                    comp = canonical_relabel(g, cert)
-                    if not member_b(comp.base, comp.lattice).member:
-                        relabel_fail += 1
+            relabel_fail += _relabel_failures(g, found, relabeled)
 
             dim = _raw_dimension(rows, n)
             diam = max(max(r) for r in rows)
@@ -500,6 +497,31 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
         dimension_inequality_violations=dim_viol,
         dimension_spot_mismatches=dim_spot,
     )
+
+
+def _relabel_failures(g: Graph, found, relabeled: dict[tuple[Graph, Graph], bool]) -> int:
+    """Certify both orders of each radius-2 W of ``found`` (raw scan
+    certificates (w_tuple, k, m) on ``g``) with check_crs, relabel onto the
+    canonical vertex sets, and count the orders that fail or whose relabel
+    is not a family-B member.  Every certificate is relabeled, cross edges
+    checked included; the member_b verdict of each (base, lattice) is kept
+    in ``relabeled``, since many graphs share one relabel."""
+    failures = 0
+    verts = g.vertices()
+    for ws, k, m in found:
+        if (k, m) != (2, 2):
+            continue
+        for order in (ws, ws[::-1]):
+            cert = check_crs(g, tuple(verts[i] for i in order))
+            if not isinstance(cert, CrsCertificate):
+                failures += 1
+                continue
+            comp = canonical_relabel(g, cert)
+            key = (comp.base, comp.lattice)
+            if key not in relabeled:
+                relabeled[key] = member_b(comp.base, comp.lattice).member
+            failures += not relabeled[key]
+    return failures
 
 
 # -- random family members for the closure properties -------------------------

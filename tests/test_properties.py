@@ -5,11 +5,15 @@ import random
 from dataclasses import replace
 
 from crslab import sweeps
-from crslab.graph import BaseVertex, Graph, LatticeVertex
+from crslab.errors import DisconnectedGraph
+from crslab.graph import BaseVertex, Graph, LatticeVertex, bfs_levels, plain_graph
 from crslab.families import (
+    base_complete,
     base_null,
     canonical_relabel,
     compose,
+    cover_system,
+    example_graph,
     gamma,
     lattice_slice,
     lattice_vertices,
@@ -22,6 +26,9 @@ from crslab.sweeps import (
     out_of_range_counterexample,
     random_b_member,
     random_c_member,
+    _cert_code_w_base,
+    _raw_crs_scan,
+    _relabel_failures,
     _scan_c_range,
 )
 
@@ -149,3 +156,122 @@ def test_scan_ranges_merge_associatively():
     lo = _scan_c_range((0, 2048))
     hi = _scan_c_range((2048, 4096))
     assert whole == tuple(a + b for a, b in zip(lo, hi))
+
+
+def test_uneven_scan_ranges_sum_to_the_whole():
+    # the Gray images of these ranges are not aligned blocks of masks
+    whole = _scan_c_range((0, 4096))
+    parts = [_scan_c_range(r) for r in ((0, 1500), (1500, 3001), (3001, 4096))]
+    assert whole == tuple(sum(col) for col in zip(*parts))
+    # the images of [0, 4096) use 12 of the 20 edges and hold no member;
+    # near 0xAAAAA, whose image is every edge, members are dense
+    whole = _scan_c_range((696000, 702000))
+    parts = [_scan_c_range(r) for r in ((696000, 697501), (697501, 700003), (700003, 702000))]
+    assert whole == tuple(sum(col) for col in zip(*parts))
+    assert whole[0] > 0
+
+
+def _kernel_and_check_crs(base, lattice, k, m):
+    g = compose(base, lattice, k, m).materialize()
+    verdict = _cert_code_w_base(g.adjacency_masks(), k, m, g.order)
+    try:
+        res = check_crs(g, tuple(BaseVertex(i) for i in range(1, k + 1)))
+    except DisconnectedGraph:
+        return verdict, None
+    if not isinstance(res, CrsCertificate):
+        return verdict, False
+    return verdict, all(res.table[LatticeVertex(v)] == v for v in lattice_vertices(k, m))
+
+
+def test_level_mask_kernel_agrees_with_check_crs():
+    # None from the kernel exactly when check_crs rejects W = [k] or finds
+    # the composite disconnected; otherwise the kernel's identity flag is
+    # whether the certificate's table maps every lattice vertex to itself
+    cases = []
+    for base in (base_null(2), base_complete(2)):
+        cs = cover_system("B", 2, base)
+        cases += [(base, cs.graph(mask), 2) for mask in range(1 << len(cs.edges))]
+    rng = random.Random(5)
+    cs = cover_system("C", 2)
+    masks = [0, (1 << len(cs.edges)) - 1]
+    masks += [rng.getrandbits(len(cs.edges)) for _ in range(200)]
+    masks += [rng.getrandbits(len(cs.edges)) & rng.getrandbits(len(cs.edges)) for _ in range(100)]
+    cases += [(base_null(2), cs.graph(mask), 3) for mask in masks]
+    seen = {"disconnected": 0, "rejected": 0, "identity": 0}
+    for base, lattice, m in cases:
+        verdict, expected = _kernel_and_check_crs(base, lattice, 2, m)
+        if expected is None:
+            assert verdict is None
+            seen["disconnected"] += 1
+        elif expected is False:
+            assert verdict is None
+            seen["rejected"] += 1
+        else:
+            assert verdict is True
+            seen["identity"] += 1
+    assert all(seen.values()), seen
+
+
+def test_level_mask_kernel_flags_a_permuted_table():
+    # a certified composite whose table swaps two labels: the kernel
+    # certifies it and says the vectors do not reproduce the labels
+    verdict, identity = _kernel_and_check_crs(base_null(2), out_of_range_counterexample(), 2, 3)
+    assert identity is False
+    assert verdict is False
+
+
+def _plain_family_b_graph():
+    # the complete composite of family B at k = 2, order 6, on plain labels
+    g = example_graph("MaxB", 2).materialize()
+    edges = [(g.index_of(u), g.index_of(v)) for u, v in g.edges()]
+    return plain_graph(g.order, edges), edges
+
+
+def _radius_2_certificates(g):
+    adj = g.adjacency_masks()
+    rows = [bfs_levels(adj, s) for s in range(g.order)]
+    return [c for c in _raw_crs_scan(rows, g.order) if c[1:] == (2, 2)]
+
+
+def test_relabel_check_can_fail(monkeypatch):
+    # a membership test that rejects every relabel fails both orders of
+    # every radius-2 certificate
+    g, _edges = _plain_family_b_graph()
+    found = _radius_2_certificates(g)
+    assert found
+    real_member_b = sweeps.member_b
+    monkeypatch.setattr(
+        sweeps, "member_b", lambda base, lattice: replace(real_member_b(base, lattice), member=False)
+    )
+    assert _relabel_failures(g, found, {}) == 2 * len(found)
+
+
+def test_relabel_verdicts_are_asked_once_per_composite(monkeypatch):
+    # the graph and a relabeled copy share their canonical relabels, so a
+    # shared memo asks member_b once per distinct (base, lattice)
+    g, edges = _plain_family_b_graph()
+    perm = [3, 5, 0, 1, 4, 2]
+    copy = plain_graph(g.order, [(perm[a], perm[b]) for a, b in edges])
+    real_member_b = sweeps.member_b
+    asked = []
+
+    def counting_member_b(base, lattice):
+        asked.append((base, lattice))
+        return real_member_b(base, lattice)
+
+    monkeypatch.setattr(sweeps, "member_b", counting_member_b)
+    memo = {}
+    relabels = set()
+    certificates = 0
+    for graph in (g, copy, g):
+        found = _radius_2_certificates(graph)
+        assert _relabel_failures(graph, found, memo) == 0
+        verts = graph.vertices()
+        for ws, _k, _m in found:
+            for order in (ws, ws[::-1]):
+                comp = canonical_relabel(graph, check_crs(graph, tuple(verts[i] for i in order)))
+                relabels.add((comp.base, comp.lattice))
+                certificates += 1
+    assert len(asked) == len(set(asked)) == len(relabels)
+    assert set(asked) == relabels
+    assert len(relabels) < certificates
