@@ -835,7 +835,8 @@ def _run_properties(jobs: int) -> tuple[bool, str]:
     return (
         r.ok,
         f"{r.upset_violations} up-set violations, {r.union_violations} union violations, "
-        f"{r.epsilon_overlaps} choice-set overlaps, {r.m_at_least_4} radius>=4 certificates",
+        f"{r.epsilon_overlaps} choice-set overlaps, {r.m_at_least_4} radius>=4 certificates "
+        "(zero by counting below order 18; tests/test_resolving.py::TestRadiusFour checks [4]^2)",
     )
 
 
