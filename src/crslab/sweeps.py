@@ -353,7 +353,7 @@ class SmallOrderSweep:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _w_splits(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(W, the rest) for every proper nonempty W of range(n), by W bit mask."""
     return tuple(
