@@ -282,7 +282,7 @@ def degree(g: Graph, v: Vertex) -> int:
     return g._adj[g._vertex_index(v)].bit_count()
 
 
-# -- structural predicates used by the classifier -------------------------
+# -- structural predicates -------------------------------------------------
 
 
 def is_path(g: Graph) -> bool:
@@ -292,11 +292,6 @@ def is_path(g: Graph) -> bool:
     if degs[:2] != [1, 1] or any(d != 2 for d in degs[2:]):
         return False
     return is_connected(g)
-
-
-def path_endpoints(g: Graph) -> tuple[Vertex, ...]:
-    """Degree-1 vertices in canonical order (the ends, when g is a path)."""
-    return tuple(v for i, v in enumerate(g.vertices()) if g._adj[i].bit_count() == 1)
 
 
 def universal_vertices(g: Graph) -> tuple[Vertex, ...]:

@@ -26,9 +26,6 @@ from .graph import (
     LatticeVector,
     Vertex,
     bfs_levels,
-    is_path,
-    path_endpoints,
-    universal_vertices,
     vertex_key,
 )
 
@@ -226,34 +223,23 @@ def _permuted_cert(cert: CrsCertificate, perm: tuple[Vertex, ...]) -> CrsCertifi
 
 def _implied_radius(outside: int, k: int) -> int | None:
     """The only m that could make the outside count equal m^k, if any."""
+    if k == 1:
+        return outside
     for m in (1, 2, 3):
         if outside == m ** k:
             return m
     return None
 
 
-def _path_certificates(g: Graph, rows_all) -> list[CrsCertificate]:
-    """The singleton certificates, which exist only for paths: one at each
-    endpoint, in canonical order."""
-    if not is_path(g):
-        return []
-    verts = g.vertices()
-    ends = [g.index_of(v) for v in path_endpoints(g)]
-    return [
-        _bijection(verts, (e,), [rows_all[e]], [u for u in range(len(verts)) if u != e])
-        for e in ends
-    ]
-
-
-def _pruned_certificates(verts, rows_all, radii, sizes=None):
-    """Certificates of every unordered W with |W| >= 2 (or |W| in
-    ``sizes``), by size, then in combination order.  Two prunings: the
-    outside count must equal m^|W| for a radius m in ``radii``, and a
+def _pruned_certificates(verts, rows_all, sizes):
+    """Certificates of every unordered W with |W| in ``sizes``, by size,
+    then in combination order.  Two prunings: the outside count must equal
+    m^|W| for the implied radius m (at most 3 above |W| = 1), and a
     radius-3 candidate must induce no edge inside W."""
     n = len(verts)
-    for k in range(2, n) if sizes is None else sizes:
+    for k in sizes:
         m_implied = _implied_radius(n - k, k)
-        if m_implied not in radii:
+        if m_implied is None:
             continue
         for combo in combinations(range(n), k):
             if m_implied == 3 and any(
@@ -269,20 +255,41 @@ def _pruned_certificates(verts, rows_all, radii, sizes=None):
 def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Vertex, ...], CrsCertificate]]:
     """Every ordered completeness-resolving tuple of the graph.
 
-    Singleton W exists only for paths (their endpoints).  Larger W are
-    searched by size with two prunings: the outside count must match m^|W|
-    for some radius m in {1,2,3}, and a radius-3 candidate must induce no
-    edge inside W.  Each unordered W is certified once and all coordinate
+    One pruned search runs over every size |W| = 1..n-1: the outside count
+    must match m^|W| (m = n-1 for a singleton, m in {1,2,3} above it), and
+    a radius-3 candidate must induce no edge inside W.  The singletons it
+    certifies are the endpoints of a path, the only graph with a vertex of
+    eccentricity n-1.  Each unordered W is certified once and all coordinate
     orders of a valid W are emitted, since reordering coordinates preserves
     bijectivity.  The result is sorted canonically.
     """
     rows_all = _table(g, cap, "the graph is disconnected")
-    out = [(cert.w_order, cert) for cert in _path_certificates(g, rows_all)]
-    for cert in _pruned_certificates(g.vertices(), rows_all, (1, 2, 3)):
+    out = []
+    for cert in _pruned_certificates(g.vertices(), rows_all, range(1, g.order)):
         for perm in permutations(cert.w_order):
             out.append((perm, _permuted_cert(cert, perm)))
     out.sort(key=lambda item: (len(item[0]), tuple(vertex_key(v) for v in item[0])))
     return out
+
+
+def _classify(verts, rows_all) -> ClassificationVerdict:
+    """The verdict of a connected graph from its vertex labels and all-pairs
+    hop-count rows.  A vertex of eccentricity n-1 is a path endpoint (its
+    BFS levels are singletons) and one of eccentricity 1 is universal;
+    otherwise the search runs at |W| = 2..n-2, where radius 1 cannot occur."""
+    n = len(verts)
+    ecc = [max(row) for row in rows_all]
+    if n - 1 in ecc:
+        return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(verts, rows_all, (1,))))
+    if 1 in ecc:
+        u = ecc.index(1)
+        w_idx = [w for w in range(n) if w != u]
+        cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
+        return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
+    for cert in _pruned_certificates(verts, rows_all, range(2, n - 1)):
+        kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
+        return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
+    return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
 
 
 def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
@@ -293,22 +300,7 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     No isomorphism search is involved: a certificate with radius 2 or 3
     already places the graph in the corresponding family via relabeling.
     """
-    rows_all = _table(g, cap, "classification needs a connected graph")
-    verts = g.vertices()
-    paths = _path_certificates(g, rows_all)
-    if paths:
-        return ClassificationVerdict(kind=PATH, witness=paths[0])
-    universal = universal_vertices(g)
-    if universal:
-        u = g.index_of(universal[0])
-        w_idx = [w for w in range(len(verts)) if w != u]
-        cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
-        return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
-    # Radius 1 pairs with a universal vertex, handled above.
-    for cert in _pruned_certificates(verts, rows_all, (2, 3)):
-        kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
-        return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
-    return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
+    return _classify(g.vertices(), _table(g, cap, "classification needs a connected graph"))
 
 
 def _dimension(rows_all) -> tuple[int, tuple[int, ...]]:
@@ -334,14 +326,10 @@ def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple
 def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
     """True iff some minimum-size resolving set is completeness-resolving.
 
-    Dimension 1 belongs to paths alone, whose endpoints certify; above it,
-    the pruned certificate search runs at |W| = dim only.  Every
+    The pruned certificate search runs at |W| = dim only.  Every
     completeness-resolving set resolves, so no separate resolving test is
     needed.
     """
     rows_all = _table(g, cap, "metric dimension needs a connected graph")
     dim, _combo = _dimension(rows_all)
-    if dim == 1:
-        return bool(_path_certificates(g, rows_all))
-    certs = _pruned_certificates(g.vertices(), rows_all, (1, 2, 3), sizes=(dim,))
-    return next(certs, None) is not None
+    return next(_pruned_certificates(g.vertices(), rows_all, (dim,)), None) is not None

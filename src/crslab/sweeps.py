@@ -47,8 +47,8 @@ from .resolving import (
     PATH,
     UNIVERSAL_VERTEX,
     CrsCertificate,
+    _classify,
     check_crs,
-    is_completeness_resolvable,
     metric_dimension,
 )
 from .extremal import (
@@ -461,8 +461,7 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
             if has_m1 != struct_universal:
                 universal_mism += 1
 
-            g = plain_graph(n, edges)
-            verdict = is_completeness_resolvable(g)
+            verdict = _classify(range(n), rows)
             expected_kind = (
                 PATH
                 if struct_path
@@ -477,14 +476,15 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
             if (verdict.kind == NOT_COMPLETENESS_RESOLVABLE) != (not found):
                 verdict_mism += 1
 
-            relabel_fail += _relabel_failures(g, found, relabeled)
+            if any(k == m == 2 for _w, k, m in found):
+                relabel_fail += _relabel_failures(plain_graph(n, edges), found, relabeled)
 
             dim = _raw_dimension(rows, n)
             diam = max(max(r) for r in rows)
             if n > dim + diam ** dim:
                 dim_viol += 1
             if graph_counter % 97 == 0:
-                if metric_dimension(g)[0] != dim:
+                if metric_dimension(plain_graph(n, edges))[0] != dim:
                     dim_spot += 1
     return SmallOrderSweep(
         connected_graphs=connected,

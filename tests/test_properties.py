@@ -20,7 +20,7 @@ from crslab.families import (
     member_b,
     member_c,
 )
-from crslab.resolving import CrsCertificate, check_crs
+from crslab.resolving import PATH, UNIVERSAL_VERTEX, CrsCertificate, check_crs
 from crslab.extremal import is_k_minimal, iter_q
 from crslab.sweeps import (
     out_of_range_counterexample,
@@ -30,6 +30,7 @@ from crslab.sweeps import (
     _raw_crs_scan,
     _relabel_failures,
     _scan_c_range,
+    sweep_small_order,
 )
 
 
@@ -285,3 +286,18 @@ def test_radius_4_count_says_it_is_zero_by_counting(monkeypatch):
     assert passed
     assert "0 radius>=4 certificates (zero by counting below order 18" in detail
     assert "TestRadiusFour" in detail
+
+
+def test_verdict_check_can_fail(monkeypatch):
+    # a classifier that ranks a universal vertex above a path (P2 and P3
+    # have both) disagrees with the sweep's oracles on exactly those graphs
+    real_classify = sweeps._classify
+
+    def universal_first(verts, rows):
+        verdict = real_classify(verts, rows)
+        if verdict.kind == PATH and 1 in (max(row) for row in rows):
+            return replace(verdict, kind=UNIVERSAL_VERTEX)
+        return verdict
+
+    monkeypatch.setattr(sweeps, "_classify", universal_first)
+    assert sweep_small_order.__wrapped__(4).verdict_mismatches > 0
