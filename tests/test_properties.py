@@ -4,6 +4,8 @@ that do not fit a single module."""
 import random
 from dataclasses import replace
 
+import pytest
+
 from crslab import sweeps
 from crslab.errors import DisconnectedGraph
 from crslab.graph import BaseVertex, Graph, LatticeVertex, bfs_levels, plain_graph
@@ -152,24 +154,28 @@ def test_q3_streamed_members_are_minimal_sample():
     assert count == 3
 
 
-def test_scan_ranges_merge_associatively():
-    whole = _scan_c_range((0, 4096))
-    lo = _scan_c_range((0, 2048))
-    hi = _scan_c_range((2048, 4096))
-    assert whole == tuple(a + b for a, b in zip(lo, hi))
-
-
-def test_uneven_scan_ranges_sum_to_the_whole():
-    # the Gray images of these ranges are not aligned blocks of masks
-    whole = _scan_c_range((0, 4096))
-    parts = [_scan_c_range(r) for r in ((0, 1500), (1500, 3001), (3001, 4096))]
-    assert whole == tuple(sum(col) for col in zip(*parts))
-    # the images of [0, 4096) use 12 of the 20 edges and hold no member;
-    # near 0xAAAAA, whose image is every edge, members are dense
-    whole = _scan_c_range((696000, 702000))
-    parts = [_scan_c_range(r) for r in ((696000, 697501), (697501, 700003), (700003, 702000))]
-    assert whole == tuple(sum(col) for col in zip(*parts))
-    assert whole[0] > 0
+@pytest.mark.parametrize(
+    "whole, parts",
+    [
+        # the Gray images of aligned blocks are aligned blocks of masks
+        pytest.param(
+            (0xAA000, 0xAB000), ((0xAA000, 0xAA800), (0xAA800, 0xAB000)), id="aligned-halves"
+        ),
+        # the Gray images of these ranges are not aligned blocks of masks
+        pytest.param(
+            (696000, 702000),
+            ((696000, 697501), (697501, 700003), (700003, 702000)),
+            id="uneven-thirds",
+        ),
+    ],
+)
+def test_scan_ranges_merge_associatively(whole, parts):
+    # near 0xAAAAA, whose image is every edge, members are dense; the images
+    # of [0, 4096) use 12 of the 20 edges and hold none, so a split there
+    # would compare zeros
+    total = _scan_c_range(whole)
+    assert total == tuple(sum(col) for col in zip(*(_scan_c_range(r) for r in parts)))
+    assert total[0] > 0
 
 
 def _kernel_and_check_crs(base, lattice, k, m):
