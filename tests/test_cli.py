@@ -242,6 +242,15 @@ class TestClassifyAndDim:
         assert "Traceback" not in err
 
 
+class TestHostileInput:
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run_cli(["classify", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: not UTF-8")
+
+
 class TestJobsDeterminism:
     @pytest.mark.parametrize(
         "argv", [["enumerate", "--minimal", "C", "--k", "2"], ["suite", "--name", "sizes"]]
