@@ -43,12 +43,19 @@ from .resolving import CrsCertificate
 DEFAULT_SIZE_CAP = 3 ** 10
 
 
+def _check_power(what: str, m: int, k: int, cap: int) -> None:
+    """Raise SizeOverflow when m^k exceeds the cap.  For m >= 2 an exponent
+    of cap.bit_length() or more already does, so a huge k is rejected at
+    once and the power is neither computed nor printed."""
+    if m > 1 and k >= cap.bit_length() or m ** k > cap:
+        raise SizeOverflow(f"{what} = {m}^{k} exceeds the cap {cap}")
+
+
 def lattice_vertices(k: int, m: int, cap: int = DEFAULT_SIZE_CAP) -> list[LatticeVector]:
     """All m^k vectors with components in [m], in lexicographic order."""
     if k < 1 or m < 1:
         raise IndexOutOfRange(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    if m ** k > cap:
-        raise SizeOverflow(f"m^k = {m ** k} exceeds the cap {cap}")
+    _check_power("m^k", m, k, cap)
     return [tuple(v) for v in product(range(1, m + 1), repeat=k)]
 
 
@@ -504,9 +511,7 @@ def gamma(k: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """
     if k < 2:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
-    if 3 ** k > cap:
-        raise SizeOverflow(f"3^k = {3 ** k} exceeds the cap {cap}")
-    vecs = lattice_vertices(k, 3)
+    vecs = lattice_vertices(k, 3, cap)
     direct = []
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
@@ -579,10 +584,13 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
         return span_lattice(k, 3, keep)
     if name == "Gamma":
         return gamma(k)
+    # the lattice first: its cap check must run before a k-vertex base is built
     if name == "MaxB":
-        return compose(base_complete(k), lattice_complete(k, 2), k, 2)
+        lattice = lattice_complete(k, 2)
+        return compose(base_complete(k), lattice, k, 2)
     if name == "MaxC":
-        return compose(base_null(k), gamma(k), k, 3)
+        lattice = gamma(k)
+        return compose(base_null(k), lattice, k, 3)
     raise UnknownName(f"unknown example graph {name!r}")
 
 
@@ -602,8 +610,7 @@ def cartesian_power(g: Graph, s: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:
         if not isinstance(v, PlainVertex) or v.id < 1:
             raise WrongVertexSet("cartesian power needs PlainVertex ids >= 1 as coordinates")
         ids.append(v.id)
-    if g.order ** s > cap:
-        raise SizeOverflow(f"|V|^s = {g.order ** s} exceeds the cap {cap}")
+    _check_power("|V|^s", g.order, s, cap)
     ids.sort()
     vecs = [tuple(v) for v in product(ids, repeat=s)]
     edges = []

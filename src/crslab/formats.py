@@ -145,8 +145,9 @@ def composite_from_json(data: Any) -> CompositeGraph:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad composite JSON: {exc}") from None
-    base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
+    # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)
+    base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
     return compose(base, lattice, k, m)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,25 @@ class TestHostileInput:
         code, out, err = run_cli(["classify", "--graph", str(path)], capsys=capsys)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: not UTF-8")
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["verify", "--membership", "C", "--graph", "{composite}"], "m^k = 3^300000"),
+            (["construct", "--family", "MaxB", "--k", "1500"], "m^k = 2^1500"),
+            (["construct", "--family", "MaxC", "--k", "10000"], "m^k = 3^10000"),
+            (["construct", "--family", "Qcanon", "--k", "10000"], "|V|^s = 3^10000"),
+        ],
+    )
+    def test_oversized_k_exits_3_at_once(self, tmp_path, capsys, argv, size):
+        # no k-vertex base is built and no huge power is printed first
+        composite = tmp_path / "big.json"
+        composite.write_text('{"k": 300000, "m": 3, "base_edges": [], "lattice_edges": []}')
+        start = time.perf_counter()
+        code, out, err = run_cli([a.format(composite=composite) for a in argv], capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: {size} exceeds the cap 59049"]
 
 
 class TestJobsDeterminism:
