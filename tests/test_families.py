@@ -334,7 +334,7 @@ class TestCanonicalRelabel:
         g = Graph([PlainVertex(i) for i in range(5)], [(PlainVertex(i), PlainVertex(i + 1)) for i in range(4)])
         cert = check_crs(g, (PlainVertex(0),))
         assert isinstance(cert, CrsCertificate) and cert.m_of_w == 4
-        with pytest.raises(InvalidCertificate):
+        with pytest.raises(InvalidCertificate, match="^relabeling needs truncation radius 2 or 3, got 4$"):
             canonical_relabel(g, cert)
 
     def test_cross_edge_mismatch_detected(self):
@@ -345,15 +345,60 @@ class TestCanonicalRelabel:
         # break one cross edge: the certificate still claims d(b1, (1,1)) = 1
         dropped = (BaseVertex(1), LatticeVertex((1, 1)))
         broken = Graph(g.vertices(), [e for e in g.edge_set() if e != dropped])
-        with pytest.raises(CrossEdgeMismatch):
+        with pytest.raises(CrossEdgeMismatch) as exc:
             canonical_relabel(broken, cert)
+        assert str(exc.value) == "adjacency of b1 and (1,1) disagrees with the certificate vector"
+
+    def test_cross_edge_mismatch_names_the_first_pair(self):
+        # two broken cross edges under scrambled labels: the message names the
+        # first (w, u) in W order, then the graph's canonical vertex order
+        comp = compose(base_null(2), example_graph("T", 2), 2, 3)
+        g = comp.materialize()
+        shuffled = list(g.vertices())
+        random.Random(5).shuffle(shuffled)
+        relabel = {v: PlainVertex(i) for i, v in enumerate(shuffled)}
+        scrambled = Graph(list(relabel.values()), [(relabel[u], relabel[v]) for u, v in g.edges()])
+        w = (relabel[BaseVertex(2)], relabel[BaseVertex(1)])
+        cert = check_crs(scrambled, w)
+        assert isinstance(cert, CrsCertificate)
+        flips = {
+            frozenset((w[1], relabel[LatticeVertex((1, 2))])),
+            frozenset((w[1], relabel[LatticeVertex((3, 3))])),
+            frozenset((w[0], relabel[LatticeVertex((2, 1))])),
+        }
+        edges = {frozenset(e) for e in scrambled.edge_set()} ^ flips
+        broken = Graph(scrambled.vertices(), [tuple(e) for e in edges])
+        rest = [u for u in broken.vertices() if u not in w]
+        first = next(
+            (x, u) for i, x in enumerate(w) for u in rest
+            if broken.has_edge(x, u) != (cert.table[u][i] == 1)
+        )
+        assert first[0] == w[0]
+        with pytest.raises(CrossEdgeMismatch) as exc:
+            canonical_relabel(broken, cert)
+        assert str(exc.value) == f"adjacency of {first[0]!r} and {first[1]!r} disagrees with the certificate vector"
+
+    def test_rejects_table_missing_an_outside_vertex(self):
+        g = compose(base_complete(2), example_graph("U", 2), 2, 2).materialize()
+        cert = check_crs(g, (BaseVertex(1), BaseVertex(2)))
+        table = dict(cert.table)
+        del table[LatticeVertex((2, 1))]
+        with pytest.raises(InvalidCertificate, match="^certificate table does not cover V minus W$"):
+            canonical_relabel(g, CrsCertificate(cert.w_order, cert.m_of_w, table))
+
+    def test_rejects_table_holding_a_w_vertex(self):
+        g = compose(base_complete(2), example_graph("U", 2), 2, 2).materialize()
+        cert = check_crs(g, (BaseVertex(1), BaseVertex(2)))
+        table = {**cert.table, BaseVertex(2): (2, 1)}
+        with pytest.raises(InvalidCertificate, match="^certificate table does not cover V minus W$"):
+            canonical_relabel(g, CrsCertificate(cert.w_order, cert.m_of_w, table))
 
     def test_rejects_foreign_certificate(self):
         comp = compose(base_complete(2), example_graph("U", 2), 2, 2)
         g = comp.materialize()
         cert = check_crs(g, (BaseVertex(1), BaseVertex(2)))
         other = plain_graph_of_order_6()
-        with pytest.raises(InvalidCertificate):
+        with pytest.raises(InvalidCertificate, match="^certificate W is not inside the graph$"):
             canonical_relabel(other, cert)
 
 

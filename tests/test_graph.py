@@ -13,6 +13,7 @@ from crslab.graph import (
     Graph,
     LatticeVertex,
     PlainVertex,
+    bfs_levels,
     complete_graph,
     degree,
     diameter,
@@ -227,3 +228,98 @@ class TestStructure:
         star = plain_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert universal_vertices(star) == (p(0),)
         assert universal_vertices(plain_graph(4, [(0, 1)])) == ()
+
+
+# -- the Graph core against definitions written from vertex_key ------------------
+
+
+def _mixed_labels(rng, n):
+    """n distinct labels drawn from all three kinds, in shuffled order."""
+    pool = set()
+    while len(pool) < n:
+        kind = rng.randrange(3)
+        if kind == 0:
+            pool.add(BaseVertex(rng.randint(1, 9)))
+        elif kind == 1:
+            pool.add(LatticeVertex(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))))
+        else:
+            pool.add(PlainVertex(rng.randint(0, 9)))
+    labels = sorted(pool, key=vertex_key)
+    rng.shuffle(labels)
+    return labels
+
+
+def _mixed_graphs(seed, count):
+    """Seeded (labels, edge list) pairs: random orientation, repeated edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = _mixed_labels(rng, rng.randint(2, 9))
+        pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs if rng.random() < 0.4]
+        edges += rng.sample(edges, min(2, len(edges)))
+        yield labels, edges
+
+
+def _oriented(u, v):
+    return (u, v) if vertex_key(u) <= vertex_key(v) else (v, u)
+
+
+class TestCoreOracle:
+    def test_edges_and_value_semantics(self):
+        for labels, edges in _mixed_graphs(11, 120):
+            g = Graph(labels, edges)
+            want = {_oriented(u, v) for u, v in edges}
+            assert g.vertices() == tuple(sorted(labels, key=vertex_key))
+            assert g.edges() == sorted(want, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+            assert g.edge_set() == frozenset(want)
+            assert g.size == len(want)
+            twin = Graph(list(reversed(labels)), [(v, u) for u, v in reversed(edges)])
+            assert twin == g and hash(twin) == hash(g)
+            if want:
+                dropped = sorted(want, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))[1:]
+                assert Graph(labels, dropped) != g
+
+    def test_has_edge_matches_the_edge_set(self):
+        for labels, edges in _mixed_graphs(12, 120):
+            g = Graph(labels, edges)
+            want = {_oriented(u, v) for u, v in edges}
+            for u in labels:
+                assert not g.has_edge(u, u)
+                for v in labels:
+                    if u != v:
+                        assert g.has_edge(u, v) == (_oriented(u, v) in want)
+
+    def test_has_edge_is_false_for_foreign_labels(self):
+        rng = random.Random(13)
+        for labels, edges in _mixed_graphs(13, 60):
+            g = Graph(labels, edges)
+            other = Graph(_mixed_labels(rng, 12), [])
+            foreign = [x for x in other.vertices() if not g.has_vertex(x)]
+            assert foreign
+            for x in foreign:
+                assert not g.has_edge(x, x)
+                for u in labels:
+                    assert not g.has_edge(u, x)
+                    assert not g.has_edge(x, u)
+
+
+def test_bfs_levels_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    disconnected = 0
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        prob = rng.choice((0.1, 0.2, 0.35, 0.6))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < prob]
+        adj = [0] * n
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        disconnected += not nx.is_connected(ref)
+        for s in range(n):
+            lengths = nx.single_source_shortest_path_length(ref, s)
+            assert bfs_levels(adj, s) == [lengths.get(t, -1) for t in range(n)]
+    assert disconnected > 20
