@@ -94,11 +94,24 @@ def _check_index(k: int, i: int) -> None:
         raise IndexOutOfRange(f"coordinate index {i} not in [1, {k}]")
 
 
+@lru_cache(maxsize=8)
+def _lattice_labels(k: int, m: int) -> tuple[tuple[LatticeVertex, ...], dict[LatticeVector, LatticeVertex]]:
+    """The labels of [m]^k in lexicographic order, and each one by vector."""
+    verts = tuple(LatticeVertex(v) for v in lattice_vertices(k, m))
+    return verts, {x.vector: x for x in verts}
+
+
 def span_lattice(k: int, m: int, edges) -> Graph:
     """Spanning subgraph of the complete graph on [m]^k with the given
     vector-pair edges."""
-    verts = [LatticeVertex(v) for v in lattice_vertices(k, m)]
-    return Graph(verts, [(LatticeVertex(tuple(x)), LatticeVertex(tuple(y))) for x, y in edges])
+    verts, labels = _lattice_labels(k, m)
+    edges = list(edges)
+    get = labels.get
+    try:
+        pairs = [(get(x) or LatticeVertex(tuple(x)), get(y) or LatticeVertex(tuple(y))) for x, y in edges]
+    except TypeError:  # unhashable vectors (lists) take the label constructor
+        pairs = [(LatticeVertex(tuple(x)), LatticeVertex(tuple(y))) for x, y in edges]
+    return Graph(verts, pairs)
 
 
 def base_complete(k: int) -> Graph:
@@ -645,29 +658,40 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     m = cert.m_of_w
     if m not in (2, 3):
         raise InvalidCertificate(f"relabeling needs truncation radius 2 or 3, got {m}")
-    w_set = set(cert.w_order)
     if not all(g.has_vertex(w) for w in cert.w_order):
         raise InvalidCertificate("certificate W is not inside the graph")
-    rest = [v for v in g.vertices() if v not in w_set]
-    if set(cert.table) != set(rest):
+    verts = g.vertices()
+    adj = g.adjacency_masks()
+    w_pos = [g.index_of(w) for w in cert.w_order]
+    w_mask = 0
+    for i in w_pos:
+        w_mask |= 1 << i
+    rest_mask = (1 << len(verts)) - 1 & ~w_mask
+    rest = [u for u in range(len(verts)) if rest_mask >> u & 1]
+    table = cert.table
+    if len(table) != len(rest) or not all(verts[u] in table for u in rest):
         raise InvalidCertificate("certificate table does not cover V minus W")
+    vec = {u: table[verts[u]] for u in rest}
     base_edges = [
         (BaseVertex(i + 1), BaseVertex(j + 1))
         for i in range(k)
         for j in range(i + 1, k)
-        if g.has_edge(cert.w_order[i], cert.w_order[j])
+        if adj[w_pos[i]] >> w_pos[j] & 1
     ]
     base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
-    lattice_edges = [
-        (cert.table[u], cert.table[v])
-        for u, v in g.edges()
-        if u not in w_set and v not in w_set
-    ]
+    lattice_edges = []
+    for u in rest:
+        later = adj[u] & rest_mask & ~((2 << u) - 1)
+        while later:
+            low = later & -later
+            lattice_edges.append((vec[u], vec[low.bit_length() - 1]))
+            later ^= low
     lattice = span_lattice(k, m, lattice_edges)
     for i, w in enumerate(cert.w_order):
+        row = adj[w_pos[i]]
         for u in rest:
-            if g.has_edge(w, u) != (cert.table[u][i] == 1):
+            if row >> u & 1 != (vec[u][i] == 1):
                 raise CrossEdgeMismatch(
-                    f"adjacency of {w!r} and {u!r} disagrees with the certificate vector"
+                    f"adjacency of {w!r} and {verts[u]!r} disagrees with the certificate vector"
                 )
     return CompositeGraph(k, m, base, lattice)

@@ -84,11 +84,6 @@ def vertex_key(v: Vertex) -> tuple[int, tuple[int, ...]]:
     raise TypeError(f"not a vertex label: {v!r}")
 
 
-def sort_edge(u: Vertex, v: Vertex) -> Edge:
-    """Order an edge's endpoints canonically."""
-    return (u, v) if vertex_key(u) <= vertex_key(v) else (v, u)
-
-
 class Graph:
     """An immutable finite simple graph on at least two labeled vertices."""
 
@@ -110,7 +105,8 @@ class Graph:
                 raise InvalidGraph(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-            canon.add(sort_edge(u, v))
+            # positions follow vertex_key order, so this is the canonical orientation
+            canon.add((u, v) if iu < iv else (v, u))
         self._verts = tuple(verts)
         self._index = index
         self._adj = adj
@@ -132,8 +128,18 @@ class Graph:
         return self._verts
 
     def edges(self) -> list[Edge]:
-        """Edges as canonically sorted endpoint pairs, in canonical order."""
-        return sorted(self._edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+        """Edges as canonically sorted endpoint pairs, in canonical order:
+        by position pair, read off the upper triangle of the adjacency bits."""
+        verts = self._verts
+        out = []
+        for i, mask in enumerate(self._adj):
+            u = verts[i]
+            mask >>= i + 1
+            while mask:
+                low = mask & -mask
+                out.append((u, verts[i + low.bit_length()]))
+                mask ^= low
+        return out
 
     def edge_set(self) -> frozenset[Edge]:
         return self._edges
@@ -142,7 +148,10 @@ class Graph:
         return v in self._index
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return sort_edge(u, v) in self._edges
+        """Adjacency bit test; False when either label is not in the graph."""
+        iu = self._index.get(u)
+        iv = self._index.get(v)
+        return iu is not None and iv is not None and self._adj[iu] >> iv & 1 == 1
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         mask = self._adj[self._vertex_index(v)]
@@ -212,20 +221,27 @@ def _iter_bits(mask: int) -> Iterator[int]:
 def bfs_levels(adj: list[int], source: int) -> list[int]:
     """Hop counts from ``source`` over adjacency bit sets; -1 = unreachable."""
     n = len(adj)
+    full = (1 << n) - 1
     dist = [-1] * n
     dist[source] = 0
     seen = 1 << source
     frontier = seen
     d = 0
-    while frontier:
+    while frontier and seen != full:
         d += 1
         nxt = 0
-        for i in _iter_bits(frontier):
-            nxt |= adj[i]
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
         frontier = nxt & ~seen
         seen |= frontier
-        for i in _iter_bits(frontier):
-            dist[i] = d
+        f = frontier
+        while f:
+            low = f & -f
+            dist[low.bit_length() - 1] = d
+            f ^= low
     return dist
 
 
