@@ -22,6 +22,7 @@ from .errors import (
     IndexOutOfRange,
     NotMember,
     NotMinimal,
+    SizeOverflow,
     VertexNotEligible,
     WrongVertexSet,
 )
@@ -222,10 +223,21 @@ def bounds_b(base: Graph) -> tuple[int, int]:
     return lower, upper
 
 
-def bounds_c(k: int) -> tuple[int, int]:
-    """Size bounds for a minimal radius-3 lattice, in closed form."""
+#: Largest k the radius-3 bounds are computed for: their values then have
+#: under 2 000 digits and print within Python's default int-to-str limit.
+MAX_BOUNDS_K = 4096
+
+
+def _require_bounds_k(k: int) -> None:
     if k < 2:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
+    if k > MAX_BOUNDS_K:
+        raise SizeOverflow(f"radius-3 bounds need k <= {MAX_BOUNDS_K}, got k={k}")
+
+
+def bounds_c(k: int) -> tuple[int, int]:
+    """Size bounds for a minimal radius-3 lattice, in closed form."""
+    _require_bounds_k(k)
     return (3 ** k + 1) // 2, k * (3 ** (k - 1) + 2 ** (k - 1))
 
 
@@ -240,8 +252,7 @@ def composite_size_bounds(kind: str, base_or_k) -> tuple[int, int]:
         return lower, upper
     if kind == "C":
         k = base_or_k
-        if k < 2:
-            raise IndexOutOfRange(f"need k >= 2, got {k}")
+        _require_bounds_k(k)
         lower = ((2 * k + 3) * 3 ** (k - 1) + 1) // 2
         upper = 2 * k * (3 ** (k - 1) + 2 ** (k - 2))
         return lower, upper

@@ -143,6 +143,22 @@ class TestBounds:
         assert code == 0
         assert json.loads(out) == {"lower": 14, "upper": 39}
 
+    @pytest.mark.parametrize(
+        "argv", [["--k", "300000"], ["--k", "100000000", "--composite"]]
+    )
+    def test_oversized_k_exits_3_at_once(self, capsys, argv):
+        # refused before 3^k is computed or printed
+        start = time.perf_counter()
+        code, out, err = run_cli(["bounds", "C"] + argv, capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"error: radius-3 bounds need k <= 4096, got k={argv[1]}"]
+
+    @pytest.mark.parametrize("extra", [[], ["--composite"]])
+    def test_largest_k_prints(self, capsys, extra):
+        code, out, _ = run_cli(["bounds", "C", "--k", "4096"] + extra, capsys=capsys)
+        assert code == 0 and len(json.loads(out)) == 2
+
     def test_b_base_file(self, tmp_path, capsys):
         path = tmp_path / "base.json"
         path.write_text(json.dumps(formats.graph_to_json(base_complete(2))))
