@@ -362,9 +362,9 @@ class TestCanonicalRelabel:
         cert = check_crs(scrambled, w)
         assert isinstance(cert, CrsCertificate)
         flips = {
-            frozenset((w[1], relabel[LatticeVertex((1, 2))])),
-            frozenset((w[1], relabel[LatticeVertex((3, 3))])),
             frozenset((w[0], relabel[LatticeVertex((2, 1))])),
+            frozenset((w[0], relabel[LatticeVertex((3, 3))])),
+            frozenset((w[1], relabel[LatticeVertex((1, 2))])),
         }
         edges = {frozenset(e) for e in scrambled.edge_set()} ^ flips
         broken = Graph(scrambled.vertices(), [tuple(e) for e in edges])
