@@ -105,13 +105,12 @@ def span_lattice(k: int, m: int, edges) -> Graph:
     """Spanning subgraph of the complete graph on [m]^k with the given
     vector-pair edges."""
     verts, labels = _lattice_labels(k, m)
-    edges = list(edges)
     get = labels.get
-    try:
-        pairs = [(get(x) or LatticeVertex(tuple(x)), get(y) or LatticeVertex(tuple(y))) for x, y in edges]
-    except TypeError:  # unhashable vectors (lists) take the label constructor
-        pairs = [(LatticeVertex(tuple(x)), LatticeVertex(tuple(y))) for x, y in edges]
-    return Graph(verts, pairs)
+    # a vector outside [m]^k gets a fresh label, which raises or is rejected as before
+    return Graph(verts, [
+        (get(tuple(x)) or LatticeVertex(tuple(x)), get(tuple(y)) or LatticeVertex(tuple(y)))
+        for x, y in edges
+    ])
 
 
 def base_complete(k: int) -> Graph:

@@ -6,6 +6,7 @@ from crslab.errors import (
     CrossEdgeMismatch,
     IndexOutOfRange,
     InvalidCertificate,
+    InvalidGraph,
     SizeOverflow,
     UnknownName,
     WrongVertexSet,
@@ -73,6 +74,21 @@ class TestLatticeVertices:
             lattice_vertices(20, 3)
         with pytest.raises(IndexOutOfRange):
             lattice_vertices(0, 2)
+
+
+class TestSpanLattice:
+    def test_vectors_of_any_sequence_type(self):
+        want = span_lattice(2, 2, [((1, 1), (2, 2))])
+        assert span_lattice(2, 2, [([1, 1], [2, 2])]) == want
+        assert span_lattice(2, 2, iter([((2, 2), (1, 1))])) == want
+
+    def test_vectors_outside_the_lattice(self):
+        with pytest.raises(InvalidGraph, match="^lattice components must be >= 1, got \\(0, 1\\)$"):
+            span_lattice(2, 2, [((1, 1), (2, 2)), ((0, 1), (1, 1))])
+        with pytest.raises(InvalidGraph, match="^edge endpoint \\(3,1\\) is not a declared vertex$"):
+            span_lattice(2, 2, [((3, 1), (1, 1))])
+        with pytest.raises(SizeOverflow):
+            span_lattice(20, 3, [])
 
 
 class TestSlice:
