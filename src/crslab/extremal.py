@@ -225,14 +225,14 @@ def bounds_b(base: Graph) -> tuple[int, int]:
 
 #: Largest k the radius-3 bounds are computed for: their values then have
 #: under 2 000 digits and print within Python's default int-to-str limit.
-MAX_BOUNDS_K = 4096
+_MAX_BOUNDS_K = 4096
 
 
 def _require_bounds_k(k: int) -> None:
     if k < 2:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
-    if k > MAX_BOUNDS_K:
-        raise SizeOverflow(f"radius-3 bounds need k <= {MAX_BOUNDS_K}, got k={k}")
+    if k > _MAX_BOUNDS_K:
+        raise SizeOverflow(f"radius-3 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
 
 
 def bounds_c(k: int) -> tuple[int, int]:

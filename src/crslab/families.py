@@ -106,7 +106,7 @@ def span_lattice(k: int, m: int, edges) -> Graph:
     vector-pair edges."""
     verts, labels = _lattice_labels(k, m)
     get = labels.get
-    # a vector outside [m]^k gets a fresh label, which raises or is rejected as before
+    # a vector outside [m]^k gets a fresh label, so LatticeVertex or Graph rejects it
     return Graph(verts, [
         (get(tuple(x)) or LatticeVertex(tuple(x)), get(tuple(y)) or LatticeVertex(tuple(y)))
         for x, y in edges
