@@ -219,6 +219,37 @@ def test_level_mask_kernel_agrees_with_check_crs():
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("base_edges", [0, 1, 3], ids=["null", "one-edge", "complete"])
+def test_level_mask_kernel_agrees_with_check_crs_at_k3(base_edges):
+    # at k = 3, m = 2 every BFS level of a certified composite holds
+    # m^(k-1) = 4 outside vertices, and base vertices show up on the levels
+    # too (by a base edge at level 1, or through the lattice at level 2)
+    base = Graph(base_null(3).vertices(), base_complete(3).edges()[:base_edges])
+    cs = cover_system("B", 3, base)
+    nbits = len(cs.edges)
+    rng = random.Random(300 + base_edges)
+    masks = [rng.getrandbits(nbits) for _ in range(35)]
+    masks += [rng.getrandbits(nbits) & rng.getrandbits(nbits) & rng.getrandbits(nbits) for _ in range(30)]
+    for _ in range(35):
+        # one hit per constraint is a member; dropping one hit is, mostly, not
+        hits = [rng.choice([b for b in range(nbits) if cm >> b & 1]) for cm in cs.masks]
+        mask = sum(1 << b for b in set(hits))
+        masks.append(mask if rng.random() < 0.5 else mask & ~(1 << rng.choice(hits)))
+    seen = {"disconnected": 0, "rejected": 0, "identity": 0}
+    for mask in masks:
+        verdict, expected = _kernel_and_check_crs(base, cs.graph(mask), 3, 2)
+        if expected is None:
+            assert verdict is None
+            seen["disconnected"] += 1
+        elif expected is False:
+            assert verdict is None
+            seen["rejected"] += 1
+        else:
+            assert verdict is True
+            seen["identity"] += 1
+    assert all(seen.values()), seen
+
+
 def test_level_mask_kernel_flags_a_permuted_table():
     # a certified composite whose table swaps two labels: the kernel
     # certifies it and says the vectors do not reproduce the labels
