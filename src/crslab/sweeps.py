@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -91,6 +92,8 @@ def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[i
         a, b = g.index_of(u), g.index_of(v)
         edge_info.append((a, b, 1 << a, 1 << b))
     n = g.order
+    if n != k + m ** k:  # the kernel's cell and level counts rest on it
+        raise ValueError(f"composite has order {n}, expected k + m^k = {k + m ** k}")
     covers = cs.covers
     members = certified = mismatches = identity_violations = 0
     toggle = lo ^ (lo >> 1)  # every edge of the first image
@@ -120,7 +123,7 @@ def _cert_code_w_base(adj: list[int], k: int, m: int, n: int) -> bool | None:
     the adjacency alone and never looks at the cover system, so the
     equivalence sweeps test the kernel's membership verdicts against it.
     Vertices 0..k-1 are W and k..n-1 the m^k lattice vertices in
-    lexicographic label order.
+    lexicographic label order, so n = k + m^k (the scan checks it).
 
     For each source s the frontier masks L_s[1..m] are its BFS levels.  W
     certifies iff every cell L_1[a_1] & ... & L_k[a_k] of the box [m]^k
@@ -128,16 +131,27 @@ def _cert_code_w_base(adj: list[int], k: int, m: int, n: int) -> bool | None:
     vertices, and the distance map is a bijection onto the box with
     m(W) = m.  The cells are disjoint and miss W, so m^k nonempty cells
     among m^k outside vertices are singletons: testing for an empty cell
-    is enough.  Returns None when W is not completeness-resolving;
-    otherwise whether every cell holds the lattice vertex labelled
-    (a_1, ..., a_k), i.e. whether the distance vectors reproduce the
-    labels.
+    is enough.  Counting gives an earlier exit: if W certifies, level
+    L_s[d] holds the m^(k-1) cells with a_s = d, so every level d = 1..m
+    of every source holds exactly m^(k-1) outside vertices (W vertices may
+    sit on a level too; they are not counted).  A level with another count
+    returns None at once, where the cell test would have returned None
+    later.  Returns None when W is not completeness-resolving; otherwise
+    whether every cell holds the lattice vertex labelled (a_1, ..., a_k),
+    i.e. whether the distance vectors reproduce the labels.
     """
+    per_level = m ** (k - 1)
     cells = [(1 << n) - 1]
     for s in range(k):
-        levels = []
-        seen = frontier = 1 << s
-        for _d in range(m):
+        seen = 1 << s
+        frontier = adj[s] & ~seen
+        levels = [frontier]
+        while True:
+            if (frontier >> k).bit_count() != per_level:
+                return None
+            seen |= frontier
+            if len(levels) == m:
+                break
             nxt = 0
             f = frontier
             while f:
@@ -145,9 +159,6 @@ def _cert_code_w_base(adj: list[int], k: int, m: int, n: int) -> bool | None:
                 nxt |= adj[low.bit_length() - 1]
                 f ^= low
             frontier = nxt & ~seen
-            if not frontier:  # a level below m is empty: the box is not filled
-                return None
-            seen |= frontier
             levels.append(frontier)
         cells = [c & level for c in cells for level in levels]
     if 0 in cells:
@@ -681,8 +692,8 @@ def check_size_identities() -> list[str]:
 
 
 def _q3_size_scan() -> tuple[int, int]:
-    """Stream every choice tuple at k = 3 as an edge bit mask and count
-    members whose distinct-edge total is not 39."""
+    """Count every choice tuple at k = 3, as the union of one edge bit mask
+    per coordinate i, and the members whose distinct-edge total is not 39."""
     k = 3
     edge_id = cover_system("C", k).index
     per_i: dict[int, list[list[int]]] = {1: [], 2: [], 3: []}
@@ -697,16 +708,39 @@ def _q3_size_scan() -> tuple[int, int]:
                 acc |= bit
             combos.append(acc)
         blocks.append(combos)
-    want = k * (3 ** (k - 1) + 2 ** (k - 1))
-    count = wrong = 0
-    b1, b2, b3 = blocks
-    for m1 in b1:
-        for m2 in b2:
-            m12 = m1 | m2
-            for m3 in b3:
-                count += 1
-                if (m12 | m3).bit_count() != want:
-                    wrong += 1
+    return _union_size_count(blocks, k * (3 ** (k - 1) + 2 ** (k - 1)))
+
+
+def _union_size_count(blocks: list[list[int]], target: int) -> tuple[int, int]:
+    """(count, wrong) over every tuple that takes one mask from each block:
+    count is the number of tuples, wrong the number whose union does not
+    have ``target`` bits.
+
+    Tuples are counted by classes, not one by one.  The blocks are folded
+    in order into a Counter of the partial unions A, keyed by A & S (S the
+    union of the supports of the blocks still to come) and the popcount of
+    A outside S.  Every later mask B lies inside S, so
+    |A | B| = |A - S| + |(A & S) | B| and the key decides every later
+    count exactly, for overlapping blocks too.  Blocks with disjoint
+    supports keep A & S = 0, so each step has one class per popcount.
+    """
+    supports = []
+    rest = 0
+    for block in reversed(blocks):
+        supports.append(rest)
+        for mask in block:
+            rest |= mask
+    supports.reverse()  # supports[j]: the union of blocks j+1.. onward
+    classes = Counter({(0, 0): 1})
+    for block, later in zip(blocks, supports):
+        folded: Counter = Counter()
+        for (inside, outside), mult in classes.items():
+            for mask in block:
+                union = inside | mask
+                folded[union & later, outside + (union & ~later).bit_count()] += mult
+        classes = folded
+    count = sum(classes.values())
+    wrong = sum(mult for (_inside, bits), mult in classes.items() if bits != target)
     return count, wrong
 
 

@@ -3,6 +3,7 @@ that do not fit a single module."""
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -23,7 +24,7 @@ from crslab.families import (
     member_c,
 )
 from crslab.resolving import PATH, UNIVERSAL_VERTEX, CrsCertificate, check_crs
-from crslab.extremal import is_k_minimal, iter_q
+from crslab.extremal import is_k_minimal, iter_q, q_count
 from crslab.sweeps import (
     out_of_range_counterexample,
     random_b_member,
@@ -32,6 +33,7 @@ from crslab.sweeps import (
     _raw_crs_scan,
     _relabel_failures,
     _scan_c_range,
+    _union_size_count,
     sweep_small_order,
 )
 
@@ -139,6 +141,60 @@ def test_certified_within_range_forces_identity_labels():
     members, certified, mismatches, identity_violations = _scan_c_range((0, 40000))
     assert mismatches == 0
     assert identity_violations == 0
+
+
+def test_union_size_count_matches_brute_force():
+    # seeded blocks of random 10-bit masks, whose supports overlap: the
+    # grouped count must equal the tuple-by-tuple count
+    rng = random.Random(211)
+    tallies = [0, 0]
+    for _ in range(200):
+        blocks = [[rng.getrandbits(10) for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(0, 4))]
+        unions = []
+        for choice in product(*blocks):
+            union = 0
+            for mask in choice:
+                union |= mask
+            unions.append(union.bit_count())
+        target = rng.choice(unions)
+        count, wrong = _union_size_count(blocks, target)
+        assert (count, wrong) == (len(unions), sum(bits != target for bits in unions))
+        tallies[0] += count - wrong
+        tallies[1] += wrong
+    assert all(tallies), tallies
+
+
+def test_q3_size_check_can_fail(monkeypatch):
+    # one edge offered at a choice point of i = 1 and again at one of i = 2:
+    # a tuple that takes it at both has 38 distinct edges, not 39
+    real_q_choice_lists = sweeps.q_choice_lists
+    lists = real_q_choice_lists(3)
+    first = next(n for n, (i, _x, _edges) in enumerate(lists) if i == 1)
+    second = next(n for n, (i, _x, _edges) in enumerate(lists) if i == 2)
+    i, x, edges = lists[second]
+    shared = lists[first][2][0]
+    lists[second] = (i, x, [shared] + edges[1:])
+    monkeypatch.setattr(sweeps, "q_choice_lists", lambda k: lists if k == 3 else real_q_choice_lists(k))
+    both = q_count(3) // (len(lists[first][2]) * len(edges))
+    assert f"{both} q3 members with wrong size" in sweeps.check_size_identities()
+
+
+def test_equivalence_scan_checks_the_composite_order(monkeypatch):
+    # the kernel's counts hold only for n = k + m^k: one extra vertex in
+    # the composite stops the scan before any mask is certified
+    real_compose = sweeps.compose
+
+    class Padded:
+        def __init__(self, comp):
+            self.comp = comp
+
+        def materialize(self):
+            g = self.comp.materialize()
+            return Graph([*g.vertices(), BaseVertex(3)], g.edges())
+
+    monkeypatch.setattr(sweeps, "compose", lambda *args: Padded(real_compose(*args)))
+    with pytest.raises(ValueError, match="order 7, expected k \\+ m\\^k = 6"):
+        sweeps._equivalence_scan(cover_system("B", 2), base_null(2), 0, 4)
 
 
 def test_q3_streamed_members_are_minimal_sample():
