@@ -216,15 +216,16 @@ def is_minimal_in_b(base: Graph, lattice: Graph) -> bool:
 def bounds_b(base: Graph) -> tuple[int, int]:
     """Size bounds for a lattice minimal relative to the base, from the
     base's vertex degrees."""
-    k = _require_base(base)
+    k = _require_bounds_base(base)
     degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
     lower = 2 ** (k - min(degs) - 1)
     upper = sum(2 ** (k - d - 1) for d in degs)
     return lower, upper
 
 
-#: Largest k the radius-3 bounds are computed for: their values then have
-#: under 2 000 digits and print within Python's default int-to-str limit.
+#: Largest k the bounds of either family are computed for: their values
+#: then have under 2 000 digits and print within Python's default
+#: int-to-str limit.
 _MAX_BOUNDS_K = 4096
 
 
@@ -233,6 +234,13 @@ def _require_bounds_k(k: int) -> None:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
     if k > _MAX_BOUNDS_K:
         raise SizeOverflow(f"radius-3 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
+
+
+def _require_bounds_base(base: Graph) -> int:
+    k = _require_base(base)
+    if k > _MAX_BOUNDS_K:
+        raise SizeOverflow(f"radius-2 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
+    return k
 
 
 def bounds_c(k: int) -> tuple[int, int]:
@@ -245,7 +253,7 @@ def composite_size_bounds(kind: str, base_or_k) -> tuple[int, int]:
     """Edge-count bounds for whole minimal composites of either family."""
     if kind == "B":
         base: Graph = base_or_k
-        k = _require_base(base)
+        k = _require_bounds_base(base)
         degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
         lower = k * 2 ** (k - 1) + sum(degs) // 2 + 2 ** (k - min(degs) - 1)
         upper = k * 2 ** (k - 1) + sum(2 ** (k - d) + d for d in degs) // 2

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from crslab.cli import main
-from crslab.families import base_complete, example_graph
+from crslab.families import base_complete, base_null, example_graph
 from crslab import formats
 
 
@@ -168,6 +168,24 @@ class TestBounds:
             ["bounds", "B", "--base", str(path), "--composite"], capsys=capsys
         )
         assert json.loads(out) == {"lower": 6, "upper": 7}
+
+    @pytest.mark.parametrize("extra", [[], ["--composite"]])
+    def test_oversized_base_exits_3_at_once(self, tmp_path, capsys, extra):
+        # refused before 2^(k-1) is computed or printed
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(formats.graph_to_json(base_null(15000))))
+        start = time.perf_counter()
+        code, out, err = run_cli(["bounds", "B", "--base", str(path)] + extra, capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: radius-2 bounds need k <= 4096, got k=15000"]
+
+    @pytest.mark.parametrize("extra", [[], ["--composite"]])
+    def test_largest_base_prints(self, tmp_path, capsys, extra):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(formats.graph_to_json(base_null(4096))))
+        code, out, _ = run_cli(["bounds", "B", "--base", str(path)] + extra, capsys=capsys)
+        assert code == 0 and len(json.loads(out)) == 2
 
     def test_missing_argument_exits_2(self, capsys):
         code, _out, err = run_cli(["bounds", "B"], capsys=capsys)
