@@ -664,9 +664,10 @@ def sweep_properties() -> PropertySweep:
 
 
 def check_size_identities() -> list[str]:
-    """Integer-exact size identities for k = 2..4 and the streamed edge
-    count of every maximum-size minimal lattice at k <= 3.  Returns the
-    list of violated identities (empty = pass)."""
+    """Integer-exact size identities for k = 2..4 and the edge count of
+    every maximum-size minimal lattice at k <= 3 (at k = 3 counted by
+    classes of choice tuples).  Returns the list of violated identities
+    (empty = pass)."""
     bad = []
     for k in (2, 3, 4):
         checks = {
