@@ -246,23 +246,13 @@ def _kernel_and_check_crs(base, lattice, k, m):
     return verdict, all(res.table[LatticeVertex(v)] == v for v in lattice_vertices(k, m))
 
 
-def test_level_mask_kernel_agrees_with_check_crs():
+def _assert_kernel_agrees(cases, k):
     # None from the kernel exactly when check_crs rejects W = [k] or finds
     # the composite disconnected; otherwise the kernel's identity flag is
     # whether the certificate's table maps every lattice vertex to itself
-    cases = []
-    for base in (base_null(2), base_complete(2)):
-        cs = cover_system("B", 2, base)
-        cases += [(base, cs.graph(mask), 2) for mask in range(1 << len(cs.edges))]
-    rng = random.Random(5)
-    cs = cover_system("C", 2)
-    masks = [0, (1 << len(cs.edges)) - 1]
-    masks += [rng.getrandbits(len(cs.edges)) for _ in range(200)]
-    masks += [rng.getrandbits(len(cs.edges)) & rng.getrandbits(len(cs.edges)) for _ in range(100)]
-    cases += [(base_null(2), cs.graph(mask), 3) for mask in masks]
     seen = {"disconnected": 0, "rejected": 0, "identity": 0}
     for base, lattice, m in cases:
-        verdict, expected = _kernel_and_check_crs(base, lattice, 2, m)
+        verdict, expected = _kernel_and_check_crs(base, lattice, k, m)
         if expected is None:
             assert verdict is None
             seen["disconnected"] += 1
@@ -273,6 +263,20 @@ def test_level_mask_kernel_agrees_with_check_crs():
             assert verdict is True
             seen["identity"] += 1
     assert all(seen.values()), seen
+
+
+def test_level_mask_kernel_agrees_with_check_crs():
+    cases = []
+    for base in (base_null(2), base_complete(2)):
+        cs = cover_system("B", 2, base)
+        cases += [(base, cs.graph(mask), 2) for mask in range(1 << len(cs.edges))]
+    rng = random.Random(5)
+    cs = cover_system("C", 2)
+    masks = [0, (1 << len(cs.edges)) - 1]
+    masks += [rng.getrandbits(len(cs.edges)) for _ in range(200)]
+    masks += [rng.getrandbits(len(cs.edges)) & rng.getrandbits(len(cs.edges)) for _ in range(100)]
+    cases += [(base_null(2), cs.graph(mask), 3) for mask in masks]
+    _assert_kernel_agrees(cases, 2)
 
 
 @pytest.mark.parametrize("base_edges", [0, 1, 3], ids=["null", "one-edge", "complete"])
@@ -291,19 +295,7 @@ def test_level_mask_kernel_agrees_with_check_crs_at_k3(base_edges):
         hits = [rng.choice([b for b in range(nbits) if cm >> b & 1]) for cm in cs.masks]
         mask = sum(1 << b for b in set(hits))
         masks.append(mask if rng.random() < 0.5 else mask & ~(1 << rng.choice(hits)))
-    seen = {"disconnected": 0, "rejected": 0, "identity": 0}
-    for mask in masks:
-        verdict, expected = _kernel_and_check_crs(base, cs.graph(mask), 3, 2)
-        if expected is None:
-            assert verdict is None
-            seen["disconnected"] += 1
-        elif expected is False:
-            assert verdict is None
-            seen["rejected"] += 1
-        else:
-            assert verdict is True
-            seen["identity"] += 1
-    assert all(seen.values()), seen
+    _assert_kernel_agrees([(base, cs.graph(mask), 2) for mask in masks], 3)
 
 
 def test_level_mask_kernel_flags_a_permuted_table():
