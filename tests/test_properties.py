@@ -165,18 +165,20 @@ def test_union_size_count_matches_brute_force():
 
 
 def test_q3_size_check_can_fail(monkeypatch):
-    # one edge offered at a choice point of i = 1 and again at one of i = 2:
-    # a tuple that takes it at both has 38 distinct edges, not 39
+    # one edge offered at a choice point of i = 1 and again at one of i = 2,
+    # both with a second edge: only a tuple that takes it at both has 38
+    # distinct edges, not 39
     real_q_choice_lists = sweeps.q_choice_lists
     lists = real_q_choice_lists(3)
-    first = next(n for n, (i, _x, _edges) in enumerate(lists) if i == 1)
-    second = next(n for n, (i, _x, _edges) in enumerate(lists) if i == 2)
+    first = next(n for n, (i, _x, edges) in enumerate(lists) if i == 1 and len(edges) == 2)
+    second = next(n for n, (i, _x, edges) in enumerate(lists) if i == 2 and len(edges) == 2)
     i, x, edges = lists[second]
     shared = lists[first][2][0]
     lists[second] = (i, x, [shared] + edges[1:])
     monkeypatch.setattr(sweeps, "q_choice_lists", lambda k: lists if k == 3 else real_q_choice_lists(k))
-    both = q_count(3) // (len(lists[first][2]) * len(edges))
-    assert f"{both} q3 members with wrong size" in sweeps.check_size_identities()
+    # a quarter of the tuples take the shared edge at both points
+    assert q_count(3) == 4 * 4194304
+    assert "4194304 q3 members with wrong size" in sweeps.check_size_identities()
 
 
 def test_equivalence_scan_checks_the_composite_order(monkeypatch):
