@@ -157,7 +157,7 @@ def cmd_enumerate(args) -> int:
         if isinstance(loaded, CompositeGraph):
             raise FormatError("--base expects a plain base graph on b1..bk")
         base = loaded
-    for g in enumerate_minimal(args.minimal, args.k, base=base, jobs=args.jobs):
+    for g in enumerate_minimal(args.minimal, args.k, base=base):
         sys.stdout.write(json.dumps(formats.graph_to_json(g)) + "\n")
     return EXIT_OK
 
@@ -186,12 +186,12 @@ def _order_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("CRSLAB_ORDER_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FormatError(f"CRSLAB_ORDER_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_ORDER_CAP
+    if env is None:
+        return DEFAULT_ORDER_CAP
+    try:
+        return _positive_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise FormatError(f"CRSLAB_ORDER_CAP must be a positive integer, got {env!r}") from None
 
 
 def cmd_classify(args) -> int:
@@ -239,8 +239,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors in one stderr line, like every other malformed input."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crslab",
         description="Construct, verify and enumerate completeness-resolvable graphs.",
     )
@@ -265,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", required=True, choices=["B", "C"])
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--base", help="base graph file for kind B (default: edgeless)")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("bounds", help="edge-count bounds for minimal graphs")
@@ -278,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, help="order cap (default 12, or CRSLAB_ORDER_CAP)")
+    p.add_argument("--cap", type=_positive_int, help="order cap (default 12, or CRSLAB_ORDER_CAP)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dim", help="metric dimension, witness basis, perfectness")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=_positive_int)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("suite", help="run a named acceptance suite")
@@ -302,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OrderCapExceeded, SizeOverflow, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CrslabError as exc:
+    except (CrslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

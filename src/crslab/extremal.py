@@ -14,7 +14,6 @@ enumerations at k = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from .errors import (
@@ -26,9 +25,8 @@ from .errors import (
     VertexNotEligible,
     WrongVertexSet,
 )
-from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, degree
+from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, _iter_bits, degree
 from .families import (
-    CoverSystem,
     MembershipReport,
     _require_base,
     _require_lattice,
@@ -37,7 +35,6 @@ from .families import (
     lattice_vertices,
     member_b,
     member_c,
-    scan_ranges,
     span_lattice,
 )
 
@@ -465,15 +462,16 @@ def _graph_sort_key(g: Graph):
     )
 
 
-# -- exhaustive minimal enumeration at k = 2 ----------------------------------
+# -- minimal lattices at k = 2: minimal hitting sets of the cover system ------
 
 
-def enumerate_minimal(kind: str, k: int, base: Graph | None = None, jobs: int = 1) -> list[Graph]:
+def enumerate_minimal(kind: str, k: int, base: Graph | None = None) -> list[Graph]:
     """All minimal lattices of the chosen family at k = 2, canonically
-    sorted: one scan over every mask of the cover system's universe,
-    partitionable across workers with order-independent output.  Larger k
-    is past the enumeration cap (the radius-3 space alone is 2^|E| over
-    hundreds of edges)."""
+    sorted: the minimal hitting sets of the cover system's constraint
+    masks.  Larger k is past the enumeration cap, as the output grows fast
+    and has no size cap yet."""
+    if k < 2:
+        raise IndexOutOfRange(f"need k >= 2, got k={k}")
     if k != 2:
         raise EnumerationCapExceeded(f"exhaustive minimal enumeration is capped at k=2, got k={k}")
     if kind == "B":
@@ -485,10 +483,31 @@ def enumerate_minimal(kind: str, k: int, base: Graph | None = None, jobs: int = 
     elif kind != "C":
         raise ValueError(f"kind must be B or C, got {kind!r}")
     cs = cover_system(kind, k, base)
-    parts = scan_ranges(partial(_minimal_masks, cs), 1 << len(cs.edges), jobs)
-    return sorted((cs.graph(mask) for part in parts for mask in part), key=_graph_sort_key)
+    masks = _minimal_masks(cs.masks, len(cs.edges))
+    return sorted((cs.graph(mask) for mask in masks), key=_graph_sort_key)
 
 
-def _minimal_masks(cs: CoverSystem, bounds: tuple[int, int]) -> list[int]:
-    """The minimal masks of the cover system in [lo, hi)."""
-    return [mask for mask in range(*bounds) if cs.is_minimal(mask)]
+def _minimal_masks(masks: tuple[int, ...], width: int) -> list[int]:
+    """Every minimal mask over ``width`` bits that hits all of ``masks``, by
+    MMCS (Murakami & Uno, Discrete Applied Mathematics 170, 2014): branch
+    on the candidate bits of the unhit mask with the fewest, keep a set
+    while each of its bits is the sole hit of some mask, and hold a branch's
+    later bits back from the earlier ones, so each comes out once."""
+    out = []
+
+    def grow(chosen: int, cand: int) -> None:
+        unhit = [m for m in masks if not m & chosen]
+        if not unhit:
+            out.append(chosen)
+            return
+        branch = cand & min(unhit, key=lambda m: (m & cand).bit_count())
+        cand &= ~branch
+        for b in _iter_bits(branch):
+            grown = chosen | 1 << b
+            sole = {h for m in masks if (h := m & grown) and not h & (h - 1)}
+            if len(sole) == grown.bit_count():
+                grow(grown, cand)
+            cand |= 1 << b
+
+    grow(0, (1 << width) - 1)
+    return out

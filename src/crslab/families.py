@@ -459,18 +459,6 @@ class CoverSystem:
                 return False
         return True
 
-    def is_minimal(self, mask: int) -> bool:
-        """True iff the mask hits every constraint and every edge of it is
-        the only hit of some constraint."""
-        needed = 0
-        for cm in self.masks:
-            hit = mask & cm
-            if not hit:
-                return False
-            if not hit & (hit - 1):
-                needed |= hit
-        return needed == mask
-
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
     """The cover system of a family at k.  Family B depends on the base

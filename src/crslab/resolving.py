@@ -12,7 +12,7 @@ re-check them edge by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import (
     DisconnectedGraph,
@@ -26,7 +26,6 @@ from .graph import (
     LatticeVector,
     Vertex,
     bfs_levels,
-    vertex_key,
 )
 
 #: Default largest order searched exhaustively by the subset-scanning ops.
@@ -215,12 +214,6 @@ def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
     return CrsFailure(NOT_INJECTIVE, f"{verts[a]!r} and {verts[b]!r} share the vector {vec}")
 
 
-def _permuted_cert(cert: CrsCertificate, perm: tuple[Vertex, ...]) -> CrsCertificate:
-    pos = [cert.w_order.index(p) for p in perm]
-    table = {u: tuple(vec[p] for p in pos) for u, vec in cert.table.items()}
-    return CrsCertificate(w_order=perm, m_of_w=cert.m_of_w, table=table)
-
-
 def _implied_radius(outside: int, k: int) -> int | None:
     """The only m that could make the outside count equal m^k, if any."""
     if k == 1:
@@ -253,23 +246,20 @@ def _pruned_certificates(verts, rows_all, sizes):
 
 
 def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Vertex, ...], CrsCertificate]]:
-    """Every ordered completeness-resolving tuple of the graph.
+    """Every completeness-resolving set of the graph, one certificate per
+    unordered W in canonical coordinate order, sorted by size and then by
+    label.
 
     One pruned search runs over every size |W| = 1..n-1: the outside count
     must match m^|W| (m = n-1 for a singleton, m in {1,2,3} above it), and
     a radius-3 candidate must induce no edge inside W.  The singletons it
     certifies are the endpoints of a path, the only graph with a vertex of
-    eccentricity n-1.  Each unordered W is certified once and all coordinate
-    orders of a valid W are emitted, since reordering coordinates preserves
-    bijectivity.  The result is sorted canonically.
+    eccentricity n-1.  Every coordinate order of a returned W is also
+    completeness-resolving: permuting the table's coordinates keeps it a
+    bijection onto the box.
     """
     rows_all = _table(g, cap, "the graph is disconnected")
-    out = []
-    for cert in _pruned_certificates(g.vertices(), rows_all, range(1, g.order)):
-        for perm in permutations(cert.w_order):
-            out.append((perm, _permuted_cert(cert, perm)))
-    out.sort(key=lambda item: (len(item[0]), tuple(vertex_key(v) for v in item[0])))
-    return out
+    return [(c.w_order, c) for c in _pruned_certificates(g.vertices(), rows_all, range(1, g.order))]
 
 
 def _classify(verts, rows_all) -> ClassificationVerdict:

@@ -768,9 +768,9 @@ def check_diameters() -> list[str]:
 # -- criterion 4 + 9: minimal enumeration and tightness ------------------------
 
 
-def check_minimal_enumeration(jobs: int = 1) -> list[str]:
+def check_minimal_enumeration() -> list[str]:
     bad = []
-    emc = enumerate_minimal("C", 2, jobs=jobs)
+    emc = enumerate_minimal("C", 2)
     t2 = example_graph("T", 2)
     five = [g for g in emc if g.size == 5]
     if five != [t2]:
@@ -840,7 +840,7 @@ def _run_sizes(jobs: int) -> tuple[bool, str]:
 
 
 def _run_minimal(jobs: int) -> tuple[bool, str]:
-    bad = check_minimal_enumeration(jobs)
+    bad = check_minimal_enumeration()
     return not bad, "; ".join(bad) if bad else "strata match the characterized extremes"
 
 

@@ -136,6 +136,13 @@ class TestEnumerate:
         code, _out, err = run_cli(["enumerate", "--minimal", "C", "--k", "3"], capsys=capsys)
         assert code == 3 and "cap" in err.lower()
 
+    @pytest.mark.parametrize("kind,k", [("C", "0"), ("B", "1")])
+    def test_k_below_two_exits_2(self, capsys, kind, k):
+        # malformed input, not a cap
+        code, out, err = run_cli(["enumerate", "--minimal", kind, "--k", k], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: need k >= 2, got k={k}"]
+
 
 class TestBounds:
     def test_c_k3(self, capsys):
@@ -236,6 +243,29 @@ class TestClassifyAndDim:
         assert code == 0
         assert json.loads(out)["verdict"] == "path"
 
+    @pytest.mark.parametrize("command,cap", [("classify", "-3"), ("dim", "0")])
+    def test_cap_below_one_exits_2(self, tmp_path, capsys, command, cap):
+        # argparse rejects the cap before the graph is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--graph", str(tmp_path / "absent.json"), "--cap", cap])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"crslab {command}: error: argument --cap: must be at least 1, got {cap}"
+        ]
+
+    @pytest.mark.parametrize("env", ["-1", "0"])
+    def test_order_cap_env_below_one_exits_2(self, tmp_path, capsys, monkeypatch, env):
+        from crslab.graph import plain_graph
+
+        path = tmp_path / "p3.json"
+        path.write_text(json.dumps(formats.graph_to_json(plain_graph(3, [(0, 1), (1, 2)]))))
+        monkeypatch.setenv("CRSLAB_ORDER_CAP", env)
+        code, out, err = run_cli(["classify", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: CRSLAB_ORDER_CAP must be a positive integer, got '{env}'"]
+
     def test_dim_cycle_is_imperfect(self, tmp_path, capsys):
         from crslab.graph import plain_graph
 
@@ -306,16 +336,14 @@ class TestHostileInput:
 
 
 class TestJobsDeterminism:
-    @pytest.mark.parametrize(
-        "argv", [["enumerate", "--minimal", "C", "--k", "2"], ["suite", "--name", "sizes"]]
-    )
-    def test_jobs_below_one_exits_2(self, capsys, argv):
+    def test_jobs_below_one_exits_2(self, capsys):
         # argparse rejects the count before any command runs
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--jobs", "0"])
+            main(["suite", "--name", "sizes", "--jobs", "0"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and "--jobs" in err
+        assert out == ""
+        assert err.splitlines() == ["crslab suite: error: argument --jobs: must be at least 1, got 0"]
 
     def test_workers_are_clamped(self, monkeypatch):
         # a fake pool records its worker count and maps in this process
@@ -348,15 +376,6 @@ class TestJobsDeterminism:
         assert families.scan_ranges(tuple, 10, 1) == [(0, 10)]
         assert families.scan_ranges(tuple, 10, 0) == [(0, 10)]
         assert seen == [2, 3]
-
-    def test_enumerate_c_jobs_equal(self, capsys):
-        code, out1, _ = run_cli(["enumerate", "--minimal", "C", "--k", "2"], capsys=capsys)
-        assert code == 0
-        code, out2, _ = run_cli(
-            ["enumerate", "--minimal", "C", "--k", "2", "--jobs", "2"], capsys=capsys
-        )
-        assert code == 0
-        assert out1 == out2
 
 
 class TestSuiteCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from crslab.errors import (
     EnumerationCapExceeded,
+    IndexOutOfRange,
     NotMember,
     NotMinimal,
     VertexNotEligible,
@@ -13,6 +14,7 @@ from crslab.graph import BaseVertex, Graph, LatticeVertex
 from crslab.families import (
     base_complete,
     base_null,
+    cover_system,
     example_graph,
     gamma,
     lattice_complete,
@@ -23,6 +25,7 @@ from crslab.families import (
     span_lattice,
 )
 from crslab.extremal import (
+    _minimal_masks,
     bounds_b,
     bounds_c,
     composite_size_bounds,
@@ -69,6 +72,25 @@ def definitional_minimal_b(base, lattice):
             if member_b(base, Graph(lattice.vertices(), list(combo))).member:
                 return False
     return True
+
+
+def brute_minimal_masks(masks, width):
+    """Minimality by its rule, checked on all 2^width masks: a mask is
+    minimal when it hits every constraint and each of its bits is the sole
+    hit of some constraint."""
+    out = []
+    for mask in range(1 << width):
+        needed = 0
+        for cm in masks:
+            hit = mask & cm
+            if not hit:
+                break
+            if not hit & (hit - 1):
+                needed |= hit
+        else:
+            if needed == mask:
+                out.append(mask)
+    return out
 
 
 def single_deletion_minimal_b(base, lattice):
@@ -399,3 +421,45 @@ class TestEnumerateMinimal:
     def test_k3_is_capped(self):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_minimal("C", 3)
+
+    def test_k_below_two_is_malformed(self):
+        with pytest.raises(IndexOutOfRange):
+            enumerate_minimal("C", 0)
+        with pytest.raises(IndexOutOfRange):
+            enumerate_minimal("B", 1)
+
+
+class TestMinimalMasks:
+    def test_matches_brute_force_on_random_constraints(self):
+        rng = random.Random(0x3C5)
+        for _ in range(200):
+            width = rng.randint(0, 10)
+            dense = rng.random() < 0.5
+            masks = tuple(
+                rng.getrandbits(width) | (rng.getrandbits(width) if dense else 0)
+                for _ in range(rng.randint(0, 8))
+            )
+            got = _minimal_masks(masks, width)
+            assert sorted(got) == brute_minimal_masks(masks, width), (masks, width)
+            assert len(set(got)) == len(got)
+
+    def test_edge_cases(self):
+        assert _minimal_masks((), 4) == [0]  # no constraints: the empty mask
+        assert _minimal_masks((0b0110, 0), 4) == []  # an empty constraint: none
+        assert _minimal_masks((0,), 0) == []
+        assert sorted(_minimal_masks((0b011, 0b110), 3)) == [0b010, 0b101]
+
+    @pytest.mark.parametrize(
+        "edges, count",
+        [([(1, 2), (2, 3)], 80), ([(1, 2)], 872), ([(1, 2), (1, 3), (2, 3)], 8)],
+        ids=["path", "one-edge", "complete"],
+    )
+    def test_b_at_k3(self, edges, count):
+        base = Graph(base_null(3).vertices(), [(BaseVertex(a), BaseVertex(b)) for a, b in edges])
+        cs = cover_system("B", 3, base)
+        lattices = [cs.graph(mask) for mask in _minimal_masks(cs.masks, len(cs.edges))]
+        assert len(lattices) == count
+        lo, hi = bounds_b(base)
+        for lattice in lattices:
+            assert is_h1_minimal(base, lattice).minimal
+            assert lo <= lattice.size <= hi

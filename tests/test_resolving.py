@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, permutations
+import time
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from crslab.graph import (
     distances,
     path_graph,
     plain_graph,
+    vertex_key,
 )
 from crslab.families import (
     base_complete,
@@ -249,11 +251,15 @@ class TestFindAllCrs:
         assert brute_force_crs(c4) == []
 
     def test_composite_both_orders(self):
+        # one certificate for {b1, b2}; the other coordinate order certifies too
         g = compose(base_null(2), example_graph("R", 2), 2, 2).materialize()
         found = find_all_crs(g)
-        orders = {w for w, _c in found}
-        assert (BaseVertex(1), BaseVertex(2)) in orders
-        assert (BaseVertex(2), BaseVertex(1)) in orders
+        orders = [w for w, _c in found if set(w) == {BaseVertex(1), BaseVertex(2)}]
+        assert orders == [(BaseVertex(1), BaseVertex(2))]
+        swapped = check_crs(g, [BaseVertex(2), BaseVertex(1)])
+        assert isinstance(swapped, CrsCertificate)
+        cert = dict(found)[orders[0]]
+        assert swapped.table == {u: vec[::-1] for u, vec in cert.table.items()}
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(31)
@@ -269,16 +275,22 @@ class TestFindAllCrs:
             tested += 1
             unordered = {(frozenset(w), cert.m_of_w) for w, cert in found}
             assert unordered == set(brute_force_crs(g))
-            # every ordering of each W appears exactly once
-            from crslab.graph import vertex_key
+            # each unordered W appears once, in canonical coordinate order
+            assert len(found) == len(unordered)
+            for w, cert in found:
+                assert list(w) == sorted(w, key=vertex_key)
+                assert cert.w_order == w
 
-            def tkey(order):
-                return tuple(vertex_key(v) for v in order)
-
-            for w_set, _m in unordered:
-                orders = [w for w, _c in found if frozenset(w) == w_set]
-                expected = permutations(sorted(w_set, key=vertex_key))
-                assert sorted(orders, key=tkey) == sorted(expected, key=tkey)
+    def test_complete_12_gives_one_entry_per_w(self):
+        # every 11-set W of K12 certifies, with 11! coordinate orders each
+        g = plain_graph(12, list(combinations(range(12), 2)))
+        start = time.perf_counter()
+        found = find_all_crs(g)
+        assert time.perf_counter() - start < 1.0
+        assert len(found) == 12
+        assert {frozenset(w) for w, _c in found} == {
+            frozenset(p(i) for i in range(12) if i != j) for j in range(12)
+        }
 
     def test_order_cap(self):
         g = plain_graph(13, [(i, i + 1) for i in range(12)])

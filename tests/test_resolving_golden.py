@@ -1,13 +1,13 @@
 """Byte-level regression anchor for the resolving entry points: the
-classification verdict, the metric dimension, perfectness and every ordered
-completeness-resolving tuple.
+classification verdict, the metric dimension, perfectness and every
+completeness-resolving set.
 
 The inputs are every connected labeled graph of order 2..5 and a seeded
 sample of order 6..9 (paths with shuffled labels, stars and wheels with the
 hub at a random label, random connected graphs), plus the k = 2 composite
 family members for the two family verdicts.  ``tests/data/resolving_golden.json``
-holds the reference values; ``find_all_crs`` is kept as its tuple count and
-the SHA-256 of its JSON, since a universal vertex makes the list (n-1)! long.
+holds the reference values; ``find_all_crs`` is kept as its certificate
+count and the SHA-256 of its JSON.
 Regenerate the file only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_resolving_golden.py
@@ -32,8 +32,8 @@ from crslab.resolving import (
 GOLDEN = Path(__file__).parent / "data" / "resolving_golden.json"
 SEED = 0x6010
 RANDOM_PER_ORDER = 6
-#: Largest sampled order given a universal vertex: each one means (n-1)!
-#: ordered tuples, and 8! of them would take most of the time budget.
+#: Largest sampled order with a universal vertex: no star, wheel or random
+#: graph above it has one.
 UNIVERSAL_MAX_ORDER = 8
 #: (lattice name, base, m) of the k = 2 composites: orders 6 (family B) and 11 (family C).
 COMPOSITES = (
