@@ -190,7 +190,7 @@ def _order_cap(args) -> int:
         return DEFAULT_ORDER_CAP
     try:
         return _positive_int(env)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise FormatError(f"CRSLAB_ORDER_CAP must be a positive integer, got {env!r}") from None
 
 
@@ -233,7 +233,10 @@ def cmd_suite(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -255,6 +255,22 @@ class TestClassifyAndDim:
             f"crslab {command}: error: argument --cap: must be at least 1, got {cap}"
         ]
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["classify", "--graph", "absent.json", "--cap", "x"], "--cap"),
+         (["suite", "--name", "sizes", "--jobs", "x"], "--jobs")],
+    )
+    def test_non_integer_knob_exits_2(self, capsys, argv, flag):
+        # the message names the expected type, not the private converter
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"crslab {argv[0]}: error: argument {flag}: must be an integer, got 'x'"
+        ]
+
     @pytest.mark.parametrize("env", ["-1", "0"])
     def test_order_cap_env_below_one_exits_2(self, tmp_path, capsys, monkeypatch, env):
         from crslab.graph import plain_graph

@@ -1,9 +1,11 @@
 import random
+import re
 import time
 from itertools import combinations
 
 import pytest
 
+from crslab import resolving
 from crslab.errors import (
     DisconnectedGraph,
     InvalidW,
@@ -15,15 +17,18 @@ from crslab.graph import (
     BaseVertex,
     LatticeVertex,
     PlainVertex,
+    bfs_levels,
     distances,
     path_graph,
     plain_graph,
+    universal_vertices,
     vertex_key,
 )
 from crslab.families import (
     base_complete,
     base_null,
     compose,
+    cover_system,
     example_graph,
     gamma,
     lattice_vertices,
@@ -48,6 +53,7 @@ from crslab.resolving import (
     resolve_vector,
     truncation_radius,
 )
+from crslab.sweeps import _raw_dimension, random_b_member, random_c_member
 
 
 def p(i):
@@ -450,3 +456,172 @@ class TestRadiusFour:
             assert isinstance(res, CrsFailure)
             reasons.append(res.reason)
         assert reasons.count(NOT_INJECTIVE) > 0
+
+
+# -- the shared distance table and dimension search ----------------------------
+
+
+def connected_rows(g):
+    """The all-pairs hop-count rows of g, or None when g is disconnected."""
+    adj = g.adjacency_masks()
+    rows = [bfs_levels(adj, s) for s in range(g.order)]
+    return None if -1 in rows[0] else rows
+
+
+def seeded_connected(rng, orders, densities):
+    """An endless stream of seeded connected plain graphs."""
+    while True:
+        n = rng.choice(orders)
+        density = rng.choice(densities)
+        g = plain_graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        rows = connected_rows(g)
+        if rows is not None:
+            yield g, rows
+
+
+def b2_member():
+    return compose(base_complete(2), example_graph("U", 2), 2, 2).materialize()
+
+
+class TestSharedWork:
+    @pytest.fixture
+    def bfs_calls(self, monkeypatch):
+        """Sources of every BFS the resolving entry points run, on empty
+        caches."""
+        resolving._rows.cache_clear()
+        resolving._dimension.cache_clear()
+        calls = []
+        real = resolving.bfs_levels
+
+        def counted(adj, source):
+            calls.append(source)
+            return real(adj, source)
+
+        monkeypatch.setattr(resolving, "bfs_levels", counted)
+        yield calls
+        resolving._rows.cache_clear()
+        resolving._dimension.cache_clear()
+
+    def test_entry_points_share_one_table_and_one_dimension_search(self, bfs_calls):
+        g = b2_member()
+        is_completeness_resolvable(g)
+        metric_dimension(g)
+        is_perfectness_resolvable(g)
+        assert sorted(bfs_calls) == list(range(g.order))
+        assert resolving._dimension.cache_info().misses == 1
+
+    def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
+        g, twin = b2_member(), b2_member()
+        assert g is not twin and g == twin
+        first = [f(g) for f in (is_completeness_resolvable, metric_dimension,
+                                is_perfectness_resolvable, find_all_crs)]
+        again = [f(twin) for f in (is_completeness_resolvable, metric_dimension,
+                                   is_perfectness_resolvable, find_all_crs)]
+        assert again == first
+        assert len(bfs_calls) == g.order
+
+    def test_cap_is_checked_on_a_cache_hit(self, bfs_calls):
+        g = b2_member()
+        metric_dimension(g)
+        for fn in (find_all_crs, is_completeness_resolvable, metric_dimension,
+                   is_perfectness_resolvable):
+            with pytest.raises(OrderCapExceeded):
+                fn(g, cap=g.order - 1)
+        assert len(bfs_calls) == g.order
+
+    def test_disconnected_graph_keeps_each_callers_message(self, bfs_calls):
+        g = plain_graph(4, [(0, 1), (2, 3)])
+        expected = [
+            (find_all_crs, "the graph is disconnected"),
+            (is_completeness_resolvable, "classification needs a connected graph"),
+            (metric_dimension, "metric dimension needs a connected graph"),
+            (is_perfectness_resolvable, "metric dimension needs a connected graph"),
+        ]
+        for _round in range(2):
+            for fn, message in expected:
+                with pytest.raises(DisconnectedGraph, match=f"^{re.escape(message)}$"):
+                    fn(g)
+        assert len(bfs_calls) == g.order
+
+
+# -- the degree filter of the pruned certificate search ------------------------
+
+
+def unfiltered_certificates(verts, rows_all, sizes):
+    """Certificates of every W of each size, by a plain combination scan
+    with no pruning at all."""
+    n = len(verts)
+    for k in sizes:
+        for combo in combinations(range(n), k):
+            rest = [u for u in range(n) if u not in combo]
+            res = resolving._bijection(verts, combo, [rows_all[w] for w in combo], rest)
+            if isinstance(res, CrsCertificate):
+                yield res
+
+
+def relabeled(rng, g):
+    """g on plain vertices in a random order."""
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return plain_graph(g.order, [(perm[a], perm[b]) for a in range(g.order)
+                                 for b in range(a + 1, g.order)
+                                 if g.adjacency_masks()[a] >> b & 1])
+
+
+class TestDegreeFilter:
+    def test_b3_member_at_the_upper_degree_bound(self):
+        # b_i has 2^2 = 4 lattice neighbours and 2 base neighbours: degree
+        # 4 + (3 - 1), the filter's upper bound at k = 3, m = 2
+        rng = random.Random(7)
+        base = base_complete(3)
+        cs = cover_system("B", 3, base)
+        mask = 0
+        for cm in cs.masks:
+            hits = [b for b in range(cm.bit_length()) if cm >> b & 1]
+            mask |= 1 << hits[rng.randrange(len(hits))]
+        g = compose(base, cs.graph(mask), 3, 2).materialize()
+        w = (BaseVertex(1), BaseVertex(2), BaseVertex(3))
+        assert universal_vertices(g) == ()
+        assert [len(g.neighbors(b)) for b in w] == [6, 6, 6]
+        assert w in [ws for ws, _c in find_all_crs(g)]
+        v = is_completeness_resolvable(g)
+        assert (v.kind, v.k, v.witness.w_order) == (FAMILY_B, 3, w)
+
+    def test_matches_an_unfiltered_scan(self):
+        rng = random.Random(61)
+        graphs = []
+        for _ in range(6):
+            graphs.append(relabeled(rng, compose(*random_b_member(rng, 3), 3, 2).materialize()))
+            graphs.append(relabeled(rng, compose(base_null(2), random_c_member(rng, 2), 2, 3).materialize()))
+        stream = seeded_connected(rng, range(7, 12), (0.3, 0.5, 0.8))
+        graphs += [next(stream)[0] for _ in range(24)]
+        inner_edge = 0
+        for g in graphs:
+            verts, rows = g.vertices(), connected_rows(g)
+            sizes = range(1, g.order)
+            pruned = [(c.w_order, c.m_of_w, c.table)
+                      for c in resolving._pruned_certificates(verts, rows, sizes)]
+            assert pruned == [(c.w_order, c.m_of_w, c.table)
+                              for c in unfiltered_certificates(verts, rows, sizes)]
+            inner_edge += sum(
+                m == 2 and any(g.has_edge(a, b) for a, b in combinations(w, 2))
+                for w, m, _t in pruned
+            )
+        assert inner_edge > 0
+
+
+class TestDimensionBound:
+    def test_matches_the_raw_oracle(self):
+        # n <= dim + diam^dim skips every size c with n - c > diam^c; at
+        # diameter 2 and order 12 that is every c up to 3
+        stream = seeded_connected(random.Random(67), range(7, 13), (0.3, 0.5, 0.7))
+        diameter_two = skipped = 0
+        for _ in range(60):
+            g, rows = next(stream)
+            n = g.order
+            diam = max(max(row) for row in rows)
+            dim = metric_dimension(g)[0]
+            assert dim == _raw_dimension(rows, n)
+            diameter_two += diam == 2
+            skipped += sum(n - c > diam ** c for c in range(2, dim))
+        assert diameter_two >= 10 and skipped > 0
