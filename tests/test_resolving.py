@@ -511,14 +511,19 @@ class TestSharedWork:
         assert resolving._dimension.cache_info().misses == 1
 
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
+        def answers(graph):
+            return [f(graph) for f in (is_completeness_resolvable, metric_dimension,
+                                       is_perfectness_resolvable, find_all_crs)]
+
         g, twin = b2_member(), b2_member()
         assert g is not twin and g == twin
-        first = [f(g) for f in (is_completeness_resolvable, metric_dimension,
-                                is_perfectness_resolvable, find_all_crs)]
-        again = [f(twin) for f in (is_completeness_resolvable, metric_dimension,
-                                   is_perfectness_resolvable, find_all_crs)]
-        assert again == first
-        assert len(bfs_calls) == g.order
+        first = answers(g)
+        resolving._rows.cache_clear()
+        resolving._dimension.cache_clear()
+        assert answers(twin) == first  # computed afresh
+        del bfs_calls[:]
+        assert answers(g) == first  # read from the twin's entries
+        assert bfs_calls == []
 
     def test_cap_is_checked_on_a_cache_hit(self, bfs_calls):
         g = b2_member()
@@ -561,11 +566,11 @@ def unfiltered_certificates(verts, rows_all, sizes):
 
 def relabeled(rng, g):
     """g on plain vertices in a random order."""
-    perm = list(range(g.order))
+    n, adj = g.order, g.adjacency_masks()
+    perm = list(range(n))
     rng.shuffle(perm)
-    return plain_graph(g.order, [(perm[a], perm[b]) for a in range(g.order)
-                                 for b in range(a + 1, g.order)
-                                 if g.adjacency_masks()[a] >> b & 1])
+    return plain_graph(n, [(perm[a], perm[b]) for a in range(n)
+                           for b in range(a + 1, n) if adj[a] >> b & 1])
 
 
 class TestDegreeFilter:
