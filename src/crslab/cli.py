@@ -29,7 +29,6 @@ from .families import (
     base_null,
     compose,
     example_graph,
-    gamma,
     member_b,
     member_c,
 )
@@ -107,10 +106,7 @@ def _emit_graph(obj: Graph | CompositeGraph, fmt: str) -> str:
 
 
 def cmd_construct(args) -> int:
-    if args.family == "Gamma":
-        obj: Graph | CompositeGraph = gamma(args.k)
-    else:
-        obj = example_graph(args.family, args.k)
+    obj = example_graph(args.family, args.k)
     if args.compose and isinstance(obj, Graph):
         if args.family in _COMPLETE_BASE_FAMILIES:
             base = base_complete(args.k)
@@ -150,13 +146,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.member else EXIT_NEGATIVE
 
 
+def _load_base(path: str) -> Graph:
+    loaded = load_graph_file(path)
+    if isinstance(loaded, CompositeGraph):
+        raise FormatError("--base expects a plain base graph on b1..bk")
+    return loaded
+
+
+def _load_materialized(path: str) -> Graph:
+    loaded = load_graph_file(path)
+    return loaded.materialize() if isinstance(loaded, CompositeGraph) else loaded
+
+
 def cmd_enumerate(args) -> int:
-    base = None
-    if args.base is not None:
-        loaded = load_graph_file(args.base)
-        if isinstance(loaded, CompositeGraph):
-            raise FormatError("--base expects a plain base graph on b1..bk")
-        base = loaded
+    base = None if args.base is None else _load_base(args.base)
     for g in enumerate_minimal(args.minimal, args.k, base=base):
         sys.stdout.write(json.dumps(formats.graph_to_json(g)) + "\n")
     return EXIT_OK
@@ -166,12 +169,8 @@ def cmd_bounds(args) -> int:
     if args.kind == "B":
         if args.base is None:
             raise FormatError("bounds B needs --base FILE")
-        loaded = load_graph_file(args.base)
-        if isinstance(loaded, CompositeGraph):
-            raise FormatError("--base expects a plain base graph on b1..bk")
-        lo, hi = (
-            composite_size_bounds("B", loaded) if args.composite else bounds_b(loaded)
-        )
+        base = _load_base(args.base)
+        lo, hi = composite_size_bounds("B", base) if args.composite else bounds_b(base)
     else:
         if args.k is None:
             raise FormatError("bounds C needs --k N")
@@ -195,17 +194,15 @@ def _order_cap(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    loaded = load_graph_file(args.graph)
-    g = loaded.materialize() if isinstance(loaded, CompositeGraph) else loaded
-    verdict = is_completeness_resolvable(g, cap=_order_cap(args))
+    cap = _order_cap(args)
+    verdict = is_completeness_resolvable(_load_materialized(args.graph), cap=cap)
     sys.stdout.write(formats.dumps(formats.verdict_to_json(verdict)))
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
-    loaded = load_graph_file(args.graph)
-    g = loaded.materialize() if isinstance(loaded, CompositeGraph) else loaded
     cap = _order_cap(args)
+    g = _load_materialized(args.graph)
     dimension, basis = metric_dimension(g, cap=cap)
     perfect = is_perfectness_resolvable(g, cap=cap)
     sys.stdout.write(

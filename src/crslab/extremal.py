@@ -212,7 +212,9 @@ def is_minimal_in_b(base: Graph, lattice: Graph) -> bool:
 
 def bounds_b(base: Graph) -> tuple[int, int]:
     """Size bounds for a lattice minimal relative to the base, from the
-    base's vertex degrees."""
+    base's vertex degrees.  The lower bound need not be attained: over the
+    bases 2K2 and C4 on [4], more constraints than it are pairwise disjoint,
+    and each needs an edge of its own."""
     k = _require_bounds_base(base)
     degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
     lower = 2 ** (k - min(degs) - 1)
@@ -247,21 +249,18 @@ def bounds_c(k: int) -> tuple[int, int]:
 
 
 def composite_size_bounds(kind: str, base_or_k) -> tuple[int, int]:
-    """Edge-count bounds for whole minimal composites of either family."""
+    """Edge-count bounds for whole minimal composites of either family: the
+    lattice bounds plus the k * m^(k-1) cross edges and the base edges."""
     if kind == "B":
         base: Graph = base_or_k
-        k = _require_bounds_base(base)
-        degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
-        lower = k * 2 ** (k - 1) + sum(degs) // 2 + 2 ** (k - min(degs) - 1)
-        upper = k * 2 ** (k - 1) + sum(2 ** (k - d) + d for d in degs) // 2
-        return lower, upper
-    if kind == "C":
-        k = base_or_k
-        _require_bounds_k(k)
-        lower = ((2 * k + 3) * 3 ** (k - 1) + 1) // 2
-        upper = 2 * k * (3 ** (k - 1) + 2 ** (k - 2))
-        return lower, upper
-    raise ValueError(f"kind must be B or C, got {kind!r}")
+        lower, upper = bounds_b(base)
+        fixed = base.order * 2 ** (base.order - 1) + base.size
+    elif kind == "C":
+        lower, upper = bounds_c(base_or_k)
+        fixed = base_or_k * 3 ** (base_or_k - 1)
+    else:
+        raise ValueError(f"kind must be B or C, got {kind!r}")
+    return lower + fixed, upper + fixed
 
 
 # -- tightness of the radius-2 bounds ----------------------------------------
@@ -381,10 +380,11 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
 
 def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     """The candidate edges that may serve vector x in coordinate i inside a
-    maximum-size minimal radius-3 lattice.
+    maximum-size minimal radius-3 lattice: the private edges of the (i, ., x)
+    constraint, those universe edges that hit it and no other constraint.
 
-    The partner always drops coordinate i by one; the other coordinates are
-    pinned or left free depending on which region x lies in.
+    Every edge of the constraint joins x to a partner one lower in
+    coordinate i and at most one apart in the others.
     """
     if not 1 <= i <= k:
         raise IndexOutOfRange(f"coordinate index {i} not in [1, {k}]")
@@ -392,26 +392,17 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     if len(x) != k or any(c not in (1, 2, 3) for c in x):
         raise VertexNotEligible(f"{x} is not a [3]^{k} vector")
     cs = cover_system("C", k)
-    conditions = [cond for cond in cs.conditions if cs.is_target(i, cond, x)]
-    if not conditions:
+    if not any(cs.is_target(i, cond, x) for cond in cs.conditions):
         raise VertexNotEligible(f"{x} is neither on the value-2 slice nor in the s-set of {i}")
-    in_s = "s-set" in conditions
-    choices_per_t: list[list[int]] = []
-    all_23 = all(c in (2, 3) for c in x)
-    for t in range(k):
-        if t == i - 1:
-            choices_per_t.append([x[t] - 1])
-        elif in_s:
-            choices_per_t.append([x[t]])
-        elif all_23:  # value-2 slice, inside the all-{2,3} region
-            choices_per_t.append([2, 3] if x[t] == 2 else [3])
-        else:  # value-2 slice, outside the region
-            choices_per_t.append([1] if x[t] == 1 else [2, 3])
+    near = [
+        (c - 1,) if t == i - 1 else range(max(c - 1, 1), min(c + 1, 3) + 1)
+        for t, c in enumerate(x)
+    ]
     out = set()
-    for combo in product(*choices_per_t):
-        partner = tuple(combo)
-        a, b = sorted((x, partner))
-        out.add((LatticeVertex(a), LatticeVertex(b)))
+    for y in product(*near):
+        if sum(z is not None for _i, _cond, z in cs.incidence(x, y)) == 1:
+            a, b = sorted((x, y))
+            out.add((LatticeVertex(a), LatticeVertex(b)))
     return out
 
 

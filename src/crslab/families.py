@@ -122,7 +122,7 @@ def base_null(k: int) -> Graph:
 
 
 def lattice_complete(k: int, m: int) -> Graph:
-    return complete_graph([LatticeVertex(v) for v in lattice_vertices(k, m)])
+    return complete_graph(_lattice_labels(k, m)[0])
 
 
 # -- scaffolds ------------------------------------------------------------
@@ -205,8 +205,7 @@ def _require_base(base: Graph) -> int:
 
 
 def _require_lattice(lattice: Graph, k: int, m: int) -> None:
-    want = tuple(LatticeVertex(v) for v in lattice_vertices(k, m))
-    if lattice.vertices() != want:
+    if lattice.vertices() != _lattice_labels(k, m)[0]:
         raise WrongVertexSet(f"lattice graph must live on all of [{m}]^{k}")
 
 
@@ -449,8 +448,7 @@ class CoverSystem:
         return tuple(int.from_bytes(row, "little") for row in rows.values())
 
     def graph(self, mask: int) -> Graph:
-        verts = [LatticeVertex(v) for v in lattice_vertices(self.k, self.m)]
-        return Graph(verts, [self.edges[b] for b in _iter_bits(mask)])
+        return Graph(_lattice_labels(self.k, self.m)[0], [self.edges[b] for b in _iter_bits(mask)])
 
     def covers(self, mask: int) -> bool:
         """True iff the mask hits every constraint."""

@@ -573,6 +573,11 @@ def random_c_member(rng: random.Random, k: int) -> Graph:
 
 @dataclass(frozen=True)
 class PropertySweep:
+    """Counters of the property suite.  ``epsilon`` reads each edge-choice
+    set off the cover system as its constraint's private edges, so
+    ``epsilon_overlaps`` checks that derivation: an edge offered at two
+    choice points would be private to neither."""
+
     upset_trials: int
     upset_violations: int
     union_trials: int

@@ -282,6 +282,14 @@ class TestClassifyAndDim:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: CRSLAB_ORDER_CAP must be a positive integer, got '{env}'"]
 
+    @pytest.mark.parametrize("command", ["classify", "dim"])
+    def test_order_cap_env_is_checked_before_the_graph_is_read(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("CRSLAB_ORDER_CAP", "x")
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli([command, "--graph", missing], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: CRSLAB_ORDER_CAP must be a positive integer, got 'x'"]
+
     def test_dim_cycle_is_imperfect(self, tmp_path, capsys):
         from crslab.graph import plain_graph
 

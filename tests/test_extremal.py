@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +24,7 @@ from crslab.families import (
     s_set,
     span_lattice,
 )
+from crslab import extremal, sweeps
 from crslab.extremal import (
     _minimal_masks,
     bounds_b,
@@ -38,6 +39,7 @@ from crslab.extremal import (
     is_k_minimal,
     is_minimal_in_b,
     iter_q,
+    q_choice_points,
     q_count,
     tightness_b,
 )
@@ -99,6 +101,67 @@ def single_deletion_minimal_b(base, lattice):
     return all(
         not member_b(base, Graph(lattice.vertices(), [f for f in lattice.edges() if f != e])).member
         for e in lattice.edges()
+    )
+
+
+def labeled_bases(k):
+    """Every base graph on b1..bk, one per edge subset."""
+    pairs = list(combinations(range(1, k + 1), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [(BaseVertex(a), BaseVertex(b)) for n, (a, b) in enumerate(pairs) if mask >> n & 1]
+        yield Graph(base_null(k).vertices(), edges)
+
+
+def greedy_packing(masks):
+    """Pairwise disjoint constraint masks, smallest first: each one needs
+    an edge of its own in every member."""
+    packing, used = [], 0
+    for mask in sorted(masks, key=int.bit_count):
+        if not mask & used:
+            packing.append(mask)
+            used |= mask
+    return packing
+
+
+def region_epsilon(k, i, x):
+    """The edge-choice sets by the region rule: the partner drops
+    coordinate i by one; an s-set target pins every other coordinate; a
+    value-2 slice target inside the all-{2,3} region frees a 2 to {2, 3}
+    and pins a 3, one outside it pins a 1 and frees the rest to {2, 3}."""
+    in_s = x[i - 1] == 3
+    all_23 = all(c in (2, 3) for c in x)
+    choices = []
+    for t, c in enumerate(x):
+        if t == i - 1:
+            choices.append([c - 1])
+        elif in_s:
+            choices.append([c])
+        elif all_23:
+            choices.append([2, 3] if c == 2 else [3])
+        else:
+            choices.append([1] if c == 1 else [2, 3])
+    return {
+        tuple(LatticeVertex(v) for v in sorted((x, partner)))
+        for partner in product(*choices)
+    }
+
+
+def constraint_epsilon(k, i, x):
+    """A widened edge-choice set: every edge of the (i, ., x) constraint,
+    not only its private edges."""
+    near = [
+        (c - 1,) if t == i - 1 else range(max(c - 1, 1), min(c + 1, 3) + 1)
+        for t, c in enumerate(x)
+    ]
+    return {tuple(LatticeVertex(v) for v in sorted((x, y))) for y in product(*near)}
+
+
+def overlapping_pairs(k):
+    """Pairs of choice points whose edge-choice sets share an edge, read
+    through q_choice_lists as q_count and iter_q read them."""
+    sets = [set(edges) for _i, _x, edges in extremal.q_choice_lists(k)]
+    return sum(
+        bool(sets[a] & sets[b]) for a in range(len(sets)) for b in range(a + 1, len(sets))
     )
 
 
@@ -214,10 +277,60 @@ class TestBounds:
         assert bounds_c(3) == (14, 39)
         assert bounds_c(4) == (41, 140)
 
+    #: composite_size_bounds by sorted base degree sequence, every labeled
+    #: base on [2]..[4]
+    COMPOSITE_B = {
+        (0, 0): (6, 8),
+        (1, 1): (6, 7),
+        (0, 0, 0): (16, 24),
+        (0, 1, 1): (17, 21),
+        (1, 1, 2): (16, 19),
+        (2, 2, 2): (16, 18),
+        (0, 0, 0, 0): (40, 64),
+        (0, 0, 1, 1): (41, 57),
+        (0, 1, 1, 2): (42, 52),
+        (0, 2, 2, 2): (43, 49),
+        (1, 1, 1, 1): (38, 50),
+        (1, 1, 1, 3): (39, 48),
+        (1, 1, 2, 2): (39, 47),
+        (1, 2, 2, 3): (40, 45),
+        (2, 2, 2, 2): (38, 44),
+        (2, 2, 3, 3): (39, 43),
+        (3, 3, 3, 3): (39, 42),
+    }
+
     def test_composite_bounds(self):
-        assert composite_size_bounds("C", 2) == (11, 16)
-        assert composite_size_bounds("B", base_null(2)) == (6, 8)
-        assert composite_size_bounds("B", base_complete(2)) == (6, 7)
+        assert [composite_size_bounds("C", k) for k in range(2, 7)] == [
+            (11, 16), (41, 66), (149, 248), (527, 890), (1823, 3108),
+        ]
+        seen = set()
+        for k in (2, 3, 4):
+            for base in labeled_bases(k):
+                degs = tuple(sorted(len(base.neighbors(v)) for v in base.vertices()))
+                assert composite_size_bounds("B", base) == self.COMPOSITE_B[degs], base.edges()
+                seen.add(degs)
+        assert seen == set(self.COMPOSITE_B)
+
+    def test_upper_bound_is_the_number_of_constraints(self):
+        # each edge of a minimal member is the only hit of some constraint
+        for k, count in zip((2, 3, 4, 5), (10, 39, 140, 485)):
+            assert bounds_c(k)[1] == len(cover_system("C", k).masks) == count
+        for k in (2, 3, 4):
+            for base in labeled_bases(k):
+                assert bounds_b(base)[1] == len(cover_system("B", k, base).masks), base.edges()
+
+    @pytest.mark.parametrize(
+        "edges, packed",
+        [([(1, 2), (3, 4)], 5), ([(1, 3), (1, 4), (2, 3), (2, 4)], 3)],
+        ids=["2K2", "C4"],
+    )
+    def test_lower_bound_is_not_attained_everywhere(self, edges, packed):
+        base = Graph(base_null(4).vertices(), [(BaseVertex(a), BaseVertex(b)) for a, b in edges])
+        packing = greedy_packing(cover_system("B", 4, base).masks)
+        for a, b in combinations(packing, 2):
+            assert not a & b
+        # every member needs one edge per packed mask
+        assert len(packing) == packed == bounds_b(base)[0] + 1
 
     def test_composite_bounds_consistent_with_parts(self):
         for base in (base_null(2), base_complete(2)):
@@ -317,6 +430,34 @@ class TestEpsilon:
             epsilon(2, 1, (1, 1))
         with pytest.raises(VertexNotEligible):
             epsilon(2, 1, (3, 1))  # component 3 but not all in {2,3}
+
+    def test_private_edges_match_the_region_rule(self):
+        checked = 0
+        for k in (2, 3, 4, 5):
+            for i, x in q_choice_points(k):
+                assert epsilon(k, i, x) == region_epsilon(k, i, x), (k, i, x)
+                checked += 1
+        assert checked == 10 + 39 + 140 + 485
+
+    def test_widened_choice_sets_overlap(self, monkeypatch):
+        assert overlapping_pairs(2) == 0
+        monkeypatch.setattr(extremal, "epsilon", constraint_epsilon)
+        assert overlapping_pairs(2) > 0
+        with pytest.raises(AssertionError, match="distinct graphs"):
+            enumerate_q(2)
+
+    def test_widened_choice_sets_break_the_q3_sizes(self, monkeypatch):
+        # widened everywhere, k = 3 has about 5.8e28 choice tuples, past the
+        # size scan; widening the all-3 vector alone already shares edges
+        # between its coordinates
+        def widened_at_top(k, i, x):
+            if tuple(x) == (3,) * k:
+                return constraint_epsilon(k, i, x)
+            return epsilon(k, i, x)
+
+        monkeypatch.setattr(extremal, "epsilon", widened_at_top)
+        bad = sweeps.check_size_identities()
+        assert any(line.endswith("q3 members with wrong size") for line in bad), bad
 
     def test_disjointness_exhaustive(self):
         for k in (2, 3):
