@@ -14,7 +14,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import factorial
 
 from .errors import DisconnectedGraph
 from .graph import (
@@ -428,49 +429,114 @@ def _raw_dimension(rows: list[list[int]], n: int) -> int:
     raise AssertionError("unreachable: n-1 vertices always resolve")
 
 
+def _connected_classes(max_order: int):
+    """Yield (n, {canonical adjacency: |Aut|}) for n = 1..max_order: one
+    representative of every isomorphism class of connected graphs of order
+    n, as adjacency bit sets on range(n), with the order of its
+    automorphism group.
+
+    Order n grows from order n - 1 by vertex augmentation: vertex n - 1
+    joins each class with every nonempty neighbourhood.  That reaches every
+    connected graph, since removing a non-cut vertex (a leaf of a spanning
+    tree) leaves a connected graph.  The duplicates meet in one canonical
+    form; McKay's canonical augmentation (Isomorph-free exhaustive
+    generation, J. Algorithms 26, 1998) avoids making them, which at these
+    orders is not worth its code.
+    """
+    classes = {(0,): 1}
+    yield 1, classes
+    for n in range(2, max_order + 1):
+        top = 1 << (n - 1)
+        grown: dict[tuple[int, ...], int] = {}
+        for adj in classes:
+            for nbrs in range(1, top):
+                ext = [a | top if nbrs >> v & 1 else a for v, a in enumerate(adj)]
+                ext.append(nbrs)
+                canon, aut = _canonical_form(ext)
+                grown[canon] = aut
+        classes = grown
+        yield n, classes
+
+
+def _canonical_form(adj: list[int]) -> tuple[tuple[int, ...], int]:
+    """(canonical adjacency, |Aut|) of the graph on range(n) with adjacency
+    bit sets ``adj``.
+
+    Colour refinement (degree, then the multiset of neighbour colours,
+    until the number of colours stops growing) splits the vertices into
+    cells; colours are named in sorted order, so an isomorphism maps each
+    cell onto the cell of the same colour.  The canonical form is the least
+    relabeled adjacency over every vertex order that lists the cells in
+    colour order and each cell in any order.  Two such orders give the same
+    adjacency exactly when they differ by an automorphism, and every
+    automorphism keeps the cells, so |Aut| is the number of orders that
+    reach the least adjacency.
+    """
+    n = len(adj)
+    nbrs = [list(_iter_bits(a)) for a in adj]
+    colour = [len(ns) for ns in nbrs]
+    count = len(set(colour))
+    while True:
+        sigs = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v]))) for v in range(n)]
+        ranked = sorted(set(sigs))
+        if len(ranked) == count:
+            break
+        count = len(ranked)
+        rank = {sig: c for c, sig in enumerate(ranked)}
+        colour = [rank[sig] for sig in sigs]
+    cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
+    codes = []
+    pos = [0] * n
+    for parts in product(*(permutations(cell) for cell in cells)):
+        order = [v for part in parts for v in part]
+        for p, v in enumerate(order):
+            pos[v] = p
+        codes.append(tuple(sum(1 << pos[u] for u in nbrs[v]) for v in order))
+    best = min(codes)
+    return best, codes.count(best)
+
+
 @lru_cache(maxsize=2)
 def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
-    """Every connected labeled graph of order 2..max_order, cross-checked
-    four ways: raw bijection scans vs the structural classifier, radius-1
-    certificates vs universal vertices, radius-2 certificates vs family
-    relabeling, and the dimension/diameter counting inequality."""
+    """Every connected graph of order 2..max_order, cross-checked four ways:
+    raw bijection scans vs the structural classifier, radius-1 certificates
+    vs universal vertices, radius-2 certificates vs family relabeling, and
+    the dimension/diameter counting inequality; metric_dimension is checked
+    against the raw dimension on every class representative.
+
+    The sweep sums over isomorphism classes: it checks one representative
+    per class and adds its counts n!/|Aut| times, once per labeling.  Every
+    check is invariant under relabeling, so each counter equals its sum
+    over every connected labeled graph."""
     connected = successes = 0
     path_mism = universal_mism = verdict_mism = relabel_fail = 0
     m_big = dim_viol = dim_spot = 0
-    graph_counter = 0
     relabeled: dict[tuple[Graph, Graph], bool] = {}
-    for n in range(2, max_order + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            adj = [0] * n
-            edges = []
-            for b, (i, j) in enumerate(pairs):
-                if mask >> b & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    edges.append((i, j))
-            row0 = bfs_levels(adj, 0)
-            if -1 in row0:
-                continue
-            rows = [row0] + [bfs_levels(adj, s) for s in range(1, n)]
-            connected += 1
-            graph_counter += 1
+    for n, classes in _connected_classes(max_order):
+        if n < 2:
+            continue
+        full = (1 << n) - 1
+        for canon, aut in classes.items():
+            labelings = factorial(n) // aut
+            adj = list(canon)
+            rows = [bfs_levels(adj, s) for s in range(n)]
+            g = plain_graph(n, [(i, j) for i in range(n) for j in _iter_bits(adj[i]) if i < j])
+            connected += labelings
 
             found = list(_raw_crs_scan(rows, n))
-            successes += len(found)
+            successes += labelings * len(found)
             has_k1 = any(k == 1 for _w, k, _m in found)
             has_m1 = any(m == 1 for _w, _k, m in found)
             if any(k >= 2 and m >= 4 for _w, k, m in found):
-                m_big += 1
+                m_big += labelings
 
             degs = sorted(a.bit_count() for a in adj)
             struct_path = degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
-            full = (1 << n) - 1
             struct_universal = any(adj[v] | (1 << v) == full for v in range(n))
             if has_k1 != struct_path:
-                path_mism += 1
+                path_mism += labelings
             if has_m1 != struct_universal:
-                universal_mism += 1
+                universal_mism += labelings
 
             verdict = _classify(range(n), rows)
             expected_kind = (
@@ -483,20 +549,19 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
                 else NOT_COMPLETENESS_RESOLVABLE
             )
             if verdict.kind != expected_kind:
-                verdict_mism += 1
+                verdict_mism += labelings
             if (verdict.kind == NOT_COMPLETENESS_RESOLVABLE) != (not found):
-                verdict_mism += 1
+                verdict_mism += labelings
 
             if any(k == m == 2 for _w, k, m in found):
-                relabel_fail += _relabel_failures(plain_graph(n, edges), found, relabeled)
+                relabel_fail += labelings * _relabel_failures(g, found, relabeled)
 
             dim = _raw_dimension(rows, n)
             diam = max(max(r) for r in rows)
             if n > dim + diam ** dim:
-                dim_viol += 1
-            if graph_counter % 97 == 0:
-                if metric_dimension(plain_graph(n, edges))[0] != dim:
-                    dim_spot += 1
+                dim_viol += labelings
+            if metric_dimension(g)[0] != dim:
+                dim_spot += labelings
     return SmallOrderSweep(
         connected_graphs=connected,
         crs_successes=successes,
@@ -698,22 +763,11 @@ def check_size_identities() -> list[str]:
 
 
 def _q3_size_scan() -> tuple[int, int]:
-    """Count every choice tuple at k = 3, as the union of one edge bit mask
-    per coordinate i, and the members whose distinct-edge total is not 39."""
+    """Count every choice tuple at k = 3, one edge bit mask per choice
+    point, and the members whose distinct-edge total is not 39."""
     k = 3
     edge_id = cover_system("C", k).index
-    per_i: dict[int, list[list[int]]] = {1: [], 2: [], 3: []}
-    for i, _x, edges in q_choice_lists(k):
-        per_i[i].append([1 << edge_id[e] for e in edges])
-    blocks = []
-    for i in (1, 2, 3):
-        combos = []
-        for choice in product(*per_i[i]):
-            acc = 0
-            for bit in choice:
-                acc |= bit
-            combos.append(acc)
-        blocks.append(combos)
+    blocks = [[1 << edge_id[e] for e in edges] for _i, _x, edges in q_choice_lists(k)]
     return _union_size_count(blocks, k * (3 ** (k - 1) + 2 ** (k - 1)))
 
 

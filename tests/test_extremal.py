@@ -459,6 +459,20 @@ class TestEpsilon:
         bad = sweeps.check_size_identities()
         assert any(line.endswith("q3 members with wrong size") for line in bad), bad
 
+    def test_widened_s_set_choice_sets_break_the_q3_sizes(self, monkeypatch):
+        # the 12 s-set choice points widened to every edge of their
+        # constraint: the scan folds one choice point at a time, so it
+        # counts every widened tuple without listing a coordinate's tuples
+        def widened_on_s_sets(k, i, x):
+            if tuple(x) in s_set(k, i):
+                return constraint_epsilon(k, i, x)
+            return epsilon(k, i, x)
+
+        monkeypatch.setattr(extremal, "epsilon", widened_on_s_sets)
+        count, wrong = sweeps._q3_size_scan()
+        assert count == q_count(3) > 256 ** 3
+        assert wrong > 0
+
     def test_disjointness_exhaustive(self):
         for k in (2, 3):
             points = [

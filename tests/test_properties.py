@@ -2,8 +2,9 @@
 that do not fit a single module."""
 
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -23,7 +24,15 @@ from crslab.families import (
     member_b,
     member_c,
 )
-from crslab.resolving import PATH, UNIVERSAL_VERTEX, CrsCertificate, check_crs
+from crslab.resolving import (
+    FAMILY_B,
+    NOT_COMPLETENESS_RESOLVABLE,
+    PATH,
+    UNIVERSAL_VERTEX,
+    CrsCertificate,
+    check_crs,
+    metric_dimension,
+)
 from crslab.extremal import is_k_minimal, iter_q, q_count
 from crslab.sweeps import (
     out_of_range_counterexample,
@@ -31,6 +40,7 @@ from crslab.sweeps import (
     random_c_member,
     _cert_code_w_base,
     _raw_crs_scan,
+    _raw_dimension,
     _relabel_failures,
     _scan_c_range,
     _union_size_count,
@@ -388,3 +398,128 @@ def test_verdict_check_can_fail(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_classify", universal_first)
     assert sweep_small_order.__wrapped__(4).verdict_mismatches > 0
+
+
+def _labeled_small_order(max_order):
+    """The classification sweep over every connected labeled graph of order
+    2..max_order, one edge mask at a time: the reference that the
+    orbit-weighted sweep_small_order must match counter for counter.  It
+    checks metric_dimension on every graph."""
+    connected = successes = 0
+    path_mism = universal_mism = verdict_mism = relabel_fail = 0
+    m_big = dim_viol = dim_spot = 0
+    relabeled = {}
+    for n in range(2, max_order + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            adj = [0] * n
+            edges = []
+            for b, (i, j) in enumerate(pairs):
+                if mask >> b & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                    edges.append((i, j))
+            row0 = bfs_levels(adj, 0)
+            if -1 in row0:
+                continue
+            rows = [row0] + [bfs_levels(adj, s) for s in range(1, n)]
+            connected += 1
+
+            found = list(_raw_crs_scan(rows, n))
+            successes += len(found)
+            has_k1 = any(k == 1 for _w, k, _m in found)
+            has_m1 = any(m == 1 for _w, _k, m in found)
+            if any(k >= 2 and m >= 4 for _w, k, m in found):
+                m_big += 1
+
+            degs = sorted(a.bit_count() for a in adj)
+            struct_path = degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
+            full = (1 << n) - 1
+            struct_universal = any(adj[v] | (1 << v) == full for v in range(n))
+            if has_k1 != struct_path:
+                path_mism += 1
+            if has_m1 != struct_universal:
+                universal_mism += 1
+
+            verdict = sweeps._classify(range(n), rows)
+            expected_kind = (
+                PATH
+                if struct_path
+                else UNIVERSAL_VERTEX
+                if struct_universal
+                else FAMILY_B
+                if found
+                else NOT_COMPLETENESS_RESOLVABLE
+            )
+            if verdict.kind != expected_kind:
+                verdict_mism += 1
+            if (verdict.kind == NOT_COMPLETENESS_RESOLVABLE) != (not found):
+                verdict_mism += 1
+
+            g = plain_graph(n, edges)
+            if any(k == m == 2 for _w, k, m in found):
+                relabel_fail += _relabel_failures(g, found, relabeled)
+
+            dim = _raw_dimension(rows, n)
+            diam = max(max(r) for r in rows)
+            if n > dim + diam ** dim:
+                dim_viol += 1
+            if metric_dimension(g)[0] != dim:
+                dim_spot += 1
+    return sweeps.SmallOrderSweep(
+        connected_graphs=connected,
+        crs_successes=successes,
+        path_mismatches=path_mism,
+        universal_mismatches=universal_mism,
+        verdict_mismatches=verdict_mism,
+        relabel_failures=relabel_fail,
+        m_at_least_4=m_big,
+        dimension_inequality_violations=dim_viol,
+        dimension_spot_mismatches=dim_spot,
+    )
+
+
+def test_orbit_sweep_matches_the_labeled_oracle():
+    labeled = _labeled_small_order(5)
+    assert labeled.connected_graphs == 1 + 4 + 38 + 728
+    assert labeled.crs_successes > 0
+    assert sweep_small_order(5) == labeled
+
+
+def test_orbit_weight_check_can_fail(monkeypatch):
+    # one order-5 class whose |Aut| is off by one stands for 5!/(|Aut| + 1)
+    # labeled graphs instead of 5!/|Aut|
+    real_classes = sweeps._connected_classes
+
+    def one_aut_off(max_order):
+        for n, classes in real_classes(max_order):
+            if n == max_order:
+                canon = next(iter(classes))
+                classes = {**classes, canon: classes[canon] + 1}
+            yield n, classes
+
+    monkeypatch.setattr(sweeps, "_connected_classes", one_aut_off)
+    assert sweep_small_order.__wrapped__(5).connected_graphs != 771
+
+
+def test_class_generator_matches_the_graph_atlas():
+    # connected graphs of order 1..6 up to isomorphism (OEIS A001349):
+    # the representatives are pairwise non-isomorphic, as many as the
+    # atlas holds, and each |Aut| is the number of self-isomorphisms
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    atlas = Counter(g.order() for g in nx.graph_atlas_g() if 0 < g.order() <= 6 and nx.is_connected(g))
+    counts = []
+    for n, classes in sweeps._connected_classes(6):
+        graphs = []
+        for canon in classes:
+            g = nx.empty_graph(n)
+            g.add_edges_from((i, j) for i in range(n) for j in range(i + 1, n) if canon[i] >> j & 1)
+            assert nx.is_connected(g)
+            graphs.append(g)
+        assert not any(nx.is_isomorphic(a, b) for a, b in combinations(graphs, 2))
+        for g, aut in zip(graphs, classes.values()):
+            assert sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter()) == aut
+        counts.append(len(classes))
+    assert counts == [atlas[n] for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
