@@ -21,7 +21,7 @@ from .errors import (
     OrderCapExceeded,
     SizeOverflow,
 )
-from .graph import Graph, PlainVertex
+from .graph import Graph, plain_graph
 from .graph6 import read_graph6, write_graph6
 from .families import (
     CompositeGraph,
@@ -80,16 +80,6 @@ def load_graph_file(path: str) -> Graph | CompositeGraph:
     return read_graph6(text)
 
 
-def _as_plain(g: Graph) -> Graph:
-    """Relabel onto PlainVertex(0..n-1) in canonical vertex order; graph6
-    cannot carry typed labels, so this is the documented lossy step."""
-    order = {v: i for i, v in enumerate(g.vertices())}
-    return Graph(
-        [PlainVertex(i) for i in range(g.order)],
-        [(PlainVertex(order[u]), PlainVertex(order[v])) for u, v in g.edges()],
-    )
-
-
 def _emit_graph(obj: Graph | CompositeGraph, fmt: str) -> str:
     if fmt == "json":
         if isinstance(obj, CompositeGraph):
@@ -101,7 +91,10 @@ def _emit_graph(obj: Graph | CompositeGraph, fmt: str) -> str:
         return formats.graph_to_dot(obj)
     if fmt == "g6":
         g = obj.materialize() if isinstance(obj, CompositeGraph) else obj
-        return write_graph6(_as_plain(g)) + "\n"
+        # graph6 cannot carry typed labels: the documented lossy step
+        # relabels onto 0..n-1 in canonical vertex order
+        plain = plain_graph(g.order, [(g.index_of(u), g.index_of(v)) for u, v in g.edges()])
+        return write_graph6(plain) + "\n"
     raise FormatError(f"unknown format {fmt!r}")
 
 

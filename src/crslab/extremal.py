@@ -28,13 +28,12 @@ from .errors import (
 from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, _iter_bits, degree
 from .families import (
     MembershipReport,
+    _cover,
     _require_base,
-    _require_lattice,
     base_null,
     cover_system,
     lattice_vertices,
     member_b,
-    member_c,
     span_lattice,
 )
 
@@ -74,10 +73,9 @@ def cover_index_sets(base: Graph, lattice: Graph) -> CoverIndexSets:
     """Evaluate the whole index calculus on the cover system: J(x) holds
     the coordinates with a constraint on x, I_x(e) those whose constraint
     on x the edge e hits, and the tilde sets those it hits alone."""
-    k = _require_base(base)
-    _require_lattice(lattice, k, 2)
-    cs = cover_system("B", k, base)
-    _outside, _in_scaffold, hits = cs.scan(lattice)
+    cs = _cover("B", base, lattice)
+    hits = cs.check(lattice)[2]
+    k = cs.k
     j_sets: dict[LatticeVector, frozenset[int]] = {x: frozenset() for x in lattice_vertices(k, 2)}
     i_sets = dict(j_sets)
     i_edge: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
@@ -132,7 +130,7 @@ def _minimality(membership: MembershipReport, edges: list[EdgeCriticality]) -> M
 
 def _sole_hits(hits: dict) -> dict[Edge, list]:
     """For each edge, the constraints it is the only hit of, in constraint
-    order (a cover system's scan files an edge's hits in that order)."""
+    order (a cover system's check files an edge's hits in that order)."""
     sole: dict[Edge, list] = {}
     for tag, hit_edges in hits.items():
         if len(hit_edges) == 1:
@@ -148,8 +146,8 @@ def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     its smaller endpoint that it alone covers, with every coordinate in
     which it does so.
     """
-    membership = member_b(base, lattice)
-    sole = _sole_hits(cover_system("B", membership.k, base).scan(lattice)[2])
+    membership, _outside, hits = _cover("B", base, lattice).check(lattice)
+    sole = _sole_hits(hits)
     edges = []
     for e in lattice.edges():
         tags = sole.get(e, [])
@@ -175,9 +173,8 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     deletion also breaks membership while another edge lies outside the
     maximal lattice.
     """
-    membership = member_c(lattice)
-    cs = cover_system("C", membership.k)
-    outside, _in_scaffold, hits = cs.scan(lattice)
+    cs = _cover("C", None, lattice)
+    membership, outside, hits = cs.check(lattice)
     first = next((tag for tag in cs.constraints() if tag not in hits), None)
     sole = _sole_hits(hits)
     edges = []
@@ -291,7 +288,7 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     min_deg = min(degs.values())
     edges = lattice.edges()
     cs = cover_system("B", k, base)
-    _outside, _in_scaffold, hits = cs.scan(lattice)
+    hits = cs.check(lattice)[2]
     lower_witness = None
     for i in range(1, k + 1):
         # each slice constraint of i has exactly one hitting edge, and those
@@ -352,20 +349,17 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
     """For each coordinate and condition, the edges that are the only hit
     of some constraint of the cover system: the last cover of a
     constrained vertex."""
-    if kind == "B":
-        assert base is not None
-        rep = member_b(base, lattice)
-    elif kind == "C":
-        rep = member_c(lattice)
-    else:
+    if kind not in ("B", "C"):
         raise ValueError(f"kind must be B or C, got {kind!r}")
+    assert kind == "C" or base is not None
+    cs = _cover(kind, base, lattice)
+    rep, _outside, hits = cs.check(lattice)
     if not rep.member:
         raise NotMember("critical edges are defined for members only")
-    cs = cover_system(kind, rep.k, base)
     sets: dict[tuple[int, str], set[Edge]] = {
         (i, cond): set() for i in range(1, rep.k + 1) for cond in cs.conditions
     }
-    for e, tags in _sole_hits(cs.scan(lattice)[2]).items():
+    for e, tags in _sole_hits(hits).items():
         for i, cond, _x in tags:
             sets[i, cond].add(e)
     by_i = {

@@ -11,7 +11,6 @@ decides membership on it, with witnesses.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -44,11 +43,14 @@ DEFAULT_SIZE_CAP = 3 ** 10
 
 
 def _check_power(what: str, m: int, k: int, cap: int) -> None:
-    """Raise SizeOverflow when m^k exceeds the cap.  For m >= 2 an exponent
-    of cap.bit_length() or more already does, so a huge k is rejected at
-    once and the power is neither computed nor printed."""
+    """Raise SizeOverflow when m^k or k exceeds the cap.  For m >= 2 an
+    exponent of cap.bit_length() or more already does, so a huge k is
+    rejected at once and the power is neither computed nor printed; for
+    m = 1 the bound on k keeps the one k-tuple small."""
     if m > 1 and k >= cap.bit_length() or m ** k > cap:
         raise SizeOverflow(f"{what} = {m}^{k} exceeds the cap {cap}")
+    if k > cap:
+        raise SizeOverflow(f"{what} needs k <= {cap}, got k={k}")
 
 
 def lattice_vertices(k: int, m: int, cap: int = DEFAULT_SIZE_CAP) -> list[LatticeVector]:
@@ -134,7 +136,8 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
     Kind "B" (on [2]^k): complete bipartite between the coordinate-i value-1
     and value-2 slices.  Kinds "C" / "D" (on [3]^k): bipartite between the
     value-1/2 (resp. 2/3) slices, with every other coordinate differing by
-    at most one.  gamma() checks these graphs against its direct rule.
+    at most one.  The C and D scaffolds together make up gamma(); the
+    tests check that union against the direct rule.
     """
     _check_index(k, i)
     if kind not in ("B", "C", "D"):
@@ -267,11 +270,7 @@ def member_b(base: Graph, lattice: Graph) -> MembershipReport:
     For each coordinate i, the lattice edges that change coordinate i must
     cover every vector that is 2 on all of i's closed base neighborhood.
     """
-    k = _require_base(base)
-    if k < 2:
-        raise WrongVertexSet("the family is defined for k >= 2")
-    _require_lattice(lattice, k, 2)
-    return cover_system("B", k, base).report(lattice)
+    return _cover("B", base, lattice).check(lattice)[0]
 
 
 def member_c(lattice: Graph) -> MembershipReport:
@@ -281,6 +280,18 @@ def member_c(lattice: Graph) -> MembershipReport:
     1-2 edges in each coordinate cover the value-2 slice; the 2-3 edges in
     each coordinate cover the all-{2,3} vectors whose i-th component is 3.
     """
+    return _cover("C", None, lattice).check(lattice)[0]
+
+
+def _cover(family: str, base: Graph | None, lattice: Graph) -> CoverSystem:
+    """The cover system a lattice is checked against, once its vertex set
+    (and for family B the base's) is the family's, with k >= 2."""
+    if family == "B":
+        k = _require_base(base)  # type: ignore[arg-type]
+        if k < 2:
+            raise WrongVertexSet("the family is defined for k >= 2")
+        _require_lattice(lattice, k, 2)
+        return cover_system("B", k, base)
     k, m = _lattice_shape(lattice)
     if m < 3:
         # An edgeless or gap-free [3]^k lattice can present m < 3 only when
@@ -290,7 +301,7 @@ def member_c(lattice: Graph) -> MembershipReport:
         raise WrongVertexSet(f"lattice components exceed 3 (m={m})")
     if k < 2:
         raise WrongVertexSet("the family is defined for k >= 2")
-    return cover_system("C", k).report(lattice)
+    return cover_system("C", k)
 
 
 # -- the cover system ---------------------------------------------------------
@@ -312,9 +323,12 @@ class CoverSystem:
 
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
-    of some constraint.  Membership and minimality read a lattice's own
-    edges; the exhaustive scans use the bit-mask view (``edges``,
-    ``masks``), built on first use.
+    of some constraint.  Membership and minimality make one ``check`` pass
+    over a lattice's own edges; the exhaustive scans use the bit-mask view
+    (``edges``, ``masks``), built on first use.  Both stay because the
+    mask view needs the whole universe: Gamma_k has (7^k - 3^k)/2 edges,
+    58 460 at k = 6 and 141 208 100 at k = 10, which DEFAULT_SIZE_CAP
+    allows, while a check costs time in proportion to the lattice.
     """
 
     family: str
@@ -370,10 +384,12 @@ class CoverSystem:
                 z = x if a > b else y
                 yield i, cond, z if self.is_target(i, cond, z) else None
 
-    def scan(self, lattice: Graph):
-        """One pass over a lattice's edges: those outside the universe, the
-        edges in each (i, condition) scaffold, and for each constraint hit
-        its hitting edges -- all in canonical edge order."""
+    def check(self, lattice: Graph):
+        """One pass over a lattice's edges: the membership report (per
+        coordinate and condition, the lattice edges in the scaffold and the
+        first target they miss), the edges outside the universe, and for
+        each constraint hit its hitting edges -- all in canonical edge
+        order."""
         outside: list[Edge] = []
         in_scaffold: dict[tuple[int, str], list[Edge]] = {
             (i, cond): [] for i in range(1, self.k + 1) for cond in self.conditions
@@ -388,17 +404,6 @@ class CoverSystem:
                 in_scaffold[i, cond].append(e)
                 if z is not None:
                     hits.setdefault((i, cond, z), []).append(e)
-        return outside, in_scaffold, hits
-
-    def order(self, tag: tuple[int, str, LatticeVector]) -> tuple:
-        """Sort key of a constraint tag in constraint order."""
-        i, cond, x = tag
-        return i, self.conditions.index(cond), x
-
-    def report(self, lattice: Graph) -> MembershipReport:
-        """Membership with witnesses: per coordinate and condition, the
-        lattice edges in the scaffold and the first target they miss."""
-        outside, in_scaffold, hits = self.scan(lattice)
         missed = {}
         for i, cond in in_scaffold:
             x = next((x for x in self.targets(i, cond) if (i, cond, x) not in hits), None)
@@ -410,25 +415,31 @@ class CoverSystem:
             diagnostics.append(
                 IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
             )
-        return MembershipReport(
+        report = MembershipReport(
             member=not outside and not any(missed.values()),
             family=self.family,
             k=self.k,
             diagnostics=tuple(diagnostics),
             bad_edge=outside[0] if outside else None,
         )
+        return report, outside, hits
+
+    def order(self, tag: tuple[int, str, LatticeVector]) -> tuple:
+        """Sort key of a constraint tag in constraint order."""
+        i, cond, x = tag
+        return i, self.conditions.index(cond), x
 
     # -- the bit-mask view, for exhaustive scans over the universe --
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The universe in canonical edge order."""
-        vecs = lattice_vertices(self.k, self.m)
+        verts = _lattice_labels(self.k, self.m)[0]
         return tuple(
-            (LatticeVertex(x), LatticeVertex(y))
-            for a, x in enumerate(vecs)
-            for y in vecs[a + 1:]
-            if self.in_universe(x, y)
+            (u, v)
+            for a, u in enumerate(verts)
+            for v in verts[a + 1:]
+            if self.in_universe(u.vector, v.vector)
         )
 
     @cached_property
@@ -476,22 +487,6 @@ def _cover_system(family: str, k: int, hoods: tuple[frozenset[int], ...] | None)
     return CoverSystem(family, k, hoods)
 
 
-def scan_ranges(fn, total: int, jobs: int) -> list:
-    """``fn((lo, hi))`` over a split of range(total), one result per range
-    in range order.  The ranges go to min(jobs, os.cpu_count(), total)
-    worker processes; with one range (as for jobs < 1, which the CLI
-    rejects), ``fn`` runs in this process."""
-    workers = max(1, min(jobs, os.cpu_count() or 1, total))
-    chunk = -(-total // workers)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if len(ranges) == 1:
-        return [fn(ranges[0])]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        return list(pool.map(fn, ranges))
-
-
 # -- the maximal radius-3 lattice ------------------------------------------
 
 
@@ -499,29 +494,12 @@ def _gaps_ok(x: LatticeVector, y: LatticeVector) -> bool:
     return all(abs(a - b) <= 1 for a, b in zip(x, y))
 
 
-def gamma(k: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def gamma(k: int) -> Graph:
     """The [3]^k graph joining vectors that differ by at most one in every
-    coordinate.
-
-    Built twice -- by the direct rule and as the union of the C/D scaffolds
-    -- and asserted equal, so the scaffold decomposition is checked at every
-    construction.
-    """
+    coordinate: the universe of the radius-3 cover system."""
     if k < 2:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
-    vecs = lattice_vertices(k, 3, cap)
-    direct = []
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            if _gaps_ok(vecs[a], vecs[b]):
-                direct.append((vecs[a], vecs[b]))
-    g = span_lattice(k, 3, direct)
-    scaffold_union: set = set()
-    for i in range(1, k + 1):
-        scaffold_union |= scaffold(k, i, "C").edge_set()
-        scaffold_union |= scaffold(k, i, "D").edge_set()
-    assert g.edge_set() == frozenset(scaffold_union), "scaffold union disagrees with the direct rule"
-    return g
+    return Graph(_lattice_labels(k, 3)[0], cover_system("C", k).edges)
 
 
 # -- named example graphs ---------------------------------------------------

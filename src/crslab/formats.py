@@ -143,7 +143,8 @@ def composite_from_json(data: Any) -> CompositeGraph:
             (tuple(int(c) for c in x), tuple(int(c) for c in y))
             for x, y in data["lattice_edges"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an infinite JSON number such as 1e999
         raise FormatError(f"bad composite JSON: {exc}") from None
     # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)

@@ -9,6 +9,7 @@ plain adjacency bit sets rather than Graph values.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections import Counter
@@ -40,7 +41,6 @@ from .families import (
     lattice_vertices,
     member_b,
     member_c,
-    scan_ranges,
     span_lattice,
 )
 from .resolving import (
@@ -236,6 +236,22 @@ def _scan_c_range(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
     spanning subgraphs of the maximal radius-3 lattice at k=2 whose masks
     are the Gray-code images of an index range."""
     return _equivalence_scan(cover_system("C", 2), base_null(2), *bounds)
+
+
+def scan_ranges(fn, total: int, jobs: int) -> list:
+    """``fn((lo, hi))`` over a split of range(total), one result per range
+    in range order.  The ranges go to min(jobs, os.cpu_count(), total)
+    worker processes; with one range (as for jobs < 1, which the CLI
+    rejects), ``fn`` runs in this process."""
+    workers = max(1, min(jobs, os.cpu_count() or 1, total))
+    chunk = -(-total // workers)
+    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if len(ranges) == 1:
+        return [fn(ranges[0])]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        return list(pool.map(fn, ranges))
 
 
 @lru_cache(maxsize=2)

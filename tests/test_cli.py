@@ -358,6 +358,36 @@ class TestHostileInput:
         assert code == 3 and out == ""
         assert err.splitlines() == [f"error: {size} exceeds the cap 59049"]
 
+    def test_k_with_m_one_exits_3_at_once(self, tmp_path, capsys):
+        # 1^k = 1 passes the power bound, so k itself must be bounded before
+        # the one k-tuple of [1]^k is built
+        composite = tmp_path / "long.json"
+        composite.write_text('{"k": 1000000, "m": 1, "base_edges": [], "lattice_edges": []}')
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", "--membership", "C", "--graph", str(composite)], capsys=capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["error: m^k needs k <= 59049, got k=1000000"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 1e999, "m": 3, "base_edges": [], "lattice_edges": []}',
+            '{"k": 2, "m": 1e999, "base_edges": [], "lattice_edges": []}',
+            '{"k": 2, "m": 3, "base_edges": [[1, 1e999]], "lattice_edges": []}',
+            '{"k": 2, "m": 3, "base_edges": [], "lattice_edges": [[[1, 1], [2, 1e999]]]}',
+        ],
+        ids=["k", "m", "base-endpoint", "lattice-component"],
+    )
+    def test_infinite_number_exits_2(self, tmp_path, capsys, text):
+        composite = tmp_path / "inf.json"
+        composite.write_text(text)
+        code, out, err = run_cli(["verify", "--membership", "C", "--graph", str(composite)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: bad composite JSON: cannot convert float infinity to integer"
+        ]
+
 
 class TestJobsDeterminism:
     def test_jobs_below_one_exits_2(self, capsys):
@@ -373,7 +403,7 @@ class TestJobsDeterminism:
         # a fake pool records its worker count and maps in this process
         import concurrent.futures
 
-        from crslab import families
+        from crslab import sweeps
 
         seen = []
 
@@ -391,14 +421,14 @@ class TestJobsDeterminism:
                 return map(fn, ranges)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(families.os, "cpu_count", lambda: 2)
-        assert families.scan_ranges(tuple, 10, 10**6) == [(0, 5), (5, 10)]
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        assert sweeps.scan_ranges(tuple, 10, 10**6) == [(0, 5), (5, 10)]
         assert seen == [2]
-        monkeypatch.setattr(families.os, "cpu_count", lambda: 64)
-        assert families.scan_ranges(tuple, 3, 10**6) == [(0, 1), (1, 2), (2, 3)]
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+        assert sweeps.scan_ranges(tuple, 3, 10**6) == [(0, 1), (1, 2), (2, 3)]
         assert seen == [2, 3]
-        assert families.scan_ranges(tuple, 10, 1) == [(0, 10)]
-        assert families.scan_ranges(tuple, 10, 0) == [(0, 10)]
+        assert sweeps.scan_ranges(tuple, 10, 1) == [(0, 10)]
+        assert sweeps.scan_ranges(tuple, 10, 0) == [(0, 10)]
         assert seen == [2, 3]
 
 

@@ -12,6 +12,7 @@ from crslab.errors import (
 )
 from crslab.graph import BaseVertex, Graph, LatticeVertex
 from crslab.families import (
+    CoverSystem,
     base_complete,
     base_null,
     cover_system,
@@ -545,6 +546,42 @@ class TestCriticalEdges:
     def test_needs_membership(self):
         with pytest.raises(NotMember):
             critical_edges("C", None, span_lattice(2, 3, []))
+
+
+class TestOnePass:
+    """Each report reads its lattice in one cover-system pass."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        seen = []
+        check = CoverSystem.check
+
+        def counted(cs, lattice):
+            seen.append(lattice)
+            return check(cs, lattice)
+
+        monkeypatch.setattr(CoverSystem, "check", counted)
+        return seen
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: member_b(base_complete(3), example_graph("U", 3)),
+            lambda: member_c(example_graph("T", 3)),
+            lambda: is_h1_minimal(base_complete(3), example_graph("U", 3)),
+            lambda: is_k_minimal(example_graph("T", 3)),
+            lambda: critical_edges("B", base_complete(3), example_graph("U", 3)),
+            lambda: critical_edges("C", None, example_graph("T", 3)),
+        ],
+        ids=["member_b", "member_c", "is_h1_minimal", "is_k_minimal", "critical_edges-B", "critical_edges-C"],
+    )
+    def test_one_check_per_report(self, passes, call):
+        assert call()
+        assert len(passes) == 1
+
+    def test_tightness_reads_the_lattice_at_most_three_times(self, passes):
+        assert tightness_b(base_complete(3), example_graph("U", 3)).lower_tight
+        assert 1 <= len(passes) <= 3
 
 
 class TestEnumerateMinimal:

@@ -246,12 +246,23 @@ class TestGamma:
         assert vpair((1, 1), (3, 1)) not in edge_vectors(gamma(2))
 
     def test_scaffold_union_equals_direct(self):
-        got = edge_vectors(gamma(2))
-        union = set()
-        for i in (1, 2):
-            union |= edge_vectors(scaffold(2, i, "C"))
-            union |= edge_vectors(scaffold(2, i, "D"))
-        assert got == union
+        # gamma() reads the cover system's universe; check it against the
+        # C/D scaffolds and against the rule itself
+        for k in (2, 3, 4):
+            got = edge_vectors(gamma(k))
+            union = set()
+            for i in range(1, k + 1):
+                union |= edge_vectors(scaffold(k, i, "C"))
+                union |= edge_vectors(scaffold(k, i, "D"))
+            vecs = lattice_vertices(k, 3)
+            direct = {
+                (x, y)
+                for a, x in enumerate(vecs)
+                for y in vecs[a + 1:]
+                if all(abs(s - t) <= 1 for s, t in zip(x, y))
+            }
+            assert got == union == direct
+            assert len(direct) == (7 ** k - 3 ** k) // 2
 
 
 class TestExampleGraphs:
