@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from .errors import (
@@ -285,11 +285,10 @@ def member_c(lattice: Graph) -> MembershipReport:
 
 def _cover(family: str, base: Graph | None, lattice: Graph) -> CoverSystem:
     """The cover system a lattice is checked against, once its vertex set
-    (and for family B the base's) is the family's, with k >= 2."""
+    (and for family B the base's) is the family's, with k >= 2.  A base
+    is a Graph, which has two vertices or more, so only family C checks k."""
     if family == "B":
         k = _require_base(base)  # type: ignore[arg-type]
-        if k < 2:
-            raise WrongVertexSet("the family is defined for k >= 2")
         _require_lattice(lattice, k, 2)
         return cover_system("B", k, base)
     k, m = _lattice_shape(lattice)
@@ -431,16 +430,24 @@ class CoverSystem:
 
     # -- the bit-mask view, for exhaustive scans over the universe --
 
+    def _universe(self) -> Iterator[Edge]:
+        """The universe in canonical edge order, generated afresh: every
+        pair for family B; for family C each vertex with its later
+        neighbours, the vectors within one of its own in every coordinate."""
+        verts, label = _lattice_labels(self.k, self.m)
+        if self.family == "B":
+            return combinations(verts, 2)
+        return (
+            (u, label[y])
+            for u in verts
+            for y in product(*(range(max(c - 1, 1), min(c + 1, 3) + 1) for c in u.vector))
+            if y > u.vector
+        )
+
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The universe in canonical edge order."""
-        verts = _lattice_labels(self.k, self.m)[0]
-        return tuple(
-            (u, v)
-            for a, u in enumerate(verts)
-            for v in verts[a + 1:]
-            if self.in_universe(u.vector, v.vector)
-        )
+        return tuple(self._universe())
 
     @cached_property
     def index(self) -> dict[Edge, int]:
@@ -499,7 +506,9 @@ def gamma(k: int) -> Graph:
     coordinate: the universe of the radius-3 cover system."""
     if k < 2:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
-    return Graph(_lattice_labels(k, 3)[0], cover_system("C", k).edges)
+    # generated, not read off ``edges``: the cached cover system would keep
+    # the universe alive after the graph is gone
+    return Graph(_lattice_labels(k, 3)[0], cover_system("C", k)._universe())
 
 
 # -- named example graphs ---------------------------------------------------

@@ -1,10 +1,11 @@
 """Exhaustive verification sweeps and the named acceptance suites.
 
 Everything here is deterministic: exhaustive spaces are scanned in a fixed
-order (index order, or Gray-code order for the equivalence scans), random
-trials use fixed seeds, and partitioned scans merge into results
-independent of the worker count.  The heavy inner loops work on
-plain adjacency bit sets rather than Graph values.
+order (index order; the equivalence scans take the Gray-code images of
+their indices), random trials use fixed seeds, and partitioned scans merge
+into results independent of the worker count.  The heavy inner loops work
+on plain adjacency bit sets rather than Graph values; the equivalence
+scans certify 2^14 lattices at once, one per bit lane of every mask.
 """
 
 from __future__ import annotations
@@ -71,100 +72,125 @@ OUT_OF_GAMMA_SAMPLES = 1000
 CLOSURE_TRIALS = 1000
 
 
-# -- shared fast-composite machinery ----------------------------------------
+# -- the lane-parallel equivalence kernel -------------------------------------
+
+_LANE_BITS = 14  # 2^14 lattices per block: wider blocks raise the peak memory
+_LANES = (1 << (1 << _LANE_BITS)) - 1
+# _INDEX_BITS[t]: the lanes j of a block whose index j has bit t set
+_INDEX_BITS = tuple(
+    _LANES // ((1 << (2 << t)) - 1) * (((1 << (1 << t)) - 1) << (1 << t)) for t in range(_LANE_BITS)
+)
 
 
 def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[int, int, int, int]:
     """(members, certified, mismatches, identity_violations) over the
     Gray-code images ``i ^ (i >> 1)`` of the indices i in [lo, hi), each a
-    mask over the cover system's universe: the kernel's membership verdict
-    against BFS certification of W = [k] on the composite over ``base``.
+    mask over the cover system's universe: the cover system's membership
+    verdict against BFS certification of W = [k] on the composite over
+    ``base``.
 
     The Gray map is a bijection on every range [0, 2^b), so ranges that
-    split [0, 2^b) cover each mask once, whatever the split.  Consecutive
-    images differ in one edge, so the composite is built for the first
-    image and then toggles one edge per step.
+    split [0, 2^b) cover each mask once, whatever the split.
     """
-    k, m = cs.k, cs.m
-    g = compose(base, cs.graph(0), k, m).materialize()
-    composite = g.adjacency_masks()
-    edge_info = []
-    for u, v in cs.edges:
-        a, b = g.index_of(u), g.index_of(v)
-        edge_info.append((a, b, 1 << a, 1 << b))
-    n = g.order
-    if n != k + m ** k:  # the kernel's cell and level counts rest on it
-        raise ValueError(f"composite has order {n}, expected k + m^k = {k + m ** k}")
-    covers = cs.covers
     members = certified = mismatches = identity_violations = 0
-    toggle = lo ^ (lo >> 1)  # every edge of the first image
-    for i in range(lo, hi):
-        while toggle:
-            low = toggle & -toggle
-            a, b, abit, bbit = edge_info[low.bit_length() - 1]
-            composite[a] ^= bbit
-            composite[b] ^= abit
-            toggle ^= low
-        toggle = (i + 1) & -(i + 1)  # the one edge in which the next image differs
-        is_member = covers(i ^ (i >> 1))
-        verdict = _cert_code_w_base(composite, k, m, n)
-        members += is_member
-        certified += verdict is not None
-        if is_member != (verdict is not None):
-            mismatches += 1
-        if is_member and verdict is not True:
-            identity_violations += 1
+    for _start, member, cert, identity in _lane_blocks(cs, base, lo, hi):
+        members += member.bit_count()
+        certified += cert.bit_count()
+        mismatches += (member ^ cert).bit_count()
+        identity_violations += (member & ~identity).bit_count()
     return members, certified, mismatches, identity_violations
 
 
-def _cert_code_w_base(adj: list[int], k: int, m: int, n: int) -> bool | None:
-    """check_crs(W = base vertices) on a composite adjacency, summarized.
+def _lane_blocks(cs: CoverSystem, base: Graph, lo: int, hi: int):
+    """(start, member, certified, identity) lane masks for each aligned
+    block of 2^14 indices that meets [lo, hi), bit-sliced (Biham, A fast
+    new DES implementation in software, FSE 1997): lane j stands for the
+    index i = start + j and its lattice, the Gray image of i, and only the
+    lanes with i in [lo, hi) are set.
+
+    Universe edge t lies in the lattices whose image has bit t set, bit t
+    of i xor bit t + 1 of i: below bit 14 a fixed periodic pattern, from
+    bit 14 on all lanes or none.  Membership is an AND over the
+    constraints of an OR over their edges' lanes, found apart from the
+    certifier, which never reads the cover system.
+    """
+    k, m = cs.k, cs.m
+    g = compose(base, cs.graph(0), k, m).materialize()
+    n = g.order
+    if n != k + m ** k:  # the certifier's cells rest on it
+        raise ValueError(f"composite has order {n}, expected k + m^k = {k + m ** k}")
+    fixed = [[(u, _LANES) for u in _iter_bits(a)] for a in g.adjacency_masks()]
+    ends = [(g.index_of(u), g.index_of(v)) for u, v in cs.edges]
+    width = 1 << _LANE_BITS
+    for start in range(lo - lo % width, hi, width):
+        bits = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(ends) + 1))]
+        lanes = [bits[t] ^ bits[t + 1] for t in range(len(ends))]
+        adj = [row[:] for row in fixed]
+        for (a, b), on in zip(ends, lanes):
+            if on:
+                adj[a].append((b, on))
+                adj[b].append((a, on))
+        valid = ((1 << min(hi - start, width)) - 1) & ~((1 << max(lo - start, 0)) - 1)
+        member = valid
+        for cm in cs.masks:
+            hit = 0
+            for t in _iter_bits(cm):
+                hit |= lanes[t]
+            member &= hit
+        yield (start, member, *_cert_code_w_base(adj, k, m, valid))
+
+
+def _cert_code_w_base(adj: list[list[tuple[int, int]]], k: int, m: int, lanes: int) -> tuple[int, int]:
+    """check_crs(W = base vertices) on lane-parallel composites, summarized.
 
     An independent oracle, kept on purpose: it certifies by BFS levels on
     the adjacency alone and never looks at the cover system, so the
-    equivalence sweeps test the kernel's membership verdicts against it.
-    Vertices 0..k-1 are W and k..n-1 the m^k lattice vertices in
-    lexicographic label order, so n = k + m^k (the scan checks it).
+    equivalence sweeps test the cover system's membership verdicts against
+    it.  Each bit of ``lanes`` is one composite on the vertices
+    range(len(adj)): vertex v is adjacent to u in the lanes ``on`` of each
+    pair (u, on) in adj[v].  Vertices 0..k-1 are W and k..n-1 the m^k
+    lattice vertices in lexicographic label order, so n = k + m^k (the
+    scan checks it).
 
-    For each source s the frontier masks L_s[1..m] are its BFS levels.  W
+    For each source s the lane masks L_s[d][v], d = 1..m, are its BFS
+    levels, found with a per-vertex mask of the lanes that have seen v.  W
     certifies iff every cell L_1[a_1] & ... & L_k[a_k] of the box [m]^k
     holds exactly one vertex; then the m^k cells take up all n - k outside
     vertices, and the distance map is a bijection onto the box with
     m(W) = m.  The cells are disjoint and miss W, so m^k nonempty cells
     among m^k outside vertices are singletons: testing for an empty cell
-    is enough.  Counting gives an earlier exit: if W certifies, level
-    L_s[d] holds the m^(k-1) cells with a_s = d, so every level d = 1..m
-    of every source holds exactly m^(k-1) outside vertices (W vertices may
-    sit on a level too; they are not counted).  A level with another count
-    returns None at once, where the cell test would have returned None
-    later.  Returns None when W is not completeness-resolving; otherwise
-    whether every cell holds the lattice vertex labelled (a_1, ..., a_k),
-    i.e. whether the distance vectors reproduce the labels.
+    is enough.  Returns (certified lanes: no cell is empty, identity
+    lanes: every cell holds the lattice vertex labelled (a_1, ..., a_k),
+    i.e. the distance vectors reproduce the labels).  A lane with the
+    identity has no empty cell, so the identity lanes are certified.
     """
-    per_level = m ** (k - 1)
-    cells = [(1 << n) - 1]
+    n = len(adj)
+    cells = [[lanes] * (n - k)]
     for s in range(k):
-        seen = 1 << s
-        frontier = adj[s] & ~seen
-        levels = [frontier]
-        while True:
-            if (frontier >> k).bit_count() != per_level:
-                return None
-            seen |= frontier
-            if len(levels) == m:
-                break
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            levels.append(frontier)
-        cells = [c & level for c in cells for level in levels]
-    if 0 in cells:
-        return None
-    return all(c == 1 << v for v, c in enumerate(cells, k))
+        frontier = [0] * n
+        frontier[s] = lanes
+        seen = frontier[:]
+        levels = []
+        for _ in range(m):
+            nxt = []
+            for v, row in enumerate(adj):
+                reach = 0
+                for u, on in row:
+                    reach |= frontier[u] & on
+                reach &= ~seen[v]
+                seen[v] |= reach
+                nxt.append(reach)
+            frontier = nxt
+            levels.append(nxt[k:])
+        cells = [[c & x for c, x in zip(cell, level)] for cell in cells for level in levels]
+    certified = identity = lanes
+    for v, cell in enumerate(cells):
+        hit = 0
+        for x in cell:
+            hit |= x
+        certified &= hit
+        identity &= cell[v]
+    return certified, identity
 
 
 # -- criterion 1: radius-2 equivalence, exhaustive at k = 2 -------------------

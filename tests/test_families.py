@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from crslab import families
 from crslab.errors import (
     CrossEdgeMismatch,
     IndexOutOfRange,
@@ -27,6 +28,7 @@ from crslab.families import (
     canonical_relabel,
     cartesian_power,
     compose,
+    cover_system,
     example_graph,
     gamma,
     is_edge_covering,
@@ -244,6 +246,24 @@ class TestGamma:
 
     def test_non_edge(self):
         assert vpair((1, 1), (3, 1)) not in edge_vectors(gamma(2))
+
+    def test_universe_is_in_canonical_edge_order(self):
+        # the scans read lattice masks bit by bit in this order
+        for k in (2, 3):
+            verts = [LatticeVertex(x) for x in lattice_vertices(k, 3)]
+            direct = [
+                (u, v)
+                for a, u in enumerate(verts)
+                for v in verts[a + 1:]
+                if all(abs(s - t) <= 1 for s, t in zip(u.vector, v.vector))
+            ]
+            assert list(cover_system("C", k).edges) == direct
+
+    def test_gamma_leaves_no_universe_cached(self):
+        # the cached cover system must not keep Gamma_7's 410 678 edges
+        families._cover_system.cache_clear()
+        assert gamma(7).size == (7 ** 7 - 3 ** 7) // 2
+        assert "edges" not in cover_system("C", 7).__dict__
 
     def test_scaffold_union_equals_direct(self):
         # gamma() reads the cover system's universe; check it against the

@@ -248,7 +248,10 @@ def test_scan_ranges_merge_associatively(whole, parts):
 
 def _kernel_and_check_crs(base, lattice, k, m):
     g = compose(base, lattice, k, m).materialize()
-    verdict = _cert_code_w_base(g.adjacency_masks(), k, m, g.order)
+    # one lane, lane 0, which holds every edge of the composite
+    adj = [[(u, 1) for u in range(g.order) if a >> u & 1] for a in g.adjacency_masks()]
+    certified, identity = _cert_code_w_base(adj, k, m, 1)
+    verdict = bool(identity) if certified else None
     try:
         res = check_crs(g, tuple(BaseVertex(i) for i in range(1, k + 1)))
     except DisconnectedGraph:
@@ -256,6 +259,48 @@ def _kernel_and_check_crs(base, lattice, k, m):
     if not isinstance(res, CrsCertificate):
         return verdict, False
     return verdict, all(res.table[LatticeVertex(v)] == v for v in lattice_vertices(k, m))
+
+
+def test_lane_kernel_agrees_with_check_crs_across_blocks():
+    cs = cover_system("C", 2)
+    width = 1 << sweeps._LANE_BITS
+    # every lane of a range that starts and ends mid-block and crosses the
+    # block boundaries 0xAC000 and 0xB0000: set only inside the range, a
+    # member exactly when the cover system says so, certified exactly then
+    lo, hi = 0xA9000, 0xB1000
+    blocks = {start: lanes for start, *lanes in sweeps._lane_blocks(cs, base_null(2), lo, hi)}
+    assert list(blocks) == [0xA8000, 0xAC000, 0xB0000]
+    for start, (member, certified, identity) in blocks.items():
+        for j in range(width):
+            i = start + j
+            assert member >> j & 1 == (lo <= i < hi and cs.covers(i ^ (i >> 1))), i
+        assert certified == member == identity & member
+    assert _scan_c_range((lo, hi)) == (11120, 11120, 0, 0)
+    # every block of the whole space, where the high edges change from block
+    # to block: its first and last lane and seeded ones against the cover
+    # system, and some of them against check_crs
+    rng = random.Random(29)
+    blocks = {start: lanes for start, *lanes in sweeps._lane_blocks(cs, base_null(2), 0, 1 << 20)}
+    assert len(blocks) == (1 << 20) // width
+    seen = Counter()
+    for start, (member, certified, identity) in blocks.items():
+        assert certified == member == identity & member
+        lanes = {0, width - 1, *(rng.randrange(width) for _ in range(200))}
+        for j in lanes:
+            i = start + j
+            assert member >> j & 1 == cs.covers(i ^ (i >> 1)), i
+        for j in (0, width - 1, *rng.sample(sorted(lanes), 2)):
+            i = start + j
+            g = compose(base_null(2), cs.graph(i ^ (i >> 1)), 2, 3).materialize()
+            try:
+                res = check_crs(g, (BaseVertex(1), BaseVertex(2)))
+            except DisconnectedGraph:
+                res = None
+            cert = isinstance(res, CrsCertificate)
+            ident = cert and all(res.table[LatticeVertex(v)] == v for v in lattice_vertices(2, 3))
+            assert (certified >> j & 1, identity >> j & 1) == (cert, ident), i
+            seen[cert] += 1
+    assert seen[True] and seen[False], seen
 
 
 def _assert_kernel_agrees(cases, k):
