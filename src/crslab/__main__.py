@@ -4,6 +4,6 @@ import sys
 
 from .cli import main
 
-# Guarded: a worker process that imports this module again must not rerun the CLI.
+# Guarded: importing this module must not run the CLI.
 if __name__ == "__main__":
     sys.exit(main())

@@ -211,7 +211,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    results = run_suite(args.name, jobs=args.jobs)
+    results = run_suite(args.name)
     width = max(len(r.name) for r in results)
     all_passed = True
     for r in results:
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a named acceptance suite")
     p.add_argument("--name", required=True, choices=SUITE_ORDER + ["all"])
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -15,7 +15,7 @@ two graphs compare equal exactly when they have the same labeled vertices
 and edges.  Adjacency is kept as one bit set (a Python int) per vertex over
 the canonical vertex order; the exhaustive suites lean on this.
 
-Graphs are immutable after construction and safe to share between workers.
+Graphs are immutable after construction.
 """
 
 from __future__ import annotations

@@ -2,15 +2,13 @@
 
 Everything here is deterministic: exhaustive spaces are scanned in a fixed
 order (index order; the equivalence scans take the Gray-code images of
-their indices), random trials use fixed seeds, and partitioned scans merge
-into results independent of the worker count.  The heavy inner loops work
-on plain adjacency bit sets rather than Graph values; the equivalence
+their indices) and random trials use fixed seeds.  The heavy inner loops
+work on plain adjacency bit sets rather than Graph values; the equivalence
 scans certify 2^14 lattices at once, one per bit lane of every mask.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from collections import Counter
@@ -264,31 +262,14 @@ def _scan_c_range(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
     return _equivalence_scan(cover_system("C", 2), base_null(2), *bounds)
 
 
-def scan_ranges(fn, total: int, jobs: int) -> list:
-    """``fn((lo, hi))`` over a split of range(total), one result per range
-    in range order.  The ranges go to min(jobs, os.cpu_count(), total)
-    worker processes; with one range (as for jobs < 1, which the CLI
-    rejects), ``fn`` runs in this process."""
-    workers = max(1, min(jobs, os.cpu_count() or 1, total))
-    chunk = -(-total // workers)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if len(ranges) == 1:
-        return [fn(ranges[0])]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        return list(pool.map(fn, ranges))
-
-
-@lru_cache(maxsize=2)
-def sweep_c_equivalence(jobs: int = 1) -> EquivalenceSweep:
+@lru_cache(maxsize=1)
+def sweep_c_equivalence() -> EquivalenceSweep:
     """All 2^20 spanning subgraphs of the maximal radius-3 lattice at k=2:
     membership must coincide with certification of W = [2], members must
     resolve to their own labels, and a fixed sample of lattices with an
     out-of-range edge must fail on both sides."""
     total = 1 << 20
-    parts = scan_ranges(_scan_c_range, total, jobs)
-    members, certified, mismatches, identity_violations = (sum(col) for col in zip(*parts))
+    members, certified, mismatches, identity_violations = _scan_c_range((0, total))
 
     tested, failures, inconsistent = _out_of_gamma_samples()
     return EquivalenceSweep(
@@ -919,13 +900,13 @@ class SuiteResult:
     seconds: float
 
 
-def _run_b(jobs: int) -> tuple[bool, str]:
+def _run_b() -> tuple[bool, str]:
     r = sweep_b_equivalence()
     return r.ok, f"{r.total} composites, {r.members} members, {r.mismatches} mismatches"
 
 
-def _run_c(jobs: int) -> tuple[bool, str]:
-    r = sweep_c_equivalence(jobs)
+def _run_c() -> tuple[bool, str]:
+    r = sweep_c_equivalence()
     detail = (
         f"{r.total} lattices, {r.members} members, {r.mismatches} mismatches, "
         f"{r.out_of_range_failures}/{r.out_of_range_tested} certified out-of-range samples"
@@ -935,29 +916,29 @@ def _run_c(jobs: int) -> tuple[bool, str]:
     return r.ok, detail
 
 
-def _run_sizes(jobs: int) -> tuple[bool, str]:
+def _run_sizes() -> tuple[bool, str]:
     bad = check_size_identities()
     return not bad, "; ".join(bad) if bad else "all size identities hold for k=2..4, q(3) streamed"
 
 
-def _run_minimal(jobs: int) -> tuple[bool, str]:
+def _run_minimal() -> tuple[bool, str]:
     bad = check_minimal_enumeration()
     return not bad, "; ".join(bad) if bad else "strata match the characterized extremes"
 
 
-def _run_identity(jobs: int) -> tuple[bool, str]:
+def _run_identity() -> tuple[bool, str]:
     rb = sweep_b_equivalence()
-    rc = sweep_c_equivalence(jobs)
+    rc = sweep_c_equivalence()
     viol = rb.identity_violations + rc.identity_violations
     return viol == 0, f"{viol} members with distance vector != label"
 
 
-def _run_diameters(jobs: int) -> tuple[bool, str]:
+def _run_diameters() -> tuple[bool, str]:
     bad = check_diameters()
     return not bad, "; ".join(bad) if bad else "diameters 2,3,3,4,5 as expected"
 
 
-def _run_classification(jobs: int) -> tuple[bool, str]:
+def _run_classification() -> tuple[bool, str]:
     r = sweep_small_order(6)
     return (
         r.ok,
@@ -966,7 +947,7 @@ def _run_classification(jobs: int) -> tuple[bool, str]:
     )
 
 
-def _run_properties(jobs: int) -> tuple[bool, str]:
+def _run_properties() -> tuple[bool, str]:
     r = sweep_properties()
     return (
         r.ok,
@@ -976,7 +957,7 @@ def _run_properties(jobs: int) -> tuple[bool, str]:
     )
 
 
-def _run_tightness(jobs: int) -> tuple[bool, str]:
+def _run_tightness() -> tuple[bool, str]:
     bad = check_tightness()
     return not bad, "; ".join(bad) if bad else "structural tightness matches raw counts"
 
@@ -997,14 +978,19 @@ SUITE_ORDER = list(SUITES)
 
 
 def run_suite(name: str, jobs: int = 1) -> list[SuiteResult]:
-    """Run one named suite, or all of them in order."""
+    """Run one named suite, or all of them in order.
+
+    ``jobs`` is ignored: every suite runs in this process.  It is still
+    accepted because the benchmark harness (``perfbench/run.py``) calls
+    ``run_suite(name, jobs=1)``; a TypeError there would count every suite
+    as a failed operation."""
     names = SUITE_ORDER if name == "all" else [name]
     results = []
     for suite_name in names:
         if suite_name not in SUITES:
             raise KeyError(suite_name)
         start = time.monotonic()
-        passed, detail = SUITES[suite_name](jobs)
+        passed, detail = SUITES[suite_name]()
         results.append(
             SuiteResult(
                 name=suite_name,

@@ -47,7 +47,7 @@ def b_sweep():
 
 @pytest.fixture(scope="module")
 def c_sweep():
-    return _timed("c", sweep_c_equivalence, 1)
+    return _timed("c", sweep_c_equivalence)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ import pytest
 from crslab.cli import main
 from crslab.families import base_complete, base_null, example_graph
 from crslab import formats
+from crslab.sweeps import run_suite
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -257,8 +258,7 @@ class TestClassifyAndDim:
 
     @pytest.mark.parametrize(
         "argv,flag",
-        [(["classify", "--graph", "absent.json", "--cap", "x"], "--cap"),
-         (["suite", "--name", "sizes", "--jobs", "x"], "--jobs")],
+        [(["classify", "--graph", "absent.json", "--cap", "x"], "--cap")],
     )
     def test_non_integer_knob_exits_2(self, capsys, argv, flag):
         # the message names the expected type, not the private converter
@@ -389,50 +389,21 @@ class TestHostileInput:
         ]
 
 
-class TestJobsDeterminism:
-    def test_jobs_below_one_exits_2(self, capsys):
-        # argparse rejects the count before any command runs
+class TestSuiteCommand:
+    def test_jobs_option_is_rejected(self, capsys):
+        # every suite runs in one process, so suite takes no --jobs
         with pytest.raises(SystemExit) as exc:
-            main(["suite", "--name", "sizes", "--jobs", "0"])
+            main(["suite", "--name", "sizes", "--jobs", "2"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["crslab suite: error: argument --jobs: must be at least 1, got 0"]
+        assert err.splitlines() == ["crslab: error: unrecognized arguments: --jobs 2"]
 
-    def test_workers_are_clamped(self, monkeypatch):
-        # a fake pool records its worker count and maps in this process
-        import concurrent.futures
+    def test_run_suite_accepts_ignored_jobs(self):
+        # the benchmark harness calls run_suite(name, jobs=1)
+        [result] = run_suite("sizes", jobs=1)
+        assert result.name == "sizes" and result.passed
 
-        from crslab import sweeps
-
-        seen = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, ranges):
-                return map(fn, ranges)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
-        assert sweeps.scan_ranges(tuple, 10, 10**6) == [(0, 5), (5, 10)]
-        assert seen == [2]
-        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
-        assert sweeps.scan_ranges(tuple, 3, 10**6) == [(0, 1), (1, 2), (2, 3)]
-        assert seen == [2, 3]
-        assert sweeps.scan_ranges(tuple, 10, 1) == [(0, 10)]
-        assert sweeps.scan_ranges(tuple, 10, 0) == [(0, 10)]
-        assert seen == [2, 3]
-
-
-class TestSuiteCommand:
     def test_fast_suites_pass(self, capsys):
         for name in ("sizes", "diameters", "tightness", "minimal"):
             code, out, _ = run_cli(["suite", "--name", name], capsys=capsys)

@@ -162,3 +162,50 @@ def test_cli_exit_contract_for_w(text):
     # the path on 3 vertices, then a hostile ordered W (one argument, even
     # when it starts with a dash)
     assert_exit_contract(*run_main(["verify", "--graph", "-", f"--w={text}"], "Bw"))
+
+
+BASE_COMMANDS = [
+    ["bounds", "B", "--base", "-"],
+    ["bounds", "B", "--base", "-", "--composite"],
+    ["enumerate", "--minimal", "B", "--k", "2", "--base", "-"],
+]
+# Documents shaped like a base graph on b1..bk for k <= 4, with stray
+# labels and malformed edges mixed in
+base_vertices = st.sampled_from(["b1", "b2", "b3", "b4", "b0", 1])
+base_documents = st.fixed_dictionaries(
+    {
+        "vertices": st.integers(2, 4).map(lambda k: [f"b{i}" for i in range(1, k + 1)]),
+        "edges": st.lists(
+            st.tuples(base_vertices, base_vertices) | st.lists(base_vertices, max_size=3),
+            max_size=3,
+        ),
+    }
+)
+COMPOSITE = '{"k": 2, "m": 3, "base_edges": [], "lattice_edges": []}'
+BASE_OF_3 = '{"vertices": ["b1", "b2", "b3"], "edges": []}'
+
+
+@FUZZ
+@given(
+    st.sampled_from(BASE_COMMANDS),
+    base_documents.map(json.dumps) | documents.map(json.dumps) | graph6_text,
+)
+@example(BASE_COMMANDS[0], COMPOSITE)
+@example(BASE_COMMANDS[2], BASE_OF_3)
+@example(BASE_COMMANDS[2], '{"vertices": ["b1", "b2"], "edges": [["b1", "b2"]]}')
+def test_cli_exit_contract_for_base(argv, text):
+    assert_exit_contract(*run_main(argv, text))
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (BASE_COMMANDS[0], COMPOSITE, "error: --base expects a plain base graph on b1..bk"),
+        (BASE_COMMANDS[1], COMPOSITE, "error: --base expects a plain base graph on b1..bk"),
+        (BASE_COMMANDS[2], COMPOSITE, "error: --base expects a plain base graph on b1..bk"),
+        (BASE_COMMANDS[2], BASE_OF_3, "error: kind B at k=2 needs a base on [2]"),
+    ],
+    ids=["bounds-composite", "bounds-composite-composite", "enumerate-composite", "enumerate-order-3"],
+)
+def test_base_loader_refusals(argv, text, message):
+    assert run_main(argv, text) == (2, "", message + "\n")

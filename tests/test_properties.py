@@ -424,7 +424,7 @@ def test_radius_4_count_says_it_is_zero_by_counting(monkeypatch):
     # the counter cannot be nonzero below order 18, and the detail says so
     zero = sweeps.PropertySweep(1000, 0, 1000, 0, 786, 0, 0, 0)
     monkeypatch.setattr(sweeps, "sweep_properties", lambda: zero)
-    passed, detail = sweeps._run_properties(1)
+    passed, detail = sweeps._run_properties()
     assert passed
     assert "0 radius>=4 certificates (zero by counting below order 18" in detail
     assert "TestRadiusFour" in detail
