@@ -1,10 +1,12 @@
 """Exhaustive verification sweeps and the named acceptance suites.
 
-Everything here is deterministic: exhaustive spaces are scanned in a fixed
-order (index order; the equivalence scans take the Gray-code images of
-their indices) and random trials use fixed seeds.  The heavy inner loops
-work on plain adjacency bit sets rather than Graph values; the equivalence
-scans certify 2^14 lattices at once, one per bit lane of every mask.
+Everything here is deterministic: exhaustive spaces are scanned in index
+order (the equivalence scans read each index as a lattice mask) and random
+trials use fixed seeds.  The heavy inner loops work on plain adjacency bit
+sets rather than Graph values.  Certification is bit-sliced, one composite
+per bit lane of every mask: the equivalence scans certify 2^14 lattices in
+one BFS, and the closure trials and the out-of-range samples certify each
+seeded batch in one BFS.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ OUT_OF_GAMMA_SAMPLES = 1000
 CLOSURE_TRIALS = 1000
 
 
-# -- the lane-parallel equivalence kernel -------------------------------------
+# -- the lane-parallel certifier ----------------------------------------------
 
 _LANE_BITS = 14  # 2^14 lattices per block: wider blocks raise the peak memory
 _LANES = (1 << (1 << _LANE_BITS)) - 1
@@ -81,15 +83,11 @@ _INDEX_BITS = tuple(
 
 
 def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[int, int, int, int]:
-    """(members, certified, mismatches, identity_violations) over the
-    Gray-code images ``i ^ (i >> 1)`` of the indices i in [lo, hi), each a
-    mask over the cover system's universe: the cover system's membership
-    verdict against BFS certification of W = [k] on the composite over
-    ``base``.
-
-    The Gray map is a bijection on every range [0, 2^b), so ranges that
-    split [0, 2^b) cover each mask once, whatever the split.
-    """
+    """(members, certified, mismatches, identity_violations) over the masks
+    in [lo, hi), each a spanning subgraph of the cover system's universe
+    (bit t: universe edge t): the cover system's membership verdict against
+    BFS certification of W = [k] on the composite over ``base``.  Ranges
+    that split [lo, hi) cover each mask once, whatever the split."""
     members = certified = mismatches = identity_violations = 0
     for _start, member, cert, identity in _lane_blocks(cs, base, lo, hi):
         members += member.bit_count()
@@ -101,33 +99,20 @@ def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[i
 
 def _lane_blocks(cs: CoverSystem, base: Graph, lo: int, hi: int):
     """(start, member, certified, identity) lane masks for each aligned
-    block of 2^14 indices that meets [lo, hi), bit-sliced (Biham, A fast
-    new DES implementation in software, FSE 1997): lane j stands for the
-    index i = start + j and its lattice, the Gray image of i, and only the
-    lanes with i in [lo, hi) are set.
+    block of 2^14 masks that meets [lo, hi), bit-sliced (Biham, A fast new
+    DES implementation in software, FSE 1997): lane j stands for the mask
+    start + j, and only the lanes with start + j in [lo, hi) are set.
 
-    Universe edge t lies in the lattices whose image has bit t set, bit t
-    of i xor bit t + 1 of i: below bit 14 a fixed periodic pattern, from
-    bit 14 on all lanes or none.  Membership is an AND over the
-    constraints of an OR over their edges' lanes, found apart from the
-    certifier, which never reads the cover system.
+    Universe edge t lies in the lattices whose mask has bit t set: below
+    bit 14 a fixed periodic pattern, from bit 14 on all lanes or none.
+    Membership is an AND over the constraints of an OR over their edges'
+    lanes, found apart from the certifier, which never reads the cover
+    system.
     """
-    k, m = cs.k, cs.m
-    g = compose(base, cs.graph(0), k, m).materialize()
-    n = g.order
-    if n != k + m ** k:  # the certifier's cells rest on it
-        raise ValueError(f"composite has order {n}, expected k + m^k = {k + m ** k}")
-    fixed = [[(u, _LANES) for u in _iter_bits(a)] for a in g.adjacency_masks()]
-    ends = [(g.index_of(u), g.index_of(v)) for u, v in cs.edges]
+    fixed, ends = _lane_frame(cs, base, cs.edges)
     width = 1 << _LANE_BITS
     for start in range(lo - lo % width, hi, width):
-        bits = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(ends) + 1))]
-        lanes = [bits[t] ^ bits[t + 1] for t in range(len(ends))]
-        adj = [row[:] for row in fixed]
-        for (a, b), on in zip(ends, lanes):
-            if on:
-                adj[a].append((b, on))
-                adj[b].append((a, on))
+        lanes = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(ends)))]
         valid = ((1 << min(hi - start, width)) - 1) & ~((1 << max(lo - start, 0)) - 1)
         member = valid
         for cm in cs.masks:
@@ -135,7 +120,50 @@ def _lane_blocks(cs: CoverSystem, base: Graph, lo: int, hi: int):
             for t in _iter_bits(cm):
                 hit |= lanes[t]
             member &= hit
-        yield (start, member, *_cert_code_w_base(adj, k, m, valid))
+        adj = _lane_adjacency(fixed, ends, lanes)
+        yield (start, member, *_cert_code_w_base(adj, cs.k, cs.m, valid))
+
+
+def _lane_frame(
+    cs: CoverSystem, base: Graph, edges
+) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
+    """What every lane of a batch shares, for composites over ``base`` of
+    lattices on the cover system's [m]^k: the adjacency rows of the
+    composite with the empty lattice, each pair on in every lane, and the
+    composite indices of the ends of ``edges``, the edges that vary by
+    lane (base edges may be among them)."""
+    k, m = cs.k, cs.m
+    g = compose(base, cs.graph(0), k, m).materialize()
+    n = g.order
+    if n != k + m ** k:  # the certifier's cells rest on it
+        raise ValueError(f"composite has order {n}, expected k + m^k = {k + m ** k}")
+    fixed = [[(u, _LANES) for u in _iter_bits(a)] for a in g.adjacency_masks()]
+    return fixed, [(g.index_of(u), g.index_of(v)) for u, v in edges]
+
+
+def _lane_adjacency(fixed, ends, lanes) -> list[list[tuple[int, int]]]:
+    """The frame's adjacency rows plus edge t of ``ends`` in the lanes
+    ``lanes[t]``, as _cert_code_w_base reads them."""
+    adj = [row[:] for row in fixed]
+    for (a, b), on in zip(ends, lanes):
+        if on:
+            adj[a].append((b, on))
+            adj[b].append((a, on))
+    return adj
+
+
+def _certify_masks(frame, k: int, m: int, masks: list[int]) -> tuple[int, int]:
+    """(certified, identity) lanes of W = [k] on one composite per mask,
+    lane j for masks[j], whose bit t switches on edge t of the frame.  The
+    edge lanes are the masks transposed: bit j of edge t's lanes is bit t
+    of masks[j]."""
+    fixed, ends = frame
+    lanes = [0] * len(ends)
+    for j, mask in enumerate(masks):
+        lane = 1 << j
+        for t in _iter_bits(mask):
+            lanes[t] |= lane
+    return _cert_code_w_base(_lane_adjacency(fixed, ends, lanes), k, m, (1 << len(masks)) - 1)
 
 
 def _cert_code_w_base(adj: list[list[tuple[int, int]]], k: int, m: int, lanes: int) -> tuple[int, int]:
@@ -144,11 +172,11 @@ def _cert_code_w_base(adj: list[list[tuple[int, int]]], k: int, m: int, lanes: i
     An independent oracle, kept on purpose: it certifies by BFS levels on
     the adjacency alone and never looks at the cover system, so the
     equivalence sweeps test the cover system's membership verdicts against
-    it.  Each bit of ``lanes`` is one composite on the vertices
-    range(len(adj)): vertex v is adjacent to u in the lanes ``on`` of each
-    pair (u, on) in adj[v].  Vertices 0..k-1 are W and k..n-1 the m^k
-    lattice vertices in lexicographic label order, so n = k + m^k (the
-    scan checks it).
+    it, and the closure trials read membership off it.  Each bit of
+    ``lanes`` is one composite on the vertices range(len(adj)): vertex v is
+    adjacent to u in the lanes ``on`` of each pair (u, on) in adj[v].
+    Vertices 0..k-1 are W and k..n-1 the m^k lattice vertices in
+    lexicographic label order, so n = k + m^k (_lane_frame checks it).
 
     For each source s the lane masks L_s[d][v], d = 1..m, are its BFS
     levels, found with a per-vertex mask of the lanes that have seen v.  W
@@ -258,7 +286,7 @@ def sweep_b_equivalence() -> EquivalenceSweep:
 def _scan_c_range(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
     """(members, certified, mismatches, identity_violations) over the
     spanning subgraphs of the maximal radius-3 lattice at k=2 whose masks
-    are the Gray-code images of an index range."""
+    lie in a range."""
     return _equivalence_scan(cover_system("C", 2), base_null(2), *bounds)
 
 
@@ -295,42 +323,52 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     failures and then cross-checked: its table must not be the identity and
     its relabeling must land inside the family, otherwise it is flagged
     inconsistent (a genuine bug).  A member sample counts in both at once.
-    Returns (samples whose membership report names an edge outside the
-    maximal lattice -- every sample, unless member_c misses the gap --
-    failures, inconsistent).
+    The samples are certified in one lane batch, and only the certified
+    lanes go on to check_crs, which must then certify them too; a
+    disconnected composite (22 of the 1000 seeded samples) leaves some
+    cell empty, so its lane is rejected.  Returns (samples whose
+    membership report names an edge outside the maximal lattice -- every
+    sample, unless member_c misses the gap -- failures, inconsistent).
     """
     rng = random.Random(SAMPLE_SEED)
     vecs = lattice_vertices(2, 3)
     complete = lattice_complete(2, 3)
     all_edges = complete.edges()
-    universe = cover_system("C", 2).index
-    tested = failures = inconsistent = 0
+    cs = cover_system("C", 2)
+    outside = sum(1 << t for t, e in enumerate(all_edges) if e not in cs.index)
+    masks = []
     for _ in range(OUT_OF_GAMMA_SAMPLES):
         while True:
-            chosen = [e for e in all_edges if rng.random() < 0.5]
-            if any(e not in universe for e in chosen):
+            mask = sum(1 << t for t in range(len(all_edges)) if rng.random() < 0.5)
+            if mask & outside:
                 break
-        lattice = Graph(complete.vertices(), chosen)
+        masks.append(mask)
+    certified, _identity = _certify_masks(_lane_frame(cs, base_null(2), all_edges), 2, 3, masks)
+    tested = failures = inconsistent = 0
+    for j, mask in enumerate(masks):
+        lattice = Graph(complete.vertices(), [all_edges[t] for t in _iter_bits(mask)])
         report = member_c(lattice)
         tested += report.bad_edge is not None
         if report.member:
             failures += 1
             inconsistent += 1
             continue
+        if not certified >> j & 1:
+            continue
+        failures += 1
         g = compose(base_null(2), lattice, 2, 3).materialize()
         try:
             res = check_crs(g, (BaseVertex(1), BaseVertex(2)))
         except DisconnectedGraph:
-            # a disconnected composite has no finite distance table, so it
-            # counts as rejected (22 of the 1000 seeded samples)
+            res = None
+        if not isinstance(res, CrsCertificate):
+            inconsistent += 1  # the lane and check_crs disagree
             continue
-        if isinstance(res, CrsCertificate):
-            failures += 1
-            comp = canonical_relabel(g, res)
-            relabel_member = member_c(comp.lattice).member
-            identity = all(res.table[LatticeVertex(v)] == v for v in vecs)
-            if identity or not relabel_member:
-                inconsistent += 1
+        comp = canonical_relabel(g, res)
+        relabel_member = member_c(comp.lattice).member
+        identity = all(res.table[LatticeVertex(v)] == v for v in vecs)
+        if identity or not relabel_member:
+            inconsistent += 1
     return tested, failures, inconsistent
 
 
@@ -626,36 +664,53 @@ def _relabel_failures(g: Graph, found, relabeled: dict[tuple[Graph, Graph], bool
 # -- random family members for the closure properties -------------------------
 
 
-def _random_member(rng: random.Random, family: str, k: int) -> tuple[Graph, CoverSystem, int]:
-    """A seeded family member from the covering construction, as (base,
-    cover system, lattice mask): for family B a random base first, then one
-    random hit for every constraint in constraint order, then extras
-    sprinkled over the universe."""
+@lru_cache(maxsize=64)
+def _draw_table(
+    family: str, k: int, base_bits: int
+) -> tuple[Graph, CoverSystem, tuple[tuple[int, ...], ...]]:
+    """The base with edge t of base_complete(k) for each bit t of
+    ``base_bits``, the family's cover system over it, and each
+    constraint's hits (one bit per universe edge) in constraint order."""
     base = base_null(k)
-    if family == "B":
-        base = Graph(base.vertices(), [e for e in base_complete(k).edges() if rng.random() < 0.5])
+    if base_bits:
+        pairs = base_complete(k).edges()
+        base = Graph(base.vertices(), [pairs[t] for t in _iter_bits(base_bits)])
     cs = cover_system(family, k, base)
+    return base, cs, tuple(tuple(1 << t for t in _iter_bits(cm)) for cm in cs.masks)
+
+
+def _random_member(rng: random.Random, family: str, k: int) -> tuple[int, CoverSystem, int]:
+    """A seeded family member from the covering construction, as (base
+    edge bits, cover system, lattice mask): for family B a random base
+    first, then one random hit for every constraint in constraint order,
+    then extras sprinkled over the universe."""
+    draw = rng.random
+    base_bits = 0
+    if family == "B":
+        for t in range(k * (k - 1) // 2):
+            if draw() < 0.5:
+                base_bits |= 1 << t
+    _base, cs, hits = _draw_table(family, k, base_bits)
     mask = 0
-    for cm in cs.masks:
-        hits = list(_iter_bits(cm))
-        mask |= 1 << hits[rng.randrange(len(hits))]
+    for hit in hits:
+        mask |= hit[rng.randrange(len(hit))]
     for b in range(len(cs.edges)):
-        if rng.random() < 0.15:
+        if draw() < 0.15:
             mask |= 1 << b
-    return base, cs, mask
+    return base_bits, cs, mask
 
 
 def random_b_member(rng: random.Random, k: int) -> tuple[Graph, Graph]:
     """A seeded member of the radius-2 family: a random base and a lattice
     built from the covering construction."""
-    base, cs, mask = _random_member(rng, "B", k)
-    return base, cs.graph(mask)
+    base_bits, cs, mask = _random_member(rng, "B", k)
+    return _draw_table("B", k, base_bits)[0], cs.graph(mask)
 
 
 def random_c_member(rng: random.Random, k: int) -> Graph:
     """A seeded member of the radius-3 family from the covering
     construction, with extras sprinkled inside the maximal lattice."""
-    _base, cs, mask = _random_member(rng, "C", k)
+    _base_bits, cs, mask = _random_member(rng, "C", k)
     return cs.graph(mask)
 
 
@@ -686,48 +741,80 @@ class PropertySweep:
         )
 
 
-def _is_member(family: str, base: Graph, lattice: Graph) -> bool:
+_SUBSAMPLE = 4  # trials per group that member_b / member_c decide as well
+
+
+def _is_member(family: str, k: int, base_bits: int, mask: int) -> bool:
+    base, cs, _hits = _draw_table(family, k, base_bits)
+    lattice = cs.graph(mask)
     return (member_b(base, lattice) if family == "B" else member_c(lattice)).member
+
+
+def _member_lanes(family: str, k: int, lattices: list[tuple[int, int]]) -> int:
+    """Lane j is set iff W = [k] certifies the composite of lattices[j] =
+    (base edge bits, lattice mask) with every distance vector on its own
+    label: membership, by the equivalence that the equivalence sweeps
+    check exhaustively at k = 2.  All lattices are one lane batch; for
+    family B the base edges are lanes too, on W = vertices 0..k-1, since
+    the base varies by lattice."""
+    cs = cover_system(family, k)
+    pairs = base_complete(k).edges() if family == "B" else []
+    frame = _lane_frame(cs, base_null(k), [*cs.edges, *pairs])
+    width = len(cs.edges)
+    return _certify_masks(frame, k, cs.m, [mask | bits << width for bits, mask in lattices])[1]
+
+
+def _closure_violations(family: str, k: int, trials: list[tuple[tuple[int, int], ...]]) -> int:
+    """The trials, each a tuple of (base edge bits, lattice mask), that
+    hold a lattice outside the family: every lattice is decided on its
+    lane, and those of the first _SUBSAMPLE trials by member_b / member_c
+    as well, so the path that walks Graphs stays exercised."""
+    members = _member_lanes(family, k, [lattice for trial in trials for lattice in trial])
+    violations = lane = 0
+    for n, trial in enumerate(trials):
+        full = (1 << len(trial)) - 1
+        bad = members >> lane & full != full
+        if n < _SUBSAMPLE:
+            bad |= not all(_is_member(family, k, *lattice) for lattice in trial)
+        violations += bad
+        lane += len(trial)
+    return violations
 
 
 @lru_cache(maxsize=1)
 def sweep_properties() -> PropertySweep:
     """Seeded add-an-edge and union closure trials on random members at
     k = 2 and 3, exhaustive disjointness of the edge-choice sets, plus the
-    counting facts carried by the small-order sweep."""
+    counting facts carried by the small-order sweep.  The trials of one
+    kind, family and k are certified as one lane batch."""
     rng = random.Random(SAMPLE_SEED)
     trials_per_case = CLOSURE_TRIALS // 4  # two families x two k values
     upset_viol = 0
     for k in (2, 3):
         for family in ("B", "C"):
+            trials = []
             for _ in range(trials_per_case):
-                base, cs, mask = _random_member(rng, family, k)
-                if not _is_member(family, base, cs.graph(mask)):
-                    upset_viol += 1
-                    continue
+                base_bits, cs, mask = _random_member(rng, family, k)
                 # one random edge added to the lattice or, for family B, the base
-                pool = [(base, mask | 1 << b) for b in range(len(cs.edges)) if not mask >> b & 1]
+                pool = [(0, 1 << b) for b in range(len(cs.edges)) if not mask >> b & 1]
                 if family == "B":
-                    pool += [
-                        (Graph(base.vertices(), [*base.edge_set(), e]), mask)
-                        for e in base_complete(k).edges()
-                        if e not in base.edge_set()
-                    ]
-                if not pool:
-                    continue
-                bigger_base, bigger = pool[rng.randrange(len(pool))]
-                if not _is_member(family, bigger_base, cs.graph(bigger)):
-                    upset_viol += 1
+                    pool += [(1 << t, 0) for t in range(k * (k - 1) // 2) if not base_bits >> t & 1]
+                trial = ((base_bits, mask),)
+                if pool:
+                    more_bits, more = pool[rng.randrange(len(pool))]
+                    trial += ((base_bits | more_bits, mask | more),)
+                trials.append(trial)
+            upset_viol += _closure_violations(family, k, trials)
 
     union_viol = 0
     for k in (2, 3):
         for family in ("B", "C"):
+            trials = []
             for _ in range(trials_per_case):
-                b1, cs, m1 = _random_member(rng, family, k)
+                b1, _cs, m1 = _random_member(rng, family, k)
                 b2, _cs, m2 = _random_member(rng, family, k)
-                base = Graph(b1.vertices(), b1.edge_set() | b2.edge_set())
-                if not _is_member(family, base, cs.graph(m1 | m2)):
-                    union_viol += 1
+                trials.append(((b1 | b2, m1 | m2),))
+            union_viol += _closure_violations(family, k, trials)
 
     pairs_checked = 0
     overlaps = 0

@@ -19,6 +19,7 @@ from crslab.families import (
     cover_system,
     example_graph,
     gamma,
+    lattice_complete,
     lattice_slice,
     lattice_vertices,
     member_b,
@@ -145,6 +146,127 @@ def test_out_of_range_tested_can_fail(monkeypatch):
     assert tested == 0
 
 
+def test_out_of_range_lanes_agree_with_check_crs(monkeypatch):
+    # every seeded sample: its lane is certified exactly when check_crs
+    # returns a certificate, and a disconnected composite is an uncertified
+    # lane
+    real_certify = sweeps._certify_masks
+    batches = []
+
+    def spy(frame, k, m, masks):
+        batches.append((masks, real_certify(frame, k, m, masks)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(sweeps, "_certify_masks", spy)
+    assert sweeps._out_of_gamma_samples() == (1000, 1, 0)
+    [(masks, (certified, _identity))] = batches
+    assert len(masks) == sweeps.OUT_OF_GAMMA_SAMPLES
+    lattice_vertices_3 = lattice_complete(2, 3).vertices()
+    all_edges = lattice_complete(2, 3).edges()
+    seen = Counter()
+    for j, mask in enumerate(masks):
+        lattice = Graph(lattice_vertices_3, [all_edges[t] for t in range(36) if mask >> t & 1])
+        g = compose(base_null(2), lattice, 2, 3).materialize()
+        try:
+            res = check_crs(g, (BaseVertex(1), BaseVertex(2)))
+        except DisconnectedGraph:
+            res = None
+            seen["disconnected"] += 1
+        assert certified >> j & 1 == isinstance(res, CrsCertificate), j
+        seen["certified"] += isinstance(res, CrsCertificate)
+    assert seen["certified"] == 1
+    assert seen["disconnected"] == 22
+
+
+def test_out_of_range_lane_check_can_fail(monkeypatch):
+    # a certified lane that check_crs then rejects is flagged inconsistent
+    real_check_crs = sweeps.check_crs
+
+    def rejecting(g, w):
+        real_check_crs(g, w)
+        raise DisconnectedGraph("rejected")
+
+    monkeypatch.setattr(sweeps, "check_crs", rejecting)
+    assert sweeps._out_of_gamma_samples() == (1000, 1, 1)
+
+
+def _base_graph(k, bits):
+    pairs = base_complete(k).edges()
+    return Graph(base_null(k).vertices(), [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
+
+
+def _mixed_batch(family, k, rng):
+    """(base edge bits, lattice mask) lattices for one lane batch: seeded
+    members, each followed by a copy with every hit of one constraint
+    removed and, for family B, by a lattice that is a member only with one
+    base edge, with and then without that edge."""
+    batch = []
+    edge_bound = 0
+    for _ in range(40):
+        bits, cs, mask = sweeps._random_member(rng, family, k)
+        batch += [(bits, mask), (bits, mask & ~rng.choice(cs.masks))]
+        if family == "C":
+            continue
+        t = rng.randrange(k * (k - 1) // 2)
+        with_edge, without = bits | 1 << t, bits & ~(1 << t)
+        # shed lattice edges, in seeded order, while the base with edge t
+        # keeps the lattice a member
+        cs_with = cover_system("B", k, _base_graph(k, with_edge))
+        for b in rng.sample(range(len(cs.edges)), len(cs.edges)):
+            if mask >> b & 1 and cs_with.covers(mask & ~(1 << b)):
+                mask &= ~(1 << b)
+        if not cover_system("B", k, _base_graph(k, without)).covers(mask):
+            batch += [(with_edge, mask), (without, mask)]
+            edge_bound += 1
+    return batch, edge_bound
+
+
+@pytest.mark.parametrize("family, k", [("B", 2), ("B", 3), ("C", 2), ("C", 3)])
+def test_member_lanes_agree_with_the_cover_system(family, k):
+    # one lane per lattice of a mixed batch, whose neighbouring lanes often
+    # differ: a lane shifted by one, an edge lane read from the wrong bit or
+    # base edges left out of the lanes all break the agreement
+    batch, edge_bound = _mixed_batch(family, k, random.Random(400 + k))
+    lanes = sweeps._member_lanes(family, k, batch)
+    assert lanes >> len(batch) == 0
+    verdicts = Counter()
+    for j, (bits, mask) in enumerate(batch):
+        want = cover_system(family, k, _base_graph(k, bits)).covers(mask)
+        assert lanes >> j & 1 == want, j
+        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    assert edge_bound > 0 or family == "C"
+
+
+@pytest.mark.parametrize(
+    "mutant, violations",
+    [
+        # lane 0 of each of the eight batches: the first trial of each group
+        (lambda real: lambda adj, k, m, lanes: tuple(x & ~1 for x in real(adj, k, m, lanes)), (4, 4)),
+        # every family C trial; at m = 2 one level leaves the single cell
+        # (1, ..., 1), which family B members fill anyway
+        (lambda real: lambda adj, k, m, lanes: real(adj, k, m - 1, lanes), (500, 500)),
+    ],
+    ids=["cleared-lane", "one-level-short"],
+)
+def test_property_sweep_can_fail_on_the_lanes(monkeypatch, mutant, violations):
+    monkeypatch.setattr(sweeps, "_cert_code_w_base", mutant(sweeps._cert_code_w_base))
+    result = sweeps.sweep_properties.__wrapped__()
+    assert (result.upset_violations, result.union_violations) == violations
+
+
+def test_property_sweep_can_fail_on_the_subsample(monkeypatch):
+    # a member_c that rejects everything fails the first trials of every
+    # family C group, which the Graph path decides as well
+    real_member_c = sweeps.member_c
+    monkeypatch.setattr(
+        sweeps, "member_c", lambda lattice: replace(real_member_c(lattice), member=False)
+    )
+    result = sweeps.sweep_properties.__wrapped__()
+    subsample = 2 * sweeps._SUBSAMPLE  # k = 2 and 3
+    assert (result.upset_violations, result.union_violations) == (subsample, subsample)
+
+
 def test_certified_within_range_forces_identity_labels():
     # on spanning subgraphs of the maximal lattice, certification pins every
     # distance vector to its label, exhaustively over a mask slice
@@ -225,22 +347,22 @@ def test_q3_streamed_members_are_minimal_sample():
 @pytest.mark.parametrize(
     "whole, parts",
     [
-        # the Gray images of aligned blocks are aligned blocks of masks
+        # an aligned block of masks split into aligned halves
         pytest.param(
-            (0xAA000, 0xAB000), ((0xAA000, 0xAA800), (0xAA800, 0xAB000)), id="aligned-halves"
+            (0xFE000, 0xFF000), ((0xFE000, 0xFE800), (0xFE800, 0xFF000)), id="aligned-halves"
         ),
-        # the Gray images of these ranges are not aligned blocks of masks
+        # ranges that are not aligned blocks of masks
         pytest.param(
-            (696000, 702000),
-            ((696000, 697501), (697501, 700003), (700003, 702000)),
+            (1040000, 1046000),
+            ((1040000, 1041501), (1041501, 1044003), (1044003, 1046000)),
             id="uneven-thirds",
         ),
     ],
 )
 def test_scan_ranges_merge_associatively(whole, parts):
-    # near 0xAAAAA, whose image is every edge, members are dense; the images
-    # of [0, 4096) use 12 of the 20 edges and hold none, so a split there
-    # would compare zeros
+    # near 0xFFFFF, the mask of every edge, members are dense; the masks of
+    # [0, 4096) use 12 of the 20 edges and hold none, so a split there would
+    # compare zeros
     total = _scan_c_range(whole)
     assert total == tuple(sum(col) for col in zip(*(_scan_c_range(r) for r in parts)))
     assert total[0] > 0
@@ -265,17 +387,17 @@ def test_lane_kernel_agrees_with_check_crs_across_blocks():
     cs = cover_system("C", 2)
     width = 1 << sweeps._LANE_BITS
     # every lane of a range that starts and ends mid-block and crosses the
-    # block boundaries 0xAC000 and 0xB0000: set only inside the range, a
+    # block boundaries 0xF8000 and 0xFC000: set only inside the range, a
     # member exactly when the cover system says so, certified exactly then
-    lo, hi = 0xA9000, 0xB1000
+    lo, hi = 0xF5000, 0xFD000
     blocks = {start: lanes for start, *lanes in sweeps._lane_blocks(cs, base_null(2), lo, hi)}
-    assert list(blocks) == [0xA8000, 0xAC000, 0xB0000]
+    assert list(blocks) == [0xF4000, 0xF8000, 0xFC000]
     for start, (member, certified, identity) in blocks.items():
         for j in range(width):
             i = start + j
-            assert member >> j & 1 == (lo <= i < hi and cs.covers(i ^ (i >> 1))), i
+            assert member >> j & 1 == (lo <= i < hi and cs.covers(i)), i
         assert certified == member == identity & member
-    assert _scan_c_range((lo, hi)) == (11120, 11120, 0, 0)
+    assert _scan_c_range((lo, hi)) == (12000, 12000, 0, 0)
     # every block of the whole space, where the high edges change from block
     # to block: its first and last lane and seeded ones against the cover
     # system, and some of them against check_crs
@@ -288,10 +410,10 @@ def test_lane_kernel_agrees_with_check_crs_across_blocks():
         lanes = {0, width - 1, *(rng.randrange(width) for _ in range(200))}
         for j in lanes:
             i = start + j
-            assert member >> j & 1 == cs.covers(i ^ (i >> 1)), i
+            assert member >> j & 1 == cs.covers(i), i
         for j in (0, width - 1, *rng.sample(sorted(lanes), 2)):
             i = start + j
-            g = compose(base_null(2), cs.graph(i ^ (i >> 1)), 2, 3).materialize()
+            g = compose(base_null(2), cs.graph(i), 2, 3).materialize()
             try:
                 res = check_crs(g, (BaseVertex(1), BaseVertex(2)))
             except DisconnectedGraph:
