@@ -13,6 +13,7 @@ enumerations at k = 2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -198,7 +199,7 @@ def is_minimal_in_b(base: Graph, lattice: Graph) -> bool:
     if not is_h1_minimal(base, lattice).minimal:
         return False
     for e in base.edges():
-        smaller = Graph(base.vertices(), [f for f in base.edge_set() if f != e])
+        smaller = Graph(base.vertices(), [f for f in base.edges() if f != e])
         if member_b(smaller, lattice).member:
             return False
     return True
@@ -277,18 +278,19 @@ class BoundsReport:
 
 def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     """Decide which bound a minimal lattice attains, by the structural
-    characterizations, and cross-assert against the raw edge counts."""
-    report = is_h1_minimal(base, lattice)
-    if not report.minimal:
+    characterizations read off one cover-system pass, and cross-assert
+    against the raw edge counts."""
+    cs = _cover("B", base, lattice)
+    membership, _outside, hits = cs.check(lattice)
+    edges = lattice.edges()
+    sole = _sole_hits(hits)
+    if not membership.member or not all(e in sole for e in edges):
         raise NotMinimal("tightness analysis needs a minimal lattice")
-    k = base.order
+    k = cs.k
     lower, upper = bounds_b(base)
-    actual = lattice.size
+    actual = len(edges)
     degs = {i: degree(base, BaseVertex(i)) for i in range(1, k + 1)}
     min_deg = min(degs.values())
-    edges = lattice.edges()
-    cs = cover_system("B", k, base)
-    hits = cs.check(lattice)[2]
     lower_witness = None
     for i in range(1, k + 1):
         # each slice constraint of i has exactly one hitting edge, and those
@@ -299,17 +301,14 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
             break
     lower_tight = lower_witness is not None
 
-    cis = cover_index_sets(base, lattice)
-    violation: tuple | None = None
-    edge_key = lambda item: (item[0][0], item[0][1][0].vector, item[0][1][1].vector)  # noqa: E731
-    for (x, e), got in sorted(cis.i_edge.items(), key=edge_key):
-        if len(got) > 1:
-            violation = ("a", x, e)
-            break
+    # |I_x(e)|, the coordinates whose constraint on x the edge e hits; (a)
+    # is the first (x, e) with two, by vector and then edge
+    served = Counter((x, e) for (_i, _cond, x), hit_edges in hits.items() for e in hit_edges)
+    multi = [((x, e[0].vector, e[1].vector), x, e) for (x, e), n in served.items() if n > 1]
+    violation: tuple | None = ("a", *min(multi)[1:]) if multi else None
     if violation is None:
         for e in edges:
-            xv, yv = e[0].vector, e[1].vector  # type: ignore[union-attr]
-            if cis.i_of(xv, e) and cis.i_of(yv, e):
+            if (e[0].vector, e) in served and (e[1].vector, e) in served:  # type: ignore[union-attr]
                 violation = ("b", e)
                 break
     if violation is None:

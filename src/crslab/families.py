@@ -188,14 +188,16 @@ class CompositeGraph:
         return self.base.size + self.lattice.size + self.k * self.m ** (self.k - 1)
 
     def cross_edges(self) -> Iterator[Edge]:
+        verts = _lattice_labels(self.k, self.m)[0]
         for i in range(1, self.k + 1):
-            for v in lattice_vertices(self.k, self.m):
-                if v[i - 1] == 1:
-                    yield (BaseVertex(i), LatticeVertex(v))
+            b = BaseVertex(i)
+            for v in verts:
+                if v.vector[i - 1] == 1:
+                    yield (b, v)
 
     def materialize(self) -> Graph:
         verts = list(self.base.vertices()) + list(self.lattice.vertices())
-        edges = list(self.base.edge_set()) + list(self.lattice.edge_set())
+        edges = self.base.edges() + self.lattice.edges()
         edges.extend(self.cross_edges())
         return Graph(verts, edges)
 
@@ -599,9 +601,7 @@ def cartesian_power(g: Graph, s: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:
     ids.sort()
     vecs = [tuple(v) for v in product(ids, repeat=s)]
     edges = []
-    adj = {
-        (a.id, b.id) for a, b in g.edge_set()  # type: ignore[union-attr]
-    }
+    adj = {(a.id, b.id) for a, b in g.edges()}  # type: ignore[union-attr]
     adj |= {(b, a) for a, b in adj}
     for x in vecs:
         for pos in range(s):

@@ -10,10 +10,11 @@ Vertices carry one of three label kinds:
 
 Vertex identity is by label value.  All graphs are stored canonically:
 vertices sorted under a fixed total order (base < lattice < plain, numeric
-or lexicographic within each kind) and edges as sorted endpoint pairs, so
-two graphs compare equal exactly when they have the same labeled vertices
-and edges.  Adjacency is kept as one bit set (a Python int) per vertex over
-the canonical vertex order; the exhaustive suites lean on this.
+or lexicographic within each kind), and the edges as one adjacency bit set
+(a Python int) per vertex over that order.  The bits are the only edge
+store: ``edges()`` and ``edge_set()`` read the sorted endpoint pairs off
+them, and two graphs compare equal exactly when they have the same labeled
+vertices and adjacency.  The exhaustive suites lean on the bits.
 
 Graphs are immutable after construction.
 """
@@ -87,7 +88,7 @@ def vertex_key(v: Vertex) -> tuple[int, tuple[int, ...]]:
 class Graph:
     """An immutable finite simple graph on at least two labeled vertices."""
 
-    __slots__ = ("_verts", "_index", "_adj", "_edges", "_hash")
+    __slots__ = ("_verts", "_index", "_adj", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]):
         verts = sorted(set(vertices), key=vertex_key)
@@ -95,7 +96,6 @@ class Graph:
             raise InvalidGraph("a graph needs at least two vertices")
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
-        canon: set[Edge] = set()
         for u, v in edges:
             if u == v:
                 raise InvalidGraph(f"loop at {u!r}")
@@ -105,13 +105,10 @@ class Graph:
                 raise InvalidGraph(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-            # positions follow vertex_key order, so this is the canonical orientation
-            canon.add((u, v) if iu < iv else (v, u))
         self._verts = tuple(verts)
         self._index = index
         self._adj = adj
-        self._edges = frozenset(canon)
-        self._hash = hash((self._verts, self._edges))
+        self._hash = hash((self._verts, tuple(adj)))
 
     # -- basic accessors ------------------------------------------------
 
@@ -121,7 +118,7 @@ class Graph:
 
     @property
     def size(self) -> int:
-        return len(self._edges)
+        return sum(mask.bit_count() for mask in self._adj) // 2
 
     def vertices(self) -> tuple[Vertex, ...]:
         """Vertices in canonical order."""
@@ -142,7 +139,7 @@ class Graph:
         return out
 
     def edge_set(self) -> frozenset[Edge]:
-        return self._edges
+        return frozenset(self.edges())
 
     def has_vertex(self, v: Vertex) -> bool:
         return v in self._index
@@ -175,7 +172,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._verts == other._verts and self._edges == other._edges
+        return self._verts == other._verts and self._adj == other._adj
 
     def __hash__(self) -> int:
         return self._hash
@@ -285,12 +282,12 @@ def union(g1: Graph, g2: Graph) -> Graph:
     """Edge-set union of two graphs on the same vertex set."""
     if g1.vertices() != g2.vertices():
         raise VertexSetMismatch("union requires equal vertex sets")
-    return Graph(g1.vertices(), list(g1.edge_set() | g2.edge_set()))
+    return Graph(g1.vertices(), g1.edges() + g2.edges())
 
 
 def is_spanning_subgraph(g1: Graph, g2: Graph) -> bool:
     """The relation g1 <= g2: equal vertex sets and E(g1) a subset of E(g2)."""
-    return g1.vertices() == g2.vertices() and g1.edge_set() <= g2.edge_set()
+    return g1.vertices() == g2.vertices() and all(a & ~b == 0 for a, b in zip(g1._adj, g2._adj))
 
 
 def degree(g: Graph, v: Vertex) -> int:

@@ -188,9 +188,10 @@ def resolve_vector(g: Graph, w_order, u: Vertex) -> LatticeVector:
     if u in set(w_list):
         raise VertexInW(f"{u!r} lies inside W")
     ui = g.index_of(u)
+    adj = g.adjacency_masks()
     vec = []
     for v in w_list:
-        d = bfs_levels(g.adjacency_masks(), g.index_of(v))[ui]
+        d = bfs_levels(adj, g.index_of(v))[ui]
         if d < 0:
             raise DisconnectedGraph(f"{u!r} is unreachable from {v!r}")
         vec.append(d)

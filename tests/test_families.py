@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -264,6 +265,20 @@ class TestGamma:
         families._cover_system.cache_clear()
         assert gamma(7).size == (7 ** 7 - 3 ** 7) // 2
         assert "edges" not in cover_system("C", 7).__dict__
+
+    def test_gamma_keeps_no_per_edge_objects(self):
+        # the adjacency bits are a Graph's only edge store: with the labels
+        # and the cover system built, Gamma_5's 8 282 edges cost no objects
+        families._lattice_labels(5, 3)
+        cover_system("C", 5)
+        tracemalloc.start()
+        try:
+            g = gamma(5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.size == (7 ** 5 - 3 ** 5) // 2
+        assert held < 250_000
 
     def test_scaffold_union_equals_direct(self):
         # gamma() reads the cover system's universe; check it against the

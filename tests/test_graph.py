@@ -282,6 +282,29 @@ class TestCoreOracle:
             if want:
                 assert Graph(labels, _in_key_order(want)[1:]) != g
 
+    def test_union_and_spanning_subgraph_match_the_edge_sets(self):
+        rng = random.Random(14)
+        for labels, edges in _mixed_graphs(14, 120):
+            cut = rng.randint(0, len(edges))
+            g1, g2 = Graph(labels, edges[:cut]), Graph(labels, edges[cut:])
+            e1 = {_oriented(u, v) for u, v in edges[:cut]}
+            e2 = {_oriented(u, v) for u, v in edges[cut:]}
+            whole = union(g1, g2)
+            assert whole.edge_set() == e1 | e2
+            assert is_spanning_subgraph(g1, g2) == (e1 <= e2)
+            assert is_spanning_subgraph(g2, g1) == (e2 <= e1)
+            if e1 | e2:
+                kept = whole.edges()
+                del kept[rng.randrange(len(kept))]
+                smaller = Graph(labels, kept)
+                assert is_spanning_subgraph(smaller, whole)
+                assert not is_spanning_subgraph(whole, smaller)
+            if len(labels) > 2:
+                other = Graph(labels[1:], [])
+                assert not is_spanning_subgraph(other, whole)
+                with pytest.raises(VertexSetMismatch):
+                    union(whole, other)
+
     def test_has_edge_matches_the_edge_set(self):
         for labels, edges in _mixed_graphs(12, 120):
             g = Graph(labels, edges)
