@@ -42,22 +42,22 @@ from .resolving import CrsCertificate
 DEFAULT_SIZE_CAP = 3 ** 10
 
 
-def _check_power(what: str, m: int, k: int, cap: int) -> None:
-    """Raise SizeOverflow when m^k or k exceeds the cap.  For m >= 2 an
-    exponent of cap.bit_length() or more already does, so a huge k is
-    rejected at once and the power is neither computed nor printed; for
-    m = 1 the bound on k keeps the one k-tuple small."""
-    if m > 1 and k >= cap.bit_length() or m ** k > cap:
-        raise SizeOverflow(f"{what} = {m}^{k} exceeds the cap {cap}")
-    if k > cap:
-        raise SizeOverflow(f"{what} needs k <= {cap}, got k={k}")
+def _check_power(what: str, m: int, k: int) -> None:
+    """Raise SizeOverflow when m^k or k exceeds DEFAULT_SIZE_CAP.  For
+    m >= 2 an exponent of the cap's bit length or more already does, so a
+    huge k is rejected at once and the power is neither computed nor
+    printed; for m = 1 the bound on k keeps the one k-tuple small."""
+    if m > 1 and k >= DEFAULT_SIZE_CAP.bit_length() or m ** k > DEFAULT_SIZE_CAP:
+        raise SizeOverflow(f"{what} = {m}^{k} exceeds the cap {DEFAULT_SIZE_CAP}")
+    if k > DEFAULT_SIZE_CAP:
+        raise SizeOverflow(f"{what} needs k <= {DEFAULT_SIZE_CAP}, got k={k}")
 
 
-def lattice_vertices(k: int, m: int, cap: int = DEFAULT_SIZE_CAP) -> list[LatticeVector]:
-    """All m^k vectors with components in [m], in lexicographic order."""
+def lattice_vertices(k: int, m: int) -> list[LatticeVector]:
+    """All m^k vectors of [m]^k in lexicographic order; SizeOverflow past DEFAULT_SIZE_CAP."""
     if k < 1 or m < 1:
         raise IndexOutOfRange(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    _check_power("m^k", m, k, cap)
+    _check_power("m^k", m, k)
     return [tuple(v) for v in product(range(1, m + 1), repeat=k)]
 
 
@@ -258,12 +258,6 @@ class MembershipReport:
 
     def __bool__(self) -> bool:
         return self.member
-
-
-def closed_neighborhood(base: Graph, i: int) -> frozenset[int]:
-    """{i} together with the indices adjacent to i in the base graph."""
-    v = BaseVertex(i)
-    return frozenset({i} | {u.index for u in base.neighbors(v)})  # type: ignore[union-attr]
 
 
 def member_b(base: Graph, lattice: Graph) -> MembershipReport:
@@ -481,18 +475,21 @@ class CoverSystem:
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
     """The cover system of a family at k.  Family B depends on the base
     (edgeless by default) only through its closed neighborhoods; family C
-    ignores the base.  The last few are cached, with their mask views."""
+    ignores the base.  The last few are cached, with their mask views,
+    family B's by the base itself: equal bases share one system."""
     if family == "C":
         return _cover_system("C", k, None)
     if family != "B":
         raise ValueError(f"family must be B or C, got {family!r}")
-    if base is None:
-        base = base_null(k)
-    return _cover_system("B", k, tuple(closed_neighborhood(base, i) for i in range(1, k + 1)))
+    return _cover_system("B", k, base_null(k) if base is None else base)
 
 
 @lru_cache(maxsize=64)
-def _cover_system(family: str, k: int, hoods: tuple[frozenset[int], ...] | None) -> CoverSystem:
+def _cover_system(family: str, k: int, base: Graph | None) -> CoverSystem:
+    hoods = None if base is None else tuple(
+        frozenset({i} | {u.index for u in base.neighbors(BaseVertex(i))})  # type: ignore[union-attr]
+        for i in range(1, k + 1)
+    )
     return CoverSystem(family, k, hoods)
 
 
@@ -587,9 +584,10 @@ def path_on(n: int) -> Graph:
                  [(PlainVertex(i), PlainVertex(i + 1)) for i in range(1, n)])
 
 
-def cartesian_power(g: Graph, s: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def cartesian_power(g: Graph, s: int) -> Graph:
     """Cartesian product of s copies of a plain-labeled graph; vertices
-    become lattice vectors of coordinate ids."""
+    become lattice vectors of coordinate ids.  SizeOverflow past
+    DEFAULT_SIZE_CAP vertices."""
     if s < 1:
         raise IndexOutOfRange(f"need s >= 1, got {s}")
     ids = []
@@ -597,7 +595,7 @@ def cartesian_power(g: Graph, s: int, cap: int = DEFAULT_SIZE_CAP) -> Graph:
         if not isinstance(v, PlainVertex) or v.id < 1:
             raise WrongVertexSet("cartesian power needs PlainVertex ids >= 1 as coordinates")
         ids.append(v.id)
-    _check_power("|V|^s", g.order, s, cap)
+    _check_power("|V|^s", g.order, s)
     ids.sort()
     vecs = [tuple(v) for v in product(ids, repeat=s)]
     edges = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Any
 
 from .errors import FormatError
@@ -42,13 +43,17 @@ def vertex_to_json(v: Vertex) -> Any:
     raise FormatError(f"not a vertex: {v!r}")
 
 
+def _is_int(x: Any) -> bool:
+    """True iff a decoded JSON value is an integer: json reads true as a
+    bool, which is an int, and 2.9 or 1e999 as a float."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def vertex_from_json(data: Any) -> Vertex:
-    if isinstance(data, bool):
-        raise FormatError(f"not a vertex encoding: {data!r}")
-    if isinstance(data, int):
+    if _is_int(data):
         return PlainVertex(data)
     if isinstance(data, list):
-        if not all(isinstance(c, int) for c in data):
+        if not all(_is_int(c) for c in data):
             raise FormatError(f"lattice components must be integers: {data!r}")
         return LatticeVertex(tuple(data))
     if isinstance(data, str):
@@ -134,21 +139,17 @@ def composite_to_json(c: CompositeGraph) -> dict:
 
 def composite_from_json(data: Any) -> CompositeGraph:
     try:
-        k = int(data["k"])
-        m = int(data["m"])
-        base_edges = [
-            (BaseVertex(int(i)), BaseVertex(int(j))) for i, j in data["base_edges"]
-        ]
-        lattice_edges = [
-            (tuple(int(c) for c in x), tuple(int(c) for c in y))
-            for x, y in data["lattice_edges"]
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an infinite JSON number such as 1e999
+        k, m = data["k"], data["m"]
+        base_edges = [(i, j) for i, j in data["base_edges"]]
+        lattice_edges = [(tuple(x), tuple(y)) for x, y in data["lattice_edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad composite JSON: {exc}") from None
+    for n in (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges))):
+        if not _is_int(n):
+            raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
     # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)
-    base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
+    base = Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in base_edges])
     return compose(base, lattice, k, m)
 
 
@@ -247,8 +248,8 @@ def bounds_report_to_json(rep: BoundsReport) -> dict:
 
 
 def _violation_part(part) -> Any:
-    # Parts are the condition letter, a vector, an edge, or an index.
-    if isinstance(part, (str, int)):
+    # Parts are the condition letter, a vector or an edge.
+    if isinstance(part, str):
         return part
     if isinstance(part, tuple) and part and isinstance(part[0], LatticeVertex):
         return _edge_json(part)
@@ -268,8 +269,9 @@ def _dot_name(v: Vertex) -> str:
     return f'"{v.id}"'
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    """DOT text of a graph named G."""
+    lines = ["graph G {"]
     for v in g.vertices():
         lines.append(f"  {_dot_name(v)};")
     for u, v in g.edges():
@@ -278,8 +280,9 @@ def graph_to_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def composite_to_dot(c: CompositeGraph, name: str = "G") -> str:
-    return graph_to_dot(c.materialize(), name=name)
+def composite_to_dot(c: CompositeGraph) -> str:
+    """DOT text of the materialized composite, named G."""
+    return graph_to_dot(c.materialize())
 
 
 def dumps(data: dict) -> str:

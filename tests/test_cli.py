@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crslab.cli import main
-from crslab.families import base_complete, base_null, example_graph
+from crslab.families import base_complete, base_null, compose, example_graph
 from crslab import formats
 from crslab.sweeps import run_suite
 
@@ -43,6 +44,15 @@ class TestConstruct:
         data = json.loads(out)
         assert data["k"] == 2 and data["m"] == 3 and data["base_edges"] == []
 
+    @pytest.mark.parametrize(
+        "family, lattice_edges",
+        [("U", [[[1, 1], [2, 2]]]), ("V", [[[1, 2], [2, 2]], [[2, 1], [2, 2]]])],
+    )
+    def test_compose_puts_u_and_v_over_the_complete_base(self, capsys, family, lattice_edges):
+        code, out, _ = run_cli(["construct", "--family", family, "--k", "2", "--compose"], capsys=capsys)
+        assert code == 0
+        assert json.loads(out) == {"k": 2, "m": 2, "base_edges": [[1, 2]], "lattice_edges": lattice_edges}
+
     def test_gamma(self, capsys):
         code, out, _ = run_cli(["construct", "--family", "Gamma", "--k", "2"], capsys=capsys)
         data = json.loads(out)
@@ -53,6 +63,14 @@ class TestConstruct:
             ["construct", "--family", "MaxB", "--k", "2", "--format", "dot"], capsys=capsys
         )
         assert code == 0 and out.startswith("graph G {")
+
+    def test_dot_of_a_lattice(self, capsys):
+        code, out, _ = run_cli(["construct", "--family", "U", "--k", "2", "--format", "dot"], capsys=capsys)
+        assert code == 0
+        assert out == (
+            'graph G {\n  "(1,1)";\n  "(1,2)";\n  "(2,1)";\n  "(2,2)";\n'
+            '  "(1,1)" -- "(2,2)";\n}\n'
+        )
 
     def test_g6_is_plain_relabel(self, capsys):
         code, out, _ = run_cli(
@@ -89,6 +107,27 @@ class TestVerify:
         path.write_text(json.dumps(formats.graph_to_json(example_graph("U", 2))))
         code, _out, err = run_cli(["verify", "--membership", "B", "--graph", str(path)], capsys=capsys)
         assert code == 2 and "composite" in err
+
+    @pytest.mark.parametrize("base, family, member", [(base_complete, "V", True), (base_null, "U", False)])
+    def test_membership_b_on_a_composite(self, tmp_path, capsys, base, family, member):
+        path = tmp_path / "comp.json"
+        comp = compose(base(2), example_graph(family, 2), 2, 2)
+        path.write_text(json.dumps(formats.composite_to_json(comp)))
+        code, out, _ = run_cli(["verify", "--membership", "B", "--graph", str(path)], capsys=capsys)
+        assert code == (0 if member else 1)
+        data = json.loads(out)
+        assert data["member"] is member and data["family"] == "B" and data["k"] == 2
+
+    def test_membership_c_on_a_composite(self, tmp_path, capsys):
+        path = tmp_path / "comp.json"
+        path.write_text(json.dumps(formats.composite_to_json(compose(base_null(2), example_graph("T", 2), 2, 3))))
+        code, out, _ = run_cli(["verify", "--membership", "C", "--graph", str(path)], capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["member"] is True
+        path.write_text(json.dumps(formats.composite_to_json(compose(base_complete(2), example_graph("T", 2), 2, 3))))
+        code, out, err = run_cli(["verify", "--membership", "C", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: the radius-3 family needs a null base"]
 
     def test_w_certificate(self, tmp_path, capsys):
         from crslab.families import base_null, compose
@@ -244,6 +283,22 @@ class TestClassifyAndDim:
         assert code == 0
         assert json.loads(out)["verdict"] == "path"
 
+    @pytest.mark.parametrize("command", ["classify", "dim"])
+    def test_cap_option_raises_the_order_cap(self, tmp_path, capsys, command):
+        from crslab.graph import plain_graph
+
+        path = tmp_path / "p13.json"
+        path.write_text(json.dumps(formats.graph_to_json(plain_graph(13, [(i, i + 1) for i in range(12)]))))
+        code, out, err = run_cli([command, "--graph", str(path), "--cap", "12"], capsys=capsys)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        code, out, _ = run_cli([command, "--graph", str(path), "--cap", "13"], capsys=capsys)
+        assert code == 0
+        data = json.loads(out)
+        if command == "classify":
+            assert data["verdict"] == "path"
+        else:
+            assert data["dimension"] == 1 and data["basis"] == [0]
+
     @pytest.mark.parametrize("command,cap", [("classify", "-3"), ("dim", "0")])
     def test_cap_below_one_exits_2(self, tmp_path, capsys, command, cap):
         # argparse rejects the cap before the graph is read
@@ -384,9 +439,38 @@ class TestHostileInput:
         composite.write_text(text)
         code, out, err = run_cli(["verify", "--membership", "C", "--graph", str(composite)], capsys=capsys)
         assert code == 2 and out == ""
-        assert err.splitlines() == [
-            "error: bad composite JSON: cannot convert float infinity to integer"
-        ]
+        assert err.splitlines() == ["error: bad composite JSON: expected an integer, got inf"]
+
+    @pytest.mark.parametrize(
+        "membership, text, message",
+        [
+            ("B", '{"k": "2", "m": 2.9, "base_edges": [], "lattice_edges": [[[1.9, 1], [2, 2]]]}',
+             "bad composite JSON: expected an integer, got '2'"),
+            ("B", '{"k": 2, "m": 2.9, "base_edges": [], "lattice_edges": []}',
+             "bad composite JSON: expected an integer, got 2.9"),
+            ("B", '{"k": 2, "m": 2, "base_edges": [[1, true]], "lattice_edges": []}',
+             "bad composite JSON: expected an integer, got True"),
+            ("B", '{"k": 2, "m": 2, "base_edges": [["1", 2]], "lattice_edges": []}',
+             "bad composite JSON: expected an integer, got '1'"),
+            ("B", '{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [[[1.9, 1], [2, 2]]]}',
+             "bad composite JSON: expected an integer, got 1.9"),
+            ("B", '{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [["11", [2, 2]]]}',
+             "bad composite JSON: expected an integer, got '1'"),
+            ("C", '{"vertices": [[true, 1], [2, 2]], "edges": []}',
+             "lattice components must be integers: [True, 1]"),
+            ("C", '{"vertices": [[1.0, 1], [2, 2]], "edges": []}',
+             "lattice components must be integers: [1.0, 1]"),
+        ],
+        ids=["string-k", "float-m", "bool-endpoint", "string-endpoint", "float-component",
+             "string-vector", "bool-vertex-component", "float-vertex-component"],
+    )
+    def test_non_integer_number_exits_2(self, tmp_path, capsys, membership, text, message):
+        # a number is never coerced: 2.9 is not read as 2, nor "2" or true as an integer
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", "--membership", membership, "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestSuiteCommand:
@@ -411,6 +495,27 @@ class TestSuiteCommand:
             assert out.startswith("PASS")
             assert "all suites passed" in out
 
+    def test_all_suites_text_is_pinned(self):
+        # every line of `crslab suite --name all` but the seconds column; the
+        # c-equivalence verdict is the known negative-control gap
+        assert [(r.name, r.passed, r.detail) for r in run_suite("all")] == [
+            ("b-equivalence", True, "128 composites, 65 members, 0 mismatches"),
+            ("c-equivalence", False,
+             "1048576 lattices, 152500 members, 0 mismatches, 1/1000 certified "
+             "out-of-range samples (known negative-control gap, see README)"),
+            ("sizes", True, "all size identities hold for k=2..4, q(3) streamed"),
+            ("minimal", True, "strata match the characterized extremes"),
+            ("distance-identity", True, "0 members with distance vector != label"),
+            ("diameters", True, "diameters 2,3,3,4,5 as expected"),
+            ("classification", True,
+             "27475 connected graphs, 30774 certificates, 0 verdict mismatches, 0 relabel failures"),
+            ("properties", True,
+             "0 up-set violations, 0 union violations, 0 choice-set overlaps, 0 radius>=4 "
+             "certificates (zero by counting below order 18; "
+             "tests/test_resolving.py::TestRadiusFour checks [4]^2)"),
+            ("tightness", True, "structural tightness matches raw counts"),
+        ]
+
     def test_unknown_suite_exits_2(self, capsys):
         # argparse rejects the name itself
         with pytest.raises(SystemExit) as exc:
@@ -428,3 +533,21 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"lower": 14, "upper": 39}
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on a bare interpreter; test-only packages stay in tests
+    pkg = Path(__file__).resolve().parents[1] / "src" / "crslab"
+    modules = sorted(pkg.glob("*.py"))
+    assert len(modules) >= 11
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "crslab", f"{path.name} imports {name}"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -222,6 +223,18 @@ class TestMinimalityB:
                 assert lemma == single_deletion_minimal_b(base, lattice)
                 assert lemma == definitional_minimal_b(base, lattice)
 
+    def test_composite_minimality_deletes_each_base_edge(self):
+        # U and V lose membership without the base edge; R_3 is minimal over
+        # a one-edge base, yet that edge can go, as R_3 is a member over the
+        # null base too
+        assert is_minimal_in_b(base_complete(2), example_graph("U", 2))
+        assert is_minimal_in_b(base_complete(2), example_graph("V", 2))
+        base = Graph(base_null(3).vertices(), [(BaseVertex(1), BaseVertex(2))])
+        r3 = example_graph("R", 3)
+        assert is_h1_minimal(base, r3).minimal
+        assert member_b(base_null(3), r3).member
+        assert not is_minimal_in_b(base, r3)
+
     def test_critical_witnesses_are_reported(self):
         rep = is_h1_minimal(base_null(2), example_graph("P2box", 2))
         for ec in rep.edges:
@@ -389,6 +402,22 @@ class TestTightness:
         assert bounds_b(base) == (2, 5) and lattice.size == 3
         assert not rep.lower_tight and rep.lower_witness_index is None
         assert not rep.upper_tight
+
+    def test_suite_cross_check_can_fail(self, monkeypatch):
+        # the tightness suite compares the characterization with the raw
+        # counts itself, so a wrong report is a FAIL line, not a crash
+        assert sweeps.check_tightness() == []
+
+        def wrong_lower(base, lattice):
+            rep = tightness_b(base, lattice)
+            return dataclasses.replace(rep, lower_tight=not rep.lower_tight)
+
+        monkeypatch.setattr(sweeps, "tightness_b", wrong_lower)
+        assert sweeps.check_tightness()
+        monkeypatch.undo()
+        # no edge serves anything: every minimal lattice reads upper-tight
+        monkeypatch.setattr(extremal, "Counter", lambda served: {})
+        assert sweeps.check_tightness()
 
     def test_agrees_with_raw_counts_at_k3(self):
         rng = random.Random(7)

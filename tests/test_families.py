@@ -11,6 +11,7 @@ from crslab.errors import (
     InvalidGraph,
     SizeOverflow,
     UnknownName,
+    UnknownVertex,
     WrongVertexSet,
 )
 from crslab.graph import (
@@ -208,6 +209,17 @@ class TestMemberB:
         assert rep.member
         for diag in rep.diagnostics:
             assert len(diag.covering_edges) == 2  # one matching direction each
+
+
+    def test_equal_bases_share_one_cover_system(self):
+        # the cache is keyed by the base itself, which is immutable
+        base = base_complete(3)
+        copy = Graph(base.vertices(), base.edges())
+        assert copy is not base and cover_system("B", 3, copy) is cover_system("B", 3, base)
+        assert cover_system("B", 3) is cover_system("B", 3, base_null(3))
+        assert cover_system("B", 3, base).hoods == (frozenset({1, 2, 3}),) * 3
+        with pytest.raises(UnknownVertex):
+            cover_system("B", 3, base_complete(2))
 
 
 class TestMemberC:
