@@ -346,7 +346,8 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
     constrained vertex."""
     if kind not in ("B", "C"):
         raise ValueError(f"kind must be B or C, got {kind!r}")
-    assert kind == "C" or base is not None
+    if kind == "B" and base is None:
+        raise ValueError("kind B needs a base")
     cs = _cover(kind, base, lattice)
     rep, _outside, hits = cs.check(lattice)
     if not rep.member:
@@ -432,7 +433,8 @@ def enumerate_q(k: int) -> list[Graph]:
     if total > DEFAULT_Q_CAP:
         raise EnumerationCapExceeded(f"{total} choice tuples exceed the cap {DEFAULT_Q_CAP}")
     graphs = list(iter_q(k))
-    assert len(set(graphs)) == total, "choice tuples must give distinct graphs"
+    if len(set(graphs)) != total:
+        raise AssertionError("choice tuples must give distinct graphs")
     return sorted(graphs, key=_graph_sort_key)
 
 

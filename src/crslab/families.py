@@ -486,6 +486,8 @@ def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
 
 @lru_cache(maxsize=64)
 def _cover_system(family: str, k: int, base: Graph | None) -> CoverSystem:
+    if base is not None and _require_base(base) != k:
+        raise WrongVertexSet(f"base has order {base.order}, expected k={k}")
     hoods = None if base is None else tuple(
         frozenset({i} | {u.index for u in base.neighbors(BaseVertex(i))})  # type: ignore[union-attr]
         for i in range(1, k + 1)

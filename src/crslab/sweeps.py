@@ -82,46 +82,30 @@ _INDEX_BITS = tuple(
 )
 
 
-def _equivalence_scan(cs: CoverSystem, base: Graph, lo: int, hi: int) -> tuple[int, int, int, int]:
-    """(members, certified, mismatches, identity_violations) over the masks
-    in [lo, hi), each a spanning subgraph of the cover system's universe
-    (bit t: universe edge t): the cover system's membership verdict against
-    BFS certification of W = [k] on the composite over ``base``.  Ranges
-    that split [lo, hi) cover each mask once, whatever the split."""
-    members = certified = mismatches = identity_violations = 0
-    for _start, member, cert, identity in _lane_blocks(cs, base, lo, hi):
-        members += member.bit_count()
-        certified += cert.bit_count()
-        mismatches += (member ^ cert).bit_count()
-        identity_violations += (member & ~identity).bit_count()
-    return members, certified, mismatches, identity_violations
-
-
-def _lane_blocks(cs: CoverSystem, base: Graph, lo: int, hi: int):
-    """(start, member, certified, identity) lane masks for each aligned
-    block of 2^14 masks that meets [lo, hi), bit-sliced (Biham, A fast new
-    DES implementation in software, FSE 1997): lane j stands for the mask
-    start + j, and only the lanes with start + j in [lo, hi) are set.
+def _lane_block(cs: CoverSystem, frame, start: int) -> tuple[int, int, int]:
+    """(member, certified, identity) lane masks of the aligned block of
+    masks from ``start``, each mask a spanning subgraph of the cover
+    system's universe (bit t: universe edge t), bit-sliced (Biham, A fast
+    new DES implementation in software, FSE 1997): lane j stands for the
+    mask start + j, and only the lanes of masks in the space are set, all
+    2^14 of a block unless the universe has fewer than 14 edges.
 
     Universe edge t lies in the lattices whose mask has bit t set: below
     bit 14 a fixed periodic pattern, from bit 14 on all lanes or none.
     Membership is an AND over the constraints of an OR over their edges'
-    lanes, found apart from the certifier, which never reads the cover
-    system.
+    lanes, found apart from the certifier on ``frame`` (_lane_frame of
+    the universe), which never reads the cover system.
     """
-    fixed, ends = _lane_frame(cs, base, cs.edges)
-    width = 1 << _LANE_BITS
-    for start in range(lo - lo % width, hi, width):
-        lanes = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(ends)))]
-        valid = ((1 << min(hi - start, width)) - 1) & ~((1 << max(lo - start, 0)) - 1)
-        member = valid
-        for cm in cs.masks:
-            hit = 0
-            for t in _iter_bits(cm):
-                hit |= lanes[t]
-            member &= hit
-        adj = _lane_adjacency(fixed, ends, lanes)
-        yield (start, member, *_cert_code_w_base(adj, cs.k, cs.m, valid))
+    fixed, ends = frame
+    valid = (1 << min(1 << len(cs.edges), 1 << _LANE_BITS)) - 1
+    lanes = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(ends)))]
+    member = valid
+    for cm in cs.masks:
+        hit = 0
+        for t in _iter_bits(cm):
+            hit |= lanes[t]
+        member &= hit
+    return (member, *_cert_code_w_base(_lane_adjacency(fixed, ends, lanes), cs.k, cs.m, valid))
 
 
 def _lane_frame(
@@ -261,33 +245,35 @@ class EquivalenceSweep:
         return self.exhaustive_ok and self.out_of_range_failures == 0
 
 
+def _equivalence_sweep(family: str, bases, **samples) -> EquivalenceSweep:
+    """Every spanning subgraph of the cover system's universe over each
+    base, at k the base's order, scanned block by block: the cover
+    system's membership verdict against BFS certification of W = [k] on
+    the composite.  ``samples`` are the out_of_range_* counters."""
+    total = members = certified = mismatches = identity_violations = 0
+    for base in bases:
+        cs = cover_system(family, base.order, base)
+        frame = _lane_frame(cs, base, cs.edges)
+        space = 1 << len(cs.edges)
+        total += space
+        for start in range(0, space, 1 << _LANE_BITS):
+            member, cert, identity = _lane_block(cs, frame, start)
+            members += member.bit_count()
+            certified += cert.bit_count()
+            mismatches += (member ^ cert).bit_count()
+            identity_violations += (member & ~identity).bit_count()
+    return EquivalenceSweep(total, members, certified, mismatches, identity_violations, **samples)
+
+
 @lru_cache(maxsize=1)
 def sweep_b_equivalence() -> EquivalenceSweep:
     """All 2 bases x 64 lattices on [2]^2: family membership must coincide
     with certification of W = [2] at radius 2, and members must resolve to
     their own labels."""
-    parts = []
-    for base in (base_null(2), base_complete(2)):
-        cs = cover_system("B", 2, base)
-        parts.append(_equivalence_scan(cs, base, 0, 1 << len(cs.edges)))
-    members, certified, mismatches, identity_violations = (sum(col) for col in zip(*parts))
-    return EquivalenceSweep(
-        total=len(parts) << len(cs.edges),
-        members=members,
-        certified=certified,
-        mismatches=mismatches,
-        identity_violations=identity_violations,
-    )
+    return _equivalence_sweep("B", (base_null(2), base_complete(2)))
 
 
 # -- criterion 2: radius-3 equivalence, exhaustive over the maximal lattice ---
-
-
-def _scan_c_range(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
-    """(members, certified, mismatches, identity_violations) over the
-    spanning subgraphs of the maximal radius-3 lattice at k=2 whose masks
-    lie in a range."""
-    return _equivalence_scan(cover_system("C", 2), base_null(2), *bounds)
 
 
 @lru_cache(maxsize=1)
@@ -296,16 +282,10 @@ def sweep_c_equivalence() -> EquivalenceSweep:
     membership must coincide with certification of W = [2], members must
     resolve to their own labels, and a fixed sample of lattices with an
     out-of-range edge must fail on both sides."""
-    total = 1 << 20
-    members, certified, mismatches, identity_violations = _scan_c_range((0, total))
-
     tested, failures, inconsistent = _out_of_gamma_samples()
-    return EquivalenceSweep(
-        total=total,
-        members=members,
-        certified=certified,
-        mismatches=mismatches,
-        identity_violations=identity_violations,
+    return _equivalence_sweep(
+        "C",
+        (base_null(2),),
         out_of_range_tested=tested,
         out_of_range_failures=failures,
         out_of_range_inconsistent=inconsistent,
@@ -1003,14 +983,10 @@ def _run_c() -> tuple[bool, str]:
     return r.ok, detail
 
 
-def _run_sizes() -> tuple[bool, str]:
-    bad = check_size_identities()
-    return not bad, "; ".join(bad) if bad else "all size identities hold for k=2..4, q(3) streamed"
-
-
-def _run_minimal() -> tuple[bool, str]:
-    bad = check_minimal_enumeration()
-    return not bad, "; ".join(bad) if bad else "strata match the characterized extremes"
+def _run_check(check, passed: str) -> tuple[bool, str]:
+    """A suite of one check, which lists what it finds wrong."""
+    bad = check()
+    return not bad, "; ".join(bad) if bad else passed
 
 
 def _run_identity() -> tuple[bool, str]:
@@ -1018,11 +994,6 @@ def _run_identity() -> tuple[bool, str]:
     rc = sweep_c_equivalence()
     viol = rb.identity_violations + rc.identity_violations
     return viol == 0, f"{viol} members with distance vector != label"
-
-
-def _run_diameters() -> tuple[bool, str]:
-    bad = check_diameters()
-    return not bad, "; ".join(bad) if bad else "diameters 2,3,3,4,5 as expected"
 
 
 def _run_classification() -> tuple[bool, str]:
@@ -1044,21 +1015,16 @@ def _run_properties() -> tuple[bool, str]:
     )
 
 
-def _run_tightness() -> tuple[bool, str]:
-    bad = check_tightness()
-    return not bad, "; ".join(bad) if bad else "structural tightness matches raw counts"
-
-
 SUITES = {
     "b-equivalence": _run_b,
     "c-equivalence": _run_c,
-    "sizes": _run_sizes,
-    "minimal": _run_minimal,
+    "sizes": lambda: _run_check(check_size_identities, "all size identities hold for k=2..4, q(3) streamed"),
+    "minimal": lambda: _run_check(check_minimal_enumeration, "strata match the characterized extremes"),
     "distance-identity": _run_identity,
-    "diameters": _run_diameters,
+    "diameters": lambda: _run_check(check_diameters, "diameters 2,3,3,4,5 as expected"),
     "classification": _run_classification,
     "properties": _run_properties,
-    "tightness": _run_tightness,
+    "tightness": lambda: _run_check(check_tightness, "structural tightness matches raw counts"),
 }
 
 SUITE_ORDER = list(SUITES)

@@ -551,3 +551,13 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "crslab", f"{path.name} imports {name}"
+
+
+def test_runtime_has_no_assert_statements():
+    # python -O strips assert statements, so every check in the package
+    # must be an explicit raise
+    pkg = Path(__file__).resolve().parents[1] / "src" / "crslab"
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"

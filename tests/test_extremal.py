@@ -1,6 +1,11 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -684,3 +689,35 @@ class TestMinimalMasks:
         for lattice in lattices:
             assert is_h1_minimal(base, lattice).minimal
             assert lo <= lattice.size <= hi
+
+
+def test_checks_survive_python_dash_o():
+    # explicit raises, not assert statements, which python -O strips: a
+    # kind-B request without a base, and choice tuples that repeat a graph
+    script = textwrap.dedent(
+        """
+        from crslab import extremal
+        from crslab.families import example_graph
+
+        try:
+            extremal.critical_edges("B", None, example_graph("R", 2))
+        except ValueError as exc:
+            print("ValueError:", exc)
+        first = next(extremal.iter_q(2))
+        extremal.iter_q = lambda k: [first] * extremal.q_count(k)
+        try:
+            extremal.enumerate_q(2)
+        except AssertionError as exc:
+            print("AssertionError:", exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: kind B needs a base",
+        "AssertionError: choice tuples must give distinct graphs",
+    ]

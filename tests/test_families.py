@@ -11,7 +11,6 @@ from crslab.errors import (
     InvalidGraph,
     SizeOverflow,
     UnknownName,
-    UnknownVertex,
     WrongVertexSet,
 )
 from crslab.graph import (
@@ -218,8 +217,12 @@ class TestMemberB:
         assert copy is not base and cover_system("B", 3, copy) is cover_system("B", 3, base)
         assert cover_system("B", 3) is cover_system("B", 3, base_null(3))
         assert cover_system("B", 3, base).hoods == (frozenset({1, 2, 3}),) * 3
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(WrongVertexSet, match="base has order 2, expected k=3"):
             cover_system("B", 3, base_complete(2))
+        with pytest.raises(WrongVertexSet, match="base has order 3, expected k=2"):
+            cover_system("B", 2, base_complete(3))
+        with pytest.raises(WrongVertexSet, match="BaseVertex"):
+            cover_system("B", 2, Graph([PlainVertex(1), PlainVertex(2)], []))
 
 
 class TestMemberC:

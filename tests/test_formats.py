@@ -5,7 +5,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from crslab.cli import main
 from crslab.errors import FormatError
+from crslab.graph6 import write_graph6
 from crslab.graph import BaseVertex, LatticeVertex, PlainVertex, plain_graph
 from crslab.families import base_complete, base_null, compose, example_graph, member_b, member_c
 from crslab.resolving import CrsCertificate, check_crs, is_completeness_resolvable
@@ -137,6 +139,35 @@ class TestReportJson:
         data = formats.verdict_to_json(is_completeness_resolvable(g))
         make_validator("verdict.schema.json").validate(data)
         assert data["verdict"] == "family-c"
+
+
+class TestCommandOutput:
+    """The records that dim and bounds print fit their schemas, which admit
+    no other key."""
+
+    def check(self, schema, argv, capsys):
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        validator = make_validator(schema)
+        validator.validate(data)
+        assert not validator.is_valid({**data, "extra": 0})
+        return data
+
+    def test_dim_on_graph6(self, tmp_path, capsys):
+        path = tmp_path / "p4.g6"
+        path.write_text(write_graph6(plain_graph(4, [(0, 1), (1, 2), (2, 3)])))
+        data = self.check("dim.schema.json", ["dim", "--graph", str(path)], capsys)
+        assert data["dimension"] == 1
+
+    def test_bounds_c(self, capsys):
+        data = self.check("bounds.schema.json", ["bounds", "C", "--k", "3"], capsys)
+        assert data == {"lower": 14, "upper": 39}
+
+    def test_bounds_b_composite(self, tmp_path, capsys):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(formats.graph_to_json(base_complete(2))))
+        argv = ["bounds", "B", "--base", str(path), "--composite"]
+        assert self.check("bounds.schema.json", argv, capsys) == {"lower": 6, "upper": 7}
 
 
 class TestDot:

@@ -43,7 +43,6 @@ from crslab.sweeps import (
     _raw_crs_scan,
     _raw_dimension,
     _relabel_failures,
-    _scan_c_range,
     _union_size_count,
     sweep_small_order,
 )
@@ -269,10 +268,27 @@ def test_property_sweep_can_fail_on_the_subsample(monkeypatch):
 
 def test_certified_within_range_forces_identity_labels():
     # on spanning subgraphs of the maximal lattice, certification pins every
-    # distance vector to its label, exhaustively over a mask slice
-    members, certified, mismatches, identity_violations = _scan_c_range((0, 40000))
-    assert mismatches == 0
-    assert identity_violations == 0
+    # distance vector to its label, exhaustively; the counts are pinned, and
+    # the last block (masks with all 20 edges) is the densest in members
+    result = sweeps._equivalence_sweep("C", (base_null(2),))
+    assert (result.total, result.members, result.certified) == (1 << 20, 152500, 152500)
+    assert result.mismatches == 0
+    assert result.identity_violations == 0
+
+
+def test_radius_2_sweep_reads_each_base_in_one_block():
+    # the radius-2 universe at k = 2 has 6 edges, so one block holds the 64
+    # lattices of a base and lanes 64.. stand for none; every base counts
+    bases = (base_null(2), base_complete(2))
+    members = 0
+    for base in bases:
+        cs = cover_system("B", 2, base)
+        member, certified, identity = sweeps._lane_block(cs, sweeps._lane_frame(cs, base, cs.edges), 0)
+        assert member == sum(cs.covers(mask) << mask for mask in range(64))
+        assert certified == member == identity & member
+        members += member.bit_count()
+    result = sweeps._equivalence_sweep("B", bases)
+    assert (result.total, result.members, result.certified) == (128, members, members)
 
 
 def test_union_size_count_matches_brute_force():
@@ -328,7 +344,7 @@ def test_equivalence_scan_checks_the_composite_order(monkeypatch):
 
     monkeypatch.setattr(sweeps, "compose", lambda *args: Padded(real_compose(*args)))
     with pytest.raises(ValueError, match="order 7, expected k \\+ m\\^k = 6"):
-        sweeps._equivalence_scan(cover_system("B", 2), base_null(2), 0, 4)
+        sweeps._equivalence_sweep("B", (base_null(2),))
 
 
 def test_q3_streamed_members_are_minimal_sample():
@@ -342,30 +358,6 @@ def test_q3_streamed_members_are_minimal_sample():
         if n > picks[-1]:
             break
     assert count == 3
-
-
-@pytest.mark.parametrize(
-    "whole, parts",
-    [
-        # an aligned block of masks split into aligned halves
-        pytest.param(
-            (0xFE000, 0xFF000), ((0xFE000, 0xFE800), (0xFE800, 0xFF000)), id="aligned-halves"
-        ),
-        # ranges that are not aligned blocks of masks
-        pytest.param(
-            (1040000, 1046000),
-            ((1040000, 1041501), (1041501, 1044003), (1044003, 1046000)),
-            id="uneven-thirds",
-        ),
-    ],
-)
-def test_scan_ranges_merge_associatively(whole, parts):
-    # near 0xFFFFF, the mask of every edge, members are dense; the masks of
-    # [0, 4096) use 12 of the 20 edges and hold none, so a split there would
-    # compare zeros
-    total = _scan_c_range(whole)
-    assert total == tuple(sum(col) for col in zip(*(_scan_c_range(r) for r in parts)))
-    assert total[0] > 0
 
 
 def _kernel_and_check_crs(base, lattice, k, m):
@@ -385,25 +377,22 @@ def _kernel_and_check_crs(base, lattice, k, m):
 
 def test_lane_kernel_agrees_with_check_crs_across_blocks():
     cs = cover_system("C", 2)
+    frame = sweeps._lane_frame(cs, base_null(2), cs.edges)
     width = 1 << sweeps._LANE_BITS
-    # every lane of a range that starts and ends mid-block and crosses the
-    # block boundaries 0xF8000 and 0xFC000: set only inside the range, a
-    # member exactly when the cover system says so, certified exactly then
-    lo, hi = 0xF5000, 0xFD000
-    blocks = {start: lanes for start, *lanes in sweeps._lane_blocks(cs, base_null(2), lo, hi)}
-    assert list(blocks) == [0xF4000, 0xF8000, 0xFC000]
-    for start, (member, certified, identity) in blocks.items():
+    # every lane of the blocks from 0xF4000, 0xF8000 and 0xFC000, where the
+    # high edges differ: a member exactly when the cover system says so,
+    # certified exactly then
+    for start in (0xF4000, 0xF8000, 0xFC000):
+        member, certified, identity = sweeps._lane_block(cs, frame, start)
         for j in range(width):
             i = start + j
-            assert member >> j & 1 == (lo <= i < hi and cs.covers(i)), i
+            assert member >> j & 1 == cs.covers(i), i
         assert certified == member == identity & member
-    assert _scan_c_range((lo, hi)) == (12000, 12000, 0, 0)
     # every block of the whole space, where the high edges change from block
     # to block: its first and last lane and seeded ones against the cover
     # system, and some of them against check_crs
     rng = random.Random(29)
-    blocks = {start: lanes for start, *lanes in sweeps._lane_blocks(cs, base_null(2), 0, 1 << 20)}
-    assert len(blocks) == (1 << 20) // width
+    blocks = {start: sweeps._lane_block(cs, frame, start) for start in range(0, 1 << 20, width)}
     seen = Counter()
     for start, (member, certified, identity) in blocks.items():
         assert certified == member == identity & member
