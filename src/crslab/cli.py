@@ -28,6 +28,7 @@ from .families import (
     base_complete,
     base_null,
     compose,
+    cover_system,
     example_graph,
     member_b,
     member_c,
@@ -128,12 +129,10 @@ def cmd_verify(args) -> int:
             raise FormatError("membership B needs a composite JSON file (base + lattice)")
         report = member_b(loaded.base, loaded.lattice)
     else:
+        lattice = loaded
         if isinstance(loaded, CompositeGraph):
-            if loaded.base.size:
-                raise FormatError("the radius-3 family needs a null base")
+            cover_system("C", loaded.k, loaded.base)  # refuses a base with edges
             lattice = loaded.lattice
-        else:
-            lattice = loaded
         report = member_c(lattice)
     sys.stdout.write(formats.dumps(formats.membership_to_json(report)))
     return EXIT_OK if report.member else EXIT_NEGATIVE
@@ -159,6 +158,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    takes, other = ("base", "k") if args.kind == "B" else ("k", "base")
+    if getattr(args, other) is not None:
+        raise FormatError(f"bounds {args.kind} takes --{takes}, not --{other}")
     if args.kind == "B":
         if args.base is None:
             raise FormatError("bounds B needs --base FILE")

@@ -31,7 +31,6 @@ from .families import (
     MembershipReport,
     _cover,
     _require_base,
-    base_null,
     cover_system,
     lattice_vertices,
     member_b,
@@ -384,13 +383,9 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     cs = cover_system("C", k)
     if not any(cs.is_target(i, cond, x) for cond in cs.conditions):
         raise VertexNotEligible(f"{x} is neither on the value-2 slice nor in the s-set of {i}")
-    near = [
-        (c - 1,) if t == i - 1 else range(max(c - 1, 1), min(c + 1, 3) + 1)
-        for t, c in enumerate(x)
-    ]
     out = set()
-    for y in product(*near):
-        if sum(z is not None for _i, _cond, z in cs.incidence(x, y)) == 1:
+    for y in cs._near(x):
+        if y[i - 1] == x[i - 1] - 1 and sum(z is not None for _i, _cond, z in cs.incidence(x, y)) == 1:
             a, b = sorted((x, y))
             out.add((LatticeVertex(a), LatticeVertex(b)))
     return out
@@ -456,14 +451,10 @@ def enumerate_minimal(kind: str, k: int, base: Graph | None = None) -> list[Grap
         raise IndexOutOfRange(f"need k >= 2, got k={k}")
     if k != 2:
         raise EnumerationCapExceeded(f"exhaustive minimal enumeration is capped at k=2, got k={k}")
-    if kind == "B":
-        if base is None:
-            base = base_null(2)
-        _require_base(base)
-        if base.order != 2:
-            raise WrongVertexSet("kind B at k=2 needs a base on [2]")
-    elif kind != "C":
+    if kind not in ("B", "C"):
         raise ValueError(f"kind must be B or C, got {kind!r}")
+    if base is not None and _require_base(base) != 2:
+        raise WrongVertexSet(f"kind {kind} at k=2 needs a base on [2]")
     cs = cover_system(kind, k, base)
     masks = _minimal_masks(cs.masks, len(cs.edges))
     return sorted((cs.graph(mask) for mask in masks), key=_graph_sort_key)

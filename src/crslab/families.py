@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from .errors import (
     CrossEdgeMismatch,
     IndexOutOfRange,
     InvalidCertificate,
+    NotMember,
     SizeOverflow,
     UnknownName,
     WrongVertexSet,
@@ -281,8 +282,8 @@ def member_c(lattice: Graph) -> MembershipReport:
 
 def _cover(family: str, base: Graph | None, lattice: Graph) -> CoverSystem:
     """The cover system a lattice is checked against, once its vertex set
-    (and for family B the base's) is the family's, with k >= 2.  A base
-    is a Graph, which has two vertices or more, so only family C checks k."""
+    is the family's, with k >= 2; family C's base is optional.  A base is
+    a Graph, which has two vertices or more, so only family C checks k."""
     if family == "B":
         k = _require_base(base)  # type: ignore[arg-type]
         _require_lattice(lattice, k, 2)
@@ -296,7 +297,7 @@ def _cover(family: str, base: Graph | None, lattice: Graph) -> CoverSystem:
         raise WrongVertexSet(f"lattice components exceed 3 (m={m})")
     if k < 2:
         raise WrongVertexSet("the family is defined for k >= 2")
-    return cover_system("C", k)
+    return cover_system("C", k, base)
 
 
 # -- the cover system ---------------------------------------------------------
@@ -306,15 +307,18 @@ def _cover(family: str, base: Graph | None, lattice: Graph) -> CoverSystem:
 class CoverSystem:
     """The covering constraints of one family, decided edge by edge.
 
-    The universe is the complete graph on [2]^k (family B) or Gamma_k
-    (family C).  A universe edge lies in the (i, condition) scaffold when it
-    changes coordinate i between the condition's two values: 1 and 2 for
-    "slice", 2 and 3 for "s-set" (family C only).  Constraint (i, condition,
-    x) holds the scaffold edges at its target x: family B's targets are 2
-    on all of i's closed base neighborhood; family C's "slice" targets have
-    x_i = 2, its "s-set" targets are all-{2,3} with x_i = 3.  Constraints
-    run by i, then condition, then x: the order in which reports name their
-    witnesses.
+    One rule serves both families.  The lattice is [m]^k, and every base
+    on [k] contributes its closed neighbourhoods ``hoods`` (the edgeless
+    base, the radius-3 family's only one, gives {1}, ..., {k}).  The
+    universe joins every pair of vectors within one in each coordinate:
+    the complete graph on [2]^k at m = 2 (family B), Gamma_k at m = 3
+    (family C).  A universe edge lies in the (i, condition) scaffold when
+    it changes coordinate i between the condition's two values: 1 and 2
+    for "slice", 2 and 3 for "s-set".  Constraint (i, condition, x) holds
+    the scaffold edges at its target x: the "slice" targets are 2 on all of
+    N[i] and any value of [m] elsewhere; at m = 3 the "s-set" targets are
+    3 at i and 2 or 3 elsewhere.  Constraints run by i, then condition,
+    then x: the order in which reports name their witnesses.
 
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
@@ -326,30 +330,27 @@ class CoverSystem:
     allows, while a check costs time in proportion to the lattice.
     """
 
-    family: str
     k: int
-    hoods: tuple[frozenset[int], ...] | None  # family B: the base's closed neighborhoods
+    m: int
+    hoods: tuple[frozenset[int], ...]  # the base's closed neighbourhoods
 
     @property
-    def m(self) -> int:
-        return 2 if self.family == "B" else 3
+    def family(self) -> str:
+        return "B" if self.m == 2 else "C"
 
     @property
     def conditions(self) -> tuple[str, ...]:
-        return ("slice",) if self.family == "B" else ("slice", "s-set")
+        return ("slice",) if self.m == 2 else ("slice", "s-set")
 
     @cached_property
     def _allowed(self) -> dict[tuple[int, str], tuple[tuple[int, ...], ...]]:
         """Per constraint group, the values each target component may take."""
         out = {}
-        for i in range(1, self.k + 1):
-            for cond in self.conditions:
-                if self.family == "B":
-                    hood = self.hoods[i - 1]  # type: ignore[index]
-                    out[i, cond] = tuple((2,) if j in hood else (1, 2) for j in range(1, self.k + 1))
-                else:
-                    pinned, other = ((2,), (1, 2, 3)) if cond == "slice" else ((3,), (2, 3))
-                    out[i, cond] = tuple(pinned if j == i else other for j in range(1, self.k + 1))
+        coords = range(1, self.k + 1)
+        for i, hood in enumerate(self.hoods, 1):
+            out[i, "slice"] = tuple((2,) if j in hood else tuple(range(1, self.m + 1)) for j in coords)
+            if self.m == 3:
+                out[i, "s-set"] = tuple((3,) if j == i else (2, 3) for j in coords)
         return out
 
     def targets(self, i: int, cond: str) -> Iterator[LatticeVector]:
@@ -367,7 +368,8 @@ class CoverSystem:
                     yield i, cond, x
 
     def in_universe(self, x: LatticeVector, y: LatticeVector) -> bool:
-        return self.family == "B" or _gaps_ok(x, y)
+        # every pair of [2]^k is within one in each coordinate
+        return self.m == 2 or _gaps_ok(x, y)
 
     def incidence(self, x: LatticeVector, y: LatticeVector):
         """For each scaffold holding the universe edge x-y, in constraint
@@ -426,19 +428,16 @@ class CoverSystem:
 
     # -- the bit-mask view, for exhaustive scans over the universe --
 
+    def _near(self, x: LatticeVector) -> Iterator[LatticeVector]:
+        """The vectors of [m]^k within one of x in every coordinate, x
+        included, in lexicographic order: x's neighbours in the universe."""
+        return product(*(range(max(c - 1, 1), min(c + 1, self.m) + 1) for c in x))
+
     def _universe(self) -> Iterator[Edge]:
-        """The universe in canonical edge order, generated afresh: every
-        pair for family B; for family C each vertex with its later
-        neighbours, the vectors within one of its own in every coordinate."""
+        """The universe in canonical edge order, generated afresh: each
+        vertex with its later neighbours."""
         verts, label = _lattice_labels(self.k, self.m)
-        if self.family == "B":
-            return combinations(verts, 2)
-        return (
-            (u, label[y])
-            for u in verts
-            for y in product(*(range(max(c - 1, 1), min(c + 1, 3) + 1) for c in u.vector))
-            if y > u.vector
-        )
+        return ((u, label[y]) for u in verts for y in self._near(u.vector) if y > u.vector)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -473,26 +472,29 @@ class CoverSystem:
 
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
-    """The cover system of a family at k.  Family B depends on the base
-    (edgeless by default) only through its closed neighborhoods; family C
-    ignores the base.  The last few are cached, with their mask views,
-    family B's by the base itself: equal bases share one system."""
-    if family == "C":
-        return _cover_system("C", k, None)
-    if family != "B":
+    """The cover system of a family at k over a base on [k], edgeless by
+    default; family C refuses a base with edges.  The last few are cached,
+    with their mask views, by the base itself: equal bases, and an
+    edgeless base and none, share one system."""
+    if family not in ("B", "C"):
         raise ValueError(f"family must be B or C, got {family!r}")
-    return _cover_system("B", k, base_null(k) if base is None else base)
+    return _cover_system(2 if family == "B" else 3, k, base)
 
 
 @lru_cache(maxsize=64)
-def _cover_system(family: str, k: int, base: Graph | None) -> CoverSystem:
-    if base is not None and _require_base(base) != k:
+def _cover_system(m: int, k: int, base: Graph | None) -> CoverSystem:
+    if base is None:
+        # cached under both keys, so the default costs a lookup, not a base
+        return _cover_system(m, k, base_null(k))
+    if _require_base(base) != k:
         raise WrongVertexSet(f"base has order {base.order}, expected k={k}")
-    hoods = None if base is None else tuple(
+    if m == 3 and base.size:
+        raise NotMember("the radius-3 family needs a null base")
+    hoods = tuple(
         frozenset({i} | {u.index for u in base.neighbors(BaseVertex(i))})  # type: ignore[union-attr]
         for i in range(1, k + 1)
     )
-    return CoverSystem(family, k, hoods)
+    return CoverSystem(k, m, hoods)
 
 
 # -- the maximal radius-3 lattice ------------------------------------------

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -9,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from crslab.cli import main
+from crslab.cli import FAMILY_NAMES, main
 from crslab.families import base_complete, base_null, compose, example_graph
 from crslab import formats
 from crslab.sweeps import run_suite
+
+CLI_DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -176,6 +180,16 @@ class TestEnumerate:
         code, _out, err = run_cli(["enumerate", "--minimal", "C", "--k", "3"], capsys=capsys)
         assert code == 3 and "cap" in err.lower()
 
+    def test_c_refuses_a_base_with_edges(self, tmp_path, capsys):
+        argv = ["enumerate", "--minimal", "C", "--k", "2"]
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(formats.graph_to_json(base_complete(2))))
+        code, out, err = run_cli(argv + ["--base", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: the radius-3 family needs a null base"]
+        path.write_text(json.dumps(formats.graph_to_json(base_null(2))))
+        assert run_cli(argv + ["--base", str(path)], capsys=capsys) == run_cli(argv, capsys=capsys)
+
     @pytest.mark.parametrize("kind,k", [("C", "0"), ("B", "1")])
     def test_k_below_two_exits_2(self, capsys, kind, k):
         # malformed input, not a cap
@@ -237,6 +251,17 @@ class TestBounds:
     def test_missing_argument_exits_2(self, capsys):
         code, _out, err = run_cli(["bounds", "B"], capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["C", "--k", "3"], "bounds C takes --k, not --base"), (["B", "--k", "9"], "bounds B takes --base, not --k")],
+    )
+    def test_option_of_the_other_kind_exits_2(self, tmp_path, capsys, argv, message):
+        # refused before the base file is read: it does not exist
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(["bounds", *argv, "--base", missing], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestClassifyAndDim:
@@ -524,6 +549,39 @@ class TestSuiteCommand:
         capsys.readouterr()
 
 
+def pinned_runs():
+    """The CLI runs whose output bytes tests/data/cli_digests.json pins:
+    every named family at k = 2, 3 in each format, with and without
+    --compose, and the k = 2 minimal enumerations."""
+    for family in FAMILY_NAMES:
+        for k in ("2", "3"):
+            for fmt in ("json", "g6", "dot"):
+                for extra in ([], ["--compose"]):
+                    yield ["construct", "--family", family, "--k", k, "--format", fmt, *extra]
+    for kind in ("B", "C"):
+        yield ["enumerate", "--minimal", kind, "--k", "2"]
+
+
+def cli_digests() -> dict[str, str]:
+    out = {}
+    for argv in pinned_runs():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, argv
+        out[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
+def test_cli_output_bytes_are_pinned():
+    # a refactor keeps these bytes; regenerate the file only when an
+    # output is meant to change: PYTHONPATH=src python tests/test_cli.py
+    want = json.loads(CLI_DIGESTS.read_text())
+    got = cli_digests()
+    assert len(got) == 110
+    assert [argv for argv in got if got[argv] != want.get(argv)] == []
+    assert got == want
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -561,3 +619,7 @@ def test_runtime_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+if __name__ == "__main__":
+    CLI_DIGESTS.write_text(json.dumps(cli_digests(), indent=1, sort_keys=True) + "\n")

@@ -15,6 +15,7 @@ from crslab.errors import (
     NotMember,
     NotMinimal,
     VertexNotEligible,
+    WrongVertexSet,
 )
 from crslab.graph import BaseVertex, Graph, LatticeVertex
 from crslab.families import (
@@ -581,6 +582,12 @@ class TestCriticalEdges:
         with pytest.raises(NotMember):
             critical_edges("C", None, span_lattice(2, 3, []))
 
+    def test_c_reads_the_given_base(self):
+        t2 = example_graph("T", 2)
+        assert critical_edges("C", base_null(2), t2) == critical_edges("C", None, t2)
+        with pytest.raises(NotMember, match="the radius-3 family needs a null base"):
+            critical_edges("C", base_complete(2), t2)
+
 
 class TestOnePass:
     """Each report reads its lattice in one cover-system pass."""
@@ -643,6 +650,13 @@ class TestEnumerateMinimal:
         assert [g for g in out if g.size == 5] == [t2]
         for g in out[:10]:
             assert is_k_minimal(g).minimal
+
+    def test_c_takes_only_the_edgeless_base(self):
+        assert enumerate_minimal("C", 2, base=base_null(2)) == enumerate_minimal("C", 2)
+        with pytest.raises(NotMember, match="the radius-3 family needs a null base"):
+            enumerate_minimal("C", 2, base=base_complete(2))
+        with pytest.raises(WrongVertexSet, match="kind C at k=2 needs a base on"):
+            enumerate_minimal("C", 2, base=base_null(3))
 
     def test_k3_is_capped(self):
         with pytest.raises(EnumerationCapExceeded):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from crslab.errors import (
     IndexOutOfRange,
     InvalidCertificate,
     InvalidGraph,
+    NotMember,
     SizeOverflow,
     UnknownName,
     WrongVertexSet,
@@ -18,6 +20,7 @@ from crslab.graph import (
     Graph,
     LatticeVertex,
     PlainVertex,
+    _iter_bits,
     degree,
     diameter,
     distances,
@@ -255,6 +258,88 @@ class TestMemberC:
             member_c(example_graph("U", 2))  # a [2]^k lattice
 
 
+def constraint_edges(cs):
+    """Each constraint tag with its edges, as sets of two vectors."""
+    return {
+        tag: frozenset(frozenset((u.vector, v.vector)) for u, v in map(cs.edges.__getitem__, _iter_bits(mask)))
+        for tag, mask in zip(cs.constraints(), cs.masks)
+    }
+
+
+def permute_vector(perm, x):
+    """Coordinate j of x moves to coordinate perm[j - 1]."""
+    y = [0] * len(x)
+    for j, c in enumerate(x):
+        y[perm[j] - 1] = c
+    return tuple(y)
+
+
+def permute_constraints(perm, constraints):
+    return {
+        (perm[i - 1], cond, permute_vector(perm, x)): frozenset(
+            frozenset(permute_vector(perm, v) for v in e) for e in edges
+        )
+        for (i, cond, x), edges in constraints.items()
+    }
+
+
+def base_on_3(bits):
+    pairs = base_complete(3).edges()
+    return Graph(base_null(3).vertices(), [pairs[t] for t in range(3) if bits >> t & 1])
+
+
+class TestOneRule:
+    def test_c_refuses_a_base_with_edges(self):
+        with pytest.raises(NotMember, match="the radius-3 family needs a null base"):
+            cover_system("C", 2, base_complete(2))
+        with pytest.raises(WrongVertexSet, match="base has order 2, expected k=3"):
+            cover_system("C", 3, base_null(2))
+        with pytest.raises(WrongVertexSet, match="BaseVertex"):
+            cover_system("C", 2, Graph([PlainVertex(1), PlainVertex(2)], []))
+        assert cover_system("C", 3) is cover_system("C", 3, base_null(3))
+        assert cover_system("C", 3).hoods == (frozenset({1}), frozenset({2}), frozenset({3}))
+
+    @pytest.mark.parametrize("k, constraints, incidences", [(2, 4, 8), (3, 12, 48), (4, 32, 256)])
+    def test_c_slices_on_two_values_are_b_over_the_null_base(self, k, constraints, incidences):
+        # family C's slice rule, cut down to [2]^k, is family B's
+        cut = {
+            tag: frozenset(e for e in edges if max(map(max, e)) <= 2)
+            for tag, edges in constraint_edges(cover_system("C", k)).items()
+            if tag[1] == "slice" and max(tag[2]) <= 2
+        }
+        b = constraint_edges(cover_system("B", k))
+        assert cut == b
+        assert len(b) == constraints and sum(map(len, b.values())) == incidences
+
+    def test_coordinate_permutations_carry_the_cover_system(self):
+        pairs = base_moved = 0
+        for bits in range(8):
+            base = base_on_3(bits)
+            cs = cover_system("B", 3, base)
+            want = constraint_edges(cs)
+            for perm in permutations((1, 2, 3)):
+                moved_base = Graph(base.vertices(), [
+                    (BaseVertex(perm[u.index - 1]), BaseVertex(perm[v.index - 1])) for u, v in base.edges()
+                ])
+                moved = cover_system("B", 3, moved_base)
+                hoods = [None] * 3
+                for i, hood in enumerate(cs.hoods, 1):
+                    hoods[perm[i - 1] - 1] = frozenset(perm[j - 1] for j in hood)
+                assert moved.hoods == tuple(hoods)
+                got = constraint_edges(moved)
+                assert got == permute_constraints(perm, want)
+                # the control: moving the base but not the coordinates fails
+                if moved_base != base:
+                    assert got != want
+                    base_moved += 1
+                pairs += 1
+        # 48 pairs, less one per automorphism: 6 + 3 * 2 + 3 * 2 + 6
+        assert (pairs, base_moved) == (48, 24)
+        c = constraint_edges(cover_system("C", 3))
+        for perm in permutations((1, 2, 3)):
+            assert permute_constraints(perm, c) == c
+
+
 class TestGamma:
     def test_sizes(self):
         assert gamma(2).size == 20
@@ -264,16 +349,18 @@ class TestGamma:
         assert vpair((1, 1), (3, 1)) not in edge_vectors(gamma(2))
 
     def test_universe_is_in_canonical_edge_order(self):
-        # the scans read lattice masks bit by bit in this order
-        for k in (2, 3):
-            verts = [LatticeVertex(x) for x in lattice_vertices(k, 3)]
+        # the scans read lattice masks bit by bit in this order; on [2]^k
+        # (family B) the rule keeps every pair
+        for k, m in ((2, 3), (3, 3), (2, 2), (3, 2)):
+            verts = [LatticeVertex(x) for x in lattice_vertices(k, m)]
             direct = [
                 (u, v)
                 for a, u in enumerate(verts)
                 for v in verts[a + 1:]
                 if all(abs(s - t) <= 1 for s, t in zip(u.vector, v.vector))
             ]
-            assert list(cover_system("C", k).edges) == direct
+            assert list(cover_system("B" if m == 2 else "C", k).edges) == direct
+        assert len(cover_system("B", 3).edges) == 8 * 7 // 2
 
     def test_gamma_leaves_no_universe_cached(self):
         # the cached cover system must not keep Gamma_7's 410 678 edges
