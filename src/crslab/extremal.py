@@ -29,6 +29,7 @@ from .errors import (
 from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, _iter_bits, degree
 from .families import (
     MembershipReport,
+    _check_index,
     _cover,
     _require_base,
     cover_system,
@@ -128,16 +129,6 @@ def _minimality(membership: MembershipReport, edges: list[EdgeCriticality]) -> M
     )
 
 
-def _sole_hits(hits: dict) -> dict[Edge, list]:
-    """For each edge, the constraints it is the only hit of, in constraint
-    order (a cover system's check files an edge's hits in that order)."""
-    sole: dict[Edge, list] = {}
-    for tag, hit_edges in hits.items():
-        if len(hit_edges) == 1:
-            sole.setdefault(hit_edges[0], []).append(tag)
-    return sole
-
-
 def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     """Minimality of the lattice relative to the fixed base.
 
@@ -146,8 +137,7 @@ def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     its smaller endpoint that it alone covers, with every coordinate in
     which it does so.
     """
-    membership, _outside, hits = _cover("B", base, lattice).check(lattice)
-    sole = _sole_hits(hits)
+    membership, _outside, _hits, sole = _cover("B", base, lattice).check(lattice)
     edges = []
     for e in lattice.edges():
         tags = sole.get(e, [])
@@ -174,9 +164,8 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     maximal lattice.
     """
     cs = _cover("C", None, lattice)
-    membership, outside, hits = cs.check(lattice)
+    membership, outside, hits, sole = cs.check(lattice)
     first = next((tag for tag in cs.constraints() if tag not in hits), None)
-    sole = _sole_hits(hits)
     edges = []
     for e in lattice.edges():
         unhit = [tag for tag in (first, *sole.get(e, [])[:1]) if tag is not None]
@@ -280,9 +269,8 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     characterizations read off one cover-system pass.  The tightness suite
     and the tests compare them against the raw edge counts."""
     cs = _cover("B", base, lattice)
-    membership, _outside, hits = cs.check(lattice)
+    membership, _outside, hits, sole = cs.check(lattice)
     edges = lattice.edges()
-    sole = _sole_hits(hits)
     if not membership.member or not all(e in sole for e in edges):
         raise NotMinimal("tightness analysis needs a minimal lattice")
     k = cs.k
@@ -343,18 +331,14 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
     """For each coordinate and condition, the edges that are the only hit
     of some constraint of the cover system: the last cover of a
     constrained vertex."""
-    if kind not in ("B", "C"):
-        raise ValueError(f"kind must be B or C, got {kind!r}")
-    if kind == "B" and base is None:
-        raise ValueError("kind B needs a base")
     cs = _cover(kind, base, lattice)
-    rep, _outside, hits = cs.check(lattice)
+    rep, _outside, _hits, sole = cs.check(lattice)
     if not rep.member:
         raise NotMember("critical edges are defined for members only")
     sets: dict[tuple[int, str], set[Edge]] = {
         (i, cond): set() for i in range(1, rep.k + 1) for cond in cs.conditions
     }
-    for e, tags in _sole_hits(hits).items():
+    for e, tags in sole.items():
         for i, cond, _x in tags:
             sets[i, cond].add(e)
     by_i = {
@@ -375,8 +359,7 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     Every edge of the constraint joins x to a partner one lower in
     coordinate i and at most one apart in the others.
     """
-    if not 1 <= i <= k:
-        raise IndexOutOfRange(f"coordinate index {i} not in [1, {k}]")
+    _check_index(k, i)
     x = tuple(x)
     if len(x) != k or any(c not in (1, 2, 3) for c in x):
         raise VertexNotEligible(f"{x} is not a [3]^{k} vector")

@@ -280,14 +280,18 @@ def member_c(lattice: Graph) -> MembershipReport:
     return _cover("C", None, lattice).check(lattice)[0]
 
 
-def _cover(family: str, base: Graph | None, lattice: Graph) -> CoverSystem:
-    """The cover system a lattice is checked against, once its vertex set
-    is the family's, with k >= 2; family C's base is optional.  A base is
-    a Graph, which has two vertices or more, so only family C checks k."""
-    if family == "B":
-        k = _require_base(base)  # type: ignore[arg-type]
+def _cover(kind: str, base: Graph | None, lattice: Graph) -> CoverSystem:
+    """The cover system a lattice of kind B or C is checked against, once
+    its vertex set is the kind's, with k >= 2; only kind B needs a base.  A
+    base is a Graph, which has two vertices or more, so only C checks k."""
+    if kind == "B":
+        if base is None:
+            raise ValueError("kind B needs a base")
+        k = _require_base(base)
         _require_lattice(lattice, k, 2)
         return cover_system("B", k, base)
+    if kind != "C":
+        raise ValueError(f"kind must be B or C, got {kind!r}")
     k, m = _lattice_shape(lattice)
     if m < 3:
         # An edgeless or gap-free [3]^k lattice can present m < 3 only when
@@ -384,9 +388,9 @@ class CoverSystem:
     def check(self, lattice: Graph):
         """One pass over a lattice's edges: the membership report (per
         coordinate and condition, the lattice edges in the scaffold and the
-        first target they miss), the edges outside the universe, and for
-        each constraint hit its hitting edges -- all in canonical edge
-        order."""
+        first target they miss), the edges outside the universe, for each
+        constraint hit its hitting edges in canonical edge order, and for
+        each edge the constraints it alone hits, in constraint order."""
         outside: list[Edge] = []
         in_scaffold: dict[tuple[int, str], list[Edge]] = {
             (i, cond): [] for i in range(1, self.k + 1) for cond in self.conditions
@@ -401,6 +405,11 @@ class CoverSystem:
                 in_scaffold[i, cond].append(e)
                 if z is not None:
                     hits.setdefault((i, cond, z), []).append(e)
+        # each edge files its hits in constraint order and is the first hit of those it alone hits
+        sole: dict[Edge, list[tuple[int, str, LatticeVector]]] = {}
+        for tag, hit_edges in hits.items():
+            if len(hit_edges) == 1:
+                sole.setdefault(hit_edges[0], []).append(tag)
         missed = {}
         for i, cond in in_scaffold:
             x = next((x for x in self.targets(i, cond) if (i, cond, x) not in hits), None)
@@ -419,7 +428,7 @@ class CoverSystem:
             diagnostics=tuple(diagnostics),
             bad_edge=outside[0] if outside else None,
         )
-        return report, outside, hits
+        return report, outside, hits, sole
 
     def order(self, tag: tuple[int, str, LatticeVector]) -> tuple:
         """Sort key of a constraint tag in constraint order."""
@@ -472,10 +481,10 @@ class CoverSystem:
 
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
-    """The cover system of a family at k over a base on [k], edgeless by
-    default; family C refuses a base with edges.  The last few are cached,
-    with their mask views, by the base itself: equal bases, and an
-    edgeless base and none, share one system."""
+    """The cover system of a family at k >= 2 over a base on [k], edgeless
+    by default, on at most DEFAULT_SIZE_CAP vectors; family C refuses a base
+    with edges.  The last few are cached, masks too, by the base itself:
+    equal bases, and an edgeless base and none, share one system."""
     if family not in ("B", "C"):
         raise ValueError(f"family must be B or C, got {family!r}")
     return _cover_system(2 if family == "B" else 3, k, base)
@@ -483,6 +492,10 @@ def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
 
 @lru_cache(maxsize=64)
 def _cover_system(m: int, k: int, base: Graph | None) -> CoverSystem:
+    # the one gate for k and size, passed before any graph is built
+    if k < 2:
+        raise IndexOutOfRange(f"need k >= 2, got {k}")
+    _check_power("m^k", m, k)
     if base is None:
         # cached under both keys, so the default costs a lookup, not a base
         return _cover_system(m, k, base_null(k))
@@ -507,11 +520,10 @@ def _gaps_ok(x: LatticeVector, y: LatticeVector) -> bool:
 def gamma(k: int) -> Graph:
     """The [3]^k graph joining vectors that differ by at most one in every
     coordinate: the universe of the radius-3 cover system."""
-    if k < 2:
-        raise IndexOutOfRange(f"need k >= 2, got {k}")
     # generated, not read off ``edges``: the cached cover system would keep
     # the universe alive after the graph is gone
-    return Graph(_lattice_labels(k, 3)[0], cover_system("C", k)._universe())
+    universe = cover_system("C", k)._universe()
+    return Graph(_lattice_labels(k, 3)[0], universe)
 
 
 # -- named example graphs ---------------------------------------------------

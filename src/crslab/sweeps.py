@@ -62,7 +62,6 @@ from .extremal import (
     epsilon,
     q_choice_lists,
     q_choice_points,
-    q_count,
     tightness_b,
     _graph_sort_key,
 )
@@ -844,9 +843,7 @@ def check_size_identities() -> list[str]:
     for g in enumerate_q(2):
         if g.size != 2 * (3 + 2):
             bad.append(f"q2 member size {g.size}")
-    count, wrong = _q3_size_scan()
-    if count != q_count(3):
-        bad.append(f"q3 member count {count} != {q_count(3)}")
+    wrong = _q3_size_scan()[1]
     if wrong:
         bad.append(f"{wrong} q3 members with wrong size")
     return bad

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from crslab.errors import (
     IndexOutOfRange,
     NotMember,
     NotMinimal,
+    SizeOverflow,
     VertexNotEligible,
     WrongVertexSet,
 )
@@ -690,19 +692,47 @@ class TestMinimalMasks:
         assert sorted(_minimal_masks((0b011, 0b110), 3)) == [0b010, 0b101]
 
     @pytest.mark.parametrize(
-        "edges, count",
-        [([(1, 2), (2, 3)], 80), ([(1, 2)], 872), ([(1, 2), (1, 3), (2, 3)], 8)],
-        ids=["path", "one-edge", "complete"],
+        "edges, sizes, extremes",
+        [
+            ([(1, 2), (2, 3)], {2: 1, 3: 15, 4: 55, 5: 9}, None),
+            ([(1, 2)], {4: 19, 5: 177, 6: 424, 7: 225, 8: 27}, None),
+            ([(1, 2), (1, 3), (2, 3)], {1: 1, 2: 6, 3: 1}, ("U", "V")),
+            ([], {4: 1, 5: 18, 6: 169, 7: 881, 8: 1989, 9: 1121, 10: 244, 11: 24, 12: 1}, ("R", "P2box")),
+        ],
+        ids=["path", "one-edge", "complete", "null"],
     )
-    def test_b_at_k3(self, edges, count):
+    def test_b_at_k3(self, edges, sizes, extremes):
+        # the census of minimal lattices by size, equal over every labeled
+        # base of the class; both ends of bounds_b are reached on each
         base = Graph(base_null(3).vertices(), [(BaseVertex(a), BaseVertex(b)) for a, b in edges])
-        cs = cover_system("B", 3, base)
-        lattices = [cs.graph(mask) for mask in _minimal_masks(cs.masks, len(cs.edges))]
-        assert len(lattices) == count
+        copies = [b for b in labeled_bases(3) if b.size == base.size]
+        for copy in copies:
+            cs = cover_system("B", 3, copy)
+            masks = _minimal_masks(cs.masks, len(cs.edges))
+            assert Counter(mask.bit_count() for mask in masks) == sizes
+            assert bounds_b(copy) == (min(sizes), max(sizes))
+            if copy == base:
+                lattices = [cs.graph(mask) for mask in masks]
         lo, hi = bounds_b(base)
-        for lattice in lattices:
+        ends = sorted((g for g in lattices if g.size in (lo, hi)), key=lambda g: g.size)
+        if extremes:
+            assert ends == [example_graph(name, 3) for name in extremes]
+        # is_h1_minimal takes about 0.1 ms a lattice, so on the null base's
+        # 4 448 it reads only the two ends; the census pins the rest
+        for lattice in ends if not base.size else lattices:
             assert is_h1_minimal(base, lattice).minimal
-            assert lo <= lattice.size <= hi
+
+
+def run_python(script, *flags, timeout=60):
+    """The output lines of a script run by a fresh interpreter on this
+    checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_checks_survive_python_dash_o():
@@ -725,13 +755,63 @@ def test_checks_survive_python_dash_o():
             print("AssertionError:", exc)
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_python(script, "-O") == [
         "ValueError: kind B needs a base",
         "AssertionError: choice tuples must give distinct graphs",
     ]
+
+
+#: Every public entry point that takes k or a family-B base, with what the
+#: cover system's gate answers to a bad one: k below 2, no base, or m^k past
+#: DEFAULT_SIZE_CAP.  A new entry point of that kind joins the list.
+GATE_IMPORTS = """
+from crslab.families import cover_system, example_graph, gamma, member_b, s_set
+from crslab.extremal import (
+    cover_index_sets, critical_edges, epsilon, is_h1_minimal, q_choice_points, q_count, tightness_b,
+)
+"""
+GATE_REFUSALS = [
+    ('cover_system("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
+    ('cover_system("C", 1)', IndexOutOfRange, "need k >= 2, got 1"),
+    ("s_set(1, 1)", IndexOutOfRange, "need k >= 2, got 1"),
+    ("epsilon(1, 1, (2,))", IndexOutOfRange, "need k >= 2, got 1"),
+    ("q_choice_points(1)", IndexOutOfRange, "need k >= 2, got 1"),
+    ("gamma(1)", IndexOutOfRange, "need k >= 2, got 1"),
+    ('member_b(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
+    ('is_h1_minimal(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
+    ('tightness_b(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
+    ('cover_index_sets(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
+    ('critical_edges("B", None, example_graph("U", 2))', ValueError, "kind B needs a base"),
+    ('cover_system("C", 10**6)', SizeOverflow, "m^k = 3^1000000 exceeds the cap 59049"),
+    ('cover_system("B", 16)', SizeOverflow, "m^k = 2^16 exceeds the cap 59049"),
+    ("q_count(11)", SizeOverflow, "m^k = 3^11 exceeds the cap 59049"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [row for row in GATE_REFUSALS if row[1] is not SizeOverflow],
+    ids=[row[0] for row in GATE_REFUSALS if row[1] is not SizeOverflow],
+)
+def test_gate_refuses_k_below_two_and_a_missing_base(call, error, message):
+    names: dict = {}
+    exec(GATE_IMPORTS, names)
+    with pytest.raises(error) as info:
+        eval(call, names)
+    assert str(info.value) == message
+
+
+def test_gate_refuses_sizes_before_building():
+    # a fresh interpreter with a timeout: past the gate these calls build
+    # for seconds or do not finish
+    rows = [row for row in GATE_REFUSALS if row[1] is SizeOverflow]
+    script = GATE_IMPORTS + textwrap.dedent(
+        f"""
+        for call in {[call for call, _error, _message in rows]!r}:
+            try:
+                eval(call)
+            except Exception as exc:
+                print(type(exc).__name__ + ":", exc)
+        """
+    )
+    assert run_python(script, timeout=30) == [f"SizeOverflow: {message}" for _call, _error, message in rows]

@@ -1,5 +1,7 @@
 import random
 import tracemalloc
+from collections import Counter
+from functools import lru_cache, partial
 from itertools import permutations
 
 import pytest
@@ -275,17 +277,17 @@ def permute_vector(perm, x):
 
 
 def permute_constraints(perm, constraints):
+    move = lru_cache(maxsize=None)(partial(permute_vector, perm))
     return {
-        (perm[i - 1], cond, permute_vector(perm, x)): frozenset(
-            frozenset(permute_vector(perm, v) for v in e) for e in edges
-        )
+        (perm[i - 1], cond, move(x)): frozenset(frozenset(map(move, e)) for e in edges)
         for (i, cond, x), edges in constraints.items()
     }
 
 
-def base_on_3(bits):
-    pairs = base_complete(3).edges()
-    return Graph(base_null(3).vertices(), [pairs[t] for t in range(3) if bits >> t & 1])
+def labeled_base(k, bits):
+    """The base on [k] with the edges of base_complete(k) that ``bits`` selects."""
+    pairs = base_complete(k).edges()
+    return Graph(base_null(k).vertices(), [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
 
 
 class TestOneRule:
@@ -312,17 +314,25 @@ class TestOneRule:
         assert len(b) == constraints and sum(map(len, b.values())) == incidences
 
     def test_coordinate_permutations_carry_the_cover_system(self):
-        pairs = base_moved = 0
-        for bits in range(8):
-            base = base_on_3(bits)
-            cs = cover_system("B", 3, base)
+        # every base on [3] under every permutation; at k = 4 and 5, six
+        # seeded bases under four seeded permutations each
+        rng = random.Random(0xC0DE)
+        perms = {3: list(permutations((1, 2, 3)))}
+        bases = [(3, bits) for bits in range(8)]
+        for k in (4, 5):
+            perms[k] = rng.sample(list(permutations(range(1, k + 1)))[1:], 4)  # not the identity
+            bases += [(k, bits) for bits in rng.sample(range(1 << k * (k - 1) // 2), 6)]
+        pairs, base_moved = Counter(), Counter()
+        for k, bits in bases:
+            base = labeled_base(k, bits)
+            cs = cover_system("B", k, base)
             want = constraint_edges(cs)
-            for perm in permutations((1, 2, 3)):
+            for perm in perms[k]:
                 moved_base = Graph(base.vertices(), [
                     (BaseVertex(perm[u.index - 1]), BaseVertex(perm[v.index - 1])) for u, v in base.edges()
                 ])
-                moved = cover_system("B", 3, moved_base)
-                hoods = [None] * 3
+                moved = cover_system("B", k, moved_base)
+                hoods = [None] * k
                 for i, hood in enumerate(cs.hoods, 1):
                     hoods[perm[i - 1] - 1] = frozenset(perm[j - 1] for j in hood)
                 assert moved.hoods == tuple(hoods)
@@ -331,13 +341,15 @@ class TestOneRule:
                 # the control: moving the base but not the coordinates fails
                 if moved_base != base:
                     assert got != want
-                    base_moved += 1
-                pairs += 1
-        # 48 pairs, less one per automorphism: 6 + 3 * 2 + 3 * 2 + 6
-        assert (pairs, base_moved) == (48, 24)
-        c = constraint_edges(cover_system("C", 3))
-        for perm in permutations((1, 2, 3)):
-            assert permute_constraints(perm, c) == c
+                    base_moved[k] += 1
+                pairs[k] += 1
+        # at k = 3, 48 pairs, less one per automorphism: 6 + 3 * 2 + 3 * 2 + 6
+        assert pairs == {3: 48, 4: 24, 5: 24} and base_moved[3] == 24
+        assert base_moved[4] > 0 and base_moved[5] > 0, base_moved
+        for k in (3, 4, 5):
+            c = constraint_edges(cover_system("C", k))
+            for perm in perms[k]:
+                assert permute_constraints(perm, c) == c
 
 
 class TestGamma:

@@ -44,6 +44,8 @@ from crslab.sweeps import (
     _raw_dimension,
     _relabel_failures,
     _union_size_count,
+    sweep_b_equivalence,
+    sweep_c_equivalence,
     sweep_small_order,
 )
 
@@ -235,6 +237,33 @@ def test_member_lanes_agree_with_the_cover_system(family, k):
         verdicts[want] += 1
     assert verdicts[True] and verdicts[False], verdicts
     assert edge_bound > 0 or family == "C"
+
+
+def _member_count(cs):
+    """The lattices inside a cover system's universe U that hit every
+    constraint, by inclusion-exclusion over the constraint masks: the sum
+    over sets S of constraints of (-1)^|S| 2^(|U| - |union of S|), with the
+    terms of equal unions merged as they arise."""
+    terms = Counter({0: 1})
+    for mask in cs.masks:
+        step = terms.copy()
+        for union, sign in terms.items():
+            step[union | mask] -= sign
+        terms = step
+    return sum(sign << (len(cs.edges) - union.bit_count()) for union, sign in terms.items())
+
+
+def test_member_counts_found_without_lanes_or_bfs():
+    # family B at k = 3 over every labeled base on [3], by base class
+    # (edgeless, one edge, path, triangle); 2^28 lattices each
+    per_class = [138_646_801, 170_235_328, 201_801_728, 228_589_568]
+    counts = [_member_count(cover_system("B", 3, _base_graph(3, bits))) for bits in range(8)]
+    assert counts == [per_class[bits.bit_count()] for bits in range(8)]
+    assert sum(counts) == 1_483_347_537
+    # the k = 2 sweeps count their members with the lane kernel and the BFS
+    assert _member_count(cover_system("C", 2)) == sweep_c_equivalence().members == 152_500
+    b_counts = [_member_count(cover_system("B", 2, base)) for base in (base_null(2), base_complete(2))]
+    assert b_counts == [25, 40] and sum(b_counts) == sweep_b_equivalence().members
 
 
 @pytest.mark.parametrize(
