@@ -19,17 +19,17 @@ from itertools import product
 
 from .errors import (
     EnumerationCapExceeded,
-    IndexOutOfRange,
     NotMember,
     NotMinimal,
     SizeOverflow,
     VertexNotEligible,
-    WrongVertexSet,
 )
 from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, _iter_bits, degree
 from .families import (
     MembershipReport,
     _check_index,
+    _check_k,
+    _check_kind,
     _cover,
     _require_base,
     cover_system,
@@ -215,8 +215,7 @@ _MAX_BOUNDS_K = 4096
 
 
 def _require_bounds_k(k: int) -> None:
-    if k < 2:
-        raise IndexOutOfRange(f"need k >= 2, got {k}")
+    _check_k(k)
     if k > _MAX_BOUNDS_K:
         raise SizeOverflow(f"radius-3 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
 
@@ -237,15 +236,14 @@ def bounds_c(k: int) -> tuple[int, int]:
 def composite_size_bounds(kind: str, base_or_k) -> tuple[int, int]:
     """Edge-count bounds for whole minimal composites of either family: the
     lattice bounds plus the k * m^(k-1) cross edges and the base edges."""
+    _check_kind(kind)
     if kind == "B":
         base: Graph = base_or_k
         lower, upper = bounds_b(base)
         fixed = base.order * 2 ** (base.order - 1) + base.size
-    elif kind == "C":
+    else:
         lower, upper = bounds_c(base_or_k)
         fixed = base_or_k * 3 ** (base_or_k - 1)
-    else:
-        raise ValueError(f"kind must be B or C, got {kind!r}")
     return lower + fixed, upper + fixed
 
 
@@ -428,17 +426,12 @@ def _graph_sort_key(g: Graph):
 def enumerate_minimal(kind: str, k: int, base: Graph | None = None) -> list[Graph]:
     """All minimal lattices of the chosen family at k = 2, canonically
     sorted: the minimal hitting sets of the cover system's constraint
-    masks.  Larger k is past the enumeration cap, as the output grows fast
-    and has no size cap yet."""
-    if k < 2:
-        raise IndexOutOfRange(f"need k >= 2, got k={k}")
+    masks.  The cover system refuses a bad kind, k, size or base first;
+    larger k is past the enumeration cap, as the output grows fast and has
+    no size cap yet."""
+    cs = cover_system(kind, k, base)
     if k != 2:
         raise EnumerationCapExceeded(f"exhaustive minimal enumeration is capped at k=2, got k={k}")
-    if kind not in ("B", "C"):
-        raise ValueError(f"kind must be B or C, got {kind!r}")
-    if base is not None and _require_base(base) != 2:
-        raise WrongVertexSet(f"kind {kind} at k=2 needs a base on [2]")
-    cs = cover_system(kind, k, base)
     masks = _minimal_masks(cs.masks, len(cs.edges))
     return sorted((cs.graph(mask) for mask in masks), key=_graph_sort_key)
 

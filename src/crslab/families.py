@@ -97,6 +97,16 @@ def _check_index(k: int, i: int) -> None:
         raise IndexOutOfRange(f"coordinate index {i} not in [1, {k}]")
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise IndexOutOfRange(f"need k >= 2, got {k}")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("B", "C"):
+        raise ValueError(f"kind must be B or C, got {kind!r}")
+
+
 @lru_cache(maxsize=8)
 def _lattice_labels(k: int, m: int) -> tuple[tuple[LatticeVertex, ...], dict[LatticeVector, LatticeVertex]]:
     """The labels of [m]^k in lexicographic order, and each one by vector."""
@@ -140,6 +150,7 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
     at most one.  The C and D scaffolds together make up gamma(); the
     tests check that union against the direct rule.
     """
+    _check_k(k)
     _check_index(k, i)
     if kind not in ("B", "C", "D"):
         raise ValueError(f"scaffold kind must be B, C or D, got {kind!r}")
@@ -210,27 +221,21 @@ def _require_base(base: Graph) -> int:
     return k
 
 
+def _check_base(base: Graph, k: int) -> None:
+    if _require_base(base) != k:
+        raise WrongVertexSet(f"base has order {base.order}, expected k={k}")
+
+
 def _require_lattice(lattice: Graph, k: int, m: int) -> None:
     if lattice.vertices() != _lattice_labels(k, m)[0]:
         raise WrongVertexSet(f"lattice graph must live on all of [{m}]^{k}")
-
-
-def _lattice_shape(lattice: Graph) -> tuple[int, int]:
-    first = lattice.vertices()[0]
-    if not isinstance(first, LatticeVertex):
-        raise WrongVertexSet("lattice graph must use lattice vertex labels")
-    k = len(first.vector)
-    m = max(c for v in lattice.vertices() for c in v.vector)  # type: ignore[union-attr]
-    _require_lattice(lattice, k, m)
-    return k, m
 
 
 def compose(base: Graph, lattice: Graph, k: int, m: int) -> CompositeGraph:
     """Assemble the composite of a base graph on [k] and a lattice graph on
     [m]^k; the implied cross edges make the size obey
     |E(base)| + |E(lattice)| + k * m^(k-1)."""
-    if _require_base(base) != k:
-        raise WrongVertexSet(f"base has order {base.order}, expected k={k}")
+    _check_base(base, k)
     _require_lattice(lattice, k, m)
     return CompositeGraph(k, m, base, lattice)
 
@@ -282,26 +287,21 @@ def member_c(lattice: Graph) -> MembershipReport:
 
 def _cover(kind: str, base: Graph | None, lattice: Graph) -> CoverSystem:
     """The cover system a lattice of kind B or C is checked against, once
-    its vertex set is the kind's, with k >= 2; only kind B needs a base.  A
-    base is a Graph, which has two vertices or more, so only C checks k."""
+    the lattice lives on all of the system's [m]^k.  Kind B takes k from
+    its base, which it needs; any other kind takes k from the lattice's
+    first vector, and cover_system refuses the kind, k, size and base."""
     if kind == "B":
         if base is None:
             raise ValueError("kind B needs a base")
-        k = _require_base(base)
-        _require_lattice(lattice, k, 2)
-        return cover_system("B", k, base)
-    if kind != "C":
-        raise ValueError(f"kind must be B or C, got {kind!r}")
-    k, m = _lattice_shape(lattice)
-    if m < 3:
-        # An edgeless or gap-free [3]^k lattice can present m < 3 only when
-        # it is not on [3]^k at all.
-        raise WrongVertexSet("the radius-3 family lives on [3]^k lattices")
-    if m != 3:
-        raise WrongVertexSet(f"lattice components exceed 3 (m={m})")
-    if k < 2:
-        raise WrongVertexSet("the family is defined for k >= 2")
-    return cover_system("C", k, base)
+        k = base.order
+    else:
+        first = lattice.vertices()[0]
+        if not isinstance(first, LatticeVertex):
+            raise WrongVertexSet("lattice graph must use lattice vertex labels")
+        k = len(first.vector)
+    cs = cover_system(kind, k, base)
+    _require_lattice(lattice, cs.k, cs.m)
+    return cs
 
 
 # -- the cover system ---------------------------------------------------------
@@ -485,22 +485,19 @@ def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
     by default, on at most DEFAULT_SIZE_CAP vectors; family C refuses a base
     with edges.  The last few are cached, masks too, by the base itself:
     equal bases, and an edgeless base and none, share one system."""
-    if family not in ("B", "C"):
-        raise ValueError(f"family must be B or C, got {family!r}")
+    _check_kind(family)
     return _cover_system(2 if family == "B" else 3, k, base)
 
 
 @lru_cache(maxsize=64)
 def _cover_system(m: int, k: int, base: Graph | None) -> CoverSystem:
     # the one gate for k and size, passed before any graph is built
-    if k < 2:
-        raise IndexOutOfRange(f"need k >= 2, got {k}")
+    _check_k(k)
     _check_power("m^k", m, k)
     if base is None:
         # cached under both keys, so the default costs a lookup, not a base
         return _cover_system(m, k, base_null(k))
-    if _require_base(base) != k:
-        raise WrongVertexSet(f"base has order {base.order}, expected k={k}")
+    _check_base(base, k)
     if m == 3 and base.size:
         raise NotMember("the radius-3 family needs a null base")
     hoods = tuple(
@@ -535,8 +532,7 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
     U, V, R, P2box live on [2]^k; T and Qcanon on [3]^k.  MaxB and MaxC are
     the composite maxima of the two families.
     """
-    if k < 2:
-        raise IndexOutOfRange(f"need k >= 2, got {k}")
+    _check_k(k)
     ones = tuple([1] * k)
     twos = tuple([2] * k)
     if name == "U":

@@ -299,13 +299,13 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     resolves its composite with every lattice vertex on its own label.  It
     may still certify the composite through a label permutation -- see
     out_of_range_counterexample() -- so a certified sample is counted in
-    failures and then cross-checked: its table must not be the identity and
-    its relabeling must land inside the family, otherwise it is flagged
-    inconsistent (a genuine bug).  A member sample counts in both at once.
-    The samples are certified in one lane batch, and only the certified
-    lanes go on to check_crs, which must then certify them too; a
-    disconnected composite (22 of the 1000 seeded samples) leaves some
-    cell empty, so its lane is rejected.  Returns (samples whose
+    failures and then cross-checked: neither its lane nor its table may be
+    the identity, and its relabeling must land inside the family, otherwise
+    it is flagged inconsistent (a genuine bug).  A member sample counts in
+    both at once.  The samples are certified in one lane batch, and only
+    the certified lanes go on to check_crs, which must then certify them
+    too; a disconnected composite (22 of the 1000 seeded samples) leaves
+    some cell empty, so its lane is rejected.  Returns (samples whose
     membership report names an edge outside the maximal lattice -- every
     sample, unless member_c misses the gap -- failures, inconsistent).
     """
@@ -322,7 +322,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
             if mask & outside:
                 break
         masks.append(mask)
-    certified, _identity = _certify_masks(_lane_frame(cs, base_null(2), all_edges), 2, 3, masks)
+    certified, identities = _certify_masks(_lane_frame(cs, base_null(2), all_edges), 2, 3, masks)
     tested = failures = inconsistent = 0
     for j, mask in enumerate(masks):
         lattice = Graph(complete.vertices(), [all_edges[t] for t in _iter_bits(mask)])
@@ -345,7 +345,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
             continue
         comp = canonical_relabel(g, res)
         relabel_member = member_c(comp.lattice).member
-        identity = all(res.table[LatticeVertex(v)] == v for v in vecs)
+        identity = identities >> j & 1 or all(res.table[LatticeVertex(v)] == v for v in vecs)
         if identity or not relabel_member:
             inconsistent += 1
     return tested, failures, inconsistent

@@ -133,6 +133,21 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: the radius-3 family needs a null base"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(formats.graph_to_json(example_graph("U", 2))),
+            '{"k": 2, "m": 4, "base_edges": [], "lattice_edges": []}',
+        ],
+        ids=["lattice-on-2^2", "composite-on-4^2"],
+    )
+    def test_membership_c_off_the_3_lattice_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "off.json"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", "--membership", "C", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: lattice graph must live on all of [3]^2"]
+
     def test_w_certificate(self, tmp_path, capsys):
         from crslab.families import base_null, compose
 
@@ -195,7 +210,7 @@ class TestEnumerate:
         # malformed input, not a cap
         code, out, err = run_cli(["enumerate", "--minimal", kind, "--k", k], capsys=capsys)
         assert code == 2 and out == ""
-        assert err.splitlines() == [f"error: need k >= 2, got k={k}"]
+        assert err.splitlines() == [f"error: need k >= 2, got {k}"]
 
 
 class TestBounds:
@@ -619,6 +634,23 @@ def test_runtime_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+def test_each_refusal_message_is_raised_from_one_place():
+    # a message raised at two sites is one check kept in two copies, which
+    # can drift apart; the check belongs in one helper that both call
+    pkg = Path(__file__).resolve().parents[1] / "src" / "crslab"
+    sites: dict[str, list[str]] = {}
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = node.exc.args[0]
+                if isinstance(message, ast.JoinedStr) or (
+                    isinstance(message, ast.Constant) and isinstance(message.value, str)
+                ):
+                    sites.setdefault(ast.unparse(message), []).append(f"{path.name}:{node.lineno}")
+    repeated = {message: where for message, where in sites.items() if len(where) > 1}
+    assert not repeated, f"raised at several sites: {repeated}"
 
 
 if __name__ == "__main__":

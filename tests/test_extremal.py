@@ -657,12 +657,22 @@ class TestEnumerateMinimal:
         assert enumerate_minimal("C", 2, base=base_null(2)) == enumerate_minimal("C", 2)
         with pytest.raises(NotMember, match="the radius-3 family needs a null base"):
             enumerate_minimal("C", 2, base=base_complete(2))
-        with pytest.raises(WrongVertexSet, match="kind C at k=2 needs a base on"):
+        with pytest.raises(WrongVertexSet, match="^base has order 3, expected k=2$"):
             enumerate_minimal("C", 2, base=base_null(3))
 
     def test_k3_is_capped(self):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_minimal("C", 3)
+
+    @pytest.mark.parametrize("kind", ["B", "C"])
+    def test_k3_is_capped_before_the_search(self, monkeypatch, kind):
+        # the cap must stop k = 3 before the minimal search starts
+        def search(masks, width):
+            raise RuntimeError("the minimal search ran")
+
+        monkeypatch.setattr(extremal, "_minimal_masks", search)
+        with pytest.raises(EnumerationCapExceeded, match="capped at k=2, got k=3"):
+            enumerate_minimal(kind, 3)
 
     def test_k_below_two_is_malformed(self):
         with pytest.raises(IndexOutOfRange):
@@ -761,13 +771,17 @@ def test_checks_survive_python_dash_o():
     ]
 
 
-#: Every public entry point that takes k or a family-B base, with what the
-#: cover system's gate answers to a bad one: k below 2, no base, or m^k past
+#: Every public entry point that takes k, a kind, a family-B base or a
+#: lattice, with what the cover system's gate answers to a bad one: k below
+#: 2, an unknown kind, no base or one of the wrong order, or m^k past
 #: DEFAULT_SIZE_CAP.  A new entry point of that kind joins the list.
 GATE_IMPORTS = """
-from crslab.families import cover_system, example_graph, gamma, member_b, s_set
+from crslab.families import (
+    base_null, cover_system, example_graph, gamma, member_b, member_c, s_set, scaffold, span_lattice,
+)
 from crslab.extremal import (
-    cover_index_sets, critical_edges, epsilon, is_h1_minimal, q_choice_points, q_count, tightness_b,
+    cover_index_sets, critical_edges, enumerate_minimal, epsilon, is_h1_minimal, is_k_minimal,
+    q_choice_points, q_count, tightness_b,
 )
 """
 GATE_REFUSALS = [
@@ -777,6 +791,15 @@ GATE_REFUSALS = [
     ("epsilon(1, 1, (2,))", IndexOutOfRange, "need k >= 2, got 1"),
     ("q_choice_points(1)", IndexOutOfRange, "need k >= 2, got 1"),
     ("gamma(1)", IndexOutOfRange, "need k >= 2, got 1"),
+    ("member_c(span_lattice(1, 3, []))", IndexOutOfRange, "need k >= 2, got 1"),
+    ("is_k_minimal(span_lattice(1, 3, []))", IndexOutOfRange, "need k >= 2, got 1"),
+    ('critical_edges("C", None, span_lattice(1, 3, []))', IndexOutOfRange, "need k >= 2, got 1"),
+    ('scaffold(1, 1, "B")', IndexOutOfRange, "need k >= 2, got 1"),
+    ('enumerate_minimal("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
+    ('enumerate_minimal("C", 2, base=base_null(3))', WrongVertexSet, "base has order 3, expected k=2"),
+    ('cover_system("X", 2)', ValueError, "kind must be B or C, got 'X'"),
+    ('enumerate_minimal("X", 2)', ValueError, "kind must be B or C, got 'X'"),
+    ('critical_edges("X", None, example_graph("U", 2))', ValueError, "kind must be B or C, got 'X'"),
     ('member_b(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('is_h1_minimal(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('tightness_b(None, example_graph("U", 2))', ValueError, "kind B needs a base"),

@@ -203,7 +203,7 @@ def test_cli_exit_contract_for_base(argv, text):
         (BASE_COMMANDS[0], COMPOSITE, "error: --base expects a plain base graph on b1..bk"),
         (BASE_COMMANDS[1], COMPOSITE, "error: --base expects a plain base graph on b1..bk"),
         (BASE_COMMANDS[2], COMPOSITE, "error: --base expects a plain base graph on b1..bk"),
-        (BASE_COMMANDS[2], BASE_OF_3, "error: kind B at k=2 needs a base on [2]"),
+        (BASE_COMMANDS[2], BASE_OF_3, "error: base has order 3, expected k=2"),
     ],
     ids=["bounds-composite", "bounds-composite-composite", "enumerate-composite", "enumerate-order-3"],
 )

@@ -191,6 +191,19 @@ def test_out_of_range_lane_check_can_fail(monkeypatch):
     assert sweeps._out_of_gamma_samples() == (1000, 1, 1)
 
 
+def test_out_of_range_identity_lane_is_inconsistent(monkeypatch):
+    # no sample keeps every label, so a lane batch that reports the
+    # certified lane as the identity is flagged inconsistent
+    real_certify = sweeps._certify_masks
+
+    def identity_lanes(frame, k, m, masks):
+        certified, _identity = real_certify(frame, k, m, masks)
+        return certified, certified
+
+    monkeypatch.setattr(sweeps, "_certify_masks", identity_lanes)
+    assert sweeps._out_of_gamma_samples() == (1000, 1, 1)
+
+
 def _base_graph(k, bits):
     pairs = base_complete(k).edges()
     return Graph(base_null(k).vertices(), [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
