@@ -1,5 +1,6 @@
-"""JSON and DOT serialization for graphs, composites, certificates and
-reports.
+"""JSON and DOT serialization of the records the CLI reads and prints:
+graphs, composites, certificates and their failures, classification
+verdicts and membership reports.
 
 JSON is the canonical labeled-graph format: plain vertices are integers,
 lattice vertices are arrays of components, base vertices are strings
@@ -25,7 +26,6 @@ from .graph import (
 )
 from .families import CompositeGraph, IndexDiagnostic, MembershipReport, compose, span_lattice
 from .resolving import ClassificationVerdict, CrsCertificate, CrsFailure
-from .extremal import BoundsReport, MinimalityReport
 
 _BASE_RE = re.compile(r"^b([0-9]+)$")
 
@@ -209,53 +209,6 @@ def membership_to_json(rep: MembershipReport) -> dict:
         "bad_edge": None if rep.bad_edge is None else _edge_json(rep.bad_edge),
         "per_index": [_diag_json(d, rep.family) for d in rep.diagnostics],
     }
-
-
-def minimality_to_json(rep: MinimalityReport) -> dict:
-    return {
-        "minimal": rep.minimal,
-        "member": rep.member,
-        "family": rep.family,
-        "edges": [
-            {
-                "edge": _edge_json(ec.edge),
-                "critical": ec.critical,
-                "witness_vertex": (
-                    None if ec.witness_vertex is None else vertex_to_json(ec.witness_vertex)
-                ),
-                "witness_indices": list(ec.witness_indices),
-                "condition": ec.condition,
-            }
-            for ec in rep.edges
-        ],
-    }
-
-
-def bounds_report_to_json(rep: BoundsReport) -> dict:
-    violation = None
-    if rep.upper_violation is not None:
-        violation = [_violation_part(part) for part in rep.upper_violation]
-    return {
-        "family": rep.family,
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "actual": rep.actual,
-        "lower_tight": rep.lower_tight,
-        "upper_tight": rep.upper_tight,
-        "lower_witness_index": rep.lower_witness_index,
-        "upper_violation": violation,
-    }
-
-
-def _violation_part(part) -> Any:
-    # Parts are the condition letter, a vector or an edge.
-    if isinstance(part, str):
-        return part
-    if isinstance(part, tuple) and part and isinstance(part[0], LatticeVertex):
-        return _edge_json(part)
-    if isinstance(part, tuple):
-        return list(part)
-    raise FormatError(f"unexpected violation part {part!r}")
 
 
 # -- DOT export -----------------------------------------------------------------

@@ -9,7 +9,7 @@ not survive the format, so encoding requires PlainVertex ids 0..n-1.
 from __future__ import annotations
 
 from .errors import FormatError, WrongVertexSet
-from .graph import Graph, PlainVertex
+from .graph import Graph, PlainVertex, plain_graph
 
 HEADER = ">>graph6<<"
 
@@ -71,5 +71,4 @@ def read_graph6(text: str) -> Graph:
             pos += 1
     if any(bits[pos:]):
         raise FormatError("nonzero padding bits")
-    return Graph([PlainVertex(i) for i in range(n)],
-                 [(PlainVertex(a), PlainVertex(b)) for a, b in edges])
+    return plain_graph(n, edges)

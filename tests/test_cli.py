@@ -427,6 +427,21 @@ class TestClassifyAndDim:
 
 
 class TestHostileInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--graph", "{composite}", "--w", "b1,b1"], "W has repeated vertices"),
+            (["bounds", "C"], "bounds C needs --k N"),
+        ],
+        ids=["repeated-w", "bounds-c-without-k"],
+    )
+    def test_refusal_exits_2(self, tmp_path, capsys, argv, message):
+        composite = tmp_path / "t2.json"
+        composite.write_text(json.dumps(formats.composite_to_json(compose(base_null(2), example_graph("T", 2), 2, 3))))
+        code, out, err = run_cli([a.format(composite=composite) for a in argv], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\xff\xfe\x00bad")

@@ -36,6 +36,26 @@ def _critical_json(ce):
     }
 
 
+def _minimality_json(rep):
+    return {
+        "minimal": rep.minimal,
+        "member": rep.member,
+        "family": rep.family,
+        "edges": [
+            {
+                "edge": formats._edge_json(ec.edge),
+                "critical": ec.critical,
+                "witness_vertex": (
+                    None if ec.witness_vertex is None else formats.vertex_to_json(ec.witness_vertex)
+                ),
+                "witness_indices": list(ec.witness_indices),
+                "condition": ec.condition,
+            }
+            for ec in rep.edges
+        ],
+    }
+
+
 def _reports(family, base, lattice):
     if family == "B":
         membership = member_b(base, lattice)
@@ -45,7 +65,7 @@ def _reports(family, base, lattice):
         minimality = is_k_minimal(lattice)
     return {
         "membership": formats.membership_to_json(membership),
-        "minimality": formats.minimality_to_json(minimality),
+        "minimality": _minimality_json(minimality),
         "critical_edges": (
             _critical_json(critical_edges(family, base, lattice)) if membership.member else None
         ),

@@ -773,9 +773,11 @@ def test_checks_survive_python_dash_o():
 
 #: Every public entry point that takes k, a kind, a family-B base or a
 #: lattice, with what the cover system's gate answers to a bad one: k below
-#: 2, an unknown kind, no base or one of the wrong order, or m^k past
-#: DEFAULT_SIZE_CAP.  A new entry point of that kind joins the list.
+#: 2, an unknown kind, no base or one of the wrong order, a lattice without
+#: lattice labels, a vector outside [3]^k, or m^k past DEFAULT_SIZE_CAP.  A
+#: new entry point of that kind joins the list.
 GATE_IMPORTS = """
+from crslab.graph import plain_graph
 from crslab.families import (
     base_null, cover_system, example_graph, gamma, member_b, member_c, s_set, scaffold, span_lattice,
 )
@@ -797,6 +799,8 @@ GATE_REFUSALS = [
     ('scaffold(1, 1, "B")', IndexOutOfRange, "need k >= 2, got 1"),
     ('enumerate_minimal("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
     ('enumerate_minimal("C", 2, base=base_null(3))', WrongVertexSet, "base has order 3, expected k=2"),
+    ("member_c(plain_graph(3, [(0, 1)]))", WrongVertexSet, "lattice graph must use lattice vertex labels"),
+    ("epsilon(2, 1, (4, 1))", VertexNotEligible, "(4, 1) is not a [3]^2 vector"),
     ('cover_system("X", 2)', ValueError, "kind must be B or C, got 'X'"),
     ('enumerate_minimal("X", 2)', ValueError, "kind must be B or C, got 'X'"),
     ('critical_edges("X", None, example_graph("U", 2))', ValueError, "kind must be B or C, got 'X'"),

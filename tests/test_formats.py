@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -11,8 +12,7 @@ from crslab.graph6 import write_graph6
 from crslab.graph import BaseVertex, LatticeVertex, PlainVertex, plain_graph
 from crslab.families import base_complete, base_null, compose, example_graph, member_b, member_c
 from crslab.resolving import CrsCertificate, check_crs, is_completeness_resolvable
-from crslab.extremal import is_h1_minimal, is_k_minimal, tightness_b
-from crslab import formats
+from crslab import cli, formats
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -122,18 +122,6 @@ class TestReportJson:
         make_validator("membership_report.schema.json").validate(data)
         assert data["member"] is True
 
-    def test_minimality_reports(self):
-        rep = is_h1_minimal(base_null(2), example_graph("R", 2))
-        make_validator("minimality_report.schema.json").validate(formats.minimality_to_json(rep))
-        rep = is_k_minimal(example_graph("T", 2))
-        make_validator("minimality_report.schema.json").validate(formats.minimality_to_json(rep))
-
-    def test_bounds_report(self):
-        rep = tightness_b(base_null(2), example_graph("R", 2))
-        data = formats.bounds_report_to_json(rep)
-        make_validator("bounds_report.schema.json").validate(data)
-        assert data["lower_tight"] is True
-
     def test_verdict(self):
         g = compose(base_null(2), example_graph("T", 2), 2, 3).materialize()
         data = formats.verdict_to_json(is_completeness_resolvable(g))
@@ -141,33 +129,87 @@ class TestReportJson:
         assert data["verdict"] == "family-c"
 
 
-class TestCommandOutput:
-    """The records that dim and bounds print fit their schemas, which admit
-    no other key."""
+#: CLI runs whose stdout is one JSON record, by name: (the schema the record
+#: must fit, argv, exit code).  "{composite}", "{base}" and "{p4}" stand for
+#: the input files that _write_inputs makes.
+COMMAND_RUNS = {
+    "construct-lattice": ("graph.schema.json", ["construct", "--family", "T", "--k", "2"], 0),
+    "construct-compose": (
+        "composite.schema.json", ["construct", "--family", "T", "--k", "2", "--compose"], 0
+    ),
+    "verify-w": ("certificate.schema.json", ["verify", "--graph", "{composite}", "--w", "b1,b2"], 0),
+    "verify-w-fails": ("failure.schema.json", ["verify", "--graph", "{composite}", "--w", "b1"], 1),
+    "verify-membership": (
+        "membership_report.schema.json", ["verify", "--graph", "{composite}", "--membership", "C"], 0
+    ),
+    "classify": ("verdict.schema.json", ["classify", "--graph", "{composite}"], 0),
+    "dim": ("dim.schema.json", ["dim", "--graph", "{p4}"], 0),
+    "bounds-c": ("bounds.schema.json", ["bounds", "C", "--k", "3"], 0),
+    "bounds-b-composite": ("bounds.schema.json", ["bounds", "B", "--base", "{base}", "--composite"], 0),
+}
 
-    def check(self, schema, argv, capsys):
-        assert main(argv) == 0
+
+def _write_inputs(tmp_path):
+    files = {
+        "composite": json.dumps(formats.composite_to_json(compose(base_null(2), example_graph("T", 2), 2, 3))),
+        "base": json.dumps(formats.graph_to_json(base_complete(2))),
+        "p4": write_graph6(plain_graph(4, [(0, 1), (1, 2), (2, 3)])),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+class TestCommandOutput:
+    """The record each command prints fits its schema, which admits no other
+    key, and every schema but the $ref-only vertex schema is the shape of
+    some command's output."""
+
+    def check(self, run, tmp_path, capsys):
+        schema, argv, code = COMMAND_RUNS[run]
+        inputs = _write_inputs(tmp_path)
+        assert main([arg.format(**inputs) for arg in argv]) == code
         data = json.loads(capsys.readouterr().out)
         validator = make_validator(schema)
         validator.validate(data)
         assert not validator.is_valid({**data, "extra": 0})
         return data
 
-    def test_dim_on_graph6(self, tmp_path, capsys):
-        path = tmp_path / "p4.g6"
-        path.write_text(write_graph6(plain_graph(4, [(0, 1), (1, 2), (2, 3)])))
-        data = self.check("dim.schema.json", ["dim", "--graph", str(path)], capsys)
-        assert data["dimension"] == 1
+    @pytest.mark.parametrize("run", COMMAND_RUNS)
+    def test_stdout_fits_its_schema(self, run, tmp_path, capsys):
+        self.check(run, tmp_path, capsys)
 
-    def test_bounds_c(self, capsys):
-        data = self.check("bounds.schema.json", ["bounds", "C", "--k", "3"], capsys)
-        assert data == {"lower": 14, "upper": 39}
+    def test_every_schema_is_printed_by_a_command(self):
+        files = {path.name for path in SCHEMA_DIR.glob("*.schema.json")} - {"vertex.schema.json"}
+        printed = {schema for schema, _argv, _code in COMMAND_RUNS.values()}
+        unprinted, missing = sorted(files - printed), sorted(printed - files)
+        assert not unprinted and not missing, f"no command prints {unprinted}; no schema file for {missing}"
+
+    def test_dim_on_graph6(self, tmp_path, capsys):
+        assert self.check("dim", tmp_path, capsys)["dimension"] == 1
+
+    def test_bounds_c(self, tmp_path, capsys):
+        assert self.check("bounds-c", tmp_path, capsys) == {"lower": 14, "upper": 39}
 
     def test_bounds_b_composite(self, tmp_path, capsys):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(formats.graph_to_json(base_complete(2))))
-        argv = ["bounds", "B", "--base", str(path), "--composite"]
-        assert self.check("bounds.schema.json", argv, capsys) == {"lower": 6, "upper": 7}
+        assert self.check("bounds-b-composite", tmp_path, capsys) == {"lower": 6, "upper": 7}
+
+
+def test_every_public_function_serves_the_cli():
+    # a writer that no command prints is kept alive only by its own tests
+    tree = ast.parse(Path(formats.__file__).read_text())
+    public = {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    called_inside = {
+        node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    cli_uses = {
+        node.attr
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "formats"
+    }
+    assert sorted(public - called_inside - cli_uses) == []
 
 
 class TestDot:

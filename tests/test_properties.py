@@ -3,7 +3,7 @@ that do not fit a single module."""
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations, product
 
 import pytest
@@ -28,9 +28,11 @@ from crslab.families import (
 from crslab.resolving import (
     FAMILY_B,
     NOT_COMPLETENESS_RESOLVABLE,
+    NOT_INJECTIVE,
     PATH,
     UNIVERSAL_VERTEX,
     CrsCertificate,
+    CrsFailure,
     check_crs,
     metric_dimension,
 )
@@ -204,6 +206,14 @@ def test_out_of_range_identity_lane_is_inconsistent(monkeypatch):
     assert sweeps._out_of_gamma_samples() == (1000, 1, 1)
 
 
+def test_out_of_range_member_sample_is_inconsistent(monkeypatch):
+    # a sample is never a member on its own labels, so a membership test
+    # that accepts every sample counts each one as a failure and flags it
+    real_member_c = sweeps.member_c
+    monkeypatch.setattr(sweeps, "member_c", lambda lattice: replace(real_member_c(lattice), member=True))
+    assert sweeps._out_of_gamma_samples() == (1000, 1000, 1000)
+
+
 def _base_graph(k, bits):
     pairs = base_complete(k).edges()
     return Graph(base_null(k).vertices(), [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
@@ -308,6 +318,19 @@ def test_property_sweep_can_fail_on_the_subsample(monkeypatch):
     assert (result.upset_violations, result.union_violations) == (subsample, subsample)
 
 
+def test_property_sweep_can_fail_on_the_choice_sets(monkeypatch):
+    # one edge offered at every choice point of k = 2: each of its 10 * 9 / 2
+    # pairs overlaps, and none of the 741 pairs at k = 3
+    real_epsilon = sweeps.epsilon
+    shared = (LatticeVertex((1, 1)), LatticeVertex((1, 2)))
+    monkeypatch.setattr(
+        sweeps, "epsilon", lambda k, i, x: real_epsilon(k, i, x) | ({shared} if k == 2 else set())
+    )
+    result = sweeps.sweep_properties.__wrapped__()
+    assert (result.epsilon_pairs_checked, result.epsilon_overlaps) == (786, 45)
+    assert not result.ok
+
+
 def test_certified_within_range_forces_identity_labels():
     # on spanning subgraphs of the maximal lattice, certification pins every
     # distance vector to its label, exhaustively; the counts are pinned, and
@@ -369,6 +392,61 @@ def test_q3_size_check_can_fail(monkeypatch):
     # a quarter of the tuples take the shared edge at both points
     assert q_count(3) == 4 * 4194304
     assert "4194304 q3 members with wrong size" in sweeps.check_size_identities()
+
+
+def test_named_size_identity_can_fail(monkeypatch):
+    # V_2 in place of U_2 has one edge too many
+    real_example_graph = sweeps.example_graph
+    monkeypatch.setattr(
+        sweeps, "example_graph", lambda name, k: real_example_graph("V" if (name, k) == ("U", 2) else name, k)
+    )
+    assert sweeps.check_size_identities() == ["U_2: 2 != 1"]
+
+
+def test_diameter_check_can_fail(monkeypatch):
+    # U in place of the complete lattice over the complete base: diameter 3
+    real_example_graph = sweeps.example_graph
+
+    def u_for_max_b(name, k):
+        if name == "MaxB":
+            return compose(base_complete(k), real_example_graph("U", k), k, 2)
+        return real_example_graph(name, k)
+
+    monkeypatch.setattr(sweeps, "example_graph", u_for_max_b)
+    assert sweeps.check_diameters() == ["complete base o complete lattice: diameter 3 != 2"]
+
+
+@pytest.mark.parametrize(
+    "kind, lost_base, size, message",
+    [
+        ("C", None, 5, "size-5 stratum has 0 graphs"),
+        ("C", None, 10, "size-10 stratum differs from the choice-product family"),
+        ("B", base_complete(2), 1, "complete base: size-1 minimal is not U"),
+        ("B", base_complete(2), 2, "complete base: size-2 minimal is not V"),
+        ("B", base_null(2), 2, "null base: size-2 minimal is not R"),
+        ("B", base_null(2), 4, "null base: size-4 minimal is not P2box"),
+    ],
+    ids=["C-5", "C-10", "complete-1", "complete-2", "null-2", "null-4"],
+)
+def test_minimal_strata_checks_can_fail(monkeypatch, kind, lost_base, size, message):
+    # an enumeration that loses one stratum of one kind and base
+    real_enumerate_minimal = sweeps.enumerate_minimal
+
+    def stratum_lost(which, k, base=None):
+        graphs = real_enumerate_minimal(which, k, base=base)
+        if (which, base) == (kind, lost_base):
+            graphs = [g for g in graphs if g.size != size]
+        return graphs
+
+    monkeypatch.setattr(sweeps, "enumerate_minimal", stratum_lost)
+    assert sweeps.check_minimal_enumeration() == [message]
+
+
+def test_minimal_bounds_check_can_fail(monkeypatch):
+    # an upper bound one short of the size-10 stratum
+    real_bounds_c = sweeps.bounds_c
+    monkeypatch.setattr(sweeps, "bounds_c", lambda k: (real_bounds_c(k)[0], real_bounds_c(k)[1] - 1))
+    assert sweeps.check_minimal_enumeration() == ["minimal size outside the bounds"]
 
 
 def test_equivalence_scan_checks_the_composite_order(monkeypatch):
@@ -542,6 +620,16 @@ def test_relabel_check_can_fail(monkeypatch):
     assert _relabel_failures(g, found, {}) == 2 * len(found)
 
 
+def test_relabel_check_fails_a_rejected_certificate(monkeypatch):
+    # a check_crs that rejects every W fails both orders of every
+    # radius-2 certificate of the raw scan
+    g, _edges = _plain_family_b_graph()
+    found = _radius_2_certificates(g)
+    assert found
+    monkeypatch.setattr(sweeps, "check_crs", lambda g, w: CrsFailure(NOT_INJECTIVE, "rejected"))
+    assert _relabel_failures(g, found, {}) == 2 * len(found)
+
+
 def test_relabel_verdicts_are_asked_once_per_composite(monkeypatch):
     # the graph and a relabeled copy share their canonical relabels, so a
     # shared memo asks member_b once per distinct (base, lattice)
@@ -596,6 +684,69 @@ def test_verdict_check_can_fail(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_classify", universal_first)
     assert sweep_small_order.__wrapped__(4).verdict_mismatches > 0
+
+
+def _scan_plus(extra):
+    """A raw scan that reports one more certificate on every graph where it
+    finds any."""
+
+    def scan(rows, n):
+        found = list(_raw_crs_scan(rows, n))
+        return found + [extra] if found else found
+
+    return scan
+
+
+def _scan_blind_to_long_paths(rows, n):
+    # P4 and P5: the paths without a universal vertex
+    if n >= 4 and any(max(row) == n - 1 for row in rows):
+        return iter(())
+    return _raw_crs_scan(rows, n)
+
+
+def _metric_dimension_off_by(delta):
+    def off(g):
+        dim, basis = metric_dimension(g)
+        return dim + delta, basis
+
+    return off
+
+
+@pytest.mark.parametrize(
+    "patches, fired",
+    [
+        # a radius-2 singleton W on a graph that is no path
+        ({"_raw_crs_scan": _scan_plus(((0,), 1, 2))}, {"path_mismatches": 280}),
+        # a radius-1 pair on a graph without a universal vertex
+        ({"_raw_crs_scan": _scan_plus(((0, 1), 2, 1))}, {"universal_mismatches": 72}),
+        ({"_raw_crs_scan": _scan_plus(((0, 1), 2, 4))}, {"m_at_least_4": 356}),
+        # the classifier still says path, so of the two verdict checks only
+        # the second fires; it cannot fire alone, since a path or a
+        # universal vertex without a certificate fails its own check too
+        ({"_raw_crs_scan": _scan_blind_to_long_paths}, {"path_mismatches": 72, "verdict_mismatches": 72}),
+        # both dimensions one low, so they still agree with each other
+        (
+            {
+                "_raw_dimension": lambda rows, n: _raw_dimension(rows, n) - 1,
+                "metric_dimension": _metric_dimension_off_by(-1),
+            },
+            {"dimension_inequality_violations": 686},
+        ),
+        ({"metric_dimension": _metric_dimension_off_by(1)}, {"dimension_spot_mismatches": 771}),
+    ],
+    ids=["path", "universal", "m-at-least-4", "verdict-vs-scan", "inequality", "dimension-spot"],
+)
+def test_classification_checks_can_fail(monkeypatch, patches, fired):
+    for name, mutant in patches.items():
+        monkeypatch.setattr(sweeps, name, mutant)
+    result = sweep_small_order.__wrapped__(5)
+    checks = {
+        f.name: getattr(result, f.name)
+        for f in fields(result)
+        if f.name not in ("connected_graphs", "crs_successes")
+    }
+    assert checks == {**dict.fromkeys(checks, 0), **fired}
+    assert not result.ok
 
 
 def _labeled_small_order(max_order):
