@@ -4,11 +4,12 @@ A lattice graph is minimal (relative to its base for the radius-2 family,
 absolutely for the radius-3 family) when family membership holds but breaks
 under every single-edge deletion; because membership is closed upward under
 edge addition, single deletions decide minimality against the whole
-spanning-subgraph order.  This module computes the cover-index calculus
-behind those checks, the edge-count bounds for minimal graphs with their
-tightness characterizations, the per-vertex edge-choice sets whose products
-realize every maximum-size minimal lattice, and the exhaustive minimal
-enumerations at k = 2.
+spanning-subgraph order.  The minimality checks read the sole hits of the
+cover system, found in the pass that checks membership; the cover-index
+sets are a view of that pass.  Also here: edge-count bounds for minimal
+graphs with their tightness characterizations, the per-vertex edge-choice
+sets whose products realize every maximum-size minimal lattice, and the
+exhaustive minimal enumerations at k = 2.
 """
 
 from __future__ import annotations

@@ -140,6 +140,8 @@ def composite_to_json(c: CompositeGraph) -> dict:
 def composite_from_json(data: Any) -> CompositeGraph:
     try:
         k, m = data["k"], data["m"]
+        if not isinstance(data["base_edges"], list) or not isinstance(data["lattice_edges"], list):
+            raise FormatError("composite JSON 'base_edges' and 'lattice_edges' must be lists")
         base_edges = [(i, j) for i, j in data["base_edges"]]
         lattice_edges = [(tuple(x), tuple(y)) for x, y in data["lattice_edges"]]
     except (KeyError, TypeError, ValueError) as exc:

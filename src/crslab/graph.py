@@ -151,21 +151,18 @@ class Graph:
         return iu is not None and iv is not None and self._adj[iu] >> iv & 1 == 1
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        mask = self._adj[self._vertex_index(v)]
+        mask = self._adj[self.index_of(v)]
         return tuple(self._verts[i] for i in _iter_bits(mask))
 
     def index_of(self, v: Vertex) -> int:
-        return self._vertex_index(v)
-
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bit sets over the canonical vertex order."""
-        return list(self._adj)
-
-    def _vertex_index(self, v: Vertex) -> int:
         try:
             return self._index[v]
         except KeyError:
             raise UnknownVertex(f"vertex {v!r} is not in the graph") from None
+
+    def adjacency_masks(self) -> list[int]:
+        """Per-vertex neighbor bit sets over the canonical vertex order."""
+        return list(self._adj)
 
     # -- value semantics -------------------------------------------------
 
@@ -292,7 +289,7 @@ def is_spanning_subgraph(g1: Graph, g2: Graph) -> bool:
 
 def degree(g: Graph, v: Vertex) -> int:
     """Number of edges covering ``v``."""
-    return g._adj[g._vertex_index(v)].bit_count()
+    return g._adj[g.index_of(v)].bit_count()
 
 
 # -- structural predicates -------------------------------------------------

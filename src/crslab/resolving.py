@@ -285,11 +285,19 @@ def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Ver
     return [(c.w_order, c) for c in _pruned_certificates(g.vertices(), rows_all, range(1, g.order))]
 
 
-def _classify(verts, rows_all) -> ClassificationVerdict:
-    """The verdict of a connected graph from its vertex labels and all-pairs
-    hop-count rows.  A vertex of eccentricity n-1 is a path endpoint (its
-    BFS levels are singletons) and one of eccentricity 1 is universal;
-    otherwise the search runs at |W| = 2..n-2, where radius 1 cannot occur."""
+def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
+    """Classify the graph: a path, a graph with a universal vertex, a
+    radius-2 family member (with witness |W| = k), a radius-3 family
+    member, or not completeness-resolvable at all.
+
+    A vertex of eccentricity n-1 is a path endpoint (its BFS levels are
+    singletons) and one of eccentricity 1 is universal; otherwise the
+    search runs at |W| = 2..n-2, where radius 1 cannot occur.  No
+    isomorphism search is involved: a certificate with radius 2 or 3
+    already places the graph in the corresponding family via relabeling.
+    """
+    rows_all = _table(g, cap, "classification needs a connected graph")
+    verts = g.vertices()
     n = len(verts)
     ecc = [max(row) for row in rows_all]
     if n - 1 in ecc:
@@ -303,17 +311,6 @@ def _classify(verts, rows_all) -> ClassificationVerdict:
         kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
         return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
     return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
-
-
-def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
-    """Classify the graph: a path, a graph with a universal vertex, a
-    radius-2 family member (with witness |W| = k), a radius-3 family
-    member, or not completeness-resolvable at all.
-
-    No isomorphism search is involved: a certificate with radius 2 or 3
-    already places the graph in the corresponding family via relabeling.
-    """
-    return _classify(g.vertices(), _table(g, cap, "classification needs a connected graph"))
 
 
 @lru_cache(maxsize=8)

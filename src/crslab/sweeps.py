@@ -27,7 +27,9 @@ from .graph import (
     _iter_bits,
     bfs_levels,
     diameter,
+    is_path,
     plain_graph,
+    universal_vertices,
 )
 from .families import (
     CoverSystem,
@@ -50,8 +52,8 @@ from .resolving import (
     PATH,
     UNIVERSAL_VERTEX,
     CrsCertificate,
-    _classify,
     check_crs,
+    is_completeness_resolvable,
     metric_dimension,
 )
 from .extremal import (
@@ -63,7 +65,6 @@ from .extremal import (
     q_choice_lists,
     q_choice_points,
     tightness_b,
-    _graph_sort_key,
 )
 
 SAMPLE_SEED = 0x5EED
@@ -539,10 +540,11 @@ def _canonical_form(adj: list[int]) -> tuple[tuple[int, ...], int]:
 @lru_cache(maxsize=2)
 def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
     """Every connected graph of order 2..max_order, cross-checked four ways:
-    raw bijection scans vs the structural classifier, radius-1 certificates
-    vs universal vertices, radius-2 certificates vs family relabeling, and
-    the dimension/diameter counting inequality; metric_dimension is checked
-    against the raw dimension on every class representative.
+    raw bijection scans vs is_path and is_completeness_resolvable, radius-1
+    certificates vs universal_vertices, radius-2 certificates vs family
+    relabeling, and the dimension/diameter counting inequality;
+    metric_dimension is checked against the raw dimension on every class
+    representative.
 
     The sweep sums over isomorphism classes: it checks one representative
     per class and adds its counts n!/|Aut| times, once per labeling.  Every
@@ -551,11 +553,9 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
     connected = successes = 0
     path_mism = universal_mism = verdict_mism = relabel_fail = 0
     m_big = dim_viol = dim_spot = 0
-    relabeled: dict[tuple[Graph, Graph], bool] = {}
     for n, classes in _connected_classes(max_order):
         if n < 2:
             continue
-        full = (1 << n) - 1
         for canon, aut in classes.items():
             labelings = factorial(n) // aut
             adj = list(canon)
@@ -570,15 +570,14 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
             if any(k >= 2 and m >= 4 for _w, k, m in found):
                 m_big += labelings
 
-            degs = sorted(a.bit_count() for a in adj)
-            struct_path = degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
-            struct_universal = any(adj[v] | (1 << v) == full for v in range(n))
+            struct_path = is_path(g)
+            struct_universal = bool(universal_vertices(g))
             if has_k1 != struct_path:
                 path_mism += labelings
             if has_m1 != struct_universal:
                 universal_mism += labelings
 
-            verdict = _classify(range(n), rows)
+            verdict = is_completeness_resolvable(g)
             expected_kind = (
                 PATH
                 if struct_path
@@ -590,11 +589,9 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
             )
             if verdict.kind != expected_kind:
                 verdict_mism += labelings
-            if (verdict.kind == NOT_COMPLETENESS_RESOLVABLE) != (not found):
-                verdict_mism += labelings
 
             if any(k == m == 2 for _w, k, m in found):
-                relabel_fail += labelings * _relabel_failures(g, found, relabeled)
+                relabel_fail += labelings * _relabel_failures(g, found)
 
             dim = _raw_dimension(rows, n)
             diam = max(max(r) for r in rows)
@@ -615,13 +612,12 @@ def sweep_small_order(max_order: int = 6) -> SmallOrderSweep:
     )
 
 
-def _relabel_failures(g: Graph, found, relabeled: dict[tuple[Graph, Graph], bool]) -> int:
+def _relabel_failures(g: Graph, found) -> int:
     """Certify both orders of each radius-2 W of ``found`` (raw scan
     certificates (w_tuple, k, m) on ``g``) with check_crs, relabel onto the
     canonical vertex sets, and count the orders that fail or whose relabel
     is not a family-B member.  Every certificate is relabeled, cross edges
-    checked included; the member_b verdict of each (base, lattice) is kept
-    in ``relabeled``, since many graphs share one relabel."""
+    checked included."""
     failures = 0
     verts = g.vertices()
     for ws, k, m in found:
@@ -633,10 +629,7 @@ def _relabel_failures(g: Graph, found, relabeled: dict[tuple[Graph, Graph], bool
                 failures += 1
                 continue
             comp = canonical_relabel(g, cert)
-            key = (comp.base, comp.lattice)
-            if key not in relabeled:
-                relabeled[key] = member_b(comp.base, comp.lattice).member
-            failures += not relabeled[key]
+            failures += not member_b(comp.base, comp.lattice).member
     return failures
 
 
@@ -921,7 +914,7 @@ def check_minimal_enumeration() -> list[str]:
     five = [g for g in emc if g.size == 5]
     if five != [t2]:
         bad.append(f"size-5 stratum has {len(five)} graphs")
-    ten = sorted((g for g in emc if g.size == 10), key=_graph_sort_key)
+    ten = [g for g in emc if g.size == 10]
     if ten != enumerate_q(2):
         bad.append("size-10 stratum differs from the choice-product family")
     lo, hi = bounds_c(2)

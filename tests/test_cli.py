@@ -527,6 +527,24 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"k": 2, "m": 2, "base_edges": {}, "lattice_edges": []}',
+            '{"k": 2, "m": 2, "base_edges": "", "lattice_edges": []}',
+            '{"k": 2, "m": 2, "base_edges": [], "lattice_edges": {}}',
+            '{"k": 2, "m": 2, "base_edges": [], "lattice_edges": ""}',
+        ],
+        ids=["object-base", "string-base", "object-lattice", "string-lattice"],
+    )
+    def test_edge_lists_that_are_not_lists_exit_2(self, tmp_path, capsys, text):
+        # an empty object or string is not read as "no edges"
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", "--membership", "B", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: composite JSON 'base_edges' and 'lattice_edges' must be lists"]
+
 
 class TestSuiteCommand:
     def test_jobs_option_is_rejected(self, capsys):
@@ -542,6 +560,11 @@ class TestSuiteCommand:
         # the benchmark harness calls run_suite(name, jobs=1)
         [result] = run_suite("sizes", jobs=1)
         assert result.name == "sizes" and result.passed
+
+    def test_run_suite_rejects_an_unknown_name(self):
+        with pytest.raises(KeyError) as info:
+            run_suite("nope")
+        assert info.value.args == ("nope",)
 
     def test_fast_suites_pass(self, capsys):
         for name in ("sizes", "diameters", "tightness", "minimal"):

@@ -112,6 +112,12 @@ class TestSlice:
         assert x.size() == 4
         assert x.vectors() == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
+    def test_positions_and_values_must_lie_in_range(self):
+        with pytest.raises(IndexOutOfRange, match=r"^slice positions must lie in \[k\]=2$"):
+            lattice_slice(2, 3, {3}, {1})
+        with pytest.raises(IndexOutOfRange, match=r"^slice values must lie in \[m\]=3$"):
+            lattice_slice(2, 3, {1}, {4})
+
 
 class TestScaffold:
     def test_b_is_complete_bipartite(self):
@@ -144,6 +150,10 @@ class TestScaffold:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             scaffold(2, 3, "B")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^scaffold kind must be B, C or D, got 'X'$"):
+            scaffold(2, 1, "X")
 
 
 class TestSSet:
@@ -475,6 +485,10 @@ class TestCartesianPower:
     def test_needs_positive_plain_ids(self):
         with pytest.raises(WrongVertexSet):
             cartesian_power(Graph([PlainVertex(0), PlainVertex(1)], [(PlainVertex(0), PlainVertex(1))]), 2)
+
+    def test_needs_s_at_least_one(self):
+        with pytest.raises(IndexOutOfRange, match="^need s >= 1, got 0$"):
+            cartesian_power(path_on(2), 0)
 
 
 class TestCanonicalRelabel:

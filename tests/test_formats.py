@@ -51,6 +51,10 @@ class TestVertexCodec:
             with pytest.raises(FormatError):
                 formats.vertex_from_json(bad)
 
+    def test_writer_rejects_a_non_label(self):
+        with pytest.raises(FormatError, match="^not a vertex: 'x'$"):
+            formats.vertex_to_json("x")
+
     def test_parse_text(self):
         assert formats.parse_vertex_text("b3") == BaseVertex(3)
         assert formats.parse_vertex_text("(1,2)") == LatticeVertex((1, 2))

@@ -73,6 +73,10 @@ class TestConstruction:
         assert vertex_key(BaseVertex(99)) < vertex_key(LatticeVertex((1,)))
         assert vertex_key(LatticeVertex((9, 9))) < vertex_key(PlainVertex(0))
 
+    def test_vertex_key_rejects_a_non_label(self):
+        with pytest.raises(TypeError, match="^not a vertex label: 'x'$"):
+            vertex_key("x")
+
 
 class TestDistances:
     def test_path_metric(self):

@@ -1,16 +1,26 @@
 """Cross-cutting invariants: seeded random trials and regression anchors
 that do not fit a single module."""
 
+import ast
 import random
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 from crslab import sweeps
 from crslab.errors import DisconnectedGraph
-from crslab.graph import BaseVertex, Graph, LatticeVertex, bfs_levels, plain_graph
+from crslab.graph import (
+    BaseVertex,
+    Graph,
+    LatticeVertex,
+    bfs_levels,
+    is_path,
+    plain_graph,
+    universal_vertices,
+)
 from crslab.families import (
     base_complete,
     base_null,
@@ -34,6 +44,7 @@ from crslab.resolving import (
     CrsCertificate,
     CrsFailure,
     check_crs,
+    is_completeness_resolvable,
     metric_dimension,
 )
 from crslab.extremal import is_k_minimal, iter_q, q_count
@@ -617,7 +628,7 @@ def test_relabel_check_can_fail(monkeypatch):
     monkeypatch.setattr(
         sweeps, "member_b", lambda base, lattice: replace(real_member_b(base, lattice), member=False)
     )
-    assert _relabel_failures(g, found, {}) == 2 * len(found)
+    assert _relabel_failures(g, found) == 2 * len(found)
 
 
 def test_relabel_check_fails_a_rejected_certificate(monkeypatch):
@@ -627,38 +638,7 @@ def test_relabel_check_fails_a_rejected_certificate(monkeypatch):
     found = _radius_2_certificates(g)
     assert found
     monkeypatch.setattr(sweeps, "check_crs", lambda g, w: CrsFailure(NOT_INJECTIVE, "rejected"))
-    assert _relabel_failures(g, found, {}) == 2 * len(found)
-
-
-def test_relabel_verdicts_are_asked_once_per_composite(monkeypatch):
-    # the graph and a relabeled copy share their canonical relabels, so a
-    # shared memo asks member_b once per distinct (base, lattice)
-    g, edges = _plain_family_b_graph()
-    perm = [3, 5, 0, 1, 4, 2]
-    copy = plain_graph(g.order, [(perm[a], perm[b]) for a, b in edges])
-    real_member_b = sweeps.member_b
-    asked = []
-
-    def counting_member_b(base, lattice):
-        asked.append((base, lattice))
-        return real_member_b(base, lattice)
-
-    monkeypatch.setattr(sweeps, "member_b", counting_member_b)
-    memo = {}
-    relabels = set()
-    certificates = 0
-    for graph in (g, copy, g):
-        found = _radius_2_certificates(graph)
-        assert _relabel_failures(graph, found, memo) == 0
-        verts = graph.vertices()
-        for ws, _k, _m in found:
-            for order in (ws, ws[::-1]):
-                comp = canonical_relabel(graph, check_crs(graph, tuple(verts[i] for i in order)))
-                relabels.add((comp.base, comp.lattice))
-                certificates += 1
-    assert len(asked) == len(set(asked)) == len(relabels)
-    assert set(asked) == relabels
-    assert len(relabels) < certificates
+    assert _relabel_failures(g, found) == 2 * len(found)
 
 
 def test_radius_4_count_says_it_is_zero_by_counting(monkeypatch):
@@ -674,16 +654,31 @@ def test_radius_4_count_says_it_is_zero_by_counting(monkeypatch):
 def test_verdict_check_can_fail(monkeypatch):
     # a classifier that ranks a universal vertex above a path (P2 and P3
     # have both) disagrees with the sweep's oracles on exactly those graphs
-    real_classify = sweeps._classify
+    real_classify = sweeps.is_completeness_resolvable
 
-    def universal_first(verts, rows):
-        verdict = real_classify(verts, rows)
-        if verdict.kind == PATH and 1 in (max(row) for row in rows):
+    def universal_first(g):
+        verdict = real_classify(g)
+        if verdict.kind == PATH and universal_vertices(g):
             return replace(verdict, kind=UNIVERSAL_VERTEX)
         return verdict
 
-    monkeypatch.setattr(sweeps, "_classify", universal_first)
+    monkeypatch.setattr(sweeps, "is_completeness_resolvable", universal_first)
     assert sweep_small_order.__wrapped__(4).verdict_mismatches > 0
+
+
+def test_sweeps_import_no_private_name_from_another_module():
+    # a sweep that checks a private seam vouches for code users never call;
+    # _iter_bits is the one shared bit-set helper
+    tree = ast.parse(Path(sweeps.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{(node.module or '').removeprefix('crslab.')}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("crslab."))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    leaked = sorted(name for name in private if name != "graph._iter_bits")
+    assert not leaked, f"sweeps imports private names: {leaked}"
 
 
 def _scan_plus(extra):
@@ -720,10 +715,9 @@ def _metric_dimension_off_by(delta):
         # a radius-1 pair on a graph without a universal vertex
         ({"_raw_crs_scan": _scan_plus(((0, 1), 2, 1))}, {"universal_mismatches": 72}),
         ({"_raw_crs_scan": _scan_plus(((0, 1), 2, 4))}, {"m_at_least_4": 356}),
-        # the classifier still says path, so of the two verdict checks only
-        # the second fires; it cannot fire alone, since a path or a
-        # universal vertex without a certificate fails its own check too
-        ({"_raw_crs_scan": _scan_blind_to_long_paths}, {"path_mismatches": 72, "verdict_mismatches": 72}),
+        # the classifier and is_path still say path, so only the scan's
+        # own check fires
+        ({"_raw_crs_scan": _scan_blind_to_long_paths}, {"path_mismatches": 72}),
         # both dimensions one low, so they still agree with each other
         (
             {
@@ -757,7 +751,6 @@ def _labeled_small_order(max_order):
     connected = successes = 0
     path_mism = universal_mism = verdict_mism = relabel_fail = 0
     m_big = dim_viol = dim_spot = 0
-    relabeled = {}
     for n in range(2, max_order + 1):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -781,16 +774,15 @@ def _labeled_small_order(max_order):
             if any(k >= 2 and m >= 4 for _w, k, m in found):
                 m_big += 1
 
-            degs = sorted(a.bit_count() for a in adj)
-            struct_path = degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
-            full = (1 << n) - 1
-            struct_universal = any(adj[v] | (1 << v) == full for v in range(n))
+            g = plain_graph(n, edges)
+            struct_path = is_path(g)
+            struct_universal = bool(universal_vertices(g))
             if has_k1 != struct_path:
                 path_mism += 1
             if has_m1 != struct_universal:
                 universal_mism += 1
 
-            verdict = sweeps._classify(range(n), rows)
+            verdict = is_completeness_resolvable(g)
             expected_kind = (
                 PATH
                 if struct_path
@@ -802,12 +794,9 @@ def _labeled_small_order(max_order):
             )
             if verdict.kind != expected_kind:
                 verdict_mism += 1
-            if (verdict.kind == NOT_COMPLETENESS_RESOLVABLE) != (not found):
-                verdict_mism += 1
 
-            g = plain_graph(n, edges)
             if any(k == m == 2 for _w, k, m in found):
-                relabel_fail += _relabel_failures(g, found, relabeled)
+                relabel_fail += _relabel_failures(g, found)
 
             dim = _raw_dimension(rows, n)
             diam = max(max(r) for r in rows)

@@ -152,6 +152,10 @@ class TestResolveVector:
         with pytest.raises(UnknownVertex):
             resolve_vector(path4(), [p(0)], p(9))
 
+    def test_unreachable_vertex(self):
+        with pytest.raises(DisconnectedGraph, match="^v2 is unreachable from v0$"):
+            resolve_vector(plain_graph(3, [(0, 1)]), [p(0)], p(2))
+
 
 class TestIsResolvingSet:
     def test_all_but_one_resolves(self):
@@ -217,6 +221,12 @@ class TestCheckCrs:
         assert isinstance(res, CrsFailure)
         assert res.reason == NOT_INJECTIVE
         assert res.detail == "v2 and v4 share the vector (2, 1)"
+
+    def test_certificate_is_truthy_and_failure_falsy(self):
+        # callers count certified outcomes with bool(check_crs(...))
+        assert bool(check_crs(star(), [p(1), p(2), p(3)])) is True
+        c4 = plain_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert bool(check_crs(c4, [p(0), p(1)])) is False
 
     def test_order_insensitive(self):
         g = compose(base_null(2), example_graph("T", 2), 2, 3).materialize()
