@@ -5,8 +5,10 @@ absolutely for the radius-3 family) when family membership holds but breaks
 under every single-edge deletion; because membership is closed upward under
 edge addition, single deletions decide minimality against the whole
 spanning-subgraph order.  The minimality checks read the sole hits of the
-cover system, found in the pass that checks membership; the cover-index
-sets are a view of that pass.  Also here: edge-count bounds for minimal
+cover system, found in the pass that checks membership; that pass is
+cached and shared, so a report on a lattice whose membership was just
+decided does not run it again.  The cover-index sets are a view of the
+same pass.  Also here: edge-count bounds for minimal
 graphs with their tightness characterizations, the per-vertex edge-choice
 sets whose products realize every maximum-size minimal lattice, and the
 exhaustive minimal enumerations at k = 2.

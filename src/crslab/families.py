@@ -108,22 +108,77 @@ def _check_kind(kind: str) -> None:
 
 
 @lru_cache(maxsize=8)
-def _lattice_labels(k: int, m: int) -> tuple[tuple[LatticeVertex, ...], dict[LatticeVector, LatticeVertex]]:
-    """The labels of [m]^k in lexicographic order, and each one by vector."""
+def _lattice_labels(
+    k: int, m: int
+) -> tuple[tuple[LatticeVertex, ...], dict[Vertex, int], dict[LatticeVector, int]]:
+    """The labels of [m]^k in lexicographic order, and the position of
+    each one, by label and by vector."""
     verts = tuple(LatticeVertex(v) for v in lattice_vertices(k, m))
-    return verts, {x.vector: x for x in verts}
+    return verts, {x: p for p, x in enumerate(verts)}, {x.vector: p for p, x in enumerate(verts)}
+
+
+@lru_cache(maxsize=8)
+def _base_labels(k: int) -> tuple[tuple[BaseVertex, ...], dict[Vertex, int]]:
+    """BaseVertex(1..k) in order, and the position of each one."""
+    verts = tuple(BaseVertex(i) for i in range(1, k + 1))
+    return verts, {x: p for p, x in enumerate(verts)}
+
+
+@lru_cache(maxsize=8)
+def _composite_labels(k: int, m: int) -> tuple[tuple[Vertex, ...], dict[Vertex, int], tuple[int, ...]]:
+    """The labels of [k] + [m]^k in canonical order, the position of each
+    one, and the rows of the cross edges over them."""
+    lattice = _lattice_labels(k, m)[0]
+    verts = _base_labels(k)[0] + lattice
+    cross = [0] * len(verts)
+    for p, x in enumerate(lattice, k):
+        for i, c in enumerate(x.vector):
+            if c == 1:
+                cross[i] |= 1 << p
+                cross[p] |= 1 << i
+    return verts, {x: p for p, x in enumerate(verts)}, tuple(cross)
 
 
 def span_lattice(k: int, m: int, edges) -> Graph:
     """Spanning subgraph of the complete graph on [m]^k with the given
     vector-pair edges."""
-    verts, labels = _lattice_labels(k, m)
-    get = labels.get
-    # a vector outside [m]^k gets a fresh label, so LatticeVertex or Graph rejects it
-    return Graph(verts, [
-        (get(tuple(x)) or LatticeVertex(tuple(x)), get(tuple(y)) or LatticeVertex(tuple(y)))
-        for x, y in edges
-    ])
+    verts, index, pos = _lattice_labels(k, m)
+    edges = list(edges)
+    adj = [0] * len(verts)
+    try:
+        for x, y in edges:
+            a, b = pos[x], pos[y]
+            if a == b:
+                break
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        else:
+            return Graph._from_adj(verts, index, adj)
+    except (KeyError, TypeError, ValueError):
+        pass
+    # a loop, a malformed pair or a vector that is not a tuple of [m]^k:
+    # the labelled build reads the edges, and a vector outside [m]^k gets
+    # a fresh label, so LatticeVertex or Graph rejects it
+    def label(x) -> LatticeVertex:
+        p = pos.get(tuple(x))
+        return LatticeVertex(tuple(x)) if p is None else verts[p]
+
+    return Graph(verts, [(label(x), label(y)) for x, y in edges])
+
+
+def _span_base(k: int, pairs: list) -> Graph:
+    """The graph on BaseVertex(1..k) with the given index-pair edges; a
+    pair outside [k], a loop or k < 2 is refused by the labelled build."""
+    if k >= 2:
+        adj = [0] * k
+        for i, j in pairs:
+            if not (1 <= i <= k and 1 <= j <= k) or i == j:
+                break
+            adj[i - 1] |= 1 << j - 1
+            adj[j - 1] |= 1 << i - 1
+        else:
+            return Graph._from_adj(*_base_labels(k), adj)
+    return Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in pairs])
 
 
 def base_complete(k: int) -> Graph:
@@ -208,10 +263,17 @@ class CompositeGraph:
                     yield (b, v)
 
     def materialize(self) -> Graph:
-        verts = list(self.base.vertices()) + list(self.lattice.vertices())
-        edges = self.base.edges() + self.lattice.edges()
-        edges.extend(self.cross_edges())
-        return Graph(verts, edges)
+        """The composite as one graph: base rows, then lattice rows shifted
+        past the base, each joined with its cross-edge row."""
+        k, m, base, lattice = self.k, self.m, self.base, self.lattice
+        if lattice.vertices() != _lattice_labels(k, m)[0] or base.vertices() != _base_labels(k)[0]:
+            # parts not on [k] and [m]^k, as compose() ensures: the labelled build reads them
+            edges = base.edges() + lattice.edges()
+            edges.extend(self.cross_edges())
+            return Graph(base.vertices() + lattice.vertices(), edges)
+        verts, index, cross = _composite_labels(k, m)
+        rows = base.adjacency_masks() + [row << k for row in lattice.adjacency_masks()]
+        return Graph._from_adj(verts, index, [a | b for a, b in zip(rows, cross)])
 
 
 def _require_base(base: Graph) -> int:
@@ -326,12 +388,15 @@ class CoverSystem:
 
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
-    of some constraint.  Membership and minimality make one ``check`` pass
-    over a lattice's own edges; the exhaustive scans use the bit-mask view
-    (``edges``, ``masks``), built on first use.  Both stay because the
-    mask view needs the whole universe: Gamma_k has (7^k - 3^k)/2 edges,
-    58 460 at k = 6 and 141 208 100 at k = 10, which DEFAULT_SIZE_CAP
-    allows, while a check costs time in proportion to the lattice.
+    of some constraint.  Membership, minimality and the critical edges read
+    one ``check`` pass over a lattice's own edges, cached for the last few
+    (system, lattice) pairs and shared, so the reports on one lattice, or
+    on an equal one, do not run it again.  The exhaustive scans use the
+    bit-mask view (``edges``, ``masks``), built on first use.  Both stay
+    because the mask view needs the whole universe: Gamma_k has
+    (7^k - 3^k)/2 edges, 58 460 at k = 6 and 141 208 100 at k = 10, which
+    DEFAULT_SIZE_CAP allows, while a check costs time in proportion to the
+    lattice.
     """
 
     k: int
@@ -386,11 +451,20 @@ class CoverSystem:
                 yield i, cond, z if self.is_target(i, cond, z) else None
 
     def check(self, lattice: Graph):
-        """One pass over a lattice's edges: the membership report (per
-        coordinate and condition, the lattice edges in the scaffold and the
-        first target they miss), the edges outside the universe, for each
-        constraint hit its hitting edges in canonical edge order, and for
-        each edge the constraints it alone hits, in constraint order."""
+        """The membership report (per coordinate and condition, the lattice
+        edges in the scaffold and the first target they miss), the edges
+        outside the universe, for each constraint hit its hitting edges in
+        canonical edge order, and for each edge the constraints it alone
+        hits, in constraint order.
+
+        The last few results are cached by (system, lattice) and shared, so
+        a membership report and the minimality and critical-edge reports of
+        an equal lattice read one pass.  No caller may mutate ``outside``,
+        ``hits`` or ``sole``."""
+        return _check(self, lattice)
+
+    def _pass(self, lattice: Graph):
+        """One pass over a lattice's edges: what ``check`` returns."""
         outside: list[Edge] = []
         in_scaffold: dict[tuple[int, str], list[Edge]] = {
             (i, cond): [] for i in range(1, self.k + 1) for cond in self.conditions
@@ -445,8 +519,8 @@ class CoverSystem:
     def _universe(self) -> Iterator[Edge]:
         """The universe in canonical edge order, generated afresh: each
         vertex with its later neighbours."""
-        verts, label = _lattice_labels(self.k, self.m)
-        return ((u, label[y]) for u in verts for y in self._near(u.vector) if y > u.vector)
+        verts, _index, pos = _lattice_labels(self.k, self.m)
+        return ((u, verts[pos[y]]) for u in verts for y in self._near(u.vector) if y > u.vector)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -478,6 +552,12 @@ class CoverSystem:
             if not mask & cm:
                 return False
         return True
+
+
+@lru_cache(maxsize=8)
+def _check(cs: CoverSystem, lattice: Graph):
+    # equal lattices have equal labels and adjacency, so a hit is what a pass would give
+    return cs._pass(lattice)
 
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
@@ -654,13 +734,9 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     if len(table) != len(rest) or not all(verts[u] in table for u in rest):
         raise InvalidCertificate("certificate table does not cover V minus W")
     vec = {u: table[verts[u]] for u in rest}
-    base_edges = [
-        (BaseVertex(i + 1), BaseVertex(j + 1))
-        for i in range(k)
-        for j in range(i + 1, k)
-        if adj[w_pos[i]] >> w_pos[j] & 1
-    ]
-    base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
+    base = _span_base(k, [
+        (i + 1, j + 1) for i in range(k) for j in range(i + 1, k) if adj[w_pos[i]] >> w_pos[j] & 1
+    ])
     lattice_edges = []
     for u in rest:
         later = adj[u] & rest_mask & ~((2 << u) - 1)

@@ -24,7 +24,7 @@ from .graph import (
     PlainVertex,
     Vertex,
 )
-from .families import CompositeGraph, IndexDiagnostic, MembershipReport, compose, span_lattice
+from .families import CompositeGraph, IndexDiagnostic, MembershipReport, _span_base, compose, span_lattice
 from .resolving import ClassificationVerdict, CrsCertificate, CrsFailure
 
 _BASE_RE = re.compile(r"^b([0-9]+)$")
@@ -119,12 +119,24 @@ def graph_from_json(data: Any) -> Graph:
     if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
         raise FormatError("graph JSON 'vertices' and 'edges' must be lists")
     verts = [vertex_from_json(v) for v in data["vertices"]]
-    edges = []
-    for e in data["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise FormatError(f"edge must be a pair: {e!r}")
-        edges.append((vertex_from_json(e[0]), vertex_from_json(e[1])))
+    edges = [(vertex_from_json(u), vertex_from_json(v)) for u, v in map(_pair, data["edges"])]
     return Graph(verts, edges)
+
+
+def _pair(e: Any) -> list:
+    """An edge read from JSON: a list of two endpoints."""
+    if not isinstance(e, list) or len(e) != 2:
+        raise FormatError(f"edge must be a pair: {e!r}")
+    return e
+
+
+def _vector(x: Any) -> tuple:
+    """The components of a lattice vertex read from composite JSON.  A
+    non-empty string is read as its characters, which the integer check
+    then refuses by the first one."""
+    if isinstance(x, list) or (isinstance(x, str) and x):
+        return tuple(x)
+    raise FormatError(f"bad composite JSON: a lattice vertex must be a list, got {x!r}")
 
 
 def composite_to_json(c: CompositeGraph) -> dict:
@@ -142,17 +154,19 @@ def composite_from_json(data: Any) -> CompositeGraph:
         k, m = data["k"], data["m"]
         if not isinstance(data["base_edges"], list) or not isinstance(data["lattice_edges"], list):
             raise FormatError("composite JSON 'base_edges' and 'lattice_edges' must be lists")
-        base_edges = [(i, j) for i, j in data["base_edges"]]
-        lattice_edges = [(tuple(x), tuple(y)) for x, y in data["lattice_edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad composite JSON: {exc}") from None
-    for n in (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges))):
-        if not _is_int(n):
-            raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
+    base_edges = list(map(_pair, data["base_edges"]))
+    lattice_edges = [(_vector(x), _vector(y)) for x, y in map(_pair, data["lattice_edges"])]
+    numbers = (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges)))
+    # all plain ints is the common case, told in one pass over the types
+    if set(map(type, numbers)) != {int}:
+        for n in numbers:
+            if not _is_int(n):
+                raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
     # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)
-    base = Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in base_edges])
-    return compose(base, lattice, k, m)
+    return compose(_span_base(k, base_edges), lattice, k, m)
 
 
 def is_composite_json(data: Any) -> bool:

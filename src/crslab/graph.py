@@ -22,6 +22,7 @@ Graphs are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -110,6 +111,21 @@ class Graph:
         self._adj = adj
         self._hash = hash((self._verts, tuple(adj)))
 
+    @classmethod
+    def _from_adj(cls, verts: tuple[Vertex, ...], index: dict[Vertex, int], adj: list[int]) -> Graph:
+        """The graph with the given adjacency rows, built without a check:
+        the caller vouches that ``verts`` holds at least two labels in
+        canonical order, ``index`` maps each to its position, and the rows
+        are symmetric and loopless.  ``verts`` and ``index`` may be shared
+        between graphs, as no graph mutates them; ``adj`` becomes the
+        graph's own."""
+        g = cls.__new__(cls)
+        g._verts = verts
+        g._index = index
+        g._adj = adj
+        g._hash = hash((verts, tuple(adj)))
+        return g
+
     # -- basic accessors ------------------------------------------------
 
     @property
@@ -194,6 +210,13 @@ def path_graph(vertices: Iterable[Vertex]) -> Graph:
     """Path through the given vertices in the given order."""
     verts = list(vertices)
     return Graph(verts, list(zip(verts, verts[1:])))
+
+
+@lru_cache(maxsize=64)
+def _plain_labels(n: int) -> tuple[tuple[PlainVertex, ...], dict[Vertex, int]]:
+    """PlainVertex(0..n-1) in canonical order, and each one's position."""
+    verts = tuple(PlainVertex(i) for i in range(n))
+    return verts, {v: i for i, v in enumerate(verts)}
 
 
 def plain_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -9,7 +9,7 @@ not survive the format, so encoding requires PlainVertex ids 0..n-1.
 from __future__ import annotations
 
 from .errors import FormatError, WrongVertexSet
-from .graph import Graph, PlainVertex, plain_graph
+from .graph import Graph, PlainVertex, _plain_labels
 
 HEADER = ">>graph6<<"
 
@@ -56,19 +56,23 @@ def read_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"expected {need} data characters for order {n}, got {len(body)}")
-    bits: list[int] = []
     for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
+        if not 0 <= ord(ch) - 63 < 64:
             raise FormatError(f"invalid graph6 character {ch!r}")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    pos = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[pos]:
-                edges.append((row, col))
-            pos += 1
-    if any(bits[pos:]):
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[n * (n - 1) // 2:]:
         raise FormatError("nonzero padding bits")
-    return plain_graph(n, edges)
+    # column j holds the bits of rows 0..j-1, row 0 first; reversed, they
+    # are the low bits of j's adjacency row
+    verts, index = _plain_labels(n)
+    adj = [0] * n
+    start = 0
+    for col in range(1, n):
+        lower = int(bits[start:start + col][::-1], 2)
+        start += col
+        adj[col] |= lower
+        while lower:
+            low = lower & -lower
+            adj[low.bit_length() - 1] |= 1 << col
+            lower ^= low
+    return Graph._from_adj(verts, index, adj)

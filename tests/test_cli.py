@@ -528,6 +528,33 @@ class TestHostileInput:
         assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"k": 2, "m": 2, "base_edges": [[1, 2, 3]], "lattice_edges": []}',
+             "edge must be a pair: [1, 2, 3]"),
+            ('{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [[[1, 1], [2, 2], [1, 2]]]}',
+             "edge must be a pair: [[1, 1], [2, 2], [1, 2]]"),
+            ('{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [[{}, [2, 2]]]}',
+             "bad composite JSON: a lattice vertex must be a list, got {}"),
+            ('{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [[[1, 1], ""]]}',
+             "bad composite JSON: a lattice vertex must be a list, got ''"),
+            ('{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [[5, [2, 2]]]}',
+             "bad composite JSON: a lattice vertex must be a list, got 5"),
+            ('{"k": 2, "m": 2, "base_edges": [], "lattice_edges": [[[1, 1], null]]}',
+             "bad composite JSON: a lattice vertex must be a list, got None"),
+        ],
+        ids=["base-triple", "lattice-triple", "object-endpoint", "empty-string-endpoint",
+             "number-endpoint", "null-endpoint"],
+    )
+    def test_composite_edge_that_is_not_a_pair_of_vectors_exits_2(self, tmp_path, capsys, text, message):
+        # the refusal names the JSON, not Python's unpacking
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(["verify", "--membership", "B", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"k": 2, "m": 2, "base_edges": {}, "lattice_edges": []}',

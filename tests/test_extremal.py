@@ -24,6 +24,8 @@ from crslab.families import (
     CoverSystem,
     base_complete,
     base_null,
+    canonical_relabel,
+    compose,
     cover_system,
     example_graph,
     gamma,
@@ -34,7 +36,7 @@ from crslab.families import (
     s_set,
     span_lattice,
 )
-from crslab import extremal, sweeps
+from crslab import extremal, families, sweeps
 from crslab.extremal import (
     _minimal_masks,
     bounds_b,
@@ -53,6 +55,7 @@ from crslab.extremal import (
     q_count,
     tightness_b,
 )
+from crslab.resolving import check_crs
 from crslab.sweeps import random_b_member
 
 
@@ -592,19 +595,24 @@ class TestCriticalEdges:
 
 
 class TestOnePass:
-    """Each report reads its lattice in one cover-system pass."""
+    """Each report reads its lattice in one cover-system pass, and the
+    reports of one membership request share it."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
+        # counts the uncached passes, from an empty cache: a report that
+        # reads a cached pass adds none
         seen = []
-        check = CoverSystem.check
+        uncached = CoverSystem._pass
 
         def counted(cs, lattice):
             seen.append(lattice)
-            return check(cs, lattice)
+            return uncached(cs, lattice)
 
-        monkeypatch.setattr(CoverSystem, "check", counted)
-        return seen
+        families._check.cache_clear()
+        monkeypatch.setattr(CoverSystem, "_pass", counted)
+        yield seen
+        families._check.cache_clear()
 
     @pytest.mark.parametrize(
         "call",
@@ -625,6 +633,40 @@ class TestOnePass:
     def test_tightness_reads_the_lattice_at_most_three_times(self, passes):
         assert tightness_b(base_complete(3), example_graph("U", 3)).lower_tight
         assert 1 <= len(passes) <= 3
+
+    @pytest.mark.parametrize("family", ["B", "C"], ids=["U-over-K3", "T3"])
+    def test_a_membership_request_makes_one_pass(self, passes, family):
+        # what a membership request runs: membership, W = b1..bk certified
+        # on the materialized composite, then the relabel's minimality and
+        # critical edges, which read the pass of an equal lattice
+        if family == "B":
+            comp = compose(base_complete(3), example_graph("U", 3), 3, 2)
+            report = member_b(comp.base, comp.lattice)
+        else:
+            comp = compose(base_null(3), example_graph("T", 3), 3, 3)
+            report = member_c(comp.lattice)
+        g = comp.materialize()
+        cert = check_crs(g, tuple(BaseVertex(i) for i in range(1, 4)))
+        rel = canonical_relabel(g, cert)
+        assert rel.lattice == comp.lattice and rel.lattice is not comp.lattice
+        if family == "B":
+            minimality = is_h1_minimal(rel.base, rel.lattice)
+        else:
+            minimality = is_k_minimal(rel.lattice)
+        critical = critical_edges(family, rel.base if family == "B" else None, rel.lattice)
+        assert report.member and minimality.minimal and critical.primary[1]
+        assert len(passes) == 1
+
+    def test_a_pass_is_kept_per_system_and_lattice(self, passes):
+        # a cache keyed on the system alone, or on the lattice alone, would
+        # hand one of these the other's report
+        u3, empty = example_graph("U", 3), span_lattice(3, 2, [])
+        cs = cover_system("B", 3, base_complete(3))
+        assert cs.check(u3)[0].member
+        assert not cs.check(empty)[0].member
+        assert not cover_system("B", 3).check(u3)[0].member
+        assert cs.check(u3)[0].member
+        assert passes == [u3, empty, u3]
 
 
 class TestEnumerateMinimal:

@@ -29,6 +29,7 @@ from crslab.graph import (
     is_spanning_subgraph,
 )
 from crslab.families import (
+    CompositeGraph,
     base_complete,
     base_null,
     canonical_relabel,
@@ -48,6 +49,7 @@ from crslab.families import (
     scaffold,
     span_lattice,
 )
+from crslab.graph6 import read_graph6
 from crslab.resolving import CrsCertificate, check_crs
 from crslab.sweeps import random_b_member, random_c_member
 
@@ -97,6 +99,26 @@ class TestSpanLattice:
             span_lattice(2, 2, [((3, 1), (1, 1))])
         with pytest.raises(SizeOverflow):
             span_lattice(20, 3, [])
+
+    @pytest.mark.parametrize("feed", [list, iter], ids=["list", "iterator"])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (((3, 1), (1, 1)), InvalidGraph, "edge endpoint (3,1) is not a declared vertex"),
+            (((0, 1), (1, 1)), InvalidGraph, "lattice components must be >= 1, got (0, 1)"),
+            (((2, 2), (2, 2)), InvalidGraph, "loop at (2,2)"),
+            (((1, 1, 1), (1, 1)), InvalidGraph, "edge endpoint (1,1,1) is not a declared vertex"),
+            (((1, 1), (2,)), InvalidGraph, "edge endpoint (2) is not a declared vertex"),
+            (((1, 1), (2, 2), (1, 2)), ValueError, "too many values to unpack (expected 2)"),
+        ],
+        ids=["out-of-range", "component-below-one", "loop", "long-vector", "short-vector", "not-a-pair"],
+    )
+    def test_each_refusal_keeps_its_message(self, feed, bad, error, message):
+        # the bad edge comes after a good one, so the bits are half set when
+        # the refusal falls through to the labelled build
+        with pytest.raises(error) as exc:
+            span_lattice(2, 2, feed([((1, 1), (2, 2)), bad]))
+        assert str(exc.value) == message
 
 
 class TestSlice:
@@ -489,6 +511,92 @@ class TestCartesianPower:
     def test_needs_s_at_least_one(self):
         with pytest.raises(IndexOutOfRange, match="^need s >= 1, got 0$"):
             cartesian_power(path_on(2), 0)
+
+
+def random_pairs(rng, items, p=0.3):
+    return [(x, y) for i, x in enumerate(items) for y in items[i + 1:] if rng.random() < p]
+
+
+class TestBitsConstructor:
+    """The builds that set a graph's adjacency bits directly give the graph,
+    with the hash, that the labelled build gives on the same edges."""
+
+    @staticmethod
+    def assert_same(fast, vertices, edges):
+        slow = Graph(vertices, edges)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast.vertices() == slow.vertices() and fast.edges() == slow.edges()
+        assert fast.adjacency_masks() == slow.adjacency_masks()
+        assert all(fast.has_vertex(v) and fast.index_of(v) == slow.index_of(v) for v in slow.vertices())
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_span_lattice_and_materialize(self, k, m):
+        rng = random.Random(10 * k + m)
+        labels = [LatticeVertex(x) for x in lattice_vertices(k, m)]
+        base_labels = [BaseVertex(i) for i in range(1, k + 1)]
+        cross = [(BaseVertex(i), v) for i in range(1, k + 1) for v in labels if v.vector[i - 1] == 1]
+        for _ in range(20):
+            pairs = random_pairs(rng, lattice_vertices(k, m))
+            lattice = span_lattice(k, m, pairs)
+            self.assert_same(lattice, labels, [(LatticeVertex(x), LatticeVertex(y)) for x, y in pairs])
+            base = Graph(base_labels, random_pairs(rng, base_labels, 0.5))
+            comp = compose(base, lattice, k, m)
+            self.assert_same(comp.materialize(), base_labels + labels, base.edges() + lattice.edges() + cross)
+
+    def test_materialize_without_compose_keeps_the_labelled_build(self):
+        # parts off [k] and [m]^k, which compose() refuses, are read by label
+        u2 = example_graph("U", 2)
+        cross = [(BaseVertex(i), v) for i in (1, 2) for v in u2.vertices() if v.vector[i - 1] == 1]
+        self.assert_same(
+            CompositeGraph(2, 2, base_complete(3), u2).materialize(),
+            base_complete(3).vertices() + u2.vertices(),
+            base_complete(3).edges() + u2.edges() + cross,
+        )
+        partial = Graph([LatticeVertex((1, 1)), LatticeVertex((2, 2))], [])
+        with pytest.raises(InvalidGraph, match="^edge endpoint \\(1,2\\) is not a declared vertex$"):
+            CompositeGraph(2, 2, base_complete(2), partial).materialize()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_read_graph6(self, n):
+        rng = random.Random(n)
+        pairs = [(row, col) for col in range(1, n) for row in range(col)]
+        labels = [PlainVertex(i) for i in range(n)]
+        for _ in range(10):
+            bits = [rng.random() < 0.4 for _ in pairs]
+            padded = "".join("1" if b else "0" for b in bits) + "0" * (-len(bits) % 6)
+            text = chr(63 + n) + "".join(chr(63 + int(padded[i:i + 6], 2)) for i in range(0, len(padded), 6))
+            edges = [(PlainVertex(a), PlainVertex(b)) for (a, b), bit in zip(pairs, bits) if bit]
+            self.assert_same(read_graph6(text), labels, edges)
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_canonical_relabel(self, k, m):
+        # members certified under scrambled plain labels; the relabel must
+        # carry each edge through the certificate
+        rng = random.Random(100 * k + m)
+        for _ in range(5):
+            if m == 2:
+                base, lattice = random_b_member(rng, k)
+            else:
+                base, lattice = base_null(k), random_c_member(rng, k)
+            g = compose(base, lattice, k, m).materialize()
+            shuffled = list(g.vertices())
+            rng.shuffle(shuffled)
+            plain = {v: PlainVertex(i) for i, v in enumerate(shuffled)}
+            scrambled = Graph(plain.values(), [(plain[u], plain[v]) for u, v in g.edges()])
+            w = tuple(plain[BaseVertex(i)] for i in range(1, k + 1))
+            cert = check_crs(scrambled, w)
+            assert isinstance(cert, CrsCertificate)
+            back = canonical_relabel(scrambled, cert)
+            position = {x: BaseVertex(i) for i, x in enumerate(w, 1)}
+            base_edges = [(position[u], position[v]) for u, v in scrambled.edges() if u in position and v in position]
+            self.assert_same(back.base, [BaseVertex(i) for i in range(1, k + 1)], base_edges)
+            lattice_edges = [
+                (LatticeVertex(cert.table[u]), LatticeVertex(cert.table[v]))
+                for u, v in scrambled.edges()
+                if u not in position and v not in position
+            ]
+            self.assert_same(back.lattice, [LatticeVertex(x) for x in lattice_vertices(k, m)], lattice_edges)
+            assert back.base == base and back.lattice == lattice
 
 
 class TestCanonicalRelabel:
