@@ -118,18 +118,11 @@ def _lattice_labels(
 
 
 @lru_cache(maxsize=8)
-def _base_labels(k: int) -> tuple[tuple[BaseVertex, ...], dict[Vertex, int]]:
-    """BaseVertex(1..k) in order, and the position of each one."""
-    verts = tuple(BaseVertex(i) for i in range(1, k + 1))
-    return verts, {x: p for p, x in enumerate(verts)}
-
-
-@lru_cache(maxsize=8)
 def _composite_labels(k: int, m: int) -> tuple[tuple[Vertex, ...], dict[Vertex, int], tuple[int, ...]]:
     """The labels of [k] + [m]^k in canonical order, the position of each
     one, and the rows of the cross edges over them."""
     lattice = _lattice_labels(k, m)[0]
-    verts = _base_labels(k)[0] + lattice
+    verts = tuple(BaseVertex(i) for i in range(1, k + 1)) + lattice
     cross = [0] * len(verts)
     for p, x in enumerate(lattice, k):
         for i, c in enumerate(x.vector):
@@ -153,32 +146,19 @@ def span_lattice(k: int, m: int, edges) -> Graph:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         else:
-            return Graph._from_adj(verts, index, adj)
+            if len(verts) >= 2:
+                return Graph._from_adj(verts, index, adj)
     except (KeyError, TypeError, ValueError):
         pass
-    # a loop, a malformed pair or a vector that is not a tuple of [m]^k:
-    # the labelled build reads the edges, and a vector outside [m]^k gets
-    # a fresh label, so LatticeVertex or Graph rejects it
+    # a loop, a malformed pair, a vector that is not a tuple of [m]^k or a
+    # single vector (m = 1): the labelled build reads the edges, and a
+    # vector outside [m]^k gets a fresh label, so LatticeVertex or Graph
+    # rejects it
     def label(x) -> LatticeVertex:
         p = pos.get(tuple(x))
         return LatticeVertex(tuple(x)) if p is None else verts[p]
 
     return Graph(verts, [(label(x), label(y)) for x, y in edges])
-
-
-def _span_base(k: int, pairs: list) -> Graph:
-    """The graph on BaseVertex(1..k) with the given index-pair edges; a
-    pair outside [k], a loop or k < 2 is refused by the labelled build."""
-    if k >= 2:
-        adj = [0] * k
-        for i, j in pairs:
-            if not (1 <= i <= k and 1 <= j <= k) or i == j:
-                break
-            adj[i - 1] |= 1 << j - 1
-            adj[j - 1] |= 1 << i - 1
-        else:
-            return Graph._from_adj(*_base_labels(k), adj)
-    return Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in pairs])
 
 
 def base_complete(k: int) -> Graph:
@@ -264,13 +244,11 @@ class CompositeGraph:
 
     def materialize(self) -> Graph:
         """The composite as one graph: base rows, then lattice rows shifted
-        past the base, each joined with its cross-edge row."""
+        past the base, each joined with its cross-edge row.  The parts must
+        be on [k] and [m]^k, as compose() ensures."""
         k, m, base, lattice = self.k, self.m, self.base, self.lattice
-        if lattice.vertices() != _lattice_labels(k, m)[0] or base.vertices() != _base_labels(k)[0]:
-            # parts not on [k] and [m]^k, as compose() ensures: the labelled build reads them
-            edges = base.edges() + lattice.edges()
-            edges.extend(self.cross_edges())
-            return Graph(base.vertices() + lattice.vertices(), edges)
+        _check_base(base, k)
+        _require_lattice(lattice, k, m)
         verts, index, cross = _composite_labels(k, m)
         rows = base.adjacency_masks() + [row << k for row in lattice.adjacency_masks()]
         return Graph._from_adj(verts, index, [a | b for a, b in zip(rows, cross)])
@@ -389,8 +367,8 @@ class CoverSystem:
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
     of some constraint.  Membership, minimality and the critical edges read
-    one ``check`` pass over a lattice's own edges, cached for the last few
-    (system, lattice) pairs and shared, so the reports on one lattice, or
+    one ``check`` pass over a lattice's own edges, cached for the last
+    (system, lattice) pair and shared, so the reports on one lattice, or
     on an equal one, do not run it again.  The exhaustive scans use the
     bit-mask view (``edges``, ``masks``), built on first use.  Both stay
     because the mask view needs the whole universe: Gamma_k has
@@ -457,10 +435,11 @@ class CoverSystem:
         canonical edge order, and for each edge the constraints it alone
         hits, in constraint order.
 
-        The last few results are cached by (system, lattice) and shared, so
-        a membership report and the minimality and critical-edge reports of
-        an equal lattice read one pass.  No caller may mutate ``outside``,
-        ``hits`` or ``sole``."""
+        The last result is cached by (system, lattice) and shared, so a
+        membership report and the minimality and critical-edge reports of
+        an equal lattice read one pass; only one is kept, so a large
+        lattice and its hit tables are not held much past their use.  No
+        caller may mutate ``outside``, ``hits`` or ``sole``."""
         return _check(self, lattice)
 
     def _pass(self, lattice: Graph):
@@ -554,7 +533,7 @@ class CoverSystem:
         return True
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _check(cs: CoverSystem, lattice: Graph):
     # equal lattices have equal labels and adjacency, so a hit is what a pass would give
     return cs._pass(lattice)
@@ -734,9 +713,13 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     if len(table) != len(rest) or not all(verts[u] in table for u in rest):
         raise InvalidCertificate("certificate table does not cover V minus W")
     vec = {u: table[verts[u]] for u in rest}
-    base = _span_base(k, [
-        (i + 1, j + 1) for i in range(k) for j in range(i + 1, k) if adj[w_pos[i]] >> w_pos[j] & 1
-    ])
+    base_edges = [
+        (BaseVertex(i + 1), BaseVertex(j + 1))
+        for i in range(k)
+        for j in range(i + 1, k)
+        if adj[w_pos[i]] >> w_pos[j] & 1
+    ]
+    base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
     lattice_edges = []
     for u in rest:
         later = adj[u] & rest_mask & ~((2 << u) - 1)

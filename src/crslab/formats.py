@@ -24,7 +24,7 @@ from .graph import (
     PlainVertex,
     Vertex,
 )
-from .families import CompositeGraph, IndexDiagnostic, MembershipReport, _span_base, compose, span_lattice
+from .families import CompositeGraph, IndexDiagnostic, MembershipReport, compose, span_lattice
 from .resolving import ClassificationVerdict, CrsCertificate, CrsFailure
 
 _BASE_RE = re.compile(r"^b([0-9]+)$")
@@ -158,15 +158,13 @@ def composite_from_json(data: Any) -> CompositeGraph:
         raise FormatError(f"bad composite JSON: {exc}") from None
     base_edges = list(map(_pair, data["base_edges"]))
     lattice_edges = [(_vector(x), _vector(y)) for x, y in map(_pair, data["lattice_edges"])]
-    numbers = (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges)))
-    # all plain ints is the common case, told in one pass over the types
-    if set(map(type, numbers)) != {int}:
-        for n in numbers:
-            if not _is_int(n):
-                raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
+    for n in (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges))):
+        if not _is_int(n):
+            raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
     # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)
-    return compose(_span_base(k, base_edges), lattice, k, m)
+    base = Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in base_edges])
+    return compose(base, lattice, k, m)
 
 
 def is_composite_json(data: Any) -> bool:

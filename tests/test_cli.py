@@ -555,6 +555,19 @@ class TestHostileInput:
         assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize(
+        "argv",
+        [["dim"], ["verify", "--w", "b1,b2"], ["verify", "--membership", "B"]],
+        ids=["dim", "verify-w", "membership"],
+    )
+    def test_composite_on_a_single_vector_exits_2(self, tmp_path, capsys, argv):
+        # at m = 1 the lattice [1]^k is one vertex, which is no graph
+        path = tmp_path / "m1.json"
+        path.write_text('{"k": 2, "m": 1, "base_edges": [], "lattice_edges": []}')
+        code, out, err = run_cli(argv + ["--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: a graph needs at least two vertices"]
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"k": 2, "m": 2, "base_edges": {}, "lattice_edges": []}',

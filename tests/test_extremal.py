@@ -658,15 +658,17 @@ class TestOnePass:
         assert len(passes) == 1
 
     def test_a_pass_is_kept_per_system_and_lattice(self, passes):
-        # a cache keyed on the system alone, or on the lattice alone, would
-        # hand one of these the other's report
+        # a repeat reads the kept pass; a cache keyed on the system alone
+        # would hand the empty lattice U_3's report, and one keyed on the
+        # lattice alone would hand U_3 over the null base the one over K_3
         u3, empty = example_graph("U", 3), span_lattice(3, 2, [])
         cs = cover_system("B", 3, base_complete(3))
         assert cs.check(u3)[0].member
-        assert not cs.check(empty)[0].member
-        assert not cover_system("B", 3).check(u3)[0].member
         assert cs.check(u3)[0].member
-        assert passes == [u3, empty, u3]
+        assert not cs.check(empty)[0].member
+        assert cs.check(u3)[0].member
+        assert not cover_system("B", 3).check(u3)[0].member
+        assert passes == [u3, empty, u3, u3]
 
 
 class TestEnumerateMinimal:

@@ -100,6 +100,12 @@ class TestSpanLattice:
         with pytest.raises(SizeOverflow):
             span_lattice(20, 3, [])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_single_vector_is_refused(self, k):
+        # [1]^k is one vertex, and a graph needs two
+        with pytest.raises(InvalidGraph, match="^a graph needs at least two vertices$"):
+            span_lattice(k, 1, [])
+
     @pytest.mark.parametrize("feed", [list, iter], ids=["list", "iterator"])
     @pytest.mark.parametrize(
         "bad, error, message",
@@ -543,17 +549,13 @@ class TestBitsConstructor:
             comp = compose(base, lattice, k, m)
             self.assert_same(comp.materialize(), base_labels + labels, base.edges() + lattice.edges() + cross)
 
-    def test_materialize_without_compose_keeps_the_labelled_build(self):
-        # parts off [k] and [m]^k, which compose() refuses, are read by label
+    def test_materialize_refuses_parts_off_k_and_the_lattice(self):
+        # parts that compose() would refuse are refused with its messages
         u2 = example_graph("U", 2)
-        cross = [(BaseVertex(i), v) for i in (1, 2) for v in u2.vertices() if v.vector[i - 1] == 1]
-        self.assert_same(
-            CompositeGraph(2, 2, base_complete(3), u2).materialize(),
-            base_complete(3).vertices() + u2.vertices(),
-            base_complete(3).edges() + u2.edges() + cross,
-        )
+        with pytest.raises(WrongVertexSet, match="^base has order 3, expected k=2$"):
+            CompositeGraph(2, 2, base_complete(3), u2).materialize()
         partial = Graph([LatticeVertex((1, 1)), LatticeVertex((2, 2))], [])
-        with pytest.raises(InvalidGraph, match="^edge endpoint \\(1,2\\) is not a declared vertex$"):
+        with pytest.raises(WrongVertexSet, match="^lattice graph must live on all of \\[2\\]\\^2$"):
             CompositeGraph(2, 2, base_complete(2), partial).materialize()
 
     @pytest.mark.parametrize("n", range(2, 13))
