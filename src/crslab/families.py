@@ -36,6 +36,7 @@ from .graph import (
     _iter_bits,
     complete_graph,
     null_graph,
+    path_graph,
 )
 from .resolving import CrsCertificate
 
@@ -651,8 +652,7 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
 
 def path_on(n: int) -> Graph:
     """The path with plain vertices 1..n (coordinate alphabet for products)."""
-    return Graph([PlainVertex(i) for i in range(1, n + 1)],
-                 [(PlainVertex(i), PlainVertex(i + 1)) for i in range(1, n)])
+    return path_graph(PlainVertex(i) for i in range(1, n + 1))
 
 
 def cartesian_power(g: Graph, s: int) -> Graph:

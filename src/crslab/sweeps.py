@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -61,9 +60,7 @@ from .extremal import (
     bounds_c,
     enumerate_minimal,
     enumerate_q,
-    epsilon,
     q_choice_lists,
-    q_choice_points,
     tightness_b,
 )
 
@@ -788,16 +785,7 @@ def sweep_properties() -> PropertySweep:
                 trials.append(((b1 | b2, m1 | m2),))
             union_viol += _closure_violations(family, k, trials)
 
-    pairs_checked = 0
-    overlaps = 0
-    for k in (2, 3):
-        points = q_choice_points(k)
-        eps = {(i, x): epsilon(k, i, x) for i, x in points}
-        for a in range(len(points)):
-            for b in range(a + 1, len(points)):
-                pairs_checked += 1
-                if eps[points[a]] & eps[points[b]]:
-                    overlaps += 1
+    facts = [_choice_set_facts(k) for k in (2, 3)]
 
     small = sweep_small_order(6)
     return PropertySweep(
@@ -805,8 +793,8 @@ def sweep_properties() -> PropertySweep:
         upset_violations=upset_viol,
         union_trials=4 * trials_per_case,
         union_violations=union_viol,
-        epsilon_pairs_checked=pairs_checked,
-        epsilon_overlaps=overlaps,
+        epsilon_pairs_checked=sum(pairs for _n, pairs, _overlapping, _empty in facts),
+        epsilon_overlaps=sum(overlapping for _n, _pairs, overlapping, _empty in facts),
         m_at_least_4=small.m_at_least_4,
         dimension_inequality_violations=small.dimension_inequality_violations,
     )
@@ -816,10 +804,10 @@ def sweep_properties() -> PropertySweep:
 
 
 def check_size_identities() -> list[str]:
-    """Integer-exact size identities for k = 2..4 and the edge count of
-    every maximum-size minimal lattice at k <= 3 (at k = 3 counted by
-    classes of choice tuples).  Returns the list of violated identities
-    (empty = pass)."""
+    """Integer-exact size identities for k = 2..4, and the three facts that
+    give every maximum-size minimal lattice at k = 2, 3 its bounds_c(k)[1]
+    edges (see ``_choice_set_facts``).  Returns the list of violated
+    identities (empty = pass)."""
     bad = []
     for k in (2, 3, 4):
         checks = {
@@ -833,55 +821,30 @@ def check_size_identities() -> list[str]:
         for name, (got, want) in checks.items():
             if got != want:
                 bad.append(f"{name}: {got} != {want}")
-    for g in enumerate_q(2):
-        if g.size != 2 * (3 + 2):
-            bad.append(f"q2 member size {g.size}")
-    wrong = _q3_size_scan()[1]
-    if wrong:
-        bad.append(f"{wrong} q3 members with wrong size")
+    for k in (2, 3):
+        points, _pairs, overlapping, empty = _choice_set_facts(k)
+        if (points, overlapping, empty) != (bounds_c(k)[1], 0, 0):
+            bad.append(
+                f"q{k} choice sets: {points} points (want {bounds_c(k)[1]}), "
+                f"{overlapping} overlapping pairs, {empty} empty sets"
+            )
     return bad
 
 
-def _q3_size_scan() -> tuple[int, int]:
-    """Count every choice tuple at k = 3, one edge bit mask per choice
-    point, and the members whose distinct-edge total is not 39."""
-    k = 3
-    edge_id = cover_system("C", k).index
-    blocks = [[1 << edge_id[e] for e in edges] for _i, _x, edges in q_choice_lists(k)]
-    return _union_size_count(blocks, k * (3 ** (k - 1) + 2 ** (k - 1)))
+def _choice_set_facts(k: int) -> tuple[int, int, int, int]:
+    """(points, pairs, overlapping pairs, empty sets) of the edge-choice
+    sets at k, read from ``q_choice_lists``, the lists that ``q_count`` and
+    ``iter_q`` build choice tuples from.
 
-
-def _union_size_count(blocks: list[list[int]], target: int) -> tuple[int, int]:
-    """(count, wrong) over every tuple that takes one mask from each block:
-    count is the number of tuples, wrong the number whose union does not
-    have ``target`` bits.
-
-    Tuples are counted by classes, not one by one.  The blocks are folded
-    in order into a Counter of the partial unions A, keyed by A & S (S the
-    union of the supports of the blocks still to come) and the popcount of
-    A outside S.  Every later mask B lies inside S, so
-    |A | B| = |A - S| + |(A & S) | B| and the key decides every later
-    count exactly, for overlapping blocks too.  Blocks with disjoint
-    supports keep A & S = 0, so each step has one class per popcount.
-    """
-    supports = []
-    rest = 0
-    for block in reversed(blocks):
-        supports.append(rest)
-        for mask in block:
-            rest |= mask
-    supports.reverse()  # supports[j]: the union of blocks j+1.. onward
-    classes = Counter({(0, 0): 1})
-    for block, later in zip(blocks, supports):
-        folded: Counter = Counter()
-        for (inside, outside), mult in classes.items():
-            for mask in block:
-                union = inside | mask
-                folded[union & later, outside + (union & ~later).bit_count()] += mult
-        classes = folded
-    count = sum(classes.values())
-    wrong = sum(mult for (_inside, bits), mult in classes.items() if bits != target)
-    return count, wrong
+    One edge from each of N nonempty, pairwise-disjoint sets always gives N
+    distinct edges.  So every choice tuple spans a lattice of
+    bounds_c(k)[1] edges exactly when no set is empty, no two overlap and
+    there are bounds_c(k)[1] points.  (An empty set leaves no tuple at all,
+    so a count over the tuples alone cannot see it.)"""
+    sets = [set(edges) for _i, _x, edges in q_choice_lists(k)]
+    n = len(sets)
+    overlapping = sum(not sets[a].isdisjoint(sets[b]) for a in range(n) for b in range(a + 1, n))
+    return n, n * (n - 1) // 2, overlapping, sum(not edges for edges in sets)
 
 
 # -- criterion 6: diameters ---------------------------------------------------
@@ -1008,7 +971,9 @@ def _run_properties() -> tuple[bool, str]:
 SUITES = {
     "b-equivalence": _run_b,
     "c-equivalence": _run_c,
-    "sizes": lambda: _run_check(check_size_identities, "all size identities hold for k=2..4, q(3) streamed"),
+    "sizes": lambda: _run_check(
+        check_size_identities, "all size identities hold for k=2..4, choice sets nonempty and disjoint at k=2,3"
+    ),
     "minimal": lambda: _run_check(check_minimal_enumeration, "strata match the characterized extremes"),
     "distance-identity": _run_identity,
     "diameters": lambda: _run_check(check_diameters, "diameters 2,3,3,4,5 as expected"),

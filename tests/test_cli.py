@@ -621,7 +621,7 @@ class TestSuiteCommand:
             ("c-equivalence", False,
              "1048576 lattices, 152500 members, 0 mismatches, 1/1000 certified "
              "out-of-range samples (known negative-control gap, see README)"),
-            ("sizes", True, "all size identities hold for k=2..4, q(3) streamed"),
+            ("sizes", True, "all size identities hold for k=2..4, choice sets nonempty and disjoint at k=2,3"),
             ("minimal", True, "strata match the characterized extremes"),
             ("distance-identity", True, "0 members with distance vector != label"),
             ("diameters", True, "diameters 2,3,3,4,5 as expected"),

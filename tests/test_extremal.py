@@ -178,6 +178,19 @@ def overlapping_pairs(k):
     )
 
 
+def widened_size_violations():
+    """The sizes suite's lines for choice sets that overlap at k = 2 and 3
+    but keep their points and none empty."""
+    lines = []
+    for k, points in ((2, 10), (3, 39)):
+        overlaps = overlapping_pairs(k)
+        assert overlaps > 0
+        lines.append(
+            f"q{k} choice sets: {points} points (want {points}), {overlaps} overlapping pairs, 0 empty sets"
+        )
+    return lines
+
+
 class TestCoverIndexSets:
     def test_null_base_j_sets(self):
         cis = cover_index_sets(base_null(3), example_graph("P2box", 3))
@@ -488,44 +501,48 @@ class TestEpsilon:
             enumerate_q(2)
 
     def test_widened_choice_sets_break_the_q3_sizes(self, monkeypatch):
-        # widened everywhere, k = 3 has about 5.8e28 choice tuples, past the
-        # size scan; widening the all-3 vector alone already shares edges
-        # between its coordinates
+        # widening the all-3 vector alone already shares edges between its
+        # coordinates, at k = 2 as at k = 3
         def widened_at_top(k, i, x):
             if tuple(x) == (3,) * k:
                 return constraint_epsilon(k, i, x)
             return epsilon(k, i, x)
 
         monkeypatch.setattr(extremal, "epsilon", widened_at_top)
-        bad = sweeps.check_size_identities()
-        assert any(line.endswith("q3 members with wrong size") for line in bad), bad
+        assert sweeps.check_size_identities() == widened_size_violations()
 
     def test_widened_s_set_choice_sets_break_the_q3_sizes(self, monkeypatch):
         # the 12 s-set choice points widened to every edge of their
-        # constraint: the scan folds one choice point at a time, so it
-        # counts every widened tuple without listing a coordinate's tuples
+        # constraint: more tuples than the 256^3 of q(3), and some with
+        # fewer than 39 distinct edges, as their sets overlap
         def widened_on_s_sets(k, i, x):
             if tuple(x) in s_set(k, i):
                 return constraint_epsilon(k, i, x)
             return epsilon(k, i, x)
 
         monkeypatch.setattr(extremal, "epsilon", widened_on_s_sets)
-        count, wrong = sweeps._q3_size_scan()
-        assert count == q_count(3) > 256 ** 3
-        assert wrong > 0
+        assert q_count(3) > 256 ** 3
+        assert sweeps.check_size_identities() == widened_size_violations()
 
     def test_disjointness_exhaustive(self):
-        for k in (2, 3):
+        # choice points by the region rule, not by the cover system: nonempty,
+        # pairwise-disjoint sets, bounds_c(k)[1] of them, as the sizes
+        # suite's facts say at k = 2, 3
+        for k in (2, 3, 4, 5):
             points = [
                 (i, x)
                 for i in range(1, k + 1)
                 for x in lattice_vertices(k, 3)
                 if x[i - 1] == 2 or x in s_set(k, i)
             ]
-            sets = {pt: epsilon(k, pt[0], pt[1]) for pt in points}
-            for a in range(len(points)):
-                for b in range(a + 1, len(points)):
-                    assert not sets[points[a]] & sets[points[b]]
+            n = len(points)
+            assert n == bounds_c(k)[1] == (10, 39, 140, 485)[k - 2]
+            sets = [epsilon(k, i, x) for i, x in points]
+            assert all(sets)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    assert sets[a].isdisjoint(sets[b]), (k, points[a], points[b])
+            assert sweeps._choice_set_facts(k) == (n, n * (n - 1) // 2, 0, 0)
 
 
 class TestEnumerateQ:

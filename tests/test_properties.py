@@ -5,12 +5,12 @@ import ast
 import random
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from crslab import sweeps
+from crslab import extremal, sweeps
 from crslab.errors import DisconnectedGraph
 from crslab.graph import (
     BaseVertex,
@@ -56,7 +56,6 @@ from crslab.sweeps import (
     _raw_crs_scan,
     _raw_dimension,
     _relabel_failures,
-    _union_size_count,
     sweep_b_equivalence,
     sweep_c_equivalence,
     sweep_small_order,
@@ -332,10 +331,10 @@ def test_property_sweep_can_fail_on_the_subsample(monkeypatch):
 def test_property_sweep_can_fail_on_the_choice_sets(monkeypatch):
     # one edge offered at every choice point of k = 2: each of its 10 * 9 / 2
     # pairs overlaps, and none of the 741 pairs at k = 3
-    real_epsilon = sweeps.epsilon
+    real_epsilon = extremal.epsilon
     shared = (LatticeVertex((1, 1)), LatticeVertex((1, 2)))
     monkeypatch.setattr(
-        sweeps, "epsilon", lambda k, i, x: real_epsilon(k, i, x) | ({shared} if k == 2 else set())
+        extremal, "epsilon", lambda k, i, x: real_epsilon(k, i, x) | ({shared} if k == 2 else set())
     )
     result = sweeps.sweep_properties.__wrapped__()
     assert (result.epsilon_pairs_checked, result.epsilon_overlaps) == (786, 45)
@@ -367,31 +366,10 @@ def test_radius_2_sweep_reads_each_base_in_one_block():
     assert (result.total, result.members, result.certified) == (128, members, members)
 
 
-def test_union_size_count_matches_brute_force():
-    # seeded blocks of random 10-bit masks, whose supports overlap: the
-    # grouped count must equal the tuple-by-tuple count
-    rng = random.Random(211)
-    tallies = [0, 0]
-    for _ in range(200):
-        blocks = [[rng.getrandbits(10) for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(0, 4))]
-        unions = []
-        for choice in product(*blocks):
-            union = 0
-            for mask in choice:
-                union |= mask
-            unions.append(union.bit_count())
-        target = rng.choice(unions)
-        count, wrong = _union_size_count(blocks, target)
-        assert (count, wrong) == (len(unions), sum(bits != target for bits in unions))
-        tallies[0] += count - wrong
-        tallies[1] += wrong
-    assert all(tallies), tallies
-
-
 def test_q3_size_check_can_fail(monkeypatch):
     # one edge offered at a choice point of i = 1 and again at one of i = 2,
-    # both with a second edge: only a tuple that takes it at both has 38
-    # distinct edges, not 39
+    # both with a second edge: a tuple that takes it at both has 38 distinct
+    # edges, not 39, and the two sets are the one overlapping pair
     real_q_choice_lists = sweeps.q_choice_lists
     lists = real_q_choice_lists(3)
     first = next(n for n, (i, _x, edges) in enumerate(lists) if i == 1 and len(edges) == 2)
@@ -400,9 +378,34 @@ def test_q3_size_check_can_fail(monkeypatch):
     shared = lists[first][2][0]
     lists[second] = (i, x, [shared] + edges[1:])
     monkeypatch.setattr(sweeps, "q_choice_lists", lambda k: lists if k == 3 else real_q_choice_lists(k))
-    # a quarter of the tuples take the shared edge at both points
-    assert q_count(3) == 4 * 4194304
-    assert "4194304 q3 members with wrong size" in sweeps.check_size_identities()
+    assert sweeps.check_size_identities() == [
+        "q3 choice sets: 39 points (want 39), 1 overlapping pairs, 0 empty sets"
+    ]
+
+
+def test_q3_size_check_sees_an_empty_choice_set(monkeypatch):
+    # an empty set leaves no choice tuple at all, so no tuple has the wrong
+    # size; the choice-set facts still name it
+    real_epsilon = extremal.epsilon
+    point = extremal.q_choice_points(3)[7]
+    monkeypatch.setattr(
+        extremal, "epsilon", lambda k, i, x: set() if (k, (i, x)) == (3, point) else real_epsilon(k, i, x)
+    )
+    assert q_count(3) == 0
+    assert sweeps.check_size_identities() == [
+        "q3 choice sets: 39 points (want 39), 0 overlapping pairs, 1 empty sets"
+    ]
+
+
+def test_choice_set_point_count_can_fail(monkeypatch):
+    # a choice point dropped at k = 2: 9 disjoint sets give 9-edge tuples
+    real_q_choice_lists = sweeps.q_choice_lists
+    monkeypatch.setattr(
+        sweeps, "q_choice_lists", lambda k: real_q_choice_lists(k)[1:] if k == 2 else real_q_choice_lists(k)
+    )
+    assert sweeps.check_size_identities() == [
+        "q2 choice sets: 9 points (want 10), 0 overlapping pairs, 0 empty sets"
+    ]
 
 
 def test_named_size_identity_can_fail(monkeypatch):
