@@ -34,6 +34,7 @@ from .graph import (
     PlainVertex,
     Vertex,
     _iter_bits,
+    _rows,
     complete_graph,
     null_graph,
     path_graph,
@@ -135,31 +136,11 @@ def _composite_labels(k: int, m: int) -> tuple[tuple[Vertex, ...], dict[Vertex, 
 
 def span_lattice(k: int, m: int, edges) -> Graph:
     """Spanning subgraph of the complete graph on [m]^k with the given
-    vector-pair edges."""
+    vector-pair edges; a vector may be any sequence, and one outside [m]^k
+    is named by its label, which refuses components below 1."""
     verts, index, pos = _lattice_labels(k, m)
-    edges = list(edges)
-    adj = [0] * len(verts)
-    try:
-        for x, y in edges:
-            a, b = pos[x], pos[y]
-            if a == b:
-                break
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        else:
-            if len(verts) >= 2:
-                return Graph._from_adj(verts, index, adj)
-    except (KeyError, TypeError, ValueError):
-        pass
-    # a loop, a malformed pair, a vector that is not a tuple of [m]^k or a
-    # single vector (m = 1): the labelled build reads the edges, and a
-    # vector outside [m]^k gets a fresh label, so LatticeVertex or Graph
-    # rejects it
-    def label(x) -> LatticeVertex:
-        p = pos.get(tuple(x))
-        return LatticeVertex(tuple(x)) if p is None else verts[p]
-
-    return Graph(verts, [(label(x), label(y)) for x, y in edges])
+    adj = _rows(verts, ((tuple(x), tuple(y)) for x, y in edges), pos.get, LatticeVertex)
+    return Graph._from_adj(verts, index, adj)
 
 
 def base_complete(k: int) -> Graph:
@@ -496,16 +477,12 @@ class CoverSystem:
         included, in lexicographic order: x's neighbours in the universe."""
         return product(*(range(max(c - 1, 1), min(c + 1, self.m) + 1) for c in x))
 
-    def _universe(self) -> Iterator[Edge]:
-        """The universe in canonical edge order, generated afresh: each
-        vertex with its later neighbours."""
-        verts, _index, pos = _lattice_labels(self.k, self.m)
-        return ((u, verts[pos[y]]) for u in verts for y in self._near(u.vector) if y > u.vector)
-
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """The universe in canonical edge order."""
-        return tuple(self._universe())
+        """The universe in canonical edge order: each vertex with its later
+        neighbours."""
+        verts, _index, pos = _lattice_labels(self.k, self.m)
+        return tuple((u, verts[pos[y]]) for u in verts for y in self._near(u.vector) if y > u.vector)
 
     @cached_property
     def index(self) -> dict[Edge, int]:
@@ -524,7 +501,9 @@ class CoverSystem:
         return tuple(int.from_bytes(row, "little") for row in rows.values())
 
     def graph(self, mask: int) -> Graph:
-        return Graph(_lattice_labels(self.k, self.m)[0], [self.edges[b] for b in _iter_bits(mask)])
+        pairs = (self.edges[b] for b in _iter_bits(mask))
+        vectors = [(u.vector, v.vector) for u, v in pairs]  # type: ignore[union-attr]
+        return span_lattice(self.k, self.m, vectors)
 
     def covers(self, mask: int) -> bool:
         """True iff the mask hits every constraint."""
@@ -579,8 +558,8 @@ def gamma(k: int) -> Graph:
     coordinate: the universe of the radius-3 cover system."""
     # generated, not read off ``edges``: the cached cover system would keep
     # the universe alive after the graph is gone
-    universe = cover_system("C", k)._universe()
-    return Graph(_lattice_labels(k, 3)[0], universe)
+    near = cover_system("C", k)._near
+    return span_lattice(k, 3, ((x, y) for x in lattice_vertices(k, 3) for y in near(x) if y > x))
 
 
 # -- named example graphs ---------------------------------------------------

@@ -16,6 +16,10 @@ store: ``edges()`` and ``edge_set()`` read the sorted endpoint pairs off
 them, and two graphs compare equal exactly when they have the same labeled
 vertices and adjacency.  The exhaustive suites lean on the bits.
 
+Every edge list -- of labels (``Graph``), vectors (``families.span_lattice``)
+or integers (``plain_graph``) -- becomes rows in ``_rows``, the one place that
+refuses too few vertices, an undeclared endpoint and a loop.
+
 Graphs are immutable after construction.
 """
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DisconnectedGraph,
@@ -92,24 +96,13 @@ class Graph:
     __slots__ = ("_verts", "_index", "_adj", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]):
-        verts = sorted(set(vertices), key=vertex_key)
-        if len(verts) < 2:
-            raise InvalidGraph("a graph needs at least two vertices")
+        verts = tuple(sorted(set(vertices), key=vertex_key))
         index = {v: i for i, v in enumerate(verts)}
-        adj = [0] * len(verts)
-        for u, v in edges:
-            if u == v:
-                raise InvalidGraph(f"loop at {u!r}")
-            try:
-                iu, iv = index[u], index[v]
-            except KeyError as exc:
-                raise InvalidGraph(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
-            adj[iu] |= 1 << iv
-            adj[iv] |= 1 << iu
-        self._verts = tuple(verts)
+        adj = _rows(verts, edges, index.get, lambda u: u)
+        self._verts = verts
         self._index = index
         self._adj = adj
-        self._hash = hash((self._verts, tuple(adj)))
+        self._hash = hash((verts, tuple(adj)))
 
     @classmethod
     def _from_adj(cls, verts: tuple[Vertex, ...], index: dict[Vertex, int], adj: list[int]) -> Graph:
@@ -197,6 +190,27 @@ class Graph:
 # -- construction helpers ----------------------------------------------
 
 
+def _rows(verts: tuple[Vertex, ...], edges: Iterable, position: Callable, name: Callable) -> list[int]:
+    """Symmetric loopless adjacency rows over ``verts`` from endpoint pairs,
+    whatever the endpoints are: ``position(x)`` is x's place in ``verts``,
+    or None, and then ``name(x)`` is the label the refusal names (it may
+    refuse x itself).  Every graph built from an edge list is refused here:
+    too few vertices, an endpoint not among them, a loop, in that order,
+    at the first bad edge."""
+    if len(verts) < 2:
+        raise InvalidGraph("a graph needs at least two vertices")
+    adj = [0] * len(verts)
+    for x, y in edges:
+        a, b = position(x), position(y)
+        if a is None or b is None:
+            raise InvalidGraph(f"edge endpoint {name(x if a is None else y)!r} is not a declared vertex")
+        if a == b:
+            raise InvalidGraph(f"loop at {verts[a]!r}")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
 def complete_graph(vertices: Iterable[Vertex]) -> Graph:
     verts = list(vertices)
     return Graph(verts, [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]])
@@ -221,8 +235,9 @@ def _plain_labels(n: int) -> tuple[tuple[PlainVertex, ...], dict[Vertex, int]]:
 
 def plain_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on PlainVertex(0..n-1) from integer edge pairs."""
-    verts = [PlainVertex(i) for i in range(n)]
-    return Graph(verts, [(PlainVertex(a), PlainVertex(b)) for a, b in edges])
+    verts, index = _plain_labels(n)
+    adj = _rows(verts, edges, lambda a: a if 0 <= a < n else None, PlainVertex)
+    return Graph._from_adj(verts, index, adj)
 
 
 # -- distances ----------------------------------------------------------

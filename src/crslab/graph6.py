@@ -17,16 +17,12 @@ HEADER = ">>graph6<<"
 def write_graph6(g: Graph) -> str:
     """Encode a graph on PlainVertex(0..n-1); bit-exact standard encoding."""
     n = g.order
-    expected = tuple(PlainVertex(i) for i in range(n))
-    if g.vertices() != expected:
+    if g.vertices() != tuple(PlainVertex(i) for i in range(n)):
         raise WrongVertexSet("graph6 encoding needs PlainVertex ids exactly 0..n-1")
     if n > 62:
         raise FormatError(f"only orders up to 62 are supported, got {n}")
-    bits: list[int] = []
-    for col in range(1, n):
-        cv = PlainVertex(col)
-        for row in range(col):
-            bits.append(1 if g.has_edge(PlainVertex(row), cv) else 0)
+    adj = g.adjacency_masks()
+    bits = [adj[col] >> row & 1 for col in range(1, n) for row in range(col)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(n + 63)]

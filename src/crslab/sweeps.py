@@ -309,8 +309,8 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     """
     rng = random.Random(SAMPLE_SEED)
     vecs = lattice_vertices(2, 3)
-    complete = lattice_complete(2, 3)
-    all_edges = complete.edges()
+    all_edges = lattice_complete(2, 3).edges()
+    pairs = [(u.vector, v.vector) for u, v in all_edges]  # type: ignore[union-attr]
     cs = cover_system("C", 2)
     outside = sum(1 << t for t, e in enumerate(all_edges) if e not in cs.index)
     masks = []
@@ -323,7 +323,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     certified, identities = _certify_masks(_lane_frame(cs, base_null(2), all_edges), 2, 3, masks)
     tested = failures = inconsistent = 0
     for j, mask in enumerate(masks):
-        lattice = Graph(complete.vertices(), [all_edges[t] for t in _iter_bits(mask)])
+        lattice = span_lattice(2, 3, [pairs[t] for t in _iter_bits(mask)])
         report = member_c(lattice)
         tested += report.bad_edge is not None
         if report.member:

@@ -27,6 +27,7 @@ from crslab.graph import (
     diameter,
     distances,
     is_spanning_subgraph,
+    plain_graph,
 )
 from crslab.families import (
     CompositeGraph,
@@ -120,8 +121,8 @@ class TestSpanLattice:
         ids=["out-of-range", "component-below-one", "loop", "long-vector", "short-vector", "not-a-pair"],
     )
     def test_each_refusal_keeps_its_message(self, feed, bad, error, message):
-        # the bad edge comes after a good one, so the bits are half set when
-        # the refusal falls through to the labelled build
+        # the bad edge comes after a good one, so the rows are half built
+        # when the refusal is raised
         with pytest.raises(error) as exc:
             span_lattice(2, 2, feed([((1, 1), (2, 2)), bad]))
         assert str(exc.value) == message
@@ -548,6 +549,51 @@ class TestBitsConstructor:
             base = Graph(base_labels, random_pairs(rng, base_labels, 0.5))
             comp = compose(base, lattice, k, m)
             self.assert_same(comp.materialize(), base_labels + labels, base.edges() + lattice.edges() + cross)
+
+    @pytest.mark.parametrize(
+        "family, base", [("B", base_null(2)), ("B", base_complete(2)), ("C", None)], ids=["B-null", "B-complete", "C"]
+    )
+    def test_cover_system_graph_at_k2(self, family, base):
+        # every mask of the 6-edge B universe; of Gamma_2's 20 edges, each
+        # one alone and seeded masks (the rows are an OR over the edges)
+        cs = cover_system(family, 2, base)
+        labels = [LatticeVertex(x) for x in lattice_vertices(2, cs.m)]
+        width = len(cs.edges)
+        rng = random.Random(width)
+        if family == "B":
+            masks = range(1 << width)
+        else:
+            singles = [1 << b for b in range(width)]
+            masks = [0, (1 << width) - 1, *singles, *(rng.getrandbits(width) for _ in range(200))]
+        for mask in masks:
+            self.assert_same(cs.graph(mask), labels, [cs.edges[b] for b in _iter_bits(mask)])
+
+    @pytest.mark.parametrize("family", ["B", "C"])
+    def test_cover_system_graph_at_k3(self, family):
+        cs = cover_system(family, 3)
+        labels = [LatticeVertex(x) for x in lattice_vertices(3, cs.m)]
+        rng = random.Random(3)
+        for _ in range(20):
+            mask = rng.getrandbits(len(cs.edges))
+            self.assert_same(cs.graph(mask), labels, [cs.edges[b] for b in _iter_bits(mask)])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_gamma(self, k):
+        # against the direct rule, not the cover system's universe
+        labels = [LatticeVertex(x) for x in lattice_vertices(k, 3)]
+        every = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+        pairs = [(u, v) for u, v in every if all(abs(a - b) <= 1 for a, b in zip(u.vector, v.vector))]
+        self.assert_same(gamma(k), labels, pairs)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_plain_graph(self, n):
+        rng = random.Random(n)
+        labels = [PlainVertex(i) for i in range(n)]
+        for _ in range(10):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+            pairs = [(a, b) for a, b in pairs if a != b]
+            edges = [(PlainVertex(a), PlainVertex(b)) for a, b in pairs]
+            self.assert_same(plain_graph(n, pairs), labels, edges)
 
     def test_materialize_refuses_parts_off_k_and_the_lattice(self):
         # parts that compose() would refuse are refused with its messages

@@ -32,6 +32,7 @@ from crslab.families import (
     compose,
     example_graph,
     gamma,
+    span_lattice,
 )
 
 
@@ -40,17 +41,41 @@ def p(i):
 
 
 class TestConstruction:
-    def test_rejects_single_vertex(self):
-        with pytest.raises(InvalidGraph):
-            Graph([p(0)], [])
-
-    def test_rejects_loop(self):
-        with pytest.raises(InvalidGraph):
-            Graph([p(0), p(1)], [(p(0), p(0))])
-
-    def test_rejects_undeclared_endpoint(self):
-        with pytest.raises(InvalidGraph):
-            Graph([p(0), p(1)], [(p(0), p(2))])
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Graph([p(0)], []), "a graph needs at least two vertices"),
+            (lambda: Graph([p(0), p(1)], [(p(0), p(0))]), "loop at v0"),
+            (lambda: Graph([p(0), p(1)], [(p(0), p(2))]), "edge endpoint v2 is not a declared vertex"),
+            (lambda: span_lattice(2, 1, []), "a graph needs at least two vertices"),
+            (lambda: span_lattice(2, 2, [((2, 2), (2, 2))]), "loop at (2,2)"),
+            (lambda: span_lattice(2, 2, [((1, 1), (3, 1))]), "edge endpoint (3,1) is not a declared vertex"),
+            (lambda: plain_graph(1, []), "a graph needs at least two vertices"),
+            (lambda: plain_graph(3, [(0, 1), (1, 1)]), "loop at v1"),
+            (lambda: plain_graph(3, [(0, 1), (0, 3)]), "edge endpoint v3 is not a declared vertex"),
+            (lambda: plain_graph(3, [(0, 1), (0, -1)]), "plain vertex id must be >= 0, got -1"),
+            # doubly malformed: the endpoint is looked up before the loop is
+            # seen, the first bad edge is refused, and the vertex count first
+            (lambda: Graph([p(0), p(1)], [(p(2), p(2))]), "edge endpoint v2 is not a declared vertex"),
+            (lambda: plain_graph(3, [(5, 5)]), "edge endpoint v5 is not a declared vertex"),
+            (
+                lambda: span_lattice(2, 2, [((3, 1), (1, 1)), ((0, 1), (1, 1))]),
+                "edge endpoint (3,1) is not a declared vertex",
+            ),
+            (lambda: span_lattice(2, 1, [((0, 1), (1, 1))]), "a graph needs at least two vertices"),
+        ],
+        ids=[
+            "graph-too-few", "graph-loop", "graph-undeclared",
+            "span-too-few", "span-loop", "span-undeclared",
+            "plain-too-few", "plain-loop", "plain-undeclared", "plain-negative-id",
+            "graph-loop-on-undeclared", "plain-loop-on-undeclared",
+            "span-first-bad-edge-wins", "span-count-before-edges",
+        ],
+    )
+    def test_refusal_text(self, build, message):
+        with pytest.raises(InvalidGraph) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_duplicate_edges_collapse(self):
         g = Graph([p(0), p(1)], [(p(0), p(1)), (p(1), p(0))])
