@@ -16,7 +16,6 @@ exhaustive minimal enumerations at k = 2.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -84,7 +83,7 @@ def cover_index_sets(base: Graph, lattice: Graph) -> CoverIndexSets:
     i_sets = dict(j_sets)
     i_edge: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
     i_tilde: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
-    for i, cond, x in cs.constraints():
+    for i, cond, x in cs.constraints:
         j_sets[x] |= {i}
         hit_edges = hits.get((i, cond, x), [])
         for e in hit_edges:
@@ -168,12 +167,12 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     """
     cs = _cover("C", None, lattice)
     membership, outside, hits, sole = cs.check(lattice)
-    first = next((tag for tag in cs.constraints() if tag not in hits), None)
+    first = next((tag for tag in cs.constraints if tag not in hits), None)
     edges = []
     for e in lattice.edges():
         unhit = [tag for tag in (first, *sole.get(e, [])[:1]) if tag is not None]
         if unhit:
-            i, cond, x = min(unhit, key=cs.order)
+            i, cond, x = min(unhit, key=cs.constraints.__getitem__)
             edges.append(EdgeCriticality(e, True, LatticeVertex(x), (i,), cond))
         else:
             edges.append(EdgeCriticality(e, any(f != e for f in outside)))
@@ -289,10 +288,10 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
             break
     lower_tight = lower_witness is not None
 
-    # |I_x(e)|, the coordinates whose constraint on x the edge e hits; (a)
+    # I_x(e), the coordinates whose constraint on x the edge e hits; (a)
     # is the first (x, e) with two, by vector and then edge
-    served = Counter((x, e) for (_i, _cond, x), hit_edges in hits.items() for e in hit_edges)
-    multi = [((x, e[0].vector, e[1].vector), x, e) for (x, e), n in served.items() if n > 1]
+    served = cover_index_sets(base, lattice).i_edge
+    multi = [((x, e[0].vector, e[1].vector), x, e) for (x, e), s in served.items() if len(s) > 1]
     violation: tuple | None = ("a", *min(multi)[1:]) if multi else None
     if violation is None:
         for e in edges:
@@ -365,7 +364,7 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
     if len(x) != k or any(c not in (1, 2, 3) for c in x):
         raise VertexNotEligible(f"{x} is not a [3]^{k} vector")
     cs = cover_system("C", k)
-    if not any(cs.is_target(i, cond, x) for cond in cs.conditions):
+    if not any((i, cond, x) in cs.constraints for cond in cs.conditions):
         raise VertexNotEligible(f"{x} is neither on the value-2 slice nor in the s-set of {i}")
     out = set()
     for y in cs._near(x):
@@ -378,7 +377,7 @@ def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
 def q_choice_points(k: int) -> list[tuple[int, LatticeVector]]:
     """All (coordinate, vector) pairs with an edge choice -- the targets of
     the radius-3 cover system -- in canonical (i, vector) order."""
-    return sorted((i, x) for i, _cond, x in cover_system("C", k).constraints())
+    return sorted((i, x) for i, _cond, x in cover_system("C", k).constraints)
 
 
 def q_choice_lists(k: int) -> list[tuple[int, LatticeVector, list[Edge]]]:

@@ -216,14 +216,6 @@ class CompositeGraph:
     def size(self) -> int:
         return self.base.size + self.lattice.size + self.k * self.m ** (self.k - 1)
 
-    def cross_edges(self) -> Iterator[Edge]:
-        verts = _lattice_labels(self.k, self.m)[0]
-        for i in range(1, self.k + 1):
-            b = BaseVertex(i)
-            for v in verts:
-                if v.vector[i - 1] == 1:
-                    yield (b, v)
-
     def materialize(self) -> Graph:
         """The composite as one graph: base rows, then lattice rows shifted
         past the base, each joined with its cross-edge row.  The parts must
@@ -343,8 +335,12 @@ class CoverSystem:
     for "slice", 2 and 3 for "s-set".  Constraint (i, condition, x) holds
     the scaffold edges at its target x: the "slice" targets are 2 on all of
     N[i] and any value of [m] elsewhere; at m = 3 the "s-set" targets are
-    3 at i and 2 or 3 elsewhere.  Constraints run by i, then condition,
-    then x: the order in which reports name their witnesses.
+    3 at i and 2 or 3 elsewhere.  The constraints are one table per
+    system, ``constraints``, built on first use and cached with it: every
+    tag (i, condition, x) numbered in constraint order, by i, then "slice"
+    before "s-set", then x in lexicographic order, the order in which
+    reports name their witnesses.  A hit, a witness and a mask row are
+    each one lookup in it.
 
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
@@ -355,8 +351,9 @@ class CoverSystem:
     bit-mask view (``edges``, ``masks``), built on first use.  Both stay
     because the mask view needs the whole universe: Gamma_k has
     (7^k - 3^k)/2 edges, 58 460 at k = 6 and 141 208 100 at k = 10, which
-    DEFAULT_SIZE_CAP allows, while a check costs time in proportion to the
-    lattice.
+    DEFAULT_SIZE_CAP allows, while a check, once the table is built, walks
+    the lattice's edges and the table once; under DEFAULT_SIZE_CAP the
+    table has at most about 250 000 tags (201 950 for C at k = 10).
     """
 
     k: int
@@ -372,29 +369,21 @@ class CoverSystem:
         return ("slice",) if self.m == 2 else ("slice", "s-set")
 
     @cached_property
-    def _allowed(self) -> dict[tuple[int, str], tuple[tuple[int, ...], ...]]:
-        """Per constraint group, the values each target component may take."""
-        out = {}
+    def constraints(self) -> dict[tuple[int, str, LatticeVector], int]:
+        """Every constraint tag (i, condition, target), numbered in
+        constraint order."""
         coords = range(1, self.k + 1)
+        values = range(1, self.m + 1)
+        tags = []
         for i, hood in enumerate(self.hoods, 1):
-            out[i, "slice"] = tuple((2,) if j in hood else tuple(range(1, self.m + 1)) for j in coords)
+            tags += [(i, "slice", x) for x in product(*((2,) if j in hood else values for j in coords))]
             if self.m == 3:
-                out[i, "s-set"] = tuple((3,) if j == i else (2, 3) for j in coords)
-        return out
+                tags += [(i, "s-set", x) for x in product(*((3,) if j == i else (2, 3) for j in coords))]
+        return {tag: n for n, tag in enumerate(tags)}
 
     def targets(self, i: int, cond: str) -> Iterator[LatticeVector]:
         """The targets of the (i, cond) constraints, in lexicographic order."""
-        return product(*self._allowed[i, cond])
-
-    def is_target(self, i: int, cond: str, x: LatticeVector) -> bool:
-        return all(c in allowed for c, allowed in zip(x, self._allowed[i, cond]))
-
-    def constraints(self) -> Iterator[tuple[int, str, LatticeVector]]:
-        """Every constraint tag (i, condition, target), in constraint order."""
-        for i in range(1, self.k + 1):
-            for cond in self.conditions:
-                for x in self.targets(i, cond):
-                    yield i, cond, x
+        return (x for j, c, x in self.constraints if j == i and c == cond)
 
     def in_universe(self, x: LatticeVector, y: LatticeVector) -> bool:
         # every pair of [2]^k is within one in each coordinate
@@ -408,7 +397,7 @@ class CoverSystem:
             if a != b:
                 cond = "slice" if min(a, b) == 1 else "s-set"
                 z = x if a > b else y
-                yield i, cond, z if self.is_target(i, cond, z) else None
+                yield i, cond, z if (i, cond, z) in self.constraints else None
 
     def check(self, lattice: Graph):
         """The membership report (per coordinate and condition, the lattice
@@ -445,30 +434,26 @@ class CoverSystem:
         for tag, hit_edges in hits.items():
             if len(hit_edges) == 1:
                 sole.setdefault(hit_edges[0], []).append(tag)
-        missed = {}
-        for i, cond in in_scaffold:
-            x = next((x for x in self.targets(i, cond) if (i, cond, x) not in hits), None)
-            missed[i, cond] = None if x is None else LatticeVertex(x)
+        # the first target each (i, condition) misses
+        missed: dict[tuple[int, str], Vertex] = {}
+        for i, cond, x in self.constraints:
+            if (i, cond) not in missed and (i, cond, x) not in hits:
+                missed[i, cond] = LatticeVertex(x)
         diagnostics = []
         for i in range(1, self.k + 1):
             covering = [tuple(in_scaffold[i, c]) for c in self.conditions] + [()]
-            uncovered = [missed[i, c] for c in self.conditions] + [None]
+            uncovered = [missed.get((i, c)) for c in self.conditions] + [None]
             diagnostics.append(
                 IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
             )
         report = MembershipReport(
-            member=not outside and not any(missed.values()),
+            member=not outside and not missed,
             family=self.family,
             k=self.k,
             diagnostics=tuple(diagnostics),
             bad_edge=outside[0] if outside else None,
         )
         return report, outside, hits, sole
-
-    def order(self, tag: tuple[int, str, LatticeVector]) -> tuple:
-        """Sort key of a constraint tag in constraint order."""
-        i, cond, x = tag
-        return i, self.conditions.index(cond), x
 
     # -- the bit-mask view, for exhaustive scans over the universe --
 
@@ -493,7 +478,7 @@ class CoverSystem:
         """One bit mask over the universe per constraint, in constraint
         order; the bits are set in byte arrays, so building is linear."""
         size = (len(self.edges) + 7) // 8
-        rows = {tag: bytearray(size) for tag in self.constraints()}
+        rows = {tag: bytearray(size) for tag in self.constraints}
         for b, (u, v) in enumerate(self.edges):
             for i, cond, z in self.incidence(u.vector, v.vector):  # type: ignore[union-attr]
                 if z is not None:
@@ -669,10 +654,10 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     can be tested on the canonical labels.
 
     The base part keeps the adjacency among the certificate's ordered W;
-    lattice edges are carried through the certificate's vector table; cross
-    edges are implied.  Every W-to-rest adjacency of the input is checked
-    against the implied cross edges, so a broken certificate cannot slip
-    through.
+    lattice edges are carried through the certificate's vector table, which
+    must map the vertices outside W one to one onto [m]^k; cross edges are
+    implied.  Every W-to-rest adjacency of the input is checked against the
+    implied cross edges, so a broken certificate cannot slip through.
     """
     k = len(cert.w_order)
     m = cert.m_of_w
@@ -692,6 +677,9 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     if len(table) != len(rest) or not all(verts[u] in table for u in rest):
         raise InvalidCertificate("certificate table does not cover V minus W")
     vec = {u: table[verts[u]] for u in rest}
+    image = set(vec.values())
+    if len(image) != len(vec) or image != _lattice_labels(k, m)[2].keys():
+        raise InvalidCertificate(f"certificate table does not map V minus W onto [{m}]^{k}")
     base_edges = [
         (BaseVertex(i + 1), BaseVertex(j + 1))
         for i in range(k)

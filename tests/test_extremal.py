@@ -440,7 +440,10 @@ class TestTightness:
         assert sweeps.check_tightness()
         monkeypatch.undo()
         # no edge serves anything: every minimal lattice reads upper-tight
-        monkeypatch.setattr(extremal, "Counter", lambda served: {})
+        def no_i_edge(base, lattice):
+            return dataclasses.replace(cover_index_sets(base, lattice), i_edge={})
+
+        monkeypatch.setattr(extremal, "cover_index_sets", no_i_edge)
         assert sweeps.check_tightness()
 
     def test_agrees_with_raw_counts_at_k3(self):

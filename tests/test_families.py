@@ -303,7 +303,7 @@ def constraint_edges(cs):
     """Each constraint tag with its edges, as sets of two vectors."""
     return {
         tag: frozenset(frozenset((u.vector, v.vector)) for u, v in map(cs.edges.__getitem__, _iter_bits(mask)))
-        for tag, mask in zip(cs.constraints(), cs.masks)
+        for tag, mask in zip(cs.constraints, cs.masks)
     }
 
 
@@ -339,6 +339,27 @@ class TestOneRule:
             cover_system("C", 2, Graph([PlainVertex(1), PlainVertex(2)], []))
         assert cover_system("C", 3) is cover_system("C", 3, base_null(3))
         assert cover_system("C", 3).hoods == (frozenset({1}), frozenset({2}), frozenset({3}))
+
+    @pytest.mark.parametrize(
+        "family, k, bits",
+        [("B", k, bits) for k in (2, 3) for bits in range(1 << k * (k - 1) // 2)] + [("C", k, 0) for k in (2, 3, 4)],
+    )
+    def test_constraint_table_follows_the_direct_rule(self, family, k, bits):
+        # by i, "slice" before "s-set", then target in lexicographic order:
+        # a slice target is 2 on N[i], an s-set target 3 at i with no 1
+        base = labeled_base(k, bits)
+        m = 2 if family == "B" else 3
+        vectors = lattice_vertices(k, m)
+        want = []
+        for i in range(1, k + 1):
+            hood = [j for j in range(1, k + 1) if j == i or base.has_edge(BaseVertex(i), BaseVertex(j))]
+            want += [(i, "slice", x) for x in vectors if all(x[j - 1] == 2 for j in hood)]
+            if family == "C":
+                want += [(i, "s-set", x) for x in vectors if x[i - 1] == 3 and 1 not in x]
+        cs = cover_system(family, k, base)
+        assert list(cs.constraints) == want
+        assert list(cs.constraints.values()) == list(range(len(want)))
+        assert len(cs.constraints) == len(cs.masks)
 
     @pytest.mark.parametrize("k, constraints, incidences", [(2, 4, 8), (3, 12, 48), (4, 32, 256)])
     def test_c_slices_on_two_values_are_b_over_the_null_base(self, k, constraints, incidences):
@@ -738,6 +759,27 @@ class TestCanonicalRelabel:
         table = {**cert.table, BaseVertex(2): (2, 1)}
         with pytest.raises(InvalidCertificate, match="^certificate table does not cover V minus W$"):
             canonical_relabel(g, CrsCertificate(cert.w_order, cert.m_of_w, table))
+
+    def test_rejects_table_sending_two_vertices_to_one_vector(self):
+        # moving a vertex between two 1-free vectors keeps every cross edge,
+        # and between two non-adjacent ones makes no loop: only the table's
+        # image shows the forgery
+        comp = compose(base_null(2), example_graph("T", 2), 2, 3)
+        g = comp.materialize()
+        cert = check_crs(g, (BaseVertex(1), BaseVertex(2)))
+        assert isinstance(cert, CrsCertificate)
+        assert canonical_relabel(g, cert) == comp
+        owner = {x: u for u, x in cert.table.items()}
+        free = [x for x in lattice_vertices(2, 3) if 1 not in x]
+        forged = [
+            (x, y) for t, x in enumerate(free) for y in free[t + 1:]
+            if not g.has_edge(owner[x], owner[y])
+        ]
+        assert len(forged) == 5
+        for x, y in forged:
+            table = {**cert.table, owner[x]: y}
+            with pytest.raises(InvalidCertificate, match=r"^certificate table does not map V minus W onto \[3\]\^2$"):
+                canonical_relabel(g, CrsCertificate(cert.w_order, cert.m_of_w, table))
 
     def test_rejects_foreign_certificate(self):
         comp = compose(base_complete(2), example_graph("U", 2), 2, 2)
