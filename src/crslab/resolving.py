@@ -12,8 +12,9 @@ re-check them edge by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from .errors import (
     DisconnectedGraph,
@@ -115,34 +116,73 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
     return w_idx, rows, rest
 
 
+class _Distances(dict):
+    """A connected graph's all-pairs hop-count ``rows`` and, keyed by
+    position, each vertex's tie mask, built from its row on first lookup.
+
+    Bit u*n + v of the tie mask of w is set iff d(w, u) = d(w, v).  A vertex
+    set W resolves iff the AND of its masks is ``diagonal``, the bits
+    u*n + u: only then do all n vertices get distinct vectors toward W (a W
+    vertex's own level is {w}), as in ``_injective``.  A mask holds n^2
+    bits, so a mask is built only when a search first reads it: all n masks
+    of a 600-vertex cycle take n^3/8 bytes, 27 MB, and its dimension search
+    reads two of them.  Masks are read only once ``_table`` has found the
+    graph connected.
+    """
+
+    def __init__(self, rows: list[list[int]]):
+        super().__init__()
+        self.rows = rows
+        n = len(rows)
+        self.diagonal = sum(1 << u * (n + 1) for u in range(n))
+
+    def __missing__(self, w: int) -> int:
+        row = self.rows[w]
+        n = len(row)
+        levels = [0] * (max(row) + 1)
+        for v, d in enumerate(row):
+            levels[d] |= 1 << v
+        tie = 0
+        for u, d in enumerate(row):
+            tie |= levels[d] << u * n
+        self[w] = tie
+        return tie
+
+    def resolves(self, w_idx) -> bool:
+        """True iff the positions ``w_idx`` resolve the graph."""
+        return reduce(and_, map(self.__getitem__, w_idx)) == self.diagonal
+
+
 @lru_cache(maxsize=8)
-def _rows(g: Graph) -> list[list[int]]:
-    """All-pairs hop-count rows, one BFS per vertex, built once per graph
-    and shared by every caller, so no caller may mutate them.  They stay
-    lists: tuples measured 0.75 MB more peak memory on a stream of small
-    graphs, held in the interpreter's tuple free lists."""
+def _distances(g: Graph) -> _Distances:
+    """All-pairs hop-count rows, one BFS per vertex, and the tie masks read
+    off them, built once per graph and shared by every caller, so no caller
+    may mutate them.  The rows stay lists: tuples measured 0.75 MB more peak
+    memory on a stream of small graphs, held in the interpreter's tuple free
+    lists."""
     adj = g.adjacency_masks()
-    return [bfs_levels(adj, i) for i in range(g.order)]
+    return _Distances([bfs_levels(adj, i) for i in range(g.order)])
 
 
-def _table(g: Graph, cap: int, disconnected: str) -> list[list[int]]:
-    """All-pairs hop-count rows for the subset-scanning operations, after
-    the order cap, which is checked on every call before the per-graph rows
-    are read; raises DisconnectedGraph(disconnected) on a disconnected
-    graph."""
+def _table(g: Graph, cap: int, disconnected: str) -> _Distances:
+    """The per-graph distances for the subset-scanning operations, after
+    the order cap, which is checked on every call before the cache is read;
+    raises DisconnectedGraph(disconnected) on a disconnected graph."""
     n = g.order
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
-    rows = _rows(g)
-    if -1 in rows[0]:
+    dist = _distances(g)
+    if -1 in dist.rows[0]:
         raise DisconnectedGraph(disconnected)
-    return rows
+    return dist
 
 
 def _injective(w_rows: list[list[int]]) -> bool:
     """True iff the outside vertices have pairwise distinct vectors toward
     the W rows ``w_rows``.  Each W vertex's own vector is the only one with
-    a zero, at its own coordinate, so the test may run over every vertex."""
+    a zero, at its own coordinate, so the test may run over every vertex.
+    Its one caller is ``is_resolving_set``, whose graph need not be
+    connected; the searches test W on the tie masks of ``_Distances``."""
     return len(set(zip(*w_rows))) == len(w_rows[0])
 
 
@@ -236,9 +276,10 @@ def _implied_radius(outside: int, k: int) -> int | None:
     return None
 
 
-def _pruned_certificates(verts, rows_all, sizes):
+def _pruned_certificates(verts, dist, sizes):
     """Certificates of every unordered W with |W| in ``sizes``, by size,
-    then in combination order.
+    then in combination order, over the distances ``dist`` of a connected
+    graph.
 
     Three prunings.  The outside count must equal m^|W| for the implied
     radius m (at most 3 above |W| = 1).  A bijection onto [m]^|W| sends
@@ -247,7 +288,12 @@ def _pruned_certificates(verts, rows_all, sizes):
     |W|-1 inside ones: only vertices of degree m^(|W|-1) .. m^(|W|-1)+|W|-1
     are candidates, and the combinations run over them in position order,
     which keeps the combination order.  A radius-3 candidate must induce no
-    edge inside W, so there the degree is exactly m^(|W|-1)."""
+    edge inside W, so there the degree is exactly m^(|W|-1).  A W of two or
+    more vertices with two or more outside vertices is dropped before
+    ``_bijection`` unless its tie masks AND to the diagonal; ``_bijection``
+    still builds and checks every certificate returned.  (One outside vertex
+    is always told apart, and a singleton W is cheaper to test by its row.)"""
+    rows_all = dist.rows
     n = len(verts)
     deg = [row.count(1) for row in rows_all]
     for k in sizes:
@@ -261,6 +307,8 @@ def _pruned_certificates(verts, rows_all, sizes):
             if m_implied == 3 and any(
                 rows_all[a][b] == 1 for a, b in combinations(combo, 2)
             ):
+                continue
+            if 1 < k < n - 1 and not dist.resolves(combo):
                 continue
             rest = [u for u in range(n) if u not in combo]
             res = _bijection(verts, combo, [rows_all[w] for w in combo], rest)
@@ -281,8 +329,8 @@ def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Ver
     Every coordinate order of a returned W is also completeness-resolving:
     permuting the table's coordinates keeps it a bijection onto the box.
     """
-    rows_all = _table(g, cap, "the graph is disconnected")
-    return [(c.w_order, c) for c in _pruned_certificates(g.vertices(), rows_all, range(1, g.order))]
+    dist = _table(g, cap, "the graph is disconnected")
+    return [(c.w_order, c) for c in _pruned_certificates(g.vertices(), dist, range(1, g.order))]
 
 
 def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
@@ -296,43 +344,69 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     isomorphism search is involved: a certificate with radius 2 or 3
     already places the graph in the corresponding family via relabeling.
     """
-    rows_all = _table(g, cap, "classification needs a connected graph")
+    dist = _table(g, cap, "classification needs a connected graph")
+    rows_all = dist.rows
     verts = g.vertices()
     n = len(verts)
     ecc = [max(row) for row in rows_all]
     if n - 1 in ecc:
-        return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(verts, rows_all, (1,))))
+        return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(verts, dist, (1,))))
     if 1 in ecc:
         u = ecc.index(1)
         w_idx = [w for w in range(n) if w != u]
         cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
         return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
-    for cert in _pruned_certificates(verts, rows_all, range(2, n - 1)):
+    for cert in _pruned_certificates(verts, dist, range(2, n - 1)):
         kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
         return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
     return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
+
+
+def _first_basis(dist: _Distances, c: int) -> tuple[int, ...] | None:
+    """The first c positions in combination order whose tie masks AND to
+    the diagonal, or None.  The combinations are walked depth first, so each
+    prefix's AND is taken once and carried to all of its extensions."""
+    n, diagonal = len(dist.rows), dist.diagonal
+
+    def extend(start, prefix, acc):
+        stop = n - c + len(prefix) + 1
+        if len(prefix) == c - 1:
+            for w in range(start, stop):
+                if acc & dist[w] == diagonal:
+                    return (*prefix, w)
+            return None
+        for w in range(start, stop):
+            found = extend(w + 1, (*prefix, w), acc & dist[w])
+            if found:
+                return found
+        return None
+
+    return extend(0, (), -1)
 
 
 @lru_cache(maxsize=8)
 def _dimension(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Minimum resolving-set size with the lexicographically first
     resolving positions at that size, searched once per connected graph
-    whose rows ``_table`` has checked.
+    whose distances ``_table`` has checked.
 
-    A resolving c-set gives the n - c outside vertices distinct vectors in
+    Each size is searched by ``_first_basis``, on the tie masks.  A
+    resolving c-set gives the n - c outside vertices distinct vectors in
     [diam]^c, so n <= c + diam^c (Chartrand, Eroh, Johnson & Oellermann,
     Discrete Applied Mathematics 105, 2000); every size c with
-    n - c > diam^c is skipped unscanned."""
-    rows_all = _rows(g)
-    n = len(rows_all)
-    diam = max(max(row) for row in rows_all)
-    for c in range(1, n):
+    n - c > diam^c is skipped unscanned.  Any n - 1 vertices resolve, so
+    size n - 1 is not scanned either: its first basis is 0 .. n-2, and the
+    masks of a complete graph, whose dimension it is, are never built."""
+    dist = _distances(g)
+    n = len(dist.rows)
+    diam = max(max(row) for row in dist.rows)
+    for c in range(1, n - 1):
         if n - c > diam ** c:
             continue
-        for combo in combinations(range(n), c):
-            if _injective([rows_all[w] for w in combo]):
-                return c, combo
-    raise AssertionError("any n-1 vertices resolve; unreachable")
+        basis = _first_basis(dist, c)
+        if basis is not None:
+            return c, basis
+    return n - 1, tuple(range(n - 1))
 
 
 def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple[Vertex, ...]]:
@@ -351,6 +425,6 @@ def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
     completeness-resolving set resolves, so no separate resolving test is
     needed.
     """
-    rows_all = _table(g, cap, "metric dimension needs a connected graph")
+    dist = _table(g, cap, "metric dimension needs a connected graph")
     dim, _combo = _dimension(g)
-    return next(_pruned_certificates(g.vertices(), rows_all, (dim,)), None) is not None
+    return next(_pruned_certificates(g.vertices(), dist, (dim,)), None) is not None

@@ -449,7 +449,10 @@ def _raw_dimension(rows: list[list[int]], n: int) -> int:
     distance vectors tell all outside vertices apart.
 
     An independent oracle, kept on purpose: the classification sweep checks
-    metric_dimension and the dimension inequality against it."""
+    metric_dimension and the dimension inequality against it.  It hashes
+    each candidate's distance vectors, so it cross-checks the tie-mask
+    kernel that metric_dimension searches with (``resolving._Distances``
+    and ``resolving._first_basis``)."""
     for c in range(1, n):
         for combo in combinations(range(n), c):
             seen = set()

@@ -498,7 +498,7 @@ class TestSharedWork:
     def bfs_calls(self, monkeypatch):
         """Sources of every BFS the resolving entry points run, on empty
         caches."""
-        resolving._rows.cache_clear()
+        resolving._distances.cache_clear()
         resolving._dimension.cache_clear()
         calls = []
         real = resolving.bfs_levels
@@ -509,7 +509,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(resolving, "bfs_levels", counted)
         yield calls
-        resolving._rows.cache_clear()
+        resolving._distances.cache_clear()
         resolving._dimension.cache_clear()
 
     def test_entry_points_share_one_table_and_one_dimension_search(self, bfs_calls):
@@ -528,7 +528,7 @@ class TestSharedWork:
         g, twin = b2_member(), b2_member()
         assert g is not twin and g == twin
         first = answers(g)
-        resolving._rows.cache_clear()
+        resolving._distances.cache_clear()
         resolving._dimension.cache_clear()
         assert answers(twin) == first  # computed afresh
         del bfs_calls[:]
@@ -613,9 +613,9 @@ class TestDegreeFilter:
         inner_edge = 0
         for g in graphs:
             verts, rows = g.vertices(), connected_rows(g)
-            sizes = range(1, g.order)
+            sizes, dist = range(1, g.order), resolving._Distances(rows)
             pruned = [(c.w_order, c.m_of_w, c.table)
-                      for c in resolving._pruned_certificates(verts, rows, sizes)]
+                      for c in resolving._pruned_certificates(verts, dist, sizes)]
             assert pruned == [(c.w_order, c.m_of_w, c.table)
                               for c in unfiltered_certificates(verts, rows, sizes)]
             inner_edge += sum(
@@ -640,3 +640,66 @@ class TestDimensionBound:
             diameter_two += diam == 2
             skipped += sum(n - c > diam ** c for c in range(2, dim))
         assert diameter_two >= 10 and skipped > 0
+
+
+# -- the tie masks behind the dimension and certificate searches ----------------
+
+
+def plain_dimension(rows):
+    """The smallest resolving positions in combination order, by a plain
+    scan of every combination with _injective."""
+    n = len(rows)
+    for c in range(1, n):
+        for combo in combinations(range(n), c):
+            if resolving._injective([rows[w] for w in combo]):
+                return c, combo
+
+
+@pytest.fixture(scope="module")
+def small_connected():
+    """Seeded connected graphs of order 2-12 with their rows, led by the
+    complete graphs K_2..K_5 (dimension n - 1) and the path P_6."""
+    named = [plain_graph(n, combinations(range(n), 2)) for n in range(2, 6)]
+    named.append(plain_graph(6, [(i, i + 1) for i in range(5)]))
+    stream = seeded_connected(random.Random(71), range(2, 13), (0.2, 0.4, 0.7))
+    return [(g, connected_rows(g)) for g in named] + [next(stream) for _ in range(60)]
+
+
+class TestTieMasks:
+    def test_and_of_masks_matches_injective(self, small_connected):
+        outcomes = set()
+        for _g, rows in small_connected:
+            dist = resolving._Distances(rows)
+            for k in (1, 2, 3):
+                for w in combinations(range(len(rows)), k):
+                    expected = resolving._injective([rows[v] for v in w])
+                    assert dist.resolves(w) == expected, (rows, w)
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_dimension_matches_a_plain_scan(self, small_connected):
+        sizes = set()
+        for g, rows in small_connected:
+            dim, basis = resolving._dimension(g)
+            assert (dim, basis) == plain_dimension(rows)
+            sizes.add(dim if dim < g.order - 1 else "n-1")
+        assert {1, 2, 3, "n-1"} <= sizes
+
+    def test_masks_are_built_on_first_use(self, monkeypatch):
+        # the search on C_200 reads the masks of its basis {0, 1}; all 200
+        # masks would take 200 * 200^2 bits.  A fourth build fails at once,
+        # so a search that goes wrong fails here instead of running on.
+        real = resolving._Distances.__missing__
+        built = []
+
+        def counted(dist, w):
+            built.append(w)
+            assert len(built) <= 3, f"tie masks built for {built}"
+            return real(dist, w)
+
+        monkeypatch.setattr(resolving._Distances, "__missing__", counted)
+        n = 200
+        g = plain_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        resolving._distances.cache_clear()
+        assert metric_dimension(g, cap=n) == (2, (p(0), p(1)))
+        assert len(resolving._distances(g)) == len(built)
