@@ -134,7 +134,8 @@ class _Distances(dict):
         super().__init__()
         self.rows = rows
         n = len(rows)
-        self.diagonal = sum(1 << u * (n + 1) for u in range(n))
+        # bits 0, n+1, 2(n+1), ...: the sum of the first n powers of 2^(n+1)
+        self.diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
 
     def __missing__(self, w: int) -> int:
         row = self.rows[w]
@@ -267,7 +268,13 @@ def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
 
 
 def _implied_radius(outside: int, k: int) -> int | None:
-    """The only m that could make the outside count equal m^k, if any."""
+    """The only m that could make the outside count equal m^k, if any.
+
+    Above k = 1 only m <= 3 can occur.  Let W = (w_1, ..., w_k) certify
+    with radius m, so its distance map is onto [m]^k.  The outside vertex
+    with vector (1, ..., 1) is adjacent to every w_i, so d(w_i, w_j) <= 2
+    for i != j.  The one with x_i = m and x_j = 1 is adjacent to w_j, so
+    m = d(w_i, x) <= d(w_j, w_i) + 1 <= 3."""
     if k == 1:
         return outside
     for m in (1, 2, 3):

@@ -67,6 +67,7 @@ from .extremal import (
 SAMPLE_SEED = 0x5EED
 OUT_OF_GAMMA_SAMPLES = 1000
 CLOSURE_TRIALS = 1000
+_SUBSAMPLE = 4  # trials per closure group, and out-of-range samples, that member_b / member_c decide too
 
 
 # -- the lane-parallel certifier ----------------------------------------------
@@ -209,15 +210,16 @@ class EquivalenceSweep:
 
     The out_of_range_* counters come from the sampled [3]^2 lattices with
     an edge outside Gamma_2 (radius-3 sweep only): out_of_range_tested
-    counts the samples whose membership report names such an edge (all of
-    them, unless member_c misses one); out_of_range_failures counts samples
-    that W = [2] certifies anyway, which it can only do through a label
-    permutation -- not a fault, since certification ignores labels, but the
-    name is kept because the benchmark pins it (a sample that is a member
-    on its own labels would be counted here too); out_of_range_inconsistent
-    counts the true violations of the label-bound control: a sample that is
-    a member on its own labels, or one certified with the identity table or
-    whose canonical relabeling is not a member.
+    counts the samples whose mask meets the cover system's outside mask
+    (and whose member_c report, for the few that get one, names a bad
+    edge); out_of_range_failures counts samples that W = [2] certifies
+    anyway, which it can only do through a label permutation -- not a
+    fault, since certification ignores labels, but the name is kept because
+    the benchmark pins it (a sample that is a member on its own labels
+    would be counted here too); out_of_range_inconsistent counts the true
+    violations of the label-bound control: a sample that is a member on its
+    own labels, or one certified with the identity table or whose canonical
+    relabeling is not a member.
     """
 
     total: int
@@ -291,41 +293,42 @@ def sweep_c_equivalence() -> EquivalenceSweep:
 
 def _out_of_gamma_samples() -> tuple[int, int, int]:
     """Uniform random [3]^2 lattices conditioned on containing an edge with
-    a coordinate gap of two.
+    a coordinate gap of two, as read off the vectors.
 
     Such a lattice is never a member on its own labels, and W = [2] never
-    resolves its composite with every lattice vertex on its own label.  It
-    may still certify the composite through a label permutation -- see
-    out_of_range_counterexample() -- so a certified sample is counted in
-    failures and then cross-checked: neither its lane nor its table may be
-    the identity, and its relabeling must land inside the family, otherwise
-    it is flagged inconsistent (a genuine bug).  A member sample counts in
-    both at once.  The samples are certified in one lane batch, and only
-    the certified lanes go on to check_crs, which must then certify them
-    too; a disconnected composite (22 of the 1000 seeded samples) leaves
-    some cell empty, so its lane is rejected.  Returns (samples whose
-    membership report names an edge outside the maximal lattice -- every
-    sample, unless member_c misses the gap -- failures, inconsistent).
-    """
+    resolves its composite with every lattice vertex on its own label, but
+    it may through a label permutation (out_of_range_counterexample()).  So
+    the samples are certified in one lane batch (a disconnected composite,
+    22 of the 1000, leaves a cell empty), and each certified lane counts in
+    failures and must pass check_crs with a table and a lane that are not
+    the identity and a relabeling inside the family, or it counts in
+    inconsistent (a genuine bug).  A sample is tested when its mask meets the
+    cover system's outside mask, the edges not in ``cs.index``.  The first
+    _SUBSAMPLE samples and the certified ones also get a member_c report:
+    they are tested only if it names a bad edge, and a member report counts
+    in failures and inconsistent.  Returns (tested, failures, inconsistent)."""
     rng = random.Random(SAMPLE_SEED)
     vecs = lattice_vertices(2, 3)
     all_edges = lattice_complete(2, 3).edges()
     pairs = [(u.vector, v.vector) for u, v in all_edges]  # type: ignore[union-attr]
+    gap2 = sum(1 << t for t, (x, y) in enumerate(pairs) if max(abs(a - b) for a, b in zip(x, y)) == 2)
     cs = cover_system("C", 2)
     outside = sum(1 << t for t, e in enumerate(all_edges) if e not in cs.index)
     masks = []
     for _ in range(OUT_OF_GAMMA_SAMPLES):
         while True:
             mask = sum(1 << t for t in range(len(all_edges)) if rng.random() < 0.5)
-            if mask & outside:
+            if mask & gap2:
                 break
         masks.append(mask)
     certified, identities = _certify_masks(_lane_frame(cs, base_null(2), all_edges), 2, 3, masks)
-    tested = failures = inconsistent = 0
-    for j, mask in enumerate(masks):
-        lattice = span_lattice(2, 3, [pairs[t] for t in _iter_bits(mask)])
+    checked = sorted({*range(_SUBSAMPLE), *_iter_bits(certified)})
+    tested = sum(mask & outside != 0 for j, mask in enumerate(masks) if j not in checked)
+    failures = inconsistent = 0
+    for j in checked:
+        lattice = span_lattice(2, 3, [pairs[t] for t in _iter_bits(masks[j])])
         report = member_c(lattice)
-        tested += report.bad_edge is not None
+        tested += masks[j] & outside != 0 and report.bad_edge is not None
         if report.member:
             failures += 1
             inconsistent += 1
@@ -711,9 +714,6 @@ class PropertySweep:
             or self.m_at_least_4
             or self.dimension_inequality_violations
         )
-
-
-_SUBSAMPLE = 4  # trials per group that member_b / member_c decide as well
 
 
 def _is_member(family: str, k: int, base_bits: int, mask: int) -> bool:

@@ -22,6 +22,7 @@ from crslab.graph import (
     universal_vertices,
 )
 from crslab.families import (
+    CoverSystem,
     base_complete,
     base_null,
     canonical_relabel,
@@ -132,31 +133,64 @@ def test_out_of_range_control_can_fail(monkeypatch):
     assert inconsistent > 0
 
 
+def _sample_lattice(mask):
+    all_edges = lattice_complete(2, 3).edges()
+    return Graph(lattice_complete(2, 3).vertices(), [all_edges[t] for t in range(36) if mask >> t & 1])
+
+
 def test_out_of_range_tested_counts_the_checked_samples(monkeypatch):
-    # every sample has an edge outside Gamma_2, so each membership report
-    # that names a bad edge belongs to one sampled lattice
+    # member_c reports on the first _SUBSAMPLE samples, on the certified
+    # lane and on its relabeling, and on nothing else; the masks decide
+    # the other samples
     real_member_c = sweeps.member_c
-    reports = []
+    real_certify = sweeps._certify_masks
+    lattices, batches = [], []
 
     def counting_member_c(lattice):
-        reports.append(real_member_c(lattice))
-        return reports[-1]
+        lattices.append(lattice)
+        return real_member_c(lattice)
+
+    def spy(frame, k, m, masks):
+        batches.append((masks, real_certify(frame, k, m, masks)))
+        return batches[-1][1]
 
     monkeypatch.setattr(sweeps, "member_c", counting_member_c)
-    tested, _failures, _inconsistent = sweeps._out_of_gamma_samples()
-    assert tested == sum(rep.bad_edge is not None for rep in reports)
-    assert tested == sweeps.OUT_OF_GAMMA_SAMPLES
+    monkeypatch.setattr(sweeps, "_certify_masks", spy)
+    assert sweeps._out_of_gamma_samples() == (1000, 1, 0)
+    [(masks, (certified, _identity))] = batches
+    [lane] = [j for j in range(len(masks)) if certified >> j & 1]
+    assert lane >= sweeps._SUBSAMPLE
+    checked = [_sample_lattice(masks[j]) for j in [*range(sweeps._SUBSAMPLE), lane]]
+    g = compose(base_null(2), checked[-1], 2, 3).materialize()
+    relabeled = canonical_relabel(g, check_crs(g, (BaseVertex(1), BaseVertex(2)))).lattice
+    assert lattices == [*checked, relabeled]
+    assert all(real_member_c(lattice).bad_edge is not None for lattice in checked)
 
 
 def test_out_of_range_tested_can_fail(monkeypatch):
     # a membership test blind to edges outside Gamma_2 names no bad edge,
-    # so no sample counts as tested
+    # so none of the samples it reports on (the first _SUBSAMPLE and the
+    # certified lane) counts as tested
     real_member_c = sweeps.member_c
     monkeypatch.setattr(
         sweeps, "member_c", lambda lattice: replace(real_member_c(lattice), bad_edge=None)
     )
     tested, _failures, _inconsistent = sweeps._out_of_gamma_samples()
-    assert tested == 0
+    assert tested == sweeps.OUT_OF_GAMMA_SAMPLES - sweeps._SUBSAMPLE - 1
+
+
+def test_out_of_range_tested_needs_the_outside_mask(monkeypatch):
+    # a universe that takes in every gap-2 edge leaves the outside mask
+    # empty, so no sample counts as tested, while the draw (read off the
+    # vectors) and the certified lane stay as they are
+    everything = {e: t for t, e in enumerate(lattice_complete(2, 3).edges())}
+
+    class AllEdges(CoverSystem):
+        index = everything
+
+    cs = AllEdges(2, 3, cover_system("C", 2).hoods)
+    monkeypatch.setattr(sweeps, "cover_system", lambda family, k: cs)
+    assert sweeps._out_of_gamma_samples() == (0, 1, 0)
 
 
 def test_out_of_range_lanes_agree_with_check_crs(monkeypatch):
@@ -174,12 +208,9 @@ def test_out_of_range_lanes_agree_with_check_crs(monkeypatch):
     assert sweeps._out_of_gamma_samples() == (1000, 1, 0)
     [(masks, (certified, _identity))] = batches
     assert len(masks) == sweeps.OUT_OF_GAMMA_SAMPLES
-    lattice_vertices_3 = lattice_complete(2, 3).vertices()
-    all_edges = lattice_complete(2, 3).edges()
     seen = Counter()
     for j, mask in enumerate(masks):
-        lattice = Graph(lattice_vertices_3, [all_edges[t] for t in range(36) if mask >> t & 1])
-        g = compose(base_null(2), lattice, 2, 3).materialize()
+        g = compose(base_null(2), _sample_lattice(mask), 2, 3).materialize()
         try:
             res = check_crs(g, (BaseVertex(1), BaseVertex(2)))
         except DisconnectedGraph:
@@ -218,10 +249,12 @@ def test_out_of_range_identity_lane_is_inconsistent(monkeypatch):
 
 def test_out_of_range_member_sample_is_inconsistent(monkeypatch):
     # a sample is never a member on its own labels, so a membership test
-    # that accepts every sample counts each one as a failure and flags it
+    # that accepts every sample counts each one it reports on (the first
+    # _SUBSAMPLE and the certified lane) as a failure and flags it
     real_member_c = sweeps.member_c
     monkeypatch.setattr(sweeps, "member_c", lambda lattice: replace(real_member_c(lattice), member=True))
-    assert sweeps._out_of_gamma_samples() == (1000, 1000, 1000)
+    checked = sweeps._SUBSAMPLE + 1
+    assert sweeps._out_of_gamma_samples() == (1000, checked, checked)
 
 
 def _base_graph(k, bits):

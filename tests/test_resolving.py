@@ -677,6 +677,11 @@ class TestTieMasks:
                     outcomes.add(expected)
         assert outcomes == {True, False}
 
+    def test_diagonal_is_the_bits_u_times_n_plus_u(self):
+        for n in [*range(65), 600]:
+            dist = resolving._Distances([[0] * n] * n)
+            assert dist.diagonal == sum(1 << u * (n + 1) for u in range(n)), n
+
     def test_dimension_matches_a_plain_scan(self, small_connected):
         sizes = set()
         for g, rows in small_connected:
