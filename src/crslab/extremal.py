@@ -33,6 +33,7 @@ from .families import (
     _check_k,
     _check_kind,
     _cover,
+    _lattice_labels,
     _require_base,
     cover_system,
     lattice_vertices,
@@ -167,15 +168,20 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     """
     cs = _cover("C", None, lattice)
     membership, outside, hits, sole = cs.check(lattice)
-    first = next((tag for tag in cs.constraints if tag not in hits), None)
+    number = cs.constraints
+    first = None
+    if len(hits) != len(number):
+        first = next(tag for tag in number if tag not in hits)
+    labels, _index, pos = _lattice_labels(cs.k, 3)
     edges = []
     for e in lattice.edges():
-        unhit = [tag for tag in (first, *sole.get(e, [])[:1]) if tag is not None]
-        if unhit:
-            i, cond, x = min(unhit, key=cs.constraints.__getitem__)
-            edges.append(EdgeCriticality(e, True, LatticeVertex(x), (i,), cond))
+        own = sole.get(e)
+        tag = own[0] if own and (first is None or number[own[0]] < number[first]) else first
+        if tag is not None:
+            i, cond, x = tag
+            edges.append(EdgeCriticality(e, True, labels[pos[x]], (i,), cond))
         else:
-            edges.append(EdgeCriticality(e, any(f != e for f in outside)))
+            edges.append(EdgeCriticality(e, bool(outside) and any(f != e for f in outside)))
     return _minimality(membership, edges)
 
 

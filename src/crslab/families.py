@@ -120,11 +120,18 @@ def _lattice_labels(
 
 
 @lru_cache(maxsize=8)
+def _base_labels(k: int) -> tuple[tuple[BaseVertex, ...], dict[Vertex, int]]:
+    """BaseVertex(1..k) in canonical order, and the position of each one."""
+    verts = tuple(BaseVertex(i) for i in range(1, k + 1))
+    return verts, {v: p for p, v in enumerate(verts)}
+
+
+@lru_cache(maxsize=8)
 def _composite_labels(k: int, m: int) -> tuple[tuple[Vertex, ...], dict[Vertex, int], tuple[int, ...]]:
     """The labels of [k] + [m]^k in canonical order, the position of each
     one, and the rows of the cross edges over them."""
     lattice = _lattice_labels(k, m)[0]
-    verts = tuple(BaseVertex(i) for i in range(1, k + 1)) + lattice
+    verts = _base_labels(k)[0] + lattice
     cross = [0] * len(verts)
     for p, x in enumerate(lattice, k):
         for i, c in enumerate(x.vector):
@@ -230,7 +237,7 @@ class CompositeGraph:
 
 def _require_base(base: Graph) -> int:
     k = base.order
-    if base.vertices() != tuple(BaseVertex(i) for i in range(1, k + 1)):
+    if base.vertices() != _base_labels(k)[0]:
         raise WrongVertexSet("base graph must live on BaseVertex(1..k)")
     return k
 
@@ -347,13 +354,20 @@ class CoverSystem:
     of some constraint.  Membership, minimality and the critical edges read
     one ``check`` pass over a lattice's own edges, cached for the last
     (system, lattice) pair and shared, so the reports on one lattice, or
-    on an equal one, do not run it again.  The exhaustive scans use the
+    on an equal one, do not run it again.  The pass works on positions and
+    constraint numbers: ``_positions``, built from ``constraints`` on first
+    use, packs each vector of [m]^k two bits per coordinate and gives, per
+    coordinate, the number of the constraint an edge going down from it
+    there hits.  A lattice edge is then one XOR of two packed vectors: a
+    coordinate moving between 1 and 3 puts it outside the universe, and
+    only the coordinates it changes are looked up.  Tags and labels are
+    made once, for what the reports return.  The exhaustive scans use the
     bit-mask view (``edges``, ``masks``), built on first use.  Both stay
     because the mask view needs the whole universe: Gamma_k has
     (7^k - 3^k)/2 edges, 58 460 at k = 6 and 141 208 100 at k = 10, which
-    DEFAULT_SIZE_CAP allows, while a check, once the table is built, walks
-    the lattice's edges and the table once; under DEFAULT_SIZE_CAP the
-    table has at most about 250 000 tags (201 950 for C at k = 10).
+    DEFAULT_SIZE_CAP allows, while the position table has k * m^k numbers
+    (at most 590 490 under DEFAULT_SIZE_CAP, for C at k = 10) and the
+    constraint table at most about 250 000 tags (201 950 for C at k = 10).
     """
 
     k: int
@@ -386,6 +400,8 @@ class CoverSystem:
         return (x for j, c, x in self.constraints if j == i and c == cond)
 
     def in_universe(self, x: LatticeVector, y: LatticeVector) -> bool:
+        """The universe's rule on two vectors, stated directly; the pass
+        tests packed vectors instead, and Tier-1 holds it to this rule."""
         # every pair of [2]^k is within one in each coordinate
         return self.m == 2 or _gaps_ok(x, y)
 
@@ -413,35 +429,82 @@ class CoverSystem:
         caller may mutate ``outside``, ``hits`` or ``sole``."""
         return _check(self, lattice)
 
+    @cached_property
+    def _positions(self) -> tuple[list[int], list[int], tuple[tuple[int, str, LatticeVector], ...], int]:
+        """The pass's view of the constraints, by position of [m]^k in
+        lexicographic order: each vector packed two bits per coordinate
+        (component - 1 at bits 2t and 2t + 1 for coordinate t + 1); at
+        k * p + t, the number of the constraint that an edge going down
+        from vector p in coordinate t + 1 hits, or -1; the tags by number;
+        and the mask of bit 2t for every coordinate."""
+        k, number = self.k, self.constraints
+        packed: list[int] = []
+        down: list[int] = []
+        for u in _lattice_labels(k, self.m)[0]:
+            x = u.vector  # type: ignore[union-attr]
+            packed.append(sum(c - 1 << 2 * t for t, c in enumerate(x)))
+            # down from 2 is a slice move, down from 3 an s-set move; from 1 there
+            # is none, and (i, "s-set", x) with x_i = 1 is no tag
+            down += [number.get((i, "slice" if c == 2 else "s-set", x), -1) for i, c in enumerate(x, 1)]
+        return packed, down, tuple(number), ((1 << 2 * k) - 1) // 3
+
     def _pass(self, lattice: Graph):
-        """One pass over a lattice's edges: what ``check`` returns."""
+        """One pass over a lattice's edges: what ``check`` returns.  Edges
+        are walked by position pair in canonical edge order, and hits are
+        filed by constraint number, so each edge's tags come out in
+        constraint order."""
+        k, width = self.k, len(self.conditions)
+        packed, down, tags, ones = self._positions
+        verts = lattice.vertices()
         outside: list[Edge] = []
-        in_scaffold: dict[tuple[int, str], list[Edge]] = {
-            (i, cond): [] for i in range(1, self.k + 1) for cond in self.conditions
-        }
-        hits: dict[tuple[int, str, LatticeVector], list[Edge]] = {}
-        for e in lattice.edges():
-            x, y = e[0].vector, e[1].vector  # type: ignore[union-attr]
-            if not self.in_universe(x, y):
-                outside.append(e)
-                continue
-            for i, cond, z in self.incidence(x, y):
-                in_scaffold[i, cond].append(e)
-                if z is not None:
-                    hits.setdefault((i, cond, z), []).append(e)
-        # each edge files its hits in constraint order and is the first hit of those it alone hits
+        in_scaffold: list[list[Edge]] = [[] for _ in range(k * width)]
+        hit: dict[int, list[Edge]] = {}
+        for p, row in enumerate(lattice.adjacency_masks()):
+            u, a = verts[p], packed[p]
+            row >>= p + 1
+            while row:
+                low = row & -row
+                row ^= low
+                q = p + low.bit_length()
+                e = (u, verts[q])
+                b = packed[q]
+                d = a ^ b
+                # 1 <-> 3 is the only move that XORs a coordinate to 0b10
+                if d >> 1 & ~d & ones:
+                    outside.append(e)
+                    continue
+                moved = (d | d >> 1) & ones
+                while moved:
+                    bit = moved & -moved
+                    moved ^= bit
+                    s = bit.bit_length() - 1
+                    t = s >> 1
+                    # a 1-2 move XORs to 0b01 (a slice), a 2-3 move to 0b11 (an s-set)
+                    in_scaffold[t * width + (d >> s + 1 & 1)].append(e)
+                    n = down[k * (q if b >> s & 3 > a >> s & 3 else p) + t]
+                    if n >= 0:
+                        if n in hit:
+                            hit[n].append(e)
+                        else:
+                            hit[n] = [e]
+        hits = {tags[n]: hit_edges for n, hit_edges in hit.items()}
+        # an edge's sole hits were filed while it was walked, so in constraint order
         sole: dict[Edge, list[tuple[int, str, LatticeVector]]] = {}
-        for tag, hit_edges in hits.items():
+        for n, hit_edges in hit.items():
             if len(hit_edges) == 1:
-                sole.setdefault(hit_edges[0], []).append(tag)
+                sole.setdefault(hit_edges[0], []).append(tags[n])
         # the first target each (i, condition) misses
         missed: dict[tuple[int, str], Vertex] = {}
-        for i, cond, x in self.constraints:
-            if (i, cond) not in missed and (i, cond, x) not in hits:
-                missed[i, cond] = LatticeVertex(x)
+        if len(hit) < len(tags):
+            labels, _index, pos = _lattice_labels(k, self.m)
+            for n in range(len(tags)):
+                if n not in hit:
+                    i, cond, x = tags[n]
+                    if (i, cond) not in missed:
+                        missed[i, cond] = labels[pos[x]]
         diagnostics = []
         for i in range(1, self.k + 1):
-            covering = [tuple(in_scaffold[i, c]) for c in self.conditions] + [()]
+            covering = [tuple(in_scaffold[(i - 1) * width + c]) for c in range(width)] + [()]
             uncovered = [missed.get((i, c)) for c in self.conditions] + [None]
             diagnostics.append(
                 IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
@@ -674,27 +737,25 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     rest_mask = (1 << len(verts)) - 1 & ~w_mask
     rest = [u for u in range(len(verts)) if rest_mask >> u & 1]
     table = cert.table
-    if len(table) != len(rest) or not all(verts[u] in table for u in rest):
+    vec = {u: table.get(verts[u]) for u in rest}
+    if len(table) != len(rest) or None in vec.values():
         raise InvalidCertificate("certificate table does not cover V minus W")
-    vec = {u: table[verts[u]] for u in rest}
     image = set(vec.values())
     if len(image) != len(vec) or image != _lattice_labels(k, m)[2].keys():
         raise InvalidCertificate(f"certificate table does not map V minus W onto [{m}]^{k}")
-    base_edges = [
-        (BaseVertex(i + 1), BaseVertex(j + 1))
-        for i in range(k)
-        for j in range(i + 1, k)
-        if adj[w_pos[i]] >> w_pos[j] & 1
-    ]
-    base = Graph([BaseVertex(i) for i in range(1, k + 1)], base_edges)
-    lattice_edges = []
+    # the base's position pairs go through _rows, which refuses k = 1
+    base_verts, base_index = _base_labels(k)
+    base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if adj[w_pos[i]] >> w_pos[j] & 1]
+    base = Graph._from_adj(base_verts, base_index, _rows(base_verts, base_pairs, int, int))
+    verts_l, index_l, pos = _lattice_labels(k, m)
+    where = {u: pos[x] for u, x in vec.items()}
+    rows = [0] * len(verts_l)
     for u in rest:
-        later = adj[u] & rest_mask & ~((2 << u) - 1)
-        while later:
-            low = later & -later
-            lattice_edges.append((vec[u], vec[low.bit_length() - 1]))
-            later ^= low
-    lattice = span_lattice(k, m, lattice_edges)
+        row = 0
+        for v in _iter_bits(adj[u] & rest_mask):
+            row |= 1 << where[v]
+        rows[where[u]] = row
+    lattice = Graph._from_adj(verts_l, index_l, rows)
     for i, w in enumerate(cert.w_order):
         row = adj[w_pos[i]]
         for u in rest:

@@ -158,9 +158,12 @@ def composite_from_json(data: Any) -> CompositeGraph:
         raise FormatError(f"bad composite JSON: {exc}") from None
     base_edges = list(map(_pair, data["base_edges"]))
     lattice_edges = [(_vector(x), _vector(y)) for x, y in map(_pair, data["lattice_edges"])]
-    for n in (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges))):
-        if not _is_int(n):
-            raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
+    numbers = (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges)))
+    # json gives exactly int for every integer; the loop only names the first other value
+    if not all(type(n) is int for n in numbers):
+        for n in numbers:
+            if not _is_int(n):
+                raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
     # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)
     base = Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in base_edges])

@@ -106,12 +106,15 @@ def _check_w(g: Graph, w) -> list[Vertex]:
 def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
     """The positions of a checked W, their hop-count rows, and the outside
     positions; raises if any outside vertex is unreachable from any W
-    vertex."""
+    vertex.  Any unreachable vertex will do for that test: W is proper, so
+    a W vertex cut off from another leaves some outside vertex unreachable
+    from one of the two."""
     w_idx = [g.index_of(v) for v in _check_w(g, w)]
-    rest = [u for u in range(g.order) if u not in w_idx]
+    in_w = set(w_idx)
+    rest = [u for u in range(g.order) if u not in in_w]
     adj = g.adjacency_masks()
     rows = [bfs_levels(adj, i) for i in w_idx]
-    if any(row[u] < 0 for row in rows for u in rest):
+    if any(-1 in row for row in rows):
         raise DisconnectedGraph("some vertex is unreachable from W")
     return w_idx, rows, rest
 

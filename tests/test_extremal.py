@@ -38,6 +38,7 @@ from crslab.families import (
 )
 from crslab import extremal, families, sweeps
 from crslab.extremal import (
+    EdgeCriticality,
     _minimal_masks,
     bounds_b,
     bounds_c,
@@ -295,6 +296,50 @@ class TestMinimalityC:
             for ec in rep.edges:
                 after = Graph(lattice.vertices(), [f for f in lattice.edge_set() if f != ec.edge])
                 assert ec.critical == (not member_c(after).member)
+
+    @pytest.mark.parametrize("case", ["member", "misses-a-constraint", "hits-all-with-an-edge-outside"])
+    def test_the_all_hit_shortcut(self, case):
+        # the first unhit constraint is looked for only when one is unhit;
+        # each report is checked against the direct rule and single deletions
+        cs = cover_system("C", 3)
+        t3, g3 = example_graph("T", 3), gamma(3)
+        if case == "member":
+            lattice = t3
+        elif case == "misses-a-constraint":
+            # Gamma_3 without the hits of one s-set constraint misses it alone
+            gone = (1, "s-set", (3, 3, 3))
+            lattice = Graph(g3.vertices(), [
+                (u, v) for u, v in g3.edges() if gone not in cs.incidence(u.vector, v.vector)
+            ])
+        else:
+            lattice = Graph(g3.vertices(), g3.edges() + [(LatticeVertex((1, 1, 1)), LatticeVertex((3, 1, 1)))])
+        hit_by, bad = {}, []
+        for e in lattice.edges():
+            x, y = e[0].vector, e[1].vector
+            if not cs.in_universe(x, y):
+                bad.append(e)
+                continue
+            for i, cond, z in cs.incidence(x, y):
+                if z is not None:
+                    hit_by.setdefault((i, cond, z), []).append(e)
+        assert len(cs.constraints) - len(hit_by) == (case == "misses-a-constraint")
+        assert bool(bad) == (case == "hits-all-with-an-edge-outside")
+        rep = is_k_minimal(lattice)
+        assert len(cs.check(lattice)[2]) == len(hit_by)
+        assert [ec.edge for ec in rep.edges] == lattice.edges()
+        for ec in rep.edges:
+            # unhit once ec.edge is gone, in constraint order
+            lost = [tag for tag in cs.constraints if hit_by.get(tag, [ec.edge]) == [ec.edge]]
+            if lost:
+                i, cond, x = lost[0]
+                assert ec == EdgeCriticality(ec.edge, True, LatticeVertex(x), (i,), cond)
+            else:
+                assert ec == EdgeCriticality(ec.edge, any(f != ec.edge for f in bad))
+            after = Graph(lattice.vertices(), [f for f in lattice.edges() if f != ec.edge])
+            assert ec.critical == (not member_c(after).member)
+        assert rep.member == rep.minimal == (case == "member")
+        if case == "hits-all-with-an-edge-outside":
+            assert rep.redundant_edges() == bad
 
     def test_composite_level_split(self):
         # R is minimal over the null base but the complete-base composite

@@ -31,6 +31,8 @@ from crslab.graph import (
 )
 from crslab.families import (
     CompositeGraph,
+    IndexDiagnostic,
+    MembershipReport,
     base_complete,
     base_null,
     canonical_relabel,
@@ -410,6 +412,114 @@ class TestOneRule:
             c = constraint_edges(cover_system("C", k))
             for perm in perms[k]:
                 assert permute_constraints(perm, c) == c
+
+
+def reference_pass(cs, lattice):
+    """What ``CoverSystem.check`` returns, by the direct walk: each edge in
+    canonical order through ``in_universe`` and ``incidence``, then the
+    constraints in constraint order for the sole hits and the misses."""
+    outside, hits = [], {}
+    in_scaffold = {(i, cond): [] for i in range(1, cs.k + 1) for cond in cs.conditions}
+    for e in lattice.edges():
+        x, y = e[0].vector, e[1].vector
+        if not cs.in_universe(x, y):
+            outside.append(e)
+            continue
+        for i, cond, z in cs.incidence(x, y):
+            in_scaffold[i, cond].append(e)
+            if z is not None:
+                hits.setdefault((i, cond, z), []).append(e)
+    sole, missed = {}, {}
+    for i, cond, x in cs.constraints:
+        hit_edges = hits.get((i, cond, x), [])
+        if len(hit_edges) == 1:
+            sole.setdefault(hit_edges[0], []).append((i, cond, x))
+        if not hit_edges and (i, cond) not in missed:
+            missed[i, cond] = LatticeVertex(x)
+    diagnostics = []
+    for i in range(1, cs.k + 1):
+        covering = [tuple(in_scaffold[i, c]) for c in cs.conditions] + [()]
+        uncovered = [missed.get((i, c)) for c in cs.conditions] + [None]
+        diagnostics.append(IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1]))
+    report = MembershipReport(
+        member=not outside and not missed,
+        family=cs.family,
+        k=cs.k,
+        diagnostics=tuple(diagnostics),
+        bad_edge=outside[0] if outside else None,
+    )
+    return report, outside, hits, sole
+
+
+def seeded_lattices(rng, k, m):
+    """Seeded lattices on [m]^k: the empty one, the whole universe, subsets
+    of it at several densities and, at m = 3, subsets with gap-2 edges
+    added, which lie outside Gamma_k."""
+    verts = lattice_vertices(k, m)
+    pairs = [(x, y) for a, x in enumerate(verts) for y in verts[a + 1:]]
+    near, far = [], []
+    for x, y in pairs:
+        (near if all(abs(s - t) <= 1 for s, t in zip(x, y)) else far).append((x, y))
+    out = [span_lattice(k, m, []), span_lattice(k, m, near)]
+    for p in (0.1, 0.3, 0.6, 0.9):
+        chosen = [e for e in near if rng.random() < p]
+        out.append(span_lattice(k, m, chosen))
+        if far:
+            out.append(span_lattice(k, m, chosen + rng.sample(far, rng.randint(1, 3))))
+    return out
+
+
+class TestCoverPass:
+    """The position-and-number pass gives what the direct walk over each
+    edge's incidence gives: the report, the edges outside the universe, the
+    hits in edge order and the sole hits in constraint order."""
+
+    SYSTEMS = [("B", k, bits) for k in (2, 3) for bits in range(1 << k * (k - 1) // 2)] + [
+        ("C", k, 0) for k in (2, 3, 4)
+    ]
+
+    @pytest.mark.parametrize("family, k, bits", SYSTEMS)
+    def test_check_matches_the_direct_walk(self, family, k, bits):
+        base = labeled_base(k, bits)
+        built = cover_system(family, k, base)
+        m = built.m
+        rng = random.Random(1000 * k + 10 * bits + m)
+        # and a member whose every edge is the sole hit of one constraint:
+        # each target joined to the vector one lower in the target's coordinate
+        star = [(x, x[:i - 1] + (x[i - 1] - 1,) + x[i:]) for i, _cond, x in built.constraints]
+        lattices = seeded_lattices(rng, k, m) + [span_lattice(k, m, star)]
+        built._positions  # built before the first check
+        outside_seen = sole_seen = members = 0
+        for lattice in lattices:
+            want = reference_pass(built, lattice)
+            # a fresh, equal system builds its table in this pass; the cache
+            # is cleared so that it is not handed the built system's result
+            fresh = families.CoverSystem(built.k, built.m, built.hoods)
+            assert "_positions" not in fresh.__dict__
+            for cs in (fresh, built):
+                families._check.cache_clear()
+                # lists compare in order: hits in edge order, sole hits in constraint order
+                assert cs.check(lattice) == want
+            assert "_positions" in fresh.__dict__
+            outside_seen += bool(want[1])
+            sole_seen += bool(want[3])
+            members += want[0].member
+        families._check.cache_clear()
+        # the control: each kind of result occurs
+        assert sole_seen and members and members < len(lattices)
+        assert outside_seen if family == "C" else not outside_seen
+
+    def test_a_k6_check_builds_no_universe(self):
+        families._cover_system.cache_clear()
+        families._check.cache_clear()
+        t6 = example_graph("T", 6)
+        report = member_c(t6)
+        assert report.member
+        cs = cover_system("C", 6)
+        assert "_positions" in cs.__dict__
+        for name in ("edges", "masks", "index"):
+            assert name not in cs.__dict__
+        families._check.cache_clear()
 
 
 class TestGamma:

@@ -157,6 +157,27 @@ class TestResolveVector:
             resolve_vector(plain_graph(3, [(0, 1)]), [p(0)], p(2))
 
 
+class TestUnreachableFromW:
+    """Every caller of the W rows refuses a W that misses a vertex with one
+    message.  In the split case each outside vertex is reachable from some
+    W vertex, but not from every one."""
+
+    @pytest.mark.parametrize(
+        "edges, w",
+        [([(0, 1), (1, 2)], (0,)), ([(0, 1), (2, 3)], (0, 2))],
+        ids=["outside-vertex-cut-off", "w-split-across-components"],
+    )
+    def test_names_the_refusal(self, edges, w):
+        g = plain_graph(4, edges)
+        for fn in (check_crs, is_resolving_set, truncation_radius):
+            with pytest.raises(DisconnectedGraph, match="^some vertex is unreachable from W$"):
+                fn(g, [p(i) for i in w])
+
+    def test_a_connected_graph_passes(self):
+        g = plain_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert truncation_radius(g, [p(0), p(2)]) == 3
+
+
 class TestIsResolvingSet:
     def test_all_but_one_resolves(self):
         g = plain_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
