@@ -219,7 +219,7 @@ def cmd_suite(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         all_passed = all_passed and r.passed
-        sys.stdout.write(f"{status}  {r.name:<{width}}  {r.seconds:7.1f}s  {r.detail}\n")
+        sys.stdout.write(f"{status}  {r.name:<{width}}  {r.seconds:8.3f}s  {r.detail}\n")
     sys.stdout.write(("all suites passed" if all_passed else "some suites FAILED") + "\n")
     return EXIT_OK if all_passed else EXIT_NEGATIVE
 

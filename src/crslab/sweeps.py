@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import factorial
 
 from .errors import DisconnectedGraph
@@ -475,46 +475,53 @@ def _raw_dimension(rows: list[list[int]], n: int) -> int:
 
 def _connected_classes(max_order: int):
     """Yield (n, {canonical adjacency: |Aut|}) for n = 1..max_order: one
-    representative of every isomorphism class of connected graphs of order
-    n, as adjacency bit sets on range(n), with the order of its
-    automorphism group.
+    representative per isomorphism class of connected graphs of order n,
+    as adjacency bit sets on range(n), and its automorphism group's order.
 
     Order n grows from order n - 1 by vertex augmentation: vertex n - 1
-    joins each class with every nonempty neighbourhood.  That reaches every
-    connected graph, since removing a non-cut vertex (a leaf of a spanning
-    tree) leaves a connected graph.  The duplicates meet in one canonical
-    form; McKay's canonical augmentation (Isomorph-free exhaustive
-    generation, J. Algorithms 26, 1998) avoids making them, which at these
-    orders is not worth its code.
+    joins a class with a nonempty neighbourhood, which reaches every
+    connected graph (remove a leaf of a spanning tree).  Neighbourhoods
+    that an automorphism maps onto each other give isomorphic graphs, so a
+    class grows by one neighbourhood per orbit of its Aut on the subsets
+    (333 graphs at order 6, not 651), as in McKay's canonical augmentation
+    (J. Algorithms 26, 1998).  The duplicates left meet in one canonical form.
     """
-    classes = {(0,): 1}
-    yield 1, classes
+    classes = {(0,): [(0,)]}
+    yield 1, {(0,): 1}
     for n in range(2, max_order + 1):
         top = 1 << (n - 1)
-        grown: dict[tuple[int, ...], int] = {}
-        for adj in classes:
+        grown: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for adj, auts in classes.items():
+            tried = bytearray(top)
             for nbrs in range(1, top):
+                if tried[nbrs]:
+                    continue
+                members = list(_iter_bits(nbrs))
+                for aut in auts:
+                    tried[sum(1 << aut[v] for v in members)] = 1
                 ext = [a | top if nbrs >> v & 1 else a for v, a in enumerate(adj)]
-                ext.append(nbrs)
-                canon, aut = _canonical_form(ext)
-                grown[canon] = aut
+                canon, maps = _canonical_form(ext + [nbrs])
+                grown[canon] = maps
         classes = grown
-        yield n, classes
+        yield n, {canon: len(auts) for canon, auts in classes.items()}
 
 
-def _canonical_form(adj: list[int]) -> tuple[tuple[int, ...], int]:
-    """(canonical adjacency, |Aut|) of the graph on range(n) with adjacency
-    bit sets ``adj``.
+def _canonical_form(adj: list[int]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(canonical adjacency, Aut) of the graph on range(n) with adjacency
+    bit sets ``adj``; an automorphism maps canonical position p to aut[p].
 
     Colour refinement (degree, then the multiset of neighbour colours,
     until the number of colours stops growing) splits the vertices into
     cells; colours are named in sorted order, so an isomorphism maps each
-    cell onto the cell of the same colour.  The canonical form is the least
-    relabeled adjacency over every vertex order that lists the cells in
-    colour order and each cell in any order.  Two such orders give the same
-    adjacency exactly when they differ by an automorphism, and every
-    automorphism keeps the cells, so |Aut| is the number of orders that
-    reach the least adjacency.
+    cell onto the cell of the same colour.  A depth-first search lists the
+    cells in colour order, each in any order.  Row p of an order's code is
+    the set of earlier positions adjacent to its p-th vertex; codes compare
+    row by row, and an order is dropped once its rows so far exceed the
+    least code's.  The canonical adjacency is the full rows in the least
+    order.  Two orders give one code exactly when they differ by an
+    automorphism, which keeps the cells, so the orders tied with the least
+    code (never dropped: the best so far is never below it) are one per
+    automorphism, p -> the position of L[p] in the least order for tied L.
     """
     n = len(adj)
     nbrs = [list(_iter_bits(a)) for a in adj]
@@ -529,15 +536,33 @@ def _canonical_form(adj: list[int]) -> tuple[tuple[int, ...], int]:
         rank = {sig: c for c, sig in enumerate(ranked)}
         colour = [rank[sig] for sig in sigs]
     cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
-    codes = []
-    pos = [0] * n
-    for parts in product(*(permutations(cell) for cell in cells)):
-        order = [v for part in parts for v in part]
-        for p, v in enumerate(order):
-            pos[v] = p
-        codes.append(tuple(sum(1 << pos[u] for u in nbrs[v]) for v in order))
-    best = min(codes)
-    return best, codes.count(best)
+    slots = [cell for cell in cells for _ in cell]  # the cell of each position
+    order, code, best = [0] * n, [0] * n, [0] * n
+    seen = [0] * n  # the placed positions adjacent to each vertex
+    ties = []
+
+    def place(p: int, below: bool, placed: int) -> None:  # below: code[:p] < best[:p], else equal
+        if p == n:
+            if below:
+                best[:] = code
+                ties.clear()
+            ties.append(tuple(order))
+            return
+        for v in slots[p]:
+            if placed >> v & 1 or not below and seen[v] > best[p]:
+                continue
+            code[p], order[p] = seen[v], v
+            for u in nbrs[v]:
+                seen[u] |= 1 << p
+            place(p + 1, below or code[p] < best[p], placed | 1 << v)
+            for u in nbrs[v]:
+                seen[u] ^= 1 << p
+            below = False  # a leaf under v made code[:p + 1] the best prefix
+
+    place(0, True, 0)
+    where = {v: p for p, v in enumerate(ties[0])}
+    canon = tuple(sum(1 << where[u] for u in nbrs[v]) for v in ties[0])
+    return canon, [tuple(where[v] for v in leaf) for leaf in ties]
 
 
 @lru_cache(maxsize=2)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from crslab import cli
 from crslab.cli import FAMILY_NAMES, main
 from crslab.families import base_complete, base_null, compose, example_graph
 from crslab import formats
-from crslab.sweeps import run_suite
+from crslab.sweeps import SUITE_ORDER, SuiteResult, run_suite
 
 CLI_DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
 
@@ -633,6 +635,22 @@ class TestSuiteCommand:
              "tests/test_resolving.py::TestRadiusFour checks [4]^2)"),
             ("tightness", True, "structural tightness matches raw counts"),
         ]
+
+    def test_seconds_column_shows_milliseconds(self, capsys, monkeypatch):
+        # a suite line that takes a few milliseconds must not print 0.0s
+        line = re.compile(r"(PASS|FAIL)  (\S+) +(\d+\.\d{3})s  (.*)")
+        code, out, _ = run_cli(["suite", "--name", "all"], capsys=capsys)
+        *rows, last = out.splitlines()
+        parsed = [line.fullmatch(row) for row in rows]
+        assert all(parsed), rows
+        assert [m.group(2) for m in parsed] == SUITE_ORDER
+        assert code == 1 and last == "some suites FAILED"  # the c-equivalence FAIL line
+        assert sum(float(m.group(3)) for m in parsed) > 0
+        fixed = [SuiteResult("quick", True, "ok", 0.0042), SuiteResult("slow", True, "ok", 12.5)]
+        monkeypatch.setattr(cli, "run_suite", lambda name: fixed)
+        code, out, _ = run_cli(["suite", "--name", "all"], capsys=capsys)
+        assert code == 0
+        assert out.splitlines() == ["PASS  quick     0.004s  ok", "PASS  slow     12.500s  ok", "all suites passed"]
 
     def test_unknown_suite_exits_2(self, capsys):
         # argparse rejects the name itself

@@ -5,7 +5,8 @@ import ast
 import random
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -893,7 +894,68 @@ def test_class_generator_matches_the_graph_atlas():
             assert nx.is_connected(g)
             graphs.append(g)
         assert not any(nx.is_isomorphic(a, b) for a, b in combinations(graphs, 2))
-        for g, aut in zip(graphs, classes.values()):
-            assert sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter()) == aut
+        for g, (canon, aut) in zip(graphs, classes.items()):
+            _rows, maps = sweeps._canonical_form(list(canon))
+            assert sum(1 for _ in GraphMatcher(g, g).isomorphisms_iter()) == aut == len(maps)
         counts.append(len(classes))
     assert counts == [atlas[n] for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+
+
+def test_class_generator_counts_connected_graphs_to_order_7():
+    # up to isomorphism (OEIS A001349) and labeled (A001187, the sum of
+    # n!/|Aut| over the classes), one order past the atlas
+    unlabeled, labeled = [], []
+    for n, classes in sweeps._connected_classes(7):
+        unlabeled.append(len(classes))
+        labeled.append(sum(factorial(n) // aut for aut in classes.values()))
+    assert unlabeled == [1, 1, 2, 6, 21, 112, 853]
+    assert labeled == [1, 1, 4, 38, 728, 26704, 1866256]
+
+
+def relabel_rows(rows, perm):
+    """The adjacency rows of the graph with vertex v renamed perm[v]."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        out[perm[v]] = sum(1 << perm[u] for u in range(len(rows)) if row >> u & 1)
+    return out
+
+
+def test_canonical_form_returns_the_automorphisms_of_its_rows():
+    # a shuffled class representative canonicalises back to it, and its
+    # maps are |Aut| distinct automorphisms of the canonical rows
+    rng = random.Random(33)
+    for n, classes in sweeps._connected_classes(6):
+        for canon, aut in classes.items():
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows, maps = sweeps._canonical_form(relabel_rows(canon, perm))
+            assert rows == canon
+            assert len(set(maps)) == len(maps) == aut
+            assert all(relabel_rows(rows, sigma) == list(rows) for sigma in maps)
+
+
+def test_orbit_step_grows_one_neighbourhood_per_orbit(monkeypatch):
+    # order n + 1 canonicalises one extension per orbit of each order-n
+    # class's automorphism group on its nonempty subsets: 333 graphs at
+    # order 6, not 21 * 31 = 651.  The groups here are found by trying
+    # every permutation, not read from the generator.
+    real = sweeps._canonical_form
+    built = Counter()
+
+    def counting(adj):
+        built[len(adj)] += 1
+        return real(adj)
+
+    monkeypatch.setattr(sweeps, "_canonical_form", counting)
+    expected = Counter()
+    for n, classes in sweeps._connected_classes(6):
+        if n == 6:
+            break
+        for canon in classes:
+            group = [sigma for sigma in permutations(range(n)) if relabel_rows(canon, sigma) == list(canon)]
+            orbits = {
+                min(sum(1 << sigma[v] for v in range(n) if s >> v & 1) for sigma in group)
+                for s in range(1, 1 << n)
+            }
+            expected[n + 1] += len(orbits)
+    assert built == expected and built[6] == 333

@@ -53,7 +53,7 @@ from crslab.resolving import (
     resolve_vector,
     truncation_radius,
 )
-from crslab.sweeps import _raw_dimension, random_b_member, random_c_member
+from crslab.sweeps import _connected_classes, _raw_dimension, random_b_member, random_c_member
 
 
 def p(i):
@@ -487,6 +487,35 @@ class TestRadiusFour:
             assert isinstance(res, CrsFailure)
             reasons.append(res.reason)
         assert reasons.count(NOT_INJECTIVE) > 0
+
+
+def far_w_pairs(g, found):
+    """(W, w_i, w_j) for each pair of W more than 2 apart, over the
+    certificates of ``found``, (W, certificate) pairs on ``g``."""
+    d = distances(g)
+    return [(w, a, b) for w, _cert in found for a, b in combinations(w, 2) if d[a, b] > 2]
+
+
+class TestRadiusLemmaPremise:
+    # _implied_radius tries only m <= 3 above k = 1: the outside vertex with
+    # vector (1, ..., 1) puts every pair of W within distance 2
+    def test_every_certificate_of_the_order_6_classes_keeps_w_within_2(self):
+        certificates = far = 0
+        for n, classes in _connected_classes(6):
+            if n == 1:
+                continue  # a graph needs two vertices
+            for canon in classes:
+                g = plain_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if canon[i] >> j & 1])
+                found = [(w, cert) for w, cert in find_all_crs(g) if len(w) >= 2]
+                certificates += len(found)
+                far += len(far_w_pairs(g, found))
+        assert (certificates, far) == (171, 0)
+
+    def test_a_forged_certificate_with_w_3_apart_fails_the_check(self):
+        g = path_graph(p(i) for i in range(4))
+        w = (p(0), p(3))
+        forged = CrsCertificate(w_order=w, m_of_w=2, table={p(1): (1, 2), p(2): (2, 1)})
+        assert far_w_pairs(g, [(w, forged)]) == [(w, p(0), p(3))]
 
 
 # -- the shared distance table and dimension search ----------------------------
