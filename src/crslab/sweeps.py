@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, repeat, starmap
 from math import factorial
 
 from .errors import DisconnectedGraph
@@ -138,13 +138,21 @@ def _certify_masks(frame, k: int, m: int, masks: list[int]) -> tuple[int, int]:
     """(certified, identity) lanes of W = [k] on one composite per mask,
     lane j for masks[j], whose bit t switches on edge t of the frame.  The
     edge lanes are the masks transposed: bit j of edge t's lanes is bit t
-    of masks[j]."""
+    of masks[j].
+
+    The transpose goes through binary strings, one row of E = len(ends)
+    digits per mask, the last mask first.  Column E - 1 - t of the rows
+    then reads, top to bottom, bit t of the masks from lane len(masks) - 1
+    down to lane 0, so int(column, 2) is edge t's lanes: one format per
+    mask and one join and int per edge, instead of one step per set bit.
+    A mask with a bit at or above E would shift every column of its row,
+    so it is refused."""
     fixed, ends = frame
-    lanes = [0] * len(ends)
-    for j, mask in enumerate(masks):
-        lane = 1 << j
-        for t in _iter_bits(mask):
-            lanes[t] |= lane
+    width = len(ends)
+    if masks and max(masks).bit_length() > width:
+        raise ValueError(f"a mask has a bit at or above the frame's {width} edges")
+    rows = [format(mask, f"0{width}b") for mask in reversed(masks)]
+    lanes = [int("".join(column), 2) for column in zip(*rows)][::-1] or [0] * width
     return _cert_code_w_base(_lane_adjacency(fixed, ends, lanes), k, m, (1 << len(masks)) - 1)
 
 
@@ -667,37 +675,51 @@ def _relabel_failures(g: Graph, found) -> int:
 @lru_cache(maxsize=64)
 def _draw_table(
     family: str, k: int, base_bits: int
-) -> tuple[Graph, CoverSystem, tuple[tuple[int, ...], ...]]:
+) -> tuple[Graph, CoverSystem, tuple[tuple[tuple[int, ...], int, int], ...], tuple[int, ...]]:
     """The base with edge t of base_complete(k) for each bit t of
-    ``base_bits``, the family's cover system over it, and each
-    constraint's hits (one bit per universe edge) in constraint order."""
+    ``base_bits``, the family's cover system over it, each constraint's
+    (hits, number of hits, its bit length) in constraint order, a hit
+    being one bit per universe edge, and the bit of each universe edge."""
     base = base_null(k)
     if base_bits:
         pairs = base_complete(k).edges()
         base = Graph(base.vertices(), [pairs[t] for t in _iter_bits(base_bits)])
     cs = cover_system(family, k, base)
-    return base, cs, tuple(tuple(1 << t for t in _iter_bits(cm)) for cm in cs.masks)
+    draws = []
+    for cm in cs.masks:
+        hits = tuple(1 << t for t in _iter_bits(cm))
+        draws.append((hits, len(hits), len(hits).bit_length()))
+    return base, cs, tuple(draws), tuple(1 << b for b in range(len(cs.edges)))
 
 
 def _random_member(rng: random.Random, family: str, k: int) -> tuple[int, CoverSystem, int]:
     """A seeded family member from the covering construction, as (base
     edge bits, cover system, lattice mask): for family B a random base
     first, then one random hit for every constraint in constraint order,
-    then extras sprinkled over the universe."""
+    then extras sprinkled over the universe.
+
+    The stream is that of rng.randrange(n) for each hit and one
+    rng.random() < 0.15 per universe edge, in edge order, with fewer
+    Python-level steps: randrange(n) draws getrandbits(n.bit_length())
+    until the draw is below n (CPython 3.10 to 3.13), done here inline
+    with the bit length from the table, and the extras are one C-level
+    pipeline over the edge bits."""
     draw = rng.random
     base_bits = 0
     if family == "B":
         for t in range(k * (k - 1) // 2):
             if draw() < 0.5:
                 base_bits |= 1 << t
-    _base, cs, hits = _draw_table(family, k, base_bits)
+    _base, cs, draws, edge_bits = _draw_table(family, k, base_bits)
+    getrandbits = rng.getrandbits
     mask = 0
-    for hit in hits:
-        mask |= hit[rng.randrange(len(hit))]
-    for b in range(len(cs.edges)):
-        if draw() < 0.15:
-            mask |= 1 << b
-    return base_bits, cs, mask
+    for hits, n, width in draws:
+        r = getrandbits(width)
+        while r >= n:
+            r = getrandbits(width)
+        mask |= hits[r]
+    extras = map((0.15).__gt__, starmap(draw, repeat((), len(edge_bits))))
+    return base_bits, cs, mask | sum(compress(edge_bits, extras))
 
 
 def random_b_member(rng: random.Random, k: int) -> tuple[Graph, Graph]:
@@ -742,7 +764,7 @@ class PropertySweep:
 
 
 def _is_member(family: str, k: int, base_bits: int, mask: int) -> bool:
-    base, cs, _hits = _draw_table(family, k, base_bits)
+    base, cs, _draws, _edge_bits = _draw_table(family, k, base_bits)
     lattice = cs.graph(mask)
     return (member_b(base, lattice) if family == "B" else member_c(lattice)).member
 
@@ -778,6 +800,27 @@ def _closure_violations(family: str, k: int, trials: list[tuple[tuple[int, int],
     return violations
 
 
+def _upset_trial(rng: random.Random, family: str, k: int) -> tuple[tuple[int, int], ...]:
+    """A seeded member, as (base edge bits, lattice mask), and the member
+    with one random edge added to the lattice or, for family B, the base,
+    unless it has every edge already.  The edges not yet in are one mask,
+    the lattice's bits first and the base's shifted past the universe, and
+    the pick is its set bit number rng.randrange(popcount): the element
+    that same draw picks from the list of those edges in that order."""
+    base_bits, cs, mask = _random_member(rng, family, k)
+    width = len(cs.edges)
+    universe = (1 << width) - 1
+    missing = ~mask & universe
+    if family == "B":
+        missing |= (~base_bits & (1 << k * (k - 1) // 2) - 1) << width
+    if not missing:
+        return ((base_bits, mask),)
+    for _ in range(rng.randrange(missing.bit_count())):
+        missing &= missing - 1  # skip the lowest edge not yet in
+    add = missing & -missing
+    return (base_bits, mask), (base_bits | add >> width, mask | add & universe)
+
+
 @lru_cache(maxsize=1)
 def sweep_properties() -> PropertySweep:
     """Seeded add-an-edge and union closure trials on random members at
@@ -789,18 +832,7 @@ def sweep_properties() -> PropertySweep:
     upset_viol = 0
     for k in (2, 3):
         for family in ("B", "C"):
-            trials = []
-            for _ in range(trials_per_case):
-                base_bits, cs, mask = _random_member(rng, family, k)
-                # one random edge added to the lattice or, for family B, the base
-                pool = [(0, 1 << b) for b in range(len(cs.edges)) if not mask >> b & 1]
-                if family == "B":
-                    pool += [(1 << t, 0) for t in range(k * (k - 1) // 2) if not base_bits >> t & 1]
-                trial = ((base_bits, mask),)
-                if pool:
-                    more_bits, more = pool[rng.randrange(len(pool))]
-                    trial += ((base_bits | more_bits, mask | more),)
-                trials.append(trial)
+            trials = [_upset_trial(rng, family, k) for _ in range(trials_per_case)]
             upset_viol += _closure_violations(family, k, trials)
 
     union_viol = 0

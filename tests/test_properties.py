@@ -17,6 +17,7 @@ from crslab.graph import (
     BaseVertex,
     Graph,
     LatticeVertex,
+    _iter_bits,
     bfs_levels,
     is_path,
     plain_graph,
@@ -304,6 +305,144 @@ def test_member_lanes_agree_with_the_cover_system(family, k):
         verdicts[want] += 1
     assert verdicts[True] and verdicts[False], verdicts
     assert edge_bound > 0 or family == "C"
+
+
+def _reference_member(rng, family, k):
+    """The member draw as it was first written, kept as the oracle of
+    sweeps._random_member: rng.randrange for each constraint's hit and one
+    rng.random() per universe edge for the extras."""
+    base_bits = 0
+    if family == "B":
+        for t in range(k * (k - 1) // 2):
+            if rng.random() < 0.5:
+                base_bits |= 1 << t
+    cs = cover_system(family, k, _base_graph(k, base_bits))
+    mask = 0
+    for cm in cs.masks:
+        hit = [1 << t for t in _iter_bits(cm)]
+        mask |= hit[rng.randrange(len(hit))]
+    for b in range(len(cs.edges)):
+        if rng.random() < 0.15:
+            mask |= 1 << b
+    return base_bits, cs, mask
+
+
+def _reference_upset_trial(rng, family, k):
+    """The up-set trial as it was first written: a pool list of the
+    missing lattice edges, then the missing base edges, and one
+    rng.randrange over it."""
+    base_bits, cs, mask = _reference_member(rng, family, k)
+    pool = [(0, 1 << b) for b in range(len(cs.edges)) if not mask >> b & 1]
+    if family == "B":
+        pool += [(1 << t, 0) for t in range(k * (k - 1) // 2) if not base_bits >> t & 1]
+    trial = ((base_bits, mask),)
+    if pool:
+        more_bits, more = pool[rng.randrange(len(pool))]
+        trial += ((base_bits | more_bits, mask | more),)
+    return trial
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_member_draws_keep_the_random_stream(family, k):
+    # draw for draw: the same member and the same generator state after
+    # each one, so the trials, and every counter they feed, stay put
+    rng, ref = random.Random(900 + k), random.Random(900 + k)
+    for j in range(40):
+        bits, cs, mask = sweeps._random_member(rng, family, k)
+        want_bits, want_cs, want_mask = _reference_member(ref, family, k)
+        assert (bits, mask) == (want_bits, want_mask), j
+        assert cs.edges == want_cs.edges
+        assert rng.getstate() == ref.getstate(), j
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_upset_trials_keep_the_random_stream(family, k):
+    rng, ref = random.Random(950 + k), random.Random(950 + k)
+    added = Counter()
+    for j in range(100):
+        trial = sweeps._upset_trial(rng, family, k)
+        assert trial == _reference_upset_trial(ref, family, k), j
+        assert rng.getstate() == ref.getstate(), j
+        (bits, mask), (more_bits, more) = trial
+        added["base" if more_bits != bits else "lattice"] += 1
+    # for family B the pick reaches past the universe into the base
+    assert added["lattice"] and (added["base"] or family == "C"), added
+
+
+def test_upset_trial_of_a_full_member_adds_nothing(monkeypatch):
+    # every edge already in: the trial is the member alone, and no draw
+    # is made for the pick
+    cs = cover_system("B", 2, base_complete(2))
+    full = (1 << len(cs.edges)) - 1
+    monkeypatch.setattr(sweeps, "_random_member", lambda rng, family, k: (1, cs, full))
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert sweeps._upset_trial(rng, "B", 2) == ((1, full),)
+    assert rng.getstate() == state
+
+
+@pytest.fixture(scope="module")
+def transpose_frames():
+    """Lane frames of widths 6, 20, 31, 36 and 158: family B at k = 2, the
+    family C universe at k = 2, family B at k = 3 with its base edges, every
+    edge of [3]^2, and the family C universe at k = 3."""
+    b2, c2, b3, c3 = (cover_system(f, k) for f, k in (("B", 2), ("C", 2), ("B", 3), ("C", 3)))
+    return {
+        6: (b2, sweeps._lane_frame(b2, base_null(2), b2.edges)),
+        20: (c2, sweeps._lane_frame(c2, base_null(2), c2.edges)),
+        31: (b3, sweeps._lane_frame(b3, base_null(3), [*b3.edges, *base_complete(3).edges()])),
+        36: (c2, sweeps._lane_frame(c2, base_null(2), lattice_complete(2, 3).edges())),
+        158: (c3, sweeps._lane_frame(c3, base_null(3), c3.edges)),
+    }
+
+
+def _reference_lanes(masks, width):
+    """Edge t's lanes, one set bit at a time: bit j is bit t of masks[j]."""
+    lanes = [0] * width
+    for j, mask in enumerate(masks):
+        for t in range(width):
+            if mask >> t & 1:
+                lanes[t] |= 1 << j
+    return lanes
+
+
+@pytest.mark.parametrize("batch", [0, 1, 500, 1000])
+@pytest.mark.parametrize("width", [6, 20, 31, 36, 158])
+def test_certify_masks_transposes_bit_by_bit(monkeypatch, transpose_frames, width, batch):
+    # the lanes handed to the certifier, and its verdicts, are those of the
+    # one-bit-at-a-time transpose; the empty and the full mask are in every
+    # batch of two or more
+    cs, frame = transpose_frames[width]
+    fixed, ends = frame
+    assert len(ends) == width
+    rng = random.Random(width * 10_000 + batch)
+    masks = [rng.getrandbits(width) for _ in range(batch)]
+    if batch > 1:
+        masks[0], masks[-1] = 0, (1 << width) - 1
+    seen = []
+    real = sweeps._lane_adjacency
+
+    def spy(fixed, ends, lanes):
+        seen.append(list(lanes))
+        return real(fixed, ends, lanes)
+
+    monkeypatch.setattr(sweeps, "_lane_adjacency", spy)
+    got = sweeps._certify_masks(frame, cs.k, cs.m, masks)
+    want = _reference_lanes(masks, width)
+    assert seen == [want]
+    full = (1 << batch) - 1
+    assert got == _cert_code_w_base(real(fixed, ends, want), cs.k, cs.m, full)
+
+
+def test_certify_masks_refuses_a_mask_wider_than_the_frame(transpose_frames):
+    cs, frame = transpose_frames[20]
+    top = 1 << 19
+    sweeps._certify_masks(frame, cs.k, cs.m, [top, 0])  # bit 19 is the last edge
+    for masks in ([1 << 20], [0, top, 1 << 20 | 1], [1 << 158]):
+        with pytest.raises(ValueError, match="at or above the frame's 20 edges"):
+            sweeps._certify_masks(frame, cs.k, cs.m, masks)
 
 
 def _member_count(cs):

@@ -511,6 +511,23 @@ class TestRadiusLemmaPremise:
                 far += len(far_w_pairs(g, found))
         assert (certificates, far) == (171, 0)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_seeded_members_certify_with_w_within_2(self, k):
+        # ten composites of each family: W = b_1..b_k certifies each, and
+        # no pair of W is more than 2 apart
+        rng = random.Random(600 + k)
+        w = tuple(BaseVertex(i) for i in range(1, k + 1))
+        far = []
+        for _ in range(10):
+            for g in (
+                compose(*random_b_member(rng, k), k, 2).materialize(),
+                compose(base_null(k), random_c_member(rng, k), k, 3).materialize(),
+            ):
+                cert = check_crs(g, w)
+                assert isinstance(cert, CrsCertificate), cert
+                far += far_w_pairs(g, [(w, cert)])
+        assert far == []
+
     def test_a_forged_certificate_with_w_3_apart_fails_the_check(self):
         g = path_graph(p(i) for i in range(4))
         w = (p(0), p(3))
