@@ -4,9 +4,12 @@ Everything here is deterministic: exhaustive spaces are scanned in index
 order (the equivalence scans read each index as a lattice mask) and random
 trials use fixed seeds.  The heavy inner loops work on plain adjacency bit
 sets rather than Graph values.  Certification is bit-sliced, one composite
-per bit lane of every mask: the equivalence scans certify 2^14 lattices in
-one BFS, and the closure trials and the out-of-range samples certify each
-seeded batch in one BFS.
+per bit lane of every mask, and made in one place: a frame (_lane_frame)
+holds k, m and the adjacency that every lane shares, and _cert_code_w_base
+joins each varying edge's lanes to it and runs the BFS.  The equivalence
+scans hand it periodic index lanes, 2^14 lattices per BFS; the closure
+trials and the out-of-range samples hand it their seeded masks transposed
+(_certify_masks), each batch in one BFS.
 """
 
 from __future__ import annotations
@@ -80,61 +83,25 @@ _INDEX_BITS = tuple(
 )
 
 
-def _lane_block(cs: CoverSystem, frame, start: int) -> tuple[int, int, int]:
-    """(member, certified, identity) lane masks of the aligned block of
-    masks from ``start``, each mask a spanning subgraph of the cover
-    system's universe (bit t: universe edge t), bit-sliced (Biham, A fast
-    new DES implementation in software, FSE 1997): lane j stands for the
-    mask start + j, and only the lanes of masks in the space are set, all
-    2^14 of a block unless the universe has fewer than 14 edges.
-
-    Universe edge t lies in the lattices whose mask has bit t set: below
-    bit 14 a fixed periodic pattern, from bit 14 on all lanes or none.
-    Membership is an AND over the constraints of an OR over their edges'
-    lanes, found apart from the certifier on ``frame`` (_lane_frame of
-    the universe), which never reads the cover system.
-    """
-    fixed, ends = frame
-    valid = (1 << min(1 << len(cs.edges), 1 << _LANE_BITS)) - 1
-    lanes = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(ends)))]
-    member = valid
-    for cm in cs.masks:
-        hit = 0
-        for t in _iter_bits(cm):
-            hit |= lanes[t]
-        member &= hit
-    return (member, *_cert_code_w_base(_lane_adjacency(fixed, ends, lanes), cs.k, cs.m, valid))
-
-
 def _lane_frame(
     cs: CoverSystem, base: Graph, edges
-) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
-    """What every lane of a batch shares, for composites over ``base`` of
-    lattices on the cover system's [m]^k: the adjacency rows of the
-    composite with the empty lattice, each pair on in every lane, and the
-    composite indices of the ends of ``edges``, the edges that vary by
-    lane (base edges may be among them)."""
+) -> tuple[int, int, list[list[tuple[int, int]]], list[tuple[int, int]]]:
+    """(k, m, fixed, ends): what every lane of a batch shares, for
+    composites over ``base`` of lattices on the cover system's [m]^k.
+    ``fixed`` is the adjacency rows of the composite with the empty
+    lattice, each pair on in every lane (-1, so a batch of any width keeps
+    them), and ``ends`` the composite indices of the ends of ``edges``, the
+    edges that vary by lane (base edges may be among them)."""
     k, m = cs.k, cs.m
     g = compose(base, cs.graph(0), k, m).materialize()
     n = g.order
     if n != k + m ** k:  # the certifier's cells rest on it
         raise ValueError(f"composite has order {n}, expected k + m^k = {k + m ** k}")
-    fixed = [[(u, _LANES) for u in _iter_bits(a)] for a in g.adjacency_masks()]
-    return fixed, [(g.index_of(u), g.index_of(v)) for u, v in edges]
+    fixed = [[(u, -1) for u in _iter_bits(a)] for a in g.adjacency_masks()]
+    return k, m, fixed, [(g.index_of(u), g.index_of(v)) for u, v in edges]
 
 
-def _lane_adjacency(fixed, ends, lanes) -> list[list[tuple[int, int]]]:
-    """The frame's adjacency rows plus edge t of ``ends`` in the lanes
-    ``lanes[t]``, as _cert_code_w_base reads them."""
-    adj = [row[:] for row in fixed]
-    for (a, b), on in zip(ends, lanes):
-        if on:
-            adj[a].append((b, on))
-            adj[b].append((a, on))
-    return adj
-
-
-def _certify_masks(frame, k: int, m: int, masks: list[int]) -> tuple[int, int]:
+def _certify_masks(frame, masks: list[int]) -> tuple[int, int]:
     """(certified, identity) lanes of W = [k] on one composite per mask,
     lane j for masks[j], whose bit t switches on edge t of the frame.  The
     edge lanes are the masks transposed: bit j of edge t's lanes is bit t
@@ -147,26 +114,27 @@ def _certify_masks(frame, k: int, m: int, masks: list[int]) -> tuple[int, int]:
     mask and one join and int per edge, instead of one step per set bit.
     A mask with a bit at or above E would shift every column of its row,
     so it is refused."""
-    fixed, ends = frame
-    width = len(ends)
+    width = len(frame[3])
     if masks and max(masks).bit_length() > width:
         raise ValueError(f"a mask has a bit at or above the frame's {width} edges")
     rows = [format(mask, f"0{width}b") for mask in reversed(masks)]
-    lanes = [int("".join(column), 2) for column in zip(*rows)][::-1] or [0] * width
-    return _cert_code_w_base(_lane_adjacency(fixed, ends, lanes), k, m, (1 << len(masks)) - 1)
+    edge_lanes = [int("".join(column), 2) for column in zip(*rows)][::-1] or [0] * width
+    return _cert_code_w_base(frame, edge_lanes, (1 << len(masks)) - 1)
 
 
-def _cert_code_w_base(adj: list[list[tuple[int, int]]], k: int, m: int, lanes: int) -> tuple[int, int]:
+def _cert_code_w_base(frame, edge_lanes: list[int], lanes: int) -> tuple[int, int]:
     """check_crs(W = base vertices) on lane-parallel composites, summarized.
 
     An independent oracle, kept on purpose: it certifies by BFS levels on
-    the adjacency alone and never looks at the cover system, so the
-    equivalence sweeps test the cover system's membership verdicts against
-    it, and the closure trials read membership off it.  Each bit of
-    ``lanes`` is one composite on the vertices range(len(adj)): vertex v is
-    adjacent to u in the lanes ``on`` of each pair (u, on) in adj[v].
-    Vertices 0..k-1 are W and k..n-1 the m^k lattice vertices in
-    lexicographic label order, so n = k + m^k (_lane_frame checks it).
+    the frame's adjacency alone and never looks at the cover system, so
+    the equivalence sweeps test the cover system's membership verdicts
+    against it, and the closure trials read membership off it.  Each bit
+    of ``lanes`` is one composite on the vertices range(n) of the frame
+    (k, m, fixed, ends) from _lane_frame: the fixed rows, plus edge t of
+    ``ends`` in the lanes ``edge_lanes[t]``.  Vertex v is adjacent to u in
+    the lanes ``on`` of each pair (u, on) in its row.  Vertices 0..k-1 are
+    W and k..n-1 the m^k lattice vertices in lexicographic label order, so
+    n = k + m^k (_lane_frame checks it).
 
     For each source s the lane masks L_s[d][v], d = 1..m, are its BFS
     levels, found with a per-vertex mask of the lanes that have seen v.  W
@@ -180,6 +148,12 @@ def _cert_code_w_base(adj: list[list[tuple[int, int]]], k: int, m: int, lanes: i
     i.e. the distance vectors reproduce the labels).  A lane with the
     identity has no empty cell, so the identity lanes are certified.
     """
+    k, m, fixed, ends = frame
+    adj = [row[:] for row in fixed]
+    for (a, b), on in zip(ends, edge_lanes):
+        if on:
+            adj[a].append((b, on))
+            adj[b].append((a, on))
     n = len(adj)
     cells = [[lanes] * (n - k)]
     for s in range(k):
@@ -254,17 +228,36 @@ class EquivalenceSweep:
 
 def _equivalence_sweep(family: str, bases, **samples) -> EquivalenceSweep:
     """Every spanning subgraph of the cover system's universe over each
-    base, at k the base's order, scanned block by block: the cover
-    system's membership verdict against BFS certification of W = [k] on
-    the composite.  ``samples`` are the out_of_range_* counters."""
+    base, at k the base's order, each as a mask (bit t: universe edge t):
+    the cover system's membership verdict against BFS certification of
+    W = [k] on the composite.  ``samples`` are the out_of_range_* counters.
+
+    The masks are read in aligned blocks, bit-sliced (Biham, A fast new
+    DES implementation in software, FSE 1997): lane j of the block from
+    ``start`` stands for the mask start + j, and only the lanes of masks
+    in the space are set, all 2^14 of a block unless the universe has
+    fewer than 14 edges.  Universe edge t lies in the lattices whose mask
+    has bit t set: below bit 14 a fixed periodic pattern, from bit 14 on
+    all lanes or none.  Membership is an AND over the constraints of an OR
+    over their edges' lanes, found apart from the certifier, which never
+    reads the cover system.
+    """
     total = members = certified = mismatches = identity_violations = 0
     for base in bases:
         cs = cover_system(family, base.order, base)
         frame = _lane_frame(cs, base, cs.edges)
         space = 1 << len(cs.edges)
         total += space
+        valid = (1 << min(space, 1 << _LANE_BITS)) - 1
         for start in range(0, space, 1 << _LANE_BITS):
-            member, cert, identity = _lane_block(cs, frame, start)
+            edge_lanes = [*_INDEX_BITS, *(_LANES * (start >> t & 1) for t in range(_LANE_BITS, len(cs.edges)))]
+            member = valid
+            for cm in cs.masks:
+                hit = 0
+                for t in _iter_bits(cm):
+                    hit |= edge_lanes[t]
+                member &= hit
+            cert, identity = _cert_code_w_base(frame, edge_lanes, valid)
             members += member.bit_count()
             certified += cert.bit_count()
             mismatches += (member ^ cert).bit_count()
@@ -329,7 +322,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
             if mask & gap2:
                 break
         masks.append(mask)
-    certified, identities = _certify_masks(_lane_frame(cs, base_null(2), all_edges), 2, 3, masks)
+    certified, identities = _certify_masks(_lane_frame(cs, base_null(2), all_edges), masks)
     checked = sorted({*range(_SUBSAMPLE), *_iter_bits(certified)})
     tested = sum(mask & outside != 0 for j, mask in enumerate(masks) if j not in checked)
     failures = inconsistent = 0
@@ -780,7 +773,7 @@ def _member_lanes(family: str, k: int, lattices: list[tuple[int, int]]) -> int:
     pairs = base_complete(k).edges() if family == "B" else []
     frame = _lane_frame(cs, base_null(k), [*cs.edges, *pairs])
     width = len(cs.edges)
-    return _certify_masks(frame, k, cs.m, [mask | bits << width for bits, mask in lattices])[1]
+    return _certify_masks(frame, [mask | bits << width for bits, mask in lattices])[1]
 
 
 def _closure_violations(family: str, k: int, trials: list[tuple[tuple[int, int], ...]]) -> int:

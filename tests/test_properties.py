@@ -152,8 +152,8 @@ def test_out_of_range_tested_counts_the_checked_samples(monkeypatch):
         lattices.append(lattice)
         return real_member_c(lattice)
 
-    def spy(frame, k, m, masks):
-        batches.append((masks, real_certify(frame, k, m, masks)))
+    def spy(frame, masks):
+        batches.append((masks, real_certify(frame, masks)))
         return batches[-1][1]
 
     monkeypatch.setattr(sweeps, "member_c", counting_member_c)
@@ -202,8 +202,8 @@ def test_out_of_range_lanes_agree_with_check_crs(monkeypatch):
     real_certify = sweeps._certify_masks
     batches = []
 
-    def spy(frame, k, m, masks):
-        batches.append((masks, real_certify(frame, k, m, masks)))
+    def spy(frame, masks):
+        batches.append((masks, real_certify(frame, masks)))
         return batches[-1][1]
 
     monkeypatch.setattr(sweeps, "_certify_masks", spy)
@@ -241,8 +241,8 @@ def test_out_of_range_identity_lane_is_inconsistent(monkeypatch):
     # certified lane as the identity is flagged inconsistent
     real_certify = sweeps._certify_masks
 
-    def identity_lanes(frame, k, m, masks):
-        certified, _identity = real_certify(frame, k, m, masks)
+    def identity_lanes(frame, masks):
+        certified, _identity = real_certify(frame, masks)
         return certified, certified
 
     monkeypatch.setattr(sweeps, "_certify_masks", identity_lanes)
@@ -415,34 +415,86 @@ def test_certify_masks_transposes_bit_by_bit(monkeypatch, transpose_frames, widt
     # one-bit-at-a-time transpose; the empty and the full mask are in every
     # batch of two or more
     cs, frame = transpose_frames[width]
-    fixed, ends = frame
-    assert len(ends) == width
+    assert len(frame[3]) == width
     rng = random.Random(width * 10_000 + batch)
     masks = [rng.getrandbits(width) for _ in range(batch)]
     if batch > 1:
         masks[0], masks[-1] = 0, (1 << width) - 1
     seen = []
-    real = sweeps._lane_adjacency
 
-    def spy(fixed, ends, lanes):
-        seen.append(list(lanes))
-        return real(fixed, ends, lanes)
+    def spy(frame, edge_lanes, lanes):
+        seen.append((list(edge_lanes), lanes))
+        return _cert_code_w_base(frame, edge_lanes, lanes)
 
-    monkeypatch.setattr(sweeps, "_lane_adjacency", spy)
-    got = sweeps._certify_masks(frame, cs.k, cs.m, masks)
+    monkeypatch.setattr(sweeps, "_cert_code_w_base", spy)
+    got = sweeps._certify_masks(frame, masks)
     want = _reference_lanes(masks, width)
-    assert seen == [want]
     full = (1 << batch) - 1
-    assert got == _cert_code_w_base(real(fixed, ends, want), cs.k, cs.m, full)
+    assert seen == [(want, full)]
+    assert got == _cert_code_w_base(frame, want, full)
 
 
 def test_certify_masks_refuses_a_mask_wider_than_the_frame(transpose_frames):
     cs, frame = transpose_frames[20]
     top = 1 << 19
-    sweeps._certify_masks(frame, cs.k, cs.m, [top, 0])  # bit 19 is the last edge
+    sweeps._certify_masks(frame, [top, 0])  # bit 19 is the last edge
     for masks in ([1 << 20], [0, top, 1 << 20 | 1], [1 << 158]):
         with pytest.raises(ValueError, match="at or above the frame's 20 edges"):
-            sweeps._certify_masks(frame, cs.k, cs.m, masks)
+            sweeps._certify_masks(frame, masks)
+
+
+def test_certify_masks_keeps_the_fixed_edges_in_every_lane(transpose_frames):
+    # the full Gamma_2 mask is a member on its own labels, so every copy
+    # certifies with the identity, also past lane 2^14: a frame whose fixed
+    # edges are on in 2^14 lanes only loses them there
+    cs, frame = transpose_frames[20]
+    full_mask = (1 << 20) - 1
+    assert cs.covers(full_mask)
+    batch = (1 << 14) + 2
+    every = (1 << batch) - 1
+    assert sweeps._certify_masks(frame, [full_mask] * batch) == (every, every)
+
+
+def test_every_frame_carries_its_cover_systems_k_and_m(monkeypatch, transpose_frames):
+    # the fixture's frames and every frame the sweeps build: the certifier
+    # takes k and m from the frame alone
+    real = sweeps._lane_frame
+    built = list(transpose_frames.values())
+
+    def spy(cs, base, edges):
+        built.append((cs, real(cs, base, edges)))
+        return built[-1][1]
+
+    monkeypatch.setattr(sweeps, "_lane_frame", spy)
+    sweeps._equivalence_sweep("B", (base_null(2), base_complete(2)))
+    sweeps._out_of_gamma_samples()
+    for family in ("B", "C"):
+        for k in (2, 3):
+            sweeps._member_lanes(family, k, [(0, 0)])
+    assert len(built) == 5 + 7
+    for cs, (k, m, fixed, _ends) in built:
+        assert (k, m) == (cs.k, cs.m)
+        assert len(fixed) == k + m ** k
+
+
+def _code_names(code):
+    """The global and attribute names a code object reads, with those of
+    the code objects nested in it (comprehensions, on CPython before 3.12)."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_certifier_never_reads_the_cover_system():
+    # the oracle contract: the certifier reads the frame's adjacency only
+    forbidden = {
+        "cover_system", "CoverSystem", "masks", "constraints", "covers", "member_b", "member_c", "check"
+    }
+    names = _code_names(_cert_code_w_base.__code__)
+    assert {"append", "enumerate"} <= names
+    assert not names & forbidden
 
 
 def _member_count(cs):
@@ -476,10 +528,11 @@ def test_member_counts_found_without_lanes_or_bfs():
     "mutant, violations",
     [
         # lane 0 of each of the eight batches: the first trial of each group
-        (lambda real: lambda adj, k, m, lanes: tuple(x & ~1 for x in real(adj, k, m, lanes)), (4, 4)),
-        # every family C trial; at m = 2 one level leaves the single cell
-        # (1, ..., 1), which family B members fill anyway
-        (lambda real: lambda adj, k, m, lanes: real(adj, k, m - 1, lanes), (500, 500)),
+        (lambda real: lambda frame, *lanes: tuple(x & ~1 for x in real(frame, *lanes)), (4, 4)),
+        # a frame with m - 1: every family C trial; at m = 2 one level
+        # leaves the single cell (1, ..., 1), which family B members fill
+        # anyway
+        (lambda real: lambda frame, *lanes: real((frame[0], frame[1] - 1, *frame[2:]), *lanes), (500, 500)),
     ],
     ids=["cleared-lane", "one-level-short"],
 )
@@ -524,19 +577,42 @@ def test_certified_within_range_forces_identity_labels():
     assert result.identity_violations == 0
 
 
-def test_radius_2_sweep_reads_each_base_in_one_block():
+def _sweep_blocks(monkeypatch, family, bases):
+    """The sweep's counters and, block by block, the (edge lanes, lanes)
+    that _equivalence_sweep hands the certifier and the (certified,
+    identity) lanes it gets back.  No mismatch in the counters means each
+    block's member lanes are its certified lanes."""
+    blocks = []
+
+    def spy(frame, edge_lanes, lanes):
+        blocks.append((list(edge_lanes), lanes, _cert_code_w_base(frame, edge_lanes, lanes)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(sweeps, "_cert_code_w_base", spy)
+    return sweeps._equivalence_sweep(family, bases), blocks
+
+
+def _lane_mask(edge_lanes, width, j):
+    """The mask lane j stands for: bit t is bit j of edge t's lanes."""
+    return sum((edge_lanes[t] >> j & 1) << t for t in range(width))
+
+
+def test_radius_2_sweep_reads_each_base_in_one_block(monkeypatch):
     # the radius-2 universe at k = 2 has 6 edges, so one block holds the 64
     # lattices of a base and lanes 64.. stand for none; every base counts
     bases = (base_null(2), base_complete(2))
+    result, blocks = _sweep_blocks(monkeypatch, "B", bases)
+    assert len(blocks) == len(bases)
     members = 0
-    for base in bases:
+    for base, (edge_lanes, valid, (certified, identity)) in zip(bases, blocks):
         cs = cover_system("B", 2, base)
-        member, certified, identity = sweeps._lane_block(cs, sweeps._lane_frame(cs, base, cs.edges), 0)
-        assert member == sum(cs.covers(mask) << mask for mask in range(64))
-        assert certified == member == identity & member
-        members += member.bit_count()
-    result = sweeps._equivalence_sweep("B", bases)
+        assert valid == (1 << 64) - 1
+        assert [_lane_mask(edge_lanes, 6, j) for j in range(64)] == list(range(64))
+        assert certified == sum(cs.covers(mask) << mask for mask in range(64))
+        assert identity & certified == certified
+        members += certified.bit_count()
     assert (result.total, result.members, result.certified) == (128, members, members)
+    assert result.mismatches == result.identity_violations == 0
 
 
 def test_q3_size_check_can_fail(monkeypatch):
@@ -670,8 +746,8 @@ def test_q3_streamed_members_are_minimal_sample():
 def _kernel_and_check_crs(base, lattice, k, m):
     g = compose(base, lattice, k, m).materialize()
     # one lane, lane 0, which holds every edge of the composite
-    adj = [[(u, 1) for u in range(g.order) if a >> u & 1] for a in g.adjacency_masks()]
-    certified, identity = _cert_code_w_base(adj, k, m, 1)
+    rows = [[(u, 1) for u in range(g.order) if a >> u & 1] for a in g.adjacency_masks()]
+    certified, identity = _cert_code_w_base((k, m, rows, []), [], 1)
     verdict = bool(identity) if certified else None
     try:
         res = check_crs(g, tuple(BaseVertex(i) for i in range(1, k + 1)))
@@ -682,31 +758,35 @@ def _kernel_and_check_crs(base, lattice, k, m):
     return verdict, all(res.table[LatticeVertex(v)] == v for v in lattice_vertices(k, m))
 
 
-def test_lane_kernel_agrees_with_check_crs_across_blocks():
+def test_lane_kernel_agrees_with_check_crs_across_blocks(monkeypatch):
     cs = cover_system("C", 2)
-    frame = sweeps._lane_frame(cs, base_null(2), cs.edges)
     width = 1 << sweeps._LANE_BITS
+    result, found = _sweep_blocks(monkeypatch, "C", (base_null(2),))
+    assert result.mismatches == result.identity_violations == 0
+    blocks = dict(zip(range(0, 1 << 20, width), found, strict=True))
     # every lane of the blocks from 0xF4000, 0xF8000 and 0xFC000, where the
-    # high edges differ: a member exactly when the cover system says so,
-    # certified exactly then
+    # high edges differ: lane j is the mask start + j, a member exactly when
+    # the cover system says so, certified exactly then
     for start in (0xF4000, 0xF8000, 0xFC000):
-        member, certified, identity = sweeps._lane_block(cs, frame, start)
+        edge_lanes, _valid, (certified, identity) = blocks[start]
+        assert edge_lanes[:20] == _reference_lanes(range(start, start + width), 20)
         for j in range(width):
             i = start + j
-            assert member >> j & 1 == cs.covers(i), i
-        assert certified == member == identity & member
+            assert certified >> j & 1 == cs.covers(i), i
+        assert certified == identity & certified
     # every block of the whole space, where the high edges change from block
     # to block: its first and last lane and seeded ones against the cover
     # system, and some of them against check_crs
     rng = random.Random(29)
-    blocks = {start: sweeps._lane_block(cs, frame, start) for start in range(0, 1 << 20, width)}
     seen = Counter()
-    for start, (member, certified, identity) in blocks.items():
-        assert certified == member == identity & member
+    for start, (edge_lanes, valid, (certified, identity)) in blocks.items():
+        assert valid == (1 << width) - 1
+        assert certified == identity & certified
         lanes = {0, width - 1, *(rng.randrange(width) for _ in range(200))}
         for j in lanes:
             i = start + j
-            assert member >> j & 1 == cs.covers(i), i
+            assert _lane_mask(edge_lanes, 20, j) == i
+            assert certified >> j & 1 == cs.covers(i), i
         for j in (0, width - 1, *rng.sample(sorted(lanes), 2)):
             i = start + j
             g = compose(base_null(2), cs.graph(i), 2, 3).materialize()
