@@ -25,9 +25,7 @@ from .errors import (
     SizeOverflow,
     UnknownName,
     UnknownVertex,
-    VertexInW,
     VertexNotEligible,
-    VertexSetMismatch,
     WrongVertexSet,
 )
 from .graph import (
@@ -47,7 +45,6 @@ from .graph import (
     null_graph,
     path_graph,
     plain_graph,
-    union,
     universal_vertices,
 )
 from .graph6 import read_graph6, write_graph6
@@ -62,8 +59,6 @@ from .resolving import (
     is_perfectness_resolvable,
     is_resolving_set,
     metric_dimension,
-    resolve_vector,
-    truncation_radius,
 )
 from .families import (
     CompositeGraph,
@@ -76,7 +71,6 @@ from .families import (
     compose,
     example_graph,
     gamma,
-    is_edge_covering,
     lattice_complete,
     lattice_slice,
     lattice_vertices,
@@ -101,7 +95,6 @@ from .extremal import (
     epsilon,
     is_h1_minimal,
     is_k_minimal,
-    is_minimal_in_b,
     iter_q,
     q_count,
     tightness_b,

@@ -14,20 +14,12 @@ class UnknownVertex(CrslabError):
     """A vertex label is not present in the graph."""
 
 
-class VertexSetMismatch(CrslabError):
-    """Two graphs were expected to share a vertex set but do not."""
-
-
 class DisconnectedGraph(CrslabError):
     """An operation that needs finite distances met an unreachable pair."""
 
 
 class InvalidW(CrslabError):
     """W must be a nonempty proper subset of the vertex set."""
-
-
-class VertexInW(CrslabError):
-    """The probed vertex must lie outside W."""
 
 
 class OrderCapExceeded(CrslabError):

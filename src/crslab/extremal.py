@@ -37,7 +37,6 @@ from .families import (
     _require_base,
     cover_system,
     lattice_vertices,
-    member_b,
     span_lattice,
 )
 
@@ -183,22 +182,6 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
         else:
             edges.append(EdgeCriticality(e, bool(outside) and any(f != e for f in outside)))
     return _minimality(membership, edges)
-
-
-def is_minimal_in_b(base: Graph, lattice: Graph) -> bool:
-    """Minimality of the whole composite inside the radius-2 family.
-
-    Lattice minimality relative to the base does not imply this: a base
-    edge may also be deletable.  Both directions are rechecked with single
-    deletions.
-    """
-    if not is_h1_minimal(base, lattice).minimal:
-        return False
-    for e in base.edges():
-        smaller = Graph(base.vertices(), [f for f in base.edges() if f != e])
-        if member_b(smaller, lattice).member:
-            return False
-    return True
 
 
 # -- edge-count bounds -------------------------------------------------------

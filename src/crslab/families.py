@@ -171,8 +171,8 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
     Kind "B" (on [2]^k): complete bipartite between the coordinate-i value-1
     and value-2 slices.  Kinds "C" / "D" (on [3]^k): bipartite between the
     value-1/2 (resp. 2/3) slices, with every other coordinate differing by
-    at most one.  The C and D scaffolds together make up gamma(); the
-    tests check that union against the direct rule.
+    at most one.  The C and D scaffolds together make up gamma(); kept as
+    the reference whose union the tests check against the direct rule.
     """
     _check_k(k)
     _check_index(k, i)
@@ -186,16 +186,13 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
 
 
 def s_set(k: int, i: int) -> set[LatticeVector]:
-    """Vectors with all components in {2, 3} and component i equal to 3:
-    the targets of the radius-3 cover system's (i, "s-set") constraints."""
+    """Vectors with all components in {2, 3} and component i equal to 3,
+    by the paper's definition and not read off the cover system; kept as
+    the reference the tests check the radius-3 choice points against."""
     _check_index(k, i)
-    return set(cover_system("C", k).targets(i, "s-set"))
-
-
-def is_edge_covering(edges, s) -> bool:
-    """True iff every vertex of ``s`` is an endpoint of some edge."""
-    covered = {u for e in edges for u in e}
-    return all(v in covered for v in s)
+    _check_k(k)
+    _check_power("m^k", 3, k)
+    return {x for x in product((2, 3), repeat=k) if x[i - 1] == 3}
 
 
 # -- composition ----------------------------------------------------------

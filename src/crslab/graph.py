@@ -33,7 +33,6 @@ from .errors import (
     DisconnectedGraph,
     InvalidGraph,
     UnknownVertex,
-    VertexSetMismatch,
 )
 
 LatticeVector = tuple[int, ...]
@@ -281,7 +280,9 @@ def distances(g: Graph) -> dict[tuple[Vertex, Vertex], int | None]:
     """Exact hop counts for all ordered vertex pairs.
 
     Pairs in different components map to None; disconnection is
-    representable here, not an error.
+    representable here, not an error.  Kept as the independent distance
+    table of the tests' brute-force certificate search and distance
+    identity checks.
     """
     adj = g._adj
     verts = g.vertices()
@@ -310,18 +311,13 @@ def diameter(g: Graph) -> int:
     return best
 
 
-# -- the spanning-subgraph partial order and union ------------------------
-
-
-def union(g1: Graph, g2: Graph) -> Graph:
-    """Edge-set union of two graphs on the same vertex set."""
-    if g1.vertices() != g2.vertices():
-        raise VertexSetMismatch("union requires equal vertex sets")
-    return Graph(g1.vertices(), g1.edges() + g2.edges())
+# -- the spanning-subgraph partial order ----------------------------------
 
 
 def is_spanning_subgraph(g1: Graph, g2: Graph) -> bool:
-    """The relation g1 <= g2: equal vertex sets and E(g1) a subset of E(g2)."""
+    """The relation g1 <= g2: equal vertex sets and E(g1) a subset of E(g2).
+    The paper's posets are ordered by it; kept as the reference that the
+    tests check members against their family's maximum graph with."""
     return g1.vertices() == g2.vertices() and all(a & ~b == 0 for a, b in zip(g1._adj, g2._adj))
 
 

@@ -20,8 +20,6 @@ from .errors import (
     DisconnectedGraph,
     InvalidW,
     OrderCapExceeded,
-    UnknownVertex,
-    VertexInW,
 )
 from .graph import (
     Graph,
@@ -185,8 +183,9 @@ def _injective(w_rows: list[list[int]]) -> bool:
     """True iff the outside vertices have pairwise distinct vectors toward
     the W rows ``w_rows``.  Each W vertex's own vector is the only one with
     a zero, at its own coordinate, so the test may run over every vertex.
-    Its one caller is ``is_resolving_set``, whose graph need not be
-    connected; the searches test W on the tie masks of ``_Distances``."""
+    Its one caller is ``is_resolving_set``, whose graph is connected
+    (``_w_rows`` raises otherwise); the searches test W on the tie masks of
+    ``_Distances``."""
     return len(set(zip(*w_rows))) == len(w_rows[0])
 
 
@@ -216,30 +215,6 @@ def _bijection(verts, w_idx, w_rows, rest):
         m_of_w=m,
         table={verts[u]: vec for vec, u in seen.items()},
     )
-
-
-def truncation_radius(g: Graph, w) -> int:
-    """Largest distance from a W vertex to a vertex outside W."""
-    _w_idx, rows, rest = _w_rows(g, w)
-    return max(row[u] for row in rows for u in rest)
-
-
-def resolve_vector(g: Graph, w_order, u: Vertex) -> LatticeVector:
-    """Distance vector of ``u`` toward the ordered W."""
-    w_list = _check_w(g, w_order)
-    if not g.has_vertex(u):
-        raise UnknownVertex(f"vertex {u!r} is not in the graph")
-    if u in set(w_list):
-        raise VertexInW(f"{u!r} lies inside W")
-    ui = g.index_of(u)
-    adj = g.adjacency_masks()
-    vec = []
-    for v in w_list:
-        d = bfs_levels(adj, g.index_of(v))[ui]
-        if d < 0:
-            raise DisconnectedGraph(f"{u!r} is unreachable from {v!r}")
-        vec.append(d)
-    return tuple(vec)
 
 
 def is_resolving_set(g: Graph, w) -> bool:
@@ -338,6 +313,8 @@ def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Ver
     endpoints of a path, the only graph with a vertex of eccentricity n-1.
     Every coordinate order of a returned W is also completeness-resolving:
     permuting the table's coordinates keeps it a bijection onto the box.
+    Kept for the tests: they check it against a brute-force scan, and the
+    resolving golden file pins its certificates.
     """
     dist = _table(g, cap, "the graph is disconnected")
     return [(c.w_order, c) for c in _pruned_certificates(g.vertices(), dist, range(1, g.order))]

@@ -361,7 +361,9 @@ def out_of_range_counterexample() -> Graph:
     member while its relabeling is: certification of the composite does not
     imply membership of the original labels once edges leave the maximal
     lattice.  This witnesses why the sampled negative control of the
-    radius-3 sweep cannot be expected to hold for every sample.
+    radius-3 sweep cannot be expected to hold for every sample.  Kept as
+    the tests' regression anchor until the label orbit decides the
+    out-of-range half exactly.
     """
     edges = [
         ((1, 1), (3, 1)),  # the gap-2 edge
@@ -717,14 +719,17 @@ def _random_member(rng: random.Random, family: str, k: int) -> tuple[int, CoverS
 
 def random_b_member(rng: random.Random, k: int) -> tuple[Graph, Graph]:
     """A seeded member of the radius-2 family: a random base and a lattice
-    built from the covering construction."""
+    built from the covering construction.  Kept for the tests' seeded
+    members until the single-edge neighbours replace the random draws."""
     base_bits, cs, mask = _random_member(rng, "B", k)
     return _draw_table("B", k, base_bits)[0], cs.graph(mask)
 
 
 def random_c_member(rng: random.Random, k: int) -> Graph:
     """A seeded member of the radius-3 family from the covering
-    construction, with extras sprinkled inside the maximal lattice."""
+    construction, with extras sprinkled inside the maximal lattice.  Kept
+    for the tests' seeded members until the single-edge neighbours replace
+    the random draws."""
     _base_bits, cs, mask = _random_member(rng, "C", k)
     return cs.graph(mask)
 

@@ -41,7 +41,6 @@ from crslab.families import (
     cover_system,
     example_graph,
     gamma,
-    is_edge_covering,
     lattice_complete,
     lattice_slice,
     lattice_vertices,
@@ -197,16 +196,13 @@ class TestSSet:
             for i in range(1, k + 1):
                 assert len(s_set(k, i)) == 2 ** (k - 1)
 
-
-class TestEdgeCovering:
-    def test_empty_target_is_vacuous(self):
-        assert is_edge_covering([], set())
-
-    def test_no_edges_nonempty_target(self):
-        assert not is_edge_covering([], {(2, 2)})
-
-    def test_endpoint_counts(self):
-        assert is_edge_covering([((1, 1), (2, 2))], {(2, 2)})
+    def test_matches_the_cover_system_targets(self):
+        # the definition, stated on its own, against the targets the cover
+        # system derives for its (i, "s-set") constraints
+        for k in (2, 3, 4, 5):
+            cs = cover_system("C", k)
+            for i in range(1, k + 1):
+                assert s_set(k, i) == set(cs.targets(i, "s-set")), (k, i)
 
 
 class TestCompose:

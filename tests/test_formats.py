@@ -1,4 +1,3 @@
-import ast
 import json
 from pathlib import Path
 
@@ -12,7 +11,7 @@ from crslab.graph6 import write_graph6
 from crslab.graph import BaseVertex, LatticeVertex, PlainVertex, plain_graph
 from crslab.families import base_complete, base_null, compose, example_graph, member_b, member_c
 from crslab.resolving import CrsCertificate, check_crs, is_completeness_resolvable
-from crslab import cli, formats
+from crslab import formats
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -197,23 +196,6 @@ class TestCommandOutput:
 
     def test_bounds_b_composite(self, tmp_path, capsys):
         assert self.check("bounds-b-composite", tmp_path, capsys) == {"lower": 6, "upper": 7}
-
-
-def test_every_public_function_serves_the_cli():
-    # a writer that no command prints is kept alive only by its own tests
-    tree = ast.parse(Path(formats.__file__).read_text())
-    public = {
-        node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    called_inside = {
-        node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    cli_uses = {
-        node.attr
-        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "formats"
-    }
-    assert sorted(public - called_inside - cli_uses) == []
 
 
 class TestDot:

@@ -6,7 +6,6 @@ from crslab.errors import (
     DisconnectedGraph,
     InvalidGraph,
     UnknownVertex,
-    VertexSetMismatch,
 )
 from crslab.graph import (
     BaseVertex,
@@ -22,7 +21,6 @@ from crslab.graph import (
     is_spanning_subgraph,
     path_graph,
     plain_graph,
-    union,
     universal_vertices,
     vertex_key,
 )
@@ -157,44 +155,6 @@ class TestDiameter:
         assert diameter(compose(base_null(2), example_graph("T", 2), 2, 3).materialize()) == 5
 
 
-class TestUnion:
-    def test_idempotent(self):
-        g = plain_graph(3, [(0, 1), (1, 2)])
-        assert union(g, g) == g
-
-    def test_identity_element(self):
-        g = plain_graph(3, [(0, 1)])
-        empty = plain_graph(3, [])
-        assert union(empty, g) == g
-
-    def test_u2_and_r2_share_their_single_edge(self):
-        # U's only edge pairs the all-ones and all-twos vectors, which is
-        # also one of R's two matching edges, so the union has two edges.
-        u2 = example_graph("U", 2)
-        r2 = example_graph("R", 2)
-        merged = union(u2, r2)
-        assert merged.size == 2
-        assert merged == r2
-
-    def test_vertex_set_mismatch(self):
-        with pytest.raises(VertexSetMismatch):
-            union(plain_graph(3, []), plain_graph(4, []))
-
-    def test_union_laws_on_random_graphs(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            n = rng.randint(2, 7)
-            def rand_graph():
-                return plain_graph(
-                    n,
-                    [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5],
-                )
-            g1, g2, g3 = rand_graph(), rand_graph(), rand_graph()
-            assert union(g1, g2) == union(g2, g1)
-            assert union(union(g1, g2), g3) == union(g1, union(g2, g3))
-            assert is_spanning_subgraph(g1, union(g1, g2))
-
-
 class TestSpanningOrder:
     def test_reflexive(self):
         g = plain_graph(3, [(0, 1)])
@@ -318,8 +278,8 @@ class TestCoreOracle:
             g1, g2 = Graph(labels, edges[:cut]), Graph(labels, edges[cut:])
             e1 = {_oriented(u, v) for u, v in edges[:cut]}
             e2 = {_oriented(u, v) for u, v in edges[cut:]}
-            whole = union(g1, g2)
-            assert whole.edge_set() == e1 | e2
+            whole = Graph(labels, e1 | e2)
+            assert is_spanning_subgraph(g1, whole) and is_spanning_subgraph(g2, whole)
             assert is_spanning_subgraph(g1, g2) == (e1 <= e2)
             assert is_spanning_subgraph(g2, g1) == (e2 <= e1)
             if e1 | e2:
@@ -331,8 +291,6 @@ class TestCoreOracle:
             if len(labels) > 2:
                 other = Graph(labels[1:], [])
                 assert not is_spanning_subgraph(other, whole)
-                with pytest.raises(VertexSetMismatch):
-                    union(whole, other)
 
     def test_has_edge_matches_the_edge_set(self):
         for labels, edges in _mixed_graphs(12, 120):

@@ -10,8 +10,6 @@ from crslab.errors import (
     DisconnectedGraph,
     InvalidW,
     OrderCapExceeded,
-    UnknownVertex,
-    VertexInW,
 )
 from crslab.graph import (
     BaseVertex,
@@ -50,8 +48,6 @@ from crslab.resolving import (
     is_perfectness_resolvable,
     is_resolving_set,
     metric_dimension,
-    resolve_vector,
-    truncation_radius,
 )
 from crslab.sweeps import _connected_classes, _raw_dimension, random_b_member, random_c_member
 
@@ -110,51 +106,55 @@ def brute_force_perfect(g):
 
 
 class TestTruncationRadius:
+    """m(W), the largest W-to-outside distance, as the certificate reports
+    it, and the refusals of a W that no certificate can have."""
+
     def test_path_endpoint(self):
-        assert truncation_radius(path4(), [p(0)]) == 3
+        assert check_crs(path4(), [p(0)]).m_of_w == 3
 
     def test_star_leaves(self):
-        g = star()
-        assert truncation_radius(g, [p(1), p(2), p(3)]) == 1
+        assert check_crs(star(), [p(1), p(2), p(3)]).m_of_w == 1
 
     def test_null_base_composite(self):
         g = compose(base_null(2), gamma(2), 2, 3).materialize()
-        assert truncation_radius(g, [BaseVertex(1), BaseVertex(2)]) == 3
+        assert check_crs(g, [BaseVertex(1), BaseVertex(2)]).m_of_w == 3
 
     def test_invalid_w(self):
-        with pytest.raises(InvalidW):
-            truncation_radius(path4(), [])
-        with pytest.raises(InvalidW):
-            truncation_radius(path4(), [p(0), p(1), p(2), p(3)])
-        with pytest.raises(InvalidW):
-            truncation_radius(path4(), [p(9)])
+        # the W gate shared by every entry point that takes a W
+        for w, message in [
+            ([], "W must be nonempty"),
+            ([p(0), p(0)], "W has repeated vertices"),
+            ([p(0), p(1), p(2), p(3)], "W must be a proper subset of the vertex set"),
+            ([p(9)], "W contains v9, which is not a vertex"),
+        ]:
+            for fn in (check_crs, is_resolving_set):
+                with pytest.raises(InvalidW) as info:
+                    fn(path4(), w)
+                assert str(info.value) == message
 
     def test_disconnected(self):
         g = plain_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraph):
-            truncation_radius(g, [p(0)])
+            check_crs(g, [p(0)])
 
 
 class TestResolveVector:
+    """The distance vector of an outside vertex toward the ordered W is its
+    row of the certificate's table."""
+
     def test_path(self):
-        assert resolve_vector(path4(), [p(0)], p(2)) == (2,)
+        assert check_crs(path4(), [p(0)]).table[p(2)] == (2,)
 
     def test_composite_vectors_match_labels(self):
         g = compose(base_complete(2), example_graph("U", 2), 2, 2).materialize()
         w = [BaseVertex(1), BaseVertex(2)]
-        assert resolve_vector(g, w, LatticeVertex((2, 1))) == (2, 1)
+        assert check_crs(g, w).table[LatticeVertex((2, 1))] == (2, 1)
         gt = compose(base_null(2), example_graph("T", 2), 2, 3).materialize()
-        assert resolve_vector(gt, w, LatticeVertex((3, 3))) == (3, 3)
-
-    def test_vertex_in_w(self):
-        with pytest.raises(VertexInW):
-            resolve_vector(path4(), [p(0)], p(0))
-        with pytest.raises(UnknownVertex):
-            resolve_vector(path4(), [p(0)], p(9))
+        assert check_crs(gt, w).table[LatticeVertex((3, 3))] == (3, 3)
 
     def test_unreachable_vertex(self):
-        with pytest.raises(DisconnectedGraph, match="^v2 is unreachable from v0$"):
-            resolve_vector(plain_graph(3, [(0, 1)]), [p(0)], p(2))
+        with pytest.raises(DisconnectedGraph, match="^some vertex is unreachable from W$"):
+            check_crs(plain_graph(3, [(0, 1)]), [p(0)])
 
 
 class TestUnreachableFromW:
@@ -169,13 +169,13 @@ class TestUnreachableFromW:
     )
     def test_names_the_refusal(self, edges, w):
         g = plain_graph(4, edges)
-        for fn in (check_crs, is_resolving_set, truncation_radius):
+        for fn in (check_crs, is_resolving_set):
             with pytest.raises(DisconnectedGraph, match="^some vertex is unreachable from W$"):
                 fn(g, [p(i) for i in w])
 
     def test_a_connected_graph_passes(self):
         g = plain_graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert truncation_radius(g, [p(0), p(2)]) == 3
+        assert is_resolving_set(g, [p(0), p(2)])
 
 
 class TestIsResolvingSet:
