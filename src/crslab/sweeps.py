@@ -7,7 +7,7 @@ sets rather than Graph values.  Certification is bit-sliced, one composite
 per bit lane of every mask, and made in one place: a frame (_lane_frame)
 holds k, m and the adjacency that every lane shares, and _cert_code_w_base
 joins each varying edge's lanes to it and runs the BFS.  The equivalence
-scans hand it periodic index lanes, 2^14 lattices per BFS; the closure
+scans hand it periodic index lanes, 2^16 lattices per BFS; the closure
 trials and the out-of-range samples hand it their seeded masks transposed
 (_certify_masks), each batch in one BFS.
 """
@@ -75,11 +75,27 @@ _SUBSAMPLE = 4  # trials per closure group, and out-of-range samples, that membe
 
 # -- the lane-parallel certifier ----------------------------------------------
 
-_LANE_BITS = 14  # 2^14 lattices per block: wider blocks raise the peak memory
+# 2^16 lattices per block.  The kernel's cost per block is mostly fixed
+# Python-level work, so fewer blocks take less time: the c-equivalence scan
+# (2^20 lattices), warm, best of 5 in each of three processes on a 2-core
+# x86-64 VM under CPython 3.11, took 10.9 ms at 2^14, 7.0 at 2^15, 5.4 at
+# 2^16, 7.2 at 2^17 and 6.1 at 2^18.  The peak RSS stayed at 17.5-17.7 MB
+# up to 2^17 and rose to 18.6-18.8 MB at 2^18.
+_LANE_BITS = 16
 _LANES = (1 << (1 << _LANE_BITS)) - 1
-# _INDEX_BITS[t]: the lanes j of a block whose index j has bit t set
+# _INDEX_BITS[t]: the lanes j of a block whose index j has bit t set, one
+# repeated little-endian byte pattern each: 0xaa, 0xcc, 0xf0 within a byte,
+# then runs of 2^(t-3) zero bytes and 2^(t-3) 0xff bytes (the same lanes as
+# _LANES // (2^(2^(t+1)) - 1) * ((2^(2^t) - 1) << 2^t), without dividing a
+# 2^_LANE_BITS-bit integer)
 _INDEX_BITS = tuple(
-    _LANES // ((1 << (2 << t)) - 1) * (((1 << (1 << t)) - 1) << (1 << t)) for t in range(_LANE_BITS)
+    int.from_bytes(pattern * ((1 << _LANE_BITS - 3) // len(pattern)), "little")
+    for pattern in (
+        b"\xaa",
+        b"\xcc",
+        b"\xf0",
+        *(bytes(1 << t - 3) + b"\xff" * (1 << t - 3) for t in range(3, _LANE_BITS)),
+    )
 )
 
 
@@ -235,9 +251,9 @@ def _equivalence_sweep(family: str, bases, **samples) -> EquivalenceSweep:
     The masks are read in aligned blocks, bit-sliced (Biham, A fast new
     DES implementation in software, FSE 1997): lane j of the block from
     ``start`` stands for the mask start + j, and only the lanes of masks
-    in the space are set, all 2^14 of a block unless the universe has
-    fewer than 14 edges.  Universe edge t lies in the lattices whose mask
-    has bit t set: below bit 14 a fixed periodic pattern, from bit 14 on
+    in the space are set, all 2^16 of a block unless the universe has
+    fewer than 16 edges.  Universe edge t lies in the lattices whose mask
+    has bit t set: below bit 16 a fixed periodic pattern, from bit 16 on
     all lanes or none.  Membership is an AND over the constraints of an OR
     over their edges' lanes, found apart from the certifier, which never
     reads the cover system.
@@ -292,6 +308,23 @@ def sweep_c_equivalence() -> EquivalenceSweep:
     )
 
 
+# bytes.translate table: "1" for a byte below 0x80, "0" for the others
+_HIGH_BIT_CLEAR = bytes(b"01"[byte < 0x80] for byte in range(256))
+
+
+def _coin_mask(rng: random.Random, width: int) -> int:
+    """sum(1 << t for t in range(width) if rng.random() < 0.5), from the
+    same stream in one getrandbits call (CPython 3.10 to 3.13).
+
+    random() is (a * 2^26 + b) / 2^53, with a the top 27 bits of one 32-bit
+    word of the generator and b the top 26 of the next, so it is below 0.5
+    exactly when the first word is below 2^31.  getrandbits(64 width) takes
+    the same 2 width words in order and puts word i at bit 32 i, so bit t is
+    set when bit 7 of byte 8t + 3 of the little-endian draw is clear."""
+    draw = rng.getrandbits(64 * width).to_bytes(8 * width, "little")
+    return int(draw[3::8].translate(_HIGH_BIT_CLEAR)[::-1], 2)
+
+
 def _out_of_gamma_samples() -> tuple[int, int, int]:
     """Uniform random [3]^2 lattices conditioned on containing an edge with
     a coordinate gap of two, as read off the vectors.
@@ -307,7 +340,9 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     cover system's outside mask, the edges not in ``cs.index``.  The first
     _SUBSAMPLE samples and the certified ones also get a member_c report:
     they are tested only if it names a bad edge, and a member report counts
-    in failures and inconsistent.  Returns (tested, failures, inconsistent)."""
+    in failures and inconsistent.  Returns (tested, failures, inconsistent).
+    Each draw takes edge t with rng.random() < 0.5, in edge order, read in
+    whole words of the generator (_coin_mask)."""
     rng = random.Random(SAMPLE_SEED)
     vecs = lattice_vertices(2, 3)
     all_edges = lattice_complete(2, 3).edges()
@@ -318,7 +353,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     masks = []
     for _ in range(OUT_OF_GAMMA_SAMPLES):
         while True:
-            mask = sum(1 << t for t in range(len(all_edges)) if rng.random() < 0.5)
+            mask = _coin_mask(rng, len(all_edges))
             if mask & gap2:
                 break
         masks.append(mask)

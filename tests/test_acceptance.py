@@ -17,7 +17,7 @@ import time
 import pytest
 
 from crslab.families import base_complete, base_null, example_graph
-from crslab.extremal import bounds_b, enumerate_minimal, enumerate_q, tightness_b
+from crslab.extremal import tightness_b
 from crslab.sweeps import (
     OUT_OF_GAMMA_SAMPLES,
     check_diameters,

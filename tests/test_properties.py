@@ -135,6 +135,41 @@ def test_out_of_range_control_can_fail(monkeypatch):
     assert inconsistent > 0
 
 
+@pytest.mark.parametrize("width", [1, 6, 31, 36, 158])
+def test_coin_mask_reads_the_random_stream_in_whole_words(width):
+    # the mask and the generator state after it are those of one
+    # rng.random() < 0.5 per bit, draw for draw
+    for seed in range(24):
+        words, floats = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            want = sum(1 << t for t in range(width) if floats.random() < 0.5)
+            assert sweeps._coin_mask(words, width) == want, seed
+        assert words.getstate() == floats.getstate()
+
+
+def test_out_of_range_samples_are_the_random_draws(monkeypatch):
+    # the 1000 sampled masks, rejections included, are those of the
+    # rng.random() < 0.5 expression on the sample seed
+    real_certify = sweeps._certify_masks
+    batches = []
+
+    def spy(frame, masks):
+        batches.append(list(masks))
+        return real_certify(frame, masks)
+
+    monkeypatch.setattr(sweeps, "_certify_masks", spy)
+    sweeps._out_of_gamma_samples()
+    rng = random.Random(sweeps.SAMPLE_SEED)
+    edges = lattice_complete(2, 3).edges()
+    gap2 = [max(abs(a - b) for a, b in zip(u.vector, v.vector)) == 2 for u, v in edges]
+    want = []
+    while len(want) < sweeps.OUT_OF_GAMMA_SAMPLES:
+        mask = sum(1 << t for t in range(len(edges)) if rng.random() < 0.5)
+        if any(gap2[t] for t in _iter_bits(mask)):
+            want.append(mask)
+    assert batches == [want]
+
+
 def _sample_lattice(mask):
     all_edges = lattice_complete(2, 3).edges()
     return Graph(lattice_complete(2, 3).vertices(), [all_edges[t] for t in range(36) if mask >> t & 1])
@@ -455,6 +490,17 @@ def test_certify_masks_keeps_the_fixed_edges_in_every_lane(transpose_frames):
     assert sweeps._certify_masks(frame, [full_mask] * batch) == (every, every)
 
 
+def test_certify_masks_keeps_the_fixed_edges_past_the_block_width(transpose_frames):
+    # the same, past the equivalence scans' block of 2^_LANE_BITS lanes: a
+    # frame whose fixed edges are on in the lanes of _LANES only loses them
+    # there
+    cs, frame = transpose_frames[20]
+    full_mask = (1 << 20) - 1
+    batch = (1 << sweeps._LANE_BITS) + 2
+    every = (1 << batch) - 1
+    assert sweeps._certify_masks(frame, [full_mask] * batch) == (every, every)
+
+
 def test_every_frame_carries_its_cover_systems_k_and_m(monkeypatch, transpose_frames):
     # the fixture's frames and every frame the sweeps build: the certifier
     # takes k and m from the frame alone
@@ -758,36 +804,55 @@ def _kernel_and_check_crs(base, lattice, k, m):
     return verdict, all(res.table[LatticeVertex(v)] == v for v in lattice_vertices(k, m))
 
 
+def test_index_lanes_are_the_division_patterns():
+    # lane j of _INDEX_BITS[t] is bit t of j, as the quotient of all ones by
+    # 2^(2^(t+1)) - 1 times a run of 2^t ones over 2^t zeros lays it out
+    lanes = sweeps._LANES
+    assert lanes == (1 << (1 << sweeps._LANE_BITS)) - 1
+    assert len(sweeps._INDEX_BITS) == sweeps._LANE_BITS
+    for t, got in enumerate(sweeps._INDEX_BITS):
+        assert got == lanes // ((1 << (2 << t)) - 1) * (((1 << (1 << t)) - 1) << (1 << t)), t
+
+
 def test_lane_kernel_agrees_with_check_crs_across_blocks(monkeypatch):
     cs = cover_system("C", 2)
     width = 1 << sweeps._LANE_BITS
     result, found = _sweep_blocks(monkeypatch, "C", (base_null(2),))
     assert result.mismatches == result.identity_violations == 0
     blocks = dict(zip(range(0, 1 << 20, width), found, strict=True))
-    # every lane of the blocks from 0xF4000, 0xF8000 and 0xFC000, where the
-    # high edges differ: lane j is the mask start + j, a member exactly when
-    # the cover system says so, certified exactly then
-    for start in (0xF4000, 0xF8000, 0xFC000):
+    # every lane of the masks 0xF4000..0xFFFFF, in whichever blocks hold
+    # them, where the high edges differ: lane j is the mask start + j, a
+    # member exactly when the cover system says so, certified exactly then
+    covered = 0
+    for start in range(0xF4000 // width * width, 1 << 20, width):
         edge_lanes, _valid, (certified, identity) = blocks[start]
-        assert edge_lanes[:20] == _reference_lanes(range(start, start + width), 20)
-        for j in range(width):
+        first = max(0xF4000 - start, 0)
+        covered += width - first
+        window = (1 << width - first) - 1
+        assert [x >> first & window for x in edge_lanes[:20]] == _reference_lanes(
+            range(start + first, start + width), 20
+        )
+        for j in range(first, width):
             i = start + j
             assert certified >> j & 1 == cs.covers(i), i
         assert certified == identity & certified
+    assert covered == 49_152
     # every block of the whole space, where the high edges change from block
     # to block: its first and last lane and seeded ones against the cover
-    # system, and some of them against check_crs
+    # system, and some of them against check_crs, as many seeded ones over
+    # the space as in blocks of 2^14 lanes
     rng = random.Random(29)
+    scale = max(width >> 14, 1)
     seen = Counter()
     for start, (edge_lanes, valid, (certified, identity)) in blocks.items():
         assert valid == (1 << width) - 1
         assert certified == identity & certified
-        lanes = {0, width - 1, *(rng.randrange(width) for _ in range(200))}
+        lanes = {0, width - 1, *(rng.randrange(width) for _ in range(200 * scale))}
         for j in lanes:
             i = start + j
             assert _lane_mask(edge_lanes, 20, j) == i
             assert certified >> j & 1 == cs.covers(i), i
-        for j in (0, width - 1, *rng.sample(sorted(lanes), 2)):
+        for j in (0, width - 1, *rng.sample(sorted(lanes), 2 * scale)):
             i = start + j
             g = compose(base_null(2), cs.graph(i), 2, 3).materialize()
             try:

@@ -70,8 +70,6 @@ def star(leaves=3):
 def brute_force_crs(g):
     """All unordered W whose distance map is a bijection onto the full box,
     found with no pruning at all."""
-    from crslab.graph import distances
-
     d = distances(g)
     verts = g.vertices()
     out = []
