@@ -43,7 +43,6 @@ from .graph import (
     is_path,
     is_spanning_subgraph,
     null_graph,
-    path_graph,
     plain_graph,
     universal_vertices,
 )
@@ -63,16 +62,13 @@ from .resolving import (
 from .families import (
     CompositeGraph,
     MembershipReport,
-    Slice,
     base_complete,
     base_null,
     canonical_relabel,
-    cartesian_power,
     compose,
     example_graph,
     gamma,
     lattice_complete,
-    lattice_slice,
     lattice_vertices,
     member_b,
     member_c,
@@ -82,13 +78,11 @@ from .families import (
 )
 from .extremal import (
     BoundsReport,
-    CoverIndexSets,
     CriticalEdgeSets,
     MinimalityReport,
     bounds_b,
     bounds_c,
     composite_size_bounds,
-    cover_index_sets,
     critical_edges,
     enumerate_minimal,
     enumerate_q,

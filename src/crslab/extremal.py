@@ -7,15 +7,15 @@ edge addition, single deletions decide minimality against the whole
 spanning-subgraph order.  The minimality checks read the sole hits of the
 cover system, found in the pass that checks membership; that pass is
 cached and shared, so a report on a lattice whose membership was just
-decided does not run it again.  The cover-index sets are a view of the
-same pass.  Also here: edge-count bounds for minimal
-graphs with their tightness characterizations, the per-vertex edge-choice
-sets whose products realize every maximum-size minimal lattice, and the
-exhaustive minimal enumerations at k = 2.
+decided does not run it again.  Also here: edge-count bounds for minimal
+graphs with their tightness characterizations, read off the same pass,
+the per-vertex edge-choice sets whose products realize every maximum-size
+minimal lattice, and the exhaustive minimal enumerations at k = 2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -36,62 +36,11 @@ from .families import (
     _lattice_labels,
     _require_base,
     cover_system,
-    lattice_vertices,
     span_lattice,
 )
 
 #: Largest choice-product materialized by enumerate_q.
 DEFAULT_Q_CAP = 100_000
-
-
-# -- the cover-index calculus (radius-2 family) -----------------------------
-
-
-@dataclass(frozen=True)
-class CoverIndexSets:
-    """For a fixed base and lattice: which coordinates constrain each
-    vector (J), which are actually served (I), per edge (I_x(e)), and which
-    an edge serves uniquely (the tilde sets)."""
-
-    k: int
-    j_sets: dict[LatticeVector, frozenset[int]]
-    i_sets: dict[LatticeVector, frozenset[int]]
-    i_edge: dict[tuple[LatticeVector, Edge], frozenset[int]]
-    i_tilde: dict[tuple[LatticeVector, Edge], frozenset[int]]
-
-    def j(self, x: LatticeVector) -> frozenset[int]:
-        return self.j_sets.get(x, frozenset())
-
-    def i(self, x: LatticeVector) -> frozenset[int]:
-        return self.i_sets.get(x, frozenset())
-
-    def i_of(self, x: LatticeVector, e: Edge) -> frozenset[int]:
-        return self.i_edge.get((x, e), frozenset())
-
-    def i_tilde_of(self, x: LatticeVector, e: Edge) -> frozenset[int]:
-        return self.i_tilde.get((x, e), frozenset())
-
-
-def cover_index_sets(base: Graph, lattice: Graph) -> CoverIndexSets:
-    """Evaluate the whole index calculus on the cover system: J(x) holds
-    the coordinates with a constraint on x, I_x(e) those whose constraint
-    on x the edge e hits, and the tilde sets those it hits alone."""
-    cs = _cover("B", base, lattice)
-    hits = cs.check(lattice)[2]
-    k = cs.k
-    j_sets: dict[LatticeVector, frozenset[int]] = {x: frozenset() for x in lattice_vertices(k, 2)}
-    i_sets = dict(j_sets)
-    i_edge: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
-    i_tilde: dict[tuple[LatticeVector, Edge], frozenset[int]] = {}
-    for i, cond, x in cs.constraints:
-        j_sets[x] |= {i}
-        hit_edges = hits.get((i, cond, x), [])
-        for e in hit_edges:
-            i_edge[x, e] = i_edge.get((x, e), frozenset()) | {i}
-            i_sets[x] |= {i}
-        if len(hit_edges) == 1:
-            i_tilde[x, hit_edges[0]] = i_tilde.get((x, hit_edges[0]), frozenset()) | {i}
-    return CoverIndexSets(k=k, j_sets=j_sets, i_sets=i_sets, i_edge=i_edge, i_tilde=i_tilde)
 
 
 # -- minimality reports ------------------------------------------------------
@@ -256,7 +205,15 @@ class BoundsReport:
 def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     """Decide which bound a minimal lattice attains, by the structural
     characterizations read off one cover-system pass.  The tightness suite
-    and the tests compare them against the raw edge counts."""
+    and the tests compare them against the raw edge counts.
+
+    I_x(e) is the set of coordinates i whose constraint on x (x is 2 on
+    all of N[i]) the edge e hits.  The upper bound is attained exactly
+    when no (x, e) has (a) |I_x(e)| >= 2 and no edge e = uv has (b) both
+    I_u(e) and I_v(e) nonempty; the report names the first violation.  The
+    lower bound is attained exactly when some coordinate of least base
+    degree has as many constraints as the lattice has edges, each hit
+    once."""
     cs = _cover("B", base, lattice)
     membership, _outside, hits, sole = cs.check(lattice)
     edges = lattice.edges()
@@ -277,10 +234,10 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
             break
     lower_tight = lower_witness is not None
 
-    # I_x(e), the coordinates whose constraint on x the edge e hits; (a)
-    # is the first (x, e) with two, by vector and then edge
-    served = cover_index_sets(base, lattice).i_edge
-    multi = [((x, e[0].vector, e[1].vector), x, e) for (x, e), s in served.items() if len(s) > 1]
+    # |I_x(e)| for each served (x, e); (a) is the first (x, e) with two,
+    # by vector and then edge
+    served = Counter((x, e) for (_i, _cond, x), hit_edges in hits.items() for e in hit_edges)
+    multi = [((x, e[0].vector, e[1].vector), x, e) for (x, e), n in served.items() if n > 1]
     violation: tuple | None = ("a", *min(multi)[1:]) if multi else None
     if violation is None:
         for e in edges:

@@ -31,13 +31,11 @@ from .graph import (
     Graph,
     LatticeVector,
     LatticeVertex,
-    PlainVertex,
     Vertex,
     _iter_bits,
     _rows,
     complete_graph,
     null_graph,
-    path_graph,
 )
 from .resolving import CrsCertificate
 
@@ -45,53 +43,23 @@ from .resolving import CrsCertificate
 DEFAULT_SIZE_CAP = 3 ** 10
 
 
-def _check_power(what: str, m: int, k: int) -> None:
+def _check_power(m: int, k: int) -> None:
     """Raise SizeOverflow when m^k or k exceeds DEFAULT_SIZE_CAP.  For
     m >= 2 an exponent of the cap's bit length or more already does, so a
     huge k is rejected at once and the power is neither computed nor
     printed; for m = 1 the bound on k keeps the one k-tuple small."""
     if m > 1 and k >= DEFAULT_SIZE_CAP.bit_length() or m ** k > DEFAULT_SIZE_CAP:
-        raise SizeOverflow(f"{what} = {m}^{k} exceeds the cap {DEFAULT_SIZE_CAP}")
+        raise SizeOverflow(f"m^k = {m}^{k} exceeds the cap {DEFAULT_SIZE_CAP}")
     if k > DEFAULT_SIZE_CAP:
-        raise SizeOverflow(f"{what} needs k <= {DEFAULT_SIZE_CAP}, got k={k}")
+        raise SizeOverflow(f"m^k needs k <= {DEFAULT_SIZE_CAP}, got k={k}")
 
 
 def lattice_vertices(k: int, m: int) -> list[LatticeVector]:
     """All m^k vectors of [m]^k in lexicographic order; SizeOverflow past DEFAULT_SIZE_CAP."""
     if k < 1 or m < 1:
         raise IndexOutOfRange(f"need k >= 1 and m >= 1, got k={k}, m={m}")
-    _check_power("m^k", m, k)
+    _check_power(m, k)
     return [tuple(v) for v in product(range(1, m + 1), repeat=k)]
-
-
-@dataclass(frozen=True)
-class Slice:
-    """The vectors of [m]^k whose components at the given positions all lie
-    in the given value set."""
-
-    k: int
-    m: int
-    positions: frozenset[int]
-    values: frozenset[int]
-
-    def __contains__(self, vec: LatticeVector) -> bool:
-        return all(vec[i - 1] in self.values for i in self.positions)
-
-    def size(self) -> int:
-        return len(self.values) ** len(self.positions) * self.m ** (self.k - len(self.positions))
-
-    def vectors(self) -> list[LatticeVector]:
-        return [v for v in lattice_vertices(self.k, self.m) if v in self]
-
-
-def lattice_slice(k: int, m: int, positions, values) -> Slice:
-    positions = frozenset(positions)
-    values = frozenset(values)
-    if any(i < 1 or i > k for i in positions):
-        raise IndexOutOfRange(f"slice positions must lie in [k]={k}")
-    if any(j < 1 or j > m for j in values):
-        raise IndexOutOfRange(f"slice values must lie in [m]={m}")
-    return Slice(k, m, positions, values)
 
 
 def _check_index(k: int, i: int) -> None:
@@ -179,8 +147,9 @@ def scaffold(k: int, i: int, kind: str) -> Graph:
     if kind not in ("B", "C", "D"):
         raise ValueError(f"scaffold kind must be B, C or D, got {kind!r}")
     m, lo = (2, 1) if kind == "B" else (3, 1 if kind == "C" else 2)
-    part1 = lattice_slice(k, m, {i}, {lo}).vectors()
-    part2 = lattice_slice(k, m, {i}, {lo + 1}).vectors()
+    vectors = lattice_vertices(k, m)
+    part1 = [x for x in vectors if x[i - 1] == lo]
+    part2 = [y for y in vectors if y[i - 1] == lo + 1]
     # coordinate i changes by exactly one, so the gap rule covers the others
     return span_lattice(k, m, [(x, y) for x in part1 for y in part2 if _gaps_ok(x, y)])
 
@@ -191,7 +160,7 @@ def s_set(k: int, i: int) -> set[LatticeVector]:
     the reference the tests check the radius-3 choice points against."""
     _check_index(k, i)
     _check_k(k)
-    _check_power("m^k", 3, k)
+    _check_power(3, k)
     return {x for x in product((2, 3), repeat=k) if x[i - 1] == 3}
 
 
@@ -577,7 +546,7 @@ def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
 def _cover_system(m: int, k: int, base: Graph | None) -> CoverSystem:
     # the one gate for k and size, passed before any graph is built
     _check_k(k)
-    _check_power("m^k", m, k)
+    _check_power(m, k)
     if base is None:
         # cached under both keys, so the default costs a lookup, not a base
         return _cover_system(m, k, base_null(k))
@@ -613,8 +582,12 @@ def gamma(k: int) -> Graph:
 def example_graph(name: str, k: int) -> Graph | CompositeGraph:
     """The named lattice examples and the two family maxima.
 
-    U, V, R, P2box live on [2]^k; T and Qcanon on [3]^k.  MaxB and MaxC are
-    the composite maxima of the two families.
+    U, V, R, P2box live on [2]^k; T and Qcanon on [3]^k.  Each is built by
+    its rule on the vectors: P2box raises one 1 to 2 (the hypercube);
+    Qcanon takes the grid moves 1 -> 2, and 2 -> 3 only from a vector with
+    no 1; T steps each 1-free vector down by one in every coordinate and
+    swaps 1 and 2 in each vector holding both.  MaxB and MaxC are the
+    composite maxima of the two families.
     """
     _check_k(k)
     ones = tuple([1] * k)
@@ -636,32 +609,23 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
                 edges.append((v, w))
         return span_lattice(k, 2, edges)
     if name == "P2box":
-        return cartesian_power(path_on(2), k)
-    if name == "T":
-        x_slice = lattice_slice(k, 3, range(1, k + 1), {2, 3})
-        e_x = [(v, tuple(c - 1 for c in v)) for v in x_slice.vectors()]
-        in_y = lattice_slice(k, 3, range(1, k + 1), {1, 3})
-        z = [v for v in lattice_vertices(k, 3) if v not in x_slice and v not in in_y]
-        e_z = []
-        for v in z:
-            w = tuple({1: 2, 2: 1, 3: 3}[c] for c in v)
-            if v < w:
-                e_z.append((v, w))
-        return span_lattice(k, 3, e_x + e_z)
+        edges = [(v, v[:t] + (2,) + v[t + 1:]) for v in lattice_vertices(k, 2) for t in range(k) if v[t] == 1]
+        return span_lattice(k, 2, edges)
     if name == "Qcanon":
-        cube = cartesian_power(path_on(3), k)
-        keep = []
-        for e in cube.edges():
-            x, y = e[0].vector, e[1].vector  # type: ignore[union-attr]
-            moved = [t for t in range(k) if x[t] != y[t]]
-            drop = (
-                len(moved) == 1
-                and {x[moved[0]], y[moved[0]]} == {2, 3}
-                and any(x[t] == y[t] == 1 for t in range(k))
-            )
-            if not drop:
-                keep.append((x, y))
-        return span_lattice(k, 3, keep)
+        edges = []
+        for v in lattice_vertices(k, 3):
+            up = [t for t, c in enumerate(v) if c == 1 or c == 2 and 1 not in v]
+            edges += [(v, v[:t] + (v[t] + 1,) + v[t + 1:]) for t in up]
+        return span_lattice(k, 3, edges)
+    if name == "T":
+        swap = {1: 2, 2: 1, 3: 3}
+        edges = []
+        for v in lattice_vertices(k, 3):
+            if 1 not in v:
+                edges.append((v, tuple(c - 1 for c in v)))
+            elif 2 in v:  # each swap pair comes twice and sets its bits once
+                edges.append((v, tuple(swap[c] for c in v)))
+        return span_lattice(k, 3, edges)
     if name == "Gamma":
         return gamma(k)
     # the lattice first: its cap check must run before a k-vertex base is built
@@ -672,38 +636,6 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
         lattice = gamma(k)
         return compose(base_null(k), lattice, k, 3)
     raise UnknownName(f"unknown example graph {name!r}")
-
-
-def path_on(n: int) -> Graph:
-    """The path with plain vertices 1..n (coordinate alphabet for products)."""
-    return path_graph(PlainVertex(i) for i in range(1, n + 1))
-
-
-def cartesian_power(g: Graph, s: int) -> Graph:
-    """Cartesian product of s copies of a plain-labeled graph; vertices
-    become lattice vectors of coordinate ids.  SizeOverflow past
-    DEFAULT_SIZE_CAP vertices."""
-    if s < 1:
-        raise IndexOutOfRange(f"need s >= 1, got {s}")
-    ids = []
-    for v in g.vertices():
-        if not isinstance(v, PlainVertex) or v.id < 1:
-            raise WrongVertexSet("cartesian power needs PlainVertex ids >= 1 as coordinates")
-        ids.append(v.id)
-    _check_power("|V|^s", g.order, s)
-    ids.sort()
-    vecs = [tuple(v) for v in product(ids, repeat=s)]
-    edges = []
-    adj = {(a.id, b.id) for a, b in g.edges()}  # type: ignore[union-attr]
-    adj |= {(b, a) for a, b in adj}
-    for x in vecs:
-        for pos in range(s):
-            for other in ids:
-                if (x[pos], other) in adj and other > x[pos]:
-                    y = x[:pos] + (other,) + x[pos + 1:]
-                    edges.append((x, y))
-    verts = [LatticeVertex(v) for v in vecs]
-    return Graph(verts, [(LatticeVertex(x), LatticeVertex(y)) for x, y in edges])
 
 
 # -- relabeling a certified graph onto the canonical vertex sets ------------

@@ -219,12 +219,6 @@ def null_graph(vertices: Iterable[Vertex]) -> Graph:
     return Graph(vertices, [])
 
 
-def path_graph(vertices: Iterable[Vertex]) -> Graph:
-    """Path through the given vertices in the given order."""
-    verts = list(vertices)
-    return Graph(verts, list(zip(verts, verts[1:])))
-
-
 @lru_cache(maxsize=64)
 def _plain_labels(n: int) -> tuple[tuple[PlainVertex, ...], dict[Vertex, int]]:
     """PlainVertex(0..n-1) in canonical order, and each one's position."""

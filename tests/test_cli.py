@@ -457,7 +457,9 @@ class TestHostileInput:
             (["verify", "--membership", "C", "--graph", "{composite}"], "m^k = 3^300000"),
             (["construct", "--family", "MaxB", "--k", "1500"], "m^k = 2^1500"),
             (["construct", "--family", "MaxC", "--k", "10000"], "m^k = 3^10000"),
-            (["construct", "--family", "Qcanon", "--k", "10000"], "|V|^s = 3^10000"),
+            (["construct", "--family", "Qcanon", "--k", "10000"], "m^k = 3^10000"),
+            (["construct", "--family", "P2box", "--k", "1500"], "m^k = 2^1500"),
+            (["construct", "--family", "T", "--k", "10000"], "m^k = 3^10000"),
         ],
     )
     def test_oversized_k_exits_3_at_once(self, tmp_path, capsys, argv, size):

@@ -43,7 +43,6 @@ from crslab.extremal import (
     bounds_b,
     bounds_c,
     composite_size_bounds,
-    cover_index_sets,
     critical_edges,
     enumerate_minimal,
     enumerate_q,
@@ -189,36 +188,6 @@ def widened_size_violations():
             f"q{k} choice sets: {points} points (want {points}), {overlaps} overlapping pairs, 0 empty sets"
         )
     return lines
-
-
-class TestCoverIndexSets:
-    def test_null_base_j_sets(self):
-        cis = cover_index_sets(base_null(3), example_graph("P2box", 3))
-        for x in lattice_vertices(3, 2):
-            assert cis.j(x) == frozenset(i for i in (1, 2, 3) if x[i - 1] == 2)
-
-    def test_complete_base_j_sets(self):
-        cis = cover_index_sets(base_complete(2), example_graph("U", 2))
-        assert cis.j((2, 2)) == frozenset({1, 2})
-        for x in [(1, 1), (1, 2), (2, 1)]:
-            assert cis.j(x) == frozenset()
-
-    def test_hypercube_edge_serves_only_its_top(self):
-        cis = cover_index_sets(base_null(2), example_graph("P2box", 2))
-        e = (LatticeVertex((1, 1)), LatticeVertex((2, 1)))
-        assert cis.i_of((1, 1), e) == frozenset()
-        assert cis.i_of((2, 1), e) == frozenset({1})
-        assert cis.i_tilde_of((2, 1), e) == frozenset({1})
-
-    def test_i_subsets_of_j(self):
-        for base in (base_null(2), base_complete(2)):
-            for lattice in all_lattices_k2():
-                cis = cover_index_sets(base, lattice)
-                for x in lattice_vertices(2, 2):
-                    assert cis.i(x) <= cis.j(x)
-                for (x, e), got in cis.i_edge.items():
-                    assert got <= cis.i(x)
-                    assert cis.i_tilde_of(x, e) <= got
 
 
 class TestMinimalityB:
@@ -483,12 +452,19 @@ class TestTightness:
         monkeypatch.setattr(sweeps, "tightness_b", wrong_lower)
         assert sweeps.check_tightness()
         monkeypatch.undo()
-        # no edge serves anything: every minimal lattice reads upper-tight
-        def no_i_edge(base, lattice):
-            return dataclasses.replace(cover_index_sets(base, lattice), i_edge={})
+        # the pass hands back no hits, so no (x, e) is served and every
+        # minimal lattice reads upper-tight; over the null base on [2], whose
+        # bounds are 2 and 4, a lattice of 3 edges reads its lower side
+        # right, so its mismatch is the upper side's
+        check = families.CoverSystem.check
 
-        monkeypatch.setattr(extremal, "cover_index_sets", no_i_edge)
-        assert sweeps.check_tightness()
+        def no_hits(cs, lattice):
+            report, outside, _hits, sole = check(cs, lattice)
+            return report, outside, {}, sole
+
+        monkeypatch.setattr(families.CoverSystem, "check", no_hits)
+        assert bounds_b(base_null(2)) == (2, 4)
+        assert "tightness mismatch at size 3" in sweeps.check_tightness()
 
     def test_agrees_with_raw_counts_at_k3(self):
         rng = random.Random(7)
@@ -890,7 +866,7 @@ from crslab.families import (
     base_null, cover_system, example_graph, gamma, member_b, member_c, s_set, scaffold, span_lattice,
 )
 from crslab.extremal import (
-    cover_index_sets, critical_edges, enumerate_minimal, epsilon, is_h1_minimal, is_k_minimal,
+    critical_edges, enumerate_minimal, epsilon, is_h1_minimal, is_k_minimal,
     q_choice_points, q_count, tightness_b,
 )
 """
@@ -915,7 +891,6 @@ GATE_REFUSALS = [
     ('member_b(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('is_h1_minimal(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('tightness_b(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
-    ('cover_index_sets(None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('critical_edges("B", None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('cover_system("C", 10**6)', SizeOverflow, "m^k = 3^1000000 exceeds the cap 59049"),
     ('cover_system("B", 16)', SizeOverflow, "m^k = 2^16 exceeds the cap 59049"),

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -23,7 +23,6 @@ from crslab.graph import (
     LatticeVertex,
     PlainVertex,
     _iter_bits,
-    degree,
     diameter,
     distances,
     is_spanning_subgraph,
@@ -36,17 +35,14 @@ from crslab.families import (
     base_complete,
     base_null,
     canonical_relabel,
-    cartesian_power,
     compose,
     cover_system,
     example_graph,
     gamma,
     lattice_complete,
-    lattice_slice,
     lattice_vertices,
     member_b,
     member_c,
-    path_on,
     s_set,
     scaffold,
     span_lattice,
@@ -127,26 +123,6 @@ class TestSpanLattice:
         with pytest.raises(error) as exc:
             span_lattice(2, 2, feed([((1, 1), (2, 2)), bad]))
         assert str(exc.value) == message
-
-
-class TestSlice:
-    def test_membership_and_size(self):
-        sl = lattice_slice(3, 3, {1}, {2})
-        assert (2, 1, 3) in sl
-        assert (1, 1, 3) not in sl
-        assert sl.size() == 9
-        assert len(sl.vectors()) == 9
-
-    def test_all_positions(self):
-        x = lattice_slice(2, 3, {1, 2}, {2, 3})
-        assert x.size() == 4
-        assert x.vectors() == [(2, 2), (2, 3), (3, 2), (3, 3)]
-
-    def test_positions_and_values_must_lie_in_range(self):
-        with pytest.raises(IndexOutOfRange, match=r"^slice positions must lie in \[k\]=2$"):
-            lattice_slice(2, 3, {3}, {1})
-        with pytest.raises(IndexOutOfRange, match=r"^slice values must lie in \[m\]=3$"):
-            lattice_slice(2, 3, {1}, {4})
 
 
 class TestScaffold:
@@ -580,7 +556,35 @@ class TestGamma:
             assert len(direct) == (7 ** k - 3 ** k) // 2
 
 
+def named_lattice_edges(name, k):
+    """The vector pairs of a named lattice, each stated by its own rule on
+    [m]^k and not read off crslab."""
+    vectors = list(product(range(1, (2 if name == "P2box" else 3) + 1), repeat=k))
+    swapped = {x: tuple({1: 2, 2: 1, 3: 3}[c] for c in x) for x in vectors if 1 in x and 2 in x}
+
+    def joined(x, y):
+        # T: each 1-free vector down by one everywhere, and each vector
+        # holding a 1 and a 2 to its 1 <-> 2 swap
+        if name == "T":
+            return swapped.get(x) == y or all(b - a == 1 for a, b in zip(x, y))
+        moved = [(a, b) for a, b in zip(x, y) if a != b]
+        if name == "P2box":  # the hypercube
+            return len(moved) == 1
+        # Qcanon: the grid, less the 2-3 moves of a vector with a 1
+        return len(moved) == 1 and abs(moved[0][0] - moved[0][1]) == 1 and (1 in moved[0] or 1 not in x)
+
+    return {(x, y) for x, y in combinations(vectors, 2) if joined(x, y)}
+
+
 class TestExampleGraphs:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["P2box", "Qcanon", "T"])
+    def test_named_lattices_follow_their_rules(self, name, k):
+        g = example_graph(name, k)
+        m = 2 if name == "P2box" else 3
+        assert g.vertices() == tuple(LatticeVertex(x) for x in product(range(1, m + 1), repeat=k))
+        assert edge_vectors(g) == named_lattice_edges(name, k)
+
     def test_u(self):
         assert edge_vectors(example_graph("U", 3)) == {vpair((1, 1, 1), (2, 2, 2))}
 
@@ -608,9 +612,12 @@ class TestExampleGraphs:
 
     def test_qcanon_is_cube_minus_deletions(self):
         q2 = example_graph("Qcanon", 2)
-        p3sq = cartesian_power(path_on(3), 2)
-        assert q2.size == 10 and p3sq.size == 12
-        assert edge_vectors(p3sq) - edge_vectors(q2) == {
+        grid = {
+            (x, y) for x, y in combinations(product((1, 2, 3), repeat=2), 2)
+            if sum(abs(a - b) for a, b in zip(x, y)) == 1
+        }
+        assert q2.size == 10 and len(grid) == 12
+        assert grid - edge_vectors(q2) == {
             vpair((2, 1), (3, 1)), vpair((1, 2), (1, 3))
         }
 
@@ -625,26 +632,6 @@ class TestExampleGraphs:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             example_graph("Z", 2)
-
-
-class TestCartesianPower:
-    def test_square_is_a_4_cycle(self):
-        sq = cartesian_power(path_on(2), 2)
-        assert sq.order == 4 and sq.size == 4
-        assert all(degree(sq, v) == 2 for v in sq.vertices())
-
-    def test_counts(self):
-        assert cartesian_power(path_on(2), 4).size == 4 * 2 ** 3
-        p3sq = cartesian_power(path_on(3), 2)
-        assert p3sq.order == 9 and p3sq.size == 12
-
-    def test_needs_positive_plain_ids(self):
-        with pytest.raises(WrongVertexSet):
-            cartesian_power(Graph([PlainVertex(0), PlainVertex(1)], [(PlainVertex(0), PlainVertex(1))]), 2)
-
-    def test_needs_s_at_least_one(self):
-        with pytest.raises(IndexOutOfRange, match="^need s >= 1, got 0$"):
-            cartesian_power(path_on(2), 0)
 
 
 def random_pairs(rng, items, p=0.3):

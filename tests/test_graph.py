@@ -19,7 +19,6 @@ from crslab.graph import (
     distances,
     is_path,
     is_spanning_subgraph,
-    path_graph,
     plain_graph,
     universal_vertices,
     vertex_key,
@@ -36,6 +35,10 @@ from crslab.families import (
 
 def p(i):
     return PlainVertex(i)
+
+
+def path(n):
+    return plain_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestConstruction:
@@ -103,7 +106,7 @@ class TestConstruction:
 
 class TestDistances:
     def test_path_metric(self):
-        g = path_graph([p(0), p(1), p(2), p(3)])
+        g = path(4)
         d = distances(g)
         assert d[(p(0), p(3))] == 3
         assert d[(p(1), p(3))] == 2
@@ -143,7 +146,7 @@ class TestDistances:
 
 class TestDiameter:
     def test_path(self):
-        assert diameter(path_graph([p(i) for i in range(4)])) == 3
+        assert diameter(path(4)) == 3
 
     def test_disconnected_raises(self):
         g = Graph([p(0), p(1), p(2), p(3)], [(p(0), p(1)), (p(2), p(3))])
@@ -207,8 +210,8 @@ class TestDegree:
 
 class TestStructure:
     def test_is_path(self):
-        assert is_path(path_graph([p(i) for i in range(2)]))
-        assert is_path(path_graph([p(i) for i in range(6)]))
+        assert is_path(path(2))
+        assert is_path(path(6))
         assert not is_path(plain_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         # two disjoint edges have the right degree sequence but are not connected
         assert not is_path(plain_graph(4, [(0, 1), (2, 3)]))

@@ -17,7 +17,6 @@ from crslab.graph import (
     PlainVertex,
     bfs_levels,
     distances,
-    path_graph,
     plain_graph,
     universal_vertices,
     vertex_key,
@@ -56,8 +55,12 @@ def p(i):
     return PlainVertex(i)
 
 
+def path(n):
+    return plain_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def path4():
-    return path_graph([p(0), p(1), p(2), p(3)])
+    return path(4)
 
 
 def star(leaves=3):
@@ -336,7 +339,7 @@ class TestFindAllCrs:
 
 class TestClassification:
     def test_paths(self):
-        v = is_completeness_resolvable(path_graph([p(i) for i in range(5)]))
+        v = is_completeness_resolvable(path(5))
         assert v.kind == PATH
         assert v.witness is not None and v.witness.m_of_w == 4
 
@@ -419,7 +422,7 @@ class TestMetricDimension:
 class TestPerfectness:
     def test_paths_are_perfect(self):
         for n in (2, 3, 5, 7):
-            assert is_perfectness_resolvable(path_graph([p(i) for i in range(n)]))
+            assert is_perfectness_resolvable(path(n))
 
     def test_complete_yes_star_no(self):
         k4 = plain_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
@@ -448,7 +451,7 @@ class TestPerfectness:
     def test_matches_definition(self):
         named = []
         for n in range(2, 8):
-            named.append(path_graph([p(i) for i in range(n)]))
+            named.append(path(n))
             named.append(plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]))
             if n >= 3:
                 named.append(star(n - 1))
@@ -527,7 +530,7 @@ class TestRadiusLemmaPremise:
         assert far == []
 
     def test_a_forged_certificate_with_w_3_apart_fails_the_check(self):
-        g = path_graph(p(i) for i in range(4))
+        g = path(4)
         w = (p(0), p(3))
         forged = CrsCertificate(w_order=w, m_of_w=2, table={p(1): (1, 2), p(2): (2, 1)})
         assert far_w_pairs(g, [(w, forged)]) == [(w, p(0), p(3))]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from crslab import formats
 from crslab.families import base_complete, base_null, compose, example_graph
-from crslab.graph import PlainVertex, is_connected, path_graph, plain_graph, universal_vertices
+from crslab.graph import is_connected, plain_graph, universal_vertices
 from crslab.resolving import (
     find_all_crs,
     is_completeness_resolvable,
@@ -56,7 +56,7 @@ def _sampled_graphs():
     for n in range(6, 10):
         labels = list(range(n))
         rng.shuffle(labels)
-        yield f"path/{n}", path_graph([PlainVertex(i) for i in labels])
+        yield f"path/{n}", plain_graph(n, list(zip(labels, labels[1:])))
         if n <= UNIVERSAL_MAX_ORDER:
             hub = rng.randrange(n)
             rim = [v for v in range(n) if v != hub]
