@@ -478,12 +478,22 @@ def test_certify_masks_refuses_a_mask_wider_than_the_frame(transpose_frames):
 
 def test_certify_masks_keeps_the_fixed_edges_in_every_lane(transpose_frames):
     # the full Gamma_2 mask is a member on its own labels, so every copy
-    # certifies with the identity, also past the equivalence scans' block
-    # of 2^_LANE_BITS lanes: a frame whose fixed edges are on in the lanes
-    # of _LANES, or of any narrower block, only loses them there
+    # certifies with the identity, also past lane 2^14: a frame whose fixed
+    # edges are on in 2^14 lanes only loses them there
     cs, frame = transpose_frames[20]
     full_mask = (1 << 20) - 1
     assert cs.covers(full_mask)
+    batch = (1 << 14) + 2
+    every = (1 << batch) - 1
+    assert sweeps._certify_masks(frame, [full_mask] * batch) == (every, every)
+
+
+def test_certify_masks_keeps_the_fixed_edges_past_the_block_width(transpose_frames):
+    # the same, past the equivalence scans' block of 2^_LANE_BITS lanes: a
+    # frame whose fixed edges are on in the lanes of _LANES only loses them
+    # there
+    cs, frame = transpose_frames[20]
+    full_mask = (1 << 20) - 1
     batch = (1 << sweeps._LANE_BITS) + 2
     every = (1 << batch) - 1
     assert sweeps._certify_masks(frame, [full_mask] * batch) == (every, every)
