@@ -118,8 +118,12 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
 
 
 class _Distances(dict):
-    """A connected graph's all-pairs hop-count ``rows`` and, keyed by
-    position, each vertex's tie mask, built from its row on first lookup.
+    """A connected graph's all-pairs hop-count ``rows``, each vertex's
+    eccentricity ``ecc`` and degree ``deg`` read off them once, and, keyed
+    by position, each vertex's tie mask, built from its row on first lookup.
+    The record also memoizes the graph's classification ``verdict`` and its
+    ``dimension``, each computed on first request (``_verdict``,
+    ``_dimension``), so the entry points share one search of each.
 
     Bit u*n + v of the tie mask of w is set iff d(w, u) = d(w, v).  A vertex
     set W resolves iff the AND of its masks is ``diagonal``, the bits
@@ -134,6 +138,9 @@ class _Distances(dict):
     def __init__(self, rows: list[list[int]]):
         super().__init__()
         self.rows = rows
+        self.ecc = [max(row) for row in rows]
+        self.deg = [row.count(1) for row in rows]
+        self.verdict = self.dimension = None
         n = len(rows)
         # bits 0, n+1, 2(n+1), ...: the sum of the first n powers of 2^(n+1)
         self.diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
@@ -141,7 +148,7 @@ class _Distances(dict):
     def __missing__(self, w: int) -> int:
         row = self.rows[w]
         n = len(row)
-        levels = [0] * (max(row) + 1)
+        levels = [0] * (self.ecc[w] + 1)
         for v, d in enumerate(row):
             levels[d] |= 1 << v
         tie = 0
@@ -278,9 +285,8 @@ def _pruned_certificates(verts, dist, sizes):
     ``_bijection`` unless its tie masks AND to the diagonal; ``_bijection``
     still builds and checks every certificate returned.  (One outside vertex
     is always told apart, and a singleton W is cheaper to test by its row.)"""
-    rows_all = dist.rows
+    rows_all, deg = dist.rows, dist.deg
     n = len(verts)
-    deg = [row.count(1) for row in rows_all]
     for k in sizes:
         m_implied = _implied_radius(n - k, k)
         if m_implied is None:
@@ -330,12 +336,23 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     search runs at |W| = 2..n-2, where radius 1 cannot occur.  No
     isomorphism search is involved: a certificate with radius 2 or 3
     already places the graph in the corresponding family via relabeling.
+    The verdict is computed once per graph and shared by every caller, so
+    no caller may mutate its certificate's ``table``.
     """
-    dist = _table(g, cap, "classification needs a connected graph")
-    rows_all = dist.rows
-    verts = g.vertices()
+    return _verdict(g, _table(g, cap, "classification needs a connected graph"))
+
+
+def _verdict(g: Graph, dist: _Distances) -> ClassificationVerdict:
+    """The classification of g, memoized on its distances ``dist``."""
+    if dist.verdict is None:
+        dist.verdict = _classify(g.vertices(), dist)
+    return dist.verdict
+
+
+def _classify(verts, dist: _Distances) -> ClassificationVerdict:
+    """The search behind ``is_completeness_resolvable``."""
+    rows_all, ecc = dist.rows, dist.ecc
     n = len(verts)
-    ecc = [max(row) for row in rows_all]
     if n - 1 in ecc:
         return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(verts, dist, (1,))))
     if 1 in ecc:
@@ -371,11 +388,10 @@ def _first_basis(dist: _Distances, c: int) -> tuple[int, ...] | None:
     return extend(0, (), -1)
 
 
-@lru_cache(maxsize=8)
-def _dimension(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _dimension(dist: _Distances) -> tuple[int, tuple[int, ...]]:
     """Minimum resolving-set size with the lexicographically first
     resolving positions at that size, searched once per connected graph
-    whose distances ``_table`` has checked.
+    whose distances ``_table`` has checked and memoized on its record.
 
     Each size is searched by ``_first_basis``, on the tie masks.  A
     resolving c-set gives the n - c outside vertices distinct vectors in
@@ -384,23 +400,18 @@ def _dimension(g: Graph) -> tuple[int, tuple[int, ...]]:
     n - c > diam^c is skipped unscanned.  Any n - 1 vertices resolve, so
     size n - 1 is not scanned either: its first basis is 0 .. n-2, and the
     masks of a complete graph, whose dimension it is, are never built."""
-    dist = _distances(g)
-    n = len(dist.rows)
-    diam = max(max(row) for row in dist.rows)
-    for c in range(1, n - 1):
-        if n - c > diam ** c:
-            continue
-        basis = _first_basis(dist, c)
-        if basis is not None:
-            return c, basis
-    return n - 1, tuple(range(n - 1))
+    if dist.dimension is None:
+        n, diam = len(dist.rows), max(dist.ecc)
+        found = (_first_basis(dist, c) for c in range(1, n - 1) if n - c <= diam ** c)
+        basis = next(filter(None, found), tuple(range(n - 1)))
+        dist.dimension = len(basis), basis
+    return dist.dimension
 
 
 def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple[Vertex, ...]]:
     """Minimum resolving-set size with the lexicographically first witness
     at that size."""
-    _table(g, cap, "metric dimension needs a connected graph")
-    dim, combo = _dimension(g)
+    dim, combo = _dimension(_table(g, cap, "metric dimension needs a connected graph"))
     verts = g.vertices()
     return dim, tuple(verts[i] for i in combo)
 
@@ -408,10 +419,19 @@ def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple
 def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
     """True iff some minimum-size resolving set is completeness-resolving.
 
-    The pruned certificate search runs at |W| = dim only.  Every
-    completeness-resolving set resolves, so no separate resolving test is
-    needed.
+    Read off the classification and the dimension.  A completeness-resolving
+    set's map is a bijection, so the set resolves: each has at least dim(G)
+    vertices, and the graph is perfect iff the smallest has exactly dim(G).
+    A size-1 set is a path endpoint, and a size n-1 set leaves one outside
+    vertex, adjacent to all of W: a universal vertex.  So the witness of a
+    path (size 1) and of a family (from the complete pruned search over
+    sizes 2..n-2, by increasing size) is a smallest set, and a graph with
+    no witness is not perfect.  A universal vertex's witness has size n-1
+    and a smaller set may exist, so unless dim(G) = n-1 the pruned search
+    runs at |W| = dim(G).
     """
     dist = _table(g, cap, "metric dimension needs a connected graph")
-    dim, _combo = _dimension(g)
-    return next(_pruned_certificates(g.vertices(), dist, (dim,)), None) is not None
+    verdict, dim = _verdict(g, dist), _dimension(dist)[0]
+    if verdict.kind == UNIVERSAL_VERTEX and dim < g.order - 1:
+        return next(_pruned_certificates(g.vertices(), dist, (dim,)), None) is not None
+    return verdict.witness is not None and len(verdict.witness.w_order) == dim

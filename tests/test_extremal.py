@@ -5,7 +5,9 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -483,6 +485,25 @@ class TestTightness:
             assert rep.upper_tight == (lattice.size == hi)
             lower_tight += rep.lower_tight
         assert lower_tight > 0
+
+    def test_one_sole_edge_per_constraint_is_upper_tight_at_k3(self):
+        # over each of the 8 labeled bases on [3], take for every constraint
+        # its first edge that hits no other constraint: one edge per
+        # constraint, so the minimal lattice has the upper bound's size
+        uppers = []
+        for base in labeled_bases(3):
+            cs = cover_system("B", 3, base)
+            mask = 0
+            for j, cm in enumerate(cs.masks):
+                alone = cm & ~reduce(or_, cs.masks[:j] + cs.masks[j + 1:])
+                mask |= alone & -alone  # its lowest bit: the first such edge
+            lattice = cs.graph(mask)
+            assert is_h1_minimal(base, lattice).minimal
+            assert lattice.size == bounds_b(base)[1]
+            rep = tightness_b(base, lattice)
+            assert rep.upper_tight and rep.upper_violation is None, base.edges()
+            uppers.append(lattice.size)
+        assert sorted(uppers, reverse=True) == [12, 8, 8, 8, 5, 5, 5, 3]
 
 
 def gamma_2_as_binary():

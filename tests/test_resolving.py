@@ -48,7 +48,7 @@ from crslab.resolving import (
     is_resolving_set,
     metric_dimension,
 )
-from crslab.sweeps import _connected_classes, _raw_dimension, random_b_member, random_c_member
+from crslab.sweeps import _connected_classes, _raw_crs_scan, _raw_dimension, random_b_member, random_c_member
 
 
 def p(i):
@@ -467,6 +467,27 @@ class TestPerfectness:
         assert verdicts == [brute_force_perfect(g) for g in named + seeded]
         assert True in verdicts and False in verdicts
 
+    def test_matches_the_raw_oracles_on_every_class_to_order_6(self):
+        # perfect iff the smallest completeness-resolving set has dim(G)
+        # vertices; asked first of a graph with nothing cached, then again
+        # after its classification and its dimension
+        resolving._distances.cache_clear()
+        outcomes = []
+        for n, classes in _connected_classes(6):
+            if n == 1:
+                continue  # a graph needs two vertices
+            for canon in classes:
+                g = plain_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if canon[i] >> j & 1])
+                rows = connected_rows(g)
+                sizes = [k for _w, k, _m in _raw_crs_scan(rows, n)]
+                expected = min(sizes, default=None) == _raw_dimension(rows, n)
+                cold = is_perfectness_resolvable(g)
+                is_completeness_resolvable(g)
+                metric_dimension(g)
+                assert (cold, is_perfectness_resolvable(g)) == (expected, expected), g.edges()
+                outcomes.append(expected)
+        assert (len(outcomes), sum(outcomes)) == (142, 43)
+
 
 class TestRadiusFour:
     def test_w_base_never_certifies_a_4_by_4_composite(self):
@@ -567,7 +588,6 @@ class TestSharedWork:
         """Sources of every BFS the resolving entry points run, on empty
         caches."""
         resolving._distances.cache_clear()
-        resolving._dimension.cache_clear()
         calls = []
         real = resolving.bfs_levels
 
@@ -578,15 +598,21 @@ class TestSharedWork:
         monkeypatch.setattr(resolving, "bfs_levels", counted)
         yield calls
         resolving._distances.cache_clear()
-        resolving._dimension.cache_clear()
 
-    def test_entry_points_share_one_table_and_one_dimension_search(self, bfs_calls):
+    def test_entry_points_share_one_table_and_one_dimension_search(self, bfs_calls, monkeypatch):
+        # each search runs once per graph: the dimension search scans sizes
+        # upward, so a second one would repeat a size
+        sizes, classified = [], []
+        first_basis, classify = resolving._first_basis, resolving._classify
+        monkeypatch.setattr(resolving, "_first_basis", lambda dist, c: sizes.append(c) or first_basis(dist, c))
+        monkeypatch.setattr(resolving, "_classify", lambda verts, dist: classified.append(verts) or classify(verts, dist))
         g = b2_member()
-        is_completeness_resolvable(g)
-        metric_dimension(g)
-        is_perfectness_resolvable(g)
+        for _round in range(2):
+            is_completeness_resolvable(g)
+            metric_dimension(g)
+            is_perfectness_resolvable(g)
         assert sorted(bfs_calls) == list(range(g.order))
-        assert resolving._dimension.cache_info().misses == 1
+        assert (sizes, len(classified)) == ([2], 1)
 
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
         def answers(graph):
@@ -597,7 +623,6 @@ class TestSharedWork:
         assert g is not twin and g == twin
         first = answers(g)
         resolving._distances.cache_clear()
-        resolving._dimension.cache_clear()
         assert answers(twin) == first  # computed afresh
         del bfs_calls[:]
         assert answers(g) == first  # read from the twin's entries
@@ -753,7 +778,7 @@ class TestTieMasks:
     def test_dimension_matches_a_plain_scan(self, small_connected):
         sizes = set()
         for g, rows in small_connected:
-            dim, basis = resolving._dimension(g)
+            dim, basis = resolving._dimension(resolving._Distances(rows))
             assert (dim, basis) == plain_dimension(rows)
             sizes.add(dim if dim < g.order - 1 else "n-1")
         assert {1, 2, 3, "n-1"} <= sizes
