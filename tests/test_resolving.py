@@ -1,7 +1,7 @@
 import random
 import re
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,6 +21,7 @@ from crslab.graph import (
     universal_vertices,
     vertex_key,
 )
+from crslab.graph6 import read_graph6
 from crslab.families import (
     base_complete,
     base_null,
@@ -613,6 +614,34 @@ class TestSharedWork:
             is_perfectness_resolvable(g)
         assert sorted(bfs_calls) == list(range(g.order))
         assert (sizes, len(classified)) == ([2], 1)
+
+    @pytest.mark.parametrize("name, build", [
+        ("P4", path4),
+        ("EAJw", lambda: read_graph6("EAJw")),  # universal vertex, dim < n - 1
+        ("U_3", lambda: compose(base_complete(3), example_graph("U", 3), 3, 2).materialize()),
+        ("T_2", lambda: compose(base_null(2), example_graph("T", 2), 2, 3).materialize()),
+        ("Petersen", lambda: read_graph6("IheA@GUAo")),
+    ])
+    def test_answers_and_work_do_not_depend_on_the_order_of_calls(self, bfs_calls, monkeypatch, name, build):
+        # every order of the four entry points, each on cold caches: the
+        # same answers, one BFS per source, one classification (counted by
+        # the verdicts built) and no dimension size scanned twice
+        sizes, verdicts = [], []
+        first_basis, verdict_type = resolving._first_basis, resolving.ClassificationVerdict
+        monkeypatch.setattr(resolving, "_first_basis", lambda dist, c: sizes.append(c) or first_basis(dist, c))
+        monkeypatch.setattr(resolving, "ClassificationVerdict",
+                            lambda *a, **kw: verdicts.append(1) or verdict_type(*a, **kw))
+        g = build()
+        entry_points = (is_completeness_resolvable, metric_dimension, is_perfectness_resolvable, find_all_crs)
+        answers = set()
+        for order in permutations(entry_points):
+            resolving._distances.cache_clear()
+            del bfs_calls[:], sizes[:], verdicts[:]
+            got = {fn: fn(g) for fn in order}
+            answers.add(repr([got[fn] for fn in entry_points]))
+            assert sorted(bfs_calls) == list(range(g.order)), (name, order)
+            assert len(verdicts) == 1 and len(sizes) == len(set(sizes)), (name, order)
+        assert len(answers) == 1, name
 
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
         def answers(graph):
