@@ -140,12 +140,9 @@ def _vector(x: Any) -> tuple:
 
 
 def composite_to_json(c: CompositeGraph) -> dict:
-    base_edges = sorted(
-        [u.index, v.index] for u, v in c.base.edges()  # type: ignore[union-attr]
-    )
-    lattice_edges = sorted(
-        [list(u.vector), list(v.vector)] for u, v in c.lattice.edges()  # type: ignore[union-attr]
-    )
+    # Graph.edges() is already in label order: no sort needed
+    base_edges = [[u.index, v.index] for u, v in c.base.edges()]  # type: ignore[union-attr]
+    lattice_edges = [[list(u.vector), list(v.vector)] for u, v in c.lattice.edges()]  # type: ignore[union-attr]
     return {"k": c.k, "m": c.m, "base_edges": base_edges, "lattice_edges": lattice_edges}
 
 

@@ -12,7 +12,7 @@ re-check them edge by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
@@ -118,12 +118,16 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
 
 
 class _Distances(dict):
-    """A connected graph's all-pairs hop-count ``rows``, each vertex's
-    eccentricity ``ecc`` and degree ``deg`` read off them once, and, keyed
-    by position, each vertex's tie mask, built from its row on first lookup.
-    The record also memoizes the graph's classification ``verdict`` and its
-    ``dimension``, each computed on first request (``_verdict``,
-    ``_dimension``), so the entry points share one search of each.
+    """A connected graph's labels ``verts``, its all-pairs hop-count
+    ``rows`` (one BFS per vertex), each vertex's eccentricity ``ecc`` and
+    degree ``deg`` read off them once, and, keyed by position, each vertex's
+    tie mask, built from its row on first lookup.  The record also computes
+    the graph's classification ``verdict`` and its ``dimension`` on first
+    use, so the entry points share one search of each.  ``_distances``
+    builds one record per graph and shares it with every caller, so no
+    caller may mutate it.  The rows stay lists: tuples measured 0.75 MB
+    more peak memory on a stream of small graphs, held in the interpreter's
+    tuple free lists.
 
     Bit u*n + v of the tie mask of w is set iff d(w, u) = d(w, v).  A vertex
     set W resolves iff the AND of its masks is ``diagonal``, the bits
@@ -131,16 +135,17 @@ class _Distances(dict):
     vertex's own level is {w}), as in ``_injective``.  A mask holds n^2
     bits, so a mask is built only when a search first reads it: all n masks
     of a 600-vertex cycle take n^3/8 bytes, 27 MB, and its dimension search
-    reads two of them.  Masks are read only once ``_table`` has found the
-    graph connected.
+    reads two of them.  Masks, the verdict and the dimension are read only
+    once ``_table`` has found the graph connected.
     """
 
-    def __init__(self, rows: list[list[int]]):
+    def __init__(self, g: Graph):
         super().__init__()
-        self.rows = rows
+        adj = g.adjacency_masks()
+        self.verts = g.vertices()
+        self.rows = rows = [bfs_levels(adj, i) for i in range(g.order)]
         self.ecc = [max(row) for row in rows]
         self.deg = [row.count(1) for row in rows]
-        self.verdict = self.dimension = None
         n = len(rows)
         # bits 0, n+1, 2(n+1), ...: the sum of the first n powers of 2^(n+1)
         self.diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
@@ -161,16 +166,43 @@ class _Distances(dict):
         """True iff the positions ``w_idx`` resolve the graph."""
         return reduce(and_, map(self.__getitem__, w_idx)) == self.diagonal
 
+    @cached_property
+    def verdict(self) -> ClassificationVerdict:
+        """The search behind ``is_completeness_resolvable``."""
+        rows_all, ecc, verts = self.rows, self.ecc, self.verts
+        n = len(verts)
+        if n - 1 in ecc:
+            return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(self, (1,))))
+        if 1 in ecc:
+            u = ecc.index(1)
+            w_idx = [w for w in range(n) if w != u]
+            cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
+            return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
+        for cert in _pruned_certificates(self, range(2, n - 1)):
+            kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
+            return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
+        return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
 
-@lru_cache(maxsize=8)
-def _distances(g: Graph) -> _Distances:
-    """All-pairs hop-count rows, one BFS per vertex, and the tie masks read
-    off them, built once per graph and shared by every caller, so no caller
-    may mutate them.  The rows stay lists: tuples measured 0.75 MB more peak
-    memory on a stream of small graphs, held in the interpreter's tuple free
-    lists."""
-    adj = g.adjacency_masks()
-    return _Distances([bfs_levels(adj, i) for i in range(g.order)])
+    @cached_property
+    def dimension(self) -> tuple[int, tuple[int, ...]]:
+        """Minimum resolving-set size with the lexicographically first
+        resolving positions at that size.
+
+        Each size is searched by ``_first_basis``, on the tie masks.  A
+        resolving c-set gives the n - c outside vertices distinct vectors in
+        [diam]^c, so n <= c + diam^c (Chartrand, Eroh, Johnson & Oellermann,
+        Discrete Applied Mathematics 105, 2000); every size c with
+        n - c > diam^c is skipped unscanned.  Any n - 1 vertices resolve, so
+        size n - 1 is not scanned either: its first basis is 0 .. n-2, and
+        the masks of a complete graph, whose dimension it is, are never
+        built."""
+        n, diam = len(self.rows), max(self.ecc)
+        found = (_first_basis(self, c) for c in range(1, n - 1) if n - c <= diam ** c)
+        basis = next(filter(None, found), tuple(range(n - 1)))
+        return len(basis), basis
+
+
+_distances = lru_cache(maxsize=8)(_Distances)
 
 
 def _table(g: Graph, cap: int, disconnected: str) -> _Distances:
@@ -268,7 +300,7 @@ def _implied_radius(outside: int, k: int) -> int | None:
     return None
 
 
-def _pruned_certificates(verts, dist, sizes):
+def _pruned_certificates(dist, sizes):
     """Certificates of every unordered W with |W| in ``sizes``, by size,
     then in combination order, over the distances ``dist`` of a connected
     graph.
@@ -285,7 +317,7 @@ def _pruned_certificates(verts, dist, sizes):
     ``_bijection`` unless its tie masks AND to the diagonal; ``_bijection``
     still builds and checks every certificate returned.  (One outside vertex
     is always told apart, and a singleton W is cheaper to test by its row.)"""
-    rows_all, deg = dist.rows, dist.deg
+    verts, rows_all, deg = dist.verts, dist.rows, dist.deg
     n = len(verts)
     for k in sizes:
         m_implied = _implied_radius(n - k, k)
@@ -323,7 +355,7 @@ def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Ver
     resolving golden file pins its certificates.
     """
     dist = _table(g, cap, "the graph is disconnected")
-    return [(c.w_order, c) for c in _pruned_certificates(g.vertices(), dist, range(1, g.order))]
+    return [(c.w_order, c) for c in _pruned_certificates(dist, range(1, g.order))]
 
 
 def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
@@ -339,31 +371,7 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     The verdict is computed once per graph and shared by every caller, so
     no caller may mutate its certificate's ``table``.
     """
-    return _verdict(g, _table(g, cap, "classification needs a connected graph"))
-
-
-def _verdict(g: Graph, dist: _Distances) -> ClassificationVerdict:
-    """The classification of g, memoized on its distances ``dist``."""
-    if dist.verdict is None:
-        dist.verdict = _classify(g.vertices(), dist)
-    return dist.verdict
-
-
-def _classify(verts, dist: _Distances) -> ClassificationVerdict:
-    """The search behind ``is_completeness_resolvable``."""
-    rows_all, ecc = dist.rows, dist.ecc
-    n = len(verts)
-    if n - 1 in ecc:
-        return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(verts, dist, (1,))))
-    if 1 in ecc:
-        u = ecc.index(1)
-        w_idx = [w for w in range(n) if w != u]
-        cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
-        return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
-    for cert in _pruned_certificates(verts, dist, range(2, n - 1)):
-        kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
-        return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
-    return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
+    return _table(g, cap, "classification needs a connected graph").verdict
 
 
 def _first_basis(dist: _Distances, c: int) -> tuple[int, ...] | None:
@@ -388,32 +396,12 @@ def _first_basis(dist: _Distances, c: int) -> tuple[int, ...] | None:
     return extend(0, (), -1)
 
 
-def _dimension(dist: _Distances) -> tuple[int, tuple[int, ...]]:
-    """Minimum resolving-set size with the lexicographically first
-    resolving positions at that size, searched once per connected graph
-    whose distances ``_table`` has checked and memoized on its record.
-
-    Each size is searched by ``_first_basis``, on the tie masks.  A
-    resolving c-set gives the n - c outside vertices distinct vectors in
-    [diam]^c, so n <= c + diam^c (Chartrand, Eroh, Johnson & Oellermann,
-    Discrete Applied Mathematics 105, 2000); every size c with
-    n - c > diam^c is skipped unscanned.  Any n - 1 vertices resolve, so
-    size n - 1 is not scanned either: its first basis is 0 .. n-2, and the
-    masks of a complete graph, whose dimension it is, are never built."""
-    if dist.dimension is None:
-        n, diam = len(dist.rows), max(dist.ecc)
-        found = (_first_basis(dist, c) for c in range(1, n - 1) if n - c <= diam ** c)
-        basis = next(filter(None, found), tuple(range(n - 1)))
-        dist.dimension = len(basis), basis
-    return dist.dimension
-
-
 def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple[Vertex, ...]]:
     """Minimum resolving-set size with the lexicographically first witness
     at that size."""
-    dim, combo = _dimension(_table(g, cap, "metric dimension needs a connected graph"))
-    verts = g.vertices()
-    return dim, tuple(verts[i] for i in combo)
+    dist = _table(g, cap, "metric dimension needs a connected graph")
+    dim, combo = dist.dimension
+    return dim, tuple(dist.verts[i] for i in combo)
 
 
 def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
@@ -431,7 +419,7 @@ def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
     runs at |W| = dim(G).
     """
     dist = _table(g, cap, "metric dimension needs a connected graph")
-    verdict, dim = _verdict(g, dist), _dimension(dist)[0]
+    verdict, dim = dist.verdict, dist.dimension[0]
     if verdict.kind == UNIVERSAL_VERTEX and dim < g.order - 1:
-        return next(_pruned_certificates(g.vertices(), dist, (dim,)), None) is not None
+        return next(_pruned_certificates(dist, (dim,)), None) is not None
     return verdict.witness is not None and len(verdict.witness.w_order) == dim

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from crslab.graph6 import write_graph6
 from crslab.graph import BaseVertex, LatticeVertex, PlainVertex, plain_graph
 from crslab.families import base_complete, base_null, compose, example_graph, member_b, member_c
 from crslab.resolving import CrsCertificate, check_crs, is_completeness_resolvable
+from crslab.sweeps import random_b_member, random_c_member
 from crslab import formats
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -102,6 +104,20 @@ class TestCompositeJson:
         assert data["k"] == 2 and data["m"] == 3
         assert data["base_edges"] == []
         assert len(data["lattice_edges"]) == 5
+
+    def test_edge_lists_come_out_sorted(self):
+        # composite_to_json does not sort: Graph.edges walks position pairs
+        # and positions follow label order
+        rng = random.Random(83)
+        comps = [compose(*random_b_member(rng, k), k, 2) for k in (2, 3, 4) for _ in range(50)]
+        comps += [compose(base_null(k), random_c_member(rng, k), k, 3) for k in (2, 3) for _ in range(50)]
+        base_edges = 0
+        for comp in comps:
+            data = formats.composite_to_json(comp)
+            assert data["base_edges"] == sorted(data["base_edges"])
+            assert data["lattice_edges"] == sorted(data["lattice_edges"])
+            base_edges += len(data["base_edges"])
+        assert base_edges > 0
 
 
 class TestCertificateJson:

@@ -602,12 +602,19 @@ class TestSharedWork:
 
     def test_entry_points_share_one_table_and_one_dimension_search(self, bfs_calls, monkeypatch):
         # each search runs once per graph: the dimension search scans sizes
-        # upward, so a second one would repeat a size
+        # upward, so a second one would repeat a size, and the
+        # classification is the one certificate search over sizes 2..n-2
         sizes, classified = [], []
-        first_basis, classify = resolving._first_basis, resolving._classify
-        monkeypatch.setattr(resolving, "_first_basis", lambda dist, c: sizes.append(c) or first_basis(dist, c))
-        monkeypatch.setattr(resolving, "_classify", lambda verts, dist: classified.append(verts) or classify(verts, dist))
+        first_basis, pruned = resolving._first_basis, resolving._pruned_certificates
         g = b2_member()
+
+        def counted_pruned(dist, ks):
+            if list(ks) == list(range(2, g.order - 1)):
+                classified.append(ks)
+            return pruned(dist, ks)
+
+        monkeypatch.setattr(resolving, "_first_basis", lambda dist, c: sizes.append(c) or first_basis(dist, c))
+        monkeypatch.setattr(resolving, "_pruned_certificates", counted_pruned)
         for _round in range(2):
             is_completeness_resolvable(g)
             metric_dimension(g)
@@ -735,9 +742,9 @@ class TestDegreeFilter:
         inner_edge = 0
         for g in graphs:
             verts, rows = g.vertices(), connected_rows(g)
-            sizes, dist = range(1, g.order), resolving._Distances(rows)
+            sizes, dist = range(1, g.order), resolving._Distances(g)
             pruned = [(c.w_order, c.m_of_w, c.table)
-                      for c in resolving._pruned_certificates(verts, dist, sizes)]
+                      for c in resolving._pruned_certificates(dist, sizes)]
             assert pruned == [(c.w_order, c.m_of_w, c.table)
                               for c in unfiltered_certificates(verts, rows, sizes)]
             inner_edge += sum(
@@ -790,8 +797,8 @@ def small_connected():
 class TestTieMasks:
     def test_and_of_masks_matches_injective(self, small_connected):
         outcomes = set()
-        for _g, rows in small_connected:
-            dist = resolving._Distances(rows)
+        for g, rows in small_connected:
+            dist = resolving._Distances(g)
             for k in (1, 2, 3):
                 for w in combinations(range(len(rows)), k):
                     expected = resolving._injective([rows[v] for v in w])
@@ -800,14 +807,15 @@ class TestTieMasks:
         assert outcomes == {True, False}
 
     def test_diagonal_is_the_bits_u_times_n_plus_u(self):
-        for n in [*range(65), 600]:
-            dist = resolving._Distances([[0] * n] * n)
+        # a graph has at least two vertices; edgeless, its record is cheap
+        for n in [*range(2, 65), 600]:
+            dist = resolving._Distances(plain_graph(n, []))
             assert dist.diagonal == sum(1 << u * (n + 1) for u in range(n)), n
 
     def test_dimension_matches_a_plain_scan(self, small_connected):
         sizes = set()
         for g, rows in small_connected:
-            dim, basis = resolving._dimension(resolving._Distances(rows))
+            dim, basis = resolving._Distances(g).dimension
             assert (dim, basis) == plain_dimension(rows)
             sizes.add(dim if dim < g.order - 1 else "n-1")
         assert {1, 2, 3, "n-1"} <= sizes
