@@ -140,7 +140,8 @@ def _vector(x: Any) -> tuple:
 
 
 def composite_to_json(c: CompositeGraph) -> dict:
-    # Graph.edges() is already in label order: no sort needed
+    # Graph.edges() walks position pairs and positions follow label order,
+    # so both lists come out sorted
     base_edges = [[u.index, v.index] for u, v in c.base.edges()]  # type: ignore[union-attr]
     lattice_edges = [[list(u.vector), list(v.vector)] for u, v in c.lattice.edges()]  # type: ignore[union-attr]
     return {"k": c.k, "m": c.m, "base_edges": base_edges, "lattice_edges": lattice_edges}
