@@ -25,7 +25,6 @@ from .errors import (
     SizeOverflow,
     UnknownName,
     UnknownVertex,
-    VertexNotEligible,
     WrongVertexSet,
 )
 from .graph import (
@@ -85,12 +84,8 @@ from .extremal import (
     composite_size_bounds,
     critical_edges,
     enumerate_minimal,
-    enumerate_q,
-    epsilon,
     is_h1_minimal,
     is_k_minimal,
-    iter_q,
-    q_count,
     tightness_b,
 )
 

@@ -42,10 +42,6 @@ class UnknownName(CrslabError):
     """Unrecognized named example graph."""
 
 
-class VertexNotEligible(CrslabError):
-    """The vertex is outside the domain of the requested edge-choice set."""
-
-
 class EnumerationCapExceeded(CrslabError):
     """The enumeration space is larger than the configured cap."""
 

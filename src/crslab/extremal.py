@@ -9,38 +9,27 @@ cover system, found in the pass that checks membership; that pass is
 cached and shared, so a report on a lattice whose membership was just
 decided does not run it again.  Also here: edge-count bounds for minimal
 graphs with their tightness characterizations, read off the same pass,
-the per-vertex edge-choice sets whose products realize every maximum-size
-minimal lattice, and the exhaustive minimal enumerations at k = 2.
+and the exhaustive minimal enumerations at k = 2.  The choice sets whose
+products are the maximum-size minimal lattices of either family are the
+private parts of the constraint masks, ``CoverSystem.choice_masks``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
-from .errors import (
-    EnumerationCapExceeded,
-    NotMember,
-    NotMinimal,
-    SizeOverflow,
-    VertexNotEligible,
-)
-from .graph import BaseVertex, Edge, Graph, LatticeVector, LatticeVertex, Vertex, _iter_bits, degree
+from .errors import EnumerationCapExceeded, NotMember, NotMinimal, SizeOverflow
+from .graph import BaseVertex, Edge, Graph, LatticeVertex, Vertex, _iter_bits, degree
 from .families import (
     MembershipReport,
-    _check_index,
     _check_k,
     _check_kind,
     _cover,
     _lattice_labels,
     _require_base,
     cover_system,
-    span_lattice,
 )
-
-#: Largest choice-product materialized by enumerate_q.
-DEFAULT_Q_CAP = 100_000
 
 
 # -- minimality reports ------------------------------------------------------
@@ -294,80 +283,6 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
     return CriticalEdgeSets(family=kind, primary=by_i["slice"], secondary=by_i.get("s-set"))
 
 
-# -- maximum-size minimal lattices via edge choices ---------------------------
-
-
-def epsilon(k: int, i: int, x: LatticeVector) -> set[Edge]:
-    """The candidate edges that may serve vector x in coordinate i inside a
-    maximum-size minimal radius-3 lattice: the private edges of the (i, ., x)
-    constraint, those universe edges that hit it and no other constraint.
-
-    Every edge of the constraint joins x to a partner one lower in
-    coordinate i and at most one apart in the others.
-    """
-    _check_index(k, i)
-    x = tuple(x)
-    if len(x) != k or any(c not in (1, 2, 3) for c in x):
-        raise VertexNotEligible(f"{x} is not a [3]^{k} vector")
-    cs = cover_system("C", k)
-    if not any((i, cond, x) in cs.constraints for cond in cs.conditions):
-        raise VertexNotEligible(f"{x} is neither on the value-2 slice nor in the s-set of {i}")
-    out = set()
-    for y in cs._near(x):
-        if y[i - 1] == x[i - 1] - 1 and sum(z is not None for _i, _cond, z in cs.incidence(x, y)) == 1:
-            a, b = sorted((x, y))
-            out.add((LatticeVertex(a), LatticeVertex(b)))
-    return out
-
-
-def q_choice_points(k: int) -> list[tuple[int, LatticeVector]]:
-    """All (coordinate, vector) pairs with an edge choice -- the targets of
-    the radius-3 cover system -- in canonical (i, vector) order."""
-    return sorted((i, x) for i, _cond, x in cover_system("C", k).constraints)
-
-
-def q_choice_lists(k: int) -> list[tuple[int, LatticeVector, list[Edge]]]:
-    """Choice points with their candidate edges sorted canonically."""
-    out = []
-    for i, x in q_choice_points(k):
-        edges = sorted(epsilon(k, i, x), key=lambda e: (e[0].vector, e[1].vector))  # type: ignore[union-attr]
-        out.append((i, x, edges))
-    return out
-
-
-def q_count(k: int) -> int:
-    """Number of distinct choice tuples (= graphs, by disjointness)."""
-    total = 1
-    for _i, _x, edges in q_choice_lists(k):
-        total *= len(edges)
-    return total
-
-
-def iter_q(k: int):
-    """Stream every maximum-size minimal lattice, one per choice tuple, in
-    lexicographic choice order."""
-    lists = [edges for _i, _x, edges in q_choice_lists(k)]
-    for combo in product(*lists):
-        yield span_lattice(k, 3, [(e[0].vector, e[1].vector) for e in combo])  # type: ignore[union-attr]
-
-
-def enumerate_q(k: int) -> list[Graph]:
-    """Materialize the choice-product family, up to DEFAULT_Q_CAP graphs; use iter_q past it."""
-    total = q_count(k)
-    if total > DEFAULT_Q_CAP:
-        raise EnumerationCapExceeded(f"{total} choice tuples exceed the cap {DEFAULT_Q_CAP}")
-    graphs = list(iter_q(k))
-    if len(set(graphs)) != total:
-        raise AssertionError("choice tuples must give distinct graphs")
-    return sorted(graphs, key=_graph_sort_key)
-
-
-def _graph_sort_key(g: Graph):
-    return tuple(
-        (e[0].vector, e[1].vector) for e in g.edges()  # type: ignore[union-attr]
-    )
-
-
 # -- minimal lattices at k = 2: minimal hitting sets of the cover system ------
 
 
@@ -382,6 +297,12 @@ def enumerate_minimal(kind: str, k: int, base: Graph | None = None) -> list[Grap
         raise EnumerationCapExceeded(f"exhaustive minimal enumeration is capped at k=2, got k={k}")
     masks = _minimal_masks(cs.masks, len(cs.edges))
     return sorted((cs.graph(mask) for mask in masks), key=_graph_sort_key)
+
+
+def _graph_sort_key(g: Graph):
+    return tuple(
+        (e[0].vector, e[1].vector) for e in g.edges()  # type: ignore[union-attr]
+    )
 
 
 def _minimal_masks(masks: tuple[int, ...], width: int) -> list[int]:

@@ -514,6 +514,28 @@ class CoverSystem:
                     rows[i, cond, z][b >> 3] |= 1 << (b & 7)
         return tuple(int.from_bytes(row, "little") for row in rows.values())
 
+    @cached_property
+    def choice_masks(self) -> tuple[int, ...]:
+        """Each constraint's private part, in constraint order: the universe
+        edges that hit it and no other constraint.  One pass ORs each mask's
+        overlap with the masks before it into ``twice``.
+
+        These are the choice sets of the upper bound.  Let L be a minimal
+        lattice with as many edges as there are constraints.  By minimality
+        each edge is the only hit of some constraint, and no constraint has
+        two only-hitters, so this is a bijection.  Every constraint is then
+        hit by exactly one edge of L, and counting hits gives each edge
+        exactly one constraint: every edge of L is private.  Conversely, one
+        private edge per constraint is such a lattice when no private set is
+        empty.  So the upper-tight minimal lattices are exactly the choice
+        tuples, and there are as many as the product of the private-set
+        sizes."""
+        seen = twice = 0
+        for mask in self.masks:
+            twice |= seen & mask
+            seen |= mask
+        return tuple(mask & ~twice for mask in self.masks)
+
     def graph(self, mask: int) -> Graph:
         pairs = (self.edges[b] for b in _iter_bits(mask))
         vectors = [(u.vector, v.vector) for u, v in pairs]  # type: ignore[union-attr]

@@ -17,9 +17,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, compress, repeat, starmap
+from functools import lru_cache, reduce
+from itertools import combinations, compress, product, repeat, starmap
 from math import factorial
+from operator import or_
 
 from .errors import DisconnectedGraph
 from .graph import (
@@ -62,8 +63,6 @@ from .extremal import (
     bounds_b,
     bounds_c,
     enumerate_minimal,
-    enumerate_q,
-    q_choice_lists,
     tightness_b,
 )
 
@@ -771,10 +770,11 @@ def random_c_member(rng: random.Random, k: int) -> Graph:
 
 @dataclass(frozen=True)
 class PropertySweep:
-    """Counters of the property suite.  ``epsilon`` reads each edge-choice
-    set off the cover system as its constraint's private edges, so
-    ``epsilon_overlaps`` checks that derivation: an edge offered at two
-    choice points would be private to neither."""
+    """Counters of the property suite.  The edge-choice sets are the
+    private parts of the constraint masks (``CoverSystem.choice_masks``),
+    so ``epsilon_overlaps`` counts overlapping private masks: only a wrong
+    private rule makes it nonzero, as an edge offered at two choice points
+    would be private to neither."""
 
     upset_trials: int
     upset_violations: int
@@ -926,18 +926,18 @@ def check_size_identities() -> list[str]:
 
 def _choice_set_facts(k: int) -> tuple[int, int, int, int]:
     """(points, pairs, overlapping pairs, empty sets) of the edge-choice
-    sets at k, read from ``q_choice_lists``, the lists that ``q_count`` and
-    ``iter_q`` build choice tuples from.
+    sets at k, read from ``CoverSystem.choice_masks``, the private parts of
+    the constraint masks that choice tuples are built from.
 
     One edge from each of N nonempty, pairwise-disjoint sets always gives N
     distinct edges.  So every choice tuple spans a lattice of
     bounds_c(k)[1] edges exactly when no set is empty, no two overlap and
     there are bounds_c(k)[1] points.  (An empty set leaves no tuple at all,
     so a count over the tuples alone cannot see it.)"""
-    sets = [set(edges) for _i, _x, edges in q_choice_lists(k)]
+    sets = cover_system("C", k).choice_masks
     n = len(sets)
-    overlapping = sum(not sets[a].isdisjoint(sets[b]) for a in range(n) for b in range(a + 1, n))
-    return n, n * (n - 1) // 2, overlapping, sum(not edges for edges in sets)
+    overlapping = sum(bool(sets[a] & sets[b]) for a in range(n) for b in range(a + 1, n))
+    return n, n * (n - 1) // 2, overlapping, sets.count(0)
 
 
 # -- criterion 6: diameters ---------------------------------------------------
@@ -971,7 +971,11 @@ def check_minimal_enumeration() -> list[str]:
     if five != [t2]:
         bad.append(f"size-5 stratum has {len(five)} graphs")
     ten = [g for g in emc if g.size == 10]
-    if ten != enumerate_q(2):
+    cs = cover_system("C", 2)
+    choices = [[1 << b for b in _iter_bits(mask)] for mask in cs.choice_masks]
+    tuples = [cs.graph(reduce(or_, picks)) for picks in product(*choices)]
+    # the stratum's graphs are distinct, so equal lengths and sets mean one tuple each
+    if len(tuples) != len(ten) or set(tuples) != set(ten):
         bad.append("size-10 stratum differs from the choice-product family")
     lo, hi = bounds_c(2)
     if not all(lo <= g.size <= hi for g in emc):

@@ -6,7 +6,8 @@ import sys
 import textwrap
 from collections import Counter
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, islice, product
+from math import prod
 from operator import or_
 from pathlib import Path
 
@@ -18,10 +19,9 @@ from crslab.errors import (
     NotMember,
     NotMinimal,
     SizeOverflow,
-    VertexNotEligible,
     WrongVertexSet,
 )
-from crslab.graph import BaseVertex, Graph, LatticeVertex
+from crslab.graph import BaseVertex, Graph, LatticeVertex, _iter_bits
 from crslab.families import (
     CoverSystem,
     base_complete,
@@ -47,13 +47,8 @@ from crslab.extremal import (
     composite_size_bounds,
     critical_edges,
     enumerate_minimal,
-    enumerate_q,
-    epsilon,
     is_h1_minimal,
     is_k_minimal,
-    iter_q,
-    q_choice_points,
-    q_count,
     tightness_b,
 )
 from crslab.resolving import check_crs
@@ -160,20 +155,52 @@ def region_epsilon(k, i, x):
     }
 
 
-def constraint_epsilon(k, i, x):
-    """A widened edge-choice set: every edge of the (i, ., x) constraint,
-    not only its private edges."""
-    near = [
-        (c - 1,) if t == i - 1 else range(max(c - 1, 1), min(c + 1, 3) + 1)
-        for t, c in enumerate(x)
-    ]
-    return {tuple(LatticeVertex(v) for v in sorted((x, y))) for y in product(*near)}
+def choice_set(k, i, x):
+    """The edge-choice set of family C's (i, ., x) constraint, read off
+    ``CoverSystem.choice_masks`` as edges."""
+    cs = cover_system("C", k)
+    cond = "slice" if x[i - 1] == 2 else "s-set"
+    return {cs.edges[b] for b in _iter_bits(cs.choice_masks[cs.constraints[i, cond, x]])}
+
+
+def choice_tuples(cs):
+    """Every choice tuple of a cover system as a lattice mask, in product
+    order: one bit from each of its choice masks."""
+    bits = [[1 << b for b in _iter_bits(mask)] for mask in cs.choice_masks]
+    return (reduce(or_, picks) for picks in product(*bits))
+
+
+def q_lattices(k):
+    """The maximum-size minimal lattices of family C, one per choice tuple."""
+    cs = cover_system("C", k)
+    return (cs.graph(mask) for mask in choice_tuples(cs))
+
+
+def tuple_count(k):
+    """The number of choice tuples of family C: the product of the choice
+    sets' sizes."""
+    return prod(mask.bit_count() for mask in cover_system("C", k).choice_masks)
+
+
+def widen_choice_masks(monkeypatch, widen):
+    """Give each family C constraint (k, tag) for which ``widen`` holds its
+    whole mask as its choice set, not only its private part.  A property
+    is a data descriptor, so it wins over a value already cached."""
+    private = families.CoverSystem.choice_masks.func
+
+    def choice_masks(cs):
+        return tuple(
+            whole if cs.m == 3 and widen(cs.k, tag) else own
+            for tag, whole, own in zip(cs.constraints, cs.masks, private(cs))
+        )
+
+    monkeypatch.setattr(families.CoverSystem, "choice_masks", property(choice_masks))
 
 
 def overlapping_pairs(k):
     """Pairs of choice points whose edge-choice sets share an edge, read
-    through q_choice_lists as q_count and iter_q read them."""
-    sets = [set(edges) for _i, _x, edges in extremal.q_choice_lists(k)]
+    off the choice masks as the sizes suite reads them."""
+    sets = cover_system("C", k).choice_masks
     return sum(
         bool(sets[a] & sets[b]) for a in range(len(sets)) for b in range(a + 1, len(sets))
     )
@@ -250,7 +277,7 @@ class TestMinimalityC:
         assert rep.redundant_edges()
 
     def test_q_members_minimal(self):
-        for g in enumerate_q(2):
+        for g in q_lattices(2):
             assert is_k_minimal(g).minimal
 
     def test_critical_edges_match_single_deletions(self):
@@ -494,8 +521,7 @@ class TestTightness:
         for base in labeled_bases(3):
             cs = cover_system("B", 3, base)
             mask = 0
-            for j, cm in enumerate(cs.masks):
-                alone = cm & ~reduce(or_, cs.masks[:j] + cs.masks[j + 1:])
+            for alone in cs.choice_masks:
                 mask |= alone & -alone  # its lowest bit: the first such edge
             lattice = cs.graph(mask)
             assert is_h1_minimal(base, lattice).minimal
@@ -513,59 +539,44 @@ def gamma_2_as_binary():
 
 class TestEpsilon:
     def test_s_set_case_pins_everything(self):
-        assert eps_vectors(epsilon(2, 1, (3, 3))) == {vpair((3, 3), (2, 3))}
+        assert eps_vectors(choice_set(2, 1, (3, 3))) == {vpair((3, 3), (2, 3))}
 
     def test_inside_region_frees_twos(self):
-        assert eps_vectors(epsilon(2, 1, (2, 2))) == {
+        assert eps_vectors(choice_set(2, 1, (2, 2))) == {
             vpair((2, 2), (1, 2)), vpair((2, 2), (1, 3))
         }
 
     def test_outside_region_pins_ones(self):
-        assert eps_vectors(epsilon(2, 1, (2, 1))) == {vpair((2, 1), (1, 1))}
-
-    def test_ineligible_vertex(self):
-        with pytest.raises(VertexNotEligible):
-            epsilon(2, 1, (1, 1))
-        with pytest.raises(VertexNotEligible):
-            epsilon(2, 1, (3, 1))  # component 3 but not all in {2,3}
+        assert eps_vectors(choice_set(2, 1, (2, 1))) == {vpair((2, 1), (1, 1))}
 
     def test_private_edges_match_the_region_rule(self):
         checked = 0
         for k in (2, 3, 4, 5):
-            for i, x in q_choice_points(k):
-                assert epsilon(k, i, x) == region_epsilon(k, i, x), (k, i, x)
+            for i, _cond, x in cover_system("C", k).constraints:
+                assert choice_set(k, i, x) == region_epsilon(k, i, x), (k, i, x)
                 checked += 1
         assert checked == 10 + 39 + 140 + 485
 
     def test_widened_choice_sets_overlap(self, monkeypatch):
         assert overlapping_pairs(2) == 0
-        monkeypatch.setattr(extremal, "epsilon", constraint_epsilon)
+        widen_choice_masks(monkeypatch, lambda k, tag: True)
         assert overlapping_pairs(2) > 0
-        with pytest.raises(AssertionError, match="distinct graphs"):
-            enumerate_q(2)
+        assert sweeps.check_minimal_enumeration() == [
+            "size-10 stratum differs from the choice-product family"
+        ]
 
     def test_widened_choice_sets_break_the_q3_sizes(self, monkeypatch):
         # widening the all-3 vector alone already shares edges between its
         # coordinates, at k = 2 as at k = 3
-        def widened_at_top(k, i, x):
-            if tuple(x) == (3,) * k:
-                return constraint_epsilon(k, i, x)
-            return epsilon(k, i, x)
-
-        monkeypatch.setattr(extremal, "epsilon", widened_at_top)
+        widen_choice_masks(monkeypatch, lambda k, tag: tag[2] == (3,) * k)
         assert sweeps.check_size_identities() == widened_size_violations()
 
     def test_widened_s_set_choice_sets_break_the_q3_sizes(self, monkeypatch):
         # the 12 s-set choice points widened to every edge of their
         # constraint: more tuples than the 256^3 of q(3), and some with
         # fewer than 39 distinct edges, as their sets overlap
-        def widened_on_s_sets(k, i, x):
-            if tuple(x) in s_set(k, i):
-                return constraint_epsilon(k, i, x)
-            return epsilon(k, i, x)
-
-        monkeypatch.setattr(extremal, "epsilon", widened_on_s_sets)
-        assert q_count(3) > 256 ** 3
+        widen_choice_masks(monkeypatch, lambda k, tag: tag[2] in s_set(k, tag[0]))
+        assert tuple_count(3) > 256 ** 3
         assert sweeps.check_size_identities() == widened_size_violations()
 
     def test_disjointness_exhaustive(self):
@@ -581,7 +592,8 @@ class TestEpsilon:
             ]
             n = len(points)
             assert n == bounds_c(k)[1] == (10, 39, 140, 485)[k - 2]
-            sets = [epsilon(k, i, x) for i, x in points]
+            assert n == len(cover_system("C", k).constraints)
+            sets = [choice_set(k, i, x) for i, x in points]
             assert all(sets)
             for a in range(n):
                 for b in range(a + 1, n):
@@ -591,31 +603,26 @@ class TestEpsilon:
 
 class TestEnumerateQ:
     def test_q2(self):
-        q2 = enumerate_q(2)
-        assert len(q2) == q_count(2) == 4
+        q2 = list(q_lattices(2))
+        assert len(q2) == tuple_count(2) == 4
         assert all(g.size == 10 for g in q2)
         assert len(set(q2)) == 4
         assert example_graph("Qcanon", 2) in q2
 
     def test_q3_is_capped(self):
-        assert q_count(3) == 256 ** 3
+        # past k = 2 the exhaustive enumeration refuses, and the choice
+        # tuples are the only way to the top stratum
+        assert tuple_count(3) == 256 ** 3
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_q(3)
-
-    def test_iter_q_streams_in_lex_order(self):
-        listed = list(iter_q(2))
-        assert len(listed) == 4
-        assert sorted(map(id, listed)) and listed[0] != listed[1]
+            enumerate_minimal("C", 3)
 
     def test_q3_sample_members_are_minimal(self):
-        import itertools
-
         want = 3 * (9 + 4)
-        for g in itertools.islice(iter_q(3), 5):
+        for g in islice(q_lattices(3), 5):
             assert g.size == want
             assert member_c(g).member
         # full minimality is slower; one streamed member suffices here
-        g = next(iter_q(3))
+        g = next(q_lattices(3))
         assert is_k_minimal(g).minimal
 
 
@@ -637,7 +644,7 @@ class TestCriticalEdges:
         assert ce.primary[2] == frozenset(r2.edges())
 
     def test_cardinality_caps(self):
-        for g in enumerate_q(2):
+        for g in q_lattices(2):
             ce = critical_edges("C", None, g)
             for i, edges in ce.primary.items():
                 assert len(edges) <= 3 ** (2 - 1)
@@ -826,6 +833,9 @@ class TestMinimalMasks:
             masks = _minimal_masks(cs.masks, len(cs.edges))
             assert Counter(mask.bit_count() for mask in masks) == sizes
             assert bounds_b(copy) == (min(sizes), max(sizes))
+            # the top stratum is the choice tuples
+            top = sorted(mask for mask in masks if mask.bit_count() == max(sizes))
+            assert top == sorted(choice_tuples(cs)), copy.edges()
             if copy == base:
                 lattices = [cs.graph(mask) for mask in masks]
         lo, hi = bounds_b(base)
@@ -851,8 +861,8 @@ def run_python(script, *flags, timeout=60):
 
 
 def test_checks_survive_python_dash_o():
-    # explicit raises, not assert statements, which python -O strips: a
-    # kind-B request without a base, and choice tuples that repeat a graph
+    # an explicit raise, not an assert statement, which python -O strips: a
+    # kind-B request without a base
     script = textwrap.dedent(
         """
         from crslab import extremal
@@ -862,41 +872,29 @@ def test_checks_survive_python_dash_o():
             extremal.critical_edges("B", None, example_graph("R", 2))
         except ValueError as exc:
             print("ValueError:", exc)
-        first = next(extremal.iter_q(2))
-        extremal.iter_q = lambda k: [first] * extremal.q_count(k)
-        try:
-            extremal.enumerate_q(2)
-        except AssertionError as exc:
-            print("AssertionError:", exc)
         """
     )
-    assert run_python(script, "-O") == [
-        "ValueError: kind B needs a base",
-        "AssertionError: choice tuples must give distinct graphs",
-    ]
+    assert run_python(script, "-O") == ["ValueError: kind B needs a base"]
 
 
 #: Every public entry point that takes k, a kind, a family-B base or a
 #: lattice, with what the cover system's gate answers to a bad one: k below
 #: 2, an unknown kind, no base or one of the wrong order, a lattice without
-#: lattice labels, a vector outside [3]^k, or m^k past DEFAULT_SIZE_CAP.  A
-#: new entry point of that kind joins the list.
+#: lattice labels, or m^k past DEFAULT_SIZE_CAP.  A new entry point of that
+#: kind joins the list.
 GATE_IMPORTS = """
 from crslab.graph import plain_graph
 from crslab.families import (
     base_null, cover_system, example_graph, gamma, member_b, member_c, s_set, scaffold, span_lattice,
 )
 from crslab.extremal import (
-    critical_edges, enumerate_minimal, epsilon, is_h1_minimal, is_k_minimal,
-    q_choice_points, q_count, tightness_b,
+    critical_edges, enumerate_minimal, is_h1_minimal, is_k_minimal, tightness_b,
 )
 """
 GATE_REFUSALS = [
     ('cover_system("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
     ('cover_system("C", 1)', IndexOutOfRange, "need k >= 2, got 1"),
     ("s_set(1, 1)", IndexOutOfRange, "need k >= 2, got 1"),
-    ("epsilon(1, 1, (2,))", IndexOutOfRange, "need k >= 2, got 1"),
-    ("q_choice_points(1)", IndexOutOfRange, "need k >= 2, got 1"),
     ("gamma(1)", IndexOutOfRange, "need k >= 2, got 1"),
     ("member_c(span_lattice(1, 3, []))", IndexOutOfRange, "need k >= 2, got 1"),
     ("is_k_minimal(span_lattice(1, 3, []))", IndexOutOfRange, "need k >= 2, got 1"),
@@ -905,7 +903,6 @@ GATE_REFUSALS = [
     ('enumerate_minimal("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
     ('enumerate_minimal("C", 2, base=base_null(3))', WrongVertexSet, "base has order 3, expected k=2"),
     ("member_c(plain_graph(3, [(0, 1)]))", WrongVertexSet, "lattice graph must use lattice vertex labels"),
-    ("epsilon(2, 1, (4, 1))", VertexNotEligible, "(4, 1) is not a [3]^2 vector"),
     ('cover_system("X", 2)', ValueError, "kind must be B or C, got 'X'"),
     ('enumerate_minimal("X", 2)', ValueError, "kind must be B or C, got 'X'"),
     ('critical_edges("X", None, example_graph("U", 2))', ValueError, "kind must be B or C, got 'X'"),
@@ -915,7 +912,7 @@ GATE_REFUSALS = [
     ('critical_edges("B", None, example_graph("U", 2))', ValueError, "kind B needs a base"),
     ('cover_system("C", 10**6)', SizeOverflow, "m^k = 3^1000000 exceeds the cap 59049"),
     ('cover_system("B", 16)', SizeOverflow, "m^k = 2^16 exceeds the cap 59049"),
-    ("q_count(11)", SizeOverflow, "m^k = 3^11 exceeds the cap 59049"),
+    ('cover_system("C", 11)', SizeOverflow, "m^k = 3^11 exceeds the cap 59049"),
     ("s_set(11, 1)", SizeOverflow, "m^k = 3^11 exceeds the cap 59049"),
 ]
 

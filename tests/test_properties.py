@@ -5,13 +5,15 @@ import ast
 import random
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import combinations, permutations, product
-from math import factorial
+from functools import reduce
+from itertools import combinations, islice, permutations, product
+from math import factorial, prod
+from operator import or_
 from pathlib import Path
 
 import pytest
 
-from crslab import extremal, sweeps
+from crslab import sweeps
 from crslab.errors import DisconnectedGraph
 from crslab.graph import (
     BaseVertex,
@@ -49,7 +51,7 @@ from crslab.resolving import (
     is_completeness_resolvable,
     metric_dimension,
 )
-from crslab.extremal import is_k_minimal, iter_q, q_count
+from crslab.extremal import is_k_minimal
 from crslab.sweeps import (
     out_of_range_counterexample,
     random_b_member,
@@ -598,14 +600,24 @@ def test_property_sweep_can_fail_on_the_subsample(monkeypatch):
     assert (result.upset_violations, result.union_violations) == (subsample, subsample)
 
 
+def _patch_choice_masks(monkeypatch, k, change):
+    """Family C's choice masks at k become change(cover system, its private
+    masks).  A property is a data descriptor, so it wins over a value
+    already cached."""
+    private = CoverSystem.choice_masks.func
+
+    def choice_masks(cs):
+        masks = private(cs)
+        return tuple(change(cs, list(masks))) if (cs.m, cs.k) == (3, k) else masks
+
+    monkeypatch.setattr(CoverSystem, "choice_masks", property(choice_masks))
+
+
 def test_property_sweep_can_fail_on_the_choice_sets(monkeypatch):
     # one edge offered at every choice point of k = 2: each of its 10 * 9 / 2
     # pairs overlaps, and none of the 741 pairs at k = 3
-    real_epsilon = extremal.epsilon
     shared = (LatticeVertex((1, 1)), LatticeVertex((1, 2)))
-    monkeypatch.setattr(
-        extremal, "epsilon", lambda k, i, x: real_epsilon(k, i, x) | ({shared} if k == 2 else set())
-    )
+    _patch_choice_masks(monkeypatch, 2, lambda cs, masks: [mask | 1 << cs.index[shared] for mask in masks])
     result = sweeps.sweep_properties.__wrapped__()
     assert (result.epsilon_pairs_checked, result.epsilon_overlaps) == (786, 45)
     assert not result.ok
@@ -663,14 +675,18 @@ def test_q3_size_check_can_fail(monkeypatch):
     # one edge offered at a choice point of i = 1 and again at one of i = 2,
     # both with a second edge: a tuple that takes it at both has 38 distinct
     # edges, not 39, and the two sets are the one overlapping pair
-    real_q_choice_lists = sweeps.q_choice_lists
-    lists = real_q_choice_lists(3)
-    first = next(n for n, (i, _x, edges) in enumerate(lists) if i == 1 and len(edges) == 2)
-    second = next(n for n, (i, _x, edges) in enumerate(lists) if i == 2 and len(edges) == 2)
-    i, x, edges = lists[second]
-    shared = lists[first][2][0]
-    lists[second] = (i, x, [shared] + edges[1:])
-    monkeypatch.setattr(sweeps, "q_choice_lists", lambda k: lists if k == 3 else real_q_choice_lists(k))
+    def share(cs, masks):
+        tags = list(cs.constraints)
+        first, second = (
+            next(n for n, mask in enumerate(masks) if tags[n][0] == i and mask.bit_count() == 2)
+            for i in (1, 2)
+        )
+        # the second set's lowest edge swapped for the first set's
+        low = masks[second] & -masks[second]
+        masks[second] ^= low | masks[first] & -masks[first]
+        return masks
+
+    _patch_choice_masks(monkeypatch, 3, share)
     assert sweeps.check_size_identities() == [
         "q3 choice sets: 39 points (want 39), 1 overlapping pairs, 0 empty sets"
     ]
@@ -679,12 +695,8 @@ def test_q3_size_check_can_fail(monkeypatch):
 def test_q3_size_check_sees_an_empty_choice_set(monkeypatch):
     # an empty set leaves no choice tuple at all, so no tuple has the wrong
     # size; the choice-set facts still name it
-    real_epsilon = extremal.epsilon
-    point = extremal.q_choice_points(3)[7]
-    monkeypatch.setattr(
-        extremal, "epsilon", lambda k, i, x: set() if (k, (i, x)) == (3, point) else real_epsilon(k, i, x)
-    )
-    assert q_count(3) == 0
+    _patch_choice_masks(monkeypatch, 3, lambda cs, masks: masks[:7] + [0] + masks[8:])
+    assert prod(mask.bit_count() for mask in cover_system("C", 3).choice_masks) == 0
     assert sweeps.check_size_identities() == [
         "q3 choice sets: 39 points (want 39), 0 overlapping pairs, 1 empty sets"
     ]
@@ -692,10 +704,7 @@ def test_q3_size_check_sees_an_empty_choice_set(monkeypatch):
 
 def test_choice_set_point_count_can_fail(monkeypatch):
     # a choice point dropped at k = 2: 9 disjoint sets give 9-edge tuples
-    real_q_choice_lists = sweeps.q_choice_lists
-    monkeypatch.setattr(
-        sweeps, "q_choice_lists", lambda k: real_q_choice_lists(k)[1:] if k == 2 else real_q_choice_lists(k)
-    )
+    _patch_choice_masks(monkeypatch, 2, lambda cs, masks: masks[1:])
     assert sweeps.check_size_identities() == [
         "q2 choice sets: 9 points (want 10), 0 overlapping pairs, 0 empty sets"
     ]
@@ -777,13 +786,13 @@ def test_equivalence_scan_checks_the_composite_order(monkeypatch):
 def test_q3_streamed_members_are_minimal_sample():
     rng = random.Random(103)
     picks = sorted(rng.sample(range(256), 3))
+    cs = cover_system("C", 3)
+    bits = [[1 << b for b in _iter_bits(mask)] for mask in cs.choice_masks]
     count = 0
-    for n, g in enumerate(iter_q(3)):
+    for n, chosen in enumerate(islice(product(*bits), picks[-1] + 1)):
         if n in picks:
-            assert is_k_minimal(g).minimal
+            assert is_k_minimal(cs.graph(reduce(or_, chosen))).minimal
             count += 1
-        if n > picks[-1]:
-            break
     assert count == 3
 
 
