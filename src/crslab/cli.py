@@ -81,22 +81,22 @@ def load_graph_file(path: str) -> Graph | CompositeGraph:
     return read_graph6(text)
 
 
+def _materialized(obj: Graph | CompositeGraph) -> Graph:
+    return obj.materialize() if isinstance(obj, CompositeGraph) else obj
+
+
 def _emit_graph(obj: Graph | CompositeGraph, fmt: str) -> str:
     if fmt == "json":
         if isinstance(obj, CompositeGraph):
             return formats.dumps(formats.composite_to_json(obj))
         return formats.dumps(formats.graph_to_json(obj))
+    g = _materialized(obj)
     if fmt == "dot":
-        if isinstance(obj, CompositeGraph):
-            return formats.composite_to_dot(obj)
-        return formats.graph_to_dot(obj)
-    if fmt == "g6":
-        g = obj.materialize() if isinstance(obj, CompositeGraph) else obj
-        # graph6 cannot carry typed labels: the documented lossy step
-        # relabels onto 0..n-1 in canonical vertex order
-        plain = plain_graph(g.order, [(g.index_of(u), g.index_of(v)) for u, v in g.edges()])
-        return write_graph6(plain) + "\n"
-    raise FormatError(f"unknown format {fmt!r}")
+        return formats.graph_to_dot(g)
+    # g6 is the last of --format's choices; graph6 cannot carry typed labels:
+    # the documented lossy step relabels onto 0..n-1 in canonical vertex order
+    plain = plain_graph(g.order, [(g.index_of(u), g.index_of(v)) for u, v in g.edges()])
+    return write_graph6(plain) + "\n"
 
 
 def cmd_construct(args) -> int:
@@ -116,7 +116,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     loaded = load_graph_file(args.graph)
     if args.w is not None:
-        g = loaded.materialize() if isinstance(loaded, CompositeGraph) else loaded
+        g = _materialized(loaded)
         w_order = formats.parse_vertex_list(args.w)
         result = check_crs(g, w_order)
         if isinstance(result, CrsCertificate):
@@ -143,11 +143,6 @@ def _load_base(path: str) -> Graph:
     if isinstance(loaded, CompositeGraph):
         raise FormatError("--base expects a plain base graph on b1..bk")
     return loaded
-
-
-def _load_materialized(path: str) -> Graph:
-    loaded = load_graph_file(path)
-    return loaded.materialize() if isinstance(loaded, CompositeGraph) else loaded
 
 
 def cmd_enumerate(args) -> int:
@@ -190,14 +185,14 @@ def _order_cap(args) -> int:
 
 def cmd_classify(args) -> int:
     cap = _order_cap(args)
-    verdict = is_completeness_resolvable(_load_materialized(args.graph), cap=cap)
+    verdict = is_completeness_resolvable(_materialized(load_graph_file(args.graph)), cap=cap)
     sys.stdout.write(formats.dumps(formats.verdict_to_json(verdict)))
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
     cap = _order_cap(args)
-    g = _load_materialized(args.graph)
+    g = _materialized(load_graph_file(args.graph))
     dimension, basis = metric_dimension(g, cap=cap)
     perfect = is_perfectness_resolvable(g, cap=cap)
     sys.stdout.write(

@@ -125,40 +125,31 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
 # -- edge-count bounds -------------------------------------------------------
 
 
-def bounds_b(base: Graph) -> tuple[int, int]:
-    """Size bounds for a lattice minimal relative to the base, from the
-    base's vertex degrees.  The lower bound need not be attained: over the
-    bases 2K2 and C4 on [4], more constraints than it are pairwise disjoint,
-    and each needs an edge of its own."""
-    k = _require_bounds_base(base)
-    degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
-    lower = 2 ** (k - min(degs) - 1)
-    upper = sum(2 ** (k - d - 1) for d in degs)
-    return lower, upper
-
-
 #: Largest k the bounds of either family are computed for: their values
 #: then have under 2 000 digits and print within Python's default
 #: int-to-str limit.
 _MAX_BOUNDS_K = 4096
 
 
-def _require_bounds_k(k: int) -> None:
-    _check_k(k)
-    if k > _MAX_BOUNDS_K:
-        raise SizeOverflow(f"radius-3 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
-
-
-def _require_bounds_base(base: Graph) -> int:
+def bounds_b(base: Graph) -> tuple[int, int]:
+    """Size bounds for a lattice minimal relative to the base, from the
+    base's vertex degrees.  The lower bound need not be attained: over the
+    bases 2K2 and C4 on [4], more constraints than it are pairwise disjoint,
+    and each needs an edge of its own."""
     k = _require_base(base)
     if k > _MAX_BOUNDS_K:
         raise SizeOverflow(f"radius-2 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
-    return k
+    degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
+    lower = 2 ** (k - min(degs) - 1)
+    upper = sum(2 ** (k - d - 1) for d in degs)
+    return lower, upper
 
 
 def bounds_c(k: int) -> tuple[int, int]:
     """Size bounds for a minimal radius-3 lattice, in closed form."""
-    _require_bounds_k(k)
+    _check_k(k)
+    if k > _MAX_BOUNDS_K:
+        raise SizeOverflow(f"radius-3 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
     return (3 ** k + 1) // 2, k * (3 ** (k - 1) + 2 ** (k - 1))
 
 
@@ -291,18 +282,16 @@ def enumerate_minimal(kind: str, k: int, base: Graph | None = None) -> list[Grap
     sorted: the minimal hitting sets of the cover system's constraint
     masks.  The cover system refuses a bad kind, k, size or base first;
     larger k is past the enumeration cap, as the output grows fast and has
-    no size cap yet."""
+    no size cap yet.  The masks sort as their lattices' edge vectors do,
+    by their ascending set bits: ``CoverSystem.edges`` lists the universe in
+    canonical edge order (vertices in lexicographic order, each with its
+    later neighbours), and ``Graph.edges()`` reads a lattice's edges in
+    that same order."""
     cs = cover_system(kind, k, base)
     if k != 2:
         raise EnumerationCapExceeded(f"exhaustive minimal enumeration is capped at k=2, got k={k}")
     masks = _minimal_masks(cs.masks, len(cs.edges))
-    return sorted((cs.graph(mask) for mask in masks), key=_graph_sort_key)
-
-
-def _graph_sort_key(g: Graph):
-    return tuple(
-        (e[0].vector, e[1].vector) for e in g.edges()  # type: ignore[union-attr]
-    )
+    return [cs.graph(mask) for mask in sorted(masks, key=lambda mask: tuple(_iter_bits(mask)))]
 
 
 def _minimal_masks(masks: tuple[int, ...], width: int) -> list[int]:

@@ -248,10 +248,5 @@ def graph_to_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def composite_to_dot(c: CompositeGraph) -> str:
-    """DOT text of the materialized composite, named G."""
-    return graph_to_dot(c.materialize())
-
-
 def dumps(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=False) + "\n"

@@ -12,7 +12,11 @@ tests/test_properties.py::test_out_of_range_counterexample_is_stable
 pins the deterministic witness.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +206,17 @@ def test_criterion_9_named_extremes():
     for base, lattice, lower, upper in cases:
         rep = tightness_b(base, lattice)
         assert (rep.lower_tight, rep.upper_tight) == (lower, upper)
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own checks must still be able to fail: pinned counters
+    # that no longer fit their sweep dataclass, or an expected failure that
+    # a passing suite no longer trips, fail here. No bytecode is left in
+    # perfbench/
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

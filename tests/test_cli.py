@@ -427,6 +427,13 @@ class TestClassifyAndDim:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_graph6_byte_below_the_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_text("C!\n")
+        code, out, err = run_cli(["classify", "--graph", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: invalid graph6 character '!'"]
+
 
 class TestHostileInput:
     @pytest.mark.parametrize(

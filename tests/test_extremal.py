@@ -838,6 +838,12 @@ class TestMinimalMasks:
             assert top == sorted(choice_tuples(cs)), copy.edges()
             if copy == base:
                 lattices = [cs.graph(mask) for mask in masks]
+                # enumerate_minimal's order, masks by their ascending set
+                # bits, against its reference: lattices by edge vectors
+                by_bits = sorted(range(len(masks)), key=lambda j: tuple(_iter_bits(masks[j])))
+                assert [lattices[j] for j in by_bits] == sorted(
+                    lattices, key=lambda g: tuple((u.vector, v.vector) for u, v in g.edges())
+                )
         lo, hi = bounds_b(base)
         ends = sorted((g for g in lattices if g.size in (lo, hi)), key=lambda g: g.size)
         if extremes:

@@ -222,7 +222,7 @@ class TestDot:
 
     def test_composite_labels(self):
         comp = compose(base_complete(2), example_graph("U", 2), 2, 2)
-        text = formats.composite_to_dot(comp)
+        text = formats.graph_to_dot(comp.materialize())
         assert '"b1" -- "b2";' in text
         assert '"b1" -- "(1,1)";' in text
         assert '"(1,1)" -- "(2,2)";' in text

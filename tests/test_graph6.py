@@ -69,3 +69,10 @@ def test_rejects_malformed_bodies():
         read_graph6("C")  # truncated body
     with pytest.raises(FormatError):
         read_graph6("Chh")  # spurious extra character
+
+
+@pytest.mark.parametrize("text, ch", [("C!", "!"), ("C\x7f", "\x7f")], ids=["below-?", "above-~"])
+def test_rejects_data_bytes_outside_the_printable_range(text, ch):
+    with pytest.raises(FormatError) as info:
+        read_graph6(text)
+    assert str(info.value) == f"invalid graph6 character {ch!r}"
