@@ -171,15 +171,20 @@ def s_set(k: int, i: int) -> set[LatticeVector]:
 class CompositeGraph:
     """A graph on [k] + [m]^k split into its base and lattice parts.
 
-    Cross edges join base vertex i to every lattice vertex whose i-th
-    component is 1; they are fully determined by the labels and are never
-    stored.
+    The base lives on BaseVertex(1..k) and the lattice on all of [m]^k,
+    checked once, when the composite is built.  Cross edges join base
+    vertex i to every lattice vertex whose i-th component is 1; they are
+    fully determined by the labels and are never stored.
     """
 
     k: int
     m: int
     base: Graph
     lattice: Graph
+
+    def __post_init__(self) -> None:
+        _check_base(self.base, self.k)
+        _require_lattice(self.lattice, self.k, self.m)
 
     @property
     def order(self) -> int:
@@ -191,13 +196,10 @@ class CompositeGraph:
 
     def materialize(self) -> Graph:
         """The composite as one graph: base rows, then lattice rows shifted
-        past the base, each joined with its cross-edge row.  The parts must
-        be on [k] and [m]^k, as compose() ensures."""
-        k, m, base, lattice = self.k, self.m, self.base, self.lattice
-        _check_base(base, k)
-        _require_lattice(lattice, k, m)
-        verts, index, cross = _composite_labels(k, m)
-        rows = base.adjacency_masks() + [row << k for row in lattice.adjacency_masks()]
+        past the base, each joined with its cross-edge row."""
+        k = self.k
+        verts, index, cross = _composite_labels(k, self.m)
+        rows = self.base.adjacency_masks() + [row << k for row in self.lattice.adjacency_masks()]
         return Graph._from_adj(verts, index, [a | b for a, b in zip(rows, cross)])
 
 
@@ -222,8 +224,6 @@ def compose(base: Graph, lattice: Graph, k: int, m: int) -> CompositeGraph:
     """Assemble the composite of a base graph on [k] and a lattice graph on
     [m]^k; the implied cross edges make the size obey
     |E(base)| + |E(lattice)| + k * m^(k-1)."""
-    _check_base(base, k)
-    _require_lattice(lattice, k, m)
     return CompositeGraph(k, m, base, lattice)
 
 
@@ -318,18 +318,18 @@ class CoverSystem:
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
     of some constraint.  Membership, minimality and the critical edges read
-    one ``check`` pass over a lattice's own edges, cached for the last
-    (system, lattice) pair and shared, so the reports on one lattice, or
-    on an equal one, do not run it again.  The pass works on positions and
-    constraint numbers: ``_positions``, built from ``constraints`` on first
-    use, packs each vector of [m]^k two bits per coordinate and gives, per
-    coordinate, the number of the constraint an edge going down from it
-    there hits.  A lattice edge is then one XOR of two packed vectors: a
-    coordinate moving between 1 and 3 puts it outside the universe, and
-    only the coordinates it changes are looked up.  Tags and labels are
-    made once, for what the reports return.  The exhaustive scans use the
-    bit-mask view (``edges``, ``masks``), built on first use.  Both stay
-    because the mask view needs the whole universe: Gamma_k has
+    one ``check`` pass over a lattice's own edges; ``check`` itself keeps
+    the last (system, lattice) pass and shares it, so the reports on one
+    lattice, or on an equal one, do not run it again.  The pass works on
+    positions and constraint numbers: ``_positions``, built from
+    ``constraints`` on first use, packs each vector of [m]^k two bits per
+    coordinate and gives, per coordinate, the number of the constraint an
+    edge going down from it there hits.  A lattice edge is then one XOR of
+    two packed vectors: a coordinate moving between 1 and 3 puts it outside
+    the universe, and only the coordinates it changes are looked up.  Tags
+    and labels are made once, for what the reports return.  The exhaustive
+    scans use the bit-mask view (``edges``, ``masks``), built on first use.
+    Both stay because the mask view needs the whole universe: Gamma_k has
     (7^k - 3^k)/2 edges, 58 460 at k = 6 and 141 208 100 at k = 10, which
     DEFAULT_SIZE_CAP allows, while the position table has k * m^k numbers
     (at most 590 490 under DEFAULT_SIZE_CAP, for C at k = 10) and the
@@ -381,20 +381,6 @@ class CoverSystem:
                 z = x if a > b else y
                 yield i, cond, z if (i, cond, z) in self.constraints else None
 
-    def check(self, lattice: Graph):
-        """The membership report (per coordinate and condition, the lattice
-        edges in the scaffold and the first target they miss), the edges
-        outside the universe, for each constraint hit its hitting edges in
-        canonical edge order, and for each edge the constraints it alone
-        hits, in constraint order.
-
-        The last result is cached by (system, lattice) and shared, so a
-        membership report and the minimality and critical-edge reports of
-        an equal lattice read one pass; only one is kept, so a large
-        lattice and its hit tables are not held much past their use.  No
-        caller may mutate ``outside``, ``hits`` or ``sole``."""
-        return _check(self, lattice)
-
     @cached_property
     def _positions(self) -> tuple[list[int], list[int], tuple[tuple[int, str, LatticeVector], ...], int]:
         """The pass's view of the constraints, by position of [m]^k in
@@ -414,11 +400,23 @@ class CoverSystem:
             down += [number.get((i, "slice" if c == 2 else "s-set", x), -1) for i, c in enumerate(x, 1)]
         return packed, down, tuple(number), ((1 << 2 * k) - 1) // 3
 
-    def _pass(self, lattice: Graph):
-        """One pass over a lattice's edges: what ``check`` returns.  Edges
-        are walked by position pair in canonical edge order, and hits are
-        filed by constraint number, so each edge's tags come out in
-        constraint order."""
+    # equal lattices have equal labels and adjacency, so a hit is what a pass would give
+    @lru_cache(maxsize=1)
+    def check(self, lattice: Graph):
+        """The membership report (per coordinate and condition, the lattice
+        edges in the scaffold and the first target they miss), the edges
+        outside the universe, for each constraint hit its hitting edges in
+        canonical edge order, and for each edge the constraints it alone
+        hits, in constraint order, from one pass over the lattice's edges.
+        Edges are walked by position pair in canonical edge order, and hits
+        are filed by constraint number, so each edge's tags come out in
+        constraint order.
+
+        The last result is cached by (system, lattice) and shared, so a
+        membership report and the minimality and critical-edge reports of
+        an equal lattice read one pass; only one is kept, so a large
+        lattice and its hit tables are not held much past their use.  No
+        caller may mutate ``outside``, ``hits`` or ``sole``."""
         k, width = self.k, len(self.conditions)
         packed, down, tags, ones = self._positions
         verts = lattice.vertices()
@@ -499,10 +497,6 @@ class CoverSystem:
         return tuple((u, verts[pos[y]]) for u in verts for y in self._near(u.vector) if y > u.vector)
 
     @cached_property
-    def index(self) -> dict[Edge, int]:
-        return {e: b for b, e in enumerate(self.edges)}
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """One bit mask over the universe per constraint, in constraint
         order; the bits are set in byte arrays, so building is linear."""
@@ -547,12 +541,6 @@ class CoverSystem:
             if not mask & cm:
                 return False
         return True
-
-
-@lru_cache(maxsize=1)
-def _check(cs: CoverSystem, lattice: Graph):
-    # equal lattices have equal labels and adjacency, so a hit is what a pass would give
-    return cs._pass(lattice)
 
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:

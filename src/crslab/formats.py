@@ -230,11 +230,8 @@ def membership_to_json(rep: MembershipReport) -> dict:
 
 
 def _dot_name(v: Vertex) -> str:
-    if isinstance(v, BaseVertex):
-        return f'"b{v.index}"'
-    if isinstance(v, LatticeVertex):
-        return '"(' + ",".join(str(c) for c in v.vector) + ')"'
-    return f'"{v.id}"'
+    """A plain vertex by its id, any other by its label (b<i>, (x_1,...,x_k))."""
+    return f'"{v.id}"' if isinstance(v, PlainVertex) else f'"{v!r}"'
 
 
 def graph_to_dot(g: Graph) -> str:

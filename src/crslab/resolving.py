@@ -87,7 +87,12 @@ class ClassificationVerdict:
     witness: CrsCertificate | None = None
 
 
-def _check_w(g: Graph, w) -> list[Vertex]:
+def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
+    """The positions of a checked W, their hop-count rows, and the outside
+    positions; raises if any outside vertex is unreachable from any W
+    vertex.  Any unreachable vertex will do for that test: W is proper, so
+    a W vertex cut off from another leaves some outside vertex unreachable
+    from one of the two."""
     members = list(w)
     if not members:
         raise InvalidW("W must be nonempty")
@@ -98,16 +103,7 @@ def _check_w(g: Graph, w) -> list[Vertex]:
             raise InvalidW(f"W contains {v!r}, which is not a vertex")
     if len(members) >= g.order:
         raise InvalidW("W must be a proper subset of the vertex set")
-    return members
-
-
-def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
-    """The positions of a checked W, their hop-count rows, and the outside
-    positions; raises if any outside vertex is unreachable from any W
-    vertex.  Any unreachable vertex will do for that test: W is proper, so
-    a W vertex cut off from another leaves some outside vertex unreachable
-    from one of the two."""
-    w_idx = [g.index_of(v) for v in _check_w(g, w)]
+    w_idx = [g.index_of(v) for v in members]
     in_w = set(w_idx)
     rest = [u for u in range(g.order) if u not in in_w]
     adj = g.adjacency_masks()

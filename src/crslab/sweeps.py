@@ -336,7 +336,7 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     failures and must pass check_crs with a table and a lane that are not
     the identity and a relabeling inside the family, or it counts in
     inconsistent (a genuine bug).  A sample is tested when its mask meets the
-    cover system's outside mask, the edges not in ``cs.index``.  The first
+    cover system's outside mask, the edges not in its universe.  The first
     _SUBSAMPLE samples and the certified ones also get a member_c report:
     they are tested only if it names a bad edge, and a member report counts
     in failures and inconsistent.  Returns (tested, failures, inconsistent).
@@ -348,7 +348,8 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
     pairs = [(u.vector, v.vector) for u, v in all_edges]  # type: ignore[union-attr]
     gap2 = sum(1 << t for t, (x, y) in enumerate(pairs) if max(abs(a - b) for a, b in zip(x, y)) == 2)
     cs = cover_system("C", 2)
-    outside = sum(1 << t for t, e in enumerate(all_edges) if e not in cs.index)
+    universe = set(cs.edges)
+    outside = sum(1 << t for t, e in enumerate(all_edges) if e not in universe)
     masks = []
     for _ in range(OUT_OF_GAMMA_SAMPLES):
         while True:

@@ -12,6 +12,8 @@ tests/test_properties.py::test_out_of_range_counterexample_is_stable
 pins the deterministic witness.
 """
 
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from crslab import sweeps
 from crslab.families import base_complete, base_null, example_graph
 from crslab.extremal import tightness_b
 from crslab.sweeps import (
@@ -28,6 +31,7 @@ from crslab.sweeps import (
     check_minimal_enumeration,
     check_size_identities,
     check_tightness,
+    run_suite,
     sweep_b_equivalence,
     sweep_c_equivalence,
     sweep_properties,
@@ -35,6 +39,7 @@ from crslab.sweeps import (
 )
 
 TIMINGS: dict[str, float] = {}
+WORK = Path(__file__).resolve().parents[1] / "perfbench" / "work.py"
 
 
 def _timed(name, fn, *args, **kwargs):
@@ -220,3 +225,43 @@ def test_benchmark_selftest_passes():
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def stale_benchmark_pins(work: Path = WORK) -> list[str]:
+    """What the benchmark's work file pins and this tree no longer gives: a
+    ``PINNED_SWEEPS`` counter set that differs from its sweep's, or an
+    ``EXPECTED_FAIL`` that is not the set of failing suites.  The file is
+    read as text, so nothing is imported from it and no bytecode is left
+    under perfbench/."""
+    assigned = {
+        target.id: node.value
+        for node in ast.parse(work.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    expected_fail = ast.literal_eval(assigned["EXPECTED_FAIL"])
+    stale = []
+    for fn, (suite, pinned) in ast.literal_eval(assigned["PINNED_SWEEPS"]).items():
+        counters = dataclasses.asdict(getattr(sweeps, fn)())
+        if counters != pinned:
+            stale.append(f"{suite}: {fn} gives {counters}, pinned {pinned}")
+    failing = {r.name for r in run_suite("all") if not r.passed}
+    if failing != expected_fail:
+        stale.append(f"failing suites {sorted(failing)}, pinned {sorted(expected_fail)}")
+    return stale
+
+
+def test_benchmark_pins_match_the_sweeps():
+    assert stale_benchmark_pins() == []
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"members": 65,', '"members": 66,'), ('EXPECTED_FAIL = {"c-equivalence"}', "EXPECTED_FAIL = set()")],
+    ids=["b-equivalence-members", "no-expected-failure"],
+)
+def test_a_stale_benchmark_pin_is_caught(tmp_path, old, new):
+    text = WORK.read_text()
+    assert text.count(old) == 1
+    work = tmp_path / "work.py"
+    work.write_text(text.replace(old, new))
+    assert len(stale_benchmark_pins(work)) == 1

@@ -30,6 +30,7 @@ from crslab.graph import (
 )
 from crslab.families import (
     CompositeGraph,
+    CoverSystem,
     IndexDiagnostic,
     MembershipReport,
     base_complete,
@@ -469,29 +470,29 @@ class TestCoverPass:
             fresh = families.CoverSystem(built.k, built.m, built.hoods)
             assert "_positions" not in fresh.__dict__
             for cs in (fresh, built):
-                families._check.cache_clear()
+                CoverSystem.check.cache_clear()
                 # lists compare in order: hits in edge order, sole hits in constraint order
                 assert cs.check(lattice) == want
             assert "_positions" in fresh.__dict__
             outside_seen += bool(want[1])
             sole_seen += bool(want[3])
             members += want[0].member
-        families._check.cache_clear()
+        CoverSystem.check.cache_clear()
         # the control: each kind of result occurs
         assert sole_seen and members and members < len(lattices)
         assert outside_seen if family == "C" else not outside_seen
 
     def test_a_k6_check_builds_no_universe(self):
         families._cover_system.cache_clear()
-        families._check.cache_clear()
+        CoverSystem.check.cache_clear()
         t6 = example_graph("T", 6)
         report = member_c(t6)
         assert report.member
         cs = cover_system("C", 6)
         assert "_positions" in cs.__dict__
-        for name in ("edges", "masks", "index"):
+        for name in ("edges", "masks"):
             assert name not in cs.__dict__
-        families._check.cache_clear()
+        CoverSystem.check.cache_clear()
 
 
 class TestGamma:

@@ -220,10 +220,8 @@ def test_out_of_range_tested_needs_the_outside_mask(monkeypatch):
     # a universe that takes in every gap-2 edge leaves the outside mask
     # empty, so no sample counts as tested, while the draw (read off the
     # vectors) and the certified lane stay as they are
-    everything = {e: t for t, e in enumerate(lattice_complete(2, 3).edges())}
-
     class AllEdges(CoverSystem):
-        index = everything
+        edges = lattice_complete(2, 3).edges()
 
     cs = AllEdges(2, 3, cover_system("C", 2).hoods)
     monkeypatch.setattr(sweeps, "cover_system", lambda family, k: cs)
@@ -617,7 +615,7 @@ def test_property_sweep_can_fail_on_the_choice_sets(monkeypatch):
     # one edge offered at every choice point of k = 2: each of its 10 * 9 / 2
     # pairs overlaps, and none of the 741 pairs at k = 3
     shared = (LatticeVertex((1, 1)), LatticeVertex((1, 2)))
-    _patch_choice_masks(monkeypatch, 2, lambda cs, masks: [mask | 1 << cs.index[shared] for mask in masks])
+    _patch_choice_masks(monkeypatch, 2, lambda cs, masks: [mask | 1 << cs.edges.index(shared) for mask in masks])
     result = sweeps.sweep_properties.__wrapped__()
     assert (result.epsilon_pairs_checked, result.epsilon_overlaps) == (786, 45)
     assert not result.ok
