@@ -661,23 +661,44 @@ class TestSuiteCommand:
 def pinned_runs():
     """The CLI runs whose output bytes tests/data/cli_digests.json pins:
     every named family at k = 2, 3 in each format, with and without
-    --compose, and the k = 2 minimal enumerations."""
+    --compose, the k = 2 minimal enumerations, and pipelines that feed a
+    composite to the reading commands: classify and dim on every composite
+    within the default order cap of 12, in JSON and graph6, and verify
+    --membership on every composite JSON (B on [2]^k, C on [3]^k).  A
+    pipeline is its stages joined by " | "; each stage reads the previous
+    stage's output as stdin."""
     for family in FAMILY_NAMES:
         for k in ("2", "3"):
             for fmt in ("json", "g6", "dot"):
                 for extra in ([], ["--compose"]):
-                    yield ["construct", "--family", family, "--k", k, "--format", fmt, *extra]
+                    yield " ".join(["construct", "--family", family, "--k", k, "--format", fmt, *extra])
     for kind in ("B", "C"):
-        yield ["enumerate", "--minimal", kind, "--k", "2"]
+        yield f"enumerate --minimal {kind} --k 2"
+    for family in FAMILY_NAMES:
+        for k in ("2", "3"):
+            m = 2 if family in ("U", "V", "R", "P2box", "MaxB") else 3
+            composite = f"construct --family {family} --k {k} --format json --compose"
+            yield f"{composite} | verify --graph - --membership {'B' if m == 2 else 'C'}"
+            if k == "3" and m == 3:
+                continue  # order 3 + 27 is over the cap
+            for fmt in ("json", "g6"):
+                for command in ("classify", "dim"):
+                    yield f"construct --family {family} --k {k} --format {fmt} --compose | {command} --graph -"
 
 
 def cli_digests() -> dict[str, str]:
     out = {}
-    for argv in pinned_runs():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0, argv
-        out[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    for command in pinned_runs():
+        text = ""
+        for stage in command.split(" | "):
+            buf, stdin, sys.stdin = io.StringIO(), sys.stdin, io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(buf):
+                    assert main(stage.split()) == 0, command
+            finally:
+                sys.stdin = stdin
+            text = buf.getvalue()
+        out[command] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
@@ -686,8 +707,8 @@ def test_cli_output_bytes_are_pinned():
     # output is meant to change: PYTHONPATH=src python tests/test_cli.py
     want = json.loads(CLI_DIGESTS.read_text())
     got = cli_digests()
-    assert len(got) == 110
-    assert [argv for argv in got if got[argv] != want.get(argv)] == []
+    assert len(got) == 184
+    assert [command for command in got if got[command] != want.get(command)] == []
     assert got == want
 
 
