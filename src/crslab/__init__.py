@@ -34,14 +34,11 @@ from .graph import (
     LatticeVertex,
     PlainVertex,
     Vertex,
-    complete_graph,
-    degree,
     diameter,
     distances,
     is_connected,
     is_path,
     is_spanning_subgraph,
-    null_graph,
     plain_graph,
     universal_vertices,
 )

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, NotMember, NotMinimal, SizeOverflow
-from .graph import BaseVertex, Edge, Graph, LatticeVertex, Vertex, _iter_bits, degree
+from .graph import Edge, Graph, LatticeVertex, Vertex, _iter_bits
 from .families import (
     MembershipReport,
     _check_k,
@@ -139,7 +139,7 @@ def bounds_b(base: Graph) -> tuple[int, int]:
     k = _require_base(base)
     if k > _MAX_BOUNDS_K:
         raise SizeOverflow(f"radius-2 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
-    degs = [degree(base, BaseVertex(i)) for i in range(1, k + 1)]
+    degs = [row.bit_count() for row in base.adjacency_masks()]
     lower = 2 ** (k - min(degs) - 1)
     upper = sum(2 ** (k - d - 1) for d in degs)
     return lower, upper
@@ -199,17 +199,16 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     edges = lattice.edges()
     if not membership.member or not all(e in sole for e in edges):
         raise NotMinimal("tightness analysis needs a minimal lattice")
-    k = cs.k
     lower, upper = bounds_b(base)
     actual = len(edges)
-    degs = {i: degree(base, BaseVertex(i)) for i in range(1, k + 1)}
-    min_deg = min(degs.values())
+    degs = [row.bit_count() for row in base.adjacency_masks()]
+    min_deg = min(degs)
     lower_witness = None
-    for i in range(1, k + 1):
+    for i, deg in enumerate(degs, 1):
         # each slice constraint of i has exactly one hitting edge, and those
         # are all the edges (an edge hits at most one target of i)
         counts = [len(hits.get((i, "slice", x), ())) for x in cs.targets(i, "slice")]
-        if degs[i] == min_deg and counts == [1] * actual:
+        if deg == min_deg and counts == [1] * actual:
             lower_witness = i
             break
     lower_tight = lower_witness is not None

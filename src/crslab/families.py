@@ -34,8 +34,6 @@ from .graph import (
     Vertex,
     _iter_bits,
     _rows,
-    complete_graph,
-    null_graph,
 )
 from .resolving import CrsCertificate
 
@@ -118,16 +116,25 @@ def span_lattice(k: int, m: int, edges) -> Graph:
     return Graph._from_adj(verts, index, adj)
 
 
+def _labeled_graph(verts: tuple[Vertex, ...], index: dict[Vertex, int], complete: bool) -> Graph:
+    """The complete or the edgeless graph on a cached label table."""
+    adj = _rows(verts, (), int, int)
+    if complete:
+        full = (1 << len(verts)) - 1
+        adj = [row | full ^ 1 << p for p, row in enumerate(adj)]
+    return Graph._from_adj(verts, index, adj)
+
+
 def base_complete(k: int) -> Graph:
-    return complete_graph([BaseVertex(i) for i in range(1, k + 1)])
+    return _labeled_graph(*_base_labels(k), True)
 
 
 def base_null(k: int) -> Graph:
-    return null_graph([BaseVertex(i) for i in range(1, k + 1)])
+    return _labeled_graph(*_base_labels(k), False)
 
 
 def lattice_complete(k: int, m: int) -> Graph:
-    return complete_graph(_lattice_labels(k, m)[0])
+    return _labeled_graph(*_lattice_labels(k, m)[:2], True)
 
 
 # -- scaffolds ------------------------------------------------------------
@@ -173,8 +180,8 @@ class CompositeGraph:
 
     The base lives on BaseVertex(1..k) and the lattice on all of [m]^k,
     checked once, when the composite is built.  Cross edges join base
-    vertex i to every lattice vertex whose i-th component is 1; they are
-    fully determined by the labels and are never stored.
+    vertex i to every lattice vertex whose i-th component is 1; they follow
+    from the labels and appear only in the graph ``materialize()`` builds.
     """
 
     k: int
@@ -185,14 +192,6 @@ class CompositeGraph:
     def __post_init__(self) -> None:
         _check_base(self.base, self.k)
         _require_lattice(self.lattice, self.k, self.m)
-
-    @property
-    def order(self) -> int:
-        return self.k + self.m ** self.k
-
-    @property
-    def size(self) -> int:
-        return self.base.size + self.lattice.size + self.k * self.m ** (self.k - 1)
 
     def materialize(self) -> Graph:
         """The composite as one graph: base rows, then lattice rows shifted
@@ -222,8 +221,8 @@ def _require_lattice(lattice: Graph, k: int, m: int) -> None:
 
 def compose(base: Graph, lattice: Graph, k: int, m: int) -> CompositeGraph:
     """Assemble the composite of a base graph on [k] and a lattice graph on
-    [m]^k; the implied cross edges make the size obey
-    |E(base)| + |E(lattice)| + k * m^(k-1)."""
+    [m]^k; with the implied cross edges, its materialized graph has
+    |E(base)| + |E(lattice)| + k * m^(k-1) edges."""
     return CompositeGraph(k, m, base, lattice)
 
 
@@ -564,8 +563,7 @@ def _cover_system(m: int, k: int, base: Graph | None) -> CoverSystem:
     if m == 3 and base.size:
         raise NotMember("the radius-3 family needs a null base")
     hoods = tuple(
-        frozenset({i} | {u.index for u in base.neighbors(BaseVertex(i))})  # type: ignore[union-attr]
-        for i in range(1, k + 1)
+        frozenset({i} | {j + 1 for j in _iter_bits(row)}) for i, row in enumerate(base.adjacency_masks(), 1)
     )
     return CoverSystem(k, m, hoods)
 

@@ -12,9 +12,10 @@ Vertex identity is by label value.  All graphs are stored canonically:
 vertices sorted under a fixed total order (base < lattice < plain, numeric
 or lexicographic within each kind), and the edges as one adjacency bit set
 (a Python int) per vertex over that order.  The bits are the only edge
-store: ``edges()`` and ``edge_set()`` read the sorted endpoint pairs off
-them, and two graphs compare equal exactly when they have the same labeled
-vertices and adjacency.  The exhaustive suites lean on the bits.
+store, and there are two edge readers: ``adjacency_masks()`` copies the
+rows, over the positions ``index_of`` gives, and ``edges()`` reads the
+sorted endpoint pairs off them.  Two graphs compare equal exactly when they
+have the same labeled vertices and adjacency.
 
 Every edge list -- of labels (``Graph``), vectors (``families.span_lattice``)
 or integers (``plain_graph``) -- becomes rows in ``_rows``, the one place that
@@ -146,21 +147,8 @@ class Graph:
                 mask ^= low
         return out
 
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
-
     def has_vertex(self, v: Vertex) -> bool:
         return v in self._index
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        """Adjacency bit test; False when either label is not in the graph."""
-        iu = self._index.get(u)
-        iv = self._index.get(v)
-        return iu is not None and iv is not None and self._adj[iu] >> iv & 1 == 1
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        mask = self._adj[self.index_of(v)]
-        return tuple(self._verts[i] for i in _iter_bits(mask))
 
     def index_of(self, v: Vertex) -> int:
         try:
@@ -208,15 +196,6 @@ def _rows(verts: tuple[Vertex, ...], edges: Iterable, position: Callable, name: 
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return adj
-
-
-def complete_graph(vertices: Iterable[Vertex]) -> Graph:
-    verts = list(vertices)
-    return Graph(verts, [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]])
-
-
-def null_graph(vertices: Iterable[Vertex]) -> Graph:
-    return Graph(vertices, [])
 
 
 @lru_cache(maxsize=64)
@@ -313,11 +292,6 @@ def is_spanning_subgraph(g1: Graph, g2: Graph) -> bool:
     The paper's posets are ordered by it; kept as the reference that the
     tests check members against their family's maximum graph with."""
     return g1.vertices() == g2.vertices() and all(a & ~b == 0 for a, b in zip(g1._adj, g2._adj))
-
-
-def degree(g: Graph, v: Vertex) -> int:
-    """Number of edges covering ``v``."""
-    return g._adj[g.index_of(v)].bit_count()
 
 
 # -- structural predicates -------------------------------------------------

@@ -292,7 +292,7 @@ class TestMinimalityC:
             lattice = span_lattice(2, 3, chosen)
             rep = is_k_minimal(lattice)
             for ec in rep.edges:
-                after = Graph(lattice.vertices(), [f for f in lattice.edge_set() if f != ec.edge])
+                after = Graph(lattice.vertices(), [f for f in lattice.edges() if f != ec.edge])
                 assert ec.critical == (not member_c(after).member)
 
     @pytest.mark.parametrize("case", ["member", "misses-a-constraint", "hits-all-with-an-edge-outside"])
@@ -386,7 +386,7 @@ class TestBounds:
         seen = set()
         for k in (2, 3, 4):
             for base in labeled_bases(k):
-                degs = tuple(sorted(len(base.neighbors(v)) for v in base.vertices()))
+                degs = tuple(sorted(sum(v in e for e in base.edges()) for v in base.vertices()))
                 assert composite_size_bounds("B", base) == self.COMPOSITE_B[degs], base.edges()
                 seen.add(degs)
         assert seen == set(self.COMPOSITE_B)
@@ -503,7 +503,7 @@ class TestTightness:
             edges = lattice.edges()
             rng.shuffle(edges)
             for e in edges:
-                smaller = Graph(lattice.vertices(), [f for f in lattice.edge_set() if f != e])
+                smaller = Graph(lattice.vertices(), [f for f in lattice.edges() if f != e])
                 if member_b(base, smaller).member:
                     lattice = smaller
             lo, hi = bounds_b(base)

@@ -183,25 +183,31 @@ class TestSSet:
 
 
 class TestCompose:
+    @staticmethod
+    def edge_count(base, lattice, k, m):
+        # the paper's identity: the cross edges are implied, k * m^(k-1) of them
+        return base.size + lattice.size + k * m ** (k - 1)
+
     def test_edge_counts(self):
-        c = compose(base_complete(2), example_graph("U", 2), 2, 2)
-        assert c.size == 1 + 1 + 2 * 2
-        c = compose(base_null(2), gamma(2), 2, 3)
-        assert c.size == 0 + 20 + 2 * 3
-        c = compose(base_null(3), span_lattice(3, 2, []), 3, 2)
-        assert c.size == 3 * 4
+        for base, lattice, k, m, size in [
+            (base_complete(2), example_graph("U", 2), 2, 2, 1 + 1 + 2 * 2),
+            (base_null(2), gamma(2), 2, 3, 0 + 20 + 2 * 3),
+            (base_null(3), span_lattice(3, 2, []), 3, 2, 3 * 4),
+        ]:
+            assert self.edge_count(base, lattice, k, m) == size
+            assert compose(base, lattice, k, m).materialize().size == size
 
     def test_materialized_size_matches(self):
         c = compose(base_null(2), example_graph("T", 2), 2, 3)
-        assert c.materialize().size == c.size
-        assert c.materialize().order == c.order == 11
+        assert c.materialize().size == self.edge_count(c.base, c.lattice, 2, 3)
+        assert c.materialize().order == 2 + 3 ** 2 == 11
 
     def test_cross_edges_rule(self):
         c = compose(base_null(2), span_lattice(2, 2, []), 2, 2)
-        g = c.materialize()
+        edges = set(c.materialize().edges())
         for v in lattice_vertices(2, 2):
             for i in (1, 2):
-                assert g.has_edge(BaseVertex(i), LatticeVertex(v)) == (v[i - 1] == 1)
+                assert ((BaseVertex(i), LatticeVertex(v)) in edges) == (v[i - 1] == 1)
 
     def test_wrong_vertex_sets(self):
         with pytest.raises(WrongVertexSet):
@@ -260,7 +266,7 @@ class TestMemberC:
         t2 = example_graph("T", 2)
         # drop one edge: some coordinate loses its only cover of a vertex
         for e in t2.edges():
-            smaller = Graph(t2.vertices(), [f for f in t2.edge_set() if f != e])
+            smaller = Graph(t2.vertices(), [f for f in t2.edges() if f != e])
             rep = member_c(smaller)
             assert not rep.member
             assert rep.bad_edge is None
@@ -325,9 +331,10 @@ class TestOneRule:
         base = labeled_base(k, bits)
         m = 2 if family == "B" else 3
         vectors = lattice_vertices(k, m)
+        dist = distances(base)
         want = []
         for i in range(1, k + 1):
-            hood = [j for j in range(1, k + 1) if j == i or base.has_edge(BaseVertex(i), BaseVertex(j))]
+            hood = [j for j in range(1, k + 1) if dist[BaseVertex(i), BaseVertex(j)] in (0, 1)]
             want += [(i, "slice", x) for x in vectors if all(x[j - 1] == 2 for j in hood)]
             if family == "C":
                 want += [(i, "s-set", x) for x in vectors if x[i - 1] == 3 and 1 not in x]
@@ -805,7 +812,7 @@ class TestCanonicalRelabel:
         assert isinstance(cert, CrsCertificate)
         # break one cross edge: the certificate still claims d(b1, (1,1)) = 1
         dropped = (BaseVertex(1), LatticeVertex((1, 1)))
-        broken = Graph(g.vertices(), [e for e in g.edge_set() if e != dropped])
+        broken = Graph(g.vertices(), [e for e in g.edges() if e != dropped])
         with pytest.raises(CrossEdgeMismatch) as exc:
             canonical_relabel(broken, cert)
         assert str(exc.value) == "adjacency of b1 and (1,1) disagrees with the certificate vector"
@@ -827,12 +834,12 @@ class TestCanonicalRelabel:
             frozenset((w[0], relabel[LatticeVertex((3, 3))])),
             frozenset((w[1], relabel[LatticeVertex((1, 2))])),
         }
-        edges = {frozenset(e) for e in scrambled.edge_set()} ^ flips
+        edges = {frozenset(e) for e in scrambled.edges()} ^ flips
         broken = Graph(scrambled.vertices(), [tuple(e) for e in edges])
         rest = [u for u in broken.vertices() if u not in w]
         first = next(
             (x, u) for i, x in enumerate(w) for u in rest
-            if broken.has_edge(x, u) != (cert.table[u][i] == 1)
+            if (frozenset((x, u)) in edges) != (cert.table[u][i] == 1)
         )
         assert first[0] == w[0]
         with pytest.raises(CrossEdgeMismatch) as exc:
@@ -865,9 +872,10 @@ class TestCanonicalRelabel:
         assert canonical_relabel(g, cert) == comp
         owner = {x: u for u, x in cert.table.items()}
         free = [x for x in lattice_vertices(2, 3) if 1 not in x]
+        dist = distances(g)
         forged = [
             (x, y) for t, x in enumerate(free) for y in free[t + 1:]
-            if not g.has_edge(owner[x], owner[y])
+            if dist[owner[x], owner[y]] != 1
         ]
         assert len(forged) == 5
         for x, y in forged:

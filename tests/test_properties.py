@@ -87,7 +87,7 @@ def test_upset_closure_spot_checks():
 def test_adding_out_of_range_edge_always_breaks_membership():
     rng = random.Random(101)
     vecs = lattice_vertices(2, 3)
-    gamma_set = gamma(2).edge_set()
+    gamma_set = set(gamma(2).edges())
     all_pairs = [
         (LatticeVertex(x), LatticeVertex(y))
         for a, x in enumerate(vecs)
@@ -97,7 +97,7 @@ def test_adding_out_of_range_edge_always_breaks_membership():
     for _ in range(50):
         lattice = random_c_member(rng, 2)
         extra = out_pairs[rng.randrange(len(out_pairs))]
-        bigger = Graph(lattice.vertices(), list(lattice.edge_set()) + [extra])
+        bigger = Graph(lattice.vertices(), lattice.edges() + [extra])
         rep = member_c(bigger)
         assert not rep.member and rep.bad_edge is not None
 

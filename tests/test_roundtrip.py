@@ -1,5 +1,5 @@
 """Round trips through the Graph core: graph6 reads and writes adjacency
-bits (write_graph6 asks has_edge for every pair), graph JSON lists edges()
+bits (write_graph6 reads the adjacency rows pair by pair), graph JSON lists edges()
 in canonical order.  Drawn plain graphs of order 2-20."""
 
 import json

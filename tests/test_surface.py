@@ -1,14 +1,19 @@
 """The public surface is what the program reaches.
 
-Every public top-level function and class of ``src/crslab`` must be reached
-from a root: ``cli.main`` (every command), ``sweeps.SUITES`` and
-``run_suite`` (every suite), and the benchmark's calls, read from
-``perfbench/work.py``: each ``REQUEST_SPANS`` entry and every ``crslab.X``
-or ``formats.X`` attribute there.  Reaching follows ``Name`` and
-``Attribute`` identifiers through top-level definitions, by name.  A name
-that nothing reaches is kept only as a reference that named tests check
-against, listed in ``KEPT`` with the test nodes that need it; a ``KEPT``
-name that the program does reach is a stale row.
+Every public top-level function and class of ``src/crslab``, and every
+public method and property of a public class (as ``module.Class.member``),
+must be reached from a root: ``cli.main`` (every command), ``sweeps.SUITES``
+and ``run_suite`` (every suite), and the benchmark's calls, read from
+``perfbench/work.py``: each ``REQUEST_SPANS`` entry and every attribute name
+read there, as result objects leave crslab there.  Reaching follows
+``Name`` and ``Attribute`` identifiers by name: through top-level
+definitions, and through a method once reached code reads its name, so a
+name that two classes share is reached in both.  A reached class brings
+its decorators, bases, fields and dunder methods; a private class all of
+its body, as its members are exempt.  A name that nothing reaches is kept
+only as a reference that named tests check against, listed in ``KEPT``
+with the test nodes that need it; a ``KEPT`` name that the program does
+reach is a stale row.
 """
 
 import ast
@@ -41,6 +46,17 @@ KEPT = {
     "sweeps.out_of_range_counterexample": (
         "tests/test_properties.py::test_out_of_range_counterexample_is_stable",
     ),
+    # the direct reads of one constraint that the lane kernels and the cover
+    # pass are checked against
+    "families.CoverSystem.covers": (
+        "tests/test_properties.py::test_member_lanes_agree_with_the_cover_system",
+        "tests/test_properties.py::test_radius_2_sweep_reads_each_base_in_one_block",
+        "tests/test_properties.py::test_lane_kernel_agrees_with_check_crs_across_blocks",
+    ),
+    "families.CoverSystem.in_universe": (
+        "tests/test_families.py::reference_pass",
+        "tests/test_extremal.py::TestMinimalityC::test_the_all_hit_shortcut",
+    ),
 }
 
 
@@ -50,12 +66,11 @@ def _roots(work: Path) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REQUEST_SPANS"]:
             roots |= {ast.literal_eval(e).split(".")[1] for e in node.value.elts}
-    roots |= {
-        node.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id in ("crslab", "formats")
-    }
-    return roots
+    return roots | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def surface_faults(src: Path = SRC, work: Path = WORK, kept=KEPT) -> tuple[list[str], list[str]]:
@@ -66,15 +81,23 @@ def surface_faults(src: Path = SRC, work: Path = WORK, kept=KEPT) -> tuple[list[
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                names, parts = [node.name], [node]
                 if not node.name.startswith("_"):
                     public.add(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                names, parts = [t.id for t in node.targets if isinstance(t, ast.Name)], [node]
             else:
                 continue
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                # a member is reached by its name, the rest with the class
+                members = [n for n in node.body if isinstance(n, ast.FunctionDef) and not _is_dunder(n.name)]
+                for member in members:
+                    defs.setdefault(member.name, []).append(member)
+                    if not member.name.startswith("_"):
+                        public.add(f"{path.stem}.{node.name}.{member.name}")
+                parts = [*node.decorator_list, *node.bases, *(n for n in node.body if n not in members)]
             for name in names:
-                defs.setdefault(name, []).append(node)
+                defs.setdefault(name, []).extend(parts)
     reached: set[str] = set()
     todo = list(_roots(work))
     while todo:
@@ -84,8 +107,8 @@ def surface_faults(src: Path = SRC, work: Path = WORK, kept=KEPT) -> tuple[list[
             for node in defs.get(name, ()):
                 todo += [n.id if isinstance(n, ast.Name) else n.attr
                          for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
-    unreached = sorted(q for q in public - kept.keys() if q.split(".")[1] not in reached)
-    stale = sorted(q for q in kept if q not in public or q.split(".")[1] in reached)
+    unreached = sorted(q for q in public - kept.keys() if q.split(".")[-1] not in reached)
+    stale = sorted(q for q in kept if q not in public or q.split(".")[-1] in reached)
     return unreached, stale
 
 
@@ -124,3 +147,27 @@ def test_the_lint_reports_an_unreached_exported_helper(tmp_path):
 def test_the_lint_reports_a_stale_kept_row():
     kept = {**KEPT, "formats.graph_to_json": ("tests/test_formats.py",)}
     assert surface_faults(kept=kept) == ([], ["formats.graph_to_json"])
+
+
+def test_the_lint_reports_an_unreached_public_method(tmp_path):
+    src = tmp_path / "crslab"
+    shutil.copytree(SRC, src)
+    text = (src / "graph.py").read_text()
+    anchor = "    def index_of(self, v: Vertex) -> int:\n"
+    assert text.count(anchor) == 1
+    members = "    def helper(self):\n        ...\n\n    @property\n    def spare(self):\n        ...\n\n"
+    (src / "graph.py").write_text(text.replace(anchor, members + anchor))
+    assert surface_faults(src) == (["graph.Graph.helper", "graph.Graph.spare"], [])
+
+
+def test_the_lint_reports_a_stale_kept_member_row():
+    kept = {**KEPT, "graph.Graph.edges": ("tests/test_graph.py",)}
+    assert surface_faults(kept=kept) == ([], ["graph.Graph.edges"])
+
+
+def test_a_member_read_only_by_the_benchmark_is_reached(tmp_path):
+    # MinimalityReport.redundant_edges leaves crslab only in perfbench/work.py
+    work = tmp_path / "work.py"
+    work.write_text(WORK.read_text().replace(".redundant_edges()", "()"))
+    assert surface_faults() == ([], [])
+    assert surface_faults(work=work) == (["extremal.MinimalityReport.redundant_edges"], [])
