@@ -191,7 +191,6 @@ class TestDegree:
     def test_complete_base(self):
         base = base_complete(4)
         assert [row.bit_count() for row in base.adjacency_masks()] == [3, 3, 3, 3]
-        assert base.size == 6
 
     def test_hypercube_regularity(self):
         for k in (2, 3, 4):

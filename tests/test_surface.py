@@ -69,10 +69,6 @@ def _roots(work: Path) -> set[str]:
     return roots | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
 def surface_faults(src: Path = SRC, work: Path = WORK, kept=KEPT) -> tuple[list[str], list[str]]:
     """The public names neither reached nor kept, and the kept names that
     are reached or not defined at all."""
@@ -81,16 +77,17 @@ def surface_faults(src: Path = SRC, work: Path = WORK, kept=KEPT) -> tuple[list[
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names, parts = [node.name], [node]
+                names = [node.name]
                 if not node.name.startswith("_"):
                     public.add(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.Assign):
-                names, parts = [t.id for t in node.targets if isinstance(t, ast.Name)], [node]
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             else:
                 continue
+            parts = [node]
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                # a member is reached by its name, the rest with the class
-                members = [n for n in node.body if isinstance(n, ast.FunctionDef) and not _is_dunder(n.name)]
+                # a member is reached by its name, the rest (dunders too) with the class
+                members = [n for n in node.body if isinstance(n, ast.FunctionDef) and not n.name.endswith("__")]
                 for member in members:
                     defs.setdefault(member.name, []).append(member)
                     if not member.name.startswith("_"):
