@@ -663,10 +663,11 @@ def pinned_runs():
     every named family at k = 2, 3 in each format, with and without
     --compose, the k = 2 minimal enumerations, and pipelines that feed a
     composite to the reading commands: classify and dim on every composite
-    within the default order cap of 12, in JSON and graph6, and verify
-    --membership on every composite JSON (B on [2]^k, C on [3]^k).  A
-    pipeline is its stages joined by " | "; each stage reads the previous
-    stage's output as stdin."""
+    within the default order cap of 12, in JSON and graph6, verify
+    --membership on every composite JSON (B on [2]^k, C on [3]^k), and
+    verify --w b1,...,bk, the certificate of its base, on every composite
+    JSON.  A pipeline is its stages joined by " | "; each stage reads the
+    previous stage's output as stdin."""
     for family in FAMILY_NAMES:
         for k in ("2", "3"):
             for fmt in ("json", "g6", "dot"):
@@ -678,6 +679,8 @@ def pinned_runs():
         for k in ("2", "3"):
             kind = "B" if family in ("U", "V", "R", "P2box", "MaxB") else "C"
             yield f"construct --family {family} --k {k} --format json --compose | verify --graph - --membership {kind}"
+            w = ",".join(f"b{i}" for i in range(1, int(k) + 1))
+            yield f"construct --family {family} --k {k} --format json --compose | verify --graph - --w {w}"
             if k == "3" and kind == "C":
                 continue  # order 3 + 3^3 is over the cap
             for fmt in ("json", "g6"):
@@ -706,7 +709,7 @@ def test_cli_output_bytes_are_pinned():
     # output is meant to change: PYTHONPATH=src python tests/test_cli.py
     want = json.loads(CLI_DIGESTS.read_text())
     got = cli_digests()
-    assert len(got) == 184
+    assert len(got) == 202
     assert [command for command in got if got[command] != want.get(command)] == []
     assert got == want
 

@@ -275,6 +275,42 @@ class TestCheckCrs:
             if isinstance(res, CrsCertificate):
                 assert g.order == len(ws) + res.m_of_w ** len(ws)
 
+    def test_reasons_follow_the_definition(self):
+        # the definition's order on the all-pairs table: the outside count
+        # against m(W)^|W| first, then the first two outside vertices, in
+        # canonical order, that share a vector; else the whole bijection
+        rng = random.Random(45)
+        seen = {CARDINALITY_MISMATCH: 0, NOT_INJECTIVE: 0, "certificate": 0}
+        graphs = 0
+        while graphs < 20:
+            n = rng.randint(4, 8)
+            g = plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45])
+            d = distances(g)
+            if None in d.values():
+                continue
+            graphs += 1
+            verts = g.vertices()
+            for k in (1, 2, 3):
+                for combo in combinations(verts, k):
+                    for w in dict.fromkeys((combo, combo[::-1])):
+                        rest = [u for u in verts if u not in w]
+                        vec = {u: tuple(d[(x, u)] for x in w) for u in rest}
+                        m = max(map(max, vec.values()))
+                        shared = [(a, b) for j, b in enumerate(rest) for a in rest[:j] if vec[a] == vec[b]]
+                        if len(rest) != m ** k:
+                            want = CrsFailure(
+                                CARDINALITY_MISMATCH,
+                                f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}",
+                            )
+                        elif shared:
+                            a, b = shared[0]
+                            want = CrsFailure(NOT_INJECTIVE, f"{a!r} and {b!r} share the vector {vec[b]}")
+                        else:
+                            want = CrsCertificate(w_order=w, m_of_w=m, table=vec)
+                        assert check_crs(g, w) == want
+                        seen[getattr(want, "reason", "certificate")] += 1
+        assert min(seen.values()) > 0, seen
+
 
 class TestFindAllCrs:
     def test_path4_oracle(self):

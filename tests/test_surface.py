@@ -29,6 +29,7 @@ KEPT = {
     "graph.distances": (
         "tests/test_resolving.py::brute_force_crs",
         "tests/test_families.py::TestDistanceIdentity",
+        "tests/test_resolving.py::TestCheckCrs::test_reasons_follow_the_definition",
     ),
     "graph.is_spanning_subgraph": (
         "tests/test_families.py::TestMaximumGraphs::test_members_are_spanning_subgraphs_of_the_maximum",
