@@ -224,26 +224,24 @@ def _injective(w_rows: list[list[int]]) -> bool:
     return len(set(zip(*w_rows))) == len(w_rows[0])
 
 
-def _bijection(verts, w_idx, w_rows, rest):
+def _bijection(verts, w_idx, w_rows, rest) -> CrsCertificate | CrsFailure:
     """The bijection test behind every certificate.
 
     Returns the certificate of W (positions ``w_idx`` with hop-count rows
     ``w_rows``) when the vectors of the outside positions ``rest`` form a
-    bijection onto [m(W)]^|W|.  Otherwise returns the first obstruction,
-    unformatted: (CARDINALITY_MISMATCH, m(W)) when the outside count differs
-    from m(W)^|W| (the cheap shortcut), else (NOT_INJECTIVE, a, b, vector)
-    for the first two outside positions sharing a vector.  An injective map
-    with the matching count is onto, so there is no third case.
+    bijection onto [m(W)]^|W|, else the failure ``check_crs`` describes,
+    worded where it is found.  An injective map with the matching count is
+    onto, so there is no third reason.
     """
     vecs = list(zip(*w_rows))
-    m = max([max(vecs[u]) for u in rest])
-    if m ** len(w_rows) != len(rest):
-        return CARDINALITY_MISMATCH, m
+    m, k = max([max(vecs[u]) for u in rest]), len(w_rows)
+    if m ** k != len(rest):
+        return CrsFailure(CARDINALITY_MISMATCH, f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}")
     seen: dict[LatticeVector, int] = {}
     for u in rest:
         vec = vecs[u]
         if vec in seen:
-            return NOT_INJECTIVE, seen[vec], u, vec
+            return CrsFailure(NOT_INJECTIVE, f"{verts[seen[vec]]!r} and {verts[u]!r} share the vector {vec}")
         seen[vec] = u
     return CrsCertificate(
         w_order=tuple(verts[w] for w in w_idx),
@@ -266,18 +264,7 @@ def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
     vector.
     """
     w_idx, rows, rest = _w_rows(g, w_order)
-    verts = g.vertices()
-    res = _bijection(verts, w_idx, rows, rest)
-    if isinstance(res, CrsCertificate):
-        return res
-    if res[0] == CARDINALITY_MISMATCH:
-        m, k = res[1], len(w_idx)
-        return CrsFailure(
-            CARDINALITY_MISMATCH,
-            f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}",
-        )
-    _reason, a, b, vec = res
-    return CrsFailure(NOT_INJECTIVE, f"{verts[a]!r} and {verts[b]!r} share the vector {vec}")
+    return _bijection(g.vertices(), w_idx, rows, rest)
 
 
 def _implied_radius(outside: int, k: int) -> int | None:
@@ -311,8 +298,9 @@ def _pruned_certificates(dist, sizes):
     edge inside W, so there the degree is exactly m^(|W|-1).  A W of two or
     more vertices with two or more outside vertices is dropped before
     ``_bijection`` unless its tie masks AND to the diagonal; ``_bijection``
-    still builds and checks every certificate returned.  (One outside vertex
-    is always told apart, and a singleton W is cheaper to test by its row.)"""
+    still builds and checks every certificate returned, and the
+    ``CrsFailure`` of each W it rejects is dropped.  (One outside vertex is
+    always told apart, and a singleton W is cheaper to test by its row.)"""
     verts, rows_all, deg = dist.verts, dist.rows, dist.deg
     n = len(verts)
     for k in sizes:
