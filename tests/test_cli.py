@@ -665,9 +665,9 @@ def pinned_runs():
     composite to the reading commands: classify and dim on every composite
     within the default order cap of 12, in JSON and graph6, verify
     --membership on every composite JSON (B on [2]^k, C on [3]^k), and
-    verify --w b1,...,bk, the certificate of its base, on every composite
-    JSON.  A pipeline is its stages joined by " | "; each stage reads the
-    previous stage's output as stdin."""
+    verify --w b1,...,bk (W the base) on every composite JSON.  A pipeline
+    is its stages joined by " | "; each stage reads the previous stage's
+    output as stdin."""
     for family in FAMILY_NAMES:
         for k in ("2", "3"):
             for fmt in ("json", "g6", "dot"):
