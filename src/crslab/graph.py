@@ -249,6 +249,28 @@ def bfs_levels(adj: list[int], source: int) -> list[int]:
     return dist
 
 
+def bfs_frontiers(adj: list[int], source: int) -> list[int]:
+    """The BFS level sets from ``source`` over adjacency bit sets, as bit
+    sets, level d at index d: ``[1 << source, N(source), ...]``, up to the
+    last level of ``source``'s component."""
+    full = (1 << len(adj)) - 1
+    seen = frontier = 1 << source
+    levels = [frontier]
+    while seen != full:
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels.append(frontier)
+    return levels
+
+
 def distances(g: Graph) -> dict[tuple[Vertex, Vertex], int | None]:
     """Exact hop counts for all ordered vertex pairs.
 

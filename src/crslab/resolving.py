@@ -12,7 +12,7 @@ re-check them edge by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
 
@@ -25,11 +25,17 @@ from .graph import (
     Graph,
     LatticeVector,
     Vertex,
+    _iter_bits,
+    bfs_frontiers,
     bfs_levels,
 )
 
 #: Default largest order searched exhaustively by the subset-scanning ops.
 DEFAULT_ORDER_CAP = 12
+
+#: Largest order whose tie masks are built through ``_spread``'s table of
+#: 2^n entries.
+_SPREAD_ORDER = 12
 
 CARDINALITY_MISMATCH = "cardinality-mismatch"
 NOT_INJECTIVE = "not-injective"
@@ -113,78 +119,123 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
     return w_idx, rows, rest
 
 
-class _Distances(dict):
-    """A connected graph's labels ``verts``, its all-pairs hop-count
-    ``rows`` (one BFS per vertex), each vertex's eccentricity ``ecc`` and
-    degree ``deg`` read off them once, and, keyed by position, each vertex's
-    tie mask, built from its row on first lookup.  The record also computes
-    the graph's classification ``verdict`` and its ``dimension`` on first
-    use, so the entry points share one search of each.  ``_distances``
-    builds one record per graph and shares it with every caller, so no
-    caller may mutate it.  The rows stay lists: tuples measured 0.75 MB
-    more peak memory on a stream of small graphs, held in the interpreter's
-    tuple free lists.
+@lru_cache(maxsize=None)
+def _spread(n: int) -> list[int]:
+    """The table that sends each n-bit mask L to the mask with bit u*n set
+    for each bit u of L: ``_spread(n)[L] * L`` is L shifted to the block of
+    each of its own bits.  Built for orders up to ``_SPREAD_ORDER`` only."""
+    table = [0]
+    for u in range(n):
+        bit = 1 << u * n
+        table += [t | bit for t in table]
+    return table
 
-    Bit u*n + v of the tie mask of w is set iff d(w, u) = d(w, v).  A vertex
-    set W resolves iff the AND of its masks is ``diagonal``, the bits
-    u*n + u: only then do all n vertices get distinct vectors toward W (a W
-    vertex's own level is {w}), as in ``_injective``.  A mask holds n^2
-    bits, so a mask is built only when a search first reads it: all n masks
-    of a 600-vertex cycle take n^3/8 bytes, 27 MB, and its dimension search
-    reads two of them.  Masks, the verdict and the dimension are read only
-    once ``_table`` has found the graph connected.
+
+class _Distances(dict):
+    """A connected graph's labels ``verts``, adjacency rows ``adj``, the
+    BFS ``frontiers`` of each vertex (level masks, one BFS per vertex), each
+    vertex's eccentricity ``ecc`` (its last level) and degree ``deg`` (the
+    popcount of its row), and, keyed by position, each vertex's tie mask,
+    built from its frontiers on first lookup.  A vertex's hop-count row is
+    built from its frontiers only when ``row`` is first asked for it: the
+    searches test W on the tie masks, and only ``_bijection`` reads rows.
+    The record also computes the graph's classification ``verdict`` and its
+    ``dimension`` on first use, so the entry points share one search of
+    each.  ``_distances`` builds one record per graph and shares it with
+    every caller, so no caller may mutate it.
+
+    Bit u*n + v of the tie mask of w is set iff d(w, u) = d(w, v): for each
+    level L of w, L shifted to the block of each of its own vertices u.  At
+    orders up to ``_SPREAD_ORDER`` that is one lookup and one multiply per
+    level, ``_spread(n)[L] * L``; the table has 2^n entries, so above that
+    order the mask is built by one shift per vertex.  A vertex set W
+    resolves iff the AND of its masks is ``diagonal``, the bits u*n + u:
+    only then do all n vertices get distinct vectors toward W (a W vertex's
+    own level is {w}), as in ``_injective``.  A mask holds n^2 bits, so a
+    mask is built only when a search first reads it: all n masks of a
+    600-vertex cycle take n^3/8 bytes, 27 MB, and its dimension search
+    reads two of them.  Masks, rows, the verdict and the dimension are read
+    only once ``_table`` has found the graph connected.
     """
 
     def __init__(self, g: Graph):
         super().__init__()
-        adj = g.adjacency_masks()
+        self.adj = adj = g.adjacency_masks()
         self.verts = g.vertices()
-        self.rows = rows = [bfs_levels(adj, i) for i in range(g.order)]
-        self.ecc = [max(row) for row in rows]
-        self.deg = [row.count(1) for row in rows]
-        n = len(rows)
+        self.frontiers = frontiers = [bfs_frontiers(adj, i) for i in range(g.order)]
+        self.ecc = [len(levels) - 1 for levels in frontiers]
+        self.deg = [a.bit_count() for a in adj]
+        n = len(adj)
+        self._rows = [None] * n
+        self._spread = _spread(n) if n <= _SPREAD_ORDER else None
+        self._verdict = self._dimension = None
         # bits 0, n+1, 2(n+1), ...: the sum of the first n powers of 2^(n+1)
         self.diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
 
     def __missing__(self, w: int) -> int:
-        row = self.rows[w]
-        n = len(row)
-        levels = [0] * (self.ecc[w] + 1)
-        for v, d in enumerate(row):
-            levels[d] |= 1 << v
-        tie = 0
-        for u, d in enumerate(row):
-            tie |= levels[d] << u * n
+        tie, spread = 0, self._spread
+        if spread is not None:
+            for level in self.frontiers[w]:
+                tie |= spread[level] * level
+        else:
+            n = len(self.adj)
+            for level in self.frontiers[w]:
+                for u in _iter_bits(level):
+                    tie |= level << u * n
         self[w] = tie
         return tie
+
+    def row(self, w: int) -> list[int]:
+        """The hop counts from position w, built from its frontiers once."""
+        row = self._rows[w]
+        if row is None:
+            row = self._rows[w] = [0] * len(self.adj)
+            for d, level in enumerate(self.frontiers[w]):
+                while level:
+                    low = level & -level
+                    row[low.bit_length() - 1] = d
+                    level ^= low
+        return row
 
     def resolves(self, w_idx) -> bool:
         """True iff the positions ``w_idx`` resolve the graph."""
         return reduce(and_, map(self.__getitem__, w_idx)) == self.diagonal
 
-    @cached_property
+    # verdict and dimension are plain memos: functools.cached_property
+    # takes a lock on each first access on CPython 3.11, about 1 us per graph
+
+    @property
     def verdict(self) -> ClassificationVerdict:
-        """The search behind ``is_completeness_resolvable``."""
-        rows_all, ecc, verts = self.rows, self.ecc, self.verts
+        """The search behind ``is_completeness_resolvable``, run once."""
+        if self._verdict is None:
+            self._verdict = self._classify()
+        return self._verdict
+
+    @property
+    def dimension(self) -> tuple[int, tuple[int, ...]]:
+        """Minimum resolving-set size with the lexicographically first
+        resolving positions at that size, searched once."""
+        if self._dimension is None:
+            self._dimension = self._search_dimension()
+        return self._dimension
+
+    def _classify(self) -> ClassificationVerdict:
+        ecc, verts = self.ecc, self.verts
         n = len(verts)
         if n - 1 in ecc:
             return ClassificationVerdict(kind=PATH, witness=next(_pruned_certificates(self, (1,))))
         if 1 in ecc:
             u = ecc.index(1)
             w_idx = [w for w in range(n) if w != u]
-            cert = _bijection(verts, w_idx, [rows_all[w] for w in w_idx], [u])
+            cert = _bijection(verts, w_idx, [self.row(w) for w in w_idx], [u])
             return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
         for cert in _pruned_certificates(self, range(2, n - 1)):
             kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
             return ClassificationVerdict(kind=kind, k=len(cert.w_order), witness=cert)
         return ClassificationVerdict(kind=NOT_COMPLETENESS_RESOLVABLE)
 
-    @cached_property
-    def dimension(self) -> tuple[int, tuple[int, ...]]:
-        """Minimum resolving-set size with the lexicographically first
-        resolving positions at that size.
-
-        Each size is searched by ``_first_basis``, on the tie masks.  A
+    def _search_dimension(self) -> tuple[int, tuple[int, ...]]:
+        """Each size is searched by ``_first_basis``, on the tie masks.  A
         resolving c-set gives the n - c outside vertices distinct vectors in
         [diam]^c, so n <= c + diam^c (Chartrand, Eroh, Johnson & Oellermann,
         Discrete Applied Mathematics 105, 2000); every size c with
@@ -192,7 +243,7 @@ class _Distances(dict):
         size n - 1 is not scanned either: its first basis is 0 .. n-2, and
         the masks of a complete graph, whose dimension it is, are never
         built."""
-        n, diam = len(self.rows), max(self.ecc)
+        n, diam = len(self.verts), max(self.ecc)
         found = (_first_basis(self, c) for c in range(1, n - 1) if n - c <= diam ** c)
         basis = next(filter(None, found), tuple(range(n - 1)))
         return len(basis), basis
@@ -209,7 +260,7 @@ def _table(g: Graph, cap: int, disconnected: str) -> _Distances:
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
     dist = _distances(g)
-    if -1 in dist.rows[0]:
+    if sum(map(int.bit_count, dist.frontiers[0])) < n:
         raise DisconnectedGraph(disconnected)
     return dist
 
@@ -301,7 +352,7 @@ def _pruned_certificates(dist, sizes):
     still builds and checks every certificate returned, and the
     ``CrsFailure`` of each W it rejects is dropped.  (One outside vertex is
     always told apart, and a singleton W is cheaper to test by its row.)"""
-    verts, rows_all, deg = dist.verts, dist.rows, dist.deg
+    verts, adj, deg = dist.verts, dist.adj, dist.deg
     n = len(verts)
     for k in sizes:
         m_implied = _implied_radius(n - k, k)
@@ -311,14 +362,12 @@ def _pruned_certificates(dist, sizes):
         high = low if m_implied == 3 else low + k - 1
         candidates = [v for v in range(n) if low <= deg[v] <= high]
         for combo in combinations(candidates, k):
-            if m_implied == 3 and any(
-                rows_all[a][b] == 1 for a, b in combinations(combo, 2)
-            ):
+            if m_implied == 3 and any(adj[a] >> b & 1 for a, b in combinations(combo, 2)):
                 continue
             if 1 < k < n - 1 and not dist.resolves(combo):
                 continue
             rest = [u for u in range(n) if u not in combo]
-            res = _bijection(verts, combo, [rows_all[w] for w in combo], rest)
+            res = _bijection(verts, combo, [dist.row(w) for w in combo], rest)
             if isinstance(res, CrsCertificate):
                 yield res
 
@@ -362,7 +411,7 @@ def _first_basis(dist: _Distances, c: int) -> tuple[int, ...] | None:
     """The first c positions in combination order whose tie masks AND to
     the diagonal, or None.  The combinations are walked depth first, so each
     prefix's AND is taken once and carried to all of its extensions."""
-    n, diagonal = len(dist.rows), dist.diagonal
+    n, diagonal = len(dist.verts), dist.diagonal
 
     def extend(start, prefix, acc):
         stop = n - c + len(prefix) + 1
@@ -391,19 +440,20 @@ def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple
 def is_perfectness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> bool:
     """True iff some minimum-size resolving set is completeness-resolving.
 
-    Read off the classification and the dimension.  A completeness-resolving
-    set's map is a bijection, so the set resolves: each has at least dim(G)
-    vertices, and the graph is perfect iff the smallest has exactly dim(G).
-    A size-1 set is a path endpoint, and a size n-1 set leaves one outside
-    vertex, adjacent to all of W: a universal vertex.  So the witness of a
-    path (size 1) and of a family (from the complete pruned search over
-    sizes 2..n-2, by increasing size) is a smallest set, and a graph with
-    no witness is not perfect.  A universal vertex's witness has size n-1
-    and a smaller set may exist, so unless dim(G) = n-1 the pruned search
-    runs at |W| = dim(G).
+    A completeness-resolving set's map is a bijection, so the set resolves:
+    each has at least dim(G) vertices, and the graph is perfect iff the
+    smallest has exactly dim(G).  Once the graph is classified, that is read
+    off the verdict.  A size-1 set is a path endpoint, and a size n-1 set
+    leaves one outside vertex, adjacent to all of W: a universal vertex.  So
+    the witness of a path (size 1) and of a family (from the complete pruned
+    search over sizes 2..n-2, by increasing size) is a smallest set, and a
+    graph with no witness is not perfect.  A universal vertex's witness has
+    size n-1 and a smaller set may exist.  So for a universal-vertex graph
+    with dim(G) < n-1, and for a graph not yet classified, one pruned search
+    runs at |W| = dim(G) instead.
     """
     dist = _table(g, cap, "metric dimension needs a connected graph")
-    verdict, dim = dist.verdict, dist.dimension[0]
-    if verdict.kind == UNIVERSAL_VERTEX and dim < g.order - 1:
+    verdict, dim = dist._verdict, dist.dimension[0]
+    if verdict is None or (verdict.kind == UNIVERSAL_VERTEX and dim < g.order - 1):
         return next(_pruned_certificates(dist, (dim,)), None) is not None
     return verdict.witness is not None and len(verdict.witness.w_order) == dim
