@@ -665,9 +665,11 @@ def pinned_runs():
     composite to the reading commands: classify and dim on every composite
     within the default order cap of 12, in JSON and graph6, verify
     --membership on every composite JSON (B on [2]^k, C on [3]^k), and
-    verify --w b1,...,bk (W the base) on every composite JSON.  A pipeline
-    is its stages joined by " | "; each stage reads the previous stage's
-    output as stdin."""
+    verify --w b1,...,bk (W the base) on every composite JSON, and classify
+    and dim with --cap 30 on the T and MaxC composites at k = 3 (order 30)
+    and the MaxB one at k = 4 (order 20), whose tie masks are built above
+    the spread table's order.  A pipeline is its stages joined by " | ";
+    each stage reads the previous stage's output as stdin."""
     for family in FAMILY_NAMES:
         for k in ("2", "3"):
             for fmt in ("json", "g6", "dot"):
@@ -686,6 +688,9 @@ def pinned_runs():
             for fmt in ("json", "g6"):
                 for command in ("classify", "dim"):
                     yield f"construct --family {family} --k {k} --format {fmt} --compose | {command} --graph -"
+    for family, k in (("T", "3"), ("MaxC", "3"), ("MaxB", "4")):
+        for command in ("classify", "dim"):
+            yield f"construct --family {family} --k {k} --format json --compose | {command} --graph - --cap 30"
 
 
 def cli_digests() -> dict[str, str]:
@@ -709,7 +714,7 @@ def test_cli_output_bytes_are_pinned():
     # output is meant to change: PYTHONPATH=src python tests/test_cli.py
     want = json.loads(CLI_DIGESTS.read_text())
     got = cli_digests()
-    assert len(got) == 202
+    assert len(got) == 208
     assert [command for command in got if got[command] != want.get(command)] == []
     assert got == want
 

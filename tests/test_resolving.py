@@ -1,6 +1,5 @@
 import random
 import re
-import time
 from itertools import combinations, permutations
 
 import pytest
@@ -356,12 +355,17 @@ class TestFindAllCrs:
                 assert list(w) == sorted(w, key=vertex_key)
                 assert cert.w_order == w
 
-    def test_complete_12_gives_one_entry_per_w(self):
-        # every 11-set W of K12 certifies, with 11! coordinate orders each
+    def test_complete_12_gives_one_entry_per_w(self, monkeypatch):
+        # every 11-set W of K12 certifies, with 11! coordinate orders each;
+        # the search tests each unordered W once, by one _bijection call,
+        # and builds no tie mask (an (n-1)-set needs no resolving test)
         g = plain_graph(12, list(combinations(range(12), 2)))
-        start = time.perf_counter()
+        tested, real = [], resolving._bijection
+        monkeypatch.setattr(resolving, "_bijection", lambda *args: tested.append(args[1]) or real(*args))
+        resolving._distances.cache_clear()
         found = find_all_crs(g)
-        assert time.perf_counter() - start < 1.0
+        assert tested == list(combinations(range(12), 11))
+        assert len(resolving._distances(g)) == 0
         assert len(found) == 12
         assert {frozenset(w) for w, _c in found} == {
             frozenset(p(i) for i in range(12) if i != j) for j in range(12)
@@ -619,20 +623,32 @@ def b2_member():
     return compose(base_complete(2), example_graph("U", 2), 2, 2).materialize()
 
 
+# a path, a universal vertex with dim < n - 1, both families, and a graph
+# that is not completeness-resolvable
+ONE_OF_EACH_KIND = [
+    path4,
+    lambda: read_graph6("EAJw"),
+    lambda: compose(base_complete(3), example_graph("U", 3), 3, 2).materialize(),
+    lambda: compose(base_null(2), example_graph("T", 2), 2, 3).materialize(),
+    lambda: read_graph6("IheA@GUAo"),
+]
+ONE_OF_EACH_KIND_IDS = ["P4", "EAJw", "U_3", "T_2", "Petersen"]
+
+
 class TestSharedWork:
     @pytest.fixture
     def bfs_calls(self, monkeypatch):
-        """Sources of every BFS the resolving entry points run, on empty
-        caches."""
+        """Sources of every BFS the per-graph record runs (its frontiers),
+        on empty caches."""
         resolving._distances.cache_clear()
         calls = []
-        real = resolving.bfs_levels
+        real = resolving.bfs_frontiers
 
         def counted(adj, source):
             calls.append(source)
             return real(adj, source)
 
-        monkeypatch.setattr(resolving, "bfs_levels", counted)
+        monkeypatch.setattr(resolving, "bfs_frontiers", counted)
         yield calls
         resolving._distances.cache_clear()
 
@@ -658,13 +674,7 @@ class TestSharedWork:
         assert sorted(bfs_calls) == list(range(g.order))
         assert (sizes, len(classified)) == ([2], 1)
 
-    @pytest.mark.parametrize("build", [
-        path4,
-        lambda: read_graph6("EAJw"),  # universal vertex, dim < n - 1
-        lambda: compose(base_complete(3), example_graph("U", 3), 3, 2).materialize(),
-        lambda: compose(base_null(2), example_graph("T", 2), 2, 3).materialize(),
-        lambda: read_graph6("IheA@GUAo"),
-    ], ids=["P4", "EAJw", "U_3", "T_2", "Petersen"])
+    @pytest.mark.parametrize("build", ONE_OF_EACH_KIND, ids=ONE_OF_EACH_KIND_IDS)
     def test_answers_and_work_do_not_depend_on_the_order_of_calls(self, bfs_calls, monkeypatch, build):
         # every order of the four entry points, each on cold caches: the
         # same answers, one BFS per source, one classification (counted by
@@ -687,6 +697,24 @@ class TestSharedWork:
             assert answers == first, names
             assert sorted(bfs_calls) == list(range(g.order)), names
             assert len(verdicts) == 1 and len(sizes) == len(set(sizes)), names
+
+    @pytest.mark.parametrize("build", ONE_OF_EACH_KIND, ids=ONE_OF_EACH_KIND_IDS)
+    def test_perfectness_of_an_unclassified_graph_searches_size_dim_only(self, bfs_calls, monkeypatch, build):
+        # metric_dimension and then perfectness on a fresh graph: one pruned
+        # search at |W| = dim, no classification; classifying afterwards
+        # runs its own search once and leaves the answer as it was
+        searched, verdicts = [], []
+        pruned, verdict_type = resolving._pruned_certificates, resolving.ClassificationVerdict
+        monkeypatch.setattr(resolving, "_pruned_certificates",
+                            lambda dist, ks: searched.append(tuple(ks)) or pruned(dist, ks))
+        monkeypatch.setattr(resolving, "ClassificationVerdict",
+                            lambda *a, **kw: verdicts.append(1) or verdict_type(*a, **kw))
+        g = build()
+        dim = metric_dimension(g)[0]
+        cold = is_perfectness_resolvable(g)
+        assert (searched, verdicts) == ([(dim,)], [])
+        is_completeness_resolvable(g)
+        assert (is_perfectness_resolvable(g), len(verdicts)) == (cold, 1)
 
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
         def answers(graph):
@@ -825,12 +853,16 @@ def plain_dimension(rows):
 
 @pytest.fixture(scope="module")
 def small_connected():
-    """Seeded connected graphs of order 2-12 with their rows, led by the
-    complete graphs K_2..K_5 (dimension n - 1) and the path P_6."""
+    """Seeded connected graphs with their rows, led by the complete graphs
+    K_2..K_5 (dimension n - 1) and the path P_6: 60 of order 2-12, whose
+    tie masks come from the spread table, then 12 of order 13-16, whose
+    masks are built by per-vertex shifts."""
     named = [plain_graph(n, combinations(range(n), 2)) for n in range(2, 6)]
     named.append(plain_graph(6, [(i, i + 1) for i in range(5)]))
     stream = seeded_connected(random.Random(71), range(2, 13), (0.2, 0.4, 0.7))
-    return [(g, connected_rows(g)) for g in named] + [next(stream) for _ in range(60)]
+    above = seeded_connected(random.Random(73), range(13, 17), (0.2, 0.4, 0.7))
+    return ([(g, connected_rows(g)) for g in named] + [next(stream) for _ in range(60)]
+            + [next(above) for _ in range(12)])
 
 
 class TestTieMasks:
@@ -844,6 +876,20 @@ class TestTieMasks:
                     assert dist.resolves(w) == expected, (rows, w)
                     outcomes.add(expected)
         assert outcomes == {True, False}
+
+    def test_masks_and_rows_match_the_definition(self, small_connected):
+        # bit u*n + v of w's mask is set iff d(w, u) = d(w, v), on both sides
+        # of the spread table's order; a row built from the frontiers is the
+        # row bfs_levels gives
+        sides = set()
+        for g, rows in small_connected:
+            n = len(rows)
+            dist = resolving._Distances(g)
+            for w, row in enumerate(rows):
+                ties = sum(1 << u * n + v for u in range(n) for v in range(n) if row[u] == row[v])
+                assert (dist[w], dist.row(w)) == (ties, row), (rows, w)
+            sides.add(n <= resolving._SPREAD_ORDER)
+        assert sides == {True, False}
 
     def test_diagonal_is_the_bits_u_times_n_plus_u(self):
         # a graph has at least two vertices; edgeless, its record is cheap
