@@ -123,7 +123,7 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
 def _spread(n: int) -> list[int]:
     """The table that sends each n-bit mask L to the mask with bit u*n set
     for each bit u of L: ``_spread(n)[L] * L`` is L shifted to the block of
-    each of its own bits.  Built for orders up to ``_SPREAD_ORDER`` only."""
+    each of its own bits.  The record reads it only up to ``_SPREAD_ORDER``."""
     table = [0]
     for u in range(n):
         bit = 1 << u * n
