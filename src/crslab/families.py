@@ -42,10 +42,13 @@ DEFAULT_SIZE_CAP = 3 ** 10
 
 
 def _check_power(m: int, k: int) -> None:
-    """Raise SizeOverflow when m^k or k exceeds DEFAULT_SIZE_CAP.  For
-    m >= 2 an exponent of the cap's bit length or more already does, so a
-    huge k is rejected at once and the power is neither computed nor
-    printed; for m = 1 the bound on k keeps the one k-tuple small."""
+    """Raise IndexOutOfRange unless k, m >= 1, and SizeOverflow when m^k or
+    k exceeds DEFAULT_SIZE_CAP.  For m >= 2 an exponent of the cap's bit
+    length or more already does, so a huge k is rejected at once and the
+    power is neither computed nor printed; for m = 1 the bound on k keeps
+    the one k-tuple small.  Every builder of [m]^k runs it first."""
+    if k < 1 or m < 1:
+        raise IndexOutOfRange(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     if m > 1 and k >= DEFAULT_SIZE_CAP.bit_length() or m ** k > DEFAULT_SIZE_CAP:
         raise SizeOverflow(f"m^k = {m}^{k} exceeds the cap {DEFAULT_SIZE_CAP}")
     if k > DEFAULT_SIZE_CAP:
@@ -54,8 +57,6 @@ def _check_power(m: int, k: int) -> None:
 
 def lattice_vertices(k: int, m: int) -> list[LatticeVector]:
     """All m^k vectors of [m]^k in lexicographic order; SizeOverflow past DEFAULT_SIZE_CAP."""
-    if k < 1 or m < 1:
-        raise IndexOutOfRange(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     _check_power(m, k)
     return [tuple(v) for v in product(range(1, m + 1), repeat=k)]
 
@@ -111,6 +112,7 @@ def span_lattice(k: int, m: int, edges) -> Graph:
     """Spanning subgraph of the complete graph on [m]^k with the given
     vector-pair edges; a vector may be any sequence, and one outside [m]^k
     is named by its label, which refuses components below 1."""
+    _check_power(m, k)
     verts, index, pos = _lattice_labels(k, m)
     adj = _rows(verts, ((tuple(x), tuple(y)) for x, y in edges), pos.get, LatticeVertex)
     return Graph._from_adj(verts, index, adj)
@@ -598,6 +600,8 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
     composite maxima of the two families.
     """
     _check_k(k)
+    # the size check runs before any vector list, label table or base is built
+    _check_power(3 if name in ("T", "Qcanon", "Gamma", "MaxC") else 2, k)
     ones = tuple([1] * k)
     twos = tuple([2] * k)
     if name == "U":
@@ -636,13 +640,10 @@ def example_graph(name: str, k: int) -> Graph | CompositeGraph:
         return span_lattice(k, 3, edges)
     if name == "Gamma":
         return gamma(k)
-    # the lattice first: its cap check must run before a k-vertex base is built
     if name == "MaxB":
-        lattice = lattice_complete(k, 2)
-        return compose(base_complete(k), lattice, k, 2)
+        return compose(base_complete(k), lattice_complete(k, 2), k, 2)
     if name == "MaxC":
-        lattice = gamma(k)
-        return compose(base_null(k), lattice, k, 3)
+        return compose(base_null(k), gamma(k), k, 3)
     raise UnknownName(f"unknown example graph {name!r}")
 
 

@@ -21,6 +21,10 @@ Every edge list -- of labels (``Graph``), vectors (``families.span_lattice``)
 or integers (``plain_graph``) -- becomes rows in ``_rows``, the one place that
 refuses too few vertices, an undeclared endpoint and a loop.
 
+Every hop count comes from one BFS, ``bfs_frontiers``, which gives a
+vertex's level sets as bit sets; ``_hop_counts`` reads a row of hop counts
+off them, for ``bfs_levels`` and for the resolving record's rows alike.
+
 Graphs are immutable after construction.
 """
 
@@ -222,37 +226,12 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bfs_levels(adj: list[int], source: int) -> list[int]:
-    """Hop counts from ``source`` over adjacency bit sets; -1 = unreachable."""
-    n = len(adj)
-    full = (1 << n) - 1
-    dist = [-1] * n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier and seen != full:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            dist[low.bit_length() - 1] = d
-            f ^= low
-    return dist
-
-
 def bfs_frontiers(adj: list[int], source: int) -> list[int]:
     """The BFS level sets from ``source`` over adjacency bit sets, as bit
     sets, level d at index d: ``[1 << source, N(source), ...]``, up to the
-    last level of ``source``'s component."""
+    last level of ``source``'s component.  The one BFS of the package:
+    every hop count is read off these levels, and the tests check both the
+    levels and the rows read off them against networkx."""
     full = (1 << len(adj)) - 1
     seen = frontier = 1 << source
     levels = [frontier]
@@ -271,13 +250,31 @@ def bfs_frontiers(adj: list[int], source: int) -> list[int]:
     return levels
 
 
+def _hop_counts(levels: list[int], n: int) -> list[int]:
+    """The hop-count row of n vertices read off BFS level masks: d on each
+    vertex of level d, -1 where no level reaches."""
+    row = [-1] * n
+    for d, level in enumerate(levels):
+        while level:
+            low = level & -level
+            row[low.bit_length() - 1] = d
+            level ^= low
+    return row
+
+
+def bfs_levels(adj: list[int], source: int) -> list[int]:
+    """Hop counts from ``source`` over adjacency bit sets; -1 = unreachable.
+    The row ``_hop_counts`` reads off ``bfs_frontiers``."""
+    return _hop_counts(bfs_frontiers(adj, source), len(adj))
+
+
 def distances(g: Graph) -> dict[tuple[Vertex, Vertex], int | None]:
     """Exact hop counts for all ordered vertex pairs.
 
     Pairs in different components map to None; disconnection is
-    representable here, not an error.  Kept as the independent distance
-    table of the tests' brute-force certificate search and distance
-    identity checks.
+    representable here, not an error.  Kept as the distance table of the
+    tests' brute-force certificate search and distance identity checks;
+    its BFS is the one the tests check against networkx.
     """
     adj = g._adj
     verts = g.vertices()

@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     LatticeVector,
     Vertex,
+    _hop_counts,
     _iter_bits,
     bfs_frontiers,
     bfs_levels,
@@ -136,9 +137,11 @@ class _Distances(dict):
     BFS ``frontiers`` of each vertex (level masks, one BFS per vertex), each
     vertex's eccentricity ``ecc`` (its last level) and degree ``deg`` (the
     popcount of its row), and, keyed by position, each vertex's tie mask,
-    built from its frontiers on first lookup.  A vertex's hop-count row is
-    built from its frontiers only when ``row`` is first asked for it: the
-    searches test W on the tie masks, and only ``_bijection`` reads rows.
+    built from its frontiers on first lookup.  The searches test W on the
+    tie masks.  A vertex's hop-count row is read off its frontiers by
+    ``_hop_counts`` when ``row`` first asks for it, only to give
+    ``_bijection`` outside vectors: the rows of a W the pruned search keeps,
+    or, for the universal-vertex witness, the one outside vertex's own row.
     The record also computes the graph's classification ``verdict`` and its
     ``dimension`` on first use, so the entry points share one search of
     each.  ``_distances`` builds one record per graph and shares it with
@@ -186,15 +189,10 @@ class _Distances(dict):
         return tie
 
     def row(self, w: int) -> list[int]:
-        """The hop counts from position w, built from its frontiers once."""
+        """The hop counts from position w, read off its frontiers once."""
         row = self._rows[w]
         if row is None:
-            row = self._rows[w] = [0] * len(self.adj)
-            for d, level in enumerate(self.frontiers[w]):
-                while level:
-                    low = level & -level
-                    row[low.bit_length() - 1] = d
-                    level ^= low
+            row = self._rows[w] = _hop_counts(self.frontiers[w], len(self.adj))
         return row
 
     def resolves(self, w_idx) -> bool:
@@ -227,7 +225,8 @@ class _Distances(dict):
         if 1 in ecc:
             u = ecc.index(1)
             w_idx = [w for w in range(n) if w != u]
-            cert = _bijection(verts, w_idx, [self.row(w) for w in w_idx], [u])
+            # u's vector toward W is read off u's own row: d(w, u) = d(u, w)
+            cert = _bijection(verts, w_idx, {u: tuple(map(self.row(u).__getitem__, w_idx))}, [u])
             return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
         for cert in _pruned_certificates(self, range(2, n - 1)):
             kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
@@ -275,17 +274,17 @@ def _injective(w_rows: list[list[int]]) -> bool:
     return len(set(zip(*w_rows))) == len(w_rows[0])
 
 
-def _bijection(verts, w_idx, w_rows, rest) -> CrsCertificate | CrsFailure:
+def _bijection(verts, w_idx, vecs, rest) -> CrsCertificate | CrsFailure:
     """The bijection test behind every certificate.
 
-    Returns the certificate of W (positions ``w_idx`` with hop-count rows
-    ``w_rows``) when the vectors of the outside positions ``rest`` form a
-    bijection onto [m(W)]^|W|, else the failure ``check_crs`` describes,
-    worded where it is found.  An injective map with the matching count is
-    onto, so there is no third reason.
+    ``vecs[u]`` is Psi_W(u), outside position u's vector of hop counts
+    toward the positions ``w_idx`` of W.  Returns the certificate of W when
+    Psi_W on the outside positions ``rest`` is a bijection onto
+    [m(W)]^|W|, else the failure ``check_crs`` describes, worded where it
+    is found.  An injective map with the matching count is onto, so there
+    is no third reason.
     """
-    vecs = list(zip(*w_rows))
-    m, k = max([max(vecs[u]) for u in rest]), len(w_rows)
+    m, k = max([max(vecs[u]) for u in rest]), len(w_idx)
     if m ** k != len(rest):
         return CrsFailure(CARDINALITY_MISMATCH, f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}")
     seen: dict[LatticeVector, int] = {}
@@ -315,7 +314,7 @@ def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
     vector.
     """
     w_idx, rows, rest = _w_rows(g, w_order)
-    return _bijection(g.vertices(), w_idx, rows, rest)
+    return _bijection(g.vertices(), w_idx, list(zip(*rows)), rest)
 
 
 def _implied_radius(outside: int, k: int) -> int | None:
@@ -367,7 +366,7 @@ def _pruned_certificates(dist, sizes):
             if 1 < k < n - 1 and not dist.resolves(combo):
                 continue
             rest = [u for u in range(n) if u not in combo]
-            res = _bijection(verts, combo, [dist.row(w) for w in combo], rest)
+            res = _bijection(verts, combo, list(zip(*map(dist.row, combo))), rest)
             if isinstance(res, CrsCertificate):
                 yield res
 

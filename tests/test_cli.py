@@ -12,14 +12,28 @@ from pathlib import Path
 
 import pytest
 
-from crslab import cli
+from crslab import cli, families
 from crslab.cli import FAMILY_NAMES, main
 from crslab.families import base_complete, base_null, compose, example_graph
 from crslab import formats
+from crslab.graph import Graph
 from crslab.sweeps import SUITE_ORDER, SuiteResult, run_suite
 
 CLI_DIGESTS = Path(__file__).parent / "data" / "cli_digests.json"
 SUITES_TEXT = Path(__file__).parent / "data" / "suites.txt"
+
+
+@pytest.fixture
+def no_builder(monkeypatch):
+    """Every builder of vectors, label tables or graphs raises: a refusal
+    that still comes out is made before anything is built."""
+    def refuse(*args):
+        raise AssertionError(f"a builder was reached with {args!r:.60}")
+
+    for name in ("_base_labels", "_lattice_labels", "lattice_vertices"):
+        monkeypatch.setattr(families, name, refuse)
+    monkeypatch.setattr(Graph, "_from_adj", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -313,6 +327,32 @@ class TestClassifyAndDim:
         assert code == 0
         assert json.loads(out)["verdict"] == "path"
 
+    @pytest.mark.parametrize(
+        "g6, expected",
+        [
+            # K4: every vertex is universal, and the witness leaves out the first
+            (
+                "C~",
+                '{\n  "verdict": "universal-vertex",\n  "k": null,\n  "witness": {\n    "w": [\n'
+                '      1,\n      2,\n      3\n    ],\n    "m": 1,\n    "table": [\n      [\n'
+                '        0,\n        [\n          1,\n          1,\n          1\n        ]\n      ]\n'
+                '    ]\n  }\n}\n',
+            ),
+            # one universal vertex, 5, in a graph of dimension 2 < n - 1
+            (
+                "EAJw",
+                '{\n  "verdict": "universal-vertex",\n  "k": null,\n  "witness": {\n    "w": [\n'
+                '      0,\n      1,\n      2,\n      3,\n      4\n    ],\n    "m": 1,\n    "table": [\n'
+                '      [\n        5,\n        [\n          1,\n          1,\n          1,\n'
+                '          1,\n          1\n        ]\n      ]\n    ]\n  }\n}\n',
+            ),
+        ],
+        ids=["K4", "EAJw"],
+    )
+    def test_classify_universal_vertex_bytes(self, capsys, g6, expected):
+        code, out, err = run_cli(["classify", "--graph", "-"], stdin_text=g6 + "\n", capsys=capsys)
+        assert (code, out, err) == (0, expected, "")
+
     def test_order_cap_env(self, tmp_path, capsys, monkeypatch):
         from crslab.graph import plain_graph
 
@@ -470,24 +510,21 @@ class TestHostileInput:
             (["construct", "--family", "T", "--k", "10000"], "m^k = 3^10000"),
         ],
     )
-    def test_oversized_k_exits_3_at_once(self, tmp_path, capsys, argv, size):
-        # no k-vertex base is built and no huge power is printed first
+    def test_oversized_k_exits_3_at_once(self, tmp_path, capsys, no_builder, argv, size):
+        # refused with no vector list, label table, base or graph built, and
+        # no huge power printed
         composite = tmp_path / "big.json"
         composite.write_text('{"k": 300000, "m": 3, "base_edges": [], "lattice_edges": []}')
-        start = time.perf_counter()
         code, out, err = run_cli([a.format(composite=composite) for a in argv], capsys=capsys)
-        assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert err.splitlines() == [f"error: {size} exceeds the cap 59049"]
 
-    def test_k_with_m_one_exits_3_at_once(self, tmp_path, capsys):
+    def test_k_with_m_one_exits_3_at_once(self, tmp_path, capsys, no_builder):
         # 1^k = 1 passes the power bound, so k itself must be bounded before
-        # the one k-tuple of [1]^k is built
+        # the one k-tuple of [1]^k, or any label table, is built
         composite = tmp_path / "long.json"
         composite.write_text('{"k": 1000000, "m": 1, "base_edges": [], "lattice_edges": []}')
-        start = time.perf_counter()
         code, out, err = run_cli(["verify", "--membership", "C", "--graph", str(composite)], capsys=capsys)
-        assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert err.splitlines() == ["error: m^k needs k <= 59049, got k=1000000"]
 

@@ -12,6 +12,7 @@ from crslab.graph import (
     Graph,
     LatticeVertex,
     PlainVertex,
+    bfs_frontiers,
     bfs_levels,
     diameter,
     distances,
@@ -289,6 +290,8 @@ class TestCoreOracle:
 
 
 def test_bfs_levels_match_networkx():
+    # the levels of the one BFS as masks, up to the last level of the
+    # source's component, and the row read off them
     nx = pytest.importorskip("networkx")
     rng = random.Random(17)
     disconnected = 0
@@ -306,5 +309,9 @@ def test_bfs_levels_match_networkx():
         disconnected += not nx.is_connected(ref)
         for s in range(n):
             lengths = nx.single_source_shortest_path_length(ref, s)
+            levels = [0] * (max(lengths.values()) + 1)
+            for t, d in lengths.items():
+                levels[d] |= 1 << t
+            assert bfs_frontiers(adj, s) == levels
             assert bfs_levels(adj, s) == [lengths.get(t, -1) for t in range(n)]
     assert disconnected > 20

@@ -14,8 +14,8 @@ from crslab.graph import (
     BaseVertex,
     LatticeVertex,
     PlainVertex,
-    bfs_levels,
     distances,
+    is_path,
     plain_graph,
     universal_vertices,
     vertex_key,
@@ -602,9 +602,22 @@ class TestRadiusLemmaPremise:
 
 
 def connected_rows(g):
-    """The all-pairs hop-count rows of g, or None when g is disconnected."""
+    """The all-pairs hop-count rows of g, or None when g is disconnected,
+    by a plain queue BFS of its own: the reference the record's rows and
+    tie masks are checked against shares no code with them."""
     adj = g.adjacency_masks()
-    rows = [bfs_levels(adj, s) for s in range(g.order)]
+    n = len(adj)
+    rows = []
+    for s in range(n):
+        row = [-1] * n
+        row[s] = 0
+        queue = [s]
+        for u in queue:  # the list grows while it is walked, as a queue
+            for v in range(n):
+                if adj[u] >> v & 1 and row[v] < 0:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        rows.append(row)
     return None if -1 in rows[0] else rows
 
 
@@ -716,6 +729,22 @@ class TestSharedWork:
         is_completeness_resolvable(g)
         assert (is_perfectness_resolvable(g), len(verdicts)) == (cold, 1)
 
+    def test_universal_vertex_witness_builds_one_row(self, small_connected):
+        # the witness's one outside vector is read off the universal vertex's
+        # own row, and it still goes through the bijection test
+        graphs = [g for g, _rows in small_connected if universal_vertices(g) and not is_path(g)]
+        graphs += [example_graph("MaxB", k).materialize() for k in (2, 3)]
+        graphs.append(plain_graph(4, combinations(range(4), 2)))
+        for g in graphs:
+            dist = resolving._Distances(g)
+            verdict = dist.verdict
+            outside = set(g.vertices()) - set(verdict.witness.w_order)
+            assert verdict.kind == UNIVERSAL_VERTEX, g
+            assert sum(row is not None for row in dist._rows) == 1, g
+            assert outside == {universal_vertices(g)[0]}, g
+            assert verdict.witness == check_crs(g, verdict.witness.w_order), g
+        assert len(graphs) == 18
+
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
         def answers(graph):
             return [f(graph) for f in (is_completeness_resolvable, metric_dimension,
@@ -764,7 +793,7 @@ def unfiltered_certificates(verts, rows_all, sizes):
     for k in sizes:
         for combo in combinations(range(n), k):
             rest = [u for u in range(n) if u not in combo]
-            res = resolving._bijection(verts, combo, [rows_all[w] for w in combo], rest)
+            res = resolving._bijection(verts, combo, list(zip(*(rows_all[w] for w in combo))), rest)
             if isinstance(res, CrsCertificate):
                 yield res
 
@@ -879,8 +908,8 @@ class TestTieMasks:
 
     def test_masks_and_rows_match_the_definition(self, small_connected):
         # bit u*n + v of w's mask is set iff d(w, u) = d(w, v), on both sides
-        # of the spread table's order; a row built from the frontiers is the
-        # row bfs_levels gives
+        # of the spread table's order; a row read off the frontiers is the
+        # row of the reference BFS
         sides = set()
         for g, rows in small_connected:
             n = len(rows)
