@@ -131,6 +131,12 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
 _MAX_BOUNDS_K = 4096
 
 
+def _power(base: int, exp: int) -> int:
+    """``base ** exp``: every power of the bounds is taken here, and only
+    once k is known to be at most _MAX_BOUNDS_K."""
+    return base ** exp
+
+
 def bounds_b(base: Graph) -> tuple[int, int]:
     """Size bounds for a lattice minimal relative to the base, from the
     base's vertex degrees.  The lower bound need not be attained: over the
@@ -140,8 +146,8 @@ def bounds_b(base: Graph) -> tuple[int, int]:
     if k > _MAX_BOUNDS_K:
         raise SizeOverflow(f"radius-2 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
     degs = [row.bit_count() for row in base.adjacency_masks()]
-    lower = 2 ** (k - min(degs) - 1)
-    upper = sum(2 ** (k - d - 1) for d in degs)
+    lower = _power(2, k - min(degs) - 1)
+    upper = sum(_power(2, k - d - 1) for d in degs)
     return lower, upper
 
 
@@ -150,7 +156,7 @@ def bounds_c(k: int) -> tuple[int, int]:
     _check_k(k)
     if k > _MAX_BOUNDS_K:
         raise SizeOverflow(f"radius-3 bounds need k <= {_MAX_BOUNDS_K}, got k={k}")
-    return (3 ** k + 1) // 2, k * (3 ** (k - 1) + 2 ** (k - 1))
+    return (_power(3, k) + 1) // 2, k * (_power(3, k - 1) + _power(2, k - 1))
 
 
 def composite_size_bounds(kind: str, base_or_k) -> tuple[int, int]:
@@ -160,10 +166,10 @@ def composite_size_bounds(kind: str, base_or_k) -> tuple[int, int]:
     if kind == "B":
         base: Graph = base_or_k
         lower, upper = bounds_b(base)
-        fixed = base.order * 2 ** (base.order - 1) + base.size
+        fixed = base.order * _power(2, base.order - 1) + base.size
     else:
         lower, upper = bounds_c(base_or_k)
-        fixed = base_or_k * 3 ** (base_or_k - 1)
+        fixed = base_or_k * _power(3, base_or_k - 1)
     return lower + fixed, upper + fixed
 
 

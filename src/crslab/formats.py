@@ -23,8 +23,9 @@ from .graph import (
     LatticeVertex,
     PlainVertex,
     Vertex,
+    _rows,
 )
-from .families import CompositeGraph, IndexDiagnostic, MembershipReport, compose, span_lattice
+from .families import CompositeGraph, IndexDiagnostic, MembershipReport, _base_labels, compose, span_lattice
 from .resolving import ClassificationVerdict, CrsCertificate, CrsFailure
 
 _BASE_RE = re.compile(r"^b([0-9]+)$")
@@ -164,8 +165,14 @@ def composite_from_json(data: Any) -> CompositeGraph:
                 raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
     # the lattice first: its cap check must run before a k-vertex base is built
     lattice = span_lattice(k, m, lattice_edges)
-    base = Graph(map(BaseVertex, range(1, k + 1)), [(BaseVertex(i), BaseVertex(j)) for i, j in base_edges])
-    return compose(base, lattice, k, m)
+    # the base on the cached label table, as span_lattice builds the lattice;
+    # BaseVertex refuses the first index below 1 before _rows refuses anything
+    for i in chain(*base_edges):
+        if i < 1:
+            BaseVertex(i)
+    verts, index = _base_labels(k)
+    adj = _rows(verts, base_edges, lambda i: i - 1 if i <= k else None, BaseVertex)
+    return compose(Graph._from_adj(verts, index, adj), lattice, k, m)
 
 
 def is_composite_json(data: Any) -> bool:
@@ -203,13 +210,14 @@ def _edge_json(e) -> list:
 
 
 def _diag_json(d: IndexDiagnostic, family: str) -> dict:
+    # every diagnostic edge is a lattice edge
     out: dict[str, Any] = {
         "i": d.i,
-        "covering_edges": [_edge_json(e) for e in d.covering_edges],
+        "covering_edges": [[list(u.vector), list(v.vector)] for u, v in d.covering_edges],  # type: ignore[union-attr]
         "uncovered": None if d.uncovered is None else vertex_to_json(d.uncovered),
     }
     if family == "C":
-        out["secondary_edges"] = [_edge_json(e) for e in d.secondary_edges]
+        out["secondary_edges"] = [[list(u.vector), list(v.vector)] for u, v in d.secondary_edges]  # type: ignore[union-attr]
         out["uncovered_secondary"] = (
             None if d.uncovered_secondary is None else vertex_to_json(d.uncovered_secondary)
         )

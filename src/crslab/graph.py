@@ -15,7 +15,11 @@ or lexicographic within each kind), and the edges as one adjacency bit set
 store, and there are two edge readers: ``adjacency_masks()`` copies the
 rows, over the positions ``index_of`` gives, and ``edges()`` reads the
 sorted endpoint pairs off them.  Two graphs compare equal exactly when they
-have the same labeled vertices and adjacency.
+have the same labeled vertices and adjacency.  A graph hashes by its
+adjacency rows alone, ``hash(tuple(rows))``: equal graphs have equal rows,
+so equal graphs hash equal, and a graph built on a shared label table does
+not hash its labels again.  Graphs with the same rows on different labels
+hash alike and still compare unequal.
 
 Every edge list -- of labels (``Graph``), vectors (``families.span_lattice``)
 or integers (``plain_graph``) -- becomes rows in ``_rows``, the one place that
@@ -106,7 +110,7 @@ class Graph:
         self._verts = verts
         self._index = index
         self._adj = adj
-        self._hash = hash((verts, tuple(adj)))
+        self._hash = hash(tuple(adj))
 
     @classmethod
     def _from_adj(cls, verts: tuple[Vertex, ...], index: dict[Vertex, int], adj: list[int]) -> Graph:
@@ -120,7 +124,7 @@ class Graph:
         g._verts = verts
         g._index = index
         g._adj = adj
-        g._hash = hash((verts, tuple(adj)))
+        g._hash = hash(tuple(adj))
         return g
 
     # -- basic accessors ------------------------------------------------

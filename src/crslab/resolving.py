@@ -105,12 +105,11 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
         raise InvalidW("W must be nonempty")
     if len(set(members)) != len(members):
         raise InvalidW("W has repeated vertices")
-    for v in members:
-        if not g.has_vertex(v):
-            raise InvalidW(f"W contains {v!r}, which is not a vertex")
+    w_idx = list(map(g._index.get, members))
+    if None in w_idx:
+        raise InvalidW(f"W contains {members[w_idx.index(None)]!r}, which is not a vertex")
     if len(members) >= g.order:
         raise InvalidW("W must be a proper subset of the vertex set")
-    w_idx = [g.index_of(v) for v in members]
     in_w = set(w_idx)
     rest = [u for u in range(g.order) if u not in in_w]
     adj = g.adjacency_masks()

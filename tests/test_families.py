@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from crslab import families
+from crslab import families, formats
 from crslab.errors import (
     CrossEdgeMismatch,
     IndexOutOfRange,
@@ -644,6 +644,68 @@ class TestExampleGraphs:
 
 def random_pairs(rng, items, p=0.3):
     return [(x, y) for i, x in enumerate(items) for y in items[i + 1:] if rng.random() < p]
+
+
+class TestHashContract:
+    """A graph hashes by its adjacency rows alone: equal graphs hash equal
+    whichever builder made them, and graphs with the same rows on other
+    labels hash alike but stay apart."""
+
+    @pytest.mark.parametrize("family, k", [("B", 2), ("B", 3), ("C", 2), ("C", 3)])
+    def test_every_builder_gives_the_same_value(self, family, k):
+        rng = random.Random(31 * k + len(family))
+        for _ in range(10):
+            if family == "B":
+                base, lattice, m = *random_b_member(rng, k), 2
+            else:
+                base, lattice, m = base_null(k), random_c_member(rng, k), 3
+            comp = compose(base, lattice, k, m)
+            g = comp.materialize()
+            w = [BaseVertex(i) for i in range(1, k + 1)]
+            pairs = [(u.vector, v.vector) for u, v in lattice.edges()]
+            parsed = formats.composite_from_json(formats.composite_to_json(comp))
+            relabeled = canonical_relabel(g, check_crs(g, w))
+            builds = [
+                (base, [Graph(w, base.edges()), parsed.base, relabeled.base]),
+                (lattice, [
+                    Graph(lattice.vertices(), lattice.edges()), span_lattice(k, m, pairs),
+                    parsed.lattice, relabeled.lattice,
+                ]),
+                (g, [Graph(g.vertices(), g.edges()), parsed.materialize(), relabeled.materialize()]),
+            ]
+            for want, others in builds:
+                for other in others:
+                    assert other == want and hash(other) == hash(want)
+
+    def test_same_rows_on_other_labels_stay_apart(self):
+        base = base_complete(2)
+        plain = plain_graph(2, [(0, 1)])
+        assert plain.adjacency_masks() == base.adjacency_masks()
+        assert plain != base and len({base: 0, plain: 1}) == 2
+        # the plain graph is refused, not served the base's cached system
+        assert cover_system("B", 2, base) is cover_system("B", 2, base)
+        with pytest.raises(WrongVertexSet, match=r"^base graph must live on BaseVertex\(1\.\.k\)$"):
+            cover_system("B", 2, plain)
+        lattice = example_graph("U", 2)
+        rows = lattice.adjacency_masks()
+        twin = plain_graph(4, [(u, v) for u in range(4) for v in _iter_bits(rows[u]) if u < v])
+        assert twin.adjacency_masks() == lattice.adjacency_masks() and twin != lattice
+        cs = cover_system("B", 2, base)
+        info = CoverSystem.check.cache_info
+        on_lattice = cs.check(lattice)
+        misses = info().misses
+        assert cs.check(lattice) is on_lattice and info().misses == misses
+        # a miss, whose report names the twin's own labels
+        on_twin = cs.check(twin)
+        assert info().misses == misses + 1 and on_twin != on_lattice
+        assert {type(u) for e in on_twin[0].diagnostics[0].covering_edges for u in e} == {PlainVertex}
+
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_a_parsed_composite_shares_the_cached_labels(self, k, m):
+        # no request builds labels of its own
+        comp = formats.composite_from_json({"k": k, "m": m, "base_edges": [[1, 2]], "lattice_edges": []})
+        assert comp.base.vertices() is families._base_labels(k)[0]
+        assert comp.lattice.vertices() is families._lattice_labels(k, m)[0]
 
 
 class TestBitsConstructor:

@@ -7,7 +7,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from crslab.cli import main
-from crslab.errors import FormatError
+from crslab.errors import FormatError, InvalidGraph
 from crslab.graph6 import write_graph6
 from crslab.graph import BaseVertex, LatticeVertex, PlainVertex, plain_graph
 from crslab.families import base_complete, base_null, compose, example_graph, member_b, member_c
@@ -97,6 +97,31 @@ class TestCompositeJson:
         back = formats.composite_from_json(data)
         assert back.base == comp.base and back.lattice == comp.lattice
         make_validator("composite.schema.json").validate(data)
+
+    @pytest.mark.parametrize(
+        "k, base_edges, message",
+        [
+            (2, [[0, 1]], "base vertex index must be >= 1, got 0"),
+            (2, [[2, -3]], "base vertex index must be >= 1, got -3"),
+            (2, [[1, 3]], "edge endpoint b3 is not a declared vertex"),
+            (2, [[1, 1]], "loop at b1"),
+            (1, [], "a graph needs at least two vertices"),
+            # an endpoint below 1 is refused first, wherever it stands: before
+            # an earlier undeclared endpoint or loop, and before a one-vertex base
+            (2, [[1, 5], [0, 1]], "base vertex index must be >= 1, got 0"),
+            (2, [[1, 1], [0, 2]], "base vertex index must be >= 1, got 0"),
+            (1, [[0, 1]], "base vertex index must be >= 1, got 0"),
+        ],
+        ids=[
+            "zero", "negative", "undeclared", "loop", "one-vertex",
+            "zero-after-undeclared", "zero-after-loop", "zero-at-k1",
+        ],
+    )
+    def test_base_refusal_text(self, k, base_edges, message):
+        data = {"k": k, "m": 2, "base_edges": base_edges, "lattice_edges": []}
+        with pytest.raises(InvalidGraph) as exc:
+            formats.composite_from_json(data)
+        assert str(exc.value) == message
 
     def test_shape(self):
         comp = compose(base_null(2), example_graph("T", 2), 2, 3)
