@@ -26,8 +26,9 @@ or integers (``plain_graph``) -- becomes rows in ``_rows``, the one place that
 refuses too few vertices, an undeclared endpoint and a loop.
 
 Every hop count comes from one BFS, ``bfs_frontiers``, which gives a
-vertex's level sets as bit sets; ``_hop_counts`` reads a row of hop counts
-off them, for ``bfs_levels`` and for the resolving record's rows alike.
+vertex's level sets as bit sets.  The resolving record and the bijection
+test read the level sets themselves; ``bfs_levels`` reads a row of hop
+counts off them for the callers that want rows.
 
 Graphs are immutable after construction.
 """
@@ -254,22 +255,16 @@ def bfs_frontiers(adj: list[int], source: int) -> list[int]:
     return levels
 
 
-def _hop_counts(levels: list[int], n: int) -> list[int]:
-    """The hop-count row of n vertices read off BFS level masks: d on each
-    vertex of level d, -1 where no level reaches."""
-    row = [-1] * n
-    for d, level in enumerate(levels):
+def bfs_levels(adj: list[int], source: int) -> list[int]:
+    """Hop counts from ``source`` over adjacency bit sets; -1 = unreachable.
+    The row read off ``bfs_frontiers``: d on each vertex of level d."""
+    row = [-1] * len(adj)
+    for d, level in enumerate(bfs_frontiers(adj, source)):
         while level:
             low = level & -level
             row[low.bit_length() - 1] = d
             level ^= low
     return row
-
-
-def bfs_levels(adj: list[int], source: int) -> list[int]:
-    """Hop counts from ``source`` over adjacency bit sets; -1 = unreachable.
-    The row ``_hop_counts`` reads off ``bfs_frontiers``."""
-    return _hop_counts(bfs_frontiers(adj, source), len(adj))
 
 
 def distances(g: Graph) -> dict[tuple[Vertex, Vertex], int | None]:

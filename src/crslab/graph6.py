@@ -13,6 +13,10 @@ from .graph import Graph, PlainVertex, _plain_labels
 
 HEADER = ">>graph6<<"
 
+#: Each data character's six bits, high bit first; ``str.translate`` leaves
+#: any other character as it is, one character long.
+_BITS = {63 + value: format(value, "06b") for value in range(64)}
+
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph on PlainVertex(0..n-1); bit-exact standard encoding."""
@@ -52,10 +56,10 @@ def read_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise FormatError(f"expected {need} data characters for order {n}, got {len(body)}")
-    for ch in body:
-        if not 0 <= ord(ch) - 63 < 64:
-            raise FormatError(f"invalid graph6 character {ch!r}")
-    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    bits = body.translate(_BITS)
+    if len(bits) != 6 * need:
+        bad = next(ch for ch in body if ord(ch) not in _BITS)
+        raise FormatError(f"invalid graph6 character {bad!r}")
     if "1" in bits[n * (n - 1) // 2:]:
         raise FormatError("nonzero padding bits")
     # column j holds the bits of rows 0..j-1, row 0 first; reversed, they

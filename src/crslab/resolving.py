@@ -11,9 +11,10 @@ re-check them edge by edge.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import and_
 
 from .errors import (
@@ -25,10 +26,8 @@ from .graph import (
     Graph,
     LatticeVector,
     Vertex,
-    _hop_counts,
     _iter_bits,
     bfs_frontiers,
-    bfs_levels,
 )
 
 #: Default largest order searched exhaustively by the subset-scanning ops.
@@ -94,12 +93,13 @@ class ClassificationVerdict:
     witness: CrsCertificate | None = None
 
 
-def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
-    """The positions of a checked W, their hop-count rows, and the outside
-    positions; raises if any outside vertex is unreachable from any W
-    vertex.  Any unreachable vertex will do for that test: W is proper, so
-    a W vertex cut off from another leaves some outside vertex unreachable
-    from one of the two."""
+def _w_levels(g: Graph, w) -> tuple[list[int], list[list[int]], int]:
+    """The positions of a checked W, their BFS level masks, and the mask of
+    the outside positions; raises if any outside vertex is unreachable from
+    any W vertex, that is, if the graph is disconnected, so the first W
+    vertex's levels tell.  The levels are the cached record's when
+    ``_table`` has built one for the graph; otherwise one BFS runs per W
+    vertex, and no record is built."""
     members = list(w)
     if not members:
         raise InvalidW("W must be nonempty")
@@ -108,15 +108,20 @@ def _w_rows(g: Graph, w) -> tuple[list[int], list[list[int]], list[int]]:
     w_idx = list(map(g._index.get, members))
     if None in w_idx:
         raise InvalidW(f"W contains {members[w_idx.index(None)]!r}, which is not a vertex")
-    if len(members) >= g.order:
+    n = g.order
+    if len(members) >= n:
         raise InvalidW("W must be a proper subset of the vertex set")
-    in_w = set(w_idx)
-    rest = [u for u in range(g.order) if u not in in_w]
-    adj = g.adjacency_masks()
-    rows = [bfs_levels(adj, i) for i in w_idx]
-    if any(-1 in row for row in rows):
+    dist = _distances.get(g)
+    if dist is not None:
+        levels = list(map(dist.frontiers.__getitem__, w_idx))
+    else:
+        levels = [bfs_frontiers(g._adj, i) for i in w_idx]
+    if sum(map(int.bit_count, levels[0])) < n:
         raise DisconnectedGraph("some vertex is unreachable from W")
-    return w_idx, rows, rest
+    rest_mask = (1 << n) - 1
+    for i in w_idx:
+        rest_mask ^= 1 << i
+    return w_idx, levels, rest_mask
 
 
 @lru_cache(maxsize=None)
@@ -137,14 +142,13 @@ class _Distances(dict):
     vertex's eccentricity ``ecc`` (its last level) and degree ``deg`` (the
     popcount of its row), and, keyed by position, each vertex's tie mask,
     built from its frontiers on first lookup.  The searches test W on the
-    tie masks.  A vertex's hop-count row is read off its frontiers by
-    ``_hop_counts`` when ``row`` first asks for it, only to give
-    ``_bijection`` outside vectors: the rows of a W the pruned search keeps,
-    or, for the universal-vertex witness, the one outside vertex's own row.
-    The record also computes the graph's classification ``verdict`` and its
+    tie masks, and ``_bijection`` certifies W on its frontiers.  The record
+    also computes the graph's classification ``verdict`` and its
     ``dimension`` on first use, so the entry points share one search of
-    each.  ``_distances`` builds one record per graph and shares it with
-    every caller, so no caller may mutate it.
+    each.  ``_table`` builds one record per graph and keeps the last few in
+    ``_distances``, where ``check_crs`` and ``is_resolving_set`` read W's
+    frontiers too; every caller shares the record, so no caller may mutate
+    it.
 
     Bit u*n + v of the tie mask of w is set iff d(w, u) = d(w, v): for each
     level L of w, L shifted to the block of each of its own vertices u.  At
@@ -153,11 +157,11 @@ class _Distances(dict):
     order the mask is built by one shift per vertex.  A vertex set W
     resolves iff the AND of its masks is ``diagonal``, the bits u*n + u:
     only then do all n vertices get distinct vectors toward W (a W vertex's
-    own level is {w}), as in ``_injective``.  A mask holds n^2 bits, so a
-    mask is built only when a search first reads it: all n masks of a
-    600-vertex cycle take n^3/8 bytes, 27 MB, and its dimension search
-    reads two of them.  Masks, rows, the verdict and the dimension are read
-    only once ``_table`` has found the graph connected.
+    own level is {w}).  A mask holds n^2 bits, so a mask is built only when
+    a search first reads it: all n masks of a 600-vertex cycle take n^3/8
+    bytes, 27 MB, and its dimension search reads two of them.  Masks, the
+    verdict and the dimension are read only once ``_table`` has found the
+    graph connected.
     """
 
     def __init__(self, g: Graph):
@@ -168,7 +172,6 @@ class _Distances(dict):
         self.ecc = [len(levels) - 1 for levels in frontiers]
         self.deg = [a.bit_count() for a in adj]
         n = len(adj)
-        self._rows = [None] * n
         self._spread = _spread(n) if n <= _SPREAD_ORDER else None
         self._verdict = self._dimension = None
         # bits 0, n+1, 2(n+1), ...: the sum of the first n powers of 2^(n+1)
@@ -186,13 +189,6 @@ class _Distances(dict):
                     tie |= level << u * n
         self[w] = tie
         return tie
-
-    def row(self, w: int) -> list[int]:
-        """The hop counts from position w, read off its frontiers once."""
-        row = self._rows[w]
-        if row is None:
-            row = self._rows[w] = _hop_counts(self.frontiers[w], len(self.adj))
-        return row
 
     def resolves(self, w_idx) -> bool:
         """True iff the positions ``w_idx`` resolve the graph."""
@@ -224,8 +220,7 @@ class _Distances(dict):
         if 1 in ecc:
             u = ecc.index(1)
             w_idx = [w for w in range(n) if w != u]
-            # u's vector toward W is read off u's own row: d(w, u) = d(u, w)
-            cert = _bijection(verts, w_idx, {u: tuple(map(self.row(u).__getitem__, w_idx))}, [u])
+            cert = _bijection(verts, w_idx, list(map(self.frontiers.__getitem__, w_idx)), 1 << u)
             return ClassificationVerdict(kind=UNIVERSAL_VERTEX, witness=cert)
         for cert in _pruned_certificates(self, range(2, n - 1)):
             kind = FAMILY_B if cert.m_of_w == 2 else FAMILY_C
@@ -247,7 +242,12 @@ class _Distances(dict):
         return len(basis), basis
 
 
-_distances = lru_cache(maxsize=8)(_Distances)
+#: The records ``_table`` built last, by graph, oldest first; past
+#: ``_RECORDS`` the oldest is dropped.  ``_w_levels`` reads W's levels here
+#: but never builds a record: one per checked graph would cost more than
+#: the BFS runs of W it saves.
+_distances: OrderedDict[Graph, _Distances] = OrderedDict()
+_RECORDS = 8
 
 
 def _table(g: Graph, cap: int, disconnected: str) -> _Distances:
@@ -257,52 +257,73 @@ def _table(g: Graph, cap: int, disconnected: str) -> _Distances:
     n = g.order
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the cap {cap}")
-    dist = _distances(g)
+    dist = _distances.get(g)
+    if dist is None:
+        if len(_distances) >= _RECORDS:
+            _distances.popitem(last=False)
+        dist = _distances[g] = _Distances(g)
     if sum(map(int.bit_count, dist.frontiers[0])) < n:
         raise DisconnectedGraph(disconnected)
     return dist
 
 
-def _injective(w_rows: list[list[int]]) -> bool:
-    """True iff the outside vertices have pairwise distinct vectors toward
-    the W rows ``w_rows``.  Each W vertex's own vector is the only one with
-    a zero, at its own coordinate, so the test may run over every vertex.
-    Its one caller is ``is_resolving_set``, whose graph is connected
-    (``_w_rows`` raises otherwise); the searches test W on the tie masks of
-    ``_Distances``."""
-    return len(set(zip(*w_rows))) == len(w_rows[0])
+def _bijection(verts, w_idx, levels, rest_mask) -> CrsCertificate | CrsFailure:
+    """The bijection test behind every certificate, on BFS level masks.
 
-
-def _bijection(verts, w_idx, vecs, rest) -> CrsCertificate | CrsFailure:
-    """The bijection test behind every certificate.
-
-    ``vecs[u]`` is Psi_W(u), outside position u's vector of hop counts
-    toward the positions ``w_idx`` of W.  Returns the certificate of W when
-    Psi_W on the outside positions ``rest`` is a bijection onto
-    [m(W)]^|W|, else the failure ``check_crs`` describes, worded where it
-    is found.  An injective map with the matching count is onto, so there
-    is no third reason.
+    ``levels[i]`` holds the level masks of W's position ``w_idx[i]``, level
+    d at index d, and ``rest_mask`` the outside positions.  m(W) is the
+    deepest level of any W vertex that meets ``rest_mask``.  Psi_W sends an
+    outside vertex to x iff it lies in the cell of x, ``rest_mask`` ANDed
+    with level x_i of each w_i, so the m^|W| cells, built in box order,
+    split the outside.  Returns the certificate of W when Psi_W is a
+    bijection onto [m(W)]^|W|, else the failure ``check_crs`` describes,
+    worded where it is found.  With the counts equal, Psi_W is a bijection
+    iff no cell is empty, and then each holds one vertex; otherwise some
+    cell holds two, and a scan of the outside positions in order first
+    meets a seen vector at the smallest second-lowest bit of any cell,
+    which it names after that cell's lowest.  An injective map with the
+    matching count is onto, so there is no third reason.
     """
-    m, k = max([max(vecs[u]) for u in rest]), len(w_idx)
-    if m ** k != len(rest):
-        return CrsFailure(CARDINALITY_MISMATCH, f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}")
-    seen: dict[LatticeVector, int] = {}
-    for u in rest:
-        vec = vecs[u]
-        if vec in seen:
-            return CrsFailure(NOT_INJECTIVE, f"{verts[seen[vec]]!r} and {verts[u]!r} share the vector {vec}")
-        seen[vec] = u
-    return CrsCertificate(
-        w_order=tuple(verts[w] for w in w_idx),
-        m_of_w=m,
-        table={verts[u]: vec for vec, u in seen.items()},
-    )
+    m, k = 0, len(w_idx)
+    for lv in levels:
+        d = len(lv) - 1
+        while not lv[d] & rest_mask:
+            d -= 1
+        if d > m:
+            m = d
+    outside = rest_mask.bit_count()
+    if m ** k != outside:
+        return CrsFailure(CARDINALITY_MISMATCH, f"|V|-|W| = {outside} but m(W)^|W| = {m}^{k} = {m ** k}")
+    cells = [rest_mask]
+    for lv in levels:
+        box = lv[1:m + 1]
+        if len(box) < m:
+            box += [0] * (m - len(box))  # no vertex lies past the last level
+        cells = [c & level for c in cells for level in box]
+    vectors = product(range(1, m + 1), repeat=k)
+    if all(cells):
+        return CrsCertificate(
+            w_order=tuple(verts[w] for w in w_idx),
+            m_of_w=m,
+            table={verts[c.bit_length() - 1]: vec for c, vec in zip(cells, vectors)},
+        )
+    b, a, vec = min(((t & -t).bit_length() - 1, (c & -c).bit_length() - 1, vec)
+                    for c, vec in zip(cells, vectors) if (t := c & c - 1))
+    return CrsFailure(NOT_INJECTIVE, f"{verts[a]!r} and {verts[b]!r} share the vector {vec}")
 
 
 def is_resolving_set(g: Graph, w) -> bool:
-    """True iff distance vectors toward W distinguish all outside vertices."""
-    _w_idx, rows, _rest = _w_rows(g, w)
-    return _injective(rows)
+    """True iff distance vectors toward W distinguish all outside vertices.
+
+    The vertex set is split by each W vertex's levels in turn; W resolves
+    iff every part ends up a single vertex.  A W vertex's own vector is the
+    only one with a zero at its own coordinate, so the count may run over
+    every vertex."""
+    _w_idx, levels, _rest = _w_levels(g, w)
+    parts = [(1 << g.order) - 1]
+    for lv in levels:
+        parts = [part for p in parts for level in lv if (part := p & level)]
+    return len(parts) == g.order
 
 
 def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
@@ -312,8 +333,7 @@ def check_crs(g: Graph, w_order) -> CrsCertificate | CrsFailure:
     from m(W)^|W| (the cheap shortcut), or two outside vertices share a
     vector.
     """
-    w_idx, rows, rest = _w_rows(g, w_order)
-    return _bijection(g.vertices(), w_idx, list(zip(*rows)), rest)
+    return _bijection(g.vertices(), *_w_levels(g, w_order))
 
 
 def _implied_radius(outside: int, k: int) -> int | None:
@@ -349,9 +369,10 @@ def _pruned_certificates(dist, sizes):
     ``_bijection`` unless its tie masks AND to the diagonal; ``_bijection``
     still builds and checks every certificate returned, and the
     ``CrsFailure`` of each W it rejects is dropped.  (One outside vertex is
-    always told apart, and a singleton W is cheaper to test by its row.)"""
-    verts, adj, deg = dist.verts, dist.adj, dist.deg
+    always told apart, and a singleton W is cheaper to test by its levels.)"""
+    verts, adj, deg, frontiers = dist.verts, dist.adj, dist.deg, dist.frontiers
     n = len(verts)
+    full = (1 << n) - 1
     for k in sizes:
         m_implied = _implied_radius(n - k, k)
         if m_implied is None:
@@ -364,8 +385,10 @@ def _pruned_certificates(dist, sizes):
                 continue
             if 1 < k < n - 1 and not dist.resolves(combo):
                 continue
-            rest = [u for u in range(n) if u not in combo]
-            res = _bijection(verts, combo, list(zip(*map(dist.row, combo))), rest)
+            rest_mask = full
+            for w in combo:
+                rest_mask ^= 1 << w
+            res = _bijection(verts, combo, list(map(frontiers.__getitem__, combo)), rest_mask)
             if isinstance(res, CrsCertificate):
                 yield res
 

@@ -71,7 +71,13 @@ def test_rejects_malformed_bodies():
         read_graph6("Chh")  # spurious extra character
 
 
-@pytest.mark.parametrize("text, ch", [("C!", "!"), ("C\x7f", "\x7f")], ids=["below-?", "above-~"])
+@pytest.mark.parametrize(
+    "text, ch",
+    [("C!", "!"), ("C\x7f", "\x7f"), ("C\xe9", "\xe9"), ("D!\x7f", "!"), ("D!~", "!")],
+    # D (order 5) takes two data characters; in "D!~" the "~" also sets
+    # both padding bits, and the invalid character is still the one named
+    ids=["below-?", "above-~", "non-ascii", "first-of-two", "with-nonzero-padding"],
+)
 def test_rejects_data_bytes_outside_the_printable_range(text, ch):
     with pytest.raises(FormatError) as info:
         read_graph6(text)

@@ -91,6 +91,22 @@ def brute_force_crs(g):
     return sorted(out, key=lambda pair: (len(pair[0]), pair[1], sorted(map(repr, pair[0]))))
 
 
+def crs_by_definition(w, rest, vec):
+    """check_crs's answer for the ordered W by the definition, from Psi_W's
+    values ``vec`` on the outside vertices ``rest``, in canonical order: the
+    outside count against m(W)^|W| first, then the first two outside
+    vertices that share a vector; else the whole bijection."""
+    k = len(w)
+    m = max(map(max, vec.values()))
+    shared = [(a, b) for j, b in enumerate(rest) for a in rest[:j] if vec[a] == vec[b]]
+    if len(rest) != m ** k:
+        return CrsFailure(CARDINALITY_MISMATCH, f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}")
+    if shared:
+        a, b = shared[0]
+        return CrsFailure(NOT_INJECTIVE, f"{a!r} and {b!r} share the vector {vec[b]}")
+    return CrsCertificate(w_order=tuple(w), m_of_w=m, table=vec)
+
+
 def brute_force_perfect(g):
     """Perfectness by its definition: the smallest c with a resolving
     c-subset, then whether some completeness-resolving set has size c."""
@@ -275,11 +291,12 @@ class TestCheckCrs:
                 assert g.order == len(ws) + res.m_of_w ** len(ws)
 
     def test_reasons_follow_the_definition(self):
-        # the definition's order on the all-pairs table: the outside count
-        # against m(W)^|W| first, then the first two outside vertices, in
-        # canonical order, that share a vector; else the whole bijection
+        # check_crs against crs_by_definition, and is_resolving_set against
+        # distinct outside vectors, on the all-pairs table; each W is asked
+        # of a fresh graph, which has no record, and again once the
+        # classification has cached the record whose levels both then read
         rng = random.Random(45)
-        seen = {CARDINALITY_MISMATCH: 0, NOT_INJECTIVE: 0, "certificate": 0}
+        seen = {CARDINALITY_MISMATCH: 0, NOT_INJECTIVE: 0, "certificate": 0, True: 0, False: 0}
         graphs = 0
         while graphs < 20:
             n = rng.randint(4, 8)
@@ -289,25 +306,23 @@ class TestCheckCrs:
                 continue
             graphs += 1
             verts = g.vertices()
+            cases = []
             for k in (1, 2, 3):
                 for combo in combinations(verts, k):
                     for w in dict.fromkeys((combo, combo[::-1])):
                         rest = [u for u in verts if u not in w]
                         vec = {u: tuple(d[(x, u)] for x in w) for u in rest}
-                        m = max(map(max, vec.values()))
-                        shared = [(a, b) for j, b in enumerate(rest) for a in rest[:j] if vec[a] == vec[b]]
-                        if len(rest) != m ** k:
-                            want = CrsFailure(
-                                CARDINALITY_MISMATCH,
-                                f"|V|-|W| = {len(rest)} but m(W)^|W| = {m}^{k} = {m ** k}",
-                            )
-                        elif shared:
-                            a, b = shared[0]
-                            want = CrsFailure(NOT_INJECTIVE, f"{a!r} and {b!r} share the vector {vec[b]}")
-                        else:
-                            want = CrsCertificate(w_order=w, m_of_w=m, table=vec)
-                        assert check_crs(g, w) == want
-                        seen[getattr(want, "reason", "certificate")] += 1
+                        cases.append((w, crs_by_definition(w, rest, vec), len(set(vec.values())) == len(rest)))
+            resolving._distances.clear()
+            for cached in (False, True):
+                if cached:
+                    is_completeness_resolvable(g)
+                assert (g in resolving._distances) == cached
+                for w, want, resolves in cases:
+                    assert (check_crs(g, w), is_resolving_set(g, w)) == (want, resolves), (cached, w)
+            for _w, want, resolves in cases:
+                seen[getattr(want, "reason", "certificate")] += 1
+                seen[resolves] += 1
         assert min(seen.values()) > 0, seen
 
 
@@ -362,10 +377,10 @@ class TestFindAllCrs:
         g = plain_graph(12, list(combinations(range(12), 2)))
         tested, real = [], resolving._bijection
         monkeypatch.setattr(resolving, "_bijection", lambda *args: tested.append(args[1]) or real(*args))
-        resolving._distances.cache_clear()
+        resolving._distances.clear()
         found = find_all_crs(g)
         assert tested == list(combinations(range(12), 11))
-        assert len(resolving._distances(g)) == 0
+        assert len(resolving._distances[g]) == 0
         assert len(found) == 12
         assert {frozenset(w) for w, _c in found} == {
             frozenset(p(i) for i in range(12) if i != j) for j in range(12)
@@ -512,7 +527,7 @@ class TestPerfectness:
         # perfect iff the smallest completeness-resolving set has dim(G)
         # vertices; asked first of a graph with nothing cached, then again
         # after its classification and its dimension
-        resolving._distances.cache_clear()
+        resolving._distances.clear()
         outcomes = []
         for n, classes in _connected_classes(6):
             if n == 1:
@@ -651,9 +666,9 @@ ONE_OF_EACH_KIND_IDS = ["P4", "EAJw", "U_3", "T_2", "Petersen"]
 class TestSharedWork:
     @pytest.fixture
     def bfs_calls(self, monkeypatch):
-        """Sources of every BFS the per-graph record runs (its frontiers),
-        on empty caches."""
-        resolving._distances.cache_clear()
+        """Sources of every BFS that resolving runs (a record's frontiers,
+        and W's levels when there is no record), on empty caches."""
+        resolving._distances.clear()
         calls = []
         real = resolving.bfs_frontiers
 
@@ -663,7 +678,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(resolving, "bfs_frontiers", counted)
         yield calls
-        resolving._distances.cache_clear()
+        resolving._distances.clear()
 
     def test_entry_points_share_one_table_and_one_dimension_search(self, bfs_calls, monkeypatch):
         # each search runs once per graph: the dimension search scans sizes
@@ -701,7 +716,7 @@ class TestSharedWork:
         entry_points = (is_completeness_resolvable, metric_dimension, is_perfectness_resolvable, find_all_crs)
         first = None
         for order in permutations(entry_points):
-            resolving._distances.cache_clear()
+            resolving._distances.clear()
             del bfs_calls[:], sizes[:], verdicts[:]
             got = {fn: fn(g) for fn in order}
             answers = [got[fn] for fn in entry_points]
@@ -729,21 +744,54 @@ class TestSharedWork:
         is_completeness_resolvable(g)
         assert (is_perfectness_resolvable(g), len(verdicts)) == (cold, 1)
 
-    def test_universal_vertex_witness_builds_one_row(self, small_connected):
-        # the witness's one outside vector is read off the universal vertex's
-        # own row, and it still goes through the bijection test
+    def test_universal_vertex_witness_checks_one_outside_vertex(self, small_connected, monkeypatch):
+        # the witness leaves out the first universal vertex u alone: the
+        # bijection test runs once, on the outside mask 1 << u, and its
+        # certificate is check_crs's
+        outside_masks, real = [], resolving._bijection
+        monkeypatch.setattr(resolving, "_bijection", lambda *args: outside_masks.append(args[3]) or real(*args))
         graphs = [g for g, _rows in small_connected if universal_vertices(g) and not is_path(g)]
         graphs += [example_graph("MaxB", k).materialize() for k in (2, 3)]
         graphs.append(plain_graph(4, combinations(range(4), 2)))
         for g in graphs:
-            dist = resolving._Distances(g)
-            verdict = dist.verdict
-            outside = set(g.vertices()) - set(verdict.witness.w_order)
+            del outside_masks[:]
+            verdict = resolving._Distances(g).verdict
+            u = universal_vertices(g)[0]
             assert verdict.kind == UNIVERSAL_VERTEX, g
-            assert sum(row is not None for row in dist._rows) == 1, g
-            assert outside == {universal_vertices(g)[0]}, g
+            assert outside_masks == [1 << g.index_of(u)], g
+            assert set(g.vertices()) - set(verdict.witness.w_order) == {u}, g
             assert verdict.witness == check_crs(g, verdict.witness.w_order), g
         assert len(graphs) == 18
+
+    @pytest.mark.parametrize("build", ONE_OF_EACH_KIND, ids=ONE_OF_EACH_KIND_IDS)
+    def test_check_crs_reads_the_levels_of_a_cached_record(self, bfs_calls, build):
+        # on a fresh graph, one BFS per W vertex and no record built; once
+        # the classification has cached the record, no BFS at all
+        g = build()
+        verts = g.vertices()
+        ws = [verts[:2], verts[-3:][::-1]]
+        fresh = []
+        for w in ws:
+            del bfs_calls[:]
+            fresh.append((check_crs(g, w), is_resolving_set(g, w)))
+            assert bfs_calls == [g.index_of(x) for x in w] * 2, w
+        assert g not in resolving._distances
+        is_completeness_resolvable(g)
+        del bfs_calls[:]
+        assert [(check_crs(g, w), is_resolving_set(g, w)) for w in ws] == fresh
+        assert bfs_calls == []
+
+    def test_the_cache_keeps_the_last_records_oldest_dropped_first(self, bfs_calls):
+        graphs = [path(n) for n in range(2, 4 + resolving._RECORDS)]
+        for g in graphs:
+            metric_dimension(g)
+        assert list(resolving._distances) == graphs[2:]
+        del bfs_calls[:]
+        metric_dimension(graphs[2])
+        assert bfs_calls == []
+        metric_dimension(graphs[0])
+        assert sorted(bfs_calls) == list(range(graphs[0].order))
+        assert list(resolving._distances) == graphs[3:] + graphs[:1]
 
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
         def answers(graph):
@@ -753,7 +801,7 @@ class TestSharedWork:
         g, twin = b2_member(), b2_member()
         assert g is not twin and g == twin
         first = answers(g)
-        resolving._distances.cache_clear()
+        resolving._distances.clear()
         assert answers(twin) == first  # computed afresh
         del bfs_calls[:]
         assert answers(g) == first  # read from the twin's entries
@@ -788,12 +836,13 @@ class TestSharedWork:
 
 def unfiltered_certificates(verts, rows_all, sizes):
     """Certificates of every W of each size, by a plain combination scan
-    with no pruning at all."""
+    with no pruning at all, each decided by ``crs_by_definition``."""
     n = len(verts)
     for k in sizes:
         for combo in combinations(range(n), k):
-            rest = [u for u in range(n) if u not in combo]
-            res = resolving._bijection(verts, combo, list(zip(*(rows_all[w] for w in combo))), rest)
+            rest = [verts[u] for u in range(n) if u not in combo]
+            vec = {verts[u]: tuple(rows_all[w][u] for w in combo) for u in range(n) if u not in combo}
+            res = crs_by_definition(tuple(verts[w] for w in combo), rest, vec)
             if isinstance(res, CrsCertificate):
                 yield res
 
@@ -870,13 +919,21 @@ class TestDimensionBound:
 # -- the tie masks behind the dimension and certificate searches ----------------
 
 
+def injective(w_rows):
+    """True iff all vertices get distinct vectors toward the W rows
+    ``w_rows``, the definition of a resolving W: a W vertex's own vector is
+    the only one with a zero at its own coordinate, so the test may run over
+    every vertex."""
+    return len(set(zip(*w_rows))) == len(w_rows[0])
+
+
 def plain_dimension(rows):
     """The smallest resolving positions in combination order, by a plain
-    scan of every combination with _injective."""
+    scan of every combination with ``injective``."""
     n = len(rows)
     for c in range(1, n):
         for combo in combinations(range(n), c):
-            if resolving._injective([rows[w] for w in combo]):
+            if injective([rows[w] for w in combo]):
                 return c, combo
 
 
@@ -901,22 +958,23 @@ class TestTieMasks:
             dist = resolving._Distances(g)
             for k in (1, 2, 3):
                 for w in combinations(range(len(rows)), k):
-                    expected = resolving._injective([rows[v] for v in w])
+                    expected = injective([rows[v] for v in w])
                     assert dist.resolves(w) == expected, (rows, w)
                     outcomes.add(expected)
         assert outcomes == {True, False}
 
     def test_masks_and_rows_match_the_definition(self, small_connected):
         # bit u*n + v of w's mask is set iff d(w, u) = d(w, v), on both sides
-        # of the spread table's order; a row read off the frontiers is the
-        # row of the reference BFS
+        # of the spread table's order; w's frontiers are the level sets of
+        # the reference BFS's row
         sides = set()
         for g, rows in small_connected:
             n = len(rows)
             dist = resolving._Distances(g)
             for w, row in enumerate(rows):
                 ties = sum(1 << u * n + v for u in range(n) for v in range(n) if row[u] == row[v])
-                assert (dist[w], dist.row(w)) == (ties, row), (rows, w)
+                levels = [sum(1 << v for v in range(n) if row[v] == d) for d in range(max(row) + 1)]
+                assert (dist[w], dist.frontiers[w]) == (ties, levels), (rows, w)
             sides.add(n <= resolving._SPREAD_ORDER)
         assert sides == {True, False}
 
@@ -949,6 +1007,6 @@ class TestTieMasks:
         monkeypatch.setattr(resolving._Distances, "__missing__", counted)
         n = 200
         g = plain_graph(n, [(i, (i + 1) % n) for i in range(n)])
-        resolving._distances.cache_clear()
+        resolving._distances.clear()
         assert metric_dimension(g, cap=n) == (2, (p(0), p(1)))
-        assert len(resolving._distances(g)) == len(built)
+        assert len(resolving._distances[g]) == len(built)
