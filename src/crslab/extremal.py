@@ -7,20 +7,24 @@ edge addition, single deletions decide minimality against the whole
 spanning-subgraph order.  The minimality checks read the sole hits of the
 cover system, found in the pass that checks membership; that pass is
 cached and shared, so a report on a lattice whose membership was just
-decided does not run it again.  Also here: edge-count bounds for minimal
-graphs with their tightness characterizations, read off the same pass,
-and the exhaustive minimal enumerations at k = 2.  The choice sets whose
-products are the maximum-size minimal lattices of either family are the
-private parts of the constraint masks, ``CoverSystem.choice_masks``.
+decided does not run it again.  The pass numbers the lattice's edges once,
+in canonical edge order, and hands back each edge's sole hits aligned with
+them, so the reports zip the two and hash no vertex label; a witness label
+is read from the cached label table.  Also here: edge-count bounds for
+minimal graphs with their tightness characterizations, read off the same
+pass, and the exhaustive minimal enumerations at k = 2.  The choice sets
+whose products are the maximum-size minimal lattices of either family are
+the private parts of the constraint masks, ``CoverSystem.choice_masks``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import EnumerationCapExceeded, NotMember, NotMinimal, SizeOverflow
-from .graph import Edge, Graph, LatticeVertex, Vertex, _iter_bits
+from .graph import Edge, Graph, Vertex, _iter_bits
 from .families import (
     MembershipReport,
     _check_k,
@@ -77,19 +81,18 @@ def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     its smaller endpoint that it alone covers, with every coordinate in
     which it does so.
     """
-    membership, _outside, _hits, sole = _cover("B", base, lattice).check(lattice)
+    cs = _cover("B", base, lattice)
+    membership, _outside, _hits, walked, sole = cs.check(lattice)
+    labels, _index, pos = _lattice_labels(cs.k, 2)
     edges = []
-    for e in lattice.edges():
-        tags = sole.get(e, [])
-        witness = min((x for _i, _cond, x in tags), default=None)
-        edges.append(
-            EdgeCriticality(
-                edge=e,
-                critical=witness is not None,
-                witness_vertex=None if witness is None else LatticeVertex(witness),
-                witness_indices=tuple(sorted(i for i, _cond, x in tags if x == witness)),
-            )
-        )
+    for e, tags in zip(walked, sole):
+        if not tags:
+            edges.append(EdgeCriticality(e, False))
+            continue
+        witness = min(x for _i, _cond, x in tags)
+        # the tags come in constraint order, so by coordinate
+        indices = tuple(i for i, _cond, x in tags if x == witness)
+        edges.append(EdgeCriticality(e, True, labels[pos[witness]], indices))
     return _minimality(membership, edges)
 
 
@@ -104,16 +107,15 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     maximal lattice.
     """
     cs = _cover("C", None, lattice)
-    membership, outside, hits, sole = cs.check(lattice)
+    membership, outside, hits, walked, sole = cs.check(lattice)
     number = cs.constraints
-    first = None
+    unhit = first = None
     if len(hits) != len(number):
-        first = next(tag for tag in number if tag not in hits)
+        unhit, first = next(item for item in number.items() if item[1] not in hits)
     labels, _index, pos = _lattice_labels(cs.k, 3)
     edges = []
-    for e in lattice.edges():
-        own = sole.get(e)
-        tag = own[0] if own and (first is None or number[own[0]] < number[first]) else first
+    for e, own in zip(walked, sole):
+        tag = own[0] if own and (first is None or number[own[0]] < first) else unhit
         if tag is not None:
             i, cond, x = tag
             edges.append(EdgeCriticality(e, True, labels[pos[x]], (i,), cond))
@@ -201,10 +203,11 @@ def tightness_b(base: Graph, lattice: Graph) -> BoundsReport:
     degree has as many constraints as the lattice has edges, each hit
     once."""
     cs = _cover("B", base, lattice)
-    membership, _outside, hits, sole = cs.check(lattice)
-    edges = lattice.edges()
-    if not membership.member or not all(e in sole for e in edges):
+    membership, _outside, hit, edges, sole = cs.check(lattice)
+    if not membership.member or not all(sole):
         raise NotMinimal("tightness analysis needs a minimal lattice")
+    # the one reader of the hits by tag and by edge builds them here
+    hits = {tag: [edges[j] for j in hit[n]] for tag, n in cs.constraints.items() if n in hit}
     lower, upper = bounds_b(base)
     actual = len(edges)
     degs = [row.bit_count() for row in base.adjacency_masks()]
@@ -263,13 +266,13 @@ def critical_edges(kind: str, base: Graph | None, lattice: Graph) -> CriticalEdg
     of some constraint of the cover system: the last cover of a
     constrained vertex."""
     cs = _cover(kind, base, lattice)
-    rep, _outside, _hits, sole = cs.check(lattice)
+    rep, _outside, _hits, walked, sole = cs.check(lattice)
     if not rep.member:
         raise NotMember("critical edges are defined for members only")
     sets: dict[tuple[int, str], set[Edge]] = {
         (i, cond): set() for i in range(1, rep.k + 1) for cond in cs.conditions
     }
-    for e, tags in sole.items():
+    for e, tags in compress(zip(walked, sole), sole):
         for i, cond, _x in tags:
             sets[i, cond].add(e)
     by_i = {

@@ -319,7 +319,8 @@ class CoverSystem:
     A lattice is a member exactly when it has no edge outside the universe
     and hits every constraint; an edge is critical when it is the only hit
     of some constraint.  Membership, minimality and the critical edges read
-    one ``check`` pass over a lattice's own edges; ``check`` itself keeps
+    one ``check`` pass over a lattice's own edges, which numbers each edge
+    once and files hits and sole hits by edge number; ``check`` itself keeps
     the last (system, lattice) pass and shares it, so the reports on one
     lattice, or on an equal one, do not run it again.  The pass works on
     positions and constraint numbers: ``_positions``, built from
@@ -328,13 +329,14 @@ class CoverSystem:
     edge going down from it there hits.  A lattice edge is then one XOR of
     two packed vectors: a coordinate moving between 1 and 3 puts it outside
     the universe, and only the coordinates it changes are looked up.  Tags
-    and labels are made once, for what the reports return.  The exhaustive
-    scans use the bit-mask view (``edges``, ``masks``), built on first use.
-    Both stay because the mask view needs the whole universe: Gamma_k has
-    (7^k - 3^k)/2 edges, 58 460 at k = 6 and 141 208 100 at k = 10, which
-    DEFAULT_SIZE_CAP allows, while the position table has k * m^k numbers
-    (at most 590 490 under DEFAULT_SIZE_CAP, for C at k = 10) and the
-    constraint table at most about 250 000 tags (201 950 for C at k = 10).
+    and labels are made once, for the sole hits and misses the reports
+    return.  The exhaustive scans use the bit-mask view (``edges``,
+    ``masks``), built on first use.  Both stay because the mask view needs
+    the whole universe: Gamma_k has (7^k - 3^k)/2 edges, 58 460 at k = 6
+    and 141 208 100 at k = 10, which DEFAULT_SIZE_CAP allows, while the
+    position table has k * m^k numbers (at most 590 490 under
+    DEFAULT_SIZE_CAP, for C at k = 10) and the constraint table at most
+    about 250 000 tags (201 950 for C at k = 10).
     """
 
     k: int
@@ -404,26 +406,32 @@ class CoverSystem:
     # equal lattices have equal labels and adjacency, so a hit is what a pass would give
     @lru_cache(maxsize=1)
     def check(self, lattice: Graph):
-        """The membership report (per coordinate and condition, the lattice
-        edges in the scaffold and the first target they miss), the edges
-        outside the universe, for each constraint hit its hitting edges in
-        canonical edge order, and for each edge the constraints it alone
-        hits, in constraint order, from one pass over the lattice's edges.
-        Edges are walked by position pair in canonical edge order, and hits
-        are filed by constraint number, so each edge's tags come out in
-        constraint order.
+        """One pass over the lattice's edges, returning five things:
+        the membership report (per coordinate and condition, the lattice
+        edges in the scaffold and the first target they miss); the edges
+        outside the universe; for each constraint hit, by number, the
+        numbers of its hitting edges in canonical edge order; the walked
+        edges, numbered in canonical edge order, so equal to
+        ``lattice.edges()``; and, aligned with them, each edge's sole hits,
+        its tags in constraint order, or () if none.  Edges are walked by
+        position pair and hits are filed by constraint number, so each
+        edge's tags come out in constraint order, and no table keyed by
+        label edges is built.
 
         The last result is cached by (system, lattice) and shared, so a
         membership report and the minimality and critical-edge reports of
         an equal lattice read one pass; only one is kept, so a large
         lattice and its hit tables are not held much past their use.  No
-        caller may mutate ``outside``, ``hits`` or ``sole``."""
-        k, width = self.k, len(self.conditions)
+        caller may mutate any part of it."""
+        k = self.k
         packed, down, tags, ones = self._positions
         verts = lattice.vertices()
+        edges: list[Edge] = []
+        j = -1  # the number of the edge being walked
         outside: list[Edge] = []
-        in_scaffold: list[list[Edge]] = [[] for _ in range(k * width)]
-        hit: dict[int, list[Edge]] = {}
+        # coordinate t's slice edges at 2t, its s-set edges at 2t + 1
+        in_scaffold: list[list[Edge]] = [[] for _ in range(2 * k)]
+        hit: dict[int, list[int]] = {}
         for p, row in enumerate(lattice.adjacency_masks()):
             u, a = verts[p], packed[p]
             row >>= p + 1
@@ -432,6 +440,8 @@ class CoverSystem:
                 row ^= low
                 q = p + low.bit_length()
                 e = (u, verts[q])
+                edges.append(e)
+                j += 1
                 b = packed[q]
                 d = a ^ b
                 # 1 <-> 3 is the only move that XORs a coordinate to 0b10
@@ -443,21 +453,21 @@ class CoverSystem:
                     bit = moved & -moved
                     moved ^= bit
                     s = bit.bit_length() - 1
-                    t = s >> 1
-                    # a 1-2 move XORs to 0b01 (a slice), a 2-3 move to 0b11 (an s-set)
-                    in_scaffold[t * width + (d >> s + 1 & 1)].append(e)
-                    n = down[k * (q if b >> s & 3 > a >> s & 3 else p) + t]
+                    # a 1-2 move XORs to 0b01 (a slice), a 2-3 move to 0b11 (an
+                    # s-set); bit c is then set in the upper end's component only
+                    c = s + (d >> s + 1 & 1)
+                    in_scaffold[c].append(e)
+                    n = down[k * (q if b >> c & 1 else p) + (s >> 1)]
                     if n >= 0:
                         if n in hit:
-                            hit[n].append(e)
+                            hit[n].append(j)
                         else:
-                            hit[n] = [e]
-        hits = {tags[n]: hit_edges for n, hit_edges in hit.items()}
+                            hit[n] = [j]
         # an edge's sole hits were filed while it was walked, so in constraint order
-        sole: dict[Edge, list[tuple[int, str, LatticeVector]]] = {}
+        sole: list[tuple[tuple[int, str, LatticeVector], ...]] = [()] * len(edges)
         for n, hit_edges in hit.items():
             if len(hit_edges) == 1:
-                sole.setdefault(hit_edges[0], []).append(tags[n])
+                sole[hit_edges[0]] += (tags[n],)
         # the first target each (i, condition) misses
         missed: dict[tuple[int, str], Vertex] = {}
         if len(hit) < len(tags):
@@ -467,21 +477,21 @@ class CoverSystem:
                     i, cond, x = tags[n]
                     if (i, cond) not in missed:
                         missed[i, cond] = labels[pos[x]]
-        diagnostics = []
-        for i in range(1, self.k + 1):
-            covering = [tuple(in_scaffold[(i - 1) * width + c]) for c in range(width)] + [()]
-            uncovered = [missed.get((i, c)) for c in self.conditions] + [None]
-            diagnostics.append(
-                IndexDiagnostic(i, covering[0], covering[1], uncovered[0], uncovered[1])
+        diagnostics = [
+            IndexDiagnostic(
+                i, tuple(in_scaffold[2 * i - 2]), tuple(in_scaffold[2 * i - 1]),
+                missed.get((i, "slice")), missed.get((i, "s-set")),
             )
+            for i in range(1, k + 1)
+        ]
         report = MembershipReport(
             member=not outside and not missed,
             family=self.family,
-            k=self.k,
+            k=k,
             diagnostics=tuple(diagnostics),
             bad_edge=outside[0] if outside else None,
         )
-        return report, outside, hits, sole
+        return report, outside, hit, edges, sole
 
     # -- the bit-mask view, for exhaustive scans over the universe --
 
@@ -686,15 +696,29 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if adj[w_pos[i]] >> w_pos[j] & 1]
     base = Graph._from_adj(base_verts, base_index, _rows(base_verts, base_pairs, int, int))
     verts_l, index_l, pos = _lattice_labels(k, m)
-    where = {u: pos[x] for u, x in vec.items()}
+    where = [0] * len(verts)
+    for u, x in vec.items():
+        where[u] = pos[x]
+    # every vertex's neighbours outside W, carried to lattice positions
+    carried = []
+    for row in adj:
+        row &= rest_mask
+        out = 0
+        while row:
+            low = row & -row
+            row ^= low
+            out |= 1 << where[low.bit_length() - 1]
+        carried.append(out)
     rows = [0] * len(verts_l)
     for u in rest:
-        row = 0
-        for v in _iter_bits(adj[u] & rest_mask):
-            row |= 1 << where[v]
-        rows[where[u]] = row
+        rows[where[u]] = carried[u]
     lattice = Graph._from_adj(verts_l, index_l, rows)
+    # W's i-th vertex must be joined to the lattice vectors whose i-th
+    # component is 1, which is the cached cross row of BaseVertex(i + 1)
+    cross = _composite_labels(k, m)[2]
     for i, w in enumerate(cert.w_order):
+        if carried[w_pos[i]] == cross[i] >> k:
+            continue
         row = adj[w_pos[i]]
         for u in rest:
             if row >> u & 1 != (vec[u][i] == 1):

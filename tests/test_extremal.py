@@ -323,7 +323,10 @@ class TestMinimalityC:
         assert len(cs.constraints) - len(hit_by) == (case == "misses-a-constraint")
         assert bool(bad) == (case == "hits-all-with-an-edge-outside")
         rep = is_k_minimal(lattice)
-        assert len(cs.check(lattice)[2]) == len(hit_by)
+        # the pass files each hit by constraint number and edge number
+        _report, _outside, hits, walked, _sole = cs.check(lattice)
+        assert walked == lattice.edges()
+        assert {tag: [walked[j] for j in hits[n]] for tag, n in cs.constraints.items() if n in hits} == hit_by
         assert [ec.edge for ec in rep.edges] == lattice.edges()
         for ec in rep.edges:
             # unhit once ec.edge is gone, in constraint order
@@ -488,8 +491,8 @@ class TestTightness:
         check = families.CoverSystem.check
 
         def no_hits(cs, lattice):
-            report, outside, _hits, sole = check(cs, lattice)
-            return report, outside, {}, sole
+            report, outside, _hits, edges, sole = check(cs, lattice)
+            return report, outside, {}, edges, sole
 
         monkeypatch.setattr(families.CoverSystem, "check", no_hits)
         assert bounds_b(base_null(2)) == (2, 4)
@@ -731,6 +734,50 @@ class TestOnePass:
             seen.append(passes())
         # passes on u3, empty, u3, and u3 over the null base
         assert seen == [1, 1, 2, 3, 4]
+
+    def test_reports_on_a_cached_pass_hash_no_label(self, monkeypatch):
+        # members, minimal or not, and non-members of both families: once the
+        # pass is cached, the reports read edges and sole hits by edge number,
+        # and every witness is the cached label itself
+        g3 = gamma(3)
+        cases = [
+            (base_complete(3), example_graph("U", 3)),
+            (base_null(3), example_graph("V", 3)),
+            (base_null(3), example_graph("P2box", 3)),
+            (base_complete(3), lattice_complete(3, 2)),
+            (None, example_graph("T", 3)),
+            (None, g3),
+            (None, Graph(g3.vertices(), g3.edges()[::2])),
+        ]
+        hashed = []
+        real_hash = LatticeVertex.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return real_hash(self)
+
+        witnesses = 0
+        for base, lattice in cases:
+            CoverSystem.check.cache_clear()
+            if base is None:
+                member_c(lattice)
+            else:
+                member_b(base, lattice)
+            monkeypatch.setattr(LatticeVertex, "__hash__", counted)
+            rep = is_k_minimal(lattice) if base is None else is_h1_minimal(base, lattice)
+            monkeypatch.undo()
+            assert hashed == [] and CoverSystem.check.cache_info().misses == 1
+            labels, _index, pos = families._lattice_labels(3, 2 if base else 3)
+            for ec in rep.edges:
+                if ec.witness_vertex is not None:
+                    assert ec.witness_vertex is labels[pos[ec.witness_vertex.vector]]
+                    witnesses += 1
+        CoverSystem.check.cache_clear()
+        # the control: the patched hash counts, and witnesses were checked
+        monkeypatch.setattr(LatticeVertex, "__hash__", counted)
+        hash(LatticeVertex((1, 1)))
+        monkeypatch.undo()
+        assert len(hashed) == 1 and witnesses > len(cases)
 
 
 class TestEnumerateMinimal:

@@ -395,12 +395,14 @@ class TestOneRule:
 
 
 def reference_pass(cs, lattice):
-    """What ``CoverSystem.check`` returns, by the direct walk: each edge in
-    canonical order through ``in_universe`` and ``incidence``, then the
-    constraints in constraint order for the sole hits and the misses."""
+    """What ``CoverSystem.check`` returns, by the direct walk: each edge of
+    ``lattice.edges()``, numbered by its place there, through
+    ``in_universe`` and ``incidence``, then the constraints in constraint
+    order for the sole hits and the misses."""
+    edges = lattice.edges()
     outside, hits = [], {}
     in_scaffold = {(i, cond): [] for i in range(1, cs.k + 1) for cond in cs.conditions}
-    for e in lattice.edges():
+    for j, e in enumerate(edges):
         x, y = e[0].vector, e[1].vector
         if not cs.in_universe(x, y):
             outside.append(e)
@@ -408,12 +410,12 @@ def reference_pass(cs, lattice):
         for i, cond, z in cs.incidence(x, y):
             in_scaffold[i, cond].append(e)
             if z is not None:
-                hits.setdefault((i, cond, z), []).append(e)
-    sole, missed = {}, {}
-    for i, cond, x in cs.constraints:
-        hit_edges = hits.get((i, cond, x), [])
+                hits.setdefault(cs.constraints[i, cond, z], []).append(j)
+    sole, missed = [()] * len(edges), {}
+    for (i, cond, x), n in cs.constraints.items():
+        hit_edges = hits.get(n, [])
         if len(hit_edges) == 1:
-            sole.setdefault(hit_edges[0], []).append((i, cond, x))
+            sole[hit_edges[0]] += ((i, cond, x),)
         if not hit_edges and (i, cond) not in missed:
             missed[i, cond] = LatticeVertex(x)
     diagnostics = []
@@ -428,7 +430,7 @@ def reference_pass(cs, lattice):
         diagnostics=tuple(diagnostics),
         bad_edge=outside[0] if outside else None,
     )
-    return report, outside, hits, sole
+    return report, outside, hits, edges, sole
 
 
 def seeded_lattices(rng, k, m):
@@ -452,7 +454,8 @@ def seeded_lattices(rng, k, m):
 class TestCoverPass:
     """The position-and-number pass gives what the direct walk over each
     edge's incidence gives: the report, the edges outside the universe, the
-    hits in edge order and the sole hits in constraint order."""
+    hits by constraint number as edge numbers in edge order, the walked
+    edges and each edge's sole hits in constraint order."""
 
     SYSTEMS = [("B", k, bits) for k in (2, 3) for bits in range(1 << k * (k - 1) // 2)] + [
         ("C", k, 0) for k in (2, 3, 4)
@@ -479,10 +482,12 @@ class TestCoverPass:
             for cs in (fresh, built):
                 CoverSystem.check.cache_clear()
                 # lists compare in order: hits in edge order, sole hits in constraint order
-                assert cs.check(lattice) == want
+                got = cs.check(lattice)
+                assert got == want
+                assert got[3] == lattice.edges() and len(got[4]) == len(got[3])
             assert "_positions" in fresh.__dict__
             outside_seen += bool(want[1])
-            sole_seen += bool(want[3])
+            sole_seen += any(want[4])
             members += want[0].member
         CoverSystem.check.cache_clear()
         # the control: each kind of result occurs
@@ -907,6 +912,34 @@ class TestCanonicalRelabel:
         with pytest.raises(CrossEdgeMismatch) as exc:
             canonical_relabel(broken, cert)
         assert str(exc.value) == f"adjacency of {first[0]!r} and {first[1]!r} disagrees with the certificate vector"
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # W's last vertex loses one cross edge: only its row disagrees
+            ("drop", "adjacency of b3 and ({m},{m},1) disagrees with the certificate vector"),
+            # W's middle vertex gains a cross edge to a vector that is not 1 there
+            ("add", "adjacency of b2 and ({m},2,{m}) disagrees with the certificate vector"),
+        ],
+        ids=["drop-last-w", "add-middle-w"],
+    )
+    def test_cross_edge_mismatch_in_any_w_row(self, m, change, message):
+        comp = example_graph("MaxB" if m == 2 else "MaxC", 3)
+        g = comp.materialize()
+        cert = check_crs(g, tuple(BaseVertex(i) for i in range(1, 4)))
+        assert isinstance(cert, CrsCertificate) and cert.m_of_w == m
+        assert canonical_relabel(g, cert) == comp
+        if change == "drop":
+            edge = (BaseVertex(3), LatticeVertex((m, m, 1)))
+            edges = [e for e in g.edges() if e != edge]
+        else:
+            edge = (BaseVertex(2), LatticeVertex((m, 2, m)))
+            edges = g.edges() + [edge]
+        assert (edge in g.edges()) == (change == "drop") and len(edges) != g.size
+        with pytest.raises(CrossEdgeMismatch) as exc:
+            canonical_relabel(Graph(g.vertices(), edges), cert)
+        assert str(exc.value) == message.format(m=m)
 
     def test_rejects_table_missing_an_outside_vertex(self):
         g = compose(base_complete(2), example_graph("U", 2), 2, 2).materialize()
