@@ -308,21 +308,25 @@ def _minimal_masks(masks: tuple[int, ...], width: int) -> list[int]:
     on the candidate bits of the unhit mask with the fewest, keep a set
     while each of its bits is the sole hit of some mask, and hold a branch's
     later bits back from the earlier ones, so each comes out once."""
-    out = []
-
-    def grow(chosen: int, cand: int) -> None:
-        unhit = [m for m in masks if not m & chosen]
-        if not unhit:
-            out.append(chosen)
-            return
-        branch = cand & min(unhit, key=lambda m: (m & cand).bit_count())
-        cand &= ~branch
-        for b in _iter_bits(branch):
-            grown = chosen | 1 << b
-            sole = {h for m in masks if (h := m & grown) and not h & (h - 1)}
-            if len(sole) == grown.bit_count():
-                grow(grown, cand)
-            cand |= 1 << b
-
-    grow(0, (1 << width) - 1)
+    out: list[int] = []
+    _grow(masks, out, 0, (1 << width) - 1)
     return out
+
+
+def _grow(masks: tuple[int, ...], out: list[int], chosen: int, cand: int) -> None:
+    """``_minimal_masks``' branch at the set ``chosen`` with the bits
+    ``cand`` still open: append ``chosen`` to ``out`` once it hits every
+    mask, else branch.  A module-level function, not a closure over itself,
+    so an enumeration leaves no reference cycle behind."""
+    unhit = [m for m in masks if not m & chosen]
+    if not unhit:
+        out.append(chosen)
+        return
+    branch = cand & min(unhit, key=lambda m: (m & cand).bit_count())
+    cand &= ~branch
+    for b in _iter_bits(branch):
+        grown = chosen | 1 << b
+        sole = {h for m in masks if (h := m & grown) and not h & (h - 1)}
+        if len(sole) == grown.bit_count():
+            _grow(masks, out, grown, cand)
+        cand |= 1 << b

@@ -35,7 +35,7 @@ from .graph import (
     _iter_bits,
     _rows,
 )
-from .resolving import CrsCertificate
+from .resolving import CrsCertificate, _BoxTable
 
 #: Largest lattice materialized by default (3^10 vectors).
 DEFAULT_SIZE_CAP = 3 ** 10
@@ -668,37 +668,27 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     lattice edges are carried through the certificate's vector table, which
     must map the vertices outside W one to one onto [m]^k; cross edges are
     implied.  Every W-to-rest adjacency of the input is checked against the
-    implied cross edges, so a broken certificate cannot slip through.
+    implied cross edges, so a broken certificate cannot slip through.  The
+    table is read once, by ``_box_positions``; the rest runs on positions.
     """
     k = len(cert.w_order)
     m = cert.m_of_w
     if m not in (2, 3):
         raise InvalidCertificate(f"relabeling needs truncation radius 2 or 3, got {m}")
-    if not all(g.has_vertex(w) for w in cert.w_order):
-        raise InvalidCertificate("certificate W is not inside the graph")
+    w_pos, outside = _box_positions(g, cert, k, m)
     verts = g.vertices()
     adj = g.adjacency_masks()
-    w_pos = [g.index_of(w) for w in cert.w_order]
-    w_mask = 0
+    rest_mask = (1 << len(verts)) - 1
     for i in w_pos:
-        w_mask |= 1 << i
-    rest_mask = (1 << len(verts)) - 1 & ~w_mask
-    rest = [u for u in range(len(verts)) if rest_mask >> u & 1]
-    table = cert.table
-    vec = {u: table.get(verts[u]) for u in rest}
-    if len(table) != len(rest) or None in vec.values():
-        raise InvalidCertificate("certificate table does not cover V minus W")
-    image = set(vec.values())
-    if len(image) != len(vec) or image != _lattice_labels(k, m)[2].keys():
-        raise InvalidCertificate(f"certificate table does not map V minus W onto [{m}]^{k}")
+        rest_mask &= ~(1 << i)
     # the base's position pairs go through _rows, which refuses k = 1
     base_verts, base_index = _base_labels(k)
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if adj[w_pos[i]] >> w_pos[j] & 1]
     base = Graph._from_adj(base_verts, base_index, _rows(base_verts, base_pairs, int, int))
-    verts_l, index_l, pos = _lattice_labels(k, m)
+    verts_l, index_l, _pos = _lattice_labels(k, m)
     where = [0] * len(verts)
-    for u, x in vec.items():
-        where[u] = pos[x]
+    for p, u in enumerate(outside):
+        where[u] = p
     # every vertex's neighbours outside W, carried to lattice positions
     carried = []
     for row in adj:
@@ -709,10 +699,7 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
             row ^= low
             out |= 1 << where[low.bit_length() - 1]
         carried.append(out)
-    rows = [0] * len(verts_l)
-    for u in rest:
-        rows[where[u]] = carried[u]
-    lattice = Graph._from_adj(verts_l, index_l, rows)
+    lattice = Graph._from_adj(verts_l, index_l, [carried[u] for u in outside])
     # W's i-th vertex must be joined to the lattice vectors whose i-th
     # component is 1, which is the cached cross row of BaseVertex(i + 1)
     cross = _composite_labels(k, m)[2]
@@ -720,9 +707,40 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
         if carried[w_pos[i]] == cross[i] >> k:
             continue
         row = adj[w_pos[i]]
-        for u in rest:
-            if row >> u & 1 != (vec[u][i] == 1):
+        for u in _iter_bits(rest_mask):
+            if row >> u & 1 != (verts_l[where[u]].vector[i] == 1):
                 raise CrossEdgeMismatch(
                     f"adjacency of {w!r} and {verts[u]!r} disagrees with the certificate vector"
                 )
     return CompositeGraph(k, m, base, lattice)
+
+
+def _box_positions(g: Graph, cert: CrsCertificate, k: int, m: int) -> tuple[list[int], list[int]]:
+    """W's positions in g, and the position of the vertex in each cell of
+    [m]^k, in box order, which is the lattice's position order.  A box
+    table over g's own labels, W and m gives them as they are; any other
+    table is checked and converted, refused in this order: W not inside
+    the graph, a table that does not cover V minus W, and one whose image
+    is not [m]^k."""
+    table, verts = cert.table, g.vertices()
+    found = table.positions(verts, cert.w_order, m) if type(table) is _BoxTable else None
+    if found is not None:
+        return found
+    if not all(g.has_vertex(w) for w in cert.w_order):
+        raise InvalidCertificate("certificate W is not inside the graph")
+    w_pos = [g.index_of(w) for w in cert.w_order]
+    w_mask = 0
+    for i in w_pos:
+        w_mask |= 1 << i
+    rest = [u for u in range(len(verts)) if not w_mask >> u & 1]
+    vec = {u: table.get(verts[u]) for u in rest}
+    if len(table) != len(rest) or None in vec.values():
+        raise InvalidCertificate("certificate table does not cover V minus W")
+    pos = _lattice_labels(k, m)[2]
+    image = set(vec.values())
+    if len(image) != len(vec) or image != pos.keys():
+        raise InvalidCertificate(f"certificate table does not map V minus W onto [{m}]^{k}")
+    outside = [0] * len(pos)
+    for u, x in vec.items():
+        outside[pos[x]] = u
+    return w_pos, outside

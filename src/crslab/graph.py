@@ -238,9 +238,14 @@ def bfs_frontiers(adj: list[int], source: int) -> list[int]:
     every hop count is read off these levels, and the tests check both the
     levels and the rows read off them against networkx."""
     full = (1 << len(adj)) - 1
-    seen = frontier = 1 << source
-    levels = [frontier]
-    while seen != full:
+    seen = 1 << source
+    levels = [seen]
+    frontier = adj[source]  # level 1 is the source's row (rows are loopless)
+    while frontier:
+        seen |= frontier
+        levels.append(frontier)
+        if seen == full:
+            break
         nxt = 0
         f = frontier
         while f:
@@ -248,10 +253,6 @@ def bfs_frontiers(adj: list[int], source: int) -> list[int]:
             nxt |= adj[low.bit_length() - 1]
             f ^= low
         frontier = nxt & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-        levels.append(frontier)
     return levels
 
 

@@ -6,12 +6,14 @@ vertex to its vector of hop counts toward W is injective; W is
 completeness-resolving when that map is a bijection onto the full box
 [m(W)]^|W|, where m(W) is the largest W-to-outside distance.  Certificates
 returned here carry the whole bijection table so downstream relabeling can
-re-check them edge by edge.
+re-check them edge by edge; the table holds positions, the outside vertex of
+each box cell in box order, and makes labels only when it is read as a dict.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
@@ -52,19 +54,76 @@ class CrsCertificate:
     """Witness that an ordered W completeness-resolves a graph.
 
     ``table`` maps every vertex outside W to its distance vector; the map
-    is a bijection onto [m_of_w]^len(w_order).
+    is a bijection onto [m_of_w]^len(w_order).  A certificate found here
+    holds a read-only ``_BoxTable``; any other mapping, such as a dict,
+    may be given, and is read as it is.
     """
 
     w_order: tuple[Vertex, ...]
     m_of_w: int
-    table: dict[Vertex, LatticeVector]
+    table: Mapping[Vertex, LatticeVector]
 
     def rows(self) -> list[tuple[Vertex, LatticeVector]]:
-        """Table entries sorted by vector, the serialization order."""
-        return sorted(self.table.items(), key=lambda kv: kv[1])
+        """Table entries sorted by vector, the serialization order: a box
+        table's own order, any other table's entries sorted."""
+        table = self.table
+        if type(table) is _BoxTable:
+            return table.rows()
+        return sorted(table.items(), key=lambda kv: kv[1])
 
     def __bool__(self) -> bool:
         return True
+
+
+class _BoxTable(Mapping):
+    """Psi_W on positions, as ``_bijection`` finds it: the graph's label
+    tuple ``verts``, W's positions ``w_idx``, and ``outside``, the position
+    of the outside vertex in each cell of [m]^|W|, in box (lexicographic)
+    order.  As a mapping it is the dict {verts[u]: x}, in box order, built
+    on its first read; ``len``, ``rows`` and ``positions``, which
+    ``families.canonical_relabel`` reads, need no dict."""
+
+    __slots__ = ("verts", "w_idx", "m", "outside", "_labels")
+
+    def __init__(self, verts: tuple[Vertex, ...], w_idx, m: int, outside: list[int]):
+        self.verts, self.w_idx, self.m, self.outside = verts, w_idx, m, outside
+        self._labels: dict[Vertex, LatticeVector] | None = None
+
+    def rows(self) -> list[tuple[Vertex, LatticeVector]]:
+        """(label, vector) in box order, which is vector order."""
+        return list(zip(map(self.verts.__getitem__, self.outside), _box(self.m, len(self.w_idx))))
+
+    def positions(self, verts: tuple[Vertex, ...], w_order: tuple[Vertex, ...], m: int):
+        """(W's positions, the outside position of each cell) when the table
+        is over the labels ``verts``, for the ordered W ``w_order`` and the
+        radius m; else None."""
+        if (self.m == m and (self.verts is verts or self.verts == verts)
+                and tuple(map(verts.__getitem__, self.w_idx)) == w_order):
+            return self.w_idx, self.outside
+        return None
+
+    def _dict(self) -> dict[Vertex, LatticeVector]:
+        if self._labels is None:
+            self._labels = dict(self.rows())
+        return self._labels
+
+    def __getitem__(self, v: Vertex) -> LatticeVector:
+        return self._dict()[v]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self.outside)
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
+@lru_cache(maxsize=64)
+def _box(m: int, k: int) -> tuple[LatticeVector, ...]:
+    """The vectors of [m]^k in box order, which is lexicographic order."""
+    return tuple(product(range(1, m + 1), repeat=k))
 
 
 @dataclass(frozen=True)
@@ -103,10 +162,12 @@ def _w_levels(g: Graph, w) -> tuple[list[int], list[list[int]], int]:
     members = list(w)
     if not members:
         raise InvalidW("W must be nonempty")
-    if len(set(members)) != len(members):
-        raise InvalidW("W has repeated vertices")
+    # distinct labels have distinct positions, so the labels are checked
+    # only when a position is missing or repeated
     w_idx = list(map(g._index.get, members))
-    if None in w_idx:
+    if None in w_idx or len(set(w_idx)) != len(w_idx):
+        if len(set(members)) != len(members):
+            raise InvalidW("W has repeated vertices")
         raise InvalidW(f"W contains {members[w_idx.index(None)]!r}, which is not a vertex")
     n = g.order
     if len(members) >= n:
@@ -300,15 +361,14 @@ def _bijection(verts, w_idx, levels, rest_mask) -> CrsCertificate | CrsFailure:
         if len(box) < m:
             box += [0] * (m - len(box))  # no vertex lies past the last level
         cells = [c & level for c in cells for level in box]
-    vectors = product(range(1, m + 1), repeat=k)
     if all(cells):
         return CrsCertificate(
-            w_order=tuple(verts[w] for w in w_idx),
+            w_order=tuple(map(verts.__getitem__, w_idx)),
             m_of_w=m,
-            table={verts[c.bit_length() - 1]: vec for c, vec in zip(cells, vectors)},
+            table=_BoxTable(verts, w_idx, m, [c.bit_length() - 1 for c in cells]),
         )
     b, a, vec = min(((t & -t).bit_length() - 1, (c & -c).bit_length() - 1, vec)
-                    for c, vec in zip(cells, vectors) if (t := c & c - 1))
+                    for c, vec in zip(cells, _box(m, k)) if (t := c & c - 1))
     return CrsFailure(NOT_INJECTIVE, f"{verts[a]!r} and {verts[b]!r} share the vector {vec}")
 
 
@@ -422,8 +482,8 @@ def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> Classi
     search runs at |W| = 2..n-2, where radius 1 cannot occur.  No
     isomorphism search is involved: a certificate with radius 2 or 3
     already places the graph in the corresponding family via relabeling.
-    The verdict is computed once per graph and shared by every caller, so
-    no caller may mutate its certificate's ``table``.
+    The verdict is computed once per graph and shared by every caller; its
+    certificate's ``table`` is read-only.
     """
     return _table(g, cap, "classification needs a connected graph").verdict
 
@@ -432,22 +492,27 @@ def _first_basis(dist: _Distances, c: int) -> tuple[int, ...] | None:
     """The first c positions in combination order whose tie masks AND to
     the diagonal, or None.  The combinations are walked depth first, so each
     prefix's AND is taken once and carried to all of its extensions."""
-    n, diagonal = len(dist.verts), dist.diagonal
+    return _extend(dist, len(dist.verts) - c + 1, c - 1, 0, (), -1)
 
-    def extend(start, prefix, acc):
-        stop = n - c + len(prefix) + 1
-        if len(prefix) == c - 1:
-            for w in range(start, stop):
-                if acc & dist[w] == diagonal:
-                    return (*prefix, w)
-            return None
+
+def _extend(dist: _Distances, slack: int, last: int, start: int, prefix: tuple[int, ...], acc: int):
+    """``_first_basis``'s search below ``prefix``, whose tie masks AND to
+    ``acc``: the next position runs from ``start`` up to, not including,
+    ``slack + len(prefix)``, and the one at index ``last`` ends a basis.  A
+    module-level function, not a closure over itself, so a search leaves no
+    reference cycle behind."""
+    stop = slack + len(prefix)
+    if len(prefix) == last:
+        diagonal = dist.diagonal
         for w in range(start, stop):
-            found = extend(w + 1, (*prefix, w), acc & dist[w])
-            if found:
-                return found
+            if acc & dist[w] == diagonal:
+                return (*prefix, w)
         return None
-
-    return extend(0, (), -1)
+    for w in range(start, stop):
+        found = _extend(dist, slack, last, w + 1, (*prefix, w), acc & dist[w])
+        if found:
+            return found
+    return None
 
 
 def metric_dimension(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, tuple[Vertex, ...]]:

@@ -577,30 +577,37 @@ def _canonical_form(adj: list[int]) -> tuple[tuple[int, ...], list[tuple[int, ..
     slots = [cell for cell in cells for _ in cell]  # the cell of each position
     order, code, best = [0] * n, [0] * n, [0] * n
     seen = [0] * n  # the placed positions adjacent to each vertex
-    ties = []
-
-    def place(p: int, below: bool, placed: int) -> None:  # below: code[:p] < best[:p], else equal
-        if p == n:
-            if below:
-                best[:] = code
-                ties.clear()
-            ties.append(tuple(order))
-            return
-        for v in slots[p]:
-            if placed >> v & 1 or not below and seen[v] > best[p]:
-                continue
-            code[p], order[p] = seen[v], v
-            for u in nbrs[v]:
-                seen[u] |= 1 << p
-            place(p + 1, below or code[p] < best[p], placed | 1 << v)
-            for u in nbrs[v]:
-                seen[u] ^= 1 << p
-            below = False  # a leaf under v made code[:p + 1] the best prefix
-
-    place(0, True, 0)
+    ties: list[tuple[int, ...]] = []
+    _place(0, True, 0, slots, nbrs, seen, code, order, best, ties)
     where = {v: p for p, v in enumerate(ties[0])}
     canon = tuple(sum(1 << where[u] for u in nbrs[v]) for v in ties[0])
     return canon, [tuple(where[v] for v in leaf) for leaf in ties]
+
+
+def _place(p: int, below: bool, placed: int, slots, nbrs, seen, code, order, best, ties) -> None:
+    """``_canonical_form``'s depth-first search from position p on: each
+    vertex v of p's cell not yet ``placed`` goes to p, unless its row
+    ``seen[v]`` already exceeds the least code's while the prefix ties.
+    ``below``: code[:p] < best[:p], else equal.  A leaf below the least code
+    so far replaces ``best`` and clears ``ties``; every leaf that ends up
+    tied with it is appended to ``ties``.  A module-level function, not a
+    closure over itself, so a search leaves no reference cycle behind."""
+    if p == len(slots):
+        if below:
+            best[:] = code
+            ties.clear()
+        ties.append(tuple(order))
+        return
+    for v in slots[p]:
+        if placed >> v & 1 or not below and seen[v] > best[p]:
+            continue
+        code[p], order[p] = seen[v], v
+        for u in nbrs[v]:
+            seen[u] |= 1 << p
+        _place(p + 1, below or code[p] < best[p], placed | 1 << v, slots, nbrs, seen, code, order, best, ties)
+        for u in nbrs[v]:
+            seen[u] ^= 1 << p
+        below = False  # a leaf under v made code[:p + 1] the best prefix
 
 
 @lru_cache(maxsize=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -977,6 +978,26 @@ class TestCanonicalRelabel:
             table = {**cert.table, owner[x]: y}
             with pytest.raises(InvalidCertificate, match=r"^certificate table does not map V minus W onto \[3\]\^2$"):
                 canonical_relabel(g, CrsCertificate(cert.w_order, cert.m_of_w, table))
+
+    @pytest.mark.parametrize("field", ["w_order", "m_of_w"])
+    def test_a_box_table_that_does_not_fit_its_certificate_is_read_as_its_dict(self, field):
+        # a found certificate with its W reversed or its radius changed keeps
+        # its box table, which then no longer fits: the relabel must refuse
+        # it exactly as it refuses the same certificate on the table's dict
+        g = example_graph("MaxC", 2).materialize()
+        cert = check_crs(g, (BaseVertex(1), BaseVertex(2)))
+        changed = {"w_order": cert.w_order[::-1], "m_of_w": 2}[field]
+        forged = dataclasses.replace(cert, **{field: changed})
+
+        def outcome(c):
+            try:
+                return canonical_relabel(g, c)
+            except (InvalidCertificate, CrossEdgeMismatch) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(forged)
+        assert got == outcome(dataclasses.replace(forged, table=dict(forged.table)))
+        assert got[0] is {"w_order": CrossEdgeMismatch, "m_of_w": InvalidCertificate}[field]
 
     def test_rejects_foreign_certificate(self):
         comp = compose(base_complete(2), example_graph("U", 2), 2, 2)

@@ -2,6 +2,7 @@
 that do not fit a single module."""
 
 import ast
+import gc
 import random
 from collections import Counter
 from dataclasses import fields, replace
@@ -21,6 +22,7 @@ from crslab.graph import (
     LatticeVertex,
     _iter_bits,
     bfs_levels,
+    is_connected,
     is_path,
     plain_graph,
     universal_vertices,
@@ -49,9 +51,10 @@ from crslab.resolving import (
     CrsFailure,
     check_crs,
     is_completeness_resolvable,
+    is_perfectness_resolvable,
     metric_dimension,
 )
-from crslab.extremal import is_k_minimal
+from crslab.extremal import enumerate_minimal, is_k_minimal
 from crslab.sweeps import (
     out_of_range_counterexample,
     random_b_member,
@@ -1221,6 +1224,32 @@ def test_canonical_form_returns_the_automorphisms_of_its_rows():
             assert rows == canon
             assert len(set(maps)) == len(maps) == aut
             assert all(relabel_rows(rows, sigma) == list(rows) for sigma in maps)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the recursive searches (the dimension search, the canonical form, the
+    # minimal hitting sets) are module-level functions, so classifying,
+    # sweeping and enumerating free what they build by reference counting
+    # and leave the cyclic collector nothing to find
+    rng = random.Random(52)
+    gc.disable()
+    try:
+        gc.collect()
+        graphs = 0
+        while graphs < 30:
+            n = rng.randint(4, 10)
+            g = plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4])
+            if not is_connected(g):
+                continue
+            graphs += 1
+            is_completeness_resolvable(g)
+            metric_dimension(g)
+            is_perfectness_resolvable(g)
+        sweep_small_order.__wrapped__(5)
+        enumerate_minimal("C", 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_orbit_step_grows_one_neighbourhood_per_orbit(monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 import re
 from itertools import combinations, permutations
 
 import pytest
 
-from crslab import resolving
+from crslab import formats, resolving
 from crslab.errors import (
     DisconnectedGraph,
     InvalidW,
@@ -12,9 +13,11 @@ from crslab.errors import (
 )
 from crslab.graph import (
     BaseVertex,
+    Graph,
     LatticeVertex,
     PlainVertex,
     distances,
+    is_connected,
     is_path,
     plain_graph,
     universal_vertices,
@@ -24,6 +27,7 @@ from crslab.graph6 import read_graph6
 from crslab.families import (
     base_complete,
     base_null,
+    canonical_relabel,
     compose,
     cover_system,
     example_graph,
@@ -107,6 +111,36 @@ def crs_by_definition(w, rest, vec):
     return CrsCertificate(w_order=tuple(w), m_of_w=m, table=vec)
 
 
+def definition_cases(g):
+    """(W, crs_by_definition's answer, whether W resolves) for every
+    ordered proper W of one to three vertices of a connected graph, each in
+    combination order and reversed."""
+    d = distances(g)
+    verts = g.vertices()
+    cases = []
+    for k in range(1, min(4, len(verts))):
+        for combo in combinations(verts, k):
+            for w in dict.fromkeys((combo, combo[::-1])):
+                rest = [u for u in verts if u not in w]
+                vec = {u: tuple(d[(x, u)] for x in w) for u in rest}
+                cases.append((w, crs_by_definition(w, rest, vec), len(set(vec.values())) == len(rest)))
+    return cases
+
+
+def definition_corpus():
+    """Twenty seeded connected graphs of order 4..8, each with its
+    ``definition_cases``."""
+    rng = random.Random(45)
+    graphs = 0
+    while graphs < 20:
+        n = rng.randint(4, 8)
+        g = plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45])
+        if not is_connected(g):
+            continue
+        graphs += 1
+        yield g, definition_cases(g)
+
+
 def brute_force_perfect(g):
     """Perfectness by its definition: the smallest c with a resolving
     c-subset, then whether some completeness-resolving set has size c."""
@@ -143,6 +177,12 @@ class TestTruncationRadius:
             ([p(0), p(0)], "W has repeated vertices"),
             ([p(0), p(1), p(2), p(3)], "W must be a proper subset of the vertex set"),
             ([p(9)], "W contains v9, which is not a vertex"),
+            # repeats are named before unknown labels, whether or not the
+            # repeated label is a vertex, and the first unknown one is named
+            ([p(9), p(9)], "W has repeated vertices"),
+            ([p(0), p(9), p(0)], "W has repeated vertices"),
+            ([p(8), p(9)], "W contains v8, which is not a vertex"),
+            ([p(1), p(9), p(8)], "W contains v9, which is not a vertex"),
         ]:
             for fn in (check_crs, is_resolving_set):
                 with pytest.raises(InvalidW) as info:
@@ -295,24 +335,8 @@ class TestCheckCrs:
         # distinct outside vectors, on the all-pairs table; each W is asked
         # of a fresh graph, which has no record, and again once the
         # classification has cached the record whose levels both then read
-        rng = random.Random(45)
         seen = {CARDINALITY_MISMATCH: 0, NOT_INJECTIVE: 0, "certificate": 0, True: 0, False: 0}
-        graphs = 0
-        while graphs < 20:
-            n = rng.randint(4, 8)
-            g = plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.45])
-            d = distances(g)
-            if None in d.values():
-                continue
-            graphs += 1
-            verts = g.vertices()
-            cases = []
-            for k in (1, 2, 3):
-                for combo in combinations(verts, k):
-                    for w in dict.fromkeys((combo, combo[::-1])):
-                        rest = [u for u in verts if u not in w]
-                        vec = {u: tuple(d[(x, u)] for x in w) for u in rest}
-                        cases.append((w, crs_by_definition(w, rest, vec), len(set(vec.values())) == len(rest)))
+        for g, cases in definition_corpus():
             resolving._distances.clear()
             for cached in (False, True):
                 if cached:
@@ -324,6 +348,117 @@ class TestCheckCrs:
                 seen[getattr(want, "reason", "certificate")] += 1
                 seen[resolves] += 1
         assert min(seen.values()) > 0, seen
+
+
+class TestCertificateTable:
+    """A certificate found by the package holds positions, and reads as the
+    dict of the definition: the same entries, in box order, which is vector
+    order, and the same repr as a certificate built on that dict."""
+
+    @staticmethod
+    def assert_reads_as(cert, want):
+        # want is crs_by_definition's certificate: its table is a dict in
+        # canonical vertex order
+        by_vector = sorted(want.table.items(), key=lambda kv: kv[1])
+        assert (cert.w_order, cert.m_of_w) == (want.w_order, want.m_of_w)
+        assert dict(cert.table) == want.table and len(cert.table) == len(want.table)
+        assert cert.rows() == sorted(cert.table.items(), key=lambda kv: kv[1]) == by_vector
+        assert list(cert.table.items()) == by_vector
+        assert repr(cert) == repr(CrsCertificate(want.w_order, want.m_of_w, dict(by_vector)))
+        assert cert == want and want == cert
+
+    def test_check_crs_over_the_definition_corpus(self):
+        # the seeded corpus, a triangle, and composites on base and
+        # lattice labels
+        extra = [
+            plain_graph(3, [(0, 1), (1, 2), (0, 2)]),
+            compose(base_complete(2), example_graph("U", 2), 2, 2).materialize(),
+            compose(base_null(2), example_graph("T", 2), 2, 3).materialize(),
+            example_graph("MaxB", 3).materialize(),
+        ]
+        corpus = [*definition_corpus(), *((g, definition_cases(g)) for g in extra)]
+        shapes = set()
+        for g, cases in corpus:
+            for w, want, _resolves in cases:
+                if isinstance(want, CrsCertificate):
+                    self.assert_reads_as(check_crs(g, w), want)
+                    shapes.add((len(w), want.m_of_w))
+        assert {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)} <= shapes, shapes
+
+    def test_verdict_witnesses_of_every_kind(self):
+        graphs = [
+            path(6),
+            star(4),
+            plain_graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+            compose(base_complete(2), example_graph("U", 2), 2, 2).materialize(),
+            compose(base_null(2), example_graph("T", 2), 2, 3).materialize(),
+            example_graph("MaxB", 3).materialize(),
+            example_graph("MaxC", 2).materialize(),
+            *(g for g, _cases in definition_corpus()),
+        ]
+        kinds = set()
+        for g in graphs:
+            verdict = is_completeness_resolvable(g)
+            if verdict.witness is None:
+                continue
+            kinds.add(verdict.kind)
+            d, w = distances(g), verdict.witness.w_order
+            rest = [u for u in g.vertices() if u not in w]
+            vec = {u: tuple(d[(x, u)] for x in w) for u in rest}
+            self.assert_reads_as(verdict.witness, crs_by_definition(w, rest, vec))
+        assert kinds == {PATH, UNIVERSAL_VERTEX, FAMILY_B, FAMILY_C}
+
+    def test_the_table_is_read_only_and_a_dict_table_still_builds(self):
+        cert = check_crs(star(), [p(1), p(2), p(3)])
+        with pytest.raises(TypeError):
+            cert.table[p(0)] = (2, 2, 2)
+        assert cert.table == {p(0): (1, 1, 1)}
+        forged = dataclasses.replace(cert, table={p(0): (1, 1, 1)})
+        assert forged == cert and forged.rows() == cert.rows() == [(p(0), (1, 1, 1))]
+
+    def test_a_cached_record_certifies_relabels_and_writes_hashing_each_w_label_once(self, monkeypatch):
+        # with the graph's record cached, check_crs looks each W label up
+        # once and checks repeats on positions, and canonical_relabel and
+        # the JSON writers read the certificate's positions
+        comp = compose(base_null(2), example_graph("T", 2), 2, 3)
+        g = comp.materialize()
+        shuffled = list(g.vertices())
+        random.Random(8).shuffle(shuffled)
+        plain = {v: p(i) for i, v in enumerate(shuffled)}
+        scrambled = Graph(list(plain.values()), [(plain[u], plain[v]) for u, v in g.edges()])
+        cases = [
+            (scrambled, (plain[BaseVertex(2)], plain[BaseVertex(1)])),
+            (example_graph("MaxB", 3).materialize(), tuple(BaseVertex(i) for i in (1, 2, 3))),
+            (g, (BaseVertex(1), BaseVertex(2))),
+            (path(6), (p(5),)),
+            (star(4), (p(1), p(2), p(3), p(4))),
+        ]
+        hashed = []
+        real = {cls: cls.__hash__ for cls in (BaseVertex, LatticeVertex, PlainVertex)}
+
+        def counted(self):
+            hashed.append(self)
+            return real[type(self)](self)
+
+        relabeled = 0
+        for graph, w in cases:
+            verdict = is_completeness_resolvable(graph)
+            relabel = check_crs(graph, w).m_of_w in (2, 3)
+            if relabel:
+                canonical_relabel(graph, check_crs(graph, w))  # fills the label tables
+            for cls in real:
+                monkeypatch.setattr(cls, "__hash__", counted)
+            cert = check_crs(graph, w)
+            if relabel:
+                canonical_relabel(graph, cert)
+                relabeled += 1
+            formats.certificate_to_json(cert)
+            formats.verdict_to_json(verdict)
+            formats.verdict_to_json(is_completeness_resolvable(graph))
+            monkeypatch.undo()
+            assert sorted(map(vertex_key, hashed)) == sorted(map(vertex_key, w)), (w, hashed)
+            hashed.clear()
+        assert relabeled == 3
 
 
 class TestFindAllCrs:

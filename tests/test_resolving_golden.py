@@ -19,7 +19,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
-from crslab import formats
+from crslab import formats, resolving
 from crslab.families import base_complete, base_null, compose, example_graph
 from crslab.graph import is_connected, plain_graph, universal_vertices
 from crslab.resolving import (
@@ -105,6 +105,33 @@ def test_resolving_outputs_match_golden():
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_two_swapped_cells_of_a_box_table_fail_the_golden_digests(monkeypatch):
+    # every certificate's table written with the vertices of its first two
+    # cells swapped: each verdict whose witness has two or more rows, and
+    # each crs digest over such a certificate, must differ from the file
+    real = resolving._BoxTable.__init__
+
+    def swapped(self, verts, w_idx, m, outside):
+        outside = list(outside)
+        outside[:2] = outside[1::-1]
+        real(self, verts, w_idx, m, outside)
+
+    want = json.loads(GOLDEN.read_text())
+    monkeypatch.setattr(resolving._BoxTable, "__init__", swapped)
+    resolving._distances.clear()
+    try:
+        got = json.loads(json.dumps(capture()))
+    finally:
+        resolving._distances.clear()
+    long_witness = {
+        key for key in got
+        if want[key]["verdict"]["witness"] and len(want[key]["verdict"]["witness"]["table"]) > 1
+    }
+    assert len(long_witness) == 87
+    assert {key for key in got if got[key]["verdict"] != want[key]["verdict"]} == long_witness
+    assert all(got[key]["crs"]["sha256"] != want[key]["crs"]["sha256"] for key in long_witness)
 
 
 if __name__ == "__main__":
