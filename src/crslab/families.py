@@ -678,18 +678,44 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
     w_pos, outside = _box_positions(g, cert, k, m)
     verts = g.vertices()
     adj = g.adjacency_masks()
-    rest_mask = (1 << len(verts)) - 1
-    for i in w_pos:
-        rest_mask &= ~(1 << i)
     # the base's position pairs go through _rows, which refuses k = 1
     base_verts, base_index = _base_labels(k)
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if adj[w_pos[i]] >> w_pos[j] & 1]
     base = Graph._from_adj(base_verts, base_index, _rows(base_verts, base_pairs, int, int))
     verts_l, index_l, _pos = _lattice_labels(k, m)
-    where = [0] * len(verts)
+    # every vertex's neighbours outside W, carried to lattice positions: by
+    # one shift when W holds the first k positions and the cells follow in
+    # position order, as on a materialized composite, else bit by bit
+    if [*w_pos, *outside] == list(range(len(verts))):
+        carried = [row >> k for row in adj]
+    else:
+        carried = _carry(adj, w_pos, outside)
+    lattice = Graph._from_adj(verts_l, index_l, [carried[u] for u in outside])
+    # W's i-th vertex must be joined to the lattice vectors whose i-th
+    # component is 1, which is the cached cross row of BaseVertex(i + 1)
+    cross = _composite_labels(k, m)[2]
+    for i, w in enumerate(cert.w_order):
+        if carried[w_pos[i]] == cross[i] >> k:
+            continue
+        row = adj[w_pos[i]]
+        cell = {u: p for p, u in enumerate(outside)}
+        for u in sorted(cell):
+            if row >> u & 1 != (verts_l[cell[u]].vector[i] == 1):
+                raise CrossEdgeMismatch(
+                    f"adjacency of {w!r} and {verts[u]!r} disagrees with the certificate vector"
+                )
+    return CompositeGraph(k, m, base, lattice)
+
+
+def _carry(adj: list[int], w_pos, outside: list[int]) -> list[int]:
+    """Each row of ``adj`` without W's positions, its bits moved to the
+    lattice positions of the cells that ``outside`` lists in box order."""
+    where = [0] * len(adj)
     for p, u in enumerate(outside):
         where[u] = p
-    # every vertex's neighbours outside W, carried to lattice positions
+    rest_mask = (1 << len(adj)) - 1
+    for i in w_pos:
+        rest_mask &= ~(1 << i)
     carried = []
     for row in adj:
         row &= rest_mask
@@ -699,20 +725,7 @@ def canonical_relabel(g: Graph, cert: CrsCertificate) -> CompositeGraph:
             row ^= low
             out |= 1 << where[low.bit_length() - 1]
         carried.append(out)
-    lattice = Graph._from_adj(verts_l, index_l, [carried[u] for u in outside])
-    # W's i-th vertex must be joined to the lattice vectors whose i-th
-    # component is 1, which is the cached cross row of BaseVertex(i + 1)
-    cross = _composite_labels(k, m)[2]
-    for i, w in enumerate(cert.w_order):
-        if carried[w_pos[i]] == cross[i] >> k:
-            continue
-        row = adj[w_pos[i]]
-        for u in _iter_bits(rest_mask):
-            if row >> u & 1 != (verts_l[where[u]].vector[i] == 1):
-                raise CrossEdgeMismatch(
-                    f"adjacency of {w!r} and {verts[u]!r} disagrees with the certificate vector"
-                )
-    return CompositeGraph(k, m, base, lattice)
+    return carried
 
 
 def _box_positions(g: Graph, cert: CrsCertificate, k: int, m: int) -> tuple[list[int], list[int]]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import FormatError
 from .graph import (
@@ -25,7 +25,16 @@ from .graph import (
     Vertex,
     _rows,
 )
-from .families import CompositeGraph, IndexDiagnostic, MembershipReport, _base_labels, compose, span_lattice
+from .families import (
+    CompositeGraph,
+    IndexDiagnostic,
+    MembershipReport,
+    _base_labels,
+    _check_power,
+    _lattice_labels,
+    compose,
+    span_lattice,
+)
 from .resolving import ClassificationVerdict, CrsCertificate, CrsFailure
 
 _BASE_RE = re.compile(r"^b([0-9]+)$")
@@ -155,24 +164,82 @@ def composite_from_json(data: Any) -> CompositeGraph:
             raise FormatError("composite JSON 'base_edges' and 'lattice_edges' must be lists")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad composite JSON: {exc}") from None
-    base_edges = list(map(_pair, data["base_edges"]))
-    lattice_edges = [(_vector(x), _vector(y)) for x, y in map(_pair, data["lattice_edges"])]
-    numbers = (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges)))
-    # json gives exactly int for every integer; the loop only names the first other value
-    if not all(type(n) is int for n in numbers):
-        for n in numbers:
-            if not _is_int(n):
-                raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
-    # the lattice first: its cap check must run before a k-vertex base is built
-    lattice = span_lattice(k, m, lattice_edges)
-    # the base on the cached label table, as span_lattice builds the lattice;
-    # BaseVertex refuses the first index below 1 before _rows refuses anything
+    base_edges, lattice_edges = data["base_edges"], data["lattice_edges"]
+    parts = _bulk_parts(k, m, base_edges, lattice_edges)
+    if parts is None:
+        _refuse(k, m, base_edges, lattice_edges)
+    return compose(*parts, k, m)
+
+
+def _every(kind: type, values) -> bool:
+    """True iff every value is a ``kind``, read off the set of the values'
+    types; for int, as _is_int reads it, a bool is none."""
+    types = set(map(type, values))
+    return types <= {kind} or all(issubclass(t, kind) and t is not bool for t in types)
+
+
+def _bulk_parts(k, m, base_edges: list, lattice_edges: list) -> tuple[Graph, Graph] | None:
+    """The base and the lattice of a composite document, read by passes
+    over the whole of it, or None when one of them fails: an edge that is
+    not a pair, a vector that is not a list, a number that is not an
+    integer, a vector outside [m]^k, too few lattice vectors, k < 2, a base
+    index outside [1, k], or a loop.  The size check runs, and raises,
+    before any label table is read."""
+    edges = base_edges + lattice_edges
+    if not (_every(list, edges) and set(map(len, edges)) <= {2}):
+        return None
+    ends = list(chain.from_iterable(lattice_edges))
+    if not _every(list, ends):
+        return None
+    vectors = list(map(tuple, ends))
+    bases = list(chain.from_iterable(base_edges))
+    if not _every(int, chain((k, m), bases, chain.from_iterable(vectors))):
+        return None
+    _check_power(m, k)
+    verts, index, pos = _lattice_labels(k, m)
+    try:
+        at = list(map(pos.__getitem__, vectors))
+    except KeyError:
+        return None
+    if len(verts) < 2 or k < 2 or bases and not 1 <= min(bases) <= max(bases) <= k:
+        return None
+    lattice_adj = _pair_rows(len(verts), at)
+    base_adj = _pair_rows(k, [i - 1 for i in bases])
+    if lattice_adj is None or base_adj is None:
+        return None
+    return Graph._from_adj(*_base_labels(k), base_adj), Graph._from_adj(verts, index, lattice_adj)
+
+
+def _pair_rows(n: int, ends: list[int]) -> list[int] | None:
+    """Adjacency rows over positions 0..n-1 from a flat list of endpoint
+    positions, two per edge, or None at a loop."""
+    adj = [0] * n
+    it = iter(ends)
+    for a, b in zip(it, it):
+        if a == b:
+            return None
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _refuse(k, m, base_edges: list, lattice_edges: list) -> NoReturn:
+    """Raise the refusal of a composite document that a bulk check of
+    _bulk_parts failed, by per-item checks in document order: each edge a
+    pair, each vector a list, every number an integer, then the lattice
+    (its size, then each edge) and the base, each edge refused as _rows
+    words it and a base index below 1 named first."""
+    base_edges = list(map(_pair, base_edges))
+    lattice_edges = [(_vector(x), _vector(y)) for x, y in map(_pair, lattice_edges)]
+    for n in (k, m, *chain(*base_edges), *chain(*chain(*lattice_edges))):
+        if not _is_int(n):
+            raise FormatError(f"bad composite JSON: expected an integer, got {n!r}")
+    span_lattice(k, m, lattice_edges)
     for i in chain(*base_edges):
         if i < 1:
             BaseVertex(i)
-    verts, index = _base_labels(k)
-    adj = _rows(verts, base_edges, lambda i: i - 1 if i <= k else None, BaseVertex)
-    return compose(Graph._from_adj(verts, index, adj), lattice, k, m)
+    _rows(_base_labels(k)[0], base_edges, lambda i: i - 1 if i <= k else None, BaseVertex)
+    raise AssertionError(f"the per-item checks pass a composite the bulk checks refuse: {k=}, {m=}")
 
 
 def is_composite_json(data: Any) -> bool:

@@ -31,6 +31,9 @@ def no_builder(monkeypatch):
 
     for name in ("_base_labels", "_lattice_labels", "lattice_vertices"):
         monkeypatch.setattr(families, name, refuse)
+    # the composite reader takes the label tables by name
+    for name in ("_base_labels", "_lattice_labels"):
+        monkeypatch.setattr(formats, name, refuse)
     monkeypatch.setattr(Graph, "_from_adj", refuse)
     monkeypatch.setattr(Graph, "__init__", refuse)
 

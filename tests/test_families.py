@@ -866,6 +866,41 @@ class TestCanonicalRelabel:
         assert back.base.size == 0
         assert member_c(back.lattice).member
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", ["MaxB", "MaxC", "T", "U"])
+    def test_shift_and_bit_carry_agree(self, name, k, monkeypatch):
+        # a materialized composite under its own certificate takes the shift;
+        # the same graph under scrambled plain labels, as classify sees it,
+        # and a dict certificate with W reversed take the bit carry
+        comp = example_graph(name, k)
+        if name == "T":
+            comp = compose(base_null(k), comp, k, 3)
+        elif name == "U":
+            comp = compose(base_complete(k), comp, k, 2)
+        carries = []
+        carry = families._carry
+        monkeypatch.setattr(families, "_carry", lambda *args: carries.append(args) or carry(*args))
+        g = comp.materialize()
+        w = tuple(BaseVertex(i) for i in range(1, k + 1))
+        cert = check_crs(g, w)
+        assert isinstance(cert, CrsCertificate) and cert.m_of_w == comp.m
+        assert canonical_relabel(g, cert) == comp and carries == []
+
+        shuffled = list(g.vertices())
+        random.Random(k).shuffle(shuffled)
+        relabel = {v: PlainVertex(i) for i, v in enumerate(shuffled)}
+        scrambled = Graph(sorted(relabel.values(), key=lambda v: v.id),
+                          [(relabel[u], relabel[v]) for u, v in g.edges()])
+        cert_s = check_crs(scrambled, tuple(relabel[v] for v in w))
+        assert isinstance(cert_s, CrsCertificate)
+        assert dict(cert_s.table) == {relabel[u]: x for u, x in cert.table.items()}
+        assert canonical_relabel(scrambled, cert_s) == comp and len(carries) == 1
+
+        cert_r = check_crs(g, w[::-1])
+        assert isinstance(cert_r, CrsCertificate)
+        forged = CrsCertificate(w[::-1], cert_r.m_of_w, dict(cert_r.table))
+        assert canonical_relabel(g, forged) == comp and len(carries) == 2
+
     def test_rejects_radius_above_three(self):
         g = Graph([PlainVertex(i) for i in range(5)], [(PlainVertex(i), PlainVertex(i + 1)) for i in range(4)])
         cert = check_crs(g, (PlainVertex(0),))

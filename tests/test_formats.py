@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from crslab.sweeps import random_b_member, random_c_member
 from crslab import formats
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def load_schema(name):
@@ -122,6 +125,54 @@ class TestCompositeJson:
         with pytest.raises(InvalidGraph) as exc:
             formats.composite_from_json(data)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "lattice_edges, error, message",
+        [
+            ([[[1, 1]]], FormatError, "edge must be a pair: [[1, 1]]"),
+            ([["ab", [1, 2]]], FormatError, "bad composite JSON: expected an integer, got 'a'"),
+            ([[[True, 1], [1, 2]]], FormatError, "bad composite JSON: expected an integer, got True"),
+            ([[[1, 1], [4, 1]]], InvalidGraph, "edge endpoint (4,1) is not a declared vertex"),
+            ([[[1], [1, 2]]], InvalidGraph, "edge endpoint (1) is not a declared vertex"),
+            ([[[0, 1], [1, 2]]], InvalidGraph, "lattice components must be >= 1, got (0, 1)"),
+            ([[[1, 1], [1, 1]]], InvalidGraph, "loop at (1,1)"),
+            # edges are refused in order, and a non-integer anywhere comes first
+            ([[[1, 1], [1, 1]], [[1, 1], [4, 1]]], InvalidGraph, "loop at (1,1)"),
+            ([[[1, 1], [4, 1]], [[1, 1], [2.5, 1]]], FormatError,
+             "bad composite JSON: expected an integer, got 2.5"),
+        ],
+        ids=[
+            "not-a-pair", "string-vector", "bool", "undeclared", "short-vector", "zero",
+            "loop", "loop-before-undeclared", "float-after-undeclared",
+        ],
+    )
+    def test_lattice_refusal_text(self, lattice_edges, error, message):
+        data = {"k": 2, "m": 3, "base_edges": [], "lattice_edges": lattice_edges}
+        with pytest.raises(error) as exc:
+            formats.composite_from_json(data)
+        assert str(exc.value) == message
+
+    def test_per_item_checks_only_word_refusals(self, monkeypatch):
+        # with every per-item check raising, each request of a default-length
+        # seed-1 benchmark membership run (91 cycles of its schedule) still
+        # decodes, to the composite it writes back
+        spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)
+        spec.loader.exec_module(gen)
+        docs = [json.loads(req.text) for req in gen.stream(1, "membership", 91 * gen.CYCLE["membership"])]
+
+        def refuse(*args):
+            raise AssertionError(f"a per-item check was reached with {args!r:.60}")
+
+        for name in ("_pair", "_vector", "_is_int", "_rows", "span_lattice"):
+            monkeypatch.setattr(formats, name, refuse)
+        assert len(docs) == 6734 and {doc["k"] for doc in docs} == {2, 3}
+        for doc in docs:
+            assert formats.composite_to_json(formats.composite_from_json(doc)) == doc
+        # and a refused document does reach them
+        with pytest.raises(AssertionError, match="per-item check was reached"):
+            formats.composite_from_json({"k": 2, "m": 3, "base_edges": [], "lattice_edges": [[[1, 1], [1, 1]]]})
 
     def test_shape(self):
         comp = compose(base_null(2), example_graph("T", 2), 2, 3)

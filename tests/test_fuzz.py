@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from itertools import combinations, product
 
 import pytest
 
@@ -96,6 +97,153 @@ def test_graph_from_json(data):
 @example({"k": 10**6, "m": 1, "base_edges": [], "lattice_edges": []})
 def test_composite_from_json(data):
     raises_only_crslab_errors(composite_from_json, data)
+
+
+# -- composite JSON against a per-item reference ------------------------------
+#
+# The reference reads a composite document one item at a time, in document
+# order: each edge a pair, each vector a list (a non-empty string is read as
+# its characters), every number an integer, then each lattice edge (an
+# endpoint outside [m]^k, then a loop) and the base (an index below 1 anywhere,
+# too few vertices, then each edge).  It imports nothing from crslab.  Each
+# document is a valid composite on small k and m with at most one corruption.
+
+
+class Refused(Exception):
+    pass
+
+
+def _ref_pair(e):
+    if not isinstance(e, list) or len(e) != 2:
+        raise Refused("FormatError", f"edge must be a pair: {e!r}")
+    return e
+
+
+def _ref_vector(x):
+    if isinstance(x, list) or isinstance(x, str) and x:
+        return tuple(x)
+    raise Refused("FormatError", f"bad composite JSON: a lattice vertex must be a list, got {x!r}")
+
+
+def _ref_label(vector):
+    return "(" + ",".join(map(str, vector)) + ")"
+
+
+def reference_composite(doc):
+    """("decoded", k, m, base edges, lattice edges), each edge a frozenset of
+    its ends, or ("refused", the error's class name, its message)."""
+    k, m = doc["k"], doc["m"]
+    try:
+        base = [_ref_pair(e) for e in doc["base_edges"]]
+        lattice = [tuple(map(_ref_vector, _ref_pair(e))) for e in doc["lattice_edges"]]
+        for n in [k, m, *(i for e in base for i in e), *(c for e in lattice for x in e for c in x)]:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise Refused("FormatError", f"bad composite JSON: expected an integer, got {n!r}")
+        cells = set(product(range(1, m + 1), repeat=k))
+        for x, y in lattice:
+            for v in (x, y):
+                if v not in cells and (not v or min(v) < 1):
+                    raise Refused("InvalidGraph", f"lattice components must be >= 1, got {v}")
+                if v not in cells:
+                    raise Refused("InvalidGraph", f"edge endpoint {_ref_label(v)} is not a declared vertex")
+            if x == y:
+                raise Refused("InvalidGraph", f"loop at {_ref_label(x)}")
+        for i in (i for e in base for i in e):
+            if i < 1:
+                raise Refused("InvalidGraph", f"base vertex index must be >= 1, got {i}")
+        if k < 2:
+            raise Refused("InvalidGraph", "a graph needs at least two vertices")
+        for a, b in base:
+            for i in (a, b):
+                if i > k:
+                    raise Refused("InvalidGraph", f"edge endpoint b{i} is not a declared vertex")
+            if a == b:
+                raise Refused("InvalidGraph", f"loop at b{a}")
+    except Refused as exc:
+        return ("refused", *exc.args)
+    return ("decoded", k, m, {frozenset(e) for e in base}, {frozenset(e) for e in lattice})
+
+
+def decoded_composite(doc):
+    """composite_from_json's answer, in the reference's terms."""
+    try:
+        comp = composite_from_json(doc)
+    except CrslabError as exc:
+        return ("refused", type(exc).__name__, str(exc))
+    return (
+        "decoded", comp.k, comp.m,
+        {frozenset((u.index, v.index)) for u, v in comp.base.edges()},
+        {frozenset((u.vector, v.vector)) for u, v in comp.lattice.edges()},
+    )
+
+
+CORRUPTIONS = (
+    "none", "bool", "float", "string-vector", "empty-vector", "outside", "loop",
+    "triple", "not-a-list", "base-zero", "base-above-k", "k1",
+)
+
+
+def corrupted_composite(rng, corruption):
+    """A valid composite document on k, m in {2, 3}, its edges in random order
+    and orientation, with the named corruption at a random place."""
+    k, m = rng.choice((2, 3)), rng.choice((2, 3))
+    cells = list(product(range(1, m + 1), repeat=k))
+    pairs = list(combinations(range(1, k + 1), 2))
+    base = [list(p) for p in rng.sample(pairs, rng.randint(0, len(pairs)))]
+    lattice = [[list(x), list(y)] for x, y in rng.sample(list(combinations(cells, 2)), rng.randint(1, 6))]
+    for e in base + lattice:
+        rng.shuffle(e)
+    doc = {"k": k, "m": m, "base_edges": base, "lattice_edges": lattice}
+    edge = rng.choice(lattice)
+    end = rng.randrange(2)
+    vector = edge[end]
+    c = rng.randrange(k)
+    at = rng.randint(0, len(base))
+    if corruption == "bool":
+        ones = [i for i, x in enumerate(vector) if x == 1]
+        if ones:
+            vector[rng.choice(ones)] = True
+        else:
+            vector[c] = False
+    elif corruption == "float":
+        vector[c] = rng.choice((float(vector[c]), 2.5))
+    elif corruption == "string-vector":
+        edge[end] = "".join(map(str, vector))
+    elif corruption == "empty-vector":
+        edge[end] = rng.choice(([], ""))
+    elif corruption == "outside":
+        change = rng.randrange(4)
+        if change < 2:
+            vector[c] = (0, m + 1)[change]
+        elif change == 2:
+            vector.append(1)
+        else:
+            del vector[c]
+    elif corruption == "loop" and rng.random() < 0.5:
+        edge[1 - end] = list(vector)
+    elif corruption == "loop":
+        base.insert(at, [c + 1, c + 1])
+    elif corruption == "triple":
+        rng.choice((base, lattice, lattice)).insert(at, [list(vector), list(vector), list(vector)])
+    elif corruption == "not-a-list":
+        rng.choice((base, lattice)).insert(at, rng.choice((5, None, "ab", {"a": 1}, 2.5, True)))
+    elif corruption in ("base-zero", "base-above-k"):
+        bad = rng.choice((0, -1)) if corruption == "base-zero" else k + 1
+        base.insert(at, rng.sample([bad, rng.randint(1, k)], 2))
+    elif corruption == "k1":
+        doc["k"] = 1
+        if rng.random() < 0.5:
+            doc["base_edges"] = []
+            doc["lattice_edges"] = [[[1], [2]]]
+    return doc
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_composite_from_json_matches_per_item_reference(corruption, rng):
+    doc = corrupted_composite(rng, corruption)
+    assert decoded_composite(doc) == reference_composite(doc)
 
 
 @FUZZ
