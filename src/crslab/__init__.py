@@ -35,10 +35,8 @@ from .graph import (
     PlainVertex,
     Vertex,
     diameter,
-    distances,
     is_connected,
     is_path,
-    is_spanning_subgraph,
     plain_graph,
     universal_vertices,
 )
@@ -49,7 +47,6 @@ from .resolving import (
     CrsCertificate,
     CrsFailure,
     check_crs,
-    find_all_crs,
     is_completeness_resolvable,
     is_perfectness_resolvable,
     is_resolving_set,
@@ -68,8 +65,6 @@ from .families import (
     lattice_vertices,
     member_b,
     member_c,
-    s_set,
-    scaffold,
     span_lattice,
 )
 from .extremal import (

@@ -31,7 +31,8 @@ class SizeOverflow(CrslabError):
 
 
 class IndexOutOfRange(CrslabError):
-    """A coordinate index i must satisfy 1 <= i <= k."""
+    """A dimension k or a side m is below its least value: k, m >= 1 for
+    a lattice [m]^k, and k >= 2 for a family."""
 
 
 class WrongVertexSet(CrslabError):

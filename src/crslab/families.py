@@ -61,11 +61,6 @@ def lattice_vertices(k: int, m: int) -> list[LatticeVector]:
     return [tuple(v) for v in product(range(1, m + 1), repeat=k)]
 
 
-def _check_index(k: int, i: int) -> None:
-    if not 1 <= i <= k:
-        raise IndexOutOfRange(f"coordinate index {i} not in [1, {k}]")
-
-
 def _check_k(k: int) -> None:
     if k < 2:
         raise IndexOutOfRange(f"need k >= 2, got {k}")
@@ -137,40 +132,6 @@ def base_null(k: int) -> Graph:
 
 def lattice_complete(k: int, m: int) -> Graph:
     return _labeled_graph(*_lattice_labels(k, m)[:2], True)
-
-
-# -- scaffolds ------------------------------------------------------------
-
-
-def scaffold(k: int, i: int, kind: str) -> Graph:
-    """The per-coordinate bipartite scaffold.
-
-    Kind "B" (on [2]^k): complete bipartite between the coordinate-i value-1
-    and value-2 slices.  Kinds "C" / "D" (on [3]^k): bipartite between the
-    value-1/2 (resp. 2/3) slices, with every other coordinate differing by
-    at most one.  The C and D scaffolds together make up gamma(); kept as
-    the reference whose union the tests check against the direct rule.
-    """
-    _check_k(k)
-    _check_index(k, i)
-    if kind not in ("B", "C", "D"):
-        raise ValueError(f"scaffold kind must be B, C or D, got {kind!r}")
-    m, lo = (2, 1) if kind == "B" else (3, 1 if kind == "C" else 2)
-    vectors = lattice_vertices(k, m)
-    part1 = [x for x in vectors if x[i - 1] == lo]
-    part2 = [y for y in vectors if y[i - 1] == lo + 1]
-    # coordinate i changes by exactly one, so the gap rule covers the others
-    return span_lattice(k, m, [(x, y) for x in part1 for y in part2 if _gaps_ok(x, y)])
-
-
-def s_set(k: int, i: int) -> set[LatticeVector]:
-    """Vectors with all components in {2, 3} and component i equal to 3,
-    by the paper's definition and not read off the cover system; kept as
-    the reference the tests check the radius-3 choice points against."""
-    _check_index(k, i)
-    _check_k(k)
-    _check_power(3, k)
-    return {x for x in product((2, 3), repeat=k) if x[i - 1] == 3}
 
 
 # -- composition ----------------------------------------------------------
@@ -368,12 +329,6 @@ class CoverSystem:
         """The targets of the (i, cond) constraints, in lexicographic order."""
         return (x for j, c, x in self.constraints if j == i and c == cond)
 
-    def in_universe(self, x: LatticeVector, y: LatticeVector) -> bool:
-        """The universe's rule on two vectors, stated directly; the pass
-        tests packed vectors instead, and Tier-1 holds it to this rule."""
-        # every pair of [2]^k is within one in each coordinate
-        return self.m == 2 or _gaps_ok(x, y)
-
     def incidence(self, x: LatticeVector, y: LatticeVector):
         """For each scaffold holding the universe edge x-y, in constraint
         order: (i, condition, the target it hits there, or None)."""
@@ -546,13 +501,6 @@ class CoverSystem:
         vectors = [(u.vector, v.vector) for u, v in pairs]  # type: ignore[union-attr]
         return span_lattice(self.k, self.m, vectors)
 
-    def covers(self, mask: int) -> bool:
-        """True iff the mask hits every constraint."""
-        for cm in self.masks:
-            if not mask & cm:
-                return False
-        return True
-
 
 def cover_system(family: str, k: int, base: Graph | None = None) -> CoverSystem:
     """The cover system of a family at k >= 2 over a base on [k], edgeless
@@ -581,10 +529,6 @@ def _cover_system(m: int, k: int, base: Graph | None) -> CoverSystem:
 
 
 # -- the maximal radius-3 lattice ------------------------------------------
-
-
-def _gaps_ok(x: LatticeVector, y: LatticeVector) -> bool:
-    return all(abs(a - b) <= 1 for a, b in zip(x, y))
 
 
 def gamma(k: int) -> Graph:

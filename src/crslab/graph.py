@@ -21,9 +21,13 @@ so equal graphs hash equal, and a graph built on a shared label table does
 not hash its labels again.  Graphs with the same rows on different labels
 hash alike and still compare unequal.
 
-Every edge list -- of labels (``Graph``), vectors (``families.span_lattice``)
-or integers (``plain_graph``) -- becomes rows in ``_rows``, the one place that
-refuses too few vertices, an undeclared endpoint and a loop.
+An edge list of labels (``Graph``), vectors (``families.span_lattice``)
+or integers (``plain_graph``) becomes rows in ``_rows``, which refuses too
+few vertices, an undeclared endpoint and a loop.  A composite JSON document
+is the exception: ``formats._bulk_parts`` builds its rows in
+``formats._pair_rows`` from positions it has checked in bulk, and ``_rows``
+only words the refusal of a document that fails those checks, through
+``formats._refuse``.
 
 Every hop count comes from one BFS, ``bfs_frontiers``, which gives a
 vertex's level sets as bit sets.  The resolving record and the bijection
@@ -268,25 +272,6 @@ def bfs_levels(adj: list[int], source: int) -> list[int]:
     return row
 
 
-def distances(g: Graph) -> dict[tuple[Vertex, Vertex], int | None]:
-    """Exact hop counts for all ordered vertex pairs.
-
-    Pairs in different components map to None; disconnection is
-    representable here, not an error.  Kept as the distance table of the
-    tests' brute-force certificate search and distance identity checks;
-    its BFS is the one the tests check against networkx.
-    """
-    adj = g._adj
-    verts = g.vertices()
-    table: dict[tuple[Vertex, Vertex], int | None] = {}
-    for si, u in enumerate(verts):
-        row = bfs_levels(adj, si)
-        for ti, v in enumerate(verts):
-            d = row[ti]
-            table[(u, v)] = d if d >= 0 else None
-    return table
-
-
 def is_connected(g: Graph) -> bool:
     return all(d >= 0 for d in bfs_levels(g._adj, 0))
 
@@ -301,16 +286,6 @@ def diameter(g: Graph) -> int:
             raise DisconnectedGraph("diameter is undefined on a disconnected graph")
         best = max(best, max(row))
     return best
-
-
-# -- the spanning-subgraph partial order ----------------------------------
-
-
-def is_spanning_subgraph(g1: Graph, g2: Graph) -> bool:
-    """The relation g1 <= g2: equal vertex sets and E(g1) a subset of E(g2).
-    The paper's posets are ordered by it; kept as the reference that the
-    tests check members against their family's maximum graph with."""
-    return g1.vertices() == g2.vertices() and all(a & ~b == 0 for a, b in zip(g1._adj, g2._adj))
 
 
 # -- structural predicates -------------------------------------------------

@@ -453,25 +453,6 @@ def _pruned_certificates(dist, sizes):
                 yield res
 
 
-def find_all_crs(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> list[tuple[tuple[Vertex, ...], CrsCertificate]]:
-    """Every completeness-resolving set of the graph, one certificate per
-    unordered W in canonical coordinate order, sorted by size and then by
-    label.
-
-    One pruned search runs over every size |W| = 1..n-1: the outside count
-    must match m^|W| (m = n-1 for a singleton, m in {1,2,3} above it), each
-    W vertex needs m^(|W|-1) outside neighbours, and a radius-3 candidate
-    must induce no edge inside W.  The singletons it certifies are the
-    endpoints of a path, the only graph with a vertex of eccentricity n-1.
-    Every coordinate order of a returned W is also completeness-resolving:
-    permuting the table's coordinates keeps it a bijection onto the box.
-    Kept for the tests: they check it against a brute-force scan, and the
-    resolving golden file pins its certificates.
-    """
-    dist = _table(g, cap, "the graph is disconnected")
-    return [(c.w_order, c) for c in _pruned_certificates(dist, range(1, g.order))]
-
-
 def is_completeness_resolvable(g: Graph, cap: int = DEFAULT_ORDER_CAP) -> ClassificationVerdict:
     """Classify the graph: a path, a graph with a universal vertex, a
     radius-2 family member (with witness |W| = k), a radius-3 family

@@ -330,7 +330,8 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
 
     Such a lattice is never a member on its own labels, and W = [2] never
     resolves its composite with every lattice vertex on its own label, but
-    it may through a label permutation (out_of_range_counterexample()).  So
+    it may through a label permutation: the certificate of such a composite
+    can swap two labels, and its relabeling is then a member.  So
     the samples are certified in one lane batch (a disconnected composite,
     22 of the 1000, leaves a cell empty), and each certified lane counts in
     failures and must pass check_crs with a table and a lane that are not
@@ -386,34 +387,6 @@ def _out_of_gamma_samples() -> tuple[int, int, int]:
         if identity or not relabel_member:
             inconsistent += 1
     return tested, failures, inconsistent
-
-
-def out_of_range_counterexample() -> Graph:
-    """A deterministic [3]^2 lattice with a gap-2 edge whose composite is
-    nevertheless certified by W = [2].
-
-    The distance table permutes two labels, so the lattice itself is not a
-    member while its relabeling is: certification of the composite does not
-    imply membership of the original labels once edges leave the maximal
-    lattice.  This witnesses why the sampled negative control of the
-    radius-3 sweep cannot be expected to hold for every sample.  Kept as
-    the tests' regression anchor until the label orbit decides the
-    out-of-range half exactly.
-    """
-    edges = [
-        ((1, 1), (3, 1)),  # the gap-2 edge
-        ((2, 1), (3, 1)),
-        ((1, 2), (2, 2)),
-        ((2, 1), (2, 2)),
-        ((1, 3), (2, 3)),
-        ((2, 2), (2, 3)),
-        ((1, 1), (1, 2)),
-        ((1, 2), (1, 3)),
-        ((3, 1), (3, 2)),
-        ((2, 2), (3, 2)),
-        ((2, 2), (3, 3)),
-    ]
-    return span_lattice(2, 3, edges)
 
 
 # -- criterion 7 (+ parts of 8): the small-order classification sweep ---------

@@ -35,7 +35,6 @@ from crslab.families import (
     lattice_vertices,
     member_b,
     member_c,
-    s_set,
     span_lattice,
 )
 from crslab import extremal, families, sweeps
@@ -53,6 +52,8 @@ from crslab.extremal import (
 )
 from crslab.resolving import check_crs
 from crslab.sweeps import random_b_member
+
+import reference
 
 
 def vpair(a, b):
@@ -314,7 +315,7 @@ class TestMinimalityC:
         hit_by, bad = {}, []
         for e in lattice.edges():
             x, y = e[0].vector, e[1].vector
-            if not cs.in_universe(x, y):
+            if not reference.in_universe(x, y):
                 bad.append(e)
                 continue
             for i, cond, z in cs.incidence(x, y):
@@ -578,7 +579,7 @@ class TestEpsilon:
         # the 12 s-set choice points widened to every edge of their
         # constraint: more tuples than the 256^3 of q(3), and some with
         # fewer than 39 distinct edges, as their sets overlap
-        widen_choice_masks(monkeypatch, lambda k, tag: tag[2] in s_set(k, tag[0]))
+        widen_choice_masks(monkeypatch, lambda k, tag: tag[2] in reference.s_set(k, tag[0]))
         assert tuple_count(3) > 256 ** 3
         assert sweeps.check_size_identities() == widened_size_violations()
 
@@ -591,7 +592,7 @@ class TestEpsilon:
                 (i, x)
                 for i in range(1, k + 1)
                 for x in lattice_vertices(k, 3)
-                if x[i - 1] == 2 or x in s_set(k, i)
+                if x[i - 1] == 2 or x in reference.s_set(k, i)
             ]
             n = len(points)
             assert n == bounds_c(k)[1] == (10, 39, 140, 485)[k - 2]
@@ -932,7 +933,7 @@ def test_checks_survive_python_dash_o():
 GATE_IMPORTS = """
 from crslab.graph import plain_graph
 from crslab.families import (
-    base_null, cover_system, example_graph, gamma, member_b, member_c, s_set, scaffold, span_lattice,
+    base_null, cover_system, example_graph, gamma, member_b, member_c, span_lattice,
 )
 from crslab.extremal import (
     critical_edges, enumerate_minimal, is_h1_minimal, is_k_minimal, tightness_b,
@@ -941,12 +942,10 @@ from crslab.extremal import (
 GATE_REFUSALS = [
     ('cover_system("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
     ('cover_system("C", 1)', IndexOutOfRange, "need k >= 2, got 1"),
-    ("s_set(1, 1)", IndexOutOfRange, "need k >= 2, got 1"),
     ("gamma(1)", IndexOutOfRange, "need k >= 2, got 1"),
     ("member_c(span_lattice(1, 3, []))", IndexOutOfRange, "need k >= 2, got 1"),
     ("is_k_minimal(span_lattice(1, 3, []))", IndexOutOfRange, "need k >= 2, got 1"),
     ('critical_edges("C", None, span_lattice(1, 3, []))', IndexOutOfRange, "need k >= 2, got 1"),
-    ('scaffold(1, 1, "B")', IndexOutOfRange, "need k >= 2, got 1"),
     ('enumerate_minimal("B", 1)', IndexOutOfRange, "need k >= 2, got 1"),
     ('enumerate_minimal("C", 2, base=base_null(3))', WrongVertexSet, "base has order 3, expected k=2"),
     ("member_c(plain_graph(3, [(0, 1)]))", WrongVertexSet, "lattice graph must use lattice vertex labels"),
@@ -960,7 +959,6 @@ GATE_REFUSALS = [
     ('cover_system("C", 10**6)', SizeOverflow, "m^k = 3^1000000 exceeds the cap 59049"),
     ('cover_system("B", 16)', SizeOverflow, "m^k = 2^16 exceeds the cap 59049"),
     ('cover_system("C", 11)', SizeOverflow, "m^k = 3^11 exceeds the cap 59049"),
-    ("s_set(11, 1)", SizeOverflow, "m^k = 3^11 exceeds the cap 59049"),
 ]
 
 

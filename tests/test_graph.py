@@ -15,9 +15,7 @@ from crslab.graph import (
     bfs_frontiers,
     bfs_levels,
     diameter,
-    distances,
     is_path,
-    is_spanning_subgraph,
     plain_graph,
     universal_vertices,
     vertex_key,
@@ -31,9 +29,19 @@ from crslab.families import (
     span_lattice,
 )
 
+import reference
+
 
 def p(i):
     return PlainVertex(i)
+
+
+def distances(g):
+    return reference.distances(g.vertices(), g.edges())
+
+
+def is_spanning_subgraph(g1, g2):
+    return reference.is_spanning_subgraph(g1.vertices(), g1.edges(), g2.vertices(), g2.edges())
 
 
 def path(n):

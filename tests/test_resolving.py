@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -16,7 +17,6 @@ from crslab.graph import (
     Graph,
     LatticeVertex,
     PlainVertex,
-    distances,
     is_connected,
     is_path,
     plain_graph,
@@ -46,13 +46,14 @@ from crslab.resolving import (
     CrsCertificate,
     CrsFailure,
     check_crs,
-    find_all_crs,
     is_completeness_resolvable,
     is_perfectness_resolvable,
     is_resolving_set,
     metric_dimension,
 )
 from crslab.sweeps import _connected_classes, _raw_crs_scan, _raw_dimension, random_b_member, random_c_member
+
+import reference
 
 
 def p(i):
@@ -71,28 +72,35 @@ def star(leaves=3):
     return plain_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-# -- independent oracle: scan every proper subset by definition ----------------
+# -- the independent references, on a Graph's labels and edges ------------------
 
 
-def brute_force_crs(g):
-    """All unordered W whose distance map is a bijection onto the full box,
-    found with no pruning at all."""
-    d = distances(g)
-    verts = g.vertices()
-    out = []
-    for k in range(1, g.order):
-        for combo in combinations(verts, k):
-            rest = [v for v in verts if v not in combo]
-            vals = [d[(w, u)] for w in combo for u in rest]
-            if any(v is None for v in vals):
-                continue
-            m = max(vals)
-            if m ** k != len(rest):
-                continue
-            vecs = {tuple(d[(w, u)] for w in combo) for u in rest}
-            if len(vecs) == len(rest):
-                out.append((frozenset(combo), m))
-    return sorted(out, key=lambda pair: (len(pair[0]), pair[1], sorted(map(repr, pair[0]))))
+def distances(g):
+    return reference.distances(g.vertices(), g.edges())
+
+
+def reference_crs(g):
+    """Every completeness-resolving set of g, as (W, m, table), by the
+    reference's brute force: by size, then in combination order."""
+    return reference.find_all_crs(g.vertices(), g.edges())
+
+
+def reference_verdict(found, n):
+    """(kind, k, the witness as (W, m, table) or None) that
+    ``is_completeness_resolvable`` must give on a graph of order n whose
+    ``reference_crs`` are ``found``.  A path's witness is its first
+    singleton.  A set of n - 1 vertices leaves out a universal vertex, and
+    the witness leaves out the first one: the last such set.  Otherwise the
+    first set of 2 .. n - 2 vertices is a family witness, of family B at
+    m = 2 and C at m = 3."""
+    if found and len(found[0][0]) == 1:
+        return PATH, None, found[0]
+    if found and len(found[-1][0]) == n - 1:
+        return UNIVERSAL_VERTEX, None, found[-1]
+    if found:
+        w, m, _table = found[0]
+        return (FAMILY_B if m == 2 else FAMILY_C), len(w), found[0]
+    return NOT_COMPLETENESS_RESOLVABLE, None, None
 
 
 def crs_by_definition(w, rest, vec):
@@ -153,7 +161,7 @@ def brute_force_perfect(g):
         if len({tuple(d[(w, u)] for w in combo) for u in verts if u not in combo})
         == g.order - c
     )
-    return any(len(w) == dim for w, _m in brute_force_crs(g))
+    return any(len(w) == dim for w, _m, _table in reference_crs(g))
 
 
 class TestTruncationRadius:
@@ -462,70 +470,95 @@ class TestCertificateTable:
 
 
 class TestFindAllCrs:
+    """Every completeness-resolving set, by the reference's brute force,
+    against the verdict, its witness, perfectness and ``check_crs``."""
+
+    @staticmethod
+    def assert_matches_the_reference(g):
+        found = reference_crs(g)
+        kind, k, want = reference_verdict(found, g.order)
+        verdict = is_completeness_resolvable(g)
+        assert (verdict.kind, verdict.k) == (kind, k), g.edges()
+        if want is None:
+            assert verdict.witness is None
+        else:
+            witness = verdict.witness
+            assert (witness.w_order, witness.m_of_w, dict(witness.table)) == want, g.edges()
+        assert is_perfectness_resolvable(g) == brute_force_perfect(g), g.edges()
+        for w, m, table in found:
+            cert = check_crs(g, w)
+            assert (cert.m_of_w, dict(cert.table)) == (m, table), (g.edges(), w)
+        return found
+
     def test_path4_oracle(self):
-        g = path4()
-        found = find_all_crs(g)
-        unordered = {(frozenset(w), cert.m_of_w) for w, cert in found}
-        assert unordered == set(brute_force_crs(g))
-        assert {w for w, _c in found} == {(p(0),), (p(3),)}
+        found = self.assert_matches_the_reference(path4())
+        assert [(w, m) for w, m, _table in found] == [((p(0),), 3), ((p(3),), 3)]
 
     def test_cycle_has_none(self):
         c4 = plain_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert find_all_crs(c4) == []
-        assert brute_force_crs(c4) == []
+        assert self.assert_matches_the_reference(c4) == []
 
     def test_composite_both_orders(self):
-        # one certificate for {b1, b2}; the other coordinate order certifies too
+        # one entry for {b1, b2}; the other coordinate order certifies too
         g = compose(base_null(2), example_graph("R", 2), 2, 2).materialize()
-        found = find_all_crs(g)
-        orders = [w for w, _c in found if set(w) == {BaseVertex(1), BaseVertex(2)}]
-        assert orders == [(BaseVertex(1), BaseVertex(2))]
-        swapped = check_crs(g, [BaseVertex(2), BaseVertex(1)])
+        w = (BaseVertex(1), BaseVertex(2))
+        found = self.assert_matches_the_reference(g)
+        assert [(ws, m) for ws, m, _table in found if set(ws) == set(w)] == [(w, 2)]
+        swapped = check_crs(g, w[::-1])
         assert isinstance(swapped, CrsCertificate)
-        cert = dict(found)[orders[0]]
-        assert swapped.table == {u: vec[::-1] for u, vec in cert.table.items()}
+        table = next(t for ws, _m, t in found if ws == w)
+        assert swapped.table == {u: vec[::-1] for u, vec in table.items()}
 
     def test_matches_oracle_on_random_graphs(self):
+        # 40 seeded connected graphs and three k = 2 composites, each also
+        # with its positions reversed, which puts a witness on the last
+        # combination of its size, where a search that stops short misses it
         rng = random.Random(31)
-        tested = 0
-        while tested < 40:
+        graphs = [
+            compose(base_complete(2), example_graph("U", 2), 2, 2).materialize(),
+            compose(base_null(2), example_graph("T", 2), 2, 3).materialize(),
+            compose(base_null(2), example_graph("Qcanon", 2), 2, 3).materialize(),
+        ]
+        while len(graphs) < 43:
             n = rng.randint(3, 7)
-            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
-            g = plain_graph(n, edges)
-            try:
-                found = find_all_crs(g)
-            except DisconnectedGraph:
-                continue
-            tested += 1
-            unordered = {(frozenset(w), cert.m_of_w) for w, cert in found}
-            assert unordered == set(brute_force_crs(g))
-            # each unordered W appears once, in canonical coordinate order
-            assert len(found) == len(unordered)
-            for w, cert in found:
-                assert list(w) == sorted(w, key=vertex_key)
-                assert cert.w_order == w
+            g = plain_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5])
+            if is_connected(g):
+                graphs.append(g)
+        kinds = Counter()
+        for g in graphs:
+            n, index = g.order, g.index_of
+            reversed_g = plain_graph(n, [(n - 1 - index(u), n - 1 - index(v)) for u, v in g.edges()])
+            for graph in (g, reversed_g):
+                self.assert_matches_the_reference(graph)
+                kinds[is_completeness_resolvable(graph).kind] += 1
+        assert len(kinds) == 5, kinds
 
     def test_complete_12_gives_one_entry_per_w(self, monkeypatch):
-        # every 11-set W of K12 certifies, with 11! coordinate orders each;
-        # the search tests each unordered W once, by one _bijection call,
-        # and builds no tie mask (an (n-1)-set needs no resolving test)
+        # every 11-set W of K12 certifies, with 11! coordinate orders each,
+        # and is listed once; the verdict's witness leaves out the first
+        # vertex, so it is the last entry.  Perfectness of the unclassified
+        # graph searches |W| = 11: the first W certifies by one _bijection
+        # call, and no tie mask is built (an (n-1)-set needs no resolving test)
         g = plain_graph(12, list(combinations(range(12), 2)))
         tested, real = [], resolving._bijection
         monkeypatch.setattr(resolving, "_bijection", lambda *args: tested.append(args[1]) or real(*args))
         resolving._distances.clear()
-        found = find_all_crs(g)
-        assert tested == list(combinations(range(12), 11))
+        assert metric_dimension(g)[0] == 11 and is_perfectness_resolvable(g)
+        assert tested == [tuple(range(11))]
         assert len(resolving._distances[g]) == 0
-        assert len(found) == 12
-        assert {frozenset(w) for w, _c in found} == {
-            frozenset(p(i) for i in range(12) if i != j) for j in range(12)
-        }
+        monkeypatch.undo()
+        found = self.assert_matches_the_reference(g)
+        assert [(set(w), m) for w, m, _table in found] == [
+            ({p(i) for i in range(12) if i != j}, 1) for j in reversed(range(12))
+        ]
 
     def test_order_cap(self):
+        # the searches that remain keep the cap, and an override admits it
         g = plain_graph(13, [(i, i + 1) for i in range(12)])
-        with pytest.raises(OrderCapExceeded):
-            find_all_crs(g)
-        assert find_all_crs(g, cap=13)  # override admits it
+        for fn in (is_completeness_resolvable, is_perfectness_resolvable):
+            with pytest.raises(OrderCapExceeded):
+                fn(g)
+            assert fn(g, cap=13)
 
 
 class TestClassification:
@@ -719,7 +752,7 @@ class TestRadiusLemmaPremise:
                 continue  # a graph needs two vertices
             for canon in classes:
                 g = plain_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if canon[i] >> j & 1])
-                found = [(w, cert) for w, cert in find_all_crs(g) if len(w) >= 2]
+                found = [(w, check_crs(g, w)) for w, _m, _table in reference_crs(g) if len(w) >= 2]
                 certificates += len(found)
                 far += len(far_w_pairs(g, found))
         assert (certificates, far) == (171, 0)
@@ -752,23 +785,13 @@ class TestRadiusLemmaPremise:
 
 
 def connected_rows(g):
-    """The all-pairs hop-count rows of g, or None when g is disconnected,
-    by a plain queue BFS of its own: the reference the record's rows and
-    tie masks are checked against shares no code with them."""
-    adj = g.adjacency_masks()
-    n = len(adj)
-    rows = []
-    for s in range(n):
-        row = [-1] * n
-        row[s] = 0
-        queue = [s]
-        for u in queue:  # the list grows while it is walked, as a queue
-            for v in range(n):
-                if adj[u] >> v & 1 and row[v] < 0:
-                    row[v] = row[u] + 1
-                    queue.append(v)
-        rows.append(row)
-    return None if -1 in rows[0] else rows
+    """The all-pairs hop-count rows of g by position, or None when g is
+    disconnected, read off the reference's BFS: the reference the record's
+    rows and tie masks are checked against shares no code with them."""
+    d, verts = distances(g), g.vertices()
+    if None in d.values():
+        return None
+    return [[d[u, v] for v in verts] for u in verts]
 
 
 def seeded_connected(rng, orders, densities):
@@ -839,7 +862,7 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("build", ONE_OF_EACH_KIND, ids=ONE_OF_EACH_KIND_IDS)
     def test_answers_and_work_do_not_depend_on_the_order_of_calls(self, bfs_calls, monkeypatch, build):
-        # every order of the four entry points, each on cold caches: the
+        # every order of the three entry points, each on cold caches: the
         # same answers, one BFS per source, one classification (counted by
         # the verdicts built) and no dimension size scanned twice
         sizes, verdicts = [], []
@@ -848,7 +871,7 @@ class TestSharedWork:
         monkeypatch.setattr(resolving, "ClassificationVerdict",
                             lambda *a, **kw: verdicts.append(1) or verdict_type(*a, **kw))
         g = build()
-        entry_points = (is_completeness_resolvable, metric_dimension, is_perfectness_resolvable, find_all_crs)
+        entry_points = (is_completeness_resolvable, metric_dimension, is_perfectness_resolvable)
         first = None
         for order in permutations(entry_points):
             resolving._distances.clear()
@@ -930,8 +953,7 @@ class TestSharedWork:
 
     def test_equal_graph_built_apart_gives_the_same_answers(self, bfs_calls):
         def answers(graph):
-            return [f(graph) for f in (is_completeness_resolvable, metric_dimension,
-                                       is_perfectness_resolvable, find_all_crs)]
+            return [f(graph) for f in (is_completeness_resolvable, metric_dimension, is_perfectness_resolvable)]
 
         g, twin = b2_member(), b2_member()
         assert g is not twin and g == twin
@@ -945,8 +967,7 @@ class TestSharedWork:
     def test_cap_is_checked_on_a_cache_hit(self, bfs_calls):
         g = b2_member()
         metric_dimension(g)
-        for fn in (find_all_crs, is_completeness_resolvable, metric_dimension,
-                   is_perfectness_resolvable):
+        for fn in (is_completeness_resolvable, metric_dimension, is_perfectness_resolvable):
             with pytest.raises(OrderCapExceeded):
                 fn(g, cap=g.order - 1)
         assert len(bfs_calls) == g.order
@@ -954,7 +975,6 @@ class TestSharedWork:
     def test_disconnected_graph_keeps_each_callers_message(self, bfs_calls):
         g = plain_graph(4, [(0, 1), (2, 3)])
         expected = [
-            (find_all_crs, "the graph is disconnected"),
             (is_completeness_resolvable, "classification needs a connected graph"),
             (metric_dimension, "metric dimension needs a connected graph"),
             (is_perfectness_resolvable, "metric dimension needs a connected graph"),
@@ -1007,7 +1027,7 @@ class TestDegreeFilter:
         assert universal_vertices(g) == ()
         adj = g.adjacency_masks()
         assert [adj[g.index_of(b)].bit_count() for b in w] == [6, 6, 6]
-        assert w in [ws for ws, _c in find_all_crs(g)]
+        assert w in [ws for ws, _m, _table in reference_crs(g)]
         v = is_completeness_resolvable(g)
         assert (v.kind, v.k, v.witness.w_order) == (FAMILY_B, 3, w)
 

@@ -6,8 +6,10 @@ The inputs are every connected labeled graph of order 2..5 and a seeded
 sample of order 6..9 (paths with shuffled labels, stars and wheels with the
 hub at a random label, random connected graphs), plus the k = 2 composite
 family members for the two family verdicts.  ``tests/data/resolving_golden.json``
-holds the reference values; ``find_all_crs`` is kept as its certificate
-count and the SHA-256 of its JSON.
+holds the reference values.  The completeness-resolving sets are found by
+the brute force of ``tests/reference.py``, by size and then in combination
+order, and each is written as ``check_crs`` certifies it: the file holds
+their count and the SHA-256 of that JSON.
 Regenerate the file only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_resolving_golden.py
@@ -23,11 +25,13 @@ from crslab import formats, resolving
 from crslab.families import base_complete, base_null, compose, example_graph
 from crslab.graph import is_connected, plain_graph, universal_vertices
 from crslab.resolving import (
-    find_all_crs,
+    check_crs,
     is_completeness_resolvable,
     is_perfectness_resolvable,
     metric_dimension,
 )
+
+import reference
 
 GOLDEN = Path(__file__).parent / "data" / "resolving_golden.json"
 SEED = 0x6010
@@ -78,16 +82,16 @@ def _sampled_graphs():
 
 def _record(g):
     dim, witness = metric_dimension(g)
-    tuples = find_all_crs(g)
+    found = reference.find_all_crs(g.vertices(), g.edges())
     crs = json.dumps(
-        [[[formats.vertex_to_json(v) for v in w], formats.certificate_to_json(cert)]
-         for w, cert in tuples]
+        [[[formats.vertex_to_json(v) for v in w], formats.certificate_to_json(check_crs(g, w))]
+         for w, _m, _table in found]
     )
     return {
         "verdict": formats.verdict_to_json(is_completeness_resolvable(g)),
         "dimension": [dim, [formats.vertex_to_json(v) for v in witness]],
         "perfect": is_perfectness_resolvable(g),
-        "crs": {"count": len(tuples), "sha256": hashlib.sha256(crs.encode()).hexdigest()},
+        "crs": {"count": len(found), "sha256": hashlib.sha256(crs.encode()).hexdigest()},
     }
 
 

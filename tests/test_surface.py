@@ -10,10 +10,11 @@ read there, as result objects leave crslab there.  Reaching follows
 definitions, and through a method once reached code reads its name, so a
 name that two classes share is reached in both.  A reached class brings
 its decorators, bases, fields and dunder methods; a private class all of
-its body, as its members are exempt.  A name that nothing reaches is kept
-only as a reference that named tests check against, listed in ``KEPT``
-with the test nodes that need it; a ``KEPT`` name that the program does
-reach is a stale row.
+its body, as its members are exempt.  A name that nothing reaches fails
+unless ``KEPT`` lists it with the test nodes that still need it, and a
+``KEPT`` name that the program does reach is a stale row.  The
+definitions that tests check crslab against live in ``tests/reference.py``,
+outside the package.
 """
 
 import ast
@@ -24,40 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "crslab"
 WORK = ROOT / "perfbench" / "work.py"
 
-# module.name -> the test nodes that use it as the independent side of a check
+# module.name -> the test nodes that still use it
 KEPT = {
-    "graph.distances": (
-        "tests/test_resolving.py::brute_force_crs",
-        "tests/test_families.py::TestDistanceIdentity",
-        "tests/test_resolving.py::TestCheckCrs::test_reasons_follow_the_definition",
-    ),
-    "graph.is_spanning_subgraph": (
-        "tests/test_families.py::TestMaximumGraphs::test_members_are_spanning_subgraphs_of_the_maximum",
-    ),
-    "families.scaffold": ("tests/test_families.py::TestGamma::test_scaffold_union_equals_direct",),
-    "families.s_set": ("tests/test_extremal.py::TestEpsilon::test_disjointness_exhaustive",),
-    "resolving.find_all_crs": (
-        "tests/test_resolving.py::TestFindAllCrs::test_matches_oracle_on_random_graphs",
-        "tests/test_resolving_golden.py::test_resolving_outputs_match_golden",
-    ),
     # until the single-edge neighbours of the named members replace the draws
     "sweeps.random_b_member": ("tests/test_cover_golden.py::test_cover_outputs_match_golden",),
     "sweeps.random_c_member": ("tests/test_cover_golden.py::test_cover_outputs_match_golden",),
-    # until the label orbit decides the out-of-range half exactly
-    "sweeps.out_of_range_counterexample": (
-        "tests/test_properties.py::test_out_of_range_counterexample_is_stable",
-    ),
-    # the direct reads of one constraint that the lane kernels and the cover
-    # pass are checked against
-    "families.CoverSystem.covers": (
-        "tests/test_properties.py::test_member_lanes_agree_with_the_cover_system",
-        "tests/test_properties.py::test_radius_2_sweep_reads_each_base_in_one_block",
-        "tests/test_properties.py::test_lane_kernel_agrees_with_check_crs_across_blocks",
-    ),
-    "families.CoverSystem.in_universe": (
-        "tests/test_families.py::reference_pass",
-        "tests/test_extremal.py::TestMinimalityC::test_the_all_hit_shortcut",
-    ),
 }
 
 
