@@ -9,10 +9,13 @@ cover system, found in the pass that checks membership; that pass is
 cached and shared, so a report on a lattice whose membership was just
 decided does not run it again.  The pass numbers the lattice's edges once,
 in canonical edge order, and hands back each edge's sole hits aligned with
-them, so the reports zip the two and hash no vertex label; a witness label
-is read from the cached label table.  Also here: edge-count bounds for
-minimal graphs with their tightness characterizations, read off the same
-pass, and the exhaustive minimal enumerations at k = 2.  The choice sets
+them, so the reports zip the two and hash no vertex label.  A report
+answers minimality and its redundant edges from the sole hits alone, and
+makes its per-edge ``EdgeCriticality`` records, each witness label read
+from the cached label table, only when its ``edges`` are first read.  Also
+here: edge-count bounds for minimal graphs with their tightness
+characterizations, read off the same pass, and the exhaustive minimal
+enumerations at k = 2.  The choice sets
 whose products are the maximum-size minimal lattices of either family are
 the private parts of the constraint masks, ``CoverSystem.choice_masks``.
 """
@@ -20,6 +23,7 @@ the private parts of the constraint masks, ``CoverSystem.choice_masks``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -50,26 +54,79 @@ class EdgeCriticality:
 
 @dataclass(frozen=True)
 class MinimalityReport:
+    """``edges`` holds one ``EdgeCriticality`` per lattice edge, in
+    canonical edge order.  A report found here holds a read-only
+    ``_EdgeRecords``; any other sequence, such as a tuple, may be given,
+    and is read as it is."""
+
     minimal: bool
     member: bool
     family: str
     membership: MembershipReport
-    edges: tuple[EdgeCriticality, ...]
+    edges: Sequence[EdgeCriticality]
 
     def __bool__(self) -> bool:
         return self.minimal
 
     def redundant_edges(self) -> list[Edge]:
-        return [ec.edge for ec in self.edges if not ec.critical]
+        edges = self.edges
+        if type(edges) is _EdgeRecords:
+            return edges.redundant()
+        return [ec.edge for ec in edges if not ec.critical]
 
 
-def _minimality(membership: MembershipReport, edges: list[EdgeCriticality]) -> MinimalityReport:
+class _EdgeRecords(Sequence):
+    """A found report's edges: the cover pass's walked edges ``walked`` and,
+    aligned with them, whether each is critical, ``critical`` (truthy or
+    not: the sole hits themselves where an edge is critical iff it has
+    one).  As a sequence it is the tuple of ``EdgeCriticality`` records, in
+    edge order, that ``build(*args)``, a module-level function of the
+    walked edges and their sole hits, makes on its first read; ``len`` and
+    ``redundant``, which ``MinimalityReport`` reads, need no record."""
+
+    __slots__ = ("walked", "critical", "build", "args", "_records")
+
+    def __init__(self, walked: list[Edge], critical, build, args: tuple):
+        self.walked, self.critical, self.build, self.args = walked, critical, build, args
+        self._records: tuple[EdgeCriticality, ...] | None = None
+
+    def redundant(self) -> list[Edge]:
+        """The edges that are not critical, in edge order."""
+        return [e for e, crit in zip(self.walked, self.critical) if not crit]
+
+    def _tuple(self) -> tuple[EdgeCriticality, ...]:
+        if self._records is None:
+            self._records = self.build(*self.args)
+        return self._records
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __len__(self) -> int:
+        return len(self.walked)
+
+    def __eq__(self, other):
+        if type(other) is _EdgeRecords:
+            other = other._tuple()
+        return self._tuple().__eq__(other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
+def _minimality(membership: MembershipReport, edges: _EdgeRecords) -> MinimalityReport:
     return MinimalityReport(
-        minimal=membership.member and all(ec.critical for ec in edges),
+        minimal=membership.member and all(edges.critical),
         member=membership.member,
         family=membership.family,
         membership=membership,
-        edges=tuple(edges),
+        edges=edges,
     )
 
 
@@ -83,7 +140,13 @@ def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
     """
     cs = _cover("B", base, lattice)
     membership, _outside, _hits, walked, sole = cs.check(lattice)
-    labels, _index, pos = _lattice_labels(cs.k, 2)
+    return _minimality(membership, _EdgeRecords(walked, sole, _h1_records, (walked, sole, cs.k)))
+
+
+def _h1_records(walked, sole, k: int) -> tuple[EdgeCriticality, ...]:
+    """``is_h1_minimal``'s records: an edge is critical iff it has a sole
+    hit."""
+    labels, _index, pos = _lattice_labels(k, 2)
     edges = []
     for e, tags in zip(walked, sole):
         if not tags:
@@ -93,7 +156,7 @@ def is_h1_minimal(base: Graph, lattice: Graph) -> MinimalityReport:
         # the tags come in constraint order, so by coordinate
         indices = tuple(i for i, _cond, x in tags if x == witness)
         edges.append(EdgeCriticality(e, True, labels[pos[witness]], indices))
-    return _minimality(membership, edges)
+    return tuple(edges)
 
 
 def is_k_minimal(lattice: Graph) -> MinimalityReport:
@@ -104,7 +167,7 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     Deleting an edge leaves unhit the constraints that were unhit already
     and those it was the only hit of; the first of them is its witness.  The
     deletion also breaks membership while another edge lies outside the
-    maximal lattice.
+    maximal lattice.  So a member's edge is critical iff it has a sole hit.
     """
     cs = _cover("C", None, lattice)
     membership, outside, hits, walked, sole = cs.check(lattice)
@@ -112,16 +175,29 @@ def is_k_minimal(lattice: Graph) -> MinimalityReport:
     unhit = first = None
     if len(hits) != len(number):
         unhit, first = next(item for item in number.items() if item[1] not in hits)
-    labels, _index, pos = _lattice_labels(cs.k, 3)
+    critical = sole
+    if not membership.member:
+        critical = [
+            unhit is not None or bool(own) or any(f != e for f in outside)
+            for e, own in zip(walked, sole)
+        ]
+    edges = _EdgeRecords(walked, critical, _k_records, (walked, sole, critical, cs.k, number, unhit, first))
+    return _minimality(membership, edges)
+
+
+def _k_records(walked, sole, critical, k: int, number, unhit, first) -> tuple[EdgeCriticality, ...]:
+    """``is_k_minimal``'s records: the witness of a critical edge is the
+    first constraint that its deletion leaves unhit, if any."""
+    labels, _index, pos = _lattice_labels(k, 3)
     edges = []
-    for e, own in zip(walked, sole):
+    for e, own, crit in zip(walked, sole, critical):
         tag = own[0] if own and (first is None or number[own[0]] < first) else unhit
         if tag is not None:
             i, cond, x = tag
             edges.append(EdgeCriticality(e, True, labels[pos[x]], (i,), cond))
         else:
-            edges.append(EdgeCriticality(e, bool(outside) and any(f != e for f in outside)))
-    return _minimality(membership, edges)
+            edges.append(EdgeCriticality(e, bool(crit)))
+    return tuple(edges)
 
 
 # -- edge-count bounds -------------------------------------------------------

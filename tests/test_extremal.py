@@ -350,6 +350,170 @@ class TestMinimalityC:
         assert member_b(base_complete(2), example_graph("R", 2)).member
 
 
+def eager_records(kind, base, lattice):
+    """The two per-edge loops that built every record before any report was
+    read, restated on the cover pass: the rule the lazy records must equal."""
+    cs = families._cover(kind, base, lattice)
+    _membership, outside, hits, walked, sole = cs.check(lattice)
+    labels, _index, pos = families._lattice_labels(cs.k, cs.m)
+    edges = []
+    if kind == "B":
+        for e, tags in zip(walked, sole):
+            if not tags:
+                edges.append(EdgeCriticality(e, False))
+                continue
+            witness = min(x for _i, _cond, x in tags)
+            indices = tuple(i for i, _cond, x in tags if x == witness)
+            edges.append(EdgeCriticality(e, True, labels[pos[witness]], indices))
+        return tuple(edges)
+    number = cs.constraints
+    unhit = first = None
+    if len(hits) != len(number):
+        unhit, first = next(item for item in number.items() if item[1] not in hits)
+    for e, own in zip(walked, sole):
+        tag = own[0] if own and (first is None or number[own[0]] < first) else unhit
+        if tag is not None:
+            i, cond, x = tag
+            edges.append(EdgeCriticality(e, True, labels[pos[x]], (i,), cond))
+        else:
+            edges.append(EdgeCriticality(e, bool(outside) and any(f != e for f in outside)))
+    return tuple(edges)
+
+
+def outside_edge(k):
+    """An edge outside Gamma_k: a 1-3 move in the first coordinate."""
+    return (LatticeVertex((1,) * k), LatticeVertex((3,) + (1,) * (k - 1)))
+
+
+def lazy_record_cases():
+    """(kind, base, lattice): every lattice of the cover golden file, T_k
+    less one edge, seeded members of both families and a lattice next to
+    each (one edge dropped, and for family C one edge outside Gamma_k
+    added), and Gamma_2 with one edge outside it."""
+    from test_cover_golden import B_NAMES, C_NAMES
+
+    cases = []
+    for k in (2, 3):
+        for name in B_NAMES:
+            for base in (base_null(k), base_complete(k)):
+                cases.append(("B", base, example_graph(name, k)))
+        for name in C_NAMES:
+            cases.append(("C", None, example_graph(name, k)))
+        # a minimal member less one edge misses a constraint, also beside an
+        # edge outside Gamma_k
+        t = example_graph("T", k)
+        cases.append(("C", None, Graph(t.vertices(), t.edges()[1:])))
+        cases.append(("C", None, Graph(t.vertices(), t.edges()[1:] + [outside_edge(k)])))
+    rng = random.Random(17)
+    for k in (2, 3):
+        for _ in range(4):
+            base, lattice = random_b_member(rng, k)
+            cases.append(("B", base, lattice))
+            edges = lattice.edges()
+            cases.append(("B", base, Graph(lattice.vertices(), edges[:-1])))
+            lattice = sweeps.random_c_member(rng, k)
+            cases.append(("C", None, lattice))
+            edges = lattice.edges()
+            cases.append(("C", None, Graph(lattice.vertices(), edges[1:])))
+            cases.append(("C", None, Graph(lattice.vertices(), edges + [outside_edge(k)])))
+    g2 = gamma(2)
+    cases.append(("C", None, Graph(g2.vertices(), g2.edges() + [outside_edge(2)])))
+    return cases
+
+
+def minimality_report(kind, base, lattice):
+    return is_h1_minimal(base, lattice) if kind == "B" else is_k_minimal(lattice)
+
+
+class TestLazyRecords:
+    """A found report's ``edges`` is built on first read; until then the
+    report answers from the cover pass's sole hits."""
+
+    def test_records_equal_the_eager_rule(self):
+        seen = Counter()
+        for kind, base, lattice in lazy_record_cases():
+            want = eager_records(kind, base, lattice)
+            rep = minimality_report(kind, base, lattice)
+            assert type(rep.edges) is extremal._EdgeRecords
+            # read before any record exists
+            redundant = [ec.edge for ec in want if not ec.critical]
+            assert len(rep.edges) == len(want)
+            assert rep.redundant_edges() == redundant
+            assert rep.minimal == bool(rep) == (rep.member and all(ec.critical for ec in want))
+            assert tuple(rep.edges) == want
+            seen[kind, rep.member, rep.minimal, bool(redundant)] += 1
+        # members minimal and not, and non-members with and without a
+        # redundant edge, of both families
+        assert {(kind, member, minimal) for kind, member, minimal, _r in seen} == {
+            (kind, member, minimal) for kind in "BC" for member, minimal in
+            ((True, True), (True, False), (False, False))
+        }
+        assert ("C", False, False, True) in seen and ("C", False, False, False) in seen
+
+    def test_records_read_as_the_tuple(self):
+        for kind, base, lattice in lazy_record_cases():
+            want = eager_records(kind, base, lattice)
+            rep = minimality_report(kind, base, lattice)
+            seq = rep.edges
+            assert repr(seq) == repr(want)
+            assert seq == want and want == seq and not seq != want and not want != seq
+            assert hash(seq) == hash(want)
+            assert seq == minimality_report(kind, base, lattice).edges
+            assert seq != list(want) and list(want) != seq
+            assert list(seq) == list(want) and list(reversed(seq)) == list(reversed(want))
+            for i in range(-len(want), len(want)):
+                assert seq[i] == want[i]
+            for i in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    seq[i]
+            assert seq[1:] == want[1:] and seq[::-2] == want[::-2] and seq[:0] == ()
+            assert type(seq[1:]) is tuple
+            # a report with its edges as a plain tuple equals it and hashes alike
+            hand = dataclasses.replace(rep, edges=want)
+            assert hand == rep and rep == hand and hash(hand) == hash(rep)
+            assert hand.redundant_edges() == rep.redundant_edges()
+            same = dataclasses.replace(rep)
+            assert same.edges is seq and same == rep and hash(same) == hash(rep)
+            if want:
+                # a different record in any place breaks the equality
+                other = dataclasses.replace(want[-1], critical=not want[-1].critical)
+                assert seq != want[:-1] + (other,) and want[:-1] + (other,) != seq
+                assert dataclasses.replace(rep, edges=want[:-1] + (other,)) != rep
+
+    def test_reports_answer_without_building_a_record(self, monkeypatch):
+        real = extremal.EdgeCriticality
+        built = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        probed = 0
+        for kind, base, lattice in lazy_record_cases():
+            want = eager_records(kind, base, lattice)
+            monkeypatch.setattr(extremal, "EdgeCriticality", refuse)
+            rep = minimality_report(kind, base, lattice)
+            answers = (rep.minimal, rep.member, bool(rep), len(rep.edges), rep.redundant_edges())
+            if want:
+                # the control: the patched class bites
+                with pytest.raises(AssertionError, match="a record was built"):
+                    tuple(rep.edges)
+                probed += 1
+            monkeypatch.setattr(extremal, "EdgeCriticality", counting)
+            built.clear()
+            assert tuple(rep.edges) == want and len(built) == len(want)
+            assert list(rep.edges) == list(want) and repr(rep.edges) == repr(want)
+            assert len(built) == len(want) and built == [ec.edge for ec in want]
+            monkeypatch.undo()
+            member = (member_b(base, lattice) if kind == "B" else member_c(lattice)).member
+            minimal = member and all(ec.critical for ec in want)
+            assert answers == (minimal, member, minimal, len(want), [ec.edge for ec in want if not ec.critical])
+        assert probed > 20
+
+
 class TestBounds:
     def test_b_bounds(self):
         assert bounds_b(base_complete(2)) == (1, 2)

@@ -55,7 +55,7 @@ from crslab.resolving import (
     is_perfectness_resolvable,
     metric_dimension,
 )
-from crslab.extremal import enumerate_minimal, is_k_minimal
+from crslab.extremal import enumerate_minimal, is_h1_minimal, is_k_minimal
 from crslab.sweeps import (
     random_b_member,
     random_c_member,
@@ -1269,7 +1269,8 @@ def test_searches_leave_no_cyclic_garbage():
     # the recursive searches (the dimension search, the canonical form, the
     # minimal hitting sets) are module-level functions, so classifying,
     # sweeping and enumerating free what they build by reference counting
-    # and leave the cyclic collector nothing to find
+    # and leave the cyclic collector nothing to find; so are the minimality
+    # reports' record builders, whether the records are read or not
     rng = random.Random(52)
     gc.disable()
     try:
@@ -1286,6 +1287,16 @@ def test_searches_leave_no_cyclic_garbage():
             is_perfectness_resolvable(g)
         sweep_small_order.__wrapped__(5)
         enumerate_minimal("C", 2)
+        g2 = gamma(2)
+        far = (LatticeVertex((1, 1)), LatticeVertex((3, 1)))
+        for lattice in (example_graph("T", 3), g2, Graph(g2.vertices(), g2.edges()[1:] + [far])):
+            is_k_minimal(lattice)
+            rep = is_k_minimal(lattice)
+            assert len(tuple(rep.edges)) == len(rep.edges) and rep.redundant_edges() is not None
+        for lattice in (example_graph("V", 3), lattice_complete(3, 2)):
+            is_h1_minimal(base_null(3), lattice)
+            rep = is_h1_minimal(base_null(3), lattice)
+            assert repr(rep.edges) and hash(rep) == hash(rep)
         assert gc.collect() == 0
     finally:
         gc.enable()
