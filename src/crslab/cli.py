@@ -4,7 +4,8 @@ Commands: construct, verify, enumerate, bounds, classify, dim, suite.
 Everything is deterministic given its arguments and inputs; all data output
 is canonically sorted JSON (or graph6/DOT where requested) with no
 timestamps.  Exit codes: 0 success, 1 negative verdict where the command
-asserts a positive, 2 malformed arguments or input, 3 cap exceeded.
+asserts a positive, 2 malformed arguments or input, 3 cap exceeded or
+out of memory.
 """
 
 from __future__ import annotations
@@ -296,6 +297,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OrderCapExceeded, SizeOverflow, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        # work that no cap refused outgrew the memory; it exits as a refused cap does
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (CrslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

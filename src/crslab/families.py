@@ -289,15 +289,28 @@ class CoverSystem:
     coordinate and gives, per coordinate, the number of the constraint an
     edge going down from it there hits.  A lattice edge is then one XOR of
     two packed vectors: a coordinate moving between 1 and 3 puts it outside
-    the universe, and only the coordinates it changes are looked up.  Tags
-    and labels are made once, for the sole hits and misses the reports
-    return.  The exhaustive scans use the bit-mask view (``edges``,
-    ``masks``), built on first use.  Both stay because the mask view needs
-    the whole universe: Gamma_k has (7^k - 3^k)/2 edges, 58 460 at k = 6
-    and 141 208 100 at k = 10, which DEFAULT_SIZE_CAP allows, while the
-    position table has k * m^k numbers (at most 590 490 under
-    DEFAULT_SIZE_CAP, for C at k = 10) and the constraint table at most
-    about 250 000 tags (201 950 for C at k = 10).
+    the universe, and only the coordinates it changes are looked up.  The
+    first pass to walk a universe edge, by its positions p < q, keeps what
+    that gave in the pair table ``_pairs`` at p * m^k + q: its scaffold
+    slots and the numbers of the constraints it hits, in coordinate order.
+    Every later pass over the pair reads them in one lookup; a pair outside
+    the universe is worked out again on every pass and never kept.  The
+    table holds no labels, since a lattice on other labels is reported in
+    its own.  Tags and labels are made once, for the sole hits and misses
+    the reports return.  The exhaustive scans use the bit-mask view
+    (``edges``, ``masks``), built on first use; a pass builds neither.
+    Both views stay because the mask view needs the whole universe:
+    Gamma_k has (7^k - 3^k)/2 edges, 58 460 at k = 6 and 141 208 100 at
+    k = 10, which DEFAULT_SIZE_CAP allows, while the position table has
+    k * m^k numbers (at most 590 490 under DEFAULT_SIZE_CAP, for C at
+    k = 10) and the constraint table at most about 250 000 tags (201 950
+    for C at k = 10).  The pair table grows only with the distinct
+    universe edges that passes have walked, never past the universe, and
+    goes with its system when the system cache drops it.  It costs about
+    250 bytes a pair, 15 MB once all of Gamma_6 has been walked.  The first
+    pass over a pair pays for the fill: over all of Gamma_6 a first pass
+    takes up to twice as long as the bit rule alone, a later one about two
+    thirds as long.
     """
 
     k: int
@@ -358,6 +371,14 @@ class CoverSystem:
             down += [number.get((i, "slice" if c == 2 else "s-set", x), -1) for i, c in enumerate(x, 1)]
         return packed, down, tuple(number), ((1 << 2 * k) - 1) // 3
 
+    @cached_property
+    def _pairs(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The pass's table of walked universe edges, filled by ``check``: at
+        p * m^k + q for positions p < q, the edge's scaffold slots (2t for
+        coordinate t + 1's slice, 2t + 1 for its s-set) and the numbers of
+        the constraints it hits, each in coordinate order."""
+        return {}
+
     # equal lattices have equal labels and adjacency, so a hit is what a pass would give
     @lru_cache(maxsize=1)
     def check(self, lattice: Graph):
@@ -369,9 +390,10 @@ class CoverSystem:
         edges, numbered in canonical edge order, so equal to
         ``lattice.edges()``; and, aligned with them, each edge's sole hits,
         its tags in constraint order, or () if none.  Edges are walked by
-        position pair and hits are filed by constraint number, so each
-        edge's tags come out in constraint order, and no table keyed by
-        label edges is built.
+        position pair, each pair's slots and constraint numbers read from
+        ``_pairs`` or, on its first walk, worked out and kept there, and
+        hits are filed by constraint number, so each edge's tags come out
+        in constraint order, and no table keyed by label edges is built.
 
         The last result is cached by (system, lattice) and shared, so a
         membership report and the minimality and critical-edge reports of
@@ -380,6 +402,8 @@ class CoverSystem:
         caller may mutate any part of it."""
         k = self.k
         packed, down, tags, ones = self._positions
+        pairs = self._pairs
+        size = len(packed)
         verts = lattice.vertices()
         edges: list[Edge] = []
         j = -1  # the number of the edge being walked
@@ -388,7 +412,7 @@ class CoverSystem:
         in_scaffold: list[list[Edge]] = [[] for _ in range(2 * k)]
         hit: dict[int, list[int]] = {}
         for p, row in enumerate(lattice.adjacency_masks()):
-            u, a = verts[p], packed[p]
+            u, a, key = verts[p], packed[p], p * size
             row >>= p + 1
             while row:
                 low = row & -row
@@ -397,27 +421,36 @@ class CoverSystem:
                 e = (u, verts[q])
                 edges.append(e)
                 j += 1
-                b = packed[q]
-                d = a ^ b
-                # 1 <-> 3 is the only move that XORs a coordinate to 0b10
-                if d >> 1 & ~d & ones:
-                    outside.append(e)
-                    continue
-                moved = (d | d >> 1) & ones
-                while moved:
-                    bit = moved & -moved
-                    moved ^= bit
-                    s = bit.bit_length() - 1
-                    # a 1-2 move XORs to 0b01 (a slice), a 2-3 move to 0b11 (an
-                    # s-set); bit c is then set in the upper end's component only
-                    c = s + (d >> s + 1 & 1)
+                entry = pairs.get(key + q)
+                if entry is None:
+                    b = packed[q]
+                    d = a ^ b
+                    # 1 <-> 3 is the only move that XORs a coordinate to 0b10
+                    if d >> 1 & ~d & ones:
+                        outside.append(e)
+                        continue
+                    slots: list[int] = []
+                    numbers: list[int] = []
+                    moved = (d | d >> 1) & ones
+                    while moved:
+                        bit = moved & -moved
+                        moved ^= bit
+                        s = bit.bit_length() - 1
+                        # a 1-2 move XORs to 0b01 (a slice), a 2-3 move to 0b11 (an
+                        # s-set); bit c is then set in the upper end's component only
+                        c = s + (d >> s + 1 & 1)
+                        slots.append(c)
+                        n = down[k * (q if b >> c & 1 else p) + (s >> 1)]
+                        if n >= 0:
+                            numbers.append(n)
+                    entry = pairs[key + q] = (tuple(slots), tuple(numbers))
+                for c in entry[0]:
                     in_scaffold[c].append(e)
-                    n = down[k * (q if b >> c & 1 else p) + (s >> 1)]
-                    if n >= 0:
-                        if n in hit:
-                            hit[n].append(j)
-                        else:
-                            hit[n] = [j]
+                for n in entry[1]:
+                    if n in hit:
+                        hit[n].append(j)
+                    else:
+                        hit[n] = [j]
         # an edge's sole hits were filed while it was walked, so in constraint order
         sole: list[tuple[tuple[int, str, LatticeVector], ...]] = [()] * len(edges)
         for n, hit_edges in hit.items():

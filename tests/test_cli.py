@@ -643,6 +643,18 @@ class TestHostileInput:
         assert err.splitlines() == ["error: composite JSON 'base_edges' and 'lattice_edges' must be lists"]
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [["bounds", "C", "--k", "3"], ["construct", "--family", "T", "--k", "2"]])
+    def test_memory_error_exits_3_with_one_line(self, argv, monkeypatch, capsys):
+        # the command raises at once, so nothing large is allocated
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", exhausted)
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 class TestSuiteCommand:
     def test_jobs_option_is_rejected(self, capsys):
         # every suite runs in one process, so suite takes no --jobs
@@ -713,7 +725,9 @@ def pinned_runs():
     verify --w b1,...,bk (W the base) on every composite JSON, and classify
     and dim with --cap 30 on the T and MaxC composites at k = 3 (order 30)
     and the MaxB one at k = 4 (order 20), whose tie masks are built above
-    the spread table's order.  A pipeline is its stages joined by " | ";
+    the spread table's order, and verify --membership C on the MaxC and T
+    composites at k = 4, whose passes walk every edge of Gamma_4 and the
+    edges of T_4.  A pipeline is its stages joined by " | ";
     each stage reads the previous stage's output as stdin."""
     for family in FAMILY_NAMES:
         for k in ("2", "3"):
@@ -736,6 +750,8 @@ def pinned_runs():
     for family, k in (("T", "3"), ("MaxC", "3"), ("MaxB", "4")):
         for command in ("classify", "dim"):
             yield f"construct --family {family} --k {k} --format json --compose | {command} --graph - --cap 30"
+    for family in ("MaxC", "T"):
+        yield f"construct --family {family} --k 4 --format json --compose | verify --graph - --membership C"
 
 
 def cli_digests() -> dict[str, str]:
@@ -759,7 +775,7 @@ def test_cli_output_bytes_are_pinned():
     # output is meant to change: PYTHONPATH=src python tests/test_cli.py
     want = json.loads(CLI_DIGESTS.read_text())
     got = cli_digests()
-    assert len(got) == 208
+    assert len(got) == 210
     assert [command for command in got if got[command] != want.get(command)] == []
     assert got == want
 

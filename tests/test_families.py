@@ -460,6 +460,28 @@ def seeded_lattices(rng, k, m):
     return out
 
 
+def pair_keys(lattice, m):
+    """The pair-table keys p * m^k + q (positions p < q) of the lattice's
+    edges inside the universe, and of those outside it."""
+    verts = lattice.vertices()
+    size = m ** len(verts[0].vector)
+    assert len(verts) == size
+    inside, outside = set(), set()
+    for p, row in enumerate(lattice.adjacency_masks()):
+        for q in _iter_bits(row >> p + 1):
+            q += p + 1
+            (inside if reference.in_universe(verts[p].vector, verts[q].vector) else outside).add(p * size + q)
+    return inside, outside
+
+
+def holds_no_label(cs):
+    # each entry is (slots, numbers): two tuples of ints
+    return all(
+        type(entry) is tuple and len(entry) == 2 and all(type(x) is int for part in entry for x in part)
+        for entry in cs._pairs.values()
+    )
+
+
 class TestCoverPass:
     """The position-and-number pass gives what the direct walk over each
     edge's incidence gives: the report, the edges outside the universe, the
@@ -470,16 +492,21 @@ class TestCoverPass:
         ("C", k, 0) for k in (2, 3, 4)
     ]
 
+    @staticmethod
+    def system_lattices(built, bits):
+        """The seeded lattices on the system's [m]^k and a member whose
+        every edge is the sole hit of one constraint: each target joined
+        to the vector one lower in the target's coordinate."""
+        k, m = built.k, built.m
+        rng = random.Random(1000 * k + 10 * bits + m)
+        star = [(x, x[:i - 1] + (x[i - 1] - 1,) + x[i:]) for i, _cond, x in built.constraints]
+        return seeded_lattices(rng, k, m) + [span_lattice(k, m, star)]
+
     @pytest.mark.parametrize("family, k, bits", SYSTEMS)
     def test_check_matches_the_direct_walk(self, family, k, bits):
         base = labeled_base(k, bits)
         built = cover_system(family, k, base)
-        m = built.m
-        rng = random.Random(1000 * k + 10 * bits + m)
-        # and a member whose every edge is the sole hit of one constraint:
-        # each target joined to the vector one lower in the target's coordinate
-        star = [(x, x[:i - 1] + (x[i - 1] - 1,) + x[i:]) for i, _cond, x in built.constraints]
-        lattices = seeded_lattices(rng, k, m) + [span_lattice(k, m, star)]
+        lattices = self.system_lattices(built, bits)
         built._positions  # built before the first check
         outside_seen = sole_seen = members = 0
         for lattice in lattices:
@@ -519,6 +546,67 @@ class TestCoverPass:
             verdicts[want] += 1
         assert verdicts[True] and verdicts[False], verdicts
 
+    @pytest.mark.parametrize("family, k, bits", SYSTEMS)
+    def test_cold_and_warm_tables_agree(self, family, k, bits):
+        # each lattice against the direct walk twice: on a fresh system,
+        # whose pair table this pass fills, and on one whose table every
+        # other lattice has filled first
+        built = cover_system(family, k, labeled_base(k, bits))
+        lattices = self.system_lattices(built, bits)
+        wants = [reference_pass(built, lattice) for lattice in lattices]
+        outside_seen = 0
+        for n, (lattice, want) in enumerate(zip(lattices, wants)):
+            inside, outside = pair_keys(lattice, built.m)
+            cold = CoverSystem(built.k, built.m, built.hoods)
+            CoverSystem.check.cache_clear()
+            assert cold.check(lattice) == want
+            # the table keeps the lattice's universe pairs, never one outside
+            assert set(cold._pairs) == inside and holds_no_label(cold)
+            warm = CoverSystem(built.k, built.m, built.hoods)
+            for other in lattices[:n] + lattices[n + 1:]:
+                CoverSystem.check.cache_clear()
+                warm.check(other)
+            filled = set(warm._pairs)
+            assert (inside & filled or not inside) and not outside & filled
+            CoverSystem.check.cache_clear()
+            assert warm.check(lattice) == want
+            # a second pass reads the table it filled
+            CoverSystem.check.cache_clear()
+            assert warm.check(lattice) == want and cold.check(lattice) == want
+            assert set(warm._pairs) == filled | inside and holds_no_label(warm)
+            outside_seen += bool(outside)
+        CoverSystem.check.cache_clear()
+        # the control: lattices with edges outside the universe were among them
+        assert outside_seen if family == "C" else not outside_seen
+
+    def test_a_warm_table_reports_a_twin_in_its_own_labels(self):
+        # the plain twin of a lattice, on the table the lattice filled,
+        # gives the lattice's result with its own labels in place
+        lattice = example_graph("U", 2)
+        rows = lattice.adjacency_masks()
+        twin = plain_graph(4, [(u, v) for u in range(4) for v in _iter_bits(rows[u]) if u < v])
+        cs = CoverSystem(2, 2, cover_system("B", 2, base_complete(2)).hoods)
+        CoverSystem.check.cache_clear()
+        on_lattice = cs.check(lattice)
+        assert set(cs._pairs) == pair_keys(lattice, 2)[0]
+        CoverSystem.check.cache_clear()
+        on_twin = cs.check(twin)
+        rename = dict(zip(lattice.vertices(), twin.vertices()))
+
+        def renamed(edges):
+            return [(rename[u], rename[v]) for u, v in edges]
+
+        assert on_twin[3] == twin.edges() == renamed(on_lattice[3])
+        assert on_twin[1] == on_lattice[1] == []
+        assert on_twin[2] == on_lattice[2] and on_twin[4] == on_lattice[4]
+        report, other = on_twin[0], on_lattice[0]
+        assert report.member == other.member and report.bad_edge is None
+        for got, want in zip(report.diagnostics, other.diagnostics, strict=True):
+            assert list(got.covering_edges) == renamed(want.covering_edges)
+            assert list(got.secondary_edges) == renamed(want.secondary_edges)
+        assert {type(u) for d in report.diagnostics for e in d.covering_edges for u in e} == {PlainVertex}
+        CoverSystem.check.cache_clear()
+
     def test_a_k6_check_builds_no_universe(self):
         families._cover_system.cache_clear()
         CoverSystem.check.cache_clear()
@@ -529,6 +617,10 @@ class TestCoverPass:
         assert "_positions" in cs.__dict__
         for name in ("edges", "masks"):
             assert name not in cs.__dict__
+        # the pair table holds T_6's position pairs and nothing else
+        inside, outside = pair_keys(t6, 3)
+        assert not outside and len(inside) == t6.size
+        assert set(cs._pairs) == inside and holds_no_label(cs)
         CoverSystem.check.cache_clear()
 
 
